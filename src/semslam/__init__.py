@@ -15,7 +15,6 @@ from .core import (
     histogram_of,
 )
 from .geometry import Pose
-from .kernels import BACKEND
 
 __version__ = "0.1.0"
 
@@ -28,6 +27,5 @@ __all__ = [
     "Pose",
     "SemanticMeasurement",
     "histogram_of",
-    "BACKEND",
     "__version__",
 ]

@@ -390,20 +390,18 @@ def _lex_refine(cm: CostMatrix, row_to_col: np.ndarray, u: np.ndarray, v: np.nda
     current = row_to_col.copy()
     for i in range(n):
         assigned = current[i]
-        # candidate columns with (near-)zero reduced cost, in ascending order
-        red = mat[i] - u[i] - v
-        for j in range(mat.shape[1]):
-            if j == assigned:
-                break  # assigned column is already optimal and lowest remaining
-            if red[j] <= tol and mat[i, j] < kernels.BIG / 2:
-                trial = fixed.copy()
-                trial[i, :] = kernels.BIG
-                trial[i, j] = mat[i, j]
-                r2c, _, _, t2 = kernels.lap_solve(trial)
-                if t2 <= total + tol:
-                    current = r2c
-                    assigned = j
-                    break
+        # allowed columns below the assigned one with (near-)zero reduced
+        # cost, in ascending order; the assigned column is already optimal
+        red = mat[i, :assigned] - u[i] - v[:assigned]
+        for j in np.flatnonzero((red <= tol) & (mat[i, :assigned] < kernels.BIG / 2)).tolist():
+            trial = fixed.copy()
+            trial[i, :] = kernels.BIG
+            trial[i, j] = mat[i, j]
+            r2c, _, _, t2 = kernels.lap_solve(trial)
+            if t2 <= total + tol:
+                current = r2c
+                assigned = j
+                break
         fixed[i, :] = kernels.BIG
         fixed[i, assigned] = mat[i, assigned]
     return current

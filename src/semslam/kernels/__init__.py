@@ -1,37 +1,10 @@
-"""Hot numeric kernels, numba-compiled unless SEMSLAM_NO_NUMBA=1.
+"""Hot numeric kernels: assignment, systematic resampling, RANSAC consensus.
 
-Both paths run the same source (`_impl.py`); the env flag exists for
-debugging and for machines without a working numba. `BACKEND` reports
-which path is active. RANSAC consensus is vectorised numpy and is bound
-uncompiled on both backends.
+One numpy path (`_impl.py`). Each kernel replaces a scalar loop, kept in
+tests/conftest.py as its reference, and returns that loop's outputs bit
+for bit (resampling differs only at u0 == 0, where the loop was wrong).
 """
 
-import os
+from ._impl import BIG, lap_solve, ransac_best_mask, systematic_resample
 
-from . import _impl
-from ._impl import BIG
-
-__all__ = ["lap_solve", "systematic_resample", "mahalanobis_sq", "ransac_best_mask", "BIG", "BACKEND"]
-
-ransac_best_mask = _impl.ransac_best_mask
-
-_disabled = os.environ.get("SEMSLAM_NO_NUMBA", "").strip() in ("1", "true", "yes")
-
-if not _disabled:
-    try:
-        from numba import njit
-
-        lap_solve = njit(cache=True)(_impl.lap_solve)
-        systematic_resample = njit(cache=True)(_impl.systematic_resample)
-        mahalanobis_sq = njit(cache=True)(_impl.mahalanobis_sq)
-        BACKEND = "numba"
-    except ImportError:  # pragma: no cover - numba is a hard dep, but stay usable
-        lap_solve = _impl.lap_solve
-        systematic_resample = _impl.systematic_resample
-        mahalanobis_sq = _impl.mahalanobis_sq
-        BACKEND = "numpy"
-else:
-    lap_solve = _impl.lap_solve
-    systematic_resample = _impl.systematic_resample
-    mahalanobis_sq = _impl.mahalanobis_sq
-    BACKEND = "numpy"
+__all__ = ["lap_solve", "systematic_resample", "ransac_best_mask", "BIG"]

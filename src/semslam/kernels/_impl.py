@@ -1,9 +1,9 @@
-"""Reference implementations of the hot numeric kernels.
+"""The hot numeric kernels, vectorised in numpy.
 
-Written in nopython-compatible style so the same source can be compiled
-with numba or run as plain numpy/python (see package __init__). The one
-exception is `ransac_best_mask`, which is vectorised numpy and runs
-uncompiled on both backends.
+Each one replaces a scalar loop (tests/conftest.py) and keeps that loop's
+per-element operations and their order, so its outputs are the loop's,
+bit for bit, not just equal up to rounding. The one exception is
+resampling at u0 == 0, where the loop skipped weights[0].
 """
 
 import numpy as np
@@ -18,72 +18,79 @@ def lap_solve(cost):
     Returns (row_to_col, u, v, total). Cells >= BIG/2 are treated as
     forbidden; if the optimum is forced through one, total reflects it and
     the caller should treat the problem as infeasible.
+
+    Each Dijkstra step scans every column at once: reduced costs, a strict
+    `<` update of the column minima, the first minimum over free columns,
+    then the potential shifts. Every element sees the same operations in
+    the same order as in a column-by-column loop, so all four outputs equal
+    those of the scalar reference (tests/conftest.py) bit for bit. A used
+    column's minimum is set to inf, which keeps it out of the argmin.
     """
     n, m = cost.shape
-    u = np.zeros(n + 1)
-    v = np.zeros(m + 1)
-    p = np.zeros(m + 1, dtype=np.int64)  # p[j]: row matched to column j (1-based, 0 = free)
-    way = np.zeros(m + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = np.full(m + 1, _INF)
-        used = np.zeros(m + 1, dtype=np.bool_)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = _INF
-            j1 = 0
-            for j in range(1, m + 1):
-                if not used[j]:
-                    cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
-            for j in range(m + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while j0 != 0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    row_to_col = np.full(n, -1, dtype=np.int64)
-    for j in range(1, m + 1):
-        if p[j] > 0:
-            row_to_col[p[j] - 1] = j - 1
-    total = 0.0
+    if n > m:
+        raise ValueError(f"lap_solve needs rows <= cols, got {n}x{m}")
+    u = np.zeros(n)
+    v = np.zeros(m)
+    p = np.full(m, -1, dtype=np.int64)  # p[j]: row matched to column j, -1 = free
+    way = np.zeros(m, dtype=np.int64)  # previous column on the path, -1 = row i itself
     for i in range(n):
-        total += cost[i, row_to_col[i]]
-    return row_to_col, u[1:], v[1:], total
+        # first step, from row i, whose potential is still 0
+        cur = cost[i] - v
+        better = cur < _INF
+        minv = np.where(better, cur, _INF)
+        free = None  # allocated once the path needs a second step
+        used = []  # columns reached so far, in order
+        j0 = -1
+        while True:
+            j1 = int(minv.argmin())
+            delta = minv[j1]
+            u[i] += delta
+            if used:
+                cols = np.array(used)
+                u[p[cols]] += delta
+                v[cols] -= delta
+            if p[j1] < 0:  # a free column ends the path; minv is not read again
+                if better[j1]:  # reached in this step
+                    way[j1] = j0
+                break
+            way[better] = j0
+            if free is None:
+                free = np.ones(m, dtype=np.bool_)
+            minv -= delta
+            free[j1] = False
+            minv[j1] = np.inf
+            used.append(j1)
+            j0 = j1
+            i0 = p[j0]
+            cur = cost[i0] - u[i0] - v
+            better = cur < minv
+            better &= free
+            np.copyto(minv, cur, where=better)
+        while j1 >= 0:  # augment along the path back to row i
+            j0 = way[j1]
+            p[j1] = i if j0 < 0 else p[j0]
+            j1 = j0
+    row_to_col = np.full(n, -1, dtype=np.int64)
+    cols = np.flatnonzero(p >= 0)
+    row_to_col[p[cols]] = cols
+    total = 0.0
+    for c in cost[np.arange(n), row_to_col].tolist():
+        total += c  # in row order, as the reference sums
+    return row_to_col, u, v, total
 
 
 def systematic_resample(weights, n, u0):
     """Systematic resampling: n probes at (u0 + i) / n over the weight CDF.
 
-    weights must be normalized; u0 in [0, 1). Returns selected indices.
+    weights must be normalized; u0 in [0, 1). Index j owns the probes in
+    (cum[j-1], cum[j]], so each index is drawn floor(n w_j) or ceil(n w_j)
+    times. A probe at 0 lies in no such interval, so u0 == 0 uses the same
+    lattice shifted by one step (u0 = 1). Probes past the rounded total
+    select the last index. Returns the selected indices, ascending.
     """
     k = weights.shape[0]
-    out = np.empty(n, dtype=np.int64)
-    cum = 0.0
-    j = -1
-    for i in range(n):
-        target = (u0 + i) / n
-        while cum < target and j < k - 1:
-            j += 1
-            cum += weights[j]
-        if j < 0:
-            j = 0
-        out[i] = j
-    return out
+    probes = (np.arange(n) + (u0 if u0 > 0.0 else 1.0)) / n
+    return np.minimum(np.searchsorted(np.cumsum(weights), probes, side="left"), k - 1)
 
 
 def ransac_best_mask(src, dst, picks, tol):
@@ -100,7 +107,6 @@ def ransac_best_mask(src, dst, picks, tol):
 
     Each step keeps the per-sample operand order and matmul shapes, so
     masks and counts equal those of a scalar loop (tests/conftest.py).
-    Not compiled: numba has no batched SVD.
     """
     n = src.shape[0]
     iters = picks.shape[0]
@@ -153,17 +159,3 @@ def ransac_best_mask(src, dst, picks, tol):
             if needed <= it:
                 needed = it + 1
     return masks[np.searchsorted(valid, best_it)].copy(), best_count
-
-
-def mahalanobis_sq(diffs, prec):
-    """Squared Mahalanobis norms of row vectors under precision matrix prec."""
-    n = diffs.shape[0]
-    out = np.empty(n)
-    for i in range(n):
-        d = diffs[i]
-        s = 0.0
-        for a in range(3):
-            for b in range(3):
-                s += d[a] * prec[a, b] * d[b]
-        out[i] = s
-    return out

@@ -62,6 +62,79 @@ def brute_force_assignment(cost: np.ndarray):
     return best_cols, best_total
 
 
+_INF = 1e30
+
+
+def scalar_lap_solve(cost):
+    """Column-by-column shortest augmenting paths: the reference for
+    `kernels.lap_solve`, which must return the same four outputs bit for bit."""
+    n, m = cost.shape
+    u = np.zeros(n + 1)
+    v = np.zeros(m + 1)
+    p = np.zeros(m + 1, dtype=np.int64)  # p[j]: row matched to column j (1-based, 0 = free)
+    way = np.zeros(m + 1, dtype=np.int64)
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv = np.full(m + 1, _INF)
+        used = np.zeros(m + 1, dtype=np.bool_)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            delta = _INF
+            j1 = 0
+            for j in range(1, m + 1):
+                if not used[j]:
+                    cur = cost[i0 - 1, j - 1] - u[i0] - v[j]
+                    if cur < minv[j]:
+                        minv[j] = cur
+                        way[j] = j0
+                    if minv[j] < delta:
+                        delta = minv[j]
+                        j1 = j
+            for j in range(m + 1):
+                if used[j]:
+                    u[p[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while j0 != 0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    row_to_col = np.full(n, -1, dtype=np.int64)
+    for j in range(1, m + 1):
+        if p[j] > 0:
+            row_to_col[p[j] - 1] = j - 1
+    total = 0.0
+    for i in range(n):
+        total += cost[i, row_to_col[i]]
+    return row_to_col, u[1:], v[1:], total
+
+
+def scalar_systematic_resample(weights, n, u0):
+    """Walk the weight CDF once for n probes at (u0 + i) / n: the reference
+    for `kernels.systematic_resample` when u0 > 0. At u0 == 0 the `j < 0`
+    clamp moves to index 0 without adding weights[0] to the running sum,
+    so later probes can land one index too far ([.5, .5], n=4 -> 0,1,1,1)."""
+    k = weights.shape[0]
+    out = np.empty(n, dtype=np.int64)
+    cum = 0.0
+    j = -1
+    for i in range(n):
+        target = (u0 + i) / n
+        while cum < target and j < k - 1:
+            j += 1
+            cum += weights[j]
+        if j < 0:
+            j = 0
+        out[i] = j
+    return out
+
+
 def scalar_ransac_best_mask(src, dst, picks, tol):
     """Per-iteration RANSAC consensus: the reference for the vectorised kernel.
 

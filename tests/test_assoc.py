@@ -320,6 +320,30 @@ class TestSolveAssignment:
         a = solve_assignment(self.make_cm(np.full((2, 3), 5.0)))
         assert a.targets == (Existing(0), Existing(1))
 
+    def test_lexicographically_first_optimum_on_ties(self, rng):
+        """Among tied optima, the one brute force meets first in
+        lexicographic order of the row -> column tuple."""
+        tied = 0
+        for _ in range(60):
+            n = int(rng.integers(1, 4))
+            cm = self.make_cm(rng.integers(0, 3, size=(n, int(rng.integers(1, 4)))).astype(float), 2.0, 2.0)
+            cols, best = brute_force_assignment(cm.matrix)
+            got = solve_assignment(cm)
+            assert got.targets == tuple(cm.column_targets[j] for j in cols)
+            assert got.total_cost == best
+            n_opt = sum(
+                sum(cm.matrix[i, j] for i, j in enumerate(perm)) == best
+                for perm in itertools.permutations(range(cm.matrix.shape[1]), n)
+            )
+            tied += n_opt > 1
+        assert tied >= 30
+
+    def test_all_forbidden_row_is_infeasible(self):
+        cm = self.make_cm([[1.0, 2.0], [3.0, 4.0]])
+        cm.matrix[1, :] = 1e18
+        with pytest.raises(InfeasibleAssignment):
+            solve_assignment(cm)
+
 
 class TestGenerateBranches:
     def test_two_branch_example(self):

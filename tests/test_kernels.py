@@ -1,8 +1,5 @@
-"""Numeric kernels: assignment solver, systematic resampling, RANSAC
-consensus, Mahalanobis — and parity between the compiled and plain backends."""
-
-import subprocess
-import sys
+"""Numeric kernels: assignment solver, systematic resampling and RANSAC
+consensus, each checked exactly against its scalar reference loop."""
 
 import numpy as np
 import pytest
@@ -10,9 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semslam import kernels
-from semslam.kernels import _impl
 
-from conftest import brute_force_assignment, scalar_ransac_best_mask
+from conftest import (
+    brute_force_assignment,
+    scalar_lap_solve,
+    scalar_ransac_best_mask,
+    scalar_systematic_resample,
+)
 
 
 class TestLapSolve:
@@ -47,6 +48,10 @@ class TestLapSolve:
         r2c, _, _, total = kernels.lap_solve(cost)
         assert list(r2c) == [1, 0] and total == 2.0
 
+    def test_more_rows_than_cols_rejected(self):
+        with pytest.raises(ValueError):
+            kernels.lap_solve(np.zeros((3, 2)))
+
 
 class TestSystematicResample:
     def test_uniform_weights_keep_everyone(self):
@@ -69,6 +74,18 @@ class TestSystematicResample:
             for i in range(5):
                 c = int(np.sum(idx == i))
                 assert np.floor(n * w[i]) <= c <= np.ceil(n * w[i])
+
+    def test_u0_zero_keeps_multiplicity(self):
+        # the probe at 0 must not count toward weights[0]: two copies each
+        w = np.array([0.5, 0.5])
+        assert kernels.systematic_resample(w, 4, 0.0).tolist() == [0, 0, 1, 1]
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            k = int(rng.integers(1, 8))
+            w = rng.dirichlet(np.ones(k))
+            n = int(rng.integers(1, 12))
+            counts = np.bincount(kernels.systematic_resample(w, n, 0.0), minlength=k)
+            assert np.all(np.floor(n * w) <= counts) and np.all(counts <= np.ceil(n * w))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -146,38 +163,73 @@ def _ransac_problem(rng, kind):
     return src, dst, picks, tol
 
 
-class TestMahalanobisSq:
-    def test_identity_precision_is_squared_norm(self, rng):
-        d = rng.standard_normal((10, 3))
-        out = kernels.mahalanobis_sq(d, np.eye(3))
-        assert np.allclose(out, np.sum(d * d, axis=1))
+LAP_KINDS = ("uniform", "ties", "forbidden", "forbidden_row", "square", "single_row", "tall_gated")
 
-    def test_general_precision(self, rng):
-        from conftest import random_spd
 
-        cov = random_spd(rng)
-        prec = np.linalg.inv(cov)
-        d = rng.standard_normal((5, 3))
-        expect = [float(x @ prec @ x) for x in d]
-        assert np.allclose(kernels.mahalanobis_sq(d, prec), expect)
+def _lap_problem(rng, kind):
+    """One seeded cost matrix (rows <= cols) of the given kind."""
+    if kind == "tall_gated":  # association-shaped: gated landmark block, then New and FP diagonals
+        n, n_lm = 20, 80
+        cost = np.full((n, n_lm + 2 * n), kernels.BIG)
+        block = rng.uniform(0.0, 12.0, size=(n, n_lm))
+        cost[:, :n_lm] = np.where(rng.random((n, n_lm)) < 0.08, block, kernels.BIG)
+        cost[np.arange(n), n_lm + np.arange(n)] = 8.0
+        cost[np.arange(n), n_lm + n + np.arange(n)] = rng.uniform(6.0, 14.0, size=n)
+        return cost
+    n = {"single_row": 1}.get(kind, int(rng.integers(1, 9)))
+    m = n if kind == "square" else n + int(rng.integers(0, 10))
+    if kind == "ties":
+        return rng.integers(0, 3, size=(n, m)).astype(float)
+    cost = rng.uniform(-5.0, 10.0, size=(n, m))
+    if kind in ("forbidden", "forbidden_row"):
+        cost[rng.random((n, m)) < 0.4] = kernels.BIG
+    if kind == "forbidden_row":
+        cost[int(rng.integers(n))] = kernels.BIG
+    return cost
 
 
 class TestBackendParity:
-    """The active kernels must agree exactly with their references: the
-    `_impl` source, and for RANSAC consensus the scalar loop in conftest."""
+    """Each kernel agrees exactly with its scalar reference loop in conftest."""
 
     def test_lap_solve(self, rng):
-        for _ in range(20):
-            cost = rng.uniform(0.0, 10.0, size=(4, 9))
-            a = kernels.lap_solve(cost)
-            b = _impl.lap_solve(cost)
-            assert list(a[0]) == list(b[0]) and a[3] == pytest.approx(b[3])
+        """All four outputs equal the column-by-column loop bit for bit, on
+        210 seeded problems of seven kinds, and each kind is what it says."""
+        seen = dict.fromkeys(LAP_KINDS, 0)
+        for problem in range(210):
+            kind = LAP_KINDS[problem % len(LAP_KINDS)]
+            cost = _lap_problem(rng, kind)
+            n, m = cost.shape
+            r2c, u, v, total = kernels.lap_solve(cost)
+            ref = scalar_lap_solve(cost)
+            assert r2c.dtype == np.int64 and r2c.tolist() == ref[0].tolist(), (problem, kind)
+            assert u.shape == (n,) and u.tobytes() == ref[1].tobytes(), (problem, kind)
+            assert v.shape == (m,) and v.tobytes() == ref[2].tobytes(), (problem, kind)
+            assert float(total).hex() == float(ref[3]).hex(), (problem, kind)
+            assert len(set(r2c.tolist())) == n and r2c.min() >= 0  # one-to-one
+            feasible = total < kernels.BIG / 2
+            reduced = cost - u[:, None] - v[None, :]
+            reduced[np.arange(n), r2c] = np.inf
+            seen[kind] += {
+                "uniform": feasible,
+                "ties": bool((reduced == 0.0).any()),  # another cell is as good as the chosen one
+                "forbidden": feasible and bool((cost >= kernels.BIG / 2).any()),
+                "forbidden_row": not feasible,
+                "square": n == m,
+                "single_row": n == 1,
+                "tall_gated": feasible and (n, m) == (20, 120),
+            }[kind]
+        assert all(seen.values()), seen
 
     def test_systematic_resample(self, rng):
-        for _ in range(20):
-            w = rng.dirichlet(np.ones(7))
+        # u0 > 0 only: at u0 == 0 the reference skips weights[0]
+        # (TestSystematicResample::test_u0_zero_keeps_multiplicity)
+        for _ in range(300):
+            k = int(rng.integers(1, 10))
+            w = rng.dirichlet(np.ones(k) * rng.uniform(0.2, 2.0))
+            n = int(rng.integers(1, 14))
             u0 = float(rng.random())
-            assert kernels.systematic_resample(w, 9, u0).tolist() == _impl.systematic_resample(w, 9, u0).tolist()
+            assert u0 > 0.0
+            assert kernels.systematic_resample(w, n, u0).tolist() == scalar_systematic_resample(w, n, u0).tolist()
 
     def test_ransac_best_mask(self, rng):
         """The vectorised kernel equals the per-iteration scalar loop exactly,
@@ -207,22 +259,3 @@ class TestBackendParity:
                 }[kind]
             seen[kind] += hit
         assert all(seen.values()), seen
-
-    def test_mahalanobis_sq(self, rng):
-        d = rng.standard_normal((8, 3))
-        prec = np.eye(3) * 2.0
-        assert np.allclose(kernels.mahalanobis_sq(d, prec), _impl.mahalanobis_sq(d, prec))
-
-
-def test_env_flag_selects_plain_backend():
-    code = (
-        "import semslam.kernels as k; "
-        "assert k.BACKEND == 'numpy', k.BACKEND; "
-        "import numpy as np; "
-        "r, u, v, t = k.lap_solve(np.array([[4.0, 1.0], [2.0, 3.0]])); "
-        "assert list(r) == [1, 0] and t == 3.0"
-    )
-    import os
-
-    env = dict(os.environ, SEMSLAM_NO_NUMBA="1")
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -15,6 +15,24 @@ from semslam.assoc import (
     Previous,
 )
 from semslam.core import ClassLabel, Landmark, SemanticMeasurement
+from semslam.geometry import (
+    Pose,
+    hat,
+    left_jacobian_inv_so3,
+    log_so3,
+    quat_from_rotvec,
+    quat_mul,
+    quat_normalize,
+    right_jacobian_inv_so3,
+)
+from semslam.graph import (
+    GraphState,
+    OptimizeResult,
+    PriorFactor,
+    RelativePoseFactor,
+    cauchy_cost,
+    cauchy_weight,
+)
 
 
 def label(i: int) -> ClassLabel:
@@ -198,6 +216,145 @@ def scalar_ransac_best_mask(src, dst, picks, tol):
                 if needed <= it:
                     needed = it + 1
     return best_mask, best_count
+
+
+def _scalar_factor_terms(f, state):
+    """Residual and Jacobians of one factor, one 3x3 product at a time."""
+    if isinstance(f, PriorFactor):
+        pose = state.poses[f.pose_id]
+        r_r = log_so3(f.prior.rot().T @ pose.rot())
+        J = np.zeros((6, 6))
+        J[:3, :3] = np.eye(3)
+        J[3:, 3:] = right_jacobian_inv_so3(r_r)
+        return np.concatenate([pose.translation - f.prior.translation, r_r]), {("pose", f.pose_id): J}
+    if isinstance(f, RelativePoseFactor):
+        Ti, Tj = state.poses[f.pose_i], state.poses[f.pose_j]
+        Ri = Ti.rot()
+        v = Ri.T @ (Tj.translation - Ti.translation)
+        E = f.measured.rot().T
+        r_r = log_so3(E @ Ri.T @ Tj.rot())
+        Ji = np.zeros((6, 6))
+        Jj = np.zeros((6, 6))
+        Ji[:3, :3] = -Ri.T
+        Ji[:3, 3:] = hat(v)
+        Jj[:3, :3] = Ri.T
+        Ji[3:, 3:] = -left_jacobian_inv_so3(r_r) @ E
+        Jj[3:, 3:] = right_jacobian_inv_so3(r_r)
+        r = np.concatenate([v - f.measured.translation, r_r])
+        return r, {("pose", f.pose_i): Ji, ("pose", f.pose_j): Jj}
+    pose = state.poses[f.pose_id]
+    R = pose.rot()
+    v = R.T @ (state.landmarks[f.landmark_id] - pose.translation)
+    Jp = np.zeros((3, 6))
+    Jp[:, :3] = -R.T
+    Jp[:, 3:] = hat(v)
+    r = v - np.asarray(f.measured)
+    return r, {("pose", f.pose_id): Jp, ("landmark", f.landmark_id): R.T}
+
+
+def _scalar_whitened(f, state):
+    r, jacs = _scalar_factor_terms(f, state)
+    W = np.linalg.cholesky(f.information).T
+    rw = W @ r
+    norm = float(np.linalg.norm(rw))
+    if f.robust_c is not None:
+        w, cost = cauchy_weight(norm, f.robust_c), cauchy_cost(norm, f.robust_c)
+    else:
+        w, cost = 1.0, 0.5 * norm * norm
+    return rw, {var: W @ J for var, J in jacs.items()}, w, cost
+
+
+def _scalar_total_cost(state):
+    return sum(_scalar_whitened(f, state)[3] for f in state.factors)
+
+
+def _scalar_normal_equations(state, offsets, dim):
+    H = np.zeros((dim, dim))
+    b = np.zeros(dim)
+    cost = 0.0
+    for f in state.factors:
+        rw, jacs, w, c = _scalar_whitened(f, state)
+        cost += c
+        items = list(jacs.items())
+        for var_a, Ja in items:
+            oa = offsets[var_a]
+            da = Ja.shape[1]
+            b[oa : oa + da] += w * (Ja.T @ rw)
+            for var_b, Jb in items:
+                ob = offsets[var_b]
+                db = Jb.shape[1]
+                H[oa : oa + da, ob : ob + db] += w * (Ja.T @ Jb)
+    return H, b, cost
+
+
+def scalar_optimize(g, max_iters=50, grad_tol=1e-8, lm_lambda0=1e-4):
+    """Per-factor Levenberg-Marquardt over the full dense system: the
+    reference for `graph.optimize`. It assembles H factor by factor, solves
+    H + lam I directly and reads the covariance from its full inverse."""
+    g.check_structure()
+    state = g.copy()
+    offsets, off = {}, 0
+    for pid in sorted(state.poses):
+        offsets[("pose", pid)] = off
+        off += 6
+    for lid in sorted(state.landmarks):
+        offsets[("landmark", lid)] = off
+        off += 3
+    dim = off
+
+    def apply_step(state, delta):
+        new = GraphState({}, {}, list(state.factors))
+        for pid, pose in state.poses.items():
+            o = offsets[("pose", pid)]
+            q = quat_normalize(quat_mul(pose.rotation, quat_from_rotvec(delta[o + 3 : o + 6])))
+            new.poses[pid] = Pose(pose.translation + delta[o : o + 3], q)
+        for lid, l in state.landmarks.items():
+            o = offsets[("landmark", lid)]
+            new.landmarks[lid] = l + delta[o : o + 3]
+        return new
+
+    lam = lm_lambda0
+    cost = initial_cost = _scalar_total_cost(state)
+    iterations = rejected = 0
+    converged = False
+    for _ in range(max_iters):
+        iterations += 1
+        H, b, cost = _scalar_normal_equations(state, offsets, dim)
+        if float(np.max(np.abs(b))) < grad_tol:
+            converged = True
+            break
+        accepted = False
+        for _ in range(12):
+            try:
+                delta = np.linalg.solve(H + lam * np.eye(dim), -b)
+            except np.linalg.LinAlgError:
+                rejected += 1
+                lam *= 10.0
+                continue
+            trial = apply_step(state, delta)
+            trial_cost = _scalar_total_cost(trial)
+            if trial_cost < cost:
+                improvement = cost - trial_cost
+                state = trial
+                cost = trial_cost
+                lam = max(lam / 10.0, 1e-12)
+                accepted = True
+                if improvement < 1e-9 * max(1.0, cost):
+                    converged = True
+                break
+            rejected += 1
+            lam *= 10.0
+        if not accepted or converged:
+            converged = True
+            break
+    H, _, _ = _scalar_normal_equations(state, offsets, dim)
+    o = offsets[("pose", max(state.poses))]
+    try:
+        cov = np.linalg.inv(H + 1e-12 * np.eye(dim))
+        trace = float(np.trace(cov[o : o + 6, o : o + 6]))
+    except np.linalg.LinAlgError:
+        trace = float("inf")
+    return OptimizeResult(state, cost, iterations, trace, converged, initial_cost, rejected)
 
 
 @pytest.fixture

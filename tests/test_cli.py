@@ -1,9 +1,12 @@
 """CLI: simulate -> run -> eval -> export-plot round trip and error paths."""
 
 import os
+import subprocess
+import sys
 
 import pytest
 
+import semslam
 from semslam.cli import main
 from semslam.config import RunConfig, serialize_config
 
@@ -115,3 +118,16 @@ def test_run_on_corrupt_logs_exit_code(tmp_path, cfg_path, capsys):
     rc = main(["run", "--config", cfg_path, "--logs", logs, "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_import_loads_no_slow_scipy_submodules():
+    """Importing scipy.linalg, scipy.sparse or scipy.optimize costs a
+    fraction of a second of start-up in every process; the CLI needs none."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(semslam.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import semslam.cli, sys; "
+        "print(','.join(m for m in ('scipy.linalg', 'scipy.sparse', 'scipy.optimize') if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == ""

@@ -20,7 +20,7 @@ from semslam.graph import (
     rmse,
 )
 
-from conftest import random_spd
+from conftest import random_spd, scalar_optimize
 
 
 def random_pose(rng, scale=2.0):
@@ -136,6 +136,89 @@ def chain_graph(increments, start=None, info_scale=1.0):
     return g
 
 
+def perturbed_chain(rng):
+    incs = [Pose(rng.uniform(-1, 1, 3), quat_from_rotvec(0.2 * rng.standard_normal(3))) for _ in range(5)]
+    g = chain_graph(incs)
+    for pid in list(g.poses)[1:]:
+        g.poses[pid] = Pose(g.poses[pid].translation + 0.3 * rng.standard_normal(3), g.poses[pid].rotation)
+    return g
+
+
+def random_information(rng, dim):
+    A = rng.standard_normal((dim, dim))
+    return rng.uniform(1.0, 100.0) * (A @ A.T / dim + np.eye(dim))
+
+
+PARITY_KINDS = ("mixed", "landmark_free", "near_pi", "zero_residual")
+
+
+def parity_graph(rng, kind):
+    """A random graph of one kind and an iteration cap for it.
+
+    mixed: poses with odometry, loop and landmark factors, some robust, some
+    landmarks seen from several poses, a perturbed start. landmark_free: the
+    same without landmarks. near_pi: an odometry residual rotation within
+    1e-6 of pi at the start. zero_residual: every residual exactly zero, or
+    only x-translation residuals with identity rotations and information.
+    """
+    max_iters = int(rng.choice([1, 3, 12, 50]))
+    robust = lambda: float(rng.uniform(0.5, 3.0)) if rng.random() < 0.5 else None
+    g = GraphState()
+    if kind == "zero_residual":
+        n, scale = int(rng.integers(2, 6)), float(rng.uniform(1.0, 50.0))
+        xs = np.cumsum(rng.integers(1, 4, n)).astype(float)
+        for p in range(n):
+            g.poses[p] = Pose(np.array([xs[p], 0.0, 0.0]))
+        g.factors.append(PriorFactor(0, Pose(np.array([xs[0], 0.0, 0.0])), 1e6 * np.eye(6)))
+        shift = 0.25 if rng.random() < 0.5 else 0.0
+        for p in range(1, n):
+            step = Pose(np.array([xs[p] - xs[p - 1] + shift, 0.0, 0.0]))
+            g.factors.append(RelativePoseFactor(p - 1, p, step, scale * np.eye(6), robust_c=robust()))
+        for lid in range(int(rng.integers(0, 4))):
+            x = float(rng.integers(-5, 15))
+            g.landmarks[lid] = np.array([x, 0.0, 0.0])
+            for p in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False):
+                z = np.array([x - xs[p] - shift, 0.0, 0.0])
+                g.factors.append(LandmarkFactor(int(p), lid, z, scale * np.eye(3), robust_c=robust()))
+        return g, max_iters
+    n = int(rng.integers(2, 7))
+    truth = [Pose()] + [random_pose(rng) for _ in range(n - 1)]
+    for p in range(n):
+        start = truth[p] if p == 0 else Pose(
+            truth[p].translation + 0.3 * rng.standard_normal(3),
+            quat_mul(truth[p].rotation, quat_from_rotvec(0.2 * rng.standard_normal(3))),
+        )
+        g.poses[p] = start
+    prior_info = 1e6 * np.eye(6) if rng.random() < 0.5 else random_information(rng, 6)
+    g.factors.append(PriorFactor(0, Pose(), prior_info))
+
+    def noisy_relative(i, j):
+        rel = truth[j].relative_to(truth[i])
+        return Pose(rel.translation + 0.05 * rng.standard_normal(3),
+                    quat_mul(rel.rotation, quat_from_rotvec(0.05 * rng.standard_normal(3))))
+
+    for p in range(1, n):
+        g.factors.append(RelativePoseFactor(p - 1, p, noisy_relative(p - 1, p), random_information(rng, 6), robust_c=robust()))
+    if n > 2 and rng.random() < 0.5:
+        g.factors.append(RelativePoseFactor(0, n - 1, noisy_relative(0, n - 1), random_information(rng, 6), robust_c=robust(), kind="loop"))
+    if kind == "near_pi":
+        # pose 1 starts rotated by pi - 5e-7 about a random axis from an
+        # identity-rotation odometry measurement out of an identity pose 0
+        axis = rng.standard_normal(3)
+        axis /= np.linalg.norm(axis)
+        half = 0.5 * (math.pi - 5e-7)
+        g.poses[1] = Pose(g.poses[1].translation, np.concatenate([[math.cos(half)], math.sin(half) * axis]))
+        g.factors[1] = RelativePoseFactor(0, 1, Pose(rng.uniform(-1, 1, 3)), random_information(rng, 6), robust_c=robust())
+    if kind in ("mixed", "near_pi"):
+        for lid in range(int(rng.integers(1, 7))):
+            where = 3.0 * rng.standard_normal(3)
+            g.landmarks[10 + lid] = where + 0.3 * rng.standard_normal(3)
+            for p in rng.choice(n, size=int(rng.integers(1, min(3, n) + 1)), replace=False):
+                z = truth[p].transform_inverse(where) + 0.05 * rng.standard_normal(3)
+                g.factors.append(LandmarkFactor(int(p), 10 + lid, z, random_spd(rng, rng.uniform(1.0, 30.0)), robust_c=robust()))
+    return g, max_iters
+
+
 class TestOptimize:
     def test_consistent_graph_stays_put(self):
         incs = [Pose(np.array([1.0, 0.0, 0.0]), quat_from_yaw(0.3)) for _ in range(3)]
@@ -248,6 +331,94 @@ class TestOptimize:
         incs = [Pose(np.array([1.0, 0.0, 0.0]))]
         result = optimize(chain_graph(incs))
         assert np.isfinite(result.last_pose_cov_trace) and result.last_pose_cov_trace > 0
+
+    def test_zero_cauchy_scale_rejected(self):
+        g = chain_graph([Pose(np.array([1.0, 0.0, 0.0]))])
+        g.factors.append(RelativePoseFactor(0, 1, Pose(), np.eye(6), robust_c=0.0, kind="loop"))
+        with pytest.raises(ContractViolation):
+            optimize(g)
+
+    def test_non_spd_information_rejected(self):
+        g = chain_graph([Pose(np.array([1.0, 0.0, 0.0]))])
+        g.factors.append(RelativePoseFactor(0, 1, Pose(), -np.eye(6), kind="loop"))
+        with pytest.raises(np.linalg.LinAlgError):
+            optimize(g)
+
+    def test_iteration_cap_reports_not_converged(self, rng):
+        g = perturbed_chain(rng)
+        result = optimize(g, max_iters=1)
+        assert result.iterations == 1
+        assert result.converged is False
+        assert result.cost < result.initial_cost
+
+    def test_zero_iterations_return_initial_cost(self, rng):
+        from semslam.graph import _total_cost
+
+        g = perturbed_chain(rng)
+        result = optimize(g, max_iters=0)
+        assert result.iterations == 0 and result.converged is False
+        assert result.cost == result.initial_cost == _total_cost(g)
+        for pid, pose in g.poses.items():
+            assert np.array_equal(result.state.poses[pid].translation, pose.translation)
+            assert np.array_equal(result.state.poses[pid].rotation, pose.rotation)
+
+    def test_counts_rejected_steps(self):
+        # a pose started 2 rad of yaw away from where its landmarks put it:
+        # near-Gauss-Newton steps overshoot the rotation and are rejected
+        g = GraphState()
+        g.poses[0] = Pose()
+        g.factors.append(PriorFactor(0, Pose(), 1e6 * np.eye(6)))
+        g.poses[1] = Pose(np.array([1.0, 0.0, 0.0]), quat_from_yaw(2.0))
+        g.factors.append(RelativePoseFactor(0, 1, Pose(np.array([1.0, 0.0, 0.0])), 1e-2 * np.eye(6)))
+        for lid, lm in enumerate([[3.0, 1.0, 0.0], [2.0, -2.0, 0.5], [5.0, 0.0, -1.0]]):
+            g.landmarks[lid] = np.array(lm)
+            g.factors.append(LandmarkFactor(1, lid, np.array(lm) - [1.0, 0.0, 0.0], np.eye(3)))
+        result = optimize(g, max_iters=50, lm_lambda0=1e-12)
+        assert result.rejected_steps > 0
+        assert result.rejected_steps == scalar_optimize(g, 50, 1e-8, 1e-12).rejected_steps
+        assert result.converged and result.cost < 1e-12 < result.initial_cost
+
+    def test_matches_scalar_optimize(self):
+        """The batched Schur-complement LM takes the per-factor dense LM's
+        steps: same poses, landmarks, cost, covariance trace and decisions."""
+        seen = dict.fromkeys(
+            ("all_types", "robust", "non_robust", "landmark_free", "shared_landmark", "near_pi",
+             "zero_residual", "rejected", "capped", "converged"),
+            0,
+        )
+        for seed in range(120):
+            rng = np.random.default_rng(1000 + seed)
+            kind = PARITY_KINDS[seed % len(PARITY_KINDS)]
+            g, max_iters = parity_graph(rng, kind)
+            observed = {}
+            for f in g.factors:
+                seen["robust" if f.robust_c is not None else "non_robust"] += 1
+                if isinstance(f, LandmarkFactor):
+                    observed[f.landmark_id] = observed.get(f.landmark_id, 0) + 1
+            seen["shared_landmark"] += any(n > 1 for n in observed.values())
+            seen["landmark_free"] += not g.landmarks
+            rot = [np.linalg.norm(f.residual(g)[3:]) for f in g.factors if not isinstance(f, LandmarkFactor)]
+            seen["near_pi"] += any(math.pi - a < 1e-6 for a in rot)
+            seen["zero_residual"] += all(np.all(f.residual(g) == 0.0) for f in g.factors)
+            seen["all_types"] += {type(f) for f in g.factors} == {PriorFactor, RelativePoseFactor, LandmarkFactor}
+
+            got = optimize(g, max_iters)
+            want = scalar_optimize(g, max_iters)
+            assert got.iterations == want.iterations, seed
+            assert got.converged == want.converged, seed
+            assert got.rejected_steps == want.rejected_steps, seed
+            for pid in g.poses:
+                assert got.state.poses[pid].approx_equal(want.state.poses[pid], tol=1e-9), (seed, pid)
+            for lid in g.landmarks:
+                assert np.allclose(got.state.landmarks[lid], want.state.landmarks[lid], rtol=0, atol=1e-9)
+            # a cost below 1e-15 is rounding left at an exact fit: no digit of it agrees
+            for name, floor in (("cost", 1e-15), ("initial_cost", 0.0), ("last_pose_cov_trace", 0.0)):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a == b or abs(a - b) <= 1e-9 * abs(b) + floor, (seed, name, a, b)
+            seen["rejected"] += got.rejected_steps > 0
+            seen["capped"] += not got.converged
+            seen["converged"] += got.converged
+        assert all(n > 0 for n in seen.values()), seen
 
 
 class TestRmse:

@@ -4,7 +4,8 @@ cost matrices, the Hungarian solve, and alternative-branch generation."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -130,141 +131,6 @@ class AssociationState:
     previous: Dict[int, Landmark] = field(default_factory=dict)
     n_fp_total: int = 0
 
-    def landmark(self, target: AssignmentTarget) -> Landmark:
-        if isinstance(target, Existing):
-            return self.existing[target.landmark_id]
-        if isinstance(target, Previous):
-            return self.previous[target.landmark_id]
-        raise KeyError(target)
-
-
-# ---------------------------------------------------------------------------
-# densities
-
-
-_CHOL_CACHE: Dict[bytes, np.ndarray] = {}
-
-
-def _cached_cholesky(cov: np.ndarray) -> np.ndarray:
-    cov = np.ascontiguousarray(cov, dtype=float)
-    key = cov.shape[0].to_bytes(2, "little") + cov.tobytes()
-    L = _CHOL_CACHE.get(key)
-    if L is None:
-        if len(_CHOL_CACHE) > 256:
-            _CHOL_CACHE.clear()
-        L = np.linalg.cholesky(cov)
-        _CHOL_CACHE[key] = L
-    return L
-
-
-def gaussian_logpdf(x: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
-    d = np.asarray(x, dtype=float) - np.asarray(mean, dtype=float)
-    L = _cached_cholesky(cov)
-    y = np.linalg.solve(L, d)
-    return -0.5 * float(y @ y) - float(np.log(np.diag(L)).sum()) - 0.5 * d.size * _LOG2PI
-
-
-def _previous_logpdf(m: SemanticMeasurement, lm: Landmark, params: AssocParams) -> float:
-    """Transitional-density case: Dirac sifting or the Gaussian convolution."""
-    if lm.label in params.dirac_classes:
-        return gaussian_logpdf(m.position, lm.mean, params.meas_cov)
-    trans = params.trans_cov_by_class.get(lm.label)
-    if trans is None:
-        raise ContractViolation(f"no transitional covariance for class {lm.label.id}")
-    return gaussian_logpdf(m.position, lm.mean, params.meas_cov + np.asarray(trans))
-
-
-def _gated(logpdf: float, cov: np.ndarray, params: AssocParams) -> bool:
-    """A candidate is inside the validation gate iff its squared Mahalanobis
-    distance (recovered from the log density) is within candidate_gate."""
-    L = _cached_cholesky(cov)
-    maha = -2.0 * (logpdf + float(np.log(np.diag(L)).sum()) + 1.5 * _LOG2PI)
-    return maha <= params.candidate_gate
-
-
-def _candidate_logpdfs(m: SemanticMeasurement, state: AssociationState, params: AssocParams) -> List[float]:
-    """Densities f(z | theta=j) of class-matched landmarks inside the gate."""
-    out = []
-    for lm in state.existing.values():
-        if lm.label == m.label:
-            lp = gaussian_logpdf(m.position, lm.mean, params.meas_cov)
-            if _gated(lp, params.meas_cov, params):
-                out.append(lp)
-    for lm in state.previous.values():
-        if lm.label == m.label:
-            lp = _previous_logpdf(m, lm, params)
-            if lm.label in params.dirac_classes:
-                cov = params.meas_cov
-            else:
-                cov = params.meas_cov + np.asarray(params.trans_cov_by_class[lm.label])
-            if _gated(lp, cov, params):
-                out.append(lp)
-    return out
-
-
-def association_log_likelihood(
-    m: SemanticMeasurement,
-    target: AssignmentTarget,
-    state: AssociationState,
-    params: AssocParams,
-) -> float:
-    """Log of the four-case association likelihood. Class mismatch -> LOG_ZERO."""
-    if isinstance(target, Existing):
-        lm = state.existing[target.landmark_id]
-        if lm.label != m.label:
-            return LOG_ZERO
-        if params.dp_weight_mode == "exp":
-            dp = float(lm.assign_count)
-        else:
-            dp = math.log(lm.assign_count)
-        return dp + gaussian_logpdf(m.position, lm.mean, params.meas_cov)
-    if isinstance(target, Previous):
-        lm = state.previous[target.landmark_id]
-        if lm.label != m.label:
-            return LOG_ZERO
-        return _previous_logpdf(m, lm, params)
-    if isinstance(target, New):
-        return math.log(params.dirichlet_alpha) - math.log(params.map_volume)
-    if isinstance(target, FalsePositive):
-        if state.n_fp_total > 0:
-            num = math.log(params.fp_rate) + math.log(state.n_fp_total)
-        else:
-            num = math.log(params.fp_rate) + math.log(params.dirichlet_alpha)
-        return math.log(params.fp_norm_constant) + num - sum(_candidate_logpdfs(m, state, params))
-    raise TypeError(f"unknown target {target!r}")
-
-
-def association_likelihood(m, target, state, params) -> float:
-    ll = association_log_likelihood(m, target, state, params)
-    return 0.0 if ll <= LOG_ZERO else math.exp(ll)
-
-
-def measurement_set_log_likelihood(
-    assignment: Assignment,
-    measurements: Sequence[SemanticMeasurement],
-    state: AssociationState,
-    params: AssocParams,
-) -> float:
-    """Joint measurement log-likelihood under conditional independence."""
-    if len(assignment.targets) != len(measurements):
-        raise ContractViolation("assignment does not cover all measurements")
-    total = 0.0
-    for m, target in zip(measurements, assignment.targets):
-        if isinstance(target, (Existing, Previous)):
-            lm = state.landmark(target)
-            if lm.label != m.label:
-                return LOG_ZERO
-            total += params.log_class_prior(m.label)
-            if isinstance(target, Existing):
-                total += gaussian_logpdf(m.position, lm.mean, params.meas_cov)
-            else:
-                total += _previous_logpdf(m, lm, params)
-        else:
-            total += association_log_likelihood(m, target, state, params)
-        if total <= LOG_ZERO:
-            return LOG_ZERO
-    return total
-
 
 def _poisson_logpmf(n: int, mean: float) -> float:
     return -mean + n * math.log(mean) - math.lgamma(n + 1)
@@ -291,15 +157,44 @@ class CostMatrix:
 
     Columns: existing landmarks, previous landmarks, then one New and one
     FalsePositive column per measurement (forbidden for the other rows).
+    A landmark cell holds -(log f(z | landmark) + dp_bonus[column]), or BIG
+    on a class mismatch; a New or FalsePositive cell holds minus that case's
+    log likelihood. row_log_prior[i] is the log class prior of measurement
+    i's class. A matrix built by hand gets no bonus and a flat prior.
     """
 
     matrix: np.ndarray
     column_targets: List[AssignmentTarget]
     n_landmark_cols: int
+    dp_bonus: Optional[np.ndarray] = None
+    row_log_prior: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.dp_bonus is None:
+            self.dp_bonus = np.zeros(self.n_landmark_cols)
+        if self.row_log_prior is None:
+            self.row_log_prior = np.zeros(self.n_rows)
 
     @property
     def n_rows(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def landmark_column(self) -> Dict[AssignmentTarget, int]:
+        return {t: j for j, t in enumerate(self.column_targets[: self.n_landmark_cols])}
+
+    def columns_of(self, assignment: Assignment) -> List[int]:
+        """Column of each measurement's target in this matrix."""
+        n_lm = self.n_landmark_cols
+        cols = []
+        for i, t in enumerate(assignment.targets):
+            if isinstance(t, New):
+                cols.append(n_lm + i)
+            elif isinstance(t, FalsePositive):
+                cols.append(n_lm + self.n_rows + i)
+            else:
+                cols.append(self.landmark_column[t])
+        return cols
 
 
 def build_cost_matrix(
@@ -320,6 +215,8 @@ def build_cost_matrix(
     mat = np.full((n, n_lm + 2 * n), kernels.BIG)
     if n == 0:
         return CostMatrix(mat, targets, n_lm)
+    log_prior = {m.label: params.log_class_prior(m.label) for m in measurements}
+    row_log_prior = np.array([log_prior[m.label] for m in measurements])
     pos = np.stack([m.position for m in measurements])
     meas_class = np.array([m.label.id for m in measurements])
     # landmark columns, grouped by covariance so each group shares one Cholesky
@@ -345,7 +242,7 @@ def build_cost_matrix(
     density = np.full((n, n_lm), np.nan)
     gated = np.zeros((n, n_lm), dtype=bool)
     for key, cols in groups.items():
-        L = _cached_cholesky(group_cov[key])
+        L = np.linalg.cholesky(group_cov[key])
         logdet = float(np.log(np.diag(L)).sum())
         means = np.stack([col_lms[j].mean for j in cols])
         diffs = pos[:, None, :] - means[None, :, :]  # (n, k, 3)
@@ -369,7 +266,36 @@ def build_cost_matrix(
     for i in range(n):
         mat[i, n_lm + i] = new_cost
         mat[i, n_lm + n + i] = fp_cost[i]
-    return CostMatrix(mat, targets, n_lm)
+    return CostMatrix(mat, targets, n_lm, dp_bonus, row_log_prior)
+
+
+def measurement_set_log_likelihood(assignment: Assignment, cm: CostMatrix) -> float:
+    """Joint measurement log-likelihood of one branch under conditional
+    independence, read from the cells of `cm` that the branch selects.
+
+    A landmark case scores log p_s(class) + log f(z | landmark): its cell
+    minus the DP bonus, which ranks assignments but is no part of the
+    measurement likelihood, plus the row's log class prior. New and
+    FalsePositive cells are the case likelihoods as they are. A class
+    mismatch or a class without prior -> LOG_ZERO. `cm` must be the matrix
+    as built, not a copy with cells forbidden by branch generation.
+    """
+    if len(assignment.targets) != cm.n_rows:
+        raise ContractViolation("assignment does not cover all measurements")
+    total = 0.0
+    for i, j in enumerate(cm.columns_of(assignment)):
+        cost = float(cm.matrix[i, j])
+        if cost >= kernels.BIG / 2:
+            return LOG_ZERO
+        if j < cm.n_landmark_cols:
+            prior = float(cm.row_log_prior[i])
+            if prior <= LOG_ZERO:
+                return LOG_ZERO
+            total += prior
+            total += -cost - float(cm.dp_bonus[j])
+        else:
+            total -= cost
+    return total
 
 
 class InfeasibleAssignment(RuntimeError):
@@ -380,12 +306,11 @@ def _assignment_from_cols(cm: CostMatrix, row_to_col: np.ndarray, total: float) 
     return Assignment.from_targets([cm.column_targets[j] for j in row_to_col], total)
 
 
-def _lex_refine(cm: CostMatrix, row_to_col: np.ndarray, u: np.ndarray, v: np.ndarray, total: float, tol: float):
+def _lex_refine(mat: np.ndarray, row_to_col: np.ndarray, u: np.ndarray, v: np.ndarray, total: float, tol: float):
     """Deterministic tie break: lexicographically smallest optimal assignment
     (lowest column per row, rows in order). Zero reduced cost is necessary
     for a cell to appear in any optimal assignment, so ties are cheap to find."""
-    mat = cm.matrix
-    n = cm.n_rows
+    n = mat.shape[0]
     fixed = mat.copy()
     current = row_to_col.copy()
     for i in range(n):
@@ -415,7 +340,7 @@ def solve_assignment(cm: CostMatrix) -> Assignment:
     if total >= kernels.BIG / 2:
         raise InfeasibleAssignment("no finite assignment exists")
     tol = 1e-9 * max(1.0, abs(total))
-    row_to_col = _lex_refine(cm, row_to_col, u, v, total, tol)
+    row_to_col = _lex_refine(cm.matrix, row_to_col, u, v, total, tol)
     return _assignment_from_cols(cm, row_to_col, float(cm.matrix[np.arange(cm.n_rows), row_to_col].sum()))
 
 
@@ -436,37 +361,17 @@ def generate_branches(
     if cm.n_rows == 0 or max_branches == 1:
         return branches
     mat = cm.matrix.copy()
-    prev = best
-    prev_cols = {i: j for i, j in enumerate(_cols_of(cm, best))}
+    rows = np.arange(cm.n_rows)
+    cols = cm.columns_of(best)
     while len(branches) < max_branches:
-        for i, j in prev_cols.items():
-            mat[i, j] = kernels.BIG
+        mat[rows, cols] = kernels.BIG
         row_to_col, u, v, total = kernels.lap_solve(mat)
         if total >= kernels.BIG / 2:
             break
         if total > best.total_cost + plausibility_gap:
             break
         tol = 1e-9 * max(1.0, abs(total))
-        sub = CostMatrix(mat, cm.column_targets, cm.n_landmark_cols)
-        row_to_col = _lex_refine(sub, row_to_col, u, v, total, tol)
-        total = float(mat[np.arange(cm.n_rows), row_to_col].sum())
-        prev = _assignment_from_cols(cm, row_to_col, total)
-        branches.append(prev)
-        prev_cols = {i: j for i, j in enumerate(row_to_col)}
+        cols = _lex_refine(mat, row_to_col, u, v, total, tol)
+        branches.append(_assignment_from_cols(cm, cols, float(mat[rows, cols].sum())))
     return branches
 
-
-def _cols_of(cm: CostMatrix, assignment: Assignment) -> List[int]:
-    """Recover column indices of an assignment's targets in this matrix."""
-    cols = []
-    used_new = cm.n_landmark_cols
-    used_fp = cm.n_landmark_cols + cm.n_rows
-    lm_col = {t: j for j, t in enumerate(cm.column_targets[: cm.n_landmark_cols])}
-    for i, t in enumerate(assignment.targets):
-        if isinstance(t, New):
-            cols.append(cm.n_landmark_cols + i)
-        elif isinstance(t, FalsePositive):
-            cols.append(cm.n_landmark_cols + cm.n_rows + i)
-        else:
-            cols.append(lm_col[t])
-    return cols

@@ -90,7 +90,9 @@ def check_spd(cov: np.ndarray, tol: float = SPD_EIG_TOL) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Landmark:
-    """Mapped static object with a filtered position estimate."""
+    """Mapped static object with a filtered position estimate.
+
+    last_scene is the scene id of the latest measurement assigned to it."""
 
     id: int
     label: ClassLabel
@@ -98,7 +100,7 @@ class Landmark:
     cov: np.ndarray
     assign_count: int = 1
     submap_id: int = 0
-    last_seen: float = 0.0
+    last_scene: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
@@ -107,7 +109,7 @@ class Landmark:
             raise ContractViolation("assign_count must be >= 1 once created")
         check_spd(self.cov)
 
-    def with_estimate(self, mean, cov, *, assign_count=None, submap_id=None, last_seen=None):
+    def with_estimate(self, mean, cov, *, assign_count=None, submap_id=None, last_scene=None):
         return Landmark(
             self.id,
             self.label,
@@ -115,7 +117,7 @@ class Landmark:
             cov,
             self.assign_count if assign_count is None else assign_count,
             self.submap_id if submap_id is None else submap_id,
-            self.last_seen if last_seen is None else last_seen,
+            self.last_scene if last_scene is None else last_scene,
         )
 
 

@@ -37,7 +37,7 @@ class FusedLandmark:
     mean: np.ndarray
     cov: np.ndarray
     assign_count: int
-    last_seen: float
+    last_scene: int
 
 
 def _sigma_points(mean: np.ndarray, cov: np.ndarray, params: UkfParams):
@@ -59,16 +59,8 @@ def _sigma_points(mean: np.ndarray, cov: np.ndarray, params: UkfParams):
     return pts, wm, wc
 
 
-def ukf_update(
-    lm: Landmark,
-    m: SemanticMeasurement,
-    meas_cov: np.ndarray,
-    params: UkfParams = UkfParams(),
-) -> Landmark:
-    """Unscented measurement update with the identity model h(x) = x.
-
-    Does not touch assign_count; the caller owns the association bookkeeping.
-    """
+def _ukf_estimate(lm: Landmark, m: SemanticMeasurement, meas_cov: np.ndarray, params: UkfParams):
+    """Posterior mean and covariance of the unscented update of lm by m."""
     pts, wm, wc = _sigma_points(lm.mean, lm.cov, params)
     z_pred = wm @ pts
     d = pts - z_pred
@@ -80,19 +72,32 @@ def ukf_update(
     mean = lm.mean + K @ innov
     cov = lm.cov - K @ S @ K.T
     cov = 0.5 * (cov + cov.T)
-    return lm.with_estimate(mean, cov, last_seen=m.time)
+    return mean, cov
+
+
+def ukf_update(
+    lm: Landmark,
+    m: SemanticMeasurement,
+    meas_cov: np.ndarray,
+    params: UkfParams = UkfParams(),
+) -> Landmark:
+    """Unscented measurement update with the identity model h(x) = x.
+
+    Does not touch assign_count; the caller owns the association bookkeeping.
+    """
+    mean, cov = _ukf_estimate(lm, m, meas_cov, params)
+    return lm.with_estimate(mean, cov, last_scene=m.scene_id)
 
 
 def ukf_update_safe(lm, m, meas_cov, params=UkfParams()) -> Landmark:
-    """ukf_update with the documented one-shot retry on conditioning failure."""
+    """ukf_update with the documented one-shot retry on conditioning failure,
+    counting the assignment; the updated landmark is built once."""
     try:
-        updated = ukf_update(lm, m, meas_cov, params)
+        mean, cov = _ukf_estimate(lm, m, meas_cov, params)
     except CovarianceConditioningError:
         inflated = lm.with_estimate(lm.mean, lm.cov + 1e-9 * np.eye(3))
-        updated = ukf_update(inflated, m, meas_cov, params)
-    return updated.with_estimate(
-        updated.mean, updated.cov, assign_count=lm.assign_count + 1
-    )
+        mean, cov = _ukf_estimate(inflated, m, meas_cov, params)
+    return lm.with_estimate(mean, cov, assign_count=lm.assign_count + 1, last_scene=m.scene_id)
 
 
 def spd_project(cov: np.ndarray, floor: float = 1e-12) -> np.ndarray:
@@ -145,6 +150,6 @@ def fuse_hypotheses(
             mean,
             cov,
             max(lm.assign_count for _, lm in pairs),
-            max(lm.last_seen for _, lm in pairs),
+            max(lm.last_scene for _, lm in pairs),
         )
     return fused

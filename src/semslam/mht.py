@@ -15,11 +15,13 @@ from .assoc import (
     Assignment,
     AssociationState,
     AssocParams,
+    CostMatrix,
     Existing,
     FalsePositive,
     New,
     Previous,
     assignment_prior_log,
+    build_cost_matrix,
     measurement_set_log_likelihood,
 )
 from .core import ContractViolation, Landmark, SemanticMeasurement
@@ -147,15 +149,21 @@ class HypothesisTree:
         assoc_params: AssocParams,
         ukf_params: UkfParams,
         step: int,
+        cost_matrix: Optional[CostMatrix] = None,
     ) -> List[HypothesisNode]:
         """Append one child per branch; child weights follow the recursion
-        parent + measurement log-likelihood + assignment log-prior."""
+        parent + measurement log-likelihood + assignment log-prior.
+
+        The likelihood is read from the leaf's cost matrix: `cost_matrix` if
+        the caller built it for this leaf and these measurements, else it is
+        built here."""
         if not branches:
             raise ContractViolation("branches must be non-empty")
-        state = leaf.assoc_state()
+        if cost_matrix is None:
+            cost_matrix = build_cost_matrix(measurements, leaf.assoc_state(), assoc_params)
         children = []
         for assignment in branches:
-            ll = measurement_set_log_likelihood(assignment, measurements, state, assoc_params)
+            ll = measurement_set_log_likelihood(assignment, cost_matrix)
             lp = assignment_prior_log(assignment, assoc_params)
             child = HypothesisNode(
                 self._alloc_node_id(),
@@ -179,7 +187,7 @@ class HypothesisTree:
             if isinstance(target, New):
                 lid = self.alloc_landmark_id()
                 node.existing[lid] = Landmark(
-                    lid, m.label, m.position.copy(), assoc_params.meas_cov.copy(), 1, last_seen=m.time
+                    lid, m.label, m.position.copy(), assoc_params.meas_cov.copy(), 1, last_scene=m.scene_id
                 )
             elif isinstance(target, FalsePositive):
                 node.n_fp += 1

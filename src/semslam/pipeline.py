@@ -225,16 +225,19 @@ class Pipeline:
 
     def _associate(self, measurements: Sequence[SemanticMeasurement]):
         cfg = self.cfg
+        step = measurements[0].scene_id
         if cfg.mode == "single_ukf":
             leaf = self.tree.leaves[0]
-            assignment = _nearest_neighbor_assignment(measurements, leaf.assoc_state(), cfg.nn_new_dist)
-            self.tree.extend(leaf, [assignment], measurements, self.assoc_params, self.ukf_params, measurements[0].scene_id)
+            state = leaf.assoc_state()
+            assignment = _nearest_neighbor_assignment(measurements, state, cfg.nn_new_dist)
+            cm = build_cost_matrix(measurements, state, self.assoc_params)
+            self.tree.extend(leaf, [assignment], measurements, self.assoc_params, self.ukf_params, step, cm)
             return
         for leaf in list(self.tree.leaves):
             cm = build_cost_matrix(measurements, leaf.assoc_state(), self.assoc_params)
             best = solve_assignment(cm)
             branches = generate_branches(cm, best, cfg.max_branches, cfg.plausibility_gap)
-            self.tree.extend(leaf, branches, measurements, self.assoc_params, self.ukf_params, measurements[0].scene_id)
+            self.tree.extend(leaf, branches, measurements, self.assoc_params, self.ukf_params, step, cm)
         if cfg.mode == "dpmhm":
             self.tree.resample(force=len(self.tree.leaves) > cfg.max_hypotheses)
         else:  # mhm_threshold: naive likelihood thresholding, keep the best third
@@ -250,6 +253,8 @@ class Pipeline:
     # -- submap completion ------------------------------------------------
 
     def finalize_submap(self, last_step: int):
+        """Close the submap that ends at scene last_step. Each fused landmark
+        is anchored to the pose of the scene that last measured it."""
         cfg = self.cfg
         weights = self.tree.normalized_weights()
         fused = fuse_hypotheses(self.tree.leaves, weights)
@@ -261,11 +266,8 @@ class Pipeline:
         submap_lids = []
         for lid, flm in fused.items():
             self.fused_map[lid] = flm
-            scene = min(int(round(flm.last_seen)), last_step)
-            if scene not in self.graph.poses:
-                scene = last_step
             submap_lids.append(lid)
-            pose = self.pose_est[scene]
+            pose = self.pose_est[flm.last_scene]
             R = pose.rot()
             z_body = pose.transform_inverse(flm.mean)
             cov_body = R.T @ flm.cov @ R
@@ -274,7 +276,7 @@ class Pipeline:
             if lid not in self.graph.landmarks:
                 self.graph.landmarks[lid] = flm.mean.copy()
             self.graph.factors.append(
-                LandmarkFactor(scene, lid, z_body, info, robust_c=cfg.cauchy_c)
+                LandmarkFactor(flm.last_scene, lid, z_body, info, robust_c=cfg.cauchy_c)
             )
         summary = self._summarize(fused, submap_lids)
         if self._submap_scenes and gate(summary, None, self.gate_defaults) == "check":
@@ -302,7 +304,7 @@ class Pipeline:
         for lid, flm in self.fused_map.items():
             mean = self.graph.landmarks.get(lid, flm.mean)
             self.previous_landmarks[lid] = Landmark(
-                lid, flm.label, np.asarray(mean, dtype=float), flm.cov, flm.assign_count, self.submap_id, flm.last_seen
+                lid, flm.label, np.asarray(mean, dtype=float), flm.cov, flm.assign_count, self.submap_id, flm.last_scene
             )
         self.submap_id += 1
         self._new_tree()
@@ -311,9 +313,7 @@ class Pipeline:
         cfg = self.cfg
         scene_ids = tuple(s.scene_id for s in self._submap_scenes)
         lids = [lid for lid in submap_lids if lid in fused]
-        active = [fused[lid] for lid in lids if int(round(fused[lid].last_seen)) in set(scene_ids)] or [
-            fused[lid] for lid in lids
-        ]
+        active = [fused[lid] for lid in lids if fused[lid].last_scene in scene_ids] or [fused[lid] for lid in lids]
         hist = histogram_of(active) if active else ClassHistogram({}, 0)
         if active:
             comps = [(c.weight / len(active), c) for flm in active for c in flm.components]
@@ -331,8 +331,7 @@ class Pipeline:
         scene_hists = [histogram_of_vector(s.histogram, self.registry) for s in self._submap_scenes]
         self.corpus.add_submap(hist, scene_hists)
         tfidf = tfidf_score(hist, self.corpus) if hist.total > 0 else 0.0
-        anchor = self.pose_est[scene_ids[0]] if scene_ids else self.pose_est[-1]
-        return SubmapSummary(self.submap_id, hist, entropy, tfidf, len(active), scene_ids, anchor.copy())
+        return SubmapSummary(self.submap_id, hist, entropy, tfidf, len(active), scene_ids)
 
     # -- optimization -----------------------------------------------------
 

@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import ClassHistogram, ClassLabel, ContractViolation, check_spd
-from .geometry import Pose
 
 GATE_FEATURES = ("entropy", "tfidf", "landmark_count")
 
@@ -28,7 +27,6 @@ class SubmapSummary:
     tfidf: float
     landmark_count: int
     scene_ids: Tuple[int, ...]
-    anchor_pose: Pose
 
     def features(self) -> np.ndarray:
         return np.array([self.entropy, self.tfidf, float(self.landmark_count)])

@@ -1,11 +1,13 @@
 """Shared fixtures and helpers for the test suite."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from semslam.assoc import (
+    LOG_ZERO,
     Assignment,
     AssociationState,
     AssocParams,
@@ -14,7 +16,7 @@ from semslam.assoc import (
     New,
     Previous,
 )
-from semslam.core import ClassLabel, Landmark, SemanticMeasurement
+from semslam.core import ClassLabel, ContractViolation, Landmark, SemanticMeasurement
 from semslam.geometry import (
     Pose,
     hat,
@@ -78,6 +80,104 @@ def brute_force_assignment(cost: np.ndarray):
             best_total = total
             best_cols = perm
     return best_cols, best_total
+
+
+# ---------------------------------------------------------------------------
+# scalar association likelihood: the reference for the cost-matrix cells and
+# for the branch score `assoc.measurement_set_log_likelihood` reads from them
+
+_LOG2PI = math.log(2.0 * math.pi)
+
+
+def gaussian_logpdf(x, mean, cov) -> float:
+    d = np.asarray(x, dtype=float) - np.asarray(mean, dtype=float)
+    L = np.linalg.cholesky(cov)
+    y = np.linalg.solve(L, d)
+    return -0.5 * float(y @ y) - float(np.log(np.diag(L)).sum()) - 0.5 * d.size * _LOG2PI
+
+
+def _previous_cov(lm, params):
+    """Dirac sifting keeps the measurement covariance; otherwise the
+    transitional covariance of the class is added (Gaussian convolution)."""
+    if lm.label in params.dirac_classes:
+        return params.meas_cov
+    trans = params.trans_cov_by_class.get(lm.label)
+    if trans is None:
+        raise ContractViolation(f"no transitional covariance for class {lm.label.id}")
+    return params.meas_cov + np.asarray(trans)
+
+
+def _gated(logpdf, cov, params) -> bool:
+    """Inside the validation gate iff the squared Mahalanobis distance,
+    recovered from the log density, is within candidate_gate."""
+    L = np.linalg.cholesky(cov)
+    maha = -2.0 * (logpdf + float(np.log(np.diag(L)).sum()) + 1.5 * _LOG2PI)
+    return maha <= params.candidate_gate
+
+
+def _candidate_logpdfs(m, state, params):
+    """Densities f(z | theta=j) of class-matched landmarks inside the gate."""
+    out = []
+    for lm in state.existing.values():
+        if lm.label == m.label:
+            lp = gaussian_logpdf(m.position, lm.mean, params.meas_cov)
+            if _gated(lp, params.meas_cov, params):
+                out.append(lp)
+    for lm in state.previous.values():
+        if lm.label == m.label:
+            cov = _previous_cov(lm, params)
+            lp = gaussian_logpdf(m.position, lm.mean, cov)
+            if _gated(lp, cov, params):
+                out.append(lp)
+    return out
+
+
+def scalar_association_log_likelihood(m, target, state, params) -> float:
+    """Log of the four-case association likelihood, DP bonus included.
+    Class mismatch -> LOG_ZERO."""
+    if isinstance(target, Existing):
+        lm = state.existing[target.landmark_id]
+        if lm.label != m.label:
+            return LOG_ZERO
+        dp = float(lm.assign_count) if params.dp_weight_mode == "exp" else math.log(lm.assign_count)
+        return dp + gaussian_logpdf(m.position, lm.mean, params.meas_cov)
+    if isinstance(target, Previous):
+        lm = state.previous[target.landmark_id]
+        if lm.label != m.label:
+            return LOG_ZERO
+        return gaussian_logpdf(m.position, lm.mean, _previous_cov(lm, params))
+    if isinstance(target, New):
+        return math.log(params.dirichlet_alpha) - math.log(params.map_volume)
+    if isinstance(target, FalsePositive):
+        if state.n_fp_total > 0:
+            num = math.log(params.fp_rate) + math.log(state.n_fp_total)
+        else:
+            num = math.log(params.fp_rate) + math.log(params.dirichlet_alpha)
+        return math.log(params.fp_norm_constant) + num - sum(_candidate_logpdfs(m, state, params))
+    raise TypeError(f"unknown target {target!r}")
+
+
+def scalar_measurement_set_log_likelihood(assignment, measurements, state, params) -> float:
+    """Joint measurement log-likelihood, one Gaussian density at a time: a
+    landmark case scores log class prior + log density (no DP bonus)."""
+    if len(assignment.targets) != len(measurements):
+        raise ContractViolation("assignment does not cover all measurements")
+    total = 0.0
+    for m, target in zip(measurements, assignment.targets):
+        if isinstance(target, (Existing, Previous)):
+            lm = (state.existing if isinstance(target, Existing) else state.previous)[target.landmark_id]
+            if lm.label != m.label:
+                return LOG_ZERO
+            total += params.log_class_prior(m.label)
+            if isinstance(target, Existing):
+                total += gaussian_logpdf(m.position, lm.mean, params.meas_cov)
+            else:
+                total += gaussian_logpdf(m.position, lm.mean, _previous_cov(lm, params))
+        else:
+            total += scalar_association_log_likelihood(m, target, state, params)
+        if total <= LOG_ZERO:
+            return LOG_ZERO
+    return total
 
 
 _INF = 1e30

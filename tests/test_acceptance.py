@@ -15,11 +15,12 @@ from scipy.stats import multivariate_normal, norm
 from semslam import kernels
 from semslam.assoc import (
     AssocParams,
+    AssociationState,
     CostMatrix,
     Existing,
     FalsePositive,
     New,
-    gaussian_logpdf,
+    build_cost_matrix,
     solve_assignment,
 )
 from semslam.cli import main as cli_main
@@ -120,7 +121,8 @@ def test_criterion_02_posterior_oracle(capsys):
 
 
 def test_criterion_03_convolution_identity(capsys):
-    """Closed-form Gaussian convolution vs 3-D numerical integration."""
+    """Closed-form Gaussian convolution, read from the Previous cell of the
+    association cost matrix, vs 3-D numerical integration."""
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(20):
@@ -128,7 +130,10 @@ def test_criterion_03_convolution_identity(capsys):
         cov_a = random_spd(rng)
         p = rng.uniform(-2, 2, 3)
         pi = rng.uniform(-2, 2, 3)
-        closed = float(np.exp(gaussian_logpdf(p, pi, cov_z + cov_a)))
+        params = simple_params(meas_cov=cov_z, trans_cov_by_class={label(0): cov_a})
+        state = AssociationState({}, {5: landmark(5, pi)})
+        cm = build_cost_matrix([meas(p)], state, params)
+        closed = float(np.exp(-cm.matrix[0, 0]))  # column 0 is Previous(5)
         numeric = convolution_oracle(p, pi, cov_z, cov_a)
         worst = max(worst, abs(closed - numeric) / closed)
     ok = worst < 1e-4

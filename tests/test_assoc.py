@@ -22,23 +22,45 @@ from semslam.assoc import (
     New,
     Previous,
     assignment_prior_log,
-    association_likelihood,
-    association_log_likelihood,
     build_cost_matrix,
-    gaussian_logpdf,
     generate_branches,
     measurement_set_log_likelihood,
     solve_assignment,
 )
 from semslam.core import ContractViolation
+from semslam.kernels import BIG
 
-from conftest import brute_force_assignment, label, landmark, meas, random_spd, simple_params
+from conftest import (
+    brute_force_assignment,
+    gaussian_logpdf,
+    label,
+    landmark,
+    meas,
+    random_spd,
+    scalar_association_log_likelihood,
+    scalar_measurement_set_log_likelihood,
+    simple_params,
+)
 
 
 def state_with(existing=(), previous=(), n_fp=0):
     return AssociationState(
         {lm.id: lm for lm in existing}, {lm.id: lm for lm in previous}, n_fp
     )
+
+
+def association_likelihood(m, target, state, params):
+    """Case likelihood of one measurement, DP bonus included: exp(-cell) of
+    the cost matrix built for it, 0 for a forbidden cell."""
+    cm = build_cost_matrix([m], state, params)
+    (j,) = cm.columns_of(Assignment.from_targets([target]))
+    cost = cm.matrix[0, j]
+    return 0.0 if cost >= BIG / 2 else math.exp(-cost)
+
+
+def set_log_likelihood(assignment, measurements, state, params):
+    """Branch score read from the cost matrix of this state and these measurements."""
+    return measurement_set_log_likelihood(assignment, build_cost_matrix(measurements, state, params))
 
 
 def convolution_oracle(p, pi, cov_z, cov_a, half=16.0, n=64):
@@ -56,6 +78,7 @@ def convolution_oracle(p, pi, cov_z, cov_a, half=16.0, n=64):
 
 class TestGaussianLogpdf:
     def test_matches_scipy(self, rng):
+        """The density of the scalar test oracle."""
         for _ in range(10):
             cov = random_spd(rng)
             x = rng.standard_normal(3)
@@ -158,7 +181,7 @@ class TestMeasurementSetLikelihood:
         params = simple_params()  # empty class_prior -> p_s = 1
         st_ = state_with(existing=[landmark(0, [0, 0, 0])])
         a = Assignment.from_targets([Existing(0)])
-        ll = measurement_set_log_likelihood(a, [meas([0, 0, 0])], st_, params)
+        ll = set_log_likelihood(a, [meas([0, 0, 0])], st_, params)
         assert ll == pytest.approx(math.log((2 * math.pi) ** -1.5), rel=1e-9)
         assert ll == pytest.approx(-2.757, abs=1e-3)
 
@@ -166,16 +189,16 @@ class TestMeasurementSetLikelihood:
         params = simple_params()
         st_ = state_with(existing=[landmark(0, [0, 0, 0], class_id=1)])
         a = Assignment.from_targets([Existing(0)])
-        assert measurement_set_log_likelihood(a, [meas([0, 0, 0], class_id=0)], st_, params) == LOG_ZERO
+        assert set_log_likelihood(a, [meas([0, 0, 0], class_id=0)], st_, params) == LOG_ZERO
 
     def test_empty_set_is_zero(self):
         params = simple_params()
-        assert measurement_set_log_likelihood(Assignment.from_targets([]), [], state_with(), params) == 0.0
+        assert set_log_likelihood(Assignment.from_targets([]), [], state_with(), params) == 0.0
 
     def test_uncovered_measurements_rejected(self):
         params = simple_params()
         with pytest.raises(ContractViolation):
-            measurement_set_log_likelihood(Assignment.from_targets([]), [meas([0, 0, 0])], state_with(), params)
+            set_log_likelihood(Assignment.from_targets([]), [meas([0, 0, 0])], state_with(), params)
 
     def test_exchangeability(self, rng):
         params = simple_params()
@@ -183,12 +206,108 @@ class TestMeasurementSetLikelihood:
         st_ = state_with(existing=lms)
         ms = [meas(lm.mean + 0.1 * rng.standard_normal(3)) for lm in lms]
         targets = [Existing(0), Existing(1), Existing(2)]
-        base = measurement_set_log_likelihood(Assignment.from_targets(targets), ms, st_, params)
+        base = set_log_likelihood(Assignment.from_targets(targets), ms, st_, params)
         for perm in itertools.permutations(range(3)):
-            ll = measurement_set_log_likelihood(
+            ll = set_log_likelihood(
                 Assignment.from_targets([targets[i] for i in perm]), [ms[i] for i in perm], st_, params
             )
             assert ll == pytest.approx(base, abs=1e-12)
+
+
+class TestBranchScoreParity:
+    """The branch score read from the cost matrix equals the scalar
+    four-case likelihood, one Gaussian density at a time (conftest)."""
+
+    CASES = {
+        "existing", "previous", "dirac", "exp", "linear", "n_fp_zero", "n_fp_positive",
+        "prior_lacks_label", "class_mismatch", "empty",
+    }
+
+    @staticmethod
+    def random_case(rng, trial):
+        n_classes = 3
+        priors = (
+            {},  # flat: every class scores log 1
+            {label(c): 1.0 / n_classes for c in range(n_classes)},
+            {label(0): 0.5, label(1): 0.5},  # no prior for class 2
+        )
+        params = simple_params(
+            meas_cov=random_spd(rng, 0.05),
+            trans_cov_by_class={label(c): random_spd(rng, 0.05) for c in range(n_classes)},
+            dirac_classes=frozenset(label(c) for c in range(n_classes) if rng.random() < 0.4),
+            dp_weight_mode=("exp", "linear")[trial % 2],
+            class_prior=priors[trial % 3],
+            fp_rate=0.05,
+            map_volume=50.0,
+        )
+        lms = [
+            landmark(i, rng.uniform(-1, 1, 3), class_id=int(rng.integers(n_classes)),
+                     assign_count=int(rng.integers(1, 5)))
+            for i in range(int(rng.integers(0, 7)))
+        ]
+        n_prev = int(rng.integers(0, len(lms) + 1))
+        state = state_with(lms[n_prev:], lms[:n_prev], n_fp=int(rng.integers(0, 2)) * int(rng.integers(1, 4)))
+        ms = [
+            meas(rng.uniform(-1, 1, 3), class_id=int(rng.integers(n_classes)))
+            for _ in range(int(rng.integers(0, 5)))
+        ]
+        return params, state, ms
+
+    @staticmethod
+    def random_assignment(rng, state, n):
+        """Any target per row, no landmark twice: class mismatches included."""
+        free = [Existing(k) for k in state.existing] + [Previous(k) for k in state.previous]
+        targets = []
+        for _ in range(n):
+            options = [New(), FalsePositive()] + free
+            t = options[int(rng.integers(len(options)))]
+            if t in free:
+                free.remove(t)
+            targets.append(t)
+        return Assignment.from_targets(targets)
+
+    def observe(self, seen, params, state, ms, assignment, expect):
+        if not ms:
+            seen.add("empty")
+        for m, t in zip(ms, assignment.targets):
+            if isinstance(t, FalsePositive):
+                seen.add("n_fp_positive" if state.n_fp_total > 0 else "n_fp_zero")
+            if not isinstance(t, (Existing, Previous)):
+                continue
+            lm = (state.existing if isinstance(t, Existing) else state.previous)[t.landmark_id]
+            if lm.label != m.label:
+                seen.add("class_mismatch")
+            elif params.class_prior and m.label not in params.class_prior:
+                seen.add("prior_lacks_label")
+            elif expect > LOG_ZERO:
+                if isinstance(t, Existing):
+                    seen.update(("existing", params.dp_weight_mode))
+                else:
+                    seen.add("dirac" if lm.label in params.dirac_classes else "previous")
+
+    def test_matches_scalar_oracle(self):
+        rng = np.random.default_rng(17)
+        seen = set()
+        scored = 0
+        for trial in range(300):
+            params, state, ms = self.random_case(rng, trial)
+            cm = build_cost_matrix(ms, state, params)
+            original = cm.matrix.copy()
+            branches = generate_branches(cm, solve_assignment(cm), max_branches=4, plausibility_gap=np.inf)
+            candidates = branches + [self.random_assignment(rng, state, len(ms)) for _ in range(3)]
+            for a in candidates:
+                expect = scalar_measurement_set_log_likelihood(a, ms, state, params)
+                got = measurement_set_log_likelihood(a, cm)
+                if expect == LOG_ZERO:
+                    assert got == LOG_ZERO
+                else:
+                    assert abs(got - expect) <= 1e-12 * abs(expect)
+                self.observe(seen, params, state, ms, a, expect)
+                scored += 1
+            # branch generation forbids cells in a copy, never in the matrix itself
+            assert np.array_equal(cm.matrix, original)
+        assert seen == self.CASES
+        assert scored >= 900
 
 
 class TestAssignmentPrior:
@@ -244,7 +363,7 @@ class TestBuildCostMatrix:
         assert np.isfinite(cm.matrix[0, 0]) and np.isfinite(cm.matrix[1, 1])
 
     def test_matches_scalar_likelihoods(self, rng):
-        """The vectorized matrix equals per-cell association_log_likelihood."""
+        """The vectorized matrix equals the scalar per-cell likelihood."""
         params = simple_params(fp_rate=0.05, map_volume=50.0)
         for _ in range(10):
             existing = [
@@ -262,17 +381,17 @@ class TestBuildCostMatrix:
                 for j, target in enumerate(cm.column_targets):
                     if isinstance(target, (New, FalsePositive)):
                         continue
-                    expect = association_log_likelihood(m, target, st_, params)
+                    expect = scalar_association_log_likelihood(m, target, st_, params)
                     if expect <= LOG_ZERO:
                         assert cm.matrix[i, j] >= 1e17
                     else:
                         assert cm.matrix[i, j] == pytest.approx(-expect, rel=1e-9)
                 n_lm = cm.n_landmark_cols
                 assert cm.matrix[i, n_lm + i] == pytest.approx(
-                    -association_log_likelihood(m, New(), st_, params)
+                    -scalar_association_log_likelihood(m, New(), st_, params)
                 )
                 assert cm.matrix[i, n_lm + len(ms) + i] == pytest.approx(
-                    -association_log_likelihood(m, FalsePositive(), st_, params), rel=1e-9
+                    -scalar_association_log_likelihood(m, FalsePositive(), st_, params), rel=1e-9
                 )
 
 

@@ -77,6 +77,26 @@ def test_run_outputs_deterministic(tmp_path, cfg_path):
         assert a == b, name
 
 
+def test_run_outputs_do_not_depend_on_timestamps(tmp_path, cfg_path):
+    """Landmarks are keyed to scenes by scene id: shifting and scaling the
+    measurement timestamps leaves every output byte-identical."""
+    logs = str(tmp_path / "logs")
+    assert main(["simulate", "--config", cfg_path, "--out", logs]) == 0
+    out1, out2 = str(tmp_path / "o1"), str(tmp_path / "o2")
+    assert main(["run", "--config", cfg_path, "--logs", logs, "--out", out1]) == 0
+    path = os.path.join(logs, "measurements.csv")
+    header, *rows = open(path).read().splitlines()
+    shifted = [format(1000.0 + 0.1 * float(t), ".9g") + "," + rest for t, rest in (r.split(",", 1) for r in rows)]
+    assert shifted != rows
+    with open(path, "w") as fh:
+        fh.write("\n".join([header] + shifted) + "\n")
+    assert main(["run", "--config", cfg_path, "--logs", logs, "--out", out2]) == 0
+    for name in ("trajectory.csv", "map.csv", "metrics.csv"):
+        a = open(os.path.join(out1, name), "rb").read()
+        b = open(os.path.join(out2, name), "rb").read()
+        assert a == b, name
+
+
 def test_missing_config_exit_code(tmp_path, capsys):
     rc = main(["simulate", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o")])
     assert rc == 1

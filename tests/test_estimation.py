@@ -32,9 +32,10 @@ class TestUkfUpdate:
         # prior N(0, I), measurement (1,0,0), meas cov I -> posterior
         # mean (0.5,0,0), cov 0.5 I
         lm = landmark(0, [0.0, 0.0, 0.0])
-        out = ukf_update(lm, meas([1.0, 0.0, 0.0]), np.eye(3))
+        out = ukf_update(lm, meas([1.0, 0.0, 0.0], scene_id=3, time=0.3), np.eye(3))
         assert np.allclose(out.mean, [0.5, 0.0, 0.0], atol=1e-9)
         assert np.allclose(out.cov, 0.5 * np.eye(3), atol=1e-9)
+        assert out.last_scene == 3
 
     def test_equals_kalman_random(self, rng):
         for _ in range(30):
@@ -66,11 +67,11 @@ class TestUkfUpdate:
         lm = landmark(0, [0.0, 0.0, 0.0], assign_count=3)
         assert ukf_update(lm, meas([1.0, 0.0, 0.0]), np.eye(3)).assign_count == 3
 
-    def test_safe_variant_increments_count_and_sets_time(self):
+    def test_safe_variant_increments_count_and_sets_scene(self):
         lm = landmark(0, [0.0, 0.0, 0.0], assign_count=3)
-        out = ukf_update_safe(lm, meas([1.0, 0.0, 0.0], time=7.0), np.eye(3))
+        out = ukf_update_safe(lm, meas([1.0, 0.0, 0.0], scene_id=7, time=1000.7), np.eye(3))
         assert out.assign_count == 4
-        assert out.last_seen == 7.0
+        assert out.last_scene == 7
 
 
 class TestSpdProject:
@@ -142,6 +143,9 @@ class TestFuseHypotheses:
 
     def test_assign_count_and_last_seen_aggregate(self):
         a = landmark(0, [0.0, 0.0, 0.0], assign_count=2)
+        a = a.with_estimate(a.mean, a.cov, last_scene=9)
         b = landmark(0, [0.0, 0.0, 0.0], assign_count=5)
+        b = b.with_estimate(b.mean, b.cov, last_scene=4)
         fused = fuse_hypotheses([_Leaf([a]), _Leaf([b])], [0.5, 0.5])
         assert fused[0].assign_count == 5
+        assert fused[0].last_scene == 9

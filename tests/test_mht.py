@@ -15,7 +15,6 @@ from semslam.assoc import (
     New,
     Previous,
     assignment_prior_log,
-    measurement_set_log_likelihood,
 )
 from semslam.core import ContractViolation, Landmark
 from semslam.estimation import UkfParams
@@ -104,12 +103,13 @@ class TestExtend:
     def test_new_target_creates_landmark(self):
         tree = default_tree()
         params = simple_params()
-        m = meas([1.0, 2.0, 3.0])
+        m = meas([1.0, 2.0, 3.0], scene_id=4, time=9.5)
         children = tree.extend(
-            tree.leaves[0], [Assignment.from_targets([New()])], [m], params, UkfParams(), 0
+            tree.leaves[0], [Assignment.from_targets([New()])], [m], params, UkfParams(), 4
         )
         (lm,) = children[0].existing.values()
         assert np.allclose(lm.mean, m.position) and lm.assign_count == 1
+        assert lm.last_scene == 4
 
     def test_existing_target_updates_and_counts(self):
         tree = default_tree()

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from semslam.core import ClassHistogram, ContractViolation
-from semslam.geometry import Pose
 from semslam.submap import (
     Corpus,
     GateDefaults,
@@ -22,7 +21,7 @@ from conftest import label, random_spd
 
 def summary(entropy=4.0, tfidf=0.5, landmark_count=10, submap_id=0):
     return SubmapSummary(
-        submap_id, ClassHistogram({}, 0), entropy, tfidf, landmark_count, (), Pose()
+        submap_id, ClassHistogram({}, 0), entropy, tfidf, landmark_count, ()
     )
 
 

@@ -82,7 +82,7 @@ def check_spd(cov: np.ndarray, tol: float = SPD_EIG_TOL) -> None:
     cov = np.asarray(cov)
     if cov.shape != (3, 3):
         raise ContractViolation(f"expected 3x3 covariance, got {cov.shape}")
-    if not np.allclose(cov, cov.T, atol=1e-9):
+    if not (cov == cov.T).all() and not np.allclose(cov, cov.T, atol=1e-9):
         raise ContractViolation("covariance not symmetric")
     if np.min(np.linalg.eigvalsh(cov)) <= tol:
         raise ContractViolation("covariance not positive definite")

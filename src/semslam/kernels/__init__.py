@@ -1,9 +1,5 @@
 """Hot numeric kernels: assignment, systematic resampling, RANSAC consensus.
-
-One numpy path (`_impl.py`). Each kernel replaces a scalar loop, kept in
-tests/conftest.py as its reference, and returns that loop's outputs bit
-for bit (resampling differs only at u0 == 0, where the loop was wrong).
-"""
+One numpy path; `_impl.py` says how each one relates to its scalar reference."""
 
 from ._impl import BIG, lap_solve, ransac_best_mask, systematic_resample
 

@@ -1,9 +1,9 @@
 """The hot numeric kernels, vectorised in numpy.
 
-Each one replaces a scalar loop (tests/conftest.py) and keeps that loop's
-per-element operations and their order, so its outputs are the loop's,
-bit for bit, not just equal up to rounding. The one exception is
-resampling at u0 == 0, where the loop skipped weights[0].
+Each one replaces a scalar loop (tests/conftest.py) and returns that loop's
+outputs exactly. The one exception is resampling at u0 == 0, where the loop
+skipped weights[0]. All floats are the loop's bit for bit, except RANSAC
+residuals, which come from one matrix product and may differ in the last bit.
 """
 
 import numpy as np
@@ -98,15 +98,12 @@ def ransac_best_mask(src, dst, picks, tol):
 
     picks holds precomputed minimal-sample index triplets (one row per
     iteration); sampling lives with the caller. All non-collinear samples
-    are fit and scored at once (one batched SVD, one broadcast product for
-    every sample x point residual), then the sequential choice is replayed
-    over the counts: the first strictly better sample wins, an all-inlier
-    fit stops, and the search ends early at 99.9% confidence for the best
-    ratio seen so far. Returns a fresh inlier mask and its count;
-    (all-False, -1) when no sample spans a plane.
-
-    Each step keeps the per-sample operand order and matmul shapes, so
-    masks and counts equal those of a scalar loop (tests/conftest.py).
+    are fit at once (one batched SVD, R and t bit for bit the loop's) and
+    scored at once (one (n, 3) @ (3, 3S) product), then the sequential
+    choice is replayed over the counts: the first strictly better sample
+    wins, an all-inlier fit stops, and the search ends early at 99.9%
+    confidence for the best ratio seen so far. Returns a fresh inlier mask
+    and its count; (all-False, -1) when no sample spans a plane.
     """
     n = src.shape[0]
     iters = picks.shape[0]
@@ -127,13 +124,13 @@ def ransac_best_mask(src, dst, picks, tol):
     U, _, Vt = np.linalg.svd(H)
     Ut = U.transpose(0, 2, 1)
     V = Vt.transpose(0, 2, 1).copy()
-    V[:, :, 2] *= np.where(np.linalg.det(V @ Ut) >= 0.0, 1.0, -1.0)[:, None]  # reflection fix
+    V[:, :, 2] *= np.where(_det3(U) * _det3(Vt) >= 0.0, 1.0, -1.0)[:, None]  # reflection fix: det(V Ut)
     R = V @ Ut
     t = cd - (R @ cs[:, :, None])[:, :, 0]
-    e = (R[:, None] @ src[None, :, :, None])[..., 0] + t[:, None, :] - dst[None]
-    masks = e[..., 0] * e[..., 0] + e[..., 1] * e[..., 1] + e[..., 2] * e[..., 2] <= tol * tol
+    e = ((src @ R.reshape(-1, 3).T).reshape(n, -1, 3) + t - dst[:, None, :]) ** 2  # e[i, s]: point i, sample s
+    masks = e[..., 0] + e[..., 1] + e[..., 2] <= tol * tol
     counts = np.full(iters, -1, dtype=np.int64)
-    counts[valid] = masks.sum(axis=1)
+    counts[valid] = masks.sum(axis=0)
     best_count = -1
     best_it = -1
     needed = iters
@@ -148,14 +145,17 @@ def ransac_best_mask(src, dst, picks, tol):
         if count == n:
             break
         w = count / n
-        fail = 1.0 - w * w * w
-        if fail < 1e-12:
-            fail = 1e-12
-        log_fail = np.log(fail)
+        log_fail = np.log(max(1.0 - w * w * w, 1e-12))
         if log_fail < 0.0:
-            cand = int(np.ceil(np.log(1e-3) / log_fail))
-            if cand < needed:
-                needed = cand
-            if needed <= it:
-                needed = it + 1
-    return masks[np.searchsorted(valid, best_it)].copy(), best_count
+            needed = max(min(needed, int(np.ceil(np.log(1e-3) / log_fail))), it + 1)
+    return masks[:, np.searchsorted(valid, best_it)].copy(), best_count
+
+
+def _det3(M):
+    """Determinants of a (k, 3, 3) stack by cofactor expansion."""
+    a, b, c = M[:, 0], M[:, 1], M[:, 2]
+    return (
+        a[:, 0] * (b[:, 1] * c[:, 2] - b[:, 2] * c[:, 1])
+        - a[:, 1] * (b[:, 0] * c[:, 2] - b[:, 2] * c[:, 0])
+        + a[:, 2] * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+    )

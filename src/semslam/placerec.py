@@ -61,21 +61,21 @@ class SceneDescriptor:
     positions: np.ndarray  # (n, 3) body-frame landmark positions
     labels: Tuple[ClassLabel, ...]
     pose: Pose  # estimated pose at capture
+    label_ids: np.ndarray = field(init=False, repr=False)  # class id of each landmark
 
     def __post_init__(self):
         object.__setattr__(self, "histogram", np.asarray(self.histogram, dtype=float))
         object.__setattr__(self, "positions", np.asarray(self.positions, dtype=float).reshape(-1, 3))
-        if len(self.labels) != self.positions.shape[0]:
-            raise ContractViolation("labels and positions disagree")
+        object.__setattr__(self, "label_ids", np.array([lb.id for lb in self.labels], dtype=np.int64))
+        if len(self.labels) != self.positions.shape[0] or not np.isfinite(self.positions).all():
+            raise ContractViolation("labels and positions disagree, or a position is not finite")
 
 
 class PlaceIndex:
-    """Two-stage retrieval state: submap and scene histogram kd-trees."""
+    """Two-stage retrieval state: a submap histogram kd-tree and each submap's scenes."""
 
     def __init__(self, dim: int):
-        self.dim = dim
         self.submap_tree = IncrementalKdTree(dim)
-        self.scene_tree = IncrementalKdTree(dim)
         self.submap_hist: Dict[int, np.ndarray] = {}
         self.scenes: Dict[int, SceneDescriptor] = {}
         self.scenes_by_submap: Dict[int, List[int]] = {}
@@ -84,12 +84,8 @@ class PlaceIndex:
         histogram = np.asarray(histogram, dtype=float)
         self.submap_tree.insert(histogram, submap_id)
         self.submap_hist[submap_id] = histogram
-        ids = []
-        for s in scenes:
-            self.scene_tree.insert(s.histogram, s.scene_id)
-            self.scenes[s.scene_id] = s
-            ids.append(s.scene_id)
-        self.scenes_by_submap[submap_id] = ids
+        self.scenes.update((s.scene_id, s) for s in scenes)
+        self.scenes_by_submap[submap_id] = [s.scene_id for s in scenes]
 
 
 def query_candidates(
@@ -102,7 +98,8 @@ def query_candidates(
 ) -> List[SceneDescriptor]:
     """Stage 1: submaps within tau_jsd of the query submap histogram (kd-tree
     L2 prefilter, exact JSD refine). Stage 2: their scenes within r_l2 of the
-    query scene histogram. Scenes inside the exclusion window are dropped."""
+    query scene histogram, closest first (ties by scene id). Scenes inside
+    the exclusion window are dropped."""
     query_submap_hist = np.asarray(query_submap_hist, dtype=float)
     # conservative prefilter radius: JSD <= tau is impossible once
     # ||h1-h2||_2 exceeds sqrt(8*tau) (via Pinsker on each half), refined exactly
@@ -119,9 +116,10 @@ def query_candidates(
             s = index.scenes[scene_id]
             if abs(s.scene_id - query_scene.scene_id) <= exclusion_window:
                 continue
-            if float(np.linalg.norm(query_scene.histogram - s.histogram)) <= r_l2:
-                out.append(s)
-    return out
+            d = float(np.linalg.norm(query_scene.histogram - s.histogram))
+            if d <= r_l2:
+                out.append((d, s.scene_id, s))
+    return [s for _, _, s in sorted(out, key=lambda c: c[:2])]
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +179,20 @@ class MatchedPair:
     same_class: bool
 
 
+def _pair_term(s_match, s_class, term_mode: str):
+    """One matched pair's score term, elementwise on floats or arrays."""
+    if term_mode == "as_printed":
+        return 1.0 - s_match * s_class
+    if term_mode == "distance_weighted":
+        return 1.0 - (1.0 - s_match) * (1.0 - s_class)
+    raise ContractViolation(f"unknown term_mode {term_mode!r}")
+
+
+def _running_sum(terms: np.ndarray) -> float:
+    # add.accumulate adds one term at a time, in order, as a Python loop does
+    return float(np.add.accumulate(terms)[-1]) if terms.size else 0.0
+
+
 def scene_match(
     a: SceneDescriptor,
     b: SceneDescriptor,
@@ -198,30 +210,18 @@ def scene_match(
     H = np.minimum(dist / dist_norm_scale, 2.0)
     # assignment prefers same-class pairings (penalty exceeds the distance
     # range); the similarity score itself stays a function of H and class
-    mismatch = np.array(
-        [[0.0 if la == lb else 4.0 for lb in b.labels] for la in a.labels]
-    )
-    C = H + mismatch
+    same = a.label_ids[:, None] == b.label_ids[None, :]
+    C = H + np.where(same, 0.0, 4.0)
     if na <= nb:
-        r2c, _, _, _ = kernels.lap_solve(np.ascontiguousarray(C))
-        pairs_idx = [(i, int(j)) for i, j in enumerate(r2c)]
+        ia = np.arange(na)
+        ib, _, _, _ = kernels.lap_solve(np.ascontiguousarray(C))
     else:
         r2c, _, _, _ = kernels.lap_solve(np.ascontiguousarray(C.T))
-        pairs_idx = sorted((int(j), i) for i, j in enumerate(r2c))
-    score = 0.0
-    pairs = []
-    for i, j in pairs_idx:
-        h = float(H[i, j])
-        s_match = 1.0 - h / 2.0
-        same = a.labels[i] == b.labels[j]
-        s_class = 0.0 if same else penalty_p
-        if term_mode == "as_printed":
-            score += 1.0 - s_match * s_class
-        elif term_mode == "distance_weighted":
-            score += 1.0 - (1.0 - s_match) * (1.0 - s_class)
-        else:
-            raise ContractViolation(f"unknown term_mode {term_mode!r}")
-        pairs.append(MatchedPair(i, j, h, same))
+        ib = np.argsort(r2c)
+        ia = r2c[ib]
+    h, same = H[ia, ib], same[ia, ib]
+    score = _running_sum(_pair_term(1.0 - h / 2.0, np.where(same, 0.0, penalty_p), term_mode))
+    pairs = [MatchedPair(*p) for p in zip(ia.tolist(), ib.tolist(), h.tolist(), same.tolist())]
     return score, pairs
 
 
@@ -331,13 +331,42 @@ class VerifyThresholds:
     term_mode: str = "as_printed"
 
 
-def verify_pair(a: SceneDescriptor, b: SceneDescriptor, thresholds: VerifyThresholds) -> Tuple[bool, float, float, List[MatchedPair]]:
-    """Topology + similarity check: passes iff S_NCC + S_scene > tau_verify."""
-    if a.positions.shape[0] == 0 or b.positions.shape[0] == 0:
+def score_bound(n_pairs: int, thresholds: VerifyThresholds) -> float:
+    """A lower bound on S_NCC + S_scene, as computed, over n_pairs matched pairs.
+    S_NCC >= -1. With finite positions and 0 < dist_norm_scale < inf, s_match
+    lies in [0, 1] and each rounded step of a pair's term is monotone in it, so
+    the term is least at s_match 0 or 1. -inf when a premise fails."""
+    p, mode = thresholds.penalty_p, thresholds.term_mode
+    if not (math.isfinite(p) and 0.0 < thresholds.dist_norm_scale < math.inf):
+        return -math.inf
+    floor = min(_pair_term(s, c, mode) for s in (0.0, 1.0) for c in (0.0, p))
+    return -1.0 + _running_sum(np.full(n_pairs, float(floor)))
+
+
+def pair_scores(
+    a: SceneDescriptor, b: SceneDescriptor, thresholds: VerifyThresholds, laplacian=None
+) -> Tuple[float, float, List[MatchedPair]]:
+    """(S_NCC, S_scene, matched pairs) of two non-empty scenes; laplacian maps
+    a scene to its Laplacian (default: scene_laplacian at edge_radius)."""
+    th = thresholds
+    lap = laplacian or (lambda s: scene_laplacian(s, th.edge_radius))
+    s_scene, pairs = scene_match(a, b, th.penalty_p, th.dist_norm_scale, th.term_mode)
+    return ncc_score(lap(a), lap(b)), s_scene, pairs
+
+
+def verify_pair(
+    a: SceneDescriptor, b: SceneDescriptor, thresholds: VerifyThresholds, laplacian=None
+) -> Tuple[bool, Optional[float], Optional[float], Optional[List[MatchedPair]]]:
+    """Topology + similarity check: passes iff S_NCC + S_scene > tau_verify.
+    Returns (passed, s_ncc, s_scene, pairs). A pair whose score_bound already
+    exceeds tau_verify passes unscored, with None for s_ncc, s_scene, pairs."""
+    na, nb = a.positions.shape[0], b.positions.shape[0]
+    if na == 0 or nb == 0:
         return False, 0.0, 0.0, []
-    s_ncc = ncc_score(scene_laplacian(a, thresholds.edge_radius), scene_laplacian(b, thresholds.edge_radius))
-    s_scene, pairs = scene_match(a, b, thresholds.penalty_p, thresholds.dist_norm_scale, thresholds.term_mode)
-    return (s_ncc + s_scene > thresholds.tau_verify), s_ncc, s_scene, pairs
+    if score_bound(min(na, nb), thresholds) > thresholds.tau_verify:
+        return True, None, None, None
+    s_ncc, s_scene, pairs = pair_scores(a, b, thresholds, laplacian)
+    return s_ncc + s_scene > thresholds.tau_verify, s_ncc, s_scene, pairs
 
 
 class LoopClosureDetector:
@@ -386,59 +415,34 @@ class LoopClosureDetector:
         candidates = query_candidates(
             self.index, query_submap_hist, query_scene, self.tau_jsd, self.r_l2, self.exclusion_window
         )
-        # geometric verification is the expensive stage: keep only the
-        # best-ranked retrievals (closest scene histograms)
-        candidates = sorted(
-            candidates,
-            key=lambda s: (float(np.linalg.norm(query_scene.histogram - s.histogram)), s.scene_id),
-        )[: self.max_candidates]
-        for cand in candidates:
+        # verification is the expensive stage: keep only the closest retrievals
+        for cand in candidates[: self.max_candidates]:
             if query_scene.positions.shape[0] == 0 or cand.positions.shape[0] == 0:
                 continue
-            s_ncc = ncc_score(self._laplacian(query_scene), self._laplacian(cand))
-            s_scene, pairs = scene_match(
-                query_scene,
-                cand,
-                self.thresholds.penalty_p,
-                self.thresholds.dist_norm_scale,
-                self.thresholds.term_mode,
-            )
-            ok = s_ncc + s_scene > self.thresholds.tau_verify
+            ok, s_ncc, s_scene, _ = verify_pair(query_scene, cand, self.thresholds, self._laplacian)
             key = (query_scene.scene_id, cand.scene_id)
-            belief = self.beliefs.get(key, self.belief_template)
-            belief = bayes_update(belief, ok)
-            self.beliefs[key] = belief
+            belief = self.beliefs[key] = bayes_update(self.beliefs.get(key, self.belief_template), ok)
             if belief.p_lc <= self.thresholds.tau_bayes:
                 continue
-            # putative correspondences: every same-class cross pairing; the
-            # consensus step sorts out which instances actually align
-            putative = [
-                (ia, ib)
-                for ia, la in enumerate(query_scene.labels)
-                for ib, lb in enumerate(cand.labels)
-                if la == lb
-            ]
-            if len(putative) < 3:
+            # putative correspondences: every same-class cross pairing (row-major);
+            # the consensus step sorts out which instances actually align
+            ia, ib = np.nonzero(query_scene.label_ids[:, None] == cand.label_ids[None, :])
+            if ia.size < 3:
                 continue
-            src = cand.positions[[ib for _, ib in putative]]
-            dst = query_scene.positions[[ia for ia, _ in putative]]
-            result = ransac_verify(
-                src, dst, self.rng, self.ransac_iters, self.ransac_tol, self.ransac_min_inliers
-            )
+            src, dst = cand.positions[ib], query_scene.positions[ia]
+            result = ransac_verify(src, dst, self.rng, self.ransac_iters, self.ransac_tol, self.ransac_min_inliers)
             if result is None:
                 continue
             rel, mask = result
-            inliers = tuple(p for p, keep in zip(putative, mask) if keep)
+            ia, ib = ia[mask], ib[mask]
             # inliers must cover distinct landmarks on both sides
-            if (
-                len({ia for ia, _ in inliers}) < self.ransac_min_inliers
-                or len({ib for _, ib in inliers}) < self.ransac_min_inliers
-            ):
+            if min(np.unique(ia).size, np.unique(ib).size) < self.ransac_min_inliers:
                 continue
+            if s_ncc is None:  # passed on the score bound
+                s_ncc, s_scene, _ = pair_scores(query_scene, cand, self.thresholds, self._laplacian)
+            inliers = tuple(zip(ia.tolist(), ib.tolist()))
             closures.append(LoopClosure(query_scene.scene_id, cand.scene_id, rel, inliers, s_ncc, s_scene))
-        if len(closures) > 1:
-            closures = [max(closures, key=lambda lc: len(lc.inlier_pairs))]
-        return closures
+        return [max(closures, key=lambda lc: len(lc.inlier_pairs))] if closures else []
 
     def add_submap(self, submap_id: int, histogram: np.ndarray, scenes: Sequence[SceneDescriptor]):
         self.index.add_submap(submap_id, histogram, scenes)

@@ -16,7 +16,7 @@ from semslam.assoc import (
     New,
     Previous,
 )
-from semslam.core import ClassLabel, ContractViolation, Landmark, SemanticMeasurement
+from semslam.core import SPD_EIG_TOL, ClassLabel, ContractViolation, Landmark, SemanticMeasurement
 from semslam.geometry import (
     Pose,
     hat,
@@ -34,6 +34,14 @@ from semslam.graph import (
     RelativePoseFactor,
     cauchy_cost,
     cauchy_weight,
+)
+from semslam.placerec import (
+    LoopClosure,
+    MatchedPair,
+    bayes_update,
+    ncc_score,
+    query_candidates,
+    ransac_verify,
 )
 
 
@@ -316,6 +324,99 @@ def scalar_ransac_best_mask(src, dst, picks, tol):
                 if needed <= it:
                     needed = it + 1
     return best_mask, best_count
+
+
+def scalar_check_spd(cov, tol=SPD_EIG_TOL) -> None:
+    """The SPD contract with no fast path: the reference for `core.check_spd`."""
+    cov = np.asarray(cov)
+    if cov.shape != (3, 3):
+        raise ContractViolation(f"expected 3x3 covariance, got {cov.shape}")
+    if not np.allclose(cov, cov.T, atol=1e-9):
+        raise ContractViolation("covariance not symmetric")
+    if np.min(np.linalg.eigvalsh(cov)) <= tol:
+        raise ContractViolation("covariance not positive definite")
+
+
+def scalar_scene_match(a, b, penalty_p=0.5, dist_norm_scale=5.0, term_mode="as_printed"):
+    """Pair-by-pair scene similarity on ClassLabel comparisons: the reference
+    for `placerec.scene_match`, whose score must equal it bit for bit."""
+    na, nb = a.positions.shape[0], b.positions.shape[0]
+    diff = a.positions[:, None, :] - b.positions[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    H = np.minimum(dist / dist_norm_scale, 2.0)
+    mismatch = np.array([[0.0 if la == lb else 4.0 for lb in b.labels] for la in a.labels])
+    C = H + mismatch
+    if na <= nb:
+        r2c = scalar_lap_solve(C)[0]
+        pairs_idx = [(i, int(j)) for i, j in enumerate(r2c)]
+    else:
+        r2c = scalar_lap_solve(np.ascontiguousarray(C.T))[0]
+        pairs_idx = sorted((int(j), i) for i, j in enumerate(r2c))
+    score = 0.0
+    pairs = []
+    for i, j in pairs_idx:
+        h = float(H[i, j])
+        s_match = 1.0 - h / 2.0
+        same = a.labels[i] == b.labels[j]
+        s_class = 0.0 if same else penalty_p
+        if term_mode == "as_printed":
+            score += 1.0 - s_match * s_class
+        elif term_mode == "distance_weighted":
+            score += 1.0 - (1.0 - s_match) * (1.0 - s_class)
+        else:
+            raise ContractViolation(f"unknown term_mode {term_mode!r}")
+        pairs.append(MatchedPair(i, j, h, same))
+    return score, pairs
+
+
+def scalar_detect(det, query_submap_hist, query_scene):
+    """`LoopClosureDetector.detect` with every candidate scored exactly and
+    the putative pairs built from ClassLabel comparisons: its reference.
+    Runs on det's index, beliefs, Laplacian cache and rng, and updates them."""
+    th = det.thresholds
+    candidates = query_candidates(
+        det.index, query_submap_hist, query_scene, det.tau_jsd, det.r_l2, det.exclusion_window
+    )
+    candidates = sorted(
+        candidates,
+        key=lambda s: (float(np.linalg.norm(query_scene.histogram - s.histogram)), s.scene_id),
+    )[: det.max_candidates]
+    closures = []
+    for cand in candidates:
+        if query_scene.positions.shape[0] == 0 or cand.positions.shape[0] == 0:
+            continue
+        s_ncc = ncc_score(det._laplacian(query_scene), det._laplacian(cand))
+        s_scene, _ = scalar_scene_match(query_scene, cand, th.penalty_p, th.dist_norm_scale, th.term_mode)
+        ok = s_ncc + s_scene > th.tau_verify
+        key = (query_scene.scene_id, cand.scene_id)
+        belief = bayes_update(det.beliefs.get(key, det.belief_template), ok)
+        det.beliefs[key] = belief
+        if belief.p_lc <= th.tau_bayes:
+            continue
+        putative = [
+            (ia, ib)
+            for ia, la in enumerate(query_scene.labels)
+            for ib, lb in enumerate(cand.labels)
+            if la == lb
+        ]
+        if len(putative) < 3:
+            continue
+        src = cand.positions[[ib for _, ib in putative]]
+        dst = query_scene.positions[[ia for ia, _ in putative]]
+        result = ransac_verify(src, dst, det.rng, det.ransac_iters, det.ransac_tol, det.ransac_min_inliers)
+        if result is None:
+            continue
+        rel, mask = result
+        inliers = tuple(p for p, keep in zip(putative, mask) if keep)
+        if (
+            len({ia for ia, _ in inliers}) < det.ransac_min_inliers
+            or len({ib for _, ib in inliers}) < det.ransac_min_inliers
+        ):
+            continue
+        closures.append(LoopClosure(query_scene.scene_id, cand.scene_id, rel, inliers, s_ncc, s_scene))
+    if len(closures) > 1:
+        closures = [max(closures, key=lambda lc: len(lc.inlier_pairs))]
+    return closures
 
 
 def _scalar_factor_terms(f, state):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from semslam.core import (
+    SPD_EIG_TOL,
     ClassHistogram,
     ClassLabel,
     ContractViolation,
@@ -14,7 +15,7 @@ from semslam.core import (
     histogram_of,
 )
 
-from conftest import label, landmark, meas
+from conftest import label, landmark, meas, random_spd, scalar_check_spd
 
 
 class TestClassLabel:
@@ -71,6 +72,59 @@ class TestCheckSpd:
     def test_wrong_shape_rejected(self):
         with pytest.raises(ContractViolation):
             check_spd(np.eye(2))
+
+    @staticmethod
+    def _outcome(check, cov):
+        try:
+            check(cov)
+        except Exception as exc:  # the exception type is part of the contract
+            return type(exc)
+        return None
+
+    @staticmethod
+    def _parity_inputs(rng):
+        def asym(base, delta):
+            c = np.array(base, dtype=float)
+            c[0, 1] += delta
+            return c
+
+        eye = np.eye(3)
+        coupled = np.array([[10.0, 1.0, 0.0], [1.0, 10.0, 0.0], [0.0, 0.0, 10.0]])
+        out = []
+        for f in (0.5, 0.99, 1.01, 2.0):
+            out.append(("absolute", asym(eye, f * 1e-9)))  # |x| = 0: atol alone
+            out.append(("absolute", asym(eye, -f * 1e-9)))
+            out.append(("relative", asym(coupled, f * (1e-9 + 1e-5))))  # atol + rtol * |1.0|
+            out.append(("relative", asym(coupled, -f * (1e-9 + 1e-5))))
+        for v in (np.nan, np.inf, -np.inf):
+            diag, off, one = eye.copy(), eye.copy(), eye.copy()
+            diag[1, 1] = v
+            off[0, 2] = off[2, 0] = v
+            one[0, 2] = v
+            out += [("non-finite", diag), ("non-finite", off), ("non-finite", one)]
+        for lam in (0.5 * SPD_EIG_TOL, SPD_EIG_TOL, 2.0 * SPD_EIG_TOL, 0.0, -1.0):
+            out.append(("eigenvalue", np.diag([1.0, 2.0, lam])))
+        for shape in ((2, 2), (3,), (4, 4), (3, 3, 1), (0,), (1, 9)):
+            out.append(("shape", np.zeros(shape)))
+        for _ in range(40):
+            cov = random_spd(rng)
+            out.append(("random", cov))
+            out.append(("random", cov + rng.normal(scale=10.0 ** rng.uniform(-12, -3), size=(3, 3))))
+        return out
+
+    def test_matches_scalar_oracle(self, rng):
+        """The exact-symmetry fast path accepts and rejects what the
+        tolerance test alone does, raising the same exception type."""
+        seen = {}
+        for kind, cov in self._parity_inputs(rng):
+            got, want = self._outcome(check_spd, cov), self._outcome(scalar_check_spd, cov)
+            assert got is want, (kind, cov)
+            seen.setdefault(kind, set()).add(want)
+        # each near-tolerance family has inputs on both sides of its boundary
+        for kind in ("absolute", "relative", "eigenvalue", "random"):
+            assert seen[kind] == {None, ContractViolation}, kind
+        assert seen["shape"] == {ContractViolation}
+        assert ContractViolation in seen["non-finite"]
 
 
 class TestLandmark:

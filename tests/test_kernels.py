@@ -129,6 +129,21 @@ class TestRansacBestMask:
         mask, count = kernels.ransac_best_mask(src, dst, self._picks(rng, 50, 6), 0.5)
         assert count == -1 and not mask.any()
 
+    def test_tolerance_boundary(self, rng):
+        """A residual within tol is an inlier, one beyond it is not, to 3e-4
+        relative: the fit is exact on the first three points."""
+        tol = 0.5
+        src = rng.uniform(-5, 5, size=(16, 3))
+        dirs = rng.standard_normal((13, 3))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        scale = np.where(np.arange(13) % 2 == 0, 0.9997, 1.0003) * tol
+        dst = src.copy()
+        dst[3:] += dirs * scale[:, None]
+        picks = np.tile(np.arange(3, dtype=np.int64), (5, 1))
+        mask, count = kernels.ransac_best_mask(src, dst, picks, tol)
+        assert mask.tolist() == [True] * 3 + (scale < tol).tolist()
+        assert count == 3 + int((scale < tol).sum())
+
 
 RANSAC_KINDS = ("outliers", "collinear", "all_collinear", "all_inlier", "early_stop", "n3", "empty")
 

@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from semslam import placerec
 from semslam.core import ContractViolation
 from semslam.geometry import Pose, exp_so3, quat_from_yaw, rot_to_quat
 from semslam.placerec import (
@@ -17,15 +20,17 @@ from semslam.placerec import (
     bayes_update,
     jsd,
     ncc_score,
+    pair_scores,
     query_candidates,
     ransac_verify,
     rigid_transform_svd,
     scene_laplacian,
     scene_match,
+    score_bound,
     verify_pair,
 )
 
-from conftest import label
+from conftest import label, scalar_detect, scalar_scene_match
 
 
 def scene(scene_id, positions, class_ids, submap_id=0, dim=4, pose=None):
@@ -232,6 +237,32 @@ class TestSceneMatch:
         with pytest.raises(ContractViolation):
             scene_match(a, empty)
 
+    def test_matches_scalar_oracle(self, rng):
+        """Score and pairs equal the pair-by-pair loop bit for bit, for
+        either side the larger, both term modes and any penalty."""
+        for _ in range(60):
+            na, nb = rng.integers(1, 9, size=2)
+            a = scene(0, rng.uniform(-8, 8, (na, 3)), rng.integers(0, 3, na))
+            b = scene(1, rng.uniform(-8, 8, (nb, 3)), rng.integers(0, 3, nb))
+            p = float(rng.uniform(-2, 3))
+            for mode in ("as_printed", "distance_weighted"):
+                got = scene_match(a, b, p, 5.0, mode)
+                assert got == scalar_scene_match(a, b, p, 5.0, mode)
+                assert all(type(x) is int for pr in got[1] for x in (pr.idx_a, pr.idx_b))
+
+
+class TestSceneDescriptor:
+    def test_label_ids_follow_labels(self):
+        s = scene(0, [[0, 0, 0], [1, 0, 0], [2, 0, 0]], [2, 0, 2])
+        assert s.label_ids.tolist() == [2, 0, 2] and s.label_ids.dtype == np.int64
+        empty = SceneDescriptor(1, 0, np.zeros(4), np.zeros((0, 3)), (), Pose())
+        assert empty.label_ids.shape == (0,)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_position_rejected(self, bad):
+        with pytest.raises(ContractViolation):
+            SceneDescriptor(0, 0, np.array([1.0, 0, 0, 0]), [[0.0, bad, 0.0]], (label(0),), Pose())
+
 
 class TestBayesUpdate:
     def test_positive_observation_spot_value(self):
@@ -331,6 +362,89 @@ class TestVerifyPair:
         ok, s_ncc, s_scene, pairs = verify_pair(a, empty, VerifyThresholds())
         assert not ok and pairs == []
 
+    def test_bound_passes_large_scenes_unscored(self):
+        # as_printed, p = 0.5: every pair scores at least 0.5, so 11 pairs
+        # give at least -1 + 5.5 > 4 whatever the geometry
+        rng = np.random.default_rng(3)
+        a = scene(0, rng.uniform(-9, 9, (11, 3)), [0] * 11)
+        b = scene(1, rng.uniform(-9, 9, (12, 3)), [1] * 12)
+        th = VerifyThresholds()
+        assert score_bound(11, th) == 4.5
+        assert verify_pair(a, b, th) == (True, None, None, None)
+        s_ncc, s_scene, _ = pair_scores(a, b, th)
+        assert s_ncc + s_scene > th.tau_verify
+        # 10 pairs cannot be decided by the bound: they are scored
+        ok, s_ncc, s_scene, pairs = verify_pair(scene(0, a.positions[:10], [0] * 10), b, th)
+        assert s_ncc is not None and len(pairs) == 10 and ok == (s_ncc + s_scene > 4.0)
+
+    def test_bound_sums_like_the_score(self):
+        # the floor is added pair by pair, as scene_match adds its terms, so
+        # rounding cannot lift the bound above a score made of floor terms
+        cases = (
+            (0.9, "as_printed", 1.0 - 0.9),
+            (0.3, "distance_weighted", 0.0),
+            (-0.7, "distance_weighted", 1.0 - (1.0 - -0.7)),
+        )
+        for p, mode, floor in cases:
+            assert score_bound(0, VerifyThresholds(penalty_p=p, term_mode=mode)) == -1.0
+            total = 0.0
+            for n in range(1, 40):
+                total += floor
+                assert score_bound(n, VerifyThresholds(penalty_p=p, term_mode=mode)) == -1.0 + total
+
+    def test_bound_needs_its_premises(self):
+        base = VerifyThresholds(tau_verify=-10.0)
+        assert score_bound(5, base) > base.tau_verify
+        for th in (
+            VerifyThresholds(tau_verify=-10.0, penalty_p=math.inf),
+            VerifyThresholds(tau_verify=-10.0, penalty_p=-math.inf),
+            VerifyThresholds(tau_verify=-10.0, penalty_p=math.nan),
+            VerifyThresholds(tau_verify=-10.0, dist_norm_scale=0.0),
+            VerifyThresholds(tau_verify=-10.0, dist_norm_scale=-5.0),
+            VerifyThresholds(tau_verify=-10.0, dist_norm_scale=math.inf),
+        ):
+            assert score_bound(5, th) == -math.inf
+
+    @given(
+        na=st.integers(0, 13),
+        nb=st.integers(0, 13),
+        data=st.data(),
+        p=st.floats(allow_nan=False, allow_infinity=False),
+        mode=st.sampled_from(["as_printed", "distance_weighted"]),
+        tau=st.one_of(
+            st.floats(-3.0, 14.0),
+            st.sampled_from([math.inf, -math.inf, -1.0, 0.0]),
+            st.floats(allow_nan=False),
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bound_is_sound(self, na, nb, data, p, mode, tau):
+        """Whenever the bound passes a pair, the exact score passes it too,
+        and no exact score falls below the bound."""
+        coord = st.one_of(st.floats(-12.0, 12.0), st.floats(allow_nan=False, allow_infinity=False))
+
+        def draw_scene(sid, n):
+            pos = np.array(data.draw(st.lists(st.tuples(coord, coord, coord), min_size=n, max_size=n)), dtype=float)
+            cls = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+            return SceneDescriptor(sid, 0, np.full(4, 0.25), pos.reshape(-1, 3), tuple(label(c) for c in cls), Pose())
+
+        a, b = draw_scene(0, na), draw_scene(1, nb)
+        th = VerifyThresholds(tau_verify=tau, penalty_p=p, term_mode=mode)
+        with np.errstate(over="ignore", invalid="ignore"):  # huge coordinates and penalties overflow to inf
+            ok, s_ncc, s_scene, pairs = verify_pair(a, b, th)
+            if na == 0 or nb == 0:
+                assert (ok, pairs) == (False, [])
+                return
+            exact_ncc, exact_scene, _ = pair_scores(a, b, th)
+            bound = score_bound(min(na, nb), th)
+        exact = exact_ncc + exact_scene
+        assert bound <= exact
+        assert ok == (exact > tau)
+        if s_ncc is None:  # passed on the bound
+            assert ok and exact > tau
+        else:
+            assert (s_ncc, s_scene) == (exact_ncc, exact_scene)
+
 
 class TestLoopClosureDetector:
     @staticmethod
@@ -382,6 +496,25 @@ class TestLoopClosureDetector:
         q = self.grid_scene(40, 1, Pose(), other_pts, cls)
         assert det.detect(q.histogram, q) == []
 
+    @pytest.mark.parametrize("extra_side", ["query", "candidate"])
+    def test_inliers_must_cover_distinct_landmarks_on_both_sides(self, extra_side):
+        # four inliers, but two of them share one landmark on one side
+        pts = [[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [0.0, 4.0, 0.0]]
+        near = pts + [[0.0, 4.1, 0.0]]
+        q_pts, c_pts = (near, pts) if extra_side == "query" else (pts, near)
+        kwargs = dict(dim=4, exclusion_window=5, ransac_min_inliers=4, thresholds=VerifyThresholds(tau_verify=0.0))
+        det = LoopClosureDetector(**kwargs)
+        c = scene(0, c_pts, [0] * len(c_pts))
+        det.add_submap(0, c.histogram, [c])
+        q = scene(40, q_pts, [0] * len(q_pts))
+        assert det.detect(q.histogram, q) == []
+        # the same run with a fourth distinct landmark on the other side closes
+        det = LoopClosureDetector(**kwargs)
+        c = scene(0, near, [0] * 4)
+        det.add_submap(0, c.histogram, [c])
+        q = scene(40, near, [0] * 4)
+        assert len(det.detect(q.histogram, q)) == 1
+
     def test_at_most_one_closure_per_query(self, rng):
         pts, cls = self.make_world(rng)
         det = LoopClosureDetector(dim=4, exclusion_window=5, ransac_min_inliers=4)
@@ -391,3 +524,90 @@ class TestLoopClosureDetector:
         q = self.grid_scene(40, 1, Pose(np.array([0.2, 0.1, 0.0])), pts, cls)
         closures = det.detect(q.histogram, q)
         assert len(closures) == 1
+
+
+def _revisit_run(seed, thresholds):
+    """Two laps of a circular route through a random landmark field, cut into
+    submaps of six scenes; every scene queries the detector before its submap
+    is indexed, as the pipeline does. Scene sizes range from 1 to about 20."""
+    rng = np.random.default_rng(seed)
+    n_pts, dim = 70, 4
+    pts = np.column_stack([rng.uniform(-24, 24, (n_pts, 2)), rng.uniform(0, 2, n_pts)])
+    cls = rng.integers(0, dim, n_pts)
+    scenes = []
+    for sid in range(48):
+        ang = 2 * math.pi * (sid % 24) / 24
+        jitter = rng.normal(scale=[0.3, 0.3, 0.0]) if sid >= 24 else np.zeros(3)
+        centre = np.array([15 * math.cos(ang), 15 * math.sin(ang), 0.0]) + jitter
+        pose = Pose(centre, quat_from_yaw(ang + rng.normal(scale=0.05)))
+        radius = rng.uniform(3.0, 13.0)
+        seen = np.flatnonzero(np.linalg.norm(pts[:, :2] - pose.translation[:2], axis=1) <= radius)
+        if seen.size == 0:
+            seen = np.array([int(np.argmin(np.linalg.norm(pts - pose.translation, axis=1)))])
+        body = np.stack([pose.transform_inverse(pts[i]) for i in seen]) + rng.normal(scale=0.02, size=(seen.size, 3))
+        hist = np.bincount(cls[seen], minlength=dim) / seen.size
+        scenes.append(SceneDescriptor(sid, sid // 6, hist, body, tuple(label(int(c)) for c in cls[seen]), pose))
+    kwargs = dict(dim=dim, tau_jsd=0.3, r_l2=0.8, exclusion_window=10, thresholds=thresholds, rng_seed=seed)
+    return scenes, LoopClosureDetector(**kwargs), LoopClosureDetector(**kwargs)
+
+
+def _same_closures(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.query_scene, g.candidate_scene, g.inlier_pairs) == (w.query_scene, w.candidate_scene, w.inlier_pairs)
+        assert all(type(i) is int for pair in g.inlier_pairs for i in pair)
+        assert np.array_equal(g.relative_pose.translation, w.relative_pose.translation)
+        assert np.array_equal(g.relative_pose.rotation, w.relative_pose.rotation)
+        assert (g.s_ncc, g.s_scene) == (w.s_ncc, w.s_scene)
+
+
+def test_detect_matches_scalar_oracle(monkeypatch):
+    """detect (score bound, integer class ids, one verifier) returns the
+    closures of the exact per-candidate detector, leaves the same beliefs
+    and the same rng state, on seeded revisit runs in both term modes."""
+    seen = dict.fromkeys(
+        ["bound pass", "scored pass", "scored fail", "distance_weighted", "shared landmark", "closure after bound"], 0
+    )
+    verified = []
+
+    def record_verify(a, b, th, laplacian=None):
+        out = verify_pair(a, b, th, laplacian)
+        verified.append((a.scene_id, b.scene_id, out[1] is None))
+        seen["bound pass"] += out[1] is None
+        seen["scored pass"] += out[1] is not None and out[0]
+        seen["scored fail"] += out[1] is not None and not out[0]
+        seen["distance_weighted"] += th.term_mode == "distance_weighted"
+        return out
+
+    def record_ransac(src, dst, *args):
+        seen["shared landmark"] += len(np.unique(src, axis=0)) < len(src) or len(np.unique(dst, axis=0)) < len(dst)
+        return ransac_verify(src, dst, *args)
+
+    monkeypatch.setattr(placerec, "verify_pair", record_verify)
+    monkeypatch.setattr(placerec, "ransac_verify", record_ransac)
+    configs = [
+        VerifyThresholds(),
+        VerifyThresholds(tau_verify=6.0, penalty_p=-0.3),
+        VerifyThresholds(tau_verify=3.0, penalty_p=1.7),
+        VerifyThresholds(tau_verify=2.0, term_mode="distance_weighted"),
+    ]
+    for seed in range(3):
+        for th in configs:
+            scenes, det, ref = _revisit_run(seed, th)
+            for k in range(8):
+                batch = scenes[6 * k : 6 * k + 6]
+                hist = sum(s.histogram * len(s.labels) for s in batch)
+                hist = hist / hist.sum()
+                for q in batch:
+                    verified.clear()
+                    got, want = det.detect(hist, q), scalar_detect(ref, hist, q)
+                    _same_closures(got, want)
+                    bound_passed = {(qs, cs) for qs, cs, by_bound in verified if by_bound}
+                    seen["closure after bound"] += any(
+                        (lc.query_scene, lc.candidate_scene) in bound_passed for lc in got
+                    )
+                    assert det.rng.bit_generator.state == ref.rng.bit_generator.state
+                    assert det.beliefs == ref.beliefs
+                det.add_submap(k, hist, batch)
+                ref.add_submap(k, hist, batch)
+    assert all(seen.values()), seen

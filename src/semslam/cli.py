@@ -7,8 +7,6 @@ import os
 import sys
 from typing import List, Optional
 
-import numpy as np
-
 from .config import ConfigError, RunConfig, load_config, serialize_config
 from .core import LabelRegistry
 from .logio import (
@@ -24,43 +22,14 @@ from .logio import (
     write_trajectory,
 )
 from .pipeline import evaluate, integrate_odometry, run_pipeline
-from .sim import DetectorSpec, OdometrySpec, WorldSpec, generate_world, simulate
-
-
-def _world_spec(cfg: RunConfig) -> WorldSpec:
-    per_class = cfg.n_landmarks // cfg.n_classes
-    counts = [per_class] * cfg.n_classes
-    for i in range(cfg.n_landmarks - per_class * cfg.n_classes):
-        counts[i] += 1
-    return WorldSpec(
-        cfg.world_seed, cfg.arena_size, tuple(counts), cfg.trajectory, cfg.steps, cfg.step_length
-    )
-
-
-def _detector_spec(cfg: RunConfig) -> DetectorSpec:
-    confusion = None
-    if cfg.confusion_eps > 0.0:
-        n = cfg.n_classes
-        confusion = np.full((n, n), cfg.confusion_eps / max(n - 1, 1))
-        np.fill_diagonal(confusion, 1.0 - cfg.confusion_eps)
-    return DetectorSpec(
-        cfg.detection_range,
-        cfg.fov_deg,
-        cfg.miss_rate,
-        cfg.sim_fp_rate,
-        confusion,
-        cfg.meas_noise_std**2 * np.eye(3),
-    )
-
-
-def _odometry_spec(cfg: RunConfig) -> OdometrySpec:
-    return OdometrySpec(cfg.odom_sigma_t, cfg.odom_sigma_r, cfg.odom_bias_drift)
+from .sim import generate_world, scenario_specs, simulate
 
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    world = generate_world(_world_spec(cfg))
-    measurements, increments = simulate(world, _detector_spec(cfg), _odometry_spec(cfg), cfg.run_seed)
+    world_spec, det, odo = scenario_specs(cfg)
+    world = generate_world(world_spec)
+    measurements, increments = simulate(world, det, odo, cfg.run_seed)
     os.makedirs(args.out, exist_ok=True)
     write_measurements(os.path.join(args.out, "measurements.csv"), measurements, world.trajectory)
     write_odometry(os.path.join(args.out, "odometry.csv"), increments)

@@ -60,22 +60,6 @@ def log_so3(R: np.ndarray) -> np.ndarray:
     return w * (angle / (2.0 * np.sin(angle)))
 
 
-def left_jacobian_inv_so3(phi: np.ndarray) -> np.ndarray:
-    """Inverse of the left Jacobian of SO(3) at rotation vector phi."""
-    angle = np.linalg.norm(phi)
-    K = hat(phi)
-    if angle < 1e-6:
-        return np.eye(3) - 0.5 * K + (1.0 / 12.0) * (K @ K)
-    half = 0.5 * angle
-    cot = half / np.tan(half)
-    return np.eye(3) - 0.5 * K + ((1.0 - cot) / (angle * angle)) * (K @ K)
-
-
-def right_jacobian_inv_so3(phi: np.ndarray) -> np.ndarray:
-    """Inverse of the right Jacobian of SO(3) at rotation vector phi."""
-    return left_jacobian_inv_so3(-np.asarray(phi))
-
-
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     n = np.linalg.norm(q)
     if n < _EPS:

@@ -119,7 +119,7 @@ def _log_so3(R: np.ndarray) -> np.ndarray:
 
 
 def _left_jacobian_inv(phi: np.ndarray) -> np.ndarray:
-    """Inverse left Jacobians of SO(3), as `geometry.left_jacobian_inv_so3`."""
+    """Inverse left Jacobians of SO(3), one per row of phi."""
     angle = _norms(phi)
     K = _hat(phi)
     big = angle >= 1e-6
@@ -581,8 +581,7 @@ def optimize(
                 break
             rejected += 1
             lam *= 10.0
-        if not accepted or converged:
-            converged = True
+        if not accepted or converged:  # a stall ends the run unconverged
             break
     if lin is None:
         lin = prob.linearize(t, q, L)

@@ -41,7 +41,7 @@ from .placerec import (
     SceneDescriptor,
     VerifyThresholds,
 )
-from .submap import Corpus, GateDefaults, SubmapSummary, gaussian_entropy, gate, tfidf_score
+from .submap import Corpus, GateDefaults, SubmapSummary, gate, tfidf_score
 
 
 @dataclass
@@ -204,7 +204,6 @@ class Pipeline:
     # -- per-scene processing --------------------------------------------
 
     def process_scene(self, step: int, body_measurements: Sequence[SemanticMeasurement], odom_inc: Optional[Pose]):
-        cfg = self.cfg
         if step > 0:
             if odom_inc is None:
                 raise ValueError("missing odometry increment")
@@ -279,7 +278,7 @@ class Pipeline:
                 LandmarkFactor(flm.last_scene, lid, z_body, info, robust_c=cfg.cauchy_c)
             )
         summary = self._summarize(fused, submap_lids)
-        if self._submap_scenes and gate(summary, None, self.gate_defaults) == "check":
+        if self._submap_scenes and gate(summary, self.gate_defaults) == "check":
             submap_hist = summary.histogram.as_vector(cfg.n_classes)
             for scene in self._submap_scenes:
                 for lc in self.detector.detect(submap_hist, scene):
@@ -310,28 +309,14 @@ class Pipeline:
         self._new_tree()
 
     def _summarize(self, fused: Dict[int, FusedLandmark], submap_lids: Sequence[int]) -> SubmapSummary:
-        cfg = self.cfg
         scene_ids = tuple(s.scene_id for s in self._submap_scenes)
         lids = [lid for lid in submap_lids if lid in fused]
         active = [fused[lid] for lid in lids if fused[lid].last_scene in scene_ids] or [fused[lid] for lid in lids]
         hist = histogram_of(active) if active else ClassHistogram({}, 0)
-        if active:
-            comps = [(c.weight / len(active), c) for flm in active for c in flm.components]
-            centroid = np.zeros(3)
-            for w, c in comps:
-                centroid += w * c.mean
-            cov = np.zeros((3, 3))
-            for w, c in comps:
-                d = c.mean - centroid
-                cov += w * (c.cov + np.outer(d, d))
-            cov = cov + 1e-9 * np.eye(3)
-            entropy = gaussian_entropy(cov)
-        else:
-            entropy = float("-inf")
         scene_hists = [histogram_of_vector(s.histogram, self.registry) for s in self._submap_scenes]
         self.corpus.add_submap(hist, scene_hists)
         tfidf = tfidf_score(hist, self.corpus) if hist.total > 0 else 0.0
-        return SubmapSummary(self.submap_id, hist, entropy, tfidf, len(active), scene_ids)
+        return SubmapSummary(hist, tfidf, len(active))
 
     # -- optimization -----------------------------------------------------
 

@@ -17,8 +17,6 @@ import numpy as np
 from . import kernels
 from .core import ClassLabel, ContractViolation
 from .geometry import Pose, rot_to_quat
-from .kdtree import IncrementalKdTree
-from .submap import SubmapSummary
 
 LN2 = math.log(2.0)
 
@@ -72,17 +70,18 @@ class SceneDescriptor:
 
 
 class PlaceIndex:
-    """Two-stage retrieval state: a submap histogram kd-tree and each submap's scenes."""
+    """Two-stage retrieval state: each submap's histogram and its scenes."""
 
     def __init__(self, dim: int):
-        self.submap_tree = IncrementalKdTree(dim)
+        self.dim = dim
         self.submap_hist: Dict[int, np.ndarray] = {}
         self.scenes: Dict[int, SceneDescriptor] = {}
         self.scenes_by_submap: Dict[int, List[int]] = {}
 
     def add_submap(self, submap_id: int, histogram: np.ndarray, scenes: Sequence[SceneDescriptor]):
         histogram = np.asarray(histogram, dtype=float)
-        self.submap_tree.insert(histogram, submap_id)
+        if histogram.shape != (self.dim,):
+            raise ContractViolation(f"expected shape ({self.dim},), got {histogram.shape}")
         self.submap_hist[submap_id] = histogram
         self.scenes.update((s.scene_id, s) for s in scenes)
         self.scenes_by_submap[submap_id] = [s.scene_id for s in scenes]
@@ -96,18 +95,14 @@ def query_candidates(
     r_l2: float,
     exclusion_window: int,
 ) -> List[SceneDescriptor]:
-    """Stage 1: submaps within tau_jsd of the query submap histogram (kd-tree
-    L2 prefilter, exact JSD refine). Stage 2: their scenes within r_l2 of the
-    query scene histogram, closest first (ties by scene id). Scenes inside
-    the exclusion window are dropped."""
+    """Stage 1: submaps within tau_jsd of the query submap histogram (exact
+    JSD, in submap id order). Stage 2: their scenes within r_l2 of the query
+    scene histogram, closest first (ties by scene id). Scenes inside the
+    exclusion window are dropped."""
     query_submap_hist = np.asarray(query_submap_hist, dtype=float)
-    # conservative prefilter radius: JSD <= tau is impossible once
-    # ||h1-h2||_2 exceeds sqrt(8*tau) (via Pinsker on each half), refined exactly
-    prefilter_r = math.sqrt(max(8.0 * tau_jsd, 0.0)) + 1e-12
-    submap_ids = index.submap_tree.query_radius(query_submap_hist, prefilter_r)
     good_submaps = [
         sid
-        for sid in sorted(submap_ids)
+        for sid in sorted(index.submap_hist)
         if jsd(query_submap_hist, index.submap_hist[sid]) <= tau_jsd
     ]
     out = []
@@ -268,8 +263,6 @@ class LoopClosure:
     candidate_scene: int
     relative_pose: Pose
     inlier_pairs: Tuple[Tuple[int, int], ...]
-    s_ncc: float
-    s_scene: float
 
 
 def rigid_transform_svd(src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -419,7 +412,7 @@ class LoopClosureDetector:
         for cand in candidates[: self.max_candidates]:
             if query_scene.positions.shape[0] == 0 or cand.positions.shape[0] == 0:
                 continue
-            ok, s_ncc, s_scene, _ = verify_pair(query_scene, cand, self.thresholds, self._laplacian)
+            ok = verify_pair(query_scene, cand, self.thresholds, self._laplacian)[0]
             key = (query_scene.scene_id, cand.scene_id)
             belief = self.beliefs[key] = bayes_update(self.beliefs.get(key, self.belief_template), ok)
             if belief.p_lc <= self.thresholds.tau_bayes:
@@ -438,10 +431,8 @@ class LoopClosureDetector:
             # inliers must cover distinct landmarks on both sides
             if min(np.unique(ia).size, np.unique(ib).size) < self.ransac_min_inliers:
                 continue
-            if s_ncc is None:  # passed on the score bound
-                s_ncc, s_scene, _ = pair_scores(query_scene, cand, self.thresholds, self._laplacian)
             inliers = tuple(zip(ia.tolist(), ib.tolist()))
-            closures.append(LoopClosure(query_scene.scene_id, cand.scene_id, rel, inliers, s_ncc, s_scene))
+            closures.append(LoopClosure(query_scene.scene_id, cand.scene_id, rel, inliers))
         return [max(closures, key=lambda lc: len(lc.inlier_pairs))] if closures else []
 
     def add_submap(self, submap_id: int, histogram: np.ndarray, scenes: Sequence[SceneDescriptor]):

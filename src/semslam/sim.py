@@ -9,6 +9,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .config import RunConfig
 from .core import ClassLabel, ContractViolation, LabelRegistry, SemanticMeasurement
 from .geometry import Pose, quat_from_rotvec, quat_from_yaw, quat_mul, quat_normalize
 
@@ -58,6 +59,31 @@ class OdometrySpec:
     def __post_init__(self):
         if self.sigma_t < 0 or self.sigma_r < 0:
             raise ContractViolation("noise sigmas must be non-negative")
+
+
+def scenario_specs(cfg: RunConfig) -> Tuple[WorldSpec, DetectorSpec, OdometrySpec]:
+    """The world, detector and odometry a run config describes. Landmarks
+    are split evenly over the classes, the first classes taking the rest;
+    confusion_eps > 0 spreads that mass evenly over the other classes."""
+    per_class = cfg.n_landmarks // cfg.n_classes
+    counts = [per_class] * cfg.n_classes
+    for i in range(cfg.n_landmarks - per_class * cfg.n_classes):
+        counts[i] += 1
+    world = WorldSpec(cfg.world_seed, cfg.arena_size, tuple(counts), cfg.trajectory, cfg.steps, cfg.step_length)
+    confusion = None
+    if cfg.confusion_eps > 0.0:
+        n = cfg.n_classes
+        confusion = np.full((n, n), cfg.confusion_eps / max(n - 1, 1))
+        np.fill_diagonal(confusion, 1.0 - cfg.confusion_eps)
+    det = DetectorSpec(
+        cfg.detection_range,
+        cfg.fov_deg,
+        cfg.miss_rate,
+        cfg.sim_fp_rate,
+        confusion,
+        cfg.meas_noise_std**2 * np.eye(3),
+    )
+    return world, det, OdometrySpec(cfg.odom_sigma_t, cfg.odom_sigma_r, cfg.odom_bias_drift)
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,12 +20,10 @@ from semslam.core import SPD_EIG_TOL, ClassLabel, ContractViolation, Landmark, S
 from semslam.geometry import (
     Pose,
     hat,
-    left_jacobian_inv_so3,
     log_so3,
     quat_from_rotvec,
     quat_mul,
     quat_normalize,
-    right_jacobian_inv_so3,
 )
 from semslam.graph import (
     GraphState,
@@ -413,10 +411,27 @@ def scalar_detect(det, query_submap_hist, query_scene):
             or len({ib for _, ib in inliers}) < det.ransac_min_inliers
         ):
             continue
-        closures.append(LoopClosure(query_scene.scene_id, cand.scene_id, rel, inliers, s_ncc, s_scene))
+        closures.append(LoopClosure(query_scene.scene_id, cand.scene_id, rel, inliers))
     if len(closures) > 1:
         closures = [max(closures, key=lambda lc: len(lc.inlier_pairs))]
     return closures
+
+
+def left_jacobian_inv_so3(phi: np.ndarray) -> np.ndarray:
+    """Inverse of the left Jacobian of SO(3) at rotation vector phi: the
+    reference for `graph._left_jacobian_inv`."""
+    angle = np.linalg.norm(phi)
+    K = hat(phi)
+    if angle < 1e-6:
+        return np.eye(3) - 0.5 * K + (1.0 / 12.0) * (K @ K)
+    half = 0.5 * angle
+    cot = half / np.tan(half)
+    return np.eye(3) - 0.5 * K + ((1.0 - cot) / (angle * angle)) * (K @ K)
+
+
+def right_jacobian_inv_so3(phi: np.ndarray) -> np.ndarray:
+    """Inverse of the right Jacobian of SO(3) at rotation vector phi."""
+    return left_jacobian_inv_so3(-np.asarray(phi))
 
 
 def _scalar_factor_terms(f, state):
@@ -545,8 +560,7 @@ def scalar_optimize(g, max_iters=50, grad_tol=1e-8, lm_lambda0=1e-4):
                 break
             rejected += 1
             lam *= 10.0
-        if not accepted or converged:
-            converged = True
+        if not accepted or converged:  # a stall ends the run unconverged
             break
     H, _, _ = _scalar_normal_equations(state, offsets, dim)
     o = offsets[("pose", max(state.poses))]

@@ -9,16 +9,16 @@ from semslam.geometry import (
     Pose,
     exp_so3,
     hat,
-    left_jacobian_inv_so3,
     log_so3,
     quat_from_rotvec,
     quat_from_yaw,
     quat_mul,
     quat_normalize,
     quat_to_rot,
-    right_jacobian_inv_so3,
     rot_to_quat,
 )
+
+from conftest import left_jacobian_inv_so3, right_jacobian_inv_so3
 
 small_floats = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 vec3 = st.tuples(small_floats, small_floats, small_floats).map(np.array)

@@ -351,6 +351,14 @@ class TestOptimize:
         assert result.converged is False
         assert result.cost < result.initial_cost
 
+    def test_stall_reports_not_converged(self):
+        # a prior at its own mean costs 0, so no trial step can lower the
+        # cost; with grad_tol 0 the zero gradient does not stop the run first
+        g = GraphState(poses={0: Pose()}, factors=[PriorFactor(0, Pose(), np.eye(6))])
+        for result in (optimize(g, grad_tol=0.0), scalar_optimize(g, grad_tol=0.0)):
+            assert (result.iterations, result.rejected_steps) == (1, 12)
+            assert result.converged is False
+
     def test_zero_iterations_return_initial_cost(self, rng):
         from semslam.graph import _total_cost
 

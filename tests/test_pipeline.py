@@ -7,30 +7,12 @@ from semslam.config import RunConfig
 from semslam.core import LabelRegistry, SemanticMeasurement
 from semslam.geometry import Pose
 from semslam.pipeline import evaluate, integrate_odometry, run_pipeline
-from semslam.sim import DetectorSpec, OdometrySpec, WorldSpec, generate_world, simulate
-
-
-def world_spec_for(cfg):
-    per_class = cfg.n_landmarks // cfg.n_classes
-    counts = [per_class] * cfg.n_classes
-    for i in range(cfg.n_landmarks - per_class * cfg.n_classes):
-        counts[i] += 1
-    return WorldSpec(
-        cfg.world_seed, cfg.arena_size, tuple(counts), cfg.trajectory, cfg.steps, cfg.step_length
-    )
+from semslam.sim import generate_world, scenario_specs, simulate
 
 
 def simulate_for(cfg):
-    world = generate_world(world_spec_for(cfg))
-    det = DetectorSpec(
-        cfg.detection_range,
-        cfg.fov_deg,
-        cfg.miss_rate,
-        cfg.sim_fp_rate,
-        None,
-        cfg.meas_noise_std**2 * np.eye(3),
-    )
-    odo = OdometrySpec(cfg.odom_sigma_t, cfg.odom_sigma_r, cfg.odom_bias_drift)
+    world_spec, det, odo = scenario_specs(cfg)
+    world = generate_world(world_spec)
     measurements, increments = simulate(world, det, odo, cfg.run_seed)
     body = []
     for step, ms in enumerate(measurements):
@@ -47,6 +29,23 @@ def simulate_for(cfg):
 def run_for(cfg):
     world, body, increments = simulate_for(cfg)
     return run_pipeline(cfg, body, increments, world.registry, world.trajectory), world
+
+
+class TestScenario:
+    def test_confusion_eps_reaches_detector(self):
+        # noiseless: every true detection sits exactly on its landmark, so a
+        # measurement whose class differs from that landmark's was relabelled
+        base = dict(steps=12, n_landmarks=24, n_classes=4, meas_noise_std=0.0)
+        for eps in (0.0, 0.3):
+            world, body, _ = simulate_for(RunConfig(confusion_eps=eps, **base))
+            points = np.stack([lm.position for lm in world.landmarks])
+            relabelled = 0
+            for t, ms in enumerate(body):
+                for m in ms:
+                    d = np.linalg.norm(points - world.trajectory[t].transform(m.position), axis=1)
+                    assert d.min() < 1e-9
+                    relabelled += m.label != world.landmarks[int(np.argmin(d))].label
+            assert (relabelled > 0) == (eps > 0.0)
 
 
 class TestIntegrateOdometry:

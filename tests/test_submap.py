@@ -1,4 +1,4 @@
-"""Submap summaries: Gaussian entropy, tf-idf, and the CART gate."""
+"""Submap summaries: Gaussian entropy, tf-idf, and the gate."""
 
 import math
 
@@ -13,16 +13,13 @@ from semslam.submap import (
     gate,
     gaussian_entropy,
     tfidf_score,
-    train_gate,
 )
 
 from conftest import label, random_spd
 
 
-def summary(entropy=4.0, tfidf=0.5, landmark_count=10, submap_id=0):
-    return SubmapSummary(
-        submap_id, ClassHistogram({}, 0), entropy, tfidf, landmark_count, ()
-    )
+def summary(tfidf=0.5, landmark_count=10):
+    return SubmapSummary(ClassHistogram({}, 0), tfidf, landmark_count)
 
 
 class TestGaussianEntropy:
@@ -115,58 +112,6 @@ class TestTfidf:
             Corpus(doc_unit="scene").add_submap(ClassHistogram({label(0): 1}, 1))
 
 
-class TestGateTree:
-    @staticmethod
-    def separable_samples():
-        # linearly separable on landmark_count at 5
-        samples = []
-        for count in (0, 1, 2, 3, 4, 10, 12, 14, 16, 18, 20):
-            lab = "check" if count > 5 else "skip"
-            samples.append((summary(landmark_count=count), lab))
-        return samples
-
-    def test_learns_separable_threshold(self):
-        tree = train_gate(self.separable_samples())
-        assert tree.predict(summary(landmark_count=4).features()) == "skip"
-        assert tree.predict(summary(landmark_count=10).features()) == "check"
-        # the learned split must sit between the two clusters
-        root = tree.root
-        assert root.feature == 2 and 4.0 <= root.threshold <= 10.0
-
-    def test_single_label_degenerates_to_constant(self):
-        samples = [(summary(landmark_count=i), "skip") for i in range(12)]
-        tree = train_gate(samples)
-        assert tree.root.is_leaf and tree.root.label == "skip"
-
-    def test_training_set_accuracy_at_least_majority(self, rng):
-        samples = [
-            (
-                summary(
-                    entropy=float(rng.uniform(0, 8)),
-                    tfidf=float(rng.uniform(0, 2)),
-                    landmark_count=int(rng.integers(0, 30)),
-                ),
-                "check" if rng.random() < 0.5 else "skip",
-            )
-            for _ in range(40)
-        ]
-        tree = train_gate(samples)
-        correct = sum(tree.predict(s.features()) == lab for s, lab in samples)
-        majority = max(
-            sum(1 for _, lab in samples if lab == "check"),
-            sum(1 for _, lab in samples if lab == "skip"),
-        )
-        assert correct >= majority
-
-    def test_too_few_samples_rejected(self):
-        with pytest.raises(ContractViolation):
-            train_gate([(summary(), "check")] * 9)
-
-    def test_unknown_label_rejected(self):
-        with pytest.raises(ContractViolation):
-            train_gate([(summary(), "maybe")] * 10)
-
-
 class TestGate:
     def test_default_rule_skips_sparse_submaps(self):
         assert gate(summary(landmark_count=0)) == "skip"
@@ -178,11 +123,6 @@ class TestGate:
         defaults = GateDefaults(min_landmarks=3, min_tfidf=0.9)
         assert gate(summary(landmark_count=5, tfidf=0.5), defaults=defaults) == "skip"
         assert gate(summary(landmark_count=5, tfidf=1.0), defaults=defaults) == "check"
-
-    def test_trained_tree_takes_precedence(self):
-        tree = train_gate(TestGateTree.separable_samples())
-        assert gate(summary(landmark_count=9), tree) == "check"
-        assert gate(summary(landmark_count=2), tree) == "skip"
 
     def test_deterministic(self):
         s = summary(landmark_count=9, tfidf=0.4)

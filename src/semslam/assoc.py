@@ -51,8 +51,22 @@ class AssocParams:
     def __post_init__(self):
         object.__setattr__(self, "meas_cov", np.asarray(self.meas_cov, dtype=float))
         check_spd(self.meas_cov)
-        for cov in self.trans_cov_by_class.values():
-            check_spd(np.asarray(cov))
+        # Each distinct cost-matrix column covariance, factored once into an
+        # inverse Cholesky factor and a log-determinant: group 0 is meas_cov,
+        # for existing landmarks and Dirac classes; a previous landmark of another
+        # class takes meas_cov + its trans. _cov_group: class id -> group, or -1.
+        sums = {}
+        for label, trans in self.trans_cov_by_class.items():
+            check_spd(np.asarray(trans))
+            sums[label.id] = self.meas_cov + np.asarray(trans)
+        sums.update((label.id, self.meas_cov) for label in self.dirac_classes)
+        distinct = {cov.tobytes(): cov for cov in [self.meas_cov, *sums.values()]}
+        factors = [np.linalg.cholesky(cov) for cov in distinct.values()]
+        object.__setattr__(self, "_cov_factors", [(np.linalg.inv(L), float(np.log(np.diag(L)).sum())) for L in factors])
+        cov_group = np.full(max(sums, default=-1) + 2, -1)
+        for class_id, cov in sums.items():
+            cov_group[class_id] = list(distinct).index(cov.tobytes())
+        object.__setattr__(self, "_cov_group", cov_group)
         for name in ("dirichlet_alpha", "fp_rate", "map_volume", "lambda_new", "lambda_fp", "prior_volume"):
             if getattr(self, name) <= 0:
                 raise ContractViolation(f"{name} must be positive")
@@ -219,34 +233,26 @@ def build_cost_matrix(
     row_log_prior = np.array([log_prior[m.label] for m in measurements])
     pos = np.stack([m.position for m in measurements])
     meas_class = np.array([m.label.id for m in measurements])
-    # landmark columns, grouped by covariance so each group shares one Cholesky
+    # landmark columns, grouped by covariance: each group is whitened by one product
+    n_ex = len(existing_ids)
     col_lms = [state.existing[k] for k in existing_ids] + [state.previous[k] for k in previous_ids]
-    col_class = np.array([lm.label.id for lm in col_lms], dtype=int) if n_lm else np.empty(0, dtype=int)
+    col_class = np.array([lm.label.id for lm in col_lms], dtype=int)
+    counts = [lm.assign_count for lm in col_lms[:n_ex]]
     dp_bonus = np.zeros(n_lm)
-    groups: Dict[bytes, List[int]] = {}
-    group_cov: Dict[bytes, np.ndarray] = {}
-    for j, lm in enumerate(col_lms):
-        if j < len(existing_ids):
-            dp_bonus[j] = float(lm.assign_count) if params.dp_weight_mode == "exp" else math.log(lm.assign_count)
-            cov = params.meas_cov
-        elif lm.label in params.dirac_classes:
-            cov = params.meas_cov
-        else:
-            trans = params.trans_cov_by_class.get(lm.label)
-            if trans is None:
-                raise ContractViolation(f"no transitional covariance for class {lm.label.id}")
-            cov = params.meas_cov + np.asarray(trans)
-        key = np.ascontiguousarray(cov, dtype=float).tobytes()
-        groups.setdefault(key, []).append(j)
-        group_cov[key] = cov
+    dp_bonus[:n_ex] = counts if params.dp_weight_mode == "exp" else [math.log(c) for c in counts]
+    col_group = params._cov_group[np.minimum(col_class, len(params._cov_group) - 1)]
+    col_group[:n_ex] = 0
+    if (col_group < 0).any():
+        raise ContractViolation(f"no transitional covariance for class {col_class[np.argmax(col_group < 0)]}")
+    means = np.stack([lm.mean for lm in col_lms]) if n_lm else np.empty((0, 3))
     density = np.full((n, n_lm), np.nan)
     gated = np.zeros((n, n_lm), dtype=bool)
-    for key, cols in groups.items():
-        L = np.linalg.cholesky(group_cov[key])
-        logdet = float(np.log(np.diag(L)).sum())
-        means = np.stack([col_lms[j].mean for j in cols])
-        diffs = pos[:, None, :] - means[None, :, :]  # (n, k, 3)
-        y = np.linalg.solve(L, diffs.reshape(-1, 3).T)
+    for g, (L_inv, logdet) in enumerate(params._cov_factors):
+        cols = np.flatnonzero(col_group == g)
+        if not len(cols):
+            continue
+        diffs = pos[:, None, :] - means[None, cols, :]  # (n, k, 3)
+        y = L_inv @ diffs.reshape(-1, 3).T
         maha = np.sum(y * y, axis=0).reshape(n, len(cols))
         density[:, cols] = -0.5 * maha - logdet - 1.5 * _LOG2PI
         gated[:, cols] = maha <= params.candidate_gate

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -82,9 +82,22 @@ def check_spd(cov: np.ndarray, tol: float = SPD_EIG_TOL) -> None:
     cov = np.asarray(cov)
     if cov.shape != (3, 3):
         raise ContractViolation(f"expected 3x3 covariance, got {cov.shape}")
-    if not (cov == cov.T).all() and not np.allclose(cov, cov.T, atol=1e-9):
-        raise ContractViolation("covariance not symmetric")
-    if np.min(np.linalg.eigvalsh(cov)) <= tol:
+    check_spd_stack(cov[None], tol)
+
+
+def check_spd_stack(covs: np.ndarray, tol: float = SPD_EIG_TOL) -> None:
+    """check_spd on each matrix of a (B, 3, 3) stack, in one pass. The
+    symmetry test is np.isclose's, so it passes what np.allclose does."""
+    covs = np.asarray(covs)
+    if covs.ndim != 3 or covs.shape[1:] != (3, 3):
+        raise ContractViolation(f"expected a stack of 3x3 covariances, got {covs.shape}")
+    t = np.swapaxes(covs, 1, 2)
+    same = covs == t  # equal infinities are close, as in np.isclose
+    if not same.all():
+        with np.errstate(invalid="ignore"):
+            if not (same | (np.abs(covs - t) <= 1e-9 + 1e-5 * np.abs(t))).all():
+                raise ContractViolation("covariance not symmetric")
+    if (np.linalg.eigvalsh(covs).min(axis=1) <= tol).any():
         raise ContractViolation("covariance not positive definite")
 
 
@@ -108,6 +121,20 @@ class Landmark:
         if self.assign_count < 1:
             raise ContractViolation("assign_count must be >= 1 once created")
         check_spd(self.cov)
+
+    @classmethod
+    def stack(cls, heads, means, covs) -> List["Landmark"]:
+        """Landmarks from (id, label, assign_count, submap_id, last_scene) heads and
+        row-aligned means and covariances, checked in one check_spd_stack call."""
+        means, covs = np.asarray(means, dtype=float), np.asarray(covs, dtype=float)
+        if not len(heads) == len(means) == len(covs) or any(head[2] < 1 for head in heads):
+            raise ContractViolation("landmark rows must align, with assign_count >= 1")
+        check_spd_stack(covs)
+        fields = ("id", "label", "assign_count", "submap_id", "last_scene", "mean", "cov")
+        out = [object.__new__(cls) for _ in heads]  # the fields __init__ sets, without its per-object check
+        for lm, head, mean, cov in zip(out, heads, means, covs):
+            lm.__dict__.update(zip(fields, (*head, mean, cov)))
+        return out
 
     def with_estimate(self, mean, cov, *, assign_count=None, submap_id=None, last_scene=None):
         return Landmark(
@@ -168,5 +195,6 @@ __all__ = [
     "Pose",
     "histogram_of",
     "check_spd",
+    "check_spd_stack",
     "ContractViolation",
 ]

@@ -1,5 +1,5 @@
-"""Per-landmark UKF position updates and Gaussian-mixture fusion of the
-weighted hypothesis set into single-landmark constraints."""
+"""Batched UKF updates of landmark positions and Gaussian-mixture fusion of
+the weighted hypothesis set into single-landmark constraints."""
 
 from __future__ import annotations
 
@@ -40,64 +40,68 @@ class FusedLandmark:
     last_scene: int
 
 
-def _sigma_points(mean: np.ndarray, cov: np.ndarray, params: UkfParams):
-    n = mean.size
-    lam = params.alpha**2 * (n + params.kappa) - n
+def _sigma_factors(covs: np.ndarray, spread: float, retry: bool):
+    """Lower Cholesky factors of spread * covs, and the covariances they
+    factor. With retry, each row that fails is inflated by 1e-9 I and the
+    batch is factored once more; the other rows are unaffected."""
     try:
-        L = np.linalg.cholesky((n + lam) * cov)
+        return np.linalg.cholesky(spread * covs), covs
     except np.linalg.LinAlgError as exc:
-        raise CovarianceConditioningError(str(exc)) from exc
-    pts = np.empty((2 * n + 1, n))
-    pts[0] = mean
-    for i in range(n):
-        pts[1 + i] = mean + L[:, i]
-        pts[1 + n + i] = mean - L[:, i]
+        if not retry:
+            raise CovarianceConditioningError(str(exc)) from exc
+    covs = covs.copy()
+    for cov in covs:
+        try:
+            np.linalg.cholesky(spread * cov)
+        except np.linalg.LinAlgError:
+            cov += 1e-9 * np.eye(len(cov))
+    return _sigma_factors(covs, spread, retry=False)
+
+
+def _ukf_batch(means, covs, z, meas_cov, params: UkfParams, retry: bool):
+    """Posterior means and covariances of the unscented updates of (B, n)
+    prior means and (B, n, n) covariances by (B, n) measurements, h(x) = x."""
+    n = means.shape[1]
+    lam = params.alpha**2 * (n + params.kappa) - n
     wm = np.full(2 * n + 1, 1.0 / (2.0 * (n + lam)))
     wc = wm.copy()
     wm[0] = lam / (n + lam)
     wc[0] = lam / (n + lam) + (1.0 - params.alpha**2 + params.beta)
-    return pts, wm, wc
-
-
-def _ukf_estimate(lm: Landmark, m: SemanticMeasurement, meas_cov: np.ndarray, params: UkfParams):
-    """Posterior mean and covariance of the unscented update of lm by m."""
-    pts, wm, wc = _sigma_points(lm.mean, lm.cov, params)
+    L, covs = _sigma_factors(covs, n + lam, retry)
+    offsets = np.swapaxes(L, 1, 2)  # row i is column i of L
+    centre = means[:, None, :]
+    pts = np.concatenate([centre, centre + offsets, centre - offsets], axis=1)  # (B, 2n+1, n)
     z_pred = wm @ pts
-    d = pts - z_pred
-    S = (wc[:, None] * d).T @ d + np.asarray(meas_cov)
-    dx = pts - (wm @ pts)
-    P_xz = (wc[:, None] * dx).T @ d
-    K = np.linalg.solve(S.T, P_xz.T).T
-    innov = np.asarray(m.position) - z_pred
-    mean = lm.mean + K @ innov
-    cov = lm.cov - K @ S @ K.T
-    cov = 0.5 * (cov + cov.T)
-    return mean, cov
+    d = pts - z_pred[:, None, :]
+    P_xz = np.swapaxes(wc[:, None] * d, 1, 2) @ d
+    S = P_xz + np.asarray(meas_cov)
+    K = np.swapaxes(np.linalg.solve(np.swapaxes(S, 1, 2), np.swapaxes(P_xz, 1, 2)), 1, 2)
+    mean = means + (K @ (z - z_pred)[:, :, None])[:, :, 0]
+    cov = covs - K @ S @ np.swapaxes(K, 1, 2)
+    return mean, 0.5 * (cov + np.swapaxes(cov, 1, 2))
 
 
-def ukf_update(
-    lm: Landmark,
-    m: SemanticMeasurement,
-    meas_cov: np.ndarray,
-    params: UkfParams = UkfParams(),
-) -> Landmark:
+def ukf_update(lm: Landmark, m: SemanticMeasurement, meas_cov: np.ndarray, params: UkfParams = UkfParams()) -> Landmark:
     """Unscented measurement update with the identity model h(x) = x.
 
     Does not touch assign_count; the caller owns the association bookkeeping.
     """
-    mean, cov = _ukf_estimate(lm, m, meas_cov, params)
-    return lm.with_estimate(mean, cov, last_scene=m.scene_id)
+    mean, cov = _ukf_batch(lm.mean[None], lm.cov[None], m.position[None], meas_cov, params, retry=False)
+    return lm.with_estimate(mean[0], cov[0], last_scene=m.scene_id)
 
 
-def ukf_update_safe(lm, m, meas_cov, params=UkfParams()) -> Landmark:
-    """ukf_update with the documented one-shot retry on conditioning failure,
-    counting the assignment; the updated landmark is built once."""
-    try:
-        mean, cov = _ukf_estimate(lm, m, meas_cov, params)
-    except CovarianceConditioningError:
-        inflated = lm.with_estimate(lm.mean, lm.cov + 1e-9 * np.eye(3))
-        mean, cov = _ukf_estimate(inflated, m, meas_cov, params)
-    return lm.with_estimate(mean, cov, assign_count=lm.assign_count + 1, last_scene=m.scene_id)
+def ukf_update_safe(landmarks, measurements, meas_cov, params=UkfParams()) -> List[Landmark]:
+    """ukf_update of landmarks[i] by measurements[i] as one batch, counting
+    each assignment. A row whose sigma-point Cholesky fails is inflated by
+    1e-9 I and retried once; the updated covariances are checked in one call."""
+    if len(landmarks) != len(measurements):
+        raise ContractViolation("one measurement per landmark")
+    if not landmarks:
+        return []
+    means, covs = np.stack([lm.mean for lm in landmarks]), np.stack([lm.cov for lm in landmarks])
+    mean, cov = _ukf_batch(means, covs, np.stack([m.position for m in measurements]), meas_cov, params, retry=True)
+    heads = [(lm.id, lm.label, lm.assign_count + 1, lm.submap_id, m.scene_id) for lm, m in zip(landmarks, measurements)]
+    return Landmark.stack(heads, mean, cov)
 
 
 def spd_project(cov: np.ndarray, floor: float = 1e-12) -> np.ndarray:

@@ -162,6 +162,8 @@ class HypothesisTree:
         if cost_matrix is None:
             cost_matrix = build_cost_matrix(measurements, leaf.assoc_state(), assoc_params)
         children = []
+        updates = []  # (child, prior landmark, measurement), in child and measurement order
+        created = []  # (child, new landmark id, measurement)
         for assignment in branches:
             ll = measurement_set_log_likelihood(assignment, cost_matrix)
             lp = assignment_prior_log(assignment, assoc_params)
@@ -175,32 +177,42 @@ class HypothesisTree:
                 leaf.previous,  # only mutated via re-anchoring below, which copies
                 leaf.n_fp,
             )
-            self._apply_assignment(child, assignment, measurements, assoc_params, ukf_params)
-            self.nodes[child.id] = child
+            self._collect_assignment(child, assignment, measurements, updates, created)
             children.append(child)
+        # every branch's landmark updates run as one UKF batch; they fill the
+        # slots reserved in measurement order, so each dict keeps its order
+        if updates:
+            priors, ms = zip(*[(lm, m) for _, lm, m in updates])
+            for (child, _, _), lm in zip(updates, ukf_update_safe(priors, ms, assoc_params.meas_cov, ukf_params)):
+                child.existing[lm.id] = lm
+        heads = [(lid, m.label, 1, 0, m.scene_id) for _, lid, m in created]
+        covs = np.repeat(assoc_params.meas_cov[None], len(created), axis=0)
+        for (child, _, _), lm in zip(created, Landmark.stack(heads, [m.position for _, _, m in created], covs)):
+            child.existing[lm.id] = lm
+        self.nodes.update((child.id, child) for child in children)
         self.leaves = [n for n in self.leaves if n.id != leaf.id] + children
         return children
 
-    def _apply_assignment(self, node, assignment, measurements, assoc_params, ukf_params):
+    def _collect_assignment(self, node, assignment, measurements, updates, created):
+        """One branch's bookkeeping; reserves the slots that the batches fill."""
         previous_copied = False
         for m, target in zip(measurements, assignment.targets):
             if isinstance(target, New):
                 lid = self.alloc_landmark_id()
-                node.existing[lid] = Landmark(
-                    lid, m.label, m.position.copy(), assoc_params.meas_cov.copy(), 1, last_scene=m.scene_id
-                )
+                node.existing[lid] = None
+                created.append((node, lid, m))
             elif isinstance(target, FalsePositive):
                 node.n_fp += 1
             elif isinstance(target, Existing):
-                lm = node.existing[target.landmark_id]
-                node.existing[lm.id] = ukf_update_safe(lm, m, assoc_params.meas_cov, ukf_params)
+                updates.append((node, node.existing[target.landmark_id], m))
             elif isinstance(target, Previous):
                 # re-anchor into the current submap; keeps the creation id
                 if not previous_copied:
                     node.previous = dict(node.previous)
                     previous_copied = True
                 lm = node.previous.pop(target.landmark_id)
-                node.existing[lm.id] = ukf_update_safe(lm, m, assoc_params.meas_cov, ukf_params)
+                node.existing[lm.id] = lm
+                updates.append((node, lm, m))
 
     # -- resampling -------------------------------------------------------
 

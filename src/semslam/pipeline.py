@@ -299,12 +299,11 @@ class Pipeline:
             )
         self._optimize()
         # fused landmarks become previous-submap landmarks for the next tree
-        self.previous_landmarks = {}
-        for lid, flm in self.fused_map.items():
-            mean = self.graph.landmarks.get(lid, flm.mean)
-            self.previous_landmarks[lid] = Landmark(
-                lid, flm.label, np.asarray(mean, dtype=float), flm.cov, flm.assign_count, self.submap_id, flm.last_scene
-            )
+        flms = list(self.fused_map.values())
+        heads = [(flm.id, flm.label, flm.assign_count, self.submap_id, flm.last_scene) for flm in flms]
+        means = np.reshape([self.graph.landmarks.get(flm.id, flm.mean) for flm in flms], (-1, 3))
+        lms = Landmark.stack(heads, means, np.reshape([flm.cov for flm in flms], (-1, 3, 3)))
+        self.previous_landmarks = {lm.id: lm for lm in lms}
         self.submap_id += 1
         self._new_tree()
 
@@ -313,7 +312,9 @@ class Pipeline:
         lids = [lid for lid in submap_lids if lid in fused]
         active = [fused[lid] for lid in lids if fused[lid].last_scene in scene_ids] or [fused[lid] for lid in lids]
         hist = histogram_of(active) if active else ClassHistogram({}, 0)
-        scene_hists = [histogram_of_vector(s.histogram, self.registry) for s in self._submap_scenes]
+        scene_hists = None
+        if self.corpus.doc_unit == "scene":
+            scene_hists = [histogram_of_vector(s.histogram, self.registry) for s in self._submap_scenes]
         self.corpus.add_submap(hist, scene_hists)
         tfidf = tfidf_score(hist, self.corpus) if hist.total > 0 else 0.0
         return SubmapSummary(hist, tfidf, len(active))

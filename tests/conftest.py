@@ -17,6 +17,7 @@ from semslam.assoc import (
     Previous,
 )
 from semslam.core import SPD_EIG_TOL, ClassLabel, ContractViolation, Landmark, SemanticMeasurement
+from semslam.estimation import CovarianceConditioningError, UkfParams
 from semslam.geometry import (
     Pose,
     hat,
@@ -333,6 +334,53 @@ def scalar_check_spd(cov, tol=SPD_EIG_TOL) -> None:
         raise ContractViolation("covariance not symmetric")
     if np.min(np.linalg.eigvalsh(cov)) <= tol:
         raise ContractViolation("covariance not positive definite")
+
+
+def scalar_sigma_points(mean, cov, params):
+    """Sigma points and weights of one prior, column by column."""
+    n = mean.size
+    lam = params.alpha**2 * (n + params.kappa) - n
+    try:
+        L = np.linalg.cholesky((n + lam) * cov)
+    except np.linalg.LinAlgError as exc:
+        raise CovarianceConditioningError(str(exc)) from exc
+    pts = np.empty((2 * n + 1, n))
+    pts[0] = mean
+    for i in range(n):
+        pts[1 + i] = mean + L[:, i]
+        pts[1 + n + i] = mean - L[:, i]
+    wm = np.full(2 * n + 1, 1.0 / (2.0 * (n + lam)))
+    wc = wm.copy()
+    wm[0] = lam / (n + lam)
+    wc[0] = lam / (n + lam) + (1.0 - params.alpha**2 + params.beta)
+    return pts, wm, wc
+
+
+def scalar_ukf_estimate(lm, m, meas_cov, params):
+    """Posterior mean and covariance of the unscented update of lm by m."""
+    pts, wm, wc = scalar_sigma_points(lm.mean, lm.cov, params)
+    z_pred = wm @ pts
+    d = pts - z_pred
+    S = (wc[:, None] * d).T @ d + np.asarray(meas_cov)
+    dx = pts - (wm @ pts)
+    P_xz = (wc[:, None] * dx).T @ d
+    K = np.linalg.solve(S.T, P_xz.T).T
+    innov = np.asarray(m.position) - z_pred
+    mean = lm.mean + K @ innov
+    cov = lm.cov - K @ S @ K.T
+    cov = 0.5 * (cov + cov.T)
+    return mean, cov
+
+
+def scalar_ukf_update_safe(lm, m, meas_cov, params=UkfParams()):
+    """One landmark's update with the one-shot conditioning retry: the
+    reference for the batched `estimation.ukf_update_safe`."""
+    try:
+        mean, cov = scalar_ukf_estimate(lm, m, meas_cov, params)
+    except CovarianceConditioningError:
+        inflated = lm.with_estimate(lm.mean, lm.cov + 1e-9 * np.eye(3))
+        mean, cov = scalar_ukf_estimate(inflated, m, meas_cov, params)
+    return lm.with_estimate(mean, cov, assign_count=lm.assign_count + 1, last_scene=m.scene_id)
 
 
 def scalar_scene_match(a, b, penalty_p=0.5, dist_norm_scale=5.0, term_mode="as_printed"):

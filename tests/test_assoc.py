@@ -354,6 +354,18 @@ class TestBuildCostMatrix:
         cm = build_cost_matrix([meas([0, 0, 0], class_id=0)], st_, params)
         assert cm.matrix[0, 0] >= 1e17
 
+    def test_previous_class_without_transitional_covariance_rejected(self):
+        trans = {label(0): np.eye(3), label(2): np.eye(3)}
+        params = simple_params(trans_cov_by_class=trans, dirac_classes=frozenset([label(3)]))
+        ms = [meas([0, 0, 0], class_id=c) for c in range(4)]
+        # an existing column, or a Dirac class, needs no transitional covariance
+        ok = state_with([landmark(0, [0, 0, 0], class_id=1)], [landmark(1, [0, 0, 0], class_id=3)])
+        assert np.isfinite(build_cost_matrix(ms, ok, params).matrix[1, 0])
+        for class_id in (1, 9):  # inside and past the classes that have one
+            st_ = state_with([], [landmark(0, [0, 0, 0], class_id=2), landmark(1, [0, 0, 0], class_id=class_id)])
+            with pytest.raises(ContractViolation, match=f"class {class_id}$"):
+                build_cost_matrix(ms, st_, params)
+
     def test_new_and_fp_columns_are_per_measurement(self):
         params = simple_params()
         cm = build_cost_matrix([meas([0, 0, 0]), meas([1, 0, 0])], state_with(), params)

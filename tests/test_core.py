@@ -12,6 +12,7 @@ from semslam.core import (
     Landmark,
     SemanticMeasurement,
     check_spd,
+    check_spd_stack,
     histogram_of,
 )
 
@@ -126,11 +127,55 @@ class TestCheckSpd:
         assert seen["shape"] == {ContractViolation}
         assert ContractViolation in seen["non-finite"]
 
+    def test_stack_matches_scalar_oracle(self, rng):
+        """Each 3x3 parity input, placed among valid matrices, makes the
+        stacked check accept or reject as the scalar oracle does on it alone.
+        The valid matrices are asymmetric within tolerance, so the stack
+        never passes on exact symmetry alone."""
+        for kind, cov in self._parity_inputs(rng):
+            if kind == "shape":
+                continue
+            for row in (0, 2, 4):
+                stack = np.stack([random_spd(rng) for _ in range(5)])
+                stack[:, 0, 1] += 1e-12
+                stack[row] = cov
+                got, want = self._outcome(check_spd_stack, stack), self._outcome(scalar_check_spd, cov)
+                assert got is want, (kind, row, cov)
+
+    def test_stack_of_valid_matrices_passes(self, rng):
+        check_spd_stack(np.stack([random_spd(rng) for _ in range(7)]))
+        check_spd_stack(np.zeros((0, 3, 3)))
+
+    def test_stack_wrong_shape_rejected(self):
+        for shape in ((3, 3), (0,), (2, 2, 2), (4, 3, 2), (1, 3, 3, 1), (0, 2, 2)):
+            with pytest.raises(ContractViolation):
+                check_spd_stack(np.zeros(shape))
+
 
 class TestLandmark:
     def test_assign_count_at_least_one(self):
         with pytest.raises(ContractViolation):
             landmark(0, [0, 0, 0], assign_count=0)
+
+    def test_stack_builds_what_the_constructor_builds(self, rng):
+        means = rng.standard_normal((3, 3))
+        covs = np.stack([random_spd(rng) for _ in range(3)])
+        heads = [(5 + i, label(i), 1 + i, 2, 7 * i) for i in range(3)]
+        for head, mean, cov, lm in zip(heads, means, covs, Landmark.stack(heads, means, covs)):
+            want = Landmark(head[0], head[1], mean, cov, *head[2:])
+            for name in ("id", "label", "assign_count", "submap_id", "last_scene"):
+                assert getattr(lm, name) == getattr(want, name)
+            assert np.array_equal(lm.mean, want.mean) and np.array_equal(lm.cov, want.cov)
+
+    def test_stack_keeps_the_contract(self, rng):
+        covs = np.stack([np.eye(3), np.diag([1.0, 1.0, 0.0])])
+        heads = [(0, label(0), 1, 0, 0), (1, label(0), 1, 0, 0)]
+        with pytest.raises(ContractViolation):
+            Landmark.stack(heads, np.zeros((2, 3)), covs)
+        with pytest.raises(ContractViolation):
+            Landmark.stack([(0, label(0), 0, 0, 0)], np.zeros((1, 3)), np.eye(3)[None])
+        with pytest.raises(ContractViolation):
+            Landmark.stack(heads[:1], np.zeros((2, 3)), np.stack([np.eye(3)] * 2))
 
     def test_with_estimate_preserves_untouched_fields(self):
         lm = landmark(7, [1, 2, 3], class_id=2, assign_count=4)

@@ -1,11 +1,13 @@
-"""UKF landmark updates (against the closed-form Kalman oracle) and
-Gaussian-mixture fusion of weighted hypotheses."""
+"""UKF landmark updates (against the closed-form Kalman oracle and, batched,
+against the per-landmark scalar UKF) and Gaussian-mixture fusion of
+weighted hypotheses."""
 
 import numpy as np
 import pytest
 
 from semslam.core import ContractViolation
 from semslam.estimation import (
+    CovarianceConditioningError,
     FusedLandmark,
     GaussianComponent,
     UkfParams,
@@ -15,7 +17,7 @@ from semslam.estimation import (
     ukf_update_safe,
 )
 
-from conftest import landmark, meas, random_spd
+from conftest import landmark, meas, random_spd, scalar_ukf_update_safe
 
 
 def kalman_oracle(prior_mean, prior_cov, z, meas_cov):
@@ -69,9 +71,71 @@ class TestUkfUpdate:
 
     def test_safe_variant_increments_count_and_sets_scene(self):
         lm = landmark(0, [0.0, 0.0, 0.0], assign_count=3)
-        out = ukf_update_safe(lm, meas([1.0, 0.0, 0.0], scene_id=7, time=1000.7), np.eye(3))
+        (out,) = ukf_update_safe([lm], [meas([1.0, 0.0, 0.0], scene_id=7, time=1000.7)], np.eye(3))
         assert out.assign_count == 4
         assert out.last_scene == 7
+
+
+def _unchecked(lm, cov):
+    """lm with a covariance that the Landmark contract would reject."""
+    object.__setattr__(lm, "cov", np.asarray(cov, dtype=float))
+    return lm
+
+
+class TestUkfBatch:
+    """The batched ukf_update_safe against the per-landmark scalar oracle."""
+
+    def test_matches_scalar_oracle(self, rng):
+        params = UkfParams(0.3, 2.0, 1.0)
+        for size in (1, 2, 21):
+            lms = [
+                landmark(i, rng.standard_normal(3), class_id=i % 3, cov=random_spd(rng), assign_count=1 + i % 4)
+                for i in range(size)
+            ]
+            ms = [meas(rng.standard_normal(3), scene_id=10 + i) for i in range(size)]
+            R = random_spd(rng)
+            out = ukf_update_safe(lms, ms, R, params)
+            assert len(out) == size
+            for lm, m, got in zip(lms, ms, out):
+                want = scalar_ukf_update_safe(lm, m, R, params)
+                assert np.max(np.abs(got.mean - want.mean)) <= 1e-12
+                assert np.max(np.abs(got.cov - want.cov)) <= 1e-12
+                assert (got.id, got.label, got.submap_id) == (lm.id, lm.label, lm.submap_id)
+                assert got.assign_count == lm.assign_count + 1
+                assert got.last_scene == m.scene_id
+
+    def test_retry_inflates_only_the_failing_row(self, rng):
+        # a zero prior variance fails the sigma-point Cholesky; inflated by
+        # 1e-9 I it factors, and its neighbours take the plain update
+        lms = [landmark(i, rng.standard_normal(3), cov=random_spd(rng)) for i in range(3)]
+        _unchecked(lms[1], np.diag([1.0, 2.0, 0.0]))
+        ms = [meas(rng.standard_normal(3), scene_id=i) for i in range(3)]
+        out = ukf_update_safe(lms, ms, np.eye(3))
+        for i, (lm, m, got) in enumerate(zip(lms, ms, out)):
+            want = scalar_ukf_update_safe(lm, m, np.eye(3))
+            assert np.max(np.abs(got.mean - want.mean)) <= 1e-12
+            assert np.max(np.abs(got.cov - want.cov)) <= 1e-12
+            if i != 1:
+                plain = ukf_update(lm, m, np.eye(3))
+                assert np.array_equal(got.mean, plain.mean) and np.array_equal(got.cov, plain.cov)
+        assert 0.0 < out[1].cov[2, 2] <= 1e-9
+
+    def test_second_failure_raises(self, rng):
+        lms = [landmark(i, rng.standard_normal(3)) for i in range(3)]
+        _unchecked(lms[2], np.diag([1.0, 1.0, -1.0]))
+        ms = [meas(rng.standard_normal(3)) for _ in range(3)]
+        with pytest.raises(CovarianceConditioningError):
+            ukf_update_safe(lms, ms, np.eye(3))
+
+    def test_plain_update_does_not_retry(self):
+        lm = _unchecked(landmark(0, [0.0, 0.0, 0.0]), np.diag([1.0, 2.0, 0.0]))
+        with pytest.raises(CovarianceConditioningError):
+            ukf_update(lm, meas([1.0, 0.0, 0.0]), np.eye(3))
+
+    def test_empty_and_misaligned(self):
+        assert ukf_update_safe([], [], np.eye(3)) == []
+        with pytest.raises(ContractViolation):
+            ukf_update_safe([landmark(0, [0.0, 0.0, 0.0])], [], np.eye(3))
 
 
 class TestSpdProject:

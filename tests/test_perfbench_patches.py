@@ -57,5 +57,12 @@ def test_patched_names_are_called(tmp_path):
         patches.restore()
     assert cli.generate_world is sim.generate_world
     called = {name for (_, name), stat in tracer.stats.items() if stat.calls}
-    expected = {"sim.generate_world", "sim.simulate", "placerec.query_candidates", "placerec.detect"}
+    expected = {
+        "sim.generate_world",
+        "sim.simulate",
+        "assoc.build_cost_matrix",
+        "estimation.ukf_update",
+        "placerec.query_candidates",
+        "placerec.detect",
+    }
     assert expected <= called, expected - called

@@ -6,7 +6,7 @@ import pytest
 from semslam.config import RunConfig
 from semslam.core import LabelRegistry, SemanticMeasurement
 from semslam.geometry import Pose
-from semslam.pipeline import evaluate, integrate_odometry, run_pipeline
+from semslam.pipeline import Pipeline, evaluate, integrate_odometry, run_pipeline
 from semslam.sim import generate_world, scenario_specs, simulate
 
 
@@ -46,6 +46,21 @@ class TestScenario:
                     assert d.min() < 1e-9
                     relabelled += m.label != world.landmarks[int(np.argmin(d))].label
             assert (relabelled > 0) == (eps > 0.0)
+
+
+class TestCorpus:
+    @pytest.mark.parametrize("unit", ["submap", "scene"])
+    def test_one_document_per_unit(self, unit):
+        cfg = RunConfig(steps=24, submap_length=8, tfidf_doc_unit=unit)
+        world, body, increments = simulate_for(cfg)
+        pipe = Pipeline(cfg, world.registry)
+        for t, ms in enumerate(body):
+            pipe.process_scene(t, ms, increments[t - 1] if t else None)
+            if (t + 1) % cfg.submap_length == 0:
+                pipe.finalize_submap(t)
+        scenes = sum(1 for ms in body if ms)
+        assert scenes > 3
+        assert pipe.corpus.n_docs == (scenes if unit == "scene" else 3)
 
 
 class TestIntegrateOdometry:

@@ -70,6 +70,11 @@ class TestJsd:
         with pytest.raises(ContractViolation):
             jsd(np.array([1.0]), np.array([0.5, 0.5]))
 
+    def test_smallest_subnormal_against_zero_is_finite(self):
+        # the mixture entry 0.5 * (5e-324 + 0) underflows to 0
+        d = jsd(np.array([5e-324, 1.0]), np.array([0.0, 1.0]))
+        assert math.isfinite(d) and 0.0 <= d <= 1e-300
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.integers(2, 8).flatmap(

@@ -7,9 +7,7 @@ optimization, plus a deterministic synthetic-world simulator and CLI.
 
 from .core import (
     ClassHistogram,
-    ClassLabel,
     ContractViolation,
-    LabelRegistry,
     Landmark,
     SemanticMeasurement,
     histogram_of,
@@ -20,9 +18,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ClassHistogram",
-    "ClassLabel",
     "ContractViolation",
-    "LabelRegistry",
     "Landmark",
     "Pose",
     "SemanticMeasurement",

@@ -11,7 +11,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from . import kernels
-from .core import ClassLabel, ContractViolation, Landmark, SemanticMeasurement, check_spd
+from .core import ContractViolation, Landmark, SemanticMeasurement, check_spd
 
 LOG_ZERO = -1e18  # log-domain sentinel for impossible events
 _LOG2PI = math.log(2.0 * math.pi)
@@ -31,15 +31,15 @@ class AssocParams:
     """
 
     meas_cov: np.ndarray
-    trans_cov_by_class: Mapping[ClassLabel, np.ndarray]
+    trans_cov_by_class: Mapping[int, np.ndarray]  # class id -> transitional covariance
     dirichlet_alpha: float = 1.0
     fp_rate: float = 0.1
     map_volume: float = 1000.0
     lambda_new: float = 0.5
     lambda_fp: float = 0.2
     prior_volume: float = 1.0
-    class_prior: Mapping[ClassLabel, float] = field(default_factory=dict)
-    dirac_classes: frozenset = frozenset()
+    class_prior: Mapping[int, float] = field(default_factory=dict)  # class id -> p_s(class)
+    dirac_classes: frozenset = frozenset()  # class ids
     dp_weight_mode: str = "exp"  # "exp" follows the printed model, "linear" the standard DP weight
     fp_norm_constant: float = 1.0
     # candidates enter the false-positive denominator only inside this
@@ -51,15 +51,17 @@ class AssocParams:
     def __post_init__(self):
         object.__setattr__(self, "meas_cov", np.asarray(self.meas_cov, dtype=float))
         check_spd(self.meas_cov)
+        if min((*self.trans_cov_by_class, *self.class_prior, *self.dirac_classes), default=0) < 0:
+            raise ContractViolation("class ids must be non-negative")
         # Each distinct cost-matrix column covariance, factored once into an
         # inverse Cholesky factor and a log-determinant: group 0 is meas_cov,
         # for existing landmarks and Dirac classes; a previous landmark of another
         # class takes meas_cov + its trans. _cov_group: class id -> group, or -1.
         sums = {}
-        for label, trans in self.trans_cov_by_class.items():
+        for class_id, trans in self.trans_cov_by_class.items():
             check_spd(np.asarray(trans))
-            sums[label.id] = self.meas_cov + np.asarray(trans)
-        sums.update((label.id, self.meas_cov) for label in self.dirac_classes)
+            sums[class_id] = self.meas_cov + np.asarray(trans)
+        sums.update((class_id, self.meas_cov) for class_id in self.dirac_classes)
         distinct = {cov.tobytes(): cov for cov in [self.meas_cov, *sums.values()]}
         factors = [np.linalg.cholesky(cov) for cov in distinct.values()]
         object.__setattr__(self, "_cov_factors", [(np.linalg.inv(L), float(np.log(np.diag(L)).sum())) for L in factors])
@@ -67,19 +69,20 @@ class AssocParams:
         for class_id, cov in sums.items():
             cov_group[class_id] = list(distinct).index(cov.tobytes())
         object.__setattr__(self, "_cov_group", cov_group)
+        # _log_prior: class id -> log class prior, the last entry standing for
+        # every class past the table. An empty prior is flat (log 1); a class
+        # the prior leaves out is impossible.
+        log_prior = np.full(max(self.class_prior, default=-1) + 2, LOG_ZERO if self.class_prior else 0.0)
+        for class_id, p in self.class_prior.items():
+            if not (0.0 < p <= 1.0):
+                raise ContractViolation("class_prior values must lie in (0, 1]")
+            log_prior[class_id] = math.log(p)
+        object.__setattr__(self, "_log_prior", log_prior)
         for name in ("dirichlet_alpha", "fp_rate", "map_volume", "lambda_new", "lambda_fp", "prior_volume"):
             if getattr(self, name) <= 0:
                 raise ContractViolation(f"{name} must be positive")
         if self.dp_weight_mode not in ("exp", "linear"):
             raise ContractViolation("dp_weight_mode must be 'exp' or 'linear'")
-
-    def log_class_prior(self, label: ClassLabel) -> float:
-        p = self.class_prior.get(label)
-        if p is None:
-            return 0.0 if not self.class_prior else LOG_ZERO
-        if not (0.0 < p <= 1.0):
-            raise ContractViolation("class_prior values must lie in (0, 1]")
-        return math.log(p)
 
 
 @dataclass(frozen=True)
@@ -229,14 +232,13 @@ def build_cost_matrix(
     mat = np.full((n, n_lm + 2 * n), kernels.BIG)
     if n == 0:
         return CostMatrix(mat, targets, n_lm)
-    log_prior = {m.label: params.log_class_prior(m.label) for m in measurements}
-    row_log_prior = np.array([log_prior[m.label] for m in measurements])
     pos = np.stack([m.position for m in measurements])
-    meas_class = np.array([m.label.id for m in measurements])
+    meas_class = np.array([m.label for m in measurements])
+    row_log_prior = params._log_prior[np.minimum(meas_class, len(params._log_prior) - 1)]
     # landmark columns, grouped by covariance: each group is whitened by one product
     n_ex = len(existing_ids)
     col_lms = [state.existing[k] for k in existing_ids] + [state.previous[k] for k in previous_ids]
-    col_class = np.array([lm.label.id for lm in col_lms], dtype=int)
+    col_class = np.array([lm.label for lm in col_lms], dtype=int)
     counts = [lm.assign_count for lm in col_lms[:n_ex]]
     dp_bonus = np.zeros(n_lm)
     dp_bonus[:n_ex] = counts if params.dp_weight_mode == "exp" else [math.log(c) for c in counts]

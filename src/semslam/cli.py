@@ -8,7 +8,6 @@ import sys
 from typing import List, Optional
 
 from .config import ConfigError, RunConfig, load_config, serialize_config
-from .core import LabelRegistry
 from .logio import (
     LogFormatError,
     read_measurements,
@@ -45,15 +44,12 @@ def cmd_run(args) -> int:
     cfg = load_config(args.config)
     increments = read_odometry(os.path.join(args.logs, "odometry.csv"))
     n_steps = len(increments) + 1
-    registry = LabelRegistry()
-    for i in range(cfg.n_classes):
-        registry.by_id(i)
-    measurements = read_measurements(os.path.join(args.logs, "measurements.csv"), registry, n_steps)
+    measurements = read_measurements(os.path.join(args.logs, "measurements.csv"), cfg.n_classes, n_steps)
     gt_path = os.path.join(args.logs, "ground_truth.csv")
     ground_truth = None
     if os.path.exists(gt_path):
         _, ground_truth = read_trajectory(gt_path)
-    result = run_pipeline(cfg, measurements, increments, registry, ground_truth)
+    result = run_pipeline(cfg, measurements, increments, ground_truth)
     os.makedirs(args.out, exist_ok=True)
     write_trajectory(os.path.join(args.out, "trajectory.csv"), result.trajectory)
     write_map(os.path.join(args.out, "map.csv"), sorted(result.fused_map.values(), key=lambda l: l.id))

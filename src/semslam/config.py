@@ -116,6 +116,8 @@ class RunConfig:
             raise ConfigError("scene_term_mode must be 'as_printed' or 'distance_weighted'")
         if self.dp_weight_mode not in ("exp", "linear"):
             raise ConfigError("dp_weight_mode must be 'exp' or 'linear'")
+        if any(not (0 <= c < self.n_classes) for c in self.dirac_class_ids):
+            raise ConfigError(f"dirac_class_ids must lie in [0, n_classes = {self.n_classes})")
 
 
 def _parse_value(name: str, text: str, kind):

@@ -1,9 +1,11 @@
-"""Shared domain types: class labels, measurements, landmarks, histograms."""
+"""Shared domain types: measurements, landmarks, class histograms.
+
+A class is its dense integer id, 0 <= id < n_classes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Mapping
 
 import numpy as np
 
@@ -16,64 +18,19 @@ class ContractViolation(ValueError):
     """An input violated a documented precondition."""
 
 
-@dataclass(frozen=True)
-class ClassLabel:
-    """Semantic class. Identity is the dense integer id; the name is for logs."""
-
-    id: int
-    name: str = ""
-
-    def __post_init__(self):
-        if self.id < 0:
-            raise ContractViolation("class id must be non-negative")
-
-    def __eq__(self, other):
-        return isinstance(other, ClassLabel) and self.id == other.id
-
-    def __hash__(self):
-        return hash(self.id)
-
-
-class LabelRegistry:
-    """Assigns dense integer ids to class names at ingest."""
-
-    def __init__(self):
-        self._by_name: Dict[str, ClassLabel] = {}
-        self._by_id: Dict[int, ClassLabel] = {}
-
-    def register(self, name: str) -> ClassLabel:
-        if name in self._by_name:
-            return self._by_name[name]
-        label = ClassLabel(len(self._by_name), name)
-        self._by_name[name] = label
-        self._by_id[label.id] = label
-        return label
-
-    def by_id(self, class_id: int) -> ClassLabel:
-        if class_id not in self._by_id:
-            label = ClassLabel(class_id, f"class_{class_id}")
-            self._by_id[class_id] = label
-            self._by_name[label.name] = label
-        return self._by_id[class_id]
-
-    def labels(self) -> Tuple[ClassLabel, ...]:
-        return tuple(self._by_id[i] for i in sorted(self._by_id))
-
-    def __len__(self):
-        return len(self._by_id)
-
-
 @dataclass(frozen=True, eq=False)
 class SemanticMeasurement:
-    """One detected object: 3-D position, class, and time of observation."""
+    """One detected object: 3-D position, class id, and time of observation."""
 
     scene_id: int
     time: float
     position: np.ndarray
-    label: ClassLabel
+    label: int
 
     def __post_init__(self):
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
+        if isinstance(self.label, bool) or not isinstance(self.label, (int, np.integer)) or self.label < 0:
+            raise ContractViolation(f"class id must be a non-negative integer, got {self.label!r}")
         if not np.all(np.isfinite(self.position)):
             raise ContractViolation("measurement position must be finite")
 
@@ -108,7 +65,7 @@ class Landmark:
     last_scene is the scene id of the latest measurement assigned to it."""
 
     id: int
-    label: ClassLabel
+    label: int
     mean: np.ndarray
     cov: np.ndarray
     assign_count: int = 1
@@ -150,9 +107,9 @@ class Landmark:
 
 @dataclass(frozen=True)
 class ClassHistogram:
-    """Counts of items per class."""
+    """Counts of items per class id."""
 
-    counts: Mapping[ClassLabel, int]
+    counts: Mapping[int, int]
     total: int
 
     def __post_init__(self):
@@ -161,7 +118,7 @@ class ClassHistogram:
         if any(c < 0 for c in self.counts.values()):
             raise ContractViolation("negative histogram count")
 
-    def normalized(self) -> Dict[ClassLabel, float]:
+    def normalized(self) -> Dict[int, float]:
         if self.total == 0:
             return {}
         return {label: c / self.total for label, c in self.counts.items() if c > 0}
@@ -170,14 +127,14 @@ class ClassHistogram:
         """Normalized histogram as a fixed-dimension vector indexed by class id."""
         v = np.zeros(dim)
         for label, c in self.counts.items():
-            v[label.id] = c
+            v[label] = c
         s = v.sum()
         return v / s if s > 0 else v
 
 
 def histogram_of(items: Iterable) -> ClassHistogram:
     """Class histogram of measurements or landmarks (anything with .label)."""
-    counts: Dict[ClassLabel, int] = {}
+    counts: Dict[int, int] = {}
     total = 0
     for item in items:
         label = item.label if hasattr(item, "label") else item
@@ -187,8 +144,6 @@ def histogram_of(items: Iterable) -> ClassHistogram:
 
 
 __all__ = [
-    "ClassLabel",
-    "LabelRegistry",
     "SemanticMeasurement",
     "Landmark",
     "ClassHistogram",

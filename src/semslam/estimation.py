@@ -8,7 +8,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import ClassLabel, ContractViolation, Landmark, SemanticMeasurement
+from .core import ContractViolation, Landmark, SemanticMeasurement
 
 
 class CovarianceConditioningError(RuntimeError):
@@ -32,7 +32,7 @@ class GaussianComponent:
 @dataclass(frozen=True, eq=False)
 class FusedLandmark:
     id: int
-    label: ClassLabel
+    label: int
     components: Tuple[GaussianComponent, ...]
     mean: np.ndarray
     cov: np.ndarray

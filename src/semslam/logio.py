@@ -12,7 +12,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .core import LabelRegistry, SemanticMeasurement
+from .core import SemanticMeasurement
 from .geometry import Pose
 
 MEASUREMENT_HEADER = "t,scene_id,class_id,x,y,z"
@@ -69,13 +69,14 @@ def write_measurements(path: str, per_step: Sequence[Sequence[SemanticMeasuremen
         for m in measurements:
             body = pose.transform_inverse(m.position)
             rows.append(
-                [_fmt(m.time), str(m.scene_id), str(m.label.id), _fmt(body[0]), _fmt(body[1]), _fmt(body[2])]
+                [_fmt(m.time), str(m.scene_id), str(m.label), _fmt(body[0]), _fmt(body[1]), _fmt(body[2])]
             )
     _write(path, MEASUREMENT_HEADER, rows)
 
 
-def read_measurements(path: str, registry: LabelRegistry, n_steps: int):
-    """Body-frame measurements grouped by scene id."""
+def read_measurements(path: str, n_classes: int, n_steps: int):
+    """Body-frame measurements grouped by scene id; class ids must lie in
+    [0, n_classes)."""
     per_step: List[List[SemanticMeasurement]] = [[] for _ in range(n_steps)]
     for lineno, parts in enumerate(_read_rows(path, MEASUREMENT_HEADER, 6), start=2):
         try:
@@ -87,7 +88,9 @@ def read_measurements(path: str, registry: LabelRegistry, n_steps: int):
             raise LogFormatError(f"{path}: line {lineno}: {exc}") from exc
         if not (0 <= scene < n_steps):
             raise LogFormatError(f"{path}: line {lineno}: scene id {scene} out of range")
-        per_step[scene].append(SemanticMeasurement(scene, t, pos, registry.by_id(class_id)))
+        if not (0 <= class_id < n_classes):
+            raise LogFormatError(f"{path}: line {lineno}: class id {class_id} out of range [0, {n_classes})")
+        per_step[scene].append(SemanticMeasurement(scene, t, pos, class_id))
     return per_step
 
 
@@ -138,7 +141,7 @@ def write_map(path: str, landmarks) -> None:
     """landmarks: iterable with id, label, mean, cov."""
     rows = []
     for lm in landmarks:
-        row = [str(lm.id), str(lm.label.id)] + [_fmt(v) for v in lm.mean]
+        row = [str(lm.id), str(lm.label)] + [_fmt(v) for v in lm.mean]
         row += [_fmt(v) for v in np.asarray(lm.cov).ravel()]
         rows.append(row)
     _write(path, MAP_HEADER, rows)

@@ -30,12 +30,8 @@ from .estimation import UkfParams, ukf_update_safe
 
 @dataclass(eq=False)
 class HypothesisNode:
-    """One branch of the tree; landmark state is copy-on-write from the parent."""
+    """One leaf of the tree; landmark state is copy-on-write from the leaf it extends."""
 
-    id: int
-    parent_id: Optional[int]
-    step: int
-    assignment: Optional[Assignment]
     log_weight: float
     existing: Dict[int, Landmark] = field(default_factory=dict)
     previous: Dict[int, Landmark] = field(default_factory=dict)
@@ -89,7 +85,8 @@ def kld_bound(k: int, epsilon: float, delta: float, cube_bracket: bool = False) 
 
 
 class HypothesisTree:
-    """Single-writer hypothesis tree over per-step assignments."""
+    """Single-writer hypothesis tree over per-step assignments. Only the
+    leaves are kept: nothing reads a hypothesis's ancestry."""
 
     def __init__(
         self,
@@ -100,25 +97,8 @@ class HypothesisTree:
     ):
         self.params = params
         self.rng = np.random.default_rng(params.rng_seed)
-        self._next_node_id = 0
         self._next_landmark_id = landmark_id_start
-        root = HypothesisNode(
-            self._alloc_node_id(),
-            None,
-            -1,
-            None,
-            0.0,
-            {},
-            dict(previous_landmarks or {}),
-            n_fp,
-        )
-        self.nodes: Dict[int, HypothesisNode] = {root.id: root}
-        self.leaves: List[HypothesisNode] = [root]
-
-    def _alloc_node_id(self) -> int:
-        nid = self._next_node_id
-        self._next_node_id += 1
-        return nid
+        self.leaves: List[HypothesisNode] = [HypothesisNode(0.0, {}, dict(previous_landmarks or {}), n_fp)]
 
     def alloc_landmark_id(self) -> int:
         lid = self._next_landmark_id
@@ -148,11 +128,10 @@ class HypothesisTree:
         measurements: Sequence[SemanticMeasurement],
         assoc_params: AssocParams,
         ukf_params: UkfParams,
-        step: int,
         cost_matrix: Optional[CostMatrix] = None,
     ) -> List[HypothesisNode]:
-        """Append one child per branch; child weights follow the recursion
-        parent + measurement log-likelihood + assignment log-prior.
+        """Replace `leaf` by one child per branch; child weights follow the
+        recursion parent + measurement log-likelihood + assignment log-prior.
 
         The likelihood is read from the leaf's cost matrix: `cost_matrix` if
         the caller built it for this leaf and these measurements, else it is
@@ -168,10 +147,6 @@ class HypothesisTree:
             ll = measurement_set_log_likelihood(assignment, cost_matrix)
             lp = assignment_prior_log(assignment, assoc_params)
             child = HypothesisNode(
-                self._alloc_node_id(),
-                leaf.id,
-                step,
-                assignment,
                 leaf.log_weight + ll + lp,
                 dict(leaf.existing),
                 leaf.previous,  # only mutated via re-anchoring below, which copies
@@ -189,8 +164,7 @@ class HypothesisTree:
         covs = np.repeat(assoc_params.meas_cov[None], len(created), axis=0)
         for (child, _, _), lm in zip(created, Landmark.stack(heads, [m.position for _, _, m in created], covs)):
             child.existing[lm.id] = lm
-        self.nodes.update((child.id, child) for child in children)
-        self.leaves = [n for n in self.leaves if n.id != leaf.id] + children
+        self.leaves = [n for n in self.leaves if n is not leaf] + children
         return children
 
     def _collect_assignment(self, node, assignment, measurements, updates, created):
@@ -256,21 +230,9 @@ class HypothesisTree:
             leaf.log_weight = math.log(counts[i] / total)
             survivors.append(leaf)
         self.leaves = survivors
-        self._prune()
         return True
 
     def prune_to_best(self, keep: int) -> None:
         """Likelihood-threshold baseline: keep the `keep` best leaves."""
         order = sorted(self.leaves, key=lambda n: -n.log_weight)
         self.leaves = order[:keep]
-        self._prune()
-
-    def _prune(self):
-        """Drop nodes that no longer lead to a surviving leaf."""
-        alive = set()
-        for leaf in self.leaves:
-            nid = leaf.id
-            while nid is not None and nid not in alive:
-                alive.add(nid)
-                nid = self.nodes[nid].parent_id
-        self.nodes = {nid: self.nodes[nid] for nid in alive}

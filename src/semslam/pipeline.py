@@ -22,7 +22,7 @@ from .assoc import (
     solve_assignment,
 )
 from .config import RunConfig
-from .core import ClassHistogram, LabelRegistry, Landmark, SemanticMeasurement, histogram_of
+from .core import ClassHistogram, Landmark, SemanticMeasurement, histogram_of
 from .estimation import FusedLandmark, UkfParams, fuse_hypotheses
 from .geometry import Pose
 from .graph import (
@@ -77,23 +77,19 @@ def integrate_odometry(increments: Sequence[Pose], start: Optional[Pose] = None)
     return poses
 
 
-def _assoc_params(cfg: RunConfig, registry: LabelRegistry) -> AssocParams:
-    labels = registry.labels()
-    meas_cov = cfg.meas_cov_scale * np.eye(3)
-    trans = {l: cfg.trans_cov_scale * np.eye(3) for l in labels}
-    prior = {l: 1.0 / len(labels) for l in labels}
-    dirac = frozenset(registry.by_id(i) for i in cfg.dirac_class_ids)
+def _assoc_params(cfg: RunConfig) -> AssocParams:
+    classes = range(cfg.n_classes)
     return AssocParams(
-        meas_cov=meas_cov,
-        trans_cov_by_class=trans,
+        meas_cov=cfg.meas_cov_scale * np.eye(3),
+        trans_cov_by_class={c: cfg.trans_cov_scale * np.eye(3) for c in classes},
         dirichlet_alpha=cfg.dirichlet_alpha,
         fp_rate=cfg.fp_rate,
         map_volume=cfg.map_volume,
         lambda_new=cfg.lambda_new,
         lambda_fp=cfg.lambda_fp,
         prior_volume=cfg.prior_volume,
-        class_prior=prior,
-        dirac_classes=dirac,
+        class_prior={c: 1.0 / cfg.n_classes for c in classes},
+        dirac_classes=frozenset(cfg.dirac_class_ids),
         dp_weight_mode=cfg.dp_weight_mode,
     )
 
@@ -128,12 +124,9 @@ def _nearest_neighbor_assignment(
 
 
 class Pipeline:
-    def __init__(self, cfg: RunConfig, registry: LabelRegistry):
+    def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        self.registry = registry
-        for i in range(cfg.n_classes):
-            registry.by_id(i)
-        self.assoc_params = _assoc_params(cfg, registry)
+        self.assoc_params = _assoc_params(cfg)
         self.ukf_params = UkfParams(cfg.ukf_alpha, cfg.ukf_beta, cfg.ukf_kappa)
         self.resample_params = ResampleParams(
             cfg.ess_fraction,
@@ -224,19 +217,18 @@ class Pipeline:
 
     def _associate(self, measurements: Sequence[SemanticMeasurement]):
         cfg = self.cfg
-        step = measurements[0].scene_id
         if cfg.mode == "single_ukf":
             leaf = self.tree.leaves[0]
             state = leaf.assoc_state()
             assignment = _nearest_neighbor_assignment(measurements, state, cfg.nn_new_dist)
             cm = build_cost_matrix(measurements, state, self.assoc_params)
-            self.tree.extend(leaf, [assignment], measurements, self.assoc_params, self.ukf_params, step, cm)
+            self.tree.extend(leaf, [assignment], measurements, self.assoc_params, self.ukf_params, cm)
             return
         for leaf in list(self.tree.leaves):
             cm = build_cost_matrix(measurements, leaf.assoc_state(), self.assoc_params)
             best = solve_assignment(cm)
             branches = generate_branches(cm, best, cfg.max_branches, cfg.plausibility_gap)
-            self.tree.extend(leaf, branches, measurements, self.assoc_params, self.ukf_params, step, cm)
+            self.tree.extend(leaf, branches, measurements, self.assoc_params, self.ukf_params, cm)
         if cfg.mode == "dpmhm":
             self.tree.resample(force=len(self.tree.leaves) > cfg.max_hypotheses)
         else:  # mhm_threshold: naive likelihood thresholding, keep the best third
@@ -246,7 +238,7 @@ class Pipeline:
     def _scene_descriptor(self, step: int, body_measurements, pose: Pose) -> SceneDescriptor:
         hist = histogram_of(body_measurements).as_vector(self.cfg.n_classes)
         positions = np.stack([m.position for m in body_measurements])
-        labels = tuple(m.label for m in body_measurements)
+        labels = [m.label for m in body_measurements]
         return SceneDescriptor(step, self.submap_id, hist, positions, labels, pose.copy())
 
     # -- submap completion ------------------------------------------------
@@ -314,7 +306,7 @@ class Pipeline:
         hist = histogram_of(active) if active else ClassHistogram({}, 0)
         scene_hists = None
         if self.corpus.doc_unit == "scene":
-            scene_hists = [histogram_of_vector(s.histogram, self.registry) for s in self._submap_scenes]
+            scene_hists = [histogram_of_vector(s.histogram) for s in self._submap_scenes]
         self.corpus.add_submap(hist, scene_hists)
         tfidf = tfidf_score(hist, self.corpus) if hist.total > 0 else 0.0
         return SubmapSummary(hist, tfidf, len(active))
@@ -329,9 +321,9 @@ class Pipeline:
         self.last_optimize = result
 
 
-def histogram_of_vector(hist_vec: np.ndarray, registry: LabelRegistry) -> ClassHistogram:
+def histogram_of_vector(hist_vec: np.ndarray) -> ClassHistogram:
     """Presence histogram from a normalized vector (corpus scene documents)."""
-    counts = {registry.by_id(i): 1 for i, v in enumerate(hist_vec) if v > 0}
+    counts = {i: 1 for i, v in enumerate(hist_vec) if v > 0}
     return ClassHistogram(counts, len(counts))
 
 
@@ -339,7 +331,6 @@ def run_pipeline(
     cfg: RunConfig,
     measurements_per_step: Sequence[Sequence[SemanticMeasurement]],
     odometry_increments: Sequence[Pose],
-    registry: LabelRegistry,
     ground_truth: Optional[Sequence[Pose]] = None,
 ) -> PipelineResult:
     """Run the full estimator over body-frame measurement logs."""
@@ -350,7 +341,7 @@ def run_pipeline(
         raise ValueError(
             f"expected {n_steps - 1} odometry increments, got {len(odometry_increments)}"
         )
-    pipe = Pipeline(cfg, registry)
+    pipe = Pipeline(cfg)
     hyp_counts = []
     lm_counts = []
     lc_counts = []

@@ -9,13 +9,13 @@ consistency check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import kernels
-from .core import ClassLabel, ContractViolation
+from .core import ContractViolation
 from .geometry import Pose, rot_to_quat
 
 LN2 = math.log(2.0)
@@ -57,18 +57,17 @@ def jsd(h1: np.ndarray, h2: np.ndarray) -> float:
 class SceneDescriptor:
     scene_id: int
     submap_id: int
-    histogram: np.ndarray  # normalized, one dimension per registered class
+    histogram: np.ndarray  # normalized, one dimension per class
     positions: np.ndarray  # (n, 3) body-frame landmark positions
-    labels: Tuple[ClassLabel, ...]
+    label_ids: np.ndarray  # (n,) class id of each landmark
     pose: Pose  # estimated pose at capture
-    label_ids: np.ndarray = field(init=False, repr=False)  # class id of each landmark
 
     def __post_init__(self):
         object.__setattr__(self, "histogram", np.asarray(self.histogram, dtype=float))
         object.__setattr__(self, "positions", np.asarray(self.positions, dtype=float).reshape(-1, 3))
-        object.__setattr__(self, "label_ids", np.array([lb.id for lb in self.labels], dtype=np.int64))
-        if len(self.labels) != self.positions.shape[0] or not np.isfinite(self.positions).all():
-            raise ContractViolation("labels and positions disagree, or a position is not finite")
+        object.__setattr__(self, "label_ids", np.asarray(self.label_ids, dtype=np.int64))
+        if len(self.label_ids) != self.positions.shape[0] or not np.isfinite(self.positions).all():
+            raise ContractViolation("class ids and positions disagree, or a position is not finite")
 
 
 class PlaceIndex:
@@ -130,10 +129,8 @@ def scene_laplacian(scene: SceneDescriptor, edge_radius: float) -> np.ndarray:
     if n == 0:
         raise ContractViolation("cannot build the Laplacian of an empty scene")
     centroid = scene.positions.mean(axis=0)
-    order = sorted(
-        range(n),
-        key=lambda i: (scene.labels[i].id, float(np.linalg.norm(scene.positions[i] - centroid)), i),
-    )
+    ids = scene.label_ids.tolist()
+    order = sorted(range(n), key=lambda i: (ids[i], float(np.linalg.norm(scene.positions[i] - centroid)), i))
     pts = scene.positions[order]
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=2))

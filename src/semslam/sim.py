@@ -10,7 +10,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .config import RunConfig
-from .core import ClassLabel, ContractViolation, LabelRegistry, SemanticMeasurement
+from .core import ContractViolation, SemanticMeasurement
 from .geometry import Pose, quat_from_rotvec, quat_from_yaw, quat_mul, quat_normalize
 
 TRAJECTORY_SHAPES = ("square_loop", "figure_eight", "line")
@@ -89,7 +89,7 @@ def scenario_specs(cfg: RunConfig) -> Tuple[WorldSpec, DetectorSpec, OdometrySpe
 @dataclass(frozen=True, eq=False)
 class WorldLandmark:
     id: int
-    label: ClassLabel
+    label: int
     position: np.ndarray
 
 
@@ -98,7 +98,6 @@ class World:
     spec: WorldSpec
     landmarks: List[WorldLandmark]
     trajectory: List[Pose]
-    registry: LabelRegistry
 
 
 def _square_loop(steps: int, step_length: float) -> List[Pose]:
@@ -139,8 +138,6 @@ def _line(steps: int, step_length: float) -> List[Pose]:
 def generate_world(spec: WorldSpec) -> World:
     """Deterministic world: landmark field plus ground-truth trajectory."""
     rng = np.random.default_rng(spec.seed)
-    registry = LabelRegistry()
-    labels = [registry.register(f"class_{i}") for i in range(len(spec.landmarks_per_class))]
     if spec.trajectory == "square_loop":
         traj = _square_loop(spec.steps, spec.step_length)
     elif spec.trajectory == "figure_eight":
@@ -153,12 +150,12 @@ def generate_world(spec: WorldSpec) -> World:
     half = spec.arena_size / 2.0
     landmarks = []
     lid = 0
-    for label, count in zip(labels, spec.landmarks_per_class):
+    for label, count in enumerate(spec.landmarks_per_class):
         for _ in range(count):
             xy = center[:2] + rng.uniform(-half, half, size=2)
             landmarks.append(WorldLandmark(lid, label, np.array([xy[0], xy[1], 0.0])))
             lid += 1
-    return World(spec, landmarks, traj, registry)
+    return World(spec, landmarks, traj)
 
 
 def visible_landmarks(world: World, pose: Pose, det: DetectorSpec) -> List[WorldLandmark]:
@@ -194,7 +191,7 @@ def simulate_step(
     cov = np.asarray(det.meas_noise_cov, dtype=float)
     if np.any(cov != 0.0):
         noise_chol = np.linalg.cholesky(cov + 1e-18 * np.eye(3))
-    n_classes = len(world.registry)
+    n_classes = len(world.spec.landmarks_per_class)
     for lm in visible_landmarks(world, pose, det):
         if det.miss_rate > 0.0 and rng.random() < det.miss_rate:
             continue
@@ -203,15 +200,14 @@ def simulate_step(
             p = p + noise_chol @ rng.standard_normal(3)
         label = lm.label
         if det.confusion is not None:
-            row = np.asarray(det.confusion)[lm.label.id]
-            label = world.registry.by_id(int(rng.choice(n_classes, p=row)))
+            label = int(rng.choice(n_classes, p=np.asarray(det.confusion)[lm.label]))
         measurements.append(SemanticMeasurement(step, t, p, label))
     if det.fp_rate > 0.0:
         for _ in range(int(rng.poisson(det.fp_rate))):
             direction = rng.uniform(0.0, 2.0 * math.pi)
             radius = det.detection_range * math.sqrt(rng.random())
             offset = np.array([radius * math.cos(direction), radius * math.sin(direction), 0.0])
-            label = world.registry.by_id(int(rng.integers(n_classes)))
+            label = int(rng.integers(n_classes))
             measurements.append(SemanticMeasurement(step, t, pose.translation + offset, label))
     increment = None
     if step > 0:

@@ -14,7 +14,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .core import ClassHistogram, ClassLabel, ContractViolation, check_spd
+from .core import ClassHistogram, ContractViolation, check_spd
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,7 +43,7 @@ class Corpus:
             raise ContractViolation("doc_unit must be 'submap' or 'scene'")
         self.doc_unit = doc_unit
         self.n_docs = 0
-        self.df: Dict[ClassLabel, int] = {}
+        self.df: Dict[int, int] = {}  # class id -> documents holding it
 
     def add_submap(self, histogram: ClassHistogram, scene_histograms: Optional[Sequence[ClassHistogram]] = None):
         if self.doc_unit == "submap":

@@ -16,7 +16,7 @@ from semslam.assoc import (
     New,
     Previous,
 )
-from semslam.core import SPD_EIG_TOL, ClassLabel, ContractViolation, Landmark, SemanticMeasurement
+from semslam.core import SPD_EIG_TOL, ContractViolation, Landmark, SemanticMeasurement
 from semslam.estimation import CovarianceConditioningError, UkfParams
 from semslam.geometry import (
     Pose,
@@ -44,17 +44,13 @@ from semslam.placerec import (
 )
 
 
-def label(i: int) -> ClassLabel:
-    return ClassLabel(i, f"class_{i}")
-
-
 def meas(position, class_id=0, scene_id=0, time=0.0) -> SemanticMeasurement:
-    return SemanticMeasurement(scene_id, time, np.asarray(position, dtype=float), label(class_id))
+    return SemanticMeasurement(scene_id, time, np.asarray(position, dtype=float), class_id)
 
 
 def landmark(lid, position, class_id=0, cov=None, assign_count=1) -> Landmark:
     cov = np.eye(3) if cov is None else np.asarray(cov, dtype=float)
-    return Landmark(lid, label(class_id), np.asarray(position, dtype=float), cov, assign_count)
+    return Landmark(lid, class_id, np.asarray(position, dtype=float), cov, assign_count)
 
 
 def random_spd(rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
@@ -65,7 +61,7 @@ def random_spd(rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
 def simple_params(**overrides) -> AssocParams:
     defaults = dict(
         meas_cov=np.eye(3),
-        trans_cov_by_class={label(i): np.eye(3) for i in range(4)},
+        trans_cov_by_class={i: np.eye(3) for i in range(4)},
         dirichlet_alpha=1.0,
         fp_rate=0.1,
         map_volume=1000.0,
@@ -110,7 +106,7 @@ def _previous_cov(lm, params):
         return params.meas_cov
     trans = params.trans_cov_by_class.get(lm.label)
     if trans is None:
-        raise ContractViolation(f"no transitional covariance for class {lm.label.id}")
+        raise ContractViolation(f"no transitional covariance for class {lm.label}")
     return params.meas_cov + np.asarray(trans)
 
 
@@ -164,6 +160,16 @@ def scalar_association_log_likelihood(m, target, state, params) -> float:
     raise TypeError(f"unknown target {target!r}")
 
 
+def _log_class_prior(class_id, params) -> float:
+    """log p_s(class): 0 under an empty prior, LOG_ZERO for a class it lacks."""
+    p = params.class_prior.get(class_id)
+    if p is None:
+        return 0.0 if not params.class_prior else LOG_ZERO
+    if not (0.0 < p <= 1.0):
+        raise ContractViolation("class_prior values must lie in (0, 1]")
+    return math.log(p)
+
+
 def scalar_measurement_set_log_likelihood(assignment, measurements, state, params) -> float:
     """Joint measurement log-likelihood, one Gaussian density at a time: a
     landmark case scores log class prior + log density (no DP bonus)."""
@@ -175,7 +181,7 @@ def scalar_measurement_set_log_likelihood(assignment, measurements, state, param
             lm = (state.existing if isinstance(target, Existing) else state.previous)[target.landmark_id]
             if lm.label != m.label:
                 return LOG_ZERO
-            total += params.log_class_prior(m.label)
+            total += _log_class_prior(m.label, params)
             if isinstance(target, Existing):
                 total += gaussian_logpdf(m.position, lm.mean, params.meas_cov)
             else:
@@ -384,13 +390,13 @@ def scalar_ukf_update_safe(lm, m, meas_cov, params=UkfParams()):
 
 
 def scalar_scene_match(a, b, penalty_p=0.5, dist_norm_scale=5.0, term_mode="as_printed"):
-    """Pair-by-pair scene similarity on ClassLabel comparisons: the reference
+    """Pair-by-pair scene similarity on scalar class id comparisons: the reference
     for `placerec.scene_match`, whose score must equal it bit for bit."""
     na, nb = a.positions.shape[0], b.positions.shape[0]
     diff = a.positions[:, None, :] - b.positions[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=2))
     H = np.minimum(dist / dist_norm_scale, 2.0)
-    mismatch = np.array([[0.0 if la == lb else 4.0 for lb in b.labels] for la in a.labels])
+    mismatch = np.array([[0.0 if la == lb else 4.0 for lb in b.label_ids.tolist()] for la in a.label_ids.tolist()])
     C = H + mismatch
     if na <= nb:
         r2c = scalar_lap_solve(C)[0]
@@ -403,7 +409,7 @@ def scalar_scene_match(a, b, penalty_p=0.5, dist_norm_scale=5.0, term_mode="as_p
     for i, j in pairs_idx:
         h = float(H[i, j])
         s_match = 1.0 - h / 2.0
-        same = a.labels[i] == b.labels[j]
+        same = bool(a.label_ids[i] == b.label_ids[j])
         s_class = 0.0 if same else penalty_p
         if term_mode == "as_printed":
             score += 1.0 - s_match * s_class
@@ -417,7 +423,7 @@ def scalar_scene_match(a, b, penalty_p=0.5, dist_norm_scale=5.0, term_mode="as_p
 
 def scalar_detect(det, query_submap_hist, query_scene):
     """`LoopClosureDetector.detect` with every candidate scored exactly and
-    the putative pairs built from ClassLabel comparisons: its reference.
+    the putative pairs built from scalar class id comparisons: its reference.
     Runs on det's index, beliefs, Laplacian cache and rng, and updates them."""
     th = det.thresholds
     candidates = query_candidates(
@@ -441,8 +447,8 @@ def scalar_detect(det, query_submap_hist, query_scene):
             continue
         putative = [
             (ia, ib)
-            for ia, la in enumerate(query_scene.labels)
-            for ib, lb in enumerate(cand.labels)
+            for ia, la in enumerate(query_scene.label_ids.tolist())
+            for ib, lb in enumerate(cand.label_ids.tolist())
             if la == lb
         ]
         if len(putative) < 3:
@@ -643,7 +649,7 @@ def oracle_step_score(ms, combo, existing, previous, n_fp, params):
         if kind == "E" or kind == "P":
             table = existing if kind == "E" else previous
             cls, mean, _, _ = table[lid]
-            if cls != m.label.id:
+            if cls != m.label:
                 return -np.inf
             cov = params.meas_cov if kind == "E" else params.meas_cov + np.asarray(
                 params.trans_cov_by_class[m.label]
@@ -656,7 +662,7 @@ def oracle_step_score(ms, combo, existing, previous, n_fp, params):
             denom = 0.0
             for table, extra in ((existing, None), (previous, "trans")):
                 for cls, mean, _, _ in table.values():
-                    if cls != m.label.id:
+                    if cls != m.label:
                         continue
                     cov = params.meas_cov
                     if extra == "trans":
@@ -684,7 +690,7 @@ def oracle_apply(ms, combo, existing, previous, n_fp, params):
     for m, (kind, lid) in zip(ms, combo):
         if kind == "N":
             nid = max(list(existing) + list(previous), default=-1) + 1
-            existing[nid] = (m.label.id, m.position.copy(), R.copy(), 1)
+            existing[nid] = (m.label, m.position.copy(), R.copy(), 1)
         elif kind == "F":
             n_fp += 1
         else:

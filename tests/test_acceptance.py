@@ -36,7 +36,6 @@ from semslam.core import ClassHistogram
 from conftest import (
     brute_force_assignment,
     exhaustive_posterior_best,
-    label,
     landmark,
     meas,
     random_spd,
@@ -109,7 +108,7 @@ def test_criterion_02_posterior_oracle(capsys):
         for t, ms in enumerate(episodes):
             for leaf in list(tree.leaves):
                 branches = tree_combo_branches(ms, leaf.assoc_state())
-                tree.extend(leaf, branches, ms, params, UkfParams(), t)
+                tree.extend(leaf, branches, ms, params, UkfParams())
         best = tree.best_leaf().log_weight
         expect = exhaustive_posterior_best(episodes, params)
         if abs(best - expect) > 1e-6:
@@ -130,7 +129,7 @@ def test_criterion_03_convolution_identity(capsys):
         cov_a = random_spd(rng)
         p = rng.uniform(-2, 2, 3)
         pi = rng.uniform(-2, 2, 3)
-        params = simple_params(meas_cov=cov_z, trans_cov_by_class={label(0): cov_a})
+        params = simple_params(meas_cov=cov_z, trans_cov_by_class={0: cov_a})
         state = AssociationState({}, {5: landmark(5, pi)})
         cm = build_cost_matrix([meas(p)], state, params)
         closed = float(np.exp(-cm.matrix[0, 0]))  # column 0 is Previous(5)
@@ -210,7 +209,7 @@ def test_criterion_08_spot_values(capsys):
     entropy = gaussian_entropy(np.eye(3))
     div = jsd(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
     corpus = Corpus()
-    tree_l, pole, other = label(0), label(1), label(2)
+    tree_l, pole, other = 0, 1, 2
     corpus.add_submap(ClassHistogram({tree_l: 2, pole: 1}, 3))
     corpus.add_submap(ClassHistogram({tree_l: 1}, 1))
     corpus.add_submap(ClassHistogram({other: 1}, 1))

@@ -33,7 +33,6 @@ from semslam.kernels import BIG
 from conftest import (
     brute_force_assignment,
     gaussian_logpdf,
-    label,
     landmark,
     meas,
     random_spd,
@@ -98,7 +97,7 @@ class TestAssociationLikelihood:
         assert val == pytest.approx(0.4692, abs=1e-4)
 
     def test_previous_dirac_spot_value(self):
-        params = simple_params(dirac_classes=frozenset([label(0)]))
+        params = simple_params(dirac_classes=frozenset([0]))
         st_ = state_with(previous=[landmark(5, [0.0, 0.0, 0.0])])
         val = association_likelihood(meas([0.0, 0.0, 0.0]), Previous(5), st_, params)
         assert val == pytest.approx((2 * math.pi) ** -1.5, rel=1e-9)
@@ -119,7 +118,7 @@ class TestAssociationLikelihood:
             pi = rng.uniform(-1.0, 1.0, 3)
             p = pi + rng.uniform(-1.0, 1.0, 3)
             params = simple_params(
-                meas_cov=cov_z, trans_cov_by_class={label(0): cov_a}
+                meas_cov=cov_z, trans_cov_by_class={0: cov_a}
             )
             st_ = state_with(previous=[landmark(5, pi)])
             closed = association_likelihood(meas(p), Previous(5), st_, params)
@@ -228,13 +227,13 @@ class TestBranchScoreParity:
         n_classes = 3
         priors = (
             {},  # flat: every class scores log 1
-            {label(c): 1.0 / n_classes for c in range(n_classes)},
-            {label(0): 0.5, label(1): 0.5},  # no prior for class 2
+            {c: 1.0 / n_classes for c in range(n_classes)},
+            {0: 0.5, 1: 0.5},  # no prior for class 2
         )
         params = simple_params(
             meas_cov=random_spd(rng, 0.05),
-            trans_cov_by_class={label(c): random_spd(rng, 0.05) for c in range(n_classes)},
-            dirac_classes=frozenset(label(c) for c in range(n_classes) if rng.random() < 0.4),
+            trans_cov_by_class={c: random_spd(rng, 0.05) for c in range(n_classes)},
+            dirac_classes=frozenset(c for c in range(n_classes) if rng.random() < 0.4),
             dp_weight_mode=("exp", "linear")[trial % 2],
             class_prior=priors[trial % 3],
             fp_rate=0.05,
@@ -355,8 +354,8 @@ class TestBuildCostMatrix:
         assert cm.matrix[0, 0] >= 1e17
 
     def test_previous_class_without_transitional_covariance_rejected(self):
-        trans = {label(0): np.eye(3), label(2): np.eye(3)}
-        params = simple_params(trans_cov_by_class=trans, dirac_classes=frozenset([label(3)]))
+        trans = {0: np.eye(3), 2: np.eye(3)}
+        params = simple_params(trans_cov_by_class=trans, dirac_classes=frozenset([3]))
         ms = [meas([0, 0, 0], class_id=c) for c in range(4)]
         # an existing column, or a Dirac class, needs no transitional covariance
         ok = state_with([landmark(0, [0, 0, 0], class_id=1)], [landmark(1, [0, 0, 0], class_id=3)])
@@ -365,6 +364,23 @@ class TestBuildCostMatrix:
             st_ = state_with([], [landmark(0, [0, 0, 0], class_id=2), landmark(1, [0, 0, 0], class_id=class_id)])
             with pytest.raises(ContractViolation, match=f"class {class_id}$"):
                 build_cost_matrix(ms, st_, params)
+
+    def test_row_log_prior_reads_the_class_prior_table(self):
+        ms = [meas([0, 0, 0], class_id=c) for c in (0, 1, 2, 9)]
+        flat = build_cost_matrix(ms, state_with(), simple_params())
+        assert flat.row_log_prior.tolist() == [0.0] * 4
+        params = simple_params(class_prior={0: 0.25, 2: 1.0})
+        got = build_cost_matrix(ms, state_with(), params).row_log_prior
+        assert got.tolist() == [math.log(0.25), LOG_ZERO, 0.0, LOG_ZERO]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [dict(class_prior={0: 0.0}), dict(class_prior={1: 1.5}), dict(class_prior={-1: 0.5}),
+         dict(trans_cov_by_class={-1: np.eye(3)}), dict(dirac_classes=frozenset([-2]))],
+    )
+    def test_bad_class_tables_rejected(self, bad):
+        with pytest.raises(ContractViolation):
+            simple_params(**bad)
 
     def test_new_and_fp_columns_are_per_measurement(self):
         params = simple_params()

@@ -140,6 +140,20 @@ def test_run_on_corrupt_logs_exit_code(tmp_path, cfg_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_on_out_of_range_class_exit_code(tmp_path, cfg_path, capsys):
+    logs = str(tmp_path / "logs")
+    assert main(["simulate", "--config", cfg_path, "--out", logs]) == 0
+    path = os.path.join(logs, "measurements.csv")
+    header, first, *rest = open(path).read().splitlines()
+    t, scene, _, *xyz = first.split(",")
+    with open(path, "w") as fh:
+        fh.write("\n".join([header, ",".join([t, scene, "9", *xyz]), *rest]) + "\n")
+    rc = main(["run", "--config", cfg_path, "--logs", logs, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "measurements.csv: line 2: class id 9 out of range [0, 4)" in err
+
+
 def test_import_loads_no_slow_scipy_submodules():
     """Importing scipy.linalg, scipy.sparse or scipy.optimize costs a
     fraction of a second of start-up in every process; the CLI needs none."""

@@ -81,3 +81,13 @@ class TestTupleField:
     def test_bad_entry(self):
         with pytest.raises(ConfigError):
             parse_config("dirac_class_ids = 1,x")
+
+    @pytest.mark.parametrize("text", ["dirac_class_ids = 9", "dirac_class_ids = 0,8", "dirac_class_ids = -1"])
+    def test_class_id_outside_n_classes_rejected(self, text):
+        with pytest.raises(ConfigError, match=r"dirac_class_ids must lie in \[0, n_classes = 8\)"):
+            parse_config(text)
+
+    def test_range_follows_n_classes(self):
+        assert parse_config("n_classes = 10\ndirac_class_ids = 9").dirac_class_ids == (9,)
+        with pytest.raises(ConfigError):
+            RunConfig(n_classes=3, dirac_class_ids=(3,))

@@ -1,4 +1,4 @@
-"""Domain types: labels, measurements, landmarks, histograms, SPD checks."""
+"""Domain types: class ids, measurements, landmarks, histograms, SPD checks."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,7 @@ import pytest
 from semslam.core import (
     SPD_EIG_TOL,
     ClassHistogram,
-    ClassLabel,
     ContractViolation,
-    LabelRegistry,
     Landmark,
     SemanticMeasurement,
     check_spd,
@@ -16,34 +14,7 @@ from semslam.core import (
     histogram_of,
 )
 
-from conftest import label, landmark, meas, random_spd, scalar_check_spd
-
-
-class TestClassLabel:
-    def test_identity_is_the_id(self):
-        assert ClassLabel(3, "car") == ClassLabel(3, "tree")
-        assert hash(ClassLabel(3, "car")) == hash(ClassLabel(3))
-
-    def test_negative_id_rejected(self):
-        with pytest.raises(ContractViolation):
-            ClassLabel(-1)
-
-
-class TestLabelRegistry:
-    def test_register_is_idempotent(self):
-        reg = LabelRegistry()
-        a = reg.register("tree")
-        b = reg.register("tree")
-        assert a == b and len(reg) == 1
-
-    def test_dense_ids_in_registration_order(self):
-        reg = LabelRegistry()
-        assert [reg.register(n).id for n in ("a", "b", "c")] == [0, 1, 2]
-
-    def test_by_id_creates_placeholder(self):
-        reg = LabelRegistry()
-        assert reg.by_id(5).id == 5
-        assert reg.by_id(5) is reg.by_id(5)
+from conftest import landmark, meas, random_spd, scalar_check_spd
 
 
 class TestSemanticMeasurement:
@@ -54,6 +25,18 @@ class TestSemanticMeasurement:
     def test_non_finite_position_rejected(self):
         with pytest.raises(ContractViolation):
             meas([np.nan, 0.0, 0.0])
+
+    def test_negative_id_rejected(self):
+        with pytest.raises(ContractViolation, match="non-negative integer"):
+            meas([0, 0, 0], class_id=-1)
+
+    @pytest.mark.parametrize("bad", [1.0, True, "1", None])
+    def test_non_integer_class_rejected(self, bad):
+        with pytest.raises(ContractViolation, match="non-negative integer"):
+            meas([0, 0, 0], class_id=bad)
+
+    def test_numpy_integer_class_accepted(self):
+        assert meas([0, 0, 0], class_id=np.int64(3)).label == 3
 
 
 class TestCheckSpd:
@@ -160,7 +143,7 @@ class TestLandmark:
     def test_stack_builds_what_the_constructor_builds(self, rng):
         means = rng.standard_normal((3, 3))
         covs = np.stack([random_spd(rng) for _ in range(3)])
-        heads = [(5 + i, label(i), 1 + i, 2, 7 * i) for i in range(3)]
+        heads = [(5 + i, i, 1 + i, 2, 7 * i) for i in range(3)]
         for head, mean, cov, lm in zip(heads, means, covs, Landmark.stack(heads, means, covs)):
             want = Landmark(head[0], head[1], mean, cov, *head[2:])
             for name in ("id", "label", "assign_count", "submap_id", "last_scene"):
@@ -169,18 +152,18 @@ class TestLandmark:
 
     def test_stack_keeps_the_contract(self, rng):
         covs = np.stack([np.eye(3), np.diag([1.0, 1.0, 0.0])])
-        heads = [(0, label(0), 1, 0, 0), (1, label(0), 1, 0, 0)]
+        heads = [(0, 0, 1, 0, 0), (1, 0, 1, 0, 0)]
         with pytest.raises(ContractViolation):
             Landmark.stack(heads, np.zeros((2, 3)), covs)
         with pytest.raises(ContractViolation):
-            Landmark.stack([(0, label(0), 0, 0, 0)], np.zeros((1, 3)), np.eye(3)[None])
+            Landmark.stack([(0, 0, 0, 0, 0)], np.zeros((1, 3)), np.eye(3)[None])
         with pytest.raises(ContractViolation):
             Landmark.stack(heads[:1], np.zeros((2, 3)), np.stack([np.eye(3)] * 2))
 
     def test_with_estimate_preserves_untouched_fields(self):
         lm = landmark(7, [1, 2, 3], class_id=2, assign_count=4)
         lm2 = lm.with_estimate(np.zeros(3), 2.0 * np.eye(3))
-        assert lm2.id == 7 and lm2.label == label(2) and lm2.assign_count == 4
+        assert lm2.id == 7 and lm2.label == 2 and lm2.assign_count == 4
         lm3 = lm.with_estimate(lm.mean, lm.cov, assign_count=9)
         assert lm3.assign_count == 9
 
@@ -188,13 +171,13 @@ class TestLandmark:
 class TestClassHistogram:
     def test_total_must_match(self):
         with pytest.raises(ContractViolation):
-            ClassHistogram({label(0): 2}, 3)
+            ClassHistogram({0: 2}, 3)
 
     def test_histogram_of_counts_labels(self):
         items = [meas([0, 0, 0], class_id=0), meas([1, 0, 0], class_id=0), meas([2, 0, 0], class_id=1)]
         h = histogram_of(items)
         assert h.total == 3
-        assert h.counts[label(0)] == 2 and h.counts[label(1)] == 1
+        assert h.counts[0] == 2 and h.counts[1] == 1
 
     def test_as_vector_normalizes(self):
         h = histogram_of([meas([0, 0, 0], class_id=0), meas([0, 0, 0], class_id=2)])
@@ -206,5 +189,5 @@ class TestClassHistogram:
         assert np.allclose(v, 0.0)
 
     def test_normalized_drops_zero_counts(self):
-        h = ClassHistogram({label(0): 2, label(1): 0}, 2)
-        assert h.normalized() == {label(0): 1.0}
+        h = ClassHistogram({0: 2, 1: 0}, 2)
+        assert h.normalized() == {0: 1.0}

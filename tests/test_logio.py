@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from semslam.core import LabelRegistry, SemanticMeasurement
+from semslam.core import SemanticMeasurement
 from semslam.geometry import Pose, quat_from_yaw
 from semslam.logio import (
     LogFormatError,
@@ -19,12 +19,7 @@ from semslam.logio import (
 )
 
 
-@pytest.fixture
-def registry():
-    reg = LabelRegistry()
-    for i in range(3):
-        reg.register(f"class_{i}")
-    return reg
+N_CLASSES = 3
 
 
 def make_poses(n):
@@ -32,73 +27,80 @@ def make_poses(n):
 
 
 class TestMeasurements:
-    def test_round_trip(self, tmp_path, registry):
+    def test_round_trip(self, tmp_path):
         poses = make_poses(3)
         per_step = [
-            [SemanticMeasurement(0, 0.0, np.array([1.0, 2.0, 0.0]), registry.by_id(0))],
+            [SemanticMeasurement(0, 0.0, np.array([1.0, 2.0, 0.0]), 0)],
             [],
             [
-                SemanticMeasurement(2, 2.0, np.array([-3.25, 0.125, 1.5]), registry.by_id(2)),
-                SemanticMeasurement(2, 2.0, np.array([4.0, 4.0, 0.0]), registry.by_id(1)),
+                SemanticMeasurement(2, 2.0, np.array([-3.25, 0.125, 1.5]), 2),
+                SemanticMeasurement(2, 2.0, np.array([4.0, 4.0, 0.0]), 1),
             ],
         ]
         path = str(tmp_path / "meas.csv")
         write_measurements(path, per_step, poses)
-        back = read_measurements(path, registry, 3)
+        back = read_measurements(path, N_CLASSES, 3)
         assert [len(s) for s in back] == [1, 0, 2]
         for step, scene in enumerate(back):
             for orig, got in zip(per_step[step], scene):
                 # file stores body-frame positions; map back to world
                 world = poses[step].transform(got.position)
                 assert np.allclose(world, orig.position, atol=1e-7)
-                assert got.label is orig.label
+                assert got.label == orig.label
                 assert got.scene_id == orig.scene_id and got.time == orig.time
 
-    def test_body_frame_on_disk(self, tmp_path, registry):
+    def test_body_frame_on_disk(self, tmp_path):
         pose = Pose(np.array([10.0, 0.0, 0.0]), quat_from_yaw(np.pi / 2))
-        m = SemanticMeasurement(0, 0.0, np.array([10.0, 5.0, 0.0]), registry.by_id(0))
+        m = SemanticMeasurement(0, 0.0, np.array([10.0, 5.0, 0.0]), 0)
         path = str(tmp_path / "meas.csv")
         write_measurements(path, [[m]], [pose])
         line = open(path).read().splitlines()[1]
         vals = [float(x) for x in line.split(",")[3:]]
         assert np.allclose(vals, [5.0, 0.0, 0.0], atol=1e-7)
 
-    def test_bad_header(self, tmp_path, registry):
+    def test_bad_header(self, tmp_path):
         path = str(tmp_path / "meas.csv")
         path2 = str(tmp_path / "bad.csv")
         open(path2, "w").write("wrong,header\n1,2\n")
         with pytest.raises(LogFormatError, match="bad header"):
-            read_measurements(path2, registry, 1)
+            read_measurements(path2, N_CLASSES, 1)
 
-    def test_bad_field_count_reports_line(self, tmp_path, registry):
+    def test_bad_field_count_reports_line(self, tmp_path):
         path = str(tmp_path / "bad.csv")
         open(path, "w").write("t,scene_id,class_id,x,y,z\n0,0,0,1,2,3\n0,0,0,1\n")
         with pytest.raises(LogFormatError, match="line 3"):
-            read_measurements(path, registry, 1)
+            read_measurements(path, N_CLASSES, 1)
 
-    def test_bad_number_reports_line(self, tmp_path, registry):
+    def test_bad_number_reports_line(self, tmp_path):
         path = str(tmp_path / "bad.csv")
         open(path, "w").write("t,scene_id,class_id,x,y,z\n0,0,0,1,xyz,3\n")
         with pytest.raises(LogFormatError, match="line 2"):
-            read_measurements(path, registry, 1)
+            read_measurements(path, N_CLASSES, 1)
 
-    def test_scene_out_of_range(self, tmp_path, registry):
+    def test_scene_out_of_range(self, tmp_path):
         path = str(tmp_path / "bad.csv")
         open(path, "w").write("t,scene_id,class_id,x,y,z\n0,7,0,1,2,3\n")
         with pytest.raises(LogFormatError, match="out of range"):
-            read_measurements(path, registry, 3)
+            read_measurements(path, N_CLASSES, 3)
 
-    def test_empty_file(self, tmp_path, registry):
+    @pytest.mark.parametrize("class_id", [-1, N_CLASSES, 9])
+    def test_class_out_of_range_reports_file_and_line(self, tmp_path, class_id):
+        path = str(tmp_path / "bad.csv")
+        open(path, "w").write(f"t,scene_id,class_id,x,y,z\n0,0,0,1,2,3\n0,0,{class_id},1,2,3\n")
+        with pytest.raises(LogFormatError, match=rf"bad\.csv: line 3: class id {class_id} out of range \[0, 3\)"):
+            read_measurements(path, N_CLASSES, 1)
+
+    def test_empty_file(self, tmp_path):
         path = str(tmp_path / "empty.csv")
         open(path, "w").write("")
         with pytest.raises(LogFormatError, match="empty"):
-            read_measurements(path, registry, 1)
+            read_measurements(path, N_CLASSES, 1)
 
-    def test_header_only(self, tmp_path, registry):
+    def test_header_only(self, tmp_path):
         path = str(tmp_path / "empty.csv")
         open(path, "w").write("t,scene_id,class_id,x,y,z\n")
         with pytest.raises(LogFormatError, match="no data rows"):
-            read_measurements(path, registry, 1)
+            read_measurements(path, N_CLASSES, 1)
 
 
 class TestOdometry:
@@ -158,11 +160,11 @@ class TestMetrics:
 
 
 class TestMap:
-    def test_write_map_shape(self, tmp_path, registry):
+    def test_write_map_shape(self, tmp_path):
         class _Lm:
             def __init__(self):
                 self.id = 4
-                self.label = registry.by_id(1)
+                self.label = 1
                 self.mean = np.array([1.0, 2.0, 3.0])
                 self.cov = 0.5 * np.eye(3)
 

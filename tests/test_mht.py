@@ -25,7 +25,7 @@ from semslam.mht import (
     kld_bound,
 )
 
-from conftest import label, landmark, meas, simple_params
+from conftest import landmark, meas, simple_params
 
 
 class TestEffectiveSampleSize:
@@ -82,7 +82,7 @@ class TestExtend:
         tree = default_tree()
         params = simple_params()
         root = tree.leaves[0]
-        children = tree.extend(root, [Assignment.from_targets([])], [], params, UkfParams(), 0)
+        children = tree.extend(root, [Assignment.from_targets([])], [], params, UkfParams())
         assert len(children) == 1
         expect = assignment_prior_log(Assignment.from_targets([]), params)
         assert children[0].log_weight == pytest.approx(expect)
@@ -93,7 +93,7 @@ class TestExtend:
         tree = default_tree()
         root = tree.leaves[0]
         a = Assignment.from_targets([])
-        tree.extend(root, [a, a], [], simple_params(), UkfParams(), 0)
+        tree.extend(root, [a, a], [], simple_params(), UkfParams())
         tree.leaves[0].log_weight = -1.0
         tree.leaves[1].log_weight = -3.0
         w = tree.normalized_weights()
@@ -105,7 +105,7 @@ class TestExtend:
         params = simple_params()
         m = meas([1.0, 2.0, 3.0], scene_id=4, time=9.5)
         children = tree.extend(
-            tree.leaves[0], [Assignment.from_targets([New()])], [m], params, UkfParams(), 4
+            tree.leaves[0], [Assignment.from_targets([New()])], [m], params, UkfParams()
         )
         (lm,) = children[0].existing.values()
         assert np.allclose(lm.mean, m.position) and lm.assign_count == 1
@@ -118,7 +118,7 @@ class TestExtend:
         tree.leaves[0].existing[0] = lm0
         m = meas([1.0, 0.0, 0.0])
         children = tree.extend(
-            tree.leaves[0], [Assignment.from_targets([Existing(0)])], [m], params, UkfParams(), 0
+            tree.leaves[0], [Assignment.from_targets([Existing(0)])], [m], params, UkfParams()
         )
         lm = children[0].existing[0]
         assert lm.assign_count == 2
@@ -132,7 +132,6 @@ class TestExtend:
             [meas([0, 0, 0])],
             simple_params(),
             UkfParams(),
-            0,
         )
         assert children[0].n_fp == 1
 
@@ -145,7 +144,6 @@ class TestExtend:
             [meas([0.1, 0.0, 0.0])],
             simple_params(),
             UkfParams(),
-            0,
         )
         child = children[0]
         assert 7 in child.existing and 7 not in child.previous
@@ -156,18 +154,18 @@ class TestExtend:
         m = meas([1.0, 2.0, 3.0])
         a_new = Assignment.from_targets([New()])
         a_fp = Assignment.from_targets([FalsePositive()])
-        c1, c2 = tree.extend(tree.leaves[0], [a_new, a_fp], [m], params, UkfParams(), 0)
+        c1, c2 = tree.extend(tree.leaves[0], [a_new, a_fp], [m], params, UkfParams())
         assert len(c1.existing) == 1 and len(c2.existing) == 0
 
     def test_empty_branches_rejected(self):
         tree = default_tree()
         with pytest.raises(ContractViolation):
-            tree.extend(tree.leaves[0], [], [], simple_params(), UkfParams(), 0)
+            tree.extend(tree.leaves[0], [], [], simple_params(), UkfParams())
 
     def test_weights_normalized_after_extend(self):
         tree = default_tree()
         a = Assignment.from_targets([])
-        tree.extend(tree.leaves[0], [a, a, a], [], simple_params(), UkfParams(), 0)
+        tree.extend(tree.leaves[0], [a, a, a], [], simple_params(), UkfParams())
         assert tree.normalized_weights().sum() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -176,7 +174,7 @@ class TestResample:
     def tree_with_weights(log_weights, seed=0, max_hypotheses=20):
         tree = default_tree(seed=seed, max_hypotheses=max_hypotheses)
         a = Assignment.from_targets([])
-        tree.extend(tree.leaves[0], [a] * len(log_weights), [], simple_params(), UkfParams(), 0)
+        tree.extend(tree.leaves[0], [a] * len(log_weights), [], simple_params(), UkfParams())
         for leaf, lw in zip(tree.leaves, log_weights):
             leaf.log_weight = lw
         return tree
@@ -228,16 +226,6 @@ class TestResample:
         # resampled counts are stored as weights count/total; compare means
         assert np.allclose(survived / n_seeds, 4 * w, atol=0.05)
 
-    def test_pruned_nodes_removed(self):
-        w = np.log(np.array([0.97, 0.01, 0.01, 0.01]))
-        tree = self.tree_with_weights(list(w))
-        tree.resample()
-        for leaf in tree.leaves:
-            nid = leaf.id
-            while nid is not None:
-                assert nid in tree.nodes
-                nid = tree.nodes[nid].parent_id
-
     def test_prune_to_best(self):
         tree = self.tree_with_weights([-1.0, -5.0, -0.5, -3.0])
         tree.prune_to_best(2)
@@ -266,7 +254,7 @@ class TestPosteriorOracle:
             for t, ms in enumerate(episodes):
                 for leaf in list(tree.leaves):
                     branches = tree_combo_branches(ms, leaf.assoc_state())
-                    tree.extend(leaf, branches, ms, params, UkfParams(), t)
+                    tree.extend(leaf, branches, ms, params, UkfParams())
             best = tree.best_leaf()
             expect = exhaustive_posterior_best(episodes, params)
             assert best.log_weight == pytest.approx(expect, abs=1e-6)

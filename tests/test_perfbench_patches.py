@@ -60,6 +60,8 @@ def test_patched_names_are_called(tmp_path):
     expected = {
         "sim.generate_world",
         "sim.simulate",
+        "logio.read_measurements",
+        "pipeline.run_pipeline",
         "assoc.build_cost_matrix",
         "estimation.ukf_update",
         "placerec.query_candidates",

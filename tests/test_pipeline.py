@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from semslam.config import RunConfig
-from semslam.core import LabelRegistry, SemanticMeasurement
+from semslam.core import SemanticMeasurement
 from semslam.geometry import Pose
 from semslam.pipeline import Pipeline, evaluate, integrate_odometry, run_pipeline
 from semslam.sim import generate_world, scenario_specs, simulate
@@ -28,7 +28,7 @@ def simulate_for(cfg):
 
 def run_for(cfg):
     world, body, increments = simulate_for(cfg)
-    return run_pipeline(cfg, body, increments, world.registry, world.trajectory), world
+    return run_pipeline(cfg, body, increments, world.trajectory), world
 
 
 class TestScenario:
@@ -53,7 +53,7 @@ class TestCorpus:
     def test_one_document_per_unit(self, unit):
         cfg = RunConfig(steps=24, submap_length=8, tfidf_doc_unit=unit)
         world, body, increments = simulate_for(cfg)
-        pipe = Pipeline(cfg, world.registry)
+        pipe = Pipeline(cfg)
         for t, ms in enumerate(body):
             pipe.process_scene(t, ms, increments[t - 1] if t else None)
             if (t + 1) % cfg.submap_length == 0:
@@ -79,12 +79,11 @@ class TestIntegrateOdometry:
 class TestValidation:
     def test_empty_log_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            run_pipeline(RunConfig(), [], [], LabelRegistry())
+            run_pipeline(RunConfig(), [], [])
 
     def test_odometry_count_mismatch_rejected(self):
-        reg = LabelRegistry()
         with pytest.raises(ValueError, match="odometry increments"):
-            run_pipeline(RunConfig(steps=3), [[], [], []], [], reg)
+            run_pipeline(RunConfig(steps=3), [[], [], []], [])
 
 
 class TestNoiselessRun:

@@ -30,17 +30,16 @@ from semslam.placerec import (
     verify_pair,
 )
 
-from conftest import label, scalar_detect, scalar_scene_match
+from conftest import scalar_detect, scalar_scene_match
 
 
 def scene(scene_id, positions, class_ids, submap_id=0, dim=4, pose=None):
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
-    labels = tuple(label(c) for c in class_ids)
     hist = np.zeros(dim)
     for c in class_ids:
         hist[c] += 1
     hist = hist / hist.sum()
-    return SceneDescriptor(scene_id, submap_id, hist, positions, labels, pose or Pose())
+    return SceneDescriptor(scene_id, submap_id, hist, positions, class_ids, pose or Pose())
 
 
 class TestJsd:
@@ -124,13 +123,13 @@ class TestQueryCandidates:
         scenes = []
         for sid in range(200):
             hist = rng.dirichlet(np.ones(dim))
-            s = SceneDescriptor(sid, sid, hist, np.zeros((1, 3)), (label(0),), Pose())
+            s = SceneDescriptor(sid, sid, hist, np.zeros((1, 3)), (0,), Pose())
             index.add_submap(sid, hist, [s])
             scenes.append(s)
         tau_jsd, r_l2 = 0.15, 0.5
         for _ in range(10):
             qh = rng.dirichlet(np.ones(dim))
-            q = SceneDescriptor(1000, 1000, qh, np.zeros((1, 3)), (label(0),), Pose())
+            q = SceneDescriptor(1000, 1000, qh, np.zeros((1, 3)), (0,), Pose())
             got = {c.scene_id for c in query_candidates(index, qh, q, tau_jsd, r_l2, 10)}
             expect = {
                 s.scene_id
@@ -278,15 +277,17 @@ class TestSceneMatch:
 
 class TestSceneDescriptor:
     def test_label_ids_follow_labels(self):
-        s = scene(0, [[0, 0, 0], [1, 0, 0], [2, 0, 0]], [2, 0, 2])
+        s = scene(0, [[0, 0, 0], [1, 0, 0], [2, 0, 0]], np.array([2, 0, 2], dtype=np.int32))
         assert s.label_ids.tolist() == [2, 0, 2] and s.label_ids.dtype == np.int64
         empty = SceneDescriptor(1, 0, np.zeros(4), np.zeros((0, 3)), (), Pose())
         assert empty.label_ids.shape == (0,)
+        with pytest.raises(ContractViolation):
+            SceneDescriptor(2, 0, np.zeros(4), np.zeros((2, 3)), (0,), Pose())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_position_rejected(self, bad):
         with pytest.raises(ContractViolation):
-            SceneDescriptor(0, 0, np.array([1.0, 0, 0, 0]), [[0.0, bad, 0.0]], (label(0),), Pose())
+            SceneDescriptor(0, 0, np.array([1.0, 0, 0, 0]), [[0.0, bad, 0.0]], (0,), Pose())
 
 
 class TestBayesUpdate:
@@ -451,7 +452,7 @@ class TestVerifyPair:
         def draw_scene(sid, n):
             pos = np.array(data.draw(st.lists(st.tuples(coord, coord, coord), min_size=n, max_size=n)), dtype=float)
             cls = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-            return SceneDescriptor(sid, 0, np.full(4, 0.25), pos.reshape(-1, 3), tuple(label(c) for c in cls), Pose())
+            return SceneDescriptor(sid, 0, np.full(4, 0.25), pos.reshape(-1, 3), cls, Pose())
 
         a, b = draw_scene(0, na), draw_scene(1, nb)
         th = VerifyThresholds(tau_verify=tau, penalty_p=p, term_mode=mode)
@@ -571,7 +572,7 @@ def _revisit_run(seed, thresholds):
             seen = np.array([int(np.argmin(np.linalg.norm(pts - pose.translation, axis=1)))])
         body = np.stack([pose.transform_inverse(pts[i]) for i in seen]) + rng.normal(scale=0.02, size=(seen.size, 3))
         hist = np.bincount(cls[seen], minlength=dim) / seen.size
-        scenes.append(SceneDescriptor(sid, sid // 6, hist, body, tuple(label(int(c)) for c in cls[seen]), pose))
+        scenes.append(SceneDescriptor(sid, sid // 6, hist, body, cls[seen], pose))
     kwargs = dict(dim=dim, tau_jsd=0.3, r_l2=0.8, exclusion_window=10, thresholds=thresholds, rng_seed=seed)
     return scenes, LoopClosureDetector(**kwargs), LoopClosureDetector(**kwargs)
 
@@ -620,7 +621,7 @@ def test_detect_matches_scalar_oracle(monkeypatch):
             scenes, det, ref = _revisit_run(seed, th)
             for k in range(8):
                 batch = scenes[6 * k : 6 * k + 6]
-                hist = sum(s.histogram * len(s.labels) for s in batch)
+                hist = sum(s.histogram * len(s.label_ids) for s in batch)
                 hist = hist / hist.sum()
                 for q in batch:
                     verified.clear()

@@ -34,7 +34,7 @@ class TestGenerateWorld:
         b = generate_world(WorldSpec(seed=7))
         assert len(a.landmarks) == len(b.landmarks)
         for la, lb in zip(a.landmarks, b.landmarks):
-            assert la.id == lb.id and la.label.id == lb.label.id
+            assert la.id == lb.id and la.label == lb.label
             assert np.array_equal(la.position, lb.position)
         for pa, pb in zip(a.trajectory, b.trajectory):
             assert np.array_equal(pa.translation, pb.translation)
@@ -49,7 +49,7 @@ class TestGenerateWorld:
         world = generate_world(WorldSpec(landmarks_per_class=(3, 0, 5)))
         counts = {}
         for lm in world.landmarks:
-            counts[lm.label.id] = counts.get(lm.label.id, 0) + 1
+            counts[lm.label] = counts.get(lm.label, 0) + 1
         assert counts == {0: 3, 2: 5}
         assert [lm.id for lm in world.landmarks] == list(range(8))
 
@@ -113,7 +113,7 @@ class TestSimulateStep:
                 lid
                 for lid in vis
                 if np.array_equal(by_pos[lid].position, m.position)
-                and by_pos[lid].label is m.label
+                and by_pos[lid].label == m.label
             ]
             assert match
             assert m.scene_id == 2 and m.time == 2.0
@@ -184,7 +184,7 @@ class TestSimulateStep:
             OdometrySpec(),
             np.random.default_rng(0),
         )
-        assert meas and all(m.label.id == 1 for m in meas)
+        assert meas and all(m.label == 1 for m in meas)
 
     def test_bad_confusion_rejected(self):
         with pytest.raises(ContractViolation):
@@ -211,7 +211,7 @@ class TestSimulate:
         for a, b in zip(m1, m2):
             assert len(a) == len(b)
             for ma, mb in zip(a, b):
-                assert np.array_equal(ma.position, mb.position) and ma.label is mb.label
+                assert np.array_equal(ma.position, mb.position) and ma.label == mb.label
         for pa, pb in zip(i1, i2):
             assert np.array_equal(pa.translation, pb.translation)
             assert np.array_equal(pa.rotation, pb.rotation)

@@ -15,7 +15,7 @@ from semslam.submap import (
     tfidf_score,
 )
 
-from conftest import label, random_spd
+from conftest import random_spd
 
 
 def summary(tfidf=0.5, landmark_count=10):
@@ -51,14 +51,14 @@ class TestGaussianEntropy:
 class TestTfidf:
     def test_single_document_scores_zero(self):
         corpus = Corpus()
-        h = ClassHistogram({label(0): 3}, 3)
+        h = ClassHistogram({0: 3}, 3)
         corpus.add_submap(h)
         assert tfidf_score(h, corpus) == 0.0
 
     def test_worked_example(self):
         # submap {tree: 2, pole: 1}; N = 4 submaps, df(tree) = 2, df(pole) = 1:
         # (2/3) ln 2 + (1/3) ln 4 = 0.9242
-        tree, pole, other = label(0), label(1), label(2)
+        tree, pole, other = 0, 1, 2
         corpus = Corpus()
         corpus.add_submap(ClassHistogram({tree: 2, pole: 1}, 3))
         corpus.add_submap(ClassHistogram({tree: 1}, 1))
@@ -71,25 +71,25 @@ class TestTfidf:
     def test_ubiquitous_class_contributes_zero(self):
         corpus = Corpus()
         for _ in range(5):
-            corpus.add_submap(ClassHistogram({label(0): 1}, 1))
-        assert tfidf_score(ClassHistogram({label(0): 4}, 4), corpus) == pytest.approx(0.0)
+            corpus.add_submap(ClassHistogram({0: 1}, 1))
+        assert tfidf_score(ClassHistogram({0: 4}, 4), corpus) == pytest.approx(0.0)
 
     def test_empty_histogram_scores_zero(self):
         corpus = Corpus()
-        corpus.add_submap(ClassHistogram({label(0): 1}, 1))
+        corpus.add_submap(ClassHistogram({0: 1}, 1))
         assert tfidf_score(ClassHistogram({}, 0), corpus) == 0.0
 
     def test_unseen_class_rejected(self):
         corpus = Corpus()
-        corpus.add_submap(ClassHistogram({label(0): 1}, 1))
+        corpus.add_submap(ClassHistogram({0: 1}, 1))
         with pytest.raises(ContractViolation):
-            tfidf_score(ClassHistogram({label(1): 1}, 1), corpus)
+            tfidf_score(ClassHistogram({1: 1}, 1), corpus)
 
     def test_incremental_equals_batch(self):
         hists = [
-            ClassHistogram({label(0): 2, label(1): 1}, 3),
-            ClassHistogram({label(1): 1}, 1),
-            ClassHistogram({label(0): 1, label(2): 2}, 3),
+            ClassHistogram({0: 2, 1: 1}, 3),
+            ClassHistogram({1: 1}, 1),
+            ClassHistogram({0: 1, 2: 2}, 3),
         ]
         inc = Corpus()
         for h in hists:
@@ -102,14 +102,14 @@ class TestTfidf:
 
     def test_scene_doc_unit(self):
         corpus = Corpus(doc_unit="scene")
-        sub_hist = ClassHistogram({label(0): 2}, 2)
-        scenes = [ClassHistogram({label(0): 1}, 1), ClassHistogram({label(0): 1}, 1)]
+        sub_hist = ClassHistogram({0: 2}, 2)
+        scenes = [ClassHistogram({0: 1}, 1), ClassHistogram({0: 1}, 1)]
         corpus.add_submap(sub_hist, scenes)
         assert corpus.n_docs == 2
 
     def test_scene_doc_unit_requires_scene_histograms(self):
         with pytest.raises(ContractViolation):
-            Corpus(doc_unit="scene").add_submap(ClassHistogram({label(0): 1}, 1))
+            Corpus(doc_unit="scene").add_submap(ClassHistogram({0: 1}, 1))
 
 
 class TestGate:

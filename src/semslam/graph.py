@@ -371,13 +371,12 @@ class _Group:
         if np.any(self.c[self.robust] <= 0):
             raise ContractViolation("cauchy scale must be positive")
 
-    def evaluate(self, t, R, L, jac):
-        """Per-factor costs; with `jac` also the whitened residuals and
-        Jacobians and the IRLS weights."""
+    def evaluate(self, t, R, L):
+        """Per-factor costs, whitened residuals and Jacobians, and IRLS weights."""
         args = []
         for kind, idx in self.slots:
             args += [t[idx], R[idx]] if kind == "pose" else [L[idx]]
-        r, J = self.terms(*args, *self.meas, jac)
+        r, J = self.terms(*args, *self.meas, True)
         rw = (self.W @ r[:, :, None])[:, :, 0]
         norm = _norms(rw)
         cost = 0.5 * norm * norm
@@ -386,8 +385,6 @@ class _Group:
         if m.any():
             cost[m] = cauchy_cost(norm[m], self.c[m])
             w[m] = cauchy_weight(norm[m], self.c[m])
-        if not jac:
-            return cost
         return cost, rw, [self.W @ Jk for Jk in J], w
 
 
@@ -449,16 +446,12 @@ class _Problem:
         self._pair_grad_p = _segment_index(self.pair_p, 6)
         self._pair_grad_l = _segment_index(self.pair_l, 3)
 
-    def cost(self, t, q, L) -> float:
-        R = _quat_to_rot(q)
-        return float(sum(np.sum(grp.evaluate(t, R, L, False)) for grp in self.groups))
-
     def linearize(self, t, q, L) -> _Linearization:
         R = _quat_to_rot(q)
         cost = 0.0
         pp, ll, pl, grad = [], [], [], []
         for grp in self.groups:
-            c, rw, J, w = grp.evaluate(t, R, L, True)
+            c, rw, J, w = grp.evaluate(t, R, L)
             cost += np.sum(c)
             JT = [Jk.transpose(0, 2, 1) for Jk in J]
             for a, (kind_a, _) in enumerate(grp.slots):
@@ -534,7 +527,7 @@ def _apply_step(t, q, L, dp, dl):
 
 def _total_cost(state: GraphState) -> float:
     prob = _Problem(state)
-    return prob.cost(prob.t0, prob.q0, prob.L0)
+    return prob.linearize(prob.t0, prob.q0, prob.L0).cost
 
 
 def optimize(
@@ -543,19 +536,21 @@ def optimize(
     grad_tol: float = 1e-8,
     lm_lambda0: float = 1e-4,
 ) -> OptimizeResult:
-    """Levenberg-Marquardt with Cauchy IRLS reweighting per iteration."""
+    """Levenberg-Marquardt with Cauchy IRLS reweighting per iteration.
+
+    Each point is linearised once: the start point, and each trial point,
+    whose linearisation also gives its cost. An accepted trial's
+    linearisation is the next iteration's."""
     g.check_structure()
     prob = _Problem(g)
     t, q, L = prob.t0, prob.q0, prob.L0
     lam = lm_lambda0
-    cost = initial_cost = prob.cost(t, q, L)
+    lin = prob.linearize(t, q, L)  # at the current state
+    initial_cost = lin.cost
     iterations = rejected = 0
     converged = False
-    lin = None  # linearization at the current state, if there is one
     for _ in range(max_iters):
         iterations += 1
-        lin = prob.linearize(t, q, L)
-        cost = lin.cost
         if float(np.max(np.abs(lin.b))) < grad_tol:
             converged = True
             break
@@ -568,25 +563,22 @@ def optimize(
                 lam *= 10.0
                 continue
             trial = _apply_step(t, q, L, dp, dl)
-            trial_cost = prob.cost(*trial)
-            if trial_cost < cost:
-                improvement = cost - trial_cost
+            trial_lin = prob.linearize(*trial)
+            if trial_lin.cost < lin.cost:
+                improvement = lin.cost - trial_lin.cost
                 t, q, L = trial
-                cost = trial_cost
-                lin = None
+                lin = trial_lin
                 lam = max(lam / 10.0, 1e-12)
                 accepted = True
-                if improvement < 1e-9 * max(1.0, cost):
+                if improvement < 1e-9 * max(1.0, lin.cost):
                     converged = True
                 break
             rejected += 1
             lam *= 10.0
         if not accepted or converged:  # a stall ends the run unconverged
             break
-    if lin is None:
-        lin = prob.linearize(t, q, L)
     trace = prob.last_pose_cov_trace(lin)
-    return OptimizeResult(prob.state(g, t, q, L), cost, iterations, trace, converged, initial_cost, rejected)
+    return OptimizeResult(prob.state(g, t, q, L), lin.cost, iterations, trace, converged, initial_cost, rejected)
 
 
 def rmse(trajectory: Sequence[Pose], ground_truth: Sequence[Pose]) -> float:

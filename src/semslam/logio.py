@@ -7,6 +7,7 @@ the capturing pose.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import Dict, List, Sequence, Tuple
 
@@ -90,6 +91,8 @@ def read_measurements(path: str, n_classes: int, n_steps: int):
             raise LogFormatError(f"{path}: line {lineno}: scene id {scene} out of range")
         if not (0 <= class_id < n_classes):
             raise LogFormatError(f"{path}: line {lineno}: class id {class_id} out of range [0, {n_classes})")
+        if not np.all(np.isfinite(pos)):
+            raise LogFormatError(f"{path}: line {lineno}: measurement position must be finite")
         per_step[scene].append(SemanticMeasurement(scene, t, pos, class_id))
     return per_step
 
@@ -110,6 +113,8 @@ def read_odometry(path: str) -> List[Pose]:
             vals = [float(x) for x in parts]
         except ValueError as exc:
             raise LogFormatError(f"{path}: line {lineno}: {exc}") from exc
+        if not all(map(math.isfinite, vals[1:])):
+            raise LogFormatError(f"{path}: line {lineno}: odometry increment must be finite")
         out.append(Pose(np.array(vals[1:4]), np.array(vals[4:8])))
     return out
 

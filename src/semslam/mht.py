@@ -4,11 +4,11 @@ resampling, and the KLD bound on the number of kept hypotheses."""
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import kernels
 from .assoc import (
@@ -76,7 +76,7 @@ def kld_bound(k: int, epsilon: float, delta: float, cube_bracket: bool = False) 
     """
     if k < 2:
         raise ValueError("kld_bound requires k >= 2")
-    z = float(ndtri(1.0 - delta))
+    z = statistics.NormalDist().inv_cdf(1.0 - delta)
     a = 2.0 / (9.0 * (k - 1))
     bracket = 1.0 - a + math.sqrt(a) * z
     if cube_bracket:

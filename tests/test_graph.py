@@ -386,6 +386,30 @@ class TestOptimize:
         assert result.rejected_steps == scalar_optimize(g, 50, 1e-8, 1e-12).rejected_steps
         assert result.converged and result.cost < 1e-12 < result.initial_cost
 
+    def test_linearises_each_point_once(self, monkeypatch):
+        """The start point and each trial point are linearised once, and the
+        linearisation gives their cost: no separate cost pass exists."""
+        from semslam import graph
+
+        assert not hasattr(graph._Problem, "cost")
+        calls = []
+        linearize = graph._Problem.linearize
+
+        def counted(self, t, q, L):
+            calls.append(1)
+            return linearize(self, t, q, L)
+
+        monkeypatch.setattr(graph._Problem, "linearize", counted)
+        rejected = 0
+        for seed in range(40):
+            rng = np.random.default_rng(1000 + seed)
+            g, max_iters = parity_graph(rng, PARITY_KINDS[seed % len(PARITY_KINDS)])
+            calls.clear()
+            result = optimize(g, max_iters)
+            assert 1 <= len(calls) <= 1 + result.iterations + result.rejected_steps, seed
+            rejected += result.rejected_steps
+        assert rejected > 0
+
     def test_matches_scalar_optimize(self):
         """The batched Schur-complement LM takes the per-factor dense LM's
         steps: same poses, landmarks, cost, covariance trace and decisions."""

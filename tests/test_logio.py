@@ -90,6 +90,13 @@ class TestMeasurements:
         with pytest.raises(LogFormatError, match=rf"bad\.csv: line 3: class id {class_id} out of range \[0, 3\)"):
             read_measurements(path, N_CLASSES, 1)
 
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+    def test_non_finite_position_reports_file_and_line(self, tmp_path, field):
+        path = str(tmp_path / "bad.csv")
+        open(path, "w").write(f"t,scene_id,class_id,x,y,z\n0,0,0,1,2,3\n0,0,0,{field},1,2\n")
+        with pytest.raises(LogFormatError, match=r"bad\.csv: line 3: measurement position must be finite"):
+            read_measurements(path, N_CLASSES, 1)
+
     def test_empty_file(self, tmp_path):
         path = str(tmp_path / "empty.csv")
         open(path, "w").write("")
@@ -119,6 +126,18 @@ class TestOdometry:
         path2 = str(tmp_path / "odo2.csv")
         write_odometry(path2, back)
         assert open(path, "rb").read() == open(path2, "rb").read()
+
+    @pytest.mark.parametrize("column", ["dx", "dy", "dz", "dqw", "dqx", "dqy", "dqz"])
+    def test_non_finite_increment_reports_file_and_line(self, tmp_path, column):
+        path = str(tmp_path / "odo.csv")
+        write_odometry(path, [Pose(np.array([0.5, 0.0, 0.0]), quat_from_yaw(0.1))] * 4)
+        lines = open(path).read().splitlines()
+        fields = lines[3].split(",")
+        fields[lines[0].split(",").index(column)] = "nan"
+        lines[3] = ",".join(fields)
+        open(path, "w").write("\n".join(lines) + "\n")
+        with pytest.raises(LogFormatError, match=r"odo\.csv: line 4: odometry increment must be finite"):
+            read_odometry(path)
 
 
 class TestTrajectory:

@@ -3,9 +3,11 @@ resampling, and the exhaustive posterior oracle on tiny episodes."""
 
 import itertools
 import math
+import statistics
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from semslam.assoc import (
     Assignment,
@@ -68,6 +70,36 @@ class TestKldBound:
         bracket = 1.0 - a + math.sqrt(a) * z
         assert plain == int(4.0 / 0.1 * bracket)
         assert cubed == int(4.0 / 0.1 * bracket**3)
+
+    def test_quantile_matches_scipy_ndtri(self):
+        """The standard library's normal quantile agrees with scipy's to
+        rounding, and exactly at the default delta."""
+        p = np.linspace(1e-6, 1.0 - 1e-6, 20_001)
+        ours = np.array([statistics.NormalDist().inv_cdf(float(x)) for x in p])
+        ref = ndtri(p)
+        assert np.all(np.abs(ours - ref) <= 2e-15 * np.maximum(np.abs(ref), 1e-300) + 1e-300)
+        assert statistics.NormalDist().inv_cdf(1.0 - 0.01) == float(ndtri(1.0 - 0.01)) == 2.3263478740408408
+
+    def test_matches_scipy_ndtri_bound(self):
+        """kld_bound gives what the bound computed from scipy's quantile gives,
+        over a grid of k, epsilon, delta and both brackets."""
+
+        def reference(k, epsilon, delta, cube_bracket):
+            z = float(ndtri(1.0 - delta))
+            a = 2.0 / (9.0 * (k - 1))
+            bracket = 1.0 - a + math.sqrt(a) * z
+            if cube_bracket:
+                bracket = bracket**3
+            return int(math.floor((k - 1) / (2.0 * epsilon) * bracket))
+
+        grid = itertools.product(
+            range(2, 2000, 7),
+            (0.01, 0.02, 0.05, 0.1, 0.25),
+            (1e-4, 1e-3, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.99),
+            (False, True),
+        )
+        mismatches = [args for args in grid if kld_bound(*args) != reference(*args)]
+        assert mismatches == []
 
 
 def default_tree(seed=0, max_hypotheses=20, ess_fraction=0.5, previous=None):

@@ -5,23 +5,15 @@ estimation, semantic loop-closure detection, and robust SE(3) pose-graph
 optimization, plus a deterministic synthetic-world simulator and CLI.
 """
 
-from .core import (
-    ClassHistogram,
-    ContractViolation,
-    Landmark,
-    SemanticMeasurement,
-    histogram_of,
-)
+from .core import ContractViolation, Landmark, SemanticMeasurement
 from .geometry import Pose
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClassHistogram",
     "ContractViolation",
     "Landmark",
     "Pose",
     "SemanticMeasurement",
-    "histogram_of",
     "__version__",
 ]

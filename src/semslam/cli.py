@@ -61,7 +61,7 @@ def cmd_run(args) -> int:
         f"mean hypotheses {result.mean_hypotheses:.2f}"
     )
     if result.final_rmse is not None:
-        raw = evaluate(result.raw_odometry, [p for p in result.trajectory] if ground_truth is None else ground_truth)
+        raw = evaluate(result.raw_odometry, ground_truth)
         msg += f", rmse {result.final_rmse:.4f} (raw odometry {raw.rmse:.4f})"
     print(msg)
     return 0

@@ -5,7 +5,7 @@ A class is its dense integer id, 0 <= id < n_classes."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping
+from typing import List
 
 import numpy as np
 
@@ -105,50 +105,19 @@ class Landmark:
         )
 
 
-@dataclass(frozen=True)
-class ClassHistogram:
-    """Counts of items per class id."""
-
-    counts: Mapping[int, int]
-    total: int
-
-    def __post_init__(self):
-        if self.total != sum(self.counts.values()):
-            raise ContractViolation("histogram total does not match counts")
-        if any(c < 0 for c in self.counts.values()):
-            raise ContractViolation("negative histogram count")
-
-    def normalized(self) -> Dict[int, float]:
-        if self.total == 0:
-            return {}
-        return {label: c / self.total for label, c in self.counts.items() if c > 0}
-
-    def as_vector(self, dim: int) -> np.ndarray:
-        """Normalized histogram as a fixed-dimension vector indexed by class id."""
-        v = np.zeros(dim)
-        for label, c in self.counts.items():
-            v[label] = c
-        s = v.sum()
-        return v / s if s > 0 else v
-
-
-def histogram_of(items: Iterable) -> ClassHistogram:
-    """Class histogram of measurements or landmarks (anything with .label)."""
-    counts: Dict[int, int] = {}
-    total = 0
-    for item in items:
-        label = item.label if hasattr(item, "label") else item
-        counts[label] = counts.get(label, 0) + 1
-        total += 1
-    return ClassHistogram(counts, total)
+def class_counts(labels, n_classes: int) -> np.ndarray:
+    """Class histogram: the number of items per class id, as an int vector."""
+    counts = np.bincount(np.asarray(labels, dtype=int), minlength=n_classes)
+    if counts.size != n_classes:
+        raise ContractViolation(f"class id out of range [0, {n_classes})")
+    return counts
 
 
 __all__ = [
     "SemanticMeasurement",
     "Landmark",
-    "ClassHistogram",
     "Pose",
-    "histogram_of",
+    "class_counts",
     "check_spd",
     "check_spd_stack",
     "ContractViolation",

@@ -23,17 +23,9 @@ class UkfParams:
 
 
 @dataclass(frozen=True, eq=False)
-class GaussianComponent:
-    weight: float
-    mean: np.ndarray
-    cov: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class FusedLandmark:
     id: int
     label: int
-    components: Tuple[GaussianComponent, ...]
     mean: np.ndarray
     cov: np.ndarray
     assign_count: int
@@ -116,7 +108,8 @@ def fuse_hypotheses(
     leaves: Sequence,
     weights: Sequence[float],
 ) -> Dict[int, FusedLandmark]:
-    """Fuse per-hypothesis landmark estimates into per-landmark mixtures.
+    """Fuse per-hypothesis landmark estimates into one moment-matched
+    Gaussian per landmark.
 
     `leaves` expose .existing (dict id -> Landmark); identity across
     hypotheses is by creation id. Component weights are the normalized leaf
@@ -135,24 +128,17 @@ def fuse_hypotheses(
         wsum = sum(w for w, _ in pairs)
         if wsum <= 0.0:
             continue
-        comps = tuple(
-            GaussianComponent(w / wsum, lm.mean.copy(), lm.cov.copy()) for w, lm in pairs
-        )
-        mean = np.zeros(3)
-        for c in comps:
-            mean += c.weight * c.mean
-        cov = np.zeros((3, 3))
-        for c in comps:
-            cov += c.weight * (c.cov + np.outer(c.mean, c.mean))
+        # moments of the mixture of components (w / wsum, landmark)
+        mean, cov = np.zeros(3), np.zeros((3, 3))
+        for w, lm in pairs:
+            mean += (w / wsum) * lm.mean
+            cov += (w / wsum) * (lm.cov + np.outer(lm.mean, lm.mean))
         cov -= np.outer(mean, mean)
-        cov = spd_project(cov)
-        label = pairs[0][1].label
         fused[lid] = FusedLandmark(
             lid,
-            label,
-            comps,
+            pairs[0][1].label,
             mean,
-            cov,
+            spd_project(cov),
             max(lm.assign_count for _, lm in pairs),
             max(lm.last_scene for _, lm in pairs),
         )

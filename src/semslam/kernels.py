@@ -1,4 +1,5 @@
-"""The hot numeric kernels, vectorised in numpy.
+"""Hot numeric kernels, vectorised in numpy: linear assignment, systematic
+resampling and RANSAC consensus.
 
 Each one replaces a scalar loop (tests/conftest.py) and returns that loop's
 outputs exactly. The one exception is resampling at u0 == 0, where the loop

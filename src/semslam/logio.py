@@ -106,17 +106,24 @@ def write_odometry(path: str, increments: Sequence[Pose]) -> None:
     _write(path, ODOMETRY_HEADER, rows)
 
 
-def read_odometry(path: str) -> List[Pose]:
-    out = []
-    for lineno, parts in enumerate(_read_rows(path, ODOMETRY_HEADER, 8), start=2):
+def _read_poses(path: str, header: str, what: str) -> Tuple[List[float], List[Pose]]:
+    """Times and poses of a file of t, x, y, z, qw, qx, qy, qz rows; every
+    field must be finite."""
+    times, poses = [], []
+    for lineno, parts in enumerate(_read_rows(path, header, 8), start=2):
         try:
             vals = [float(x) for x in parts]
         except ValueError as exc:
             raise LogFormatError(f"{path}: line {lineno}: {exc}") from exc
-        if not all(map(math.isfinite, vals[1:])):
-            raise LogFormatError(f"{path}: line {lineno}: odometry increment must be finite")
-        out.append(Pose(np.array(vals[1:4]), np.array(vals[4:8])))
-    return out
+        if not all(map(math.isfinite, vals)):
+            raise LogFormatError(f"{path}: line {lineno}: {what} must be finite")
+        times.append(vals[0])
+        poses.append(Pose(np.array(vals[1:4]), np.array(vals[4:8])))
+    return times, poses
+
+
+def read_odometry(path: str) -> List[Pose]:
+    return _read_poses(path, ODOMETRY_HEADER, "odometry increment")[1]
 
 
 def write_trajectory(path: str, poses: Sequence[Pose], times: Sequence[float] | None = None) -> None:
@@ -130,16 +137,7 @@ def write_trajectory(path: str, poses: Sequence[Pose], times: Sequence[float] | 
 
 
 def read_trajectory(path: str) -> Tuple[List[float], List[Pose]]:
-    times = []
-    poses = []
-    for lineno, parts in enumerate(_read_rows(path, POSE_HEADER, 8), start=2):
-        try:
-            vals = [float(x) for x in parts]
-        except ValueError as exc:
-            raise LogFormatError(f"{path}: line {lineno}: {exc}") from exc
-        times.append(vals[0])
-        poses.append(Pose(np.array(vals[1:4]), np.array(vals[4:8])))
-    return times, poses
+    return _read_poses(path, POSE_HEADER, "trajectory pose")
 
 
 def write_map(path: str, landmarks) -> None:

@@ -113,9 +113,6 @@ class HypothesisTree:
         w = np.exp(lw)
         return w / w.sum()
 
-    def ess(self) -> float:
-        return effective_sample_size(self.normalized_weights())
-
     def best_leaf(self) -> HypothesisNode:
         return max(self.leaves, key=lambda n: n.log_weight)
 
@@ -200,8 +197,7 @@ class HypothesisTree:
         if n_leaves <= 1:
             return False
         w = self.normalized_weights()
-        ess = float(1.0 / np.sum(w * w))
-        if not force and ess >= self.params.ess_fraction * n_leaves:
+        if not force and effective_sample_size(w) >= self.params.ess_fraction * n_leaves:
             return False
         u0 = float(self.rng.random())
         n = min(n_leaves, self.params.max_hypotheses)

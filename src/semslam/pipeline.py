@@ -4,8 +4,8 @@ into the factor graph, semantic loop-closure search, optimization, metrics."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .assoc import (
     solve_assignment,
 )
 from .config import RunConfig
-from .core import ClassHistogram, Landmark, SemanticMeasurement, histogram_of
+from .core import Landmark, SemanticMeasurement, class_counts
 from .estimation import FusedLandmark, UkfParams, fuse_hypotheses
 from .geometry import Pose
 from .graph import (
@@ -161,7 +161,7 @@ class Pipeline:
             ransac_min_inliers=cfg.ransac_min_inliers,
             rng_seed=cfg.run_seed,
         )
-        self.corpus = Corpus(cfg.tfidf_doc_unit)
+        self.corpus = Corpus(cfg.n_classes)
         self.gate_defaults = GateDefaults(cfg.gate_min_landmarks, cfg.gate_min_tfidf)
         # factor graph
         self.graph = GraphState()
@@ -236,9 +236,10 @@ class Pipeline:
                 self.tree.prune_to_best(max(1, math.ceil(len(self.tree.leaves) / 3)))
 
     def _scene_descriptor(self, step: int, body_measurements, pose: Pose) -> SceneDescriptor:
-        hist = histogram_of(body_measurements).as_vector(self.cfg.n_classes)
-        positions = np.stack([m.position for m in body_measurements])
         labels = [m.label for m in body_measurements]
+        counts = class_counts(labels, self.cfg.n_classes)
+        hist = counts / counts.sum()
+        positions = np.stack([m.position for m in body_measurements])
         return SceneDescriptor(step, self.submap_id, hist, positions, labels, pose.copy())
 
     # -- submap completion ------------------------------------------------
@@ -254,10 +255,8 @@ class Pipeline:
         # submaps lets the DP rich-get-richer weight swallow new landmarks
         self.n_fp_total = 0
         # landmark factors from the fused output
-        submap_lids = []
         for lid, flm in fused.items():
             self.fused_map[lid] = flm
-            submap_lids.append(lid)
             pose = self.pose_est[flm.last_scene]
             R = pose.rot()
             z_body = pose.transform_inverse(flm.mean)
@@ -269,9 +268,9 @@ class Pipeline:
             self.graph.factors.append(
                 LandmarkFactor(flm.last_scene, lid, z_body, info, robust_c=cfg.cauchy_c)
             )
-        summary = self._summarize(fused, submap_lids)
+        summary = self._summarize(fused)
+        submap_hist = summary.histogram / max(summary.histogram.sum(), 1)
         if self._submap_scenes and gate(summary, self.gate_defaults) == "check":
-            submap_hist = summary.histogram.as_vector(cfg.n_classes)
             for scene in self._submap_scenes:
                 for lc in self.detector.detect(submap_hist, scene):
                     self.n_loop_closures += 1
@@ -285,10 +284,8 @@ class Pipeline:
                             kind="loop",
                         )
                     )
-        if self._submap_scenes and summary.histogram.total > 0:
-            self.detector.add_submap(
-                self.submap_id, summary.histogram.as_vector(cfg.n_classes), self._submap_scenes
-            )
+        if self._submap_scenes and summary.histogram.any():
+            self.detector.add_submap(self.submap_id, submap_hist, self._submap_scenes)
         self._optimize()
         # fused landmarks become previous-submap landmarks for the next tree
         flms = list(self.fused_map.values())
@@ -299,17 +296,17 @@ class Pipeline:
         self.submap_id += 1
         self._new_tree()
 
-    def _summarize(self, fused: Dict[int, FusedLandmark], submap_lids: Sequence[int]) -> SubmapSummary:
-        scene_ids = tuple(s.scene_id for s in self._submap_scenes)
-        lids = [lid for lid in submap_lids if lid in fused]
-        active = [fused[lid] for lid in lids if fused[lid].last_scene in scene_ids] or [fused[lid] for lid in lids]
-        hist = histogram_of(active) if active else ClassHistogram({}, 0)
-        scene_hists = None
-        if self.corpus.doc_unit == "scene":
-            scene_hists = [histogram_of_vector(s.histogram) for s in self._submap_scenes]
-        self.corpus.add_submap(hist, scene_hists)
-        tfidf = tfidf_score(hist, self.corpus) if hist.total > 0 else 0.0
-        return SubmapSummary(hist, tfidf, len(active))
+    def _summarize(self, fused: Dict[int, FusedLandmark]) -> SubmapSummary:
+        """Class counts of the landmarks that this submap's scenes measured
+        last (all fused landmarks if there are none), scored by tf-idf."""
+        scene_ids = {s.scene_id for s in self._submap_scenes}
+        active = [flm for flm in fused.values() if flm.last_scene in scene_ids] or list(fused.values())
+        counts = class_counts([flm.label for flm in active], self.cfg.n_classes)
+        if self.cfg.tfidf_doc_unit == "scene":
+            self.corpus.add(np.reshape([s.histogram for s in self._submap_scenes], (-1, self.cfg.n_classes)))
+        else:
+            self.corpus.add(counts[None])
+        return SubmapSummary(counts, tfidf_score(counts, self.corpus), len(active))
 
     # -- optimization -----------------------------------------------------
 
@@ -319,12 +316,6 @@ class Pipeline:
         for t in sorted(self.graph.poses):
             self.pose_est[t] = self.graph.poses[t].copy()
         self.last_optimize = result
-
-
-def histogram_of_vector(hist_vec: np.ndarray) -> ClassHistogram:
-    """Presence histogram from a normalized vector (corpus scene documents)."""
-    counts = {i: 1 for i, v in enumerate(hist_vec) if v > 0}
-    return ClassHistogram(counts, len(counts))
 
 
 def run_pipeline(
@@ -367,11 +358,8 @@ def run_pipeline(
         raw,
     )
     if ground_truth is not None:
-        result.per_frame_error = [
-            float(np.linalg.norm(a.translation - b.translation))
-            for a, b in zip(trajectory, ground_truth)
-        ]
-        result.final_rmse = rmse(trajectory, list(ground_truth))
+        report = evaluate(trajectory, ground_truth)
+        result.per_frame_error, result.final_rmse = report.per_frame_error, report.rmse
     return result
 
 

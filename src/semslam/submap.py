@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .core import ClassHistogram, ContractViolation, check_spd
+from .core import ContractViolation, check_spd
 
 
 @dataclass(frozen=True, eq=False)
 class SubmapSummary:
-    histogram: ClassHistogram
+    histogram: np.ndarray  # class counts
     tfidf: float
     landmark_count: int
 
@@ -32,50 +31,34 @@ def gaussian_entropy(cov: np.ndarray) -> float:
 
 
 class Corpus:
-    """Document-frequency statistics for tf-idf over submaps.
+    """Document frequencies for tf-idf: n_docs documents, df[c] of which
+    hold class c. A document is a class histogram."""
 
-    doc_unit selects the granularity of the inverse-document frequency:
-    'submap' counts submaps containing a class, 'scene' counts scenes.
-    """
-
-    def __init__(self, doc_unit: str = "submap"):
-        if doc_unit not in ("submap", "scene"):
-            raise ContractViolation("doc_unit must be 'submap' or 'scene'")
-        self.doc_unit = doc_unit
+    def __init__(self, n_classes: int):
         self.n_docs = 0
-        self.df: Dict[int, int] = {}  # class id -> documents holding it
+        self.df = np.zeros(n_classes, dtype=int)
 
-    def add_submap(self, histogram: ClassHistogram, scene_histograms: Optional[Sequence[ClassHistogram]] = None):
-        if self.doc_unit == "submap":
-            self.n_docs += 1
-            for label, c in histogram.counts.items():
-                if c > 0:
-                    self.df[label] = self.df.get(label, 0) + 1
-        else:
-            if scene_histograms is None:
-                raise ContractViolation("scene histograms required for scene-level corpus")
-            for h in scene_histograms:
-                self.n_docs += 1
-                for label, c in h.counts.items():
-                    if c > 0:
-                        self.df[label] = self.df.get(label, 0) + 1
+    def add(self, documents: np.ndarray) -> None:
+        """Add a (k, n_classes) stack of documents."""
+        documents = np.asarray(documents)
+        if documents.ndim != 2 or documents.shape[1] != self.df.size:
+            raise ContractViolation(f"expected a (k, {self.df.size}) stack of documents, got {documents.shape}")
+        self.n_docs += len(documents)
+        self.df += (documents > 0).sum(axis=0)
 
 
-def tfidf_score(histogram: ClassHistogram, corpus: Corpus) -> float:
+def tfidf_score(counts: np.ndarray, corpus: Corpus) -> float:
     """Term frequency times log inverse document frequency, natural log."""
-    if histogram.total == 0:
+    counts = np.asarray(counts)
+    present = counts > 0
+    if not present.any():
         return 0.0
     if corpus.n_docs < 1:
         raise ContractViolation("corpus must contain at least one document")
-    score = 0.0
-    for label, count in histogram.counts.items():
-        if count == 0:
-            continue
-        df = corpus.df.get(label, 0)
-        if df == 0:
-            raise ContractViolation("class not present in corpus; insert before scoring")
-        score += (count / histogram.total) * math.log(corpus.n_docs / df)
-    return score
+    df = corpus.df[present]
+    if not df.all():
+        raise ContractViolation("class not present in corpus; insert before scoring")
+    return float(np.sum(counts[present] / counts.sum() * np.log(corpus.n_docs / df)))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from semslam.graph import GraphState, LandmarkFactor, PriorFactor, RelativePoseF
 from semslam.mht import kld_bound
 from semslam.placerec import jsd
 from semslam.submap import Corpus, gaussian_entropy, tfidf_score
-from semslam.core import ClassHistogram
 
 from conftest import (
     brute_force_assignment,
@@ -208,13 +207,10 @@ def test_criterion_07_jacobians(capsys):
 def test_criterion_08_spot_values(capsys):
     entropy = gaussian_entropy(np.eye(3))
     div = jsd(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
-    corpus = Corpus()
-    tree_l, pole, other = 0, 1, 2
-    corpus.add_submap(ClassHistogram({tree_l: 2, pole: 1}, 3))
-    corpus.add_submap(ClassHistogram({tree_l: 1}, 1))
-    corpus.add_submap(ClassHistogram({other: 1}, 1))
-    corpus.add_submap(ClassHistogram({other: 2}, 2))
-    tfidf = tfidf_score(ClassHistogram({tree_l: 2, pole: 1}, 3), corpus)
+    corpus = Corpus(3)  # class ids: tree, pole, other
+    for counts in ([2, 1, 0], [1, 0, 0], [0, 0, 1], [0, 0, 2]):
+        corpus.add(np.array([counts]))
+    tfidf = tfidf_score(np.array([2, 1, 0]), corpus)
     ok = (
         abs(entropy - 4.2568) < 1e-4
         and abs(div - 0.2158) < 1e-4

@@ -171,6 +171,24 @@ def test_run_on_non_finite_log_value_exit_code(tmp_path, cfg_path, capsys, log, 
     assert err.startswith("error: ") and f"{log}: line 2: " in err and "must be finite" in err
 
 
+def test_eval_on_non_finite_trajectory_exit_code(tmp_path, cfg_path, capsys):
+    logs = str(tmp_path / "logs")
+    assert main(["simulate", "--config", cfg_path, "--out", logs]) == 0
+    gt = os.path.join(logs, "ground_truth.csv")
+    traj = str(tmp_path / "trajectory.csv")
+    lines = open(gt).read().splitlines()
+    fields = lines[3].split(",")
+    fields[1] = "nan"  # x
+    lines[3] = ",".join(fields)
+    with open(traj, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["eval", "--trajectory", traj, "--ground-truth", gt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "trajectory.csv: line 4: trajectory pose must be finite" in captured.err
+
+
 def test_import_loads_no_slow_scipy_submodules():
     """Importing scipy costs each process about 0.2 s of CPU and 24 MB of
     memory; the CLI needs no scipy module at all."""

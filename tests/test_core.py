@@ -1,17 +1,16 @@
-"""Domain types: class ids, measurements, landmarks, histograms, SPD checks."""
+"""Domain types: class ids, measurements, landmarks, class histograms, SPD checks."""
 
 import numpy as np
 import pytest
 
 from semslam.core import (
     SPD_EIG_TOL,
-    ClassHistogram,
     ContractViolation,
     Landmark,
     SemanticMeasurement,
     check_spd,
     check_spd_stack,
-    histogram_of,
+    class_counts,
 )
 
 from conftest import landmark, meas, random_spd, scalar_check_spd
@@ -169,25 +168,20 @@ class TestLandmark:
 
 
 class TestClassHistogram:
-    def test_total_must_match(self):
-        with pytest.raises(ContractViolation):
-            ClassHistogram({0: 2}, 3)
-
-    def test_histogram_of_counts_labels(self):
+    def test_class_counts_per_id(self):
         items = [meas([0, 0, 0], class_id=0), meas([1, 0, 0], class_id=0), meas([2, 0, 0], class_id=1)]
-        h = histogram_of(items)
-        assert h.total == 3
-        assert h.counts[0] == 2 and h.counts[1] == 1
+        counts = class_counts([m.label for m in items], 3)
+        assert counts.dtype.kind == "i"
+        assert counts.tolist() == [2, 1, 0]
 
-    def test_as_vector_normalizes(self):
-        h = histogram_of([meas([0, 0, 0], class_id=0), meas([0, 0, 0], class_id=2)])
-        v = h.as_vector(4)
-        assert np.allclose(v, [0.5, 0.0, 0.5, 0.0])
+    def test_vector_keeps_absent_classes(self):
+        counts = class_counts([0, 2], 4)
+        assert counts.tolist() == [1, 0, 1, 0]
+        assert np.array_equal(counts / counts.sum(), [0.5, 0.0, 0.5, 0.0])
 
     def test_empty_histogram_vector_is_zero(self):
-        v = ClassHistogram({}, 0).as_vector(3)
-        assert np.allclose(v, 0.0)
+        assert class_counts([], 3).tolist() == [0, 0, 0]
 
-    def test_normalized_drops_zero_counts(self):
-        h = ClassHistogram({0: 2, 1: 0}, 2)
-        assert h.normalized() == {0: 1.0}
+    def test_class_id_out_of_range_rejected(self):
+        with pytest.raises(ContractViolation, match="out of range"):
+            class_counts([0, 3], 3)

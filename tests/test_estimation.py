@@ -9,7 +9,6 @@ from semslam.core import ContractViolation
 from semslam.estimation import (
     CovarianceConditioningError,
     FusedLandmark,
-    GaussianComponent,
     UkfParams,
     fuse_hypotheses,
     spd_project,
@@ -160,7 +159,7 @@ class TestFuseHypotheses:
         fused = fuse_hypotheses([_Leaf([lm])], [1.0])
         assert np.allclose(fused[0].mean, lm.mean)
         assert np.allclose(fused[0].cov, lm.cov, atol=1e-9)
-        assert len(fused[0].components) == 1
+        assert np.array_equal(fused[0].mean, lm.mean)
 
     def test_two_component_spot_case(self):
         # equal weights at (+-1, 0, 0), both unit covariance:
@@ -180,8 +179,9 @@ class TestFuseHypotheses:
     def test_landmark_missing_from_some_leaves_renormalizes(self):
         a = landmark(0, [1.0, 0.0, 0.0])
         fused = fuse_hypotheses([_Leaf([a]), _Leaf([])], [0.6, 0.4])
-        assert np.allclose(fused[0].mean, [1.0, 0.0, 0.0])
-        assert fused[0].components[0].weight == pytest.approx(1.0)
+        # the one carrying leaf has weight 0.6 / 0.6 = 1, so the landmark passes through
+        assert np.array_equal(fused[0].mean, a.mean)
+        assert np.allclose(fused[0].cov, a.cov, atol=1e-12)
 
     def test_order_invariance(self, rng):
         lms = [landmark(i, rng.standard_normal(3), cov=random_spd(rng)) for i in range(3)]

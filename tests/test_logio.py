@@ -127,7 +127,7 @@ class TestOdometry:
         write_odometry(path2, back)
         assert open(path, "rb").read() == open(path2, "rb").read()
 
-    @pytest.mark.parametrize("column", ["dx", "dy", "dz", "dqw", "dqx", "dqy", "dqz"])
+    @pytest.mark.parametrize("column", ["t", "dx", "dy", "dz", "dqw", "dqx", "dqy", "dqz"])
     def test_non_finite_increment_reports_file_and_line(self, tmp_path, column):
         path = str(tmp_path / "odo.csv")
         write_odometry(path, [Pose(np.array([0.5, 0.0, 0.0]), quat_from_yaw(0.1))] * 4)
@@ -155,6 +155,19 @@ class TestTrajectory:
         write_trajectory(path, make_poses(2), times=[1.5, 2.5])
         times, _ = read_trajectory(path)
         assert times == [1.5, 2.5]
+
+    @pytest.mark.parametrize("column", ["t", "x", "y", "z", "qw", "qx", "qy", "qz"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_field_reports_file_and_line(self, tmp_path, column, value):
+        path = str(tmp_path / "traj.csv")
+        write_trajectory(path, make_poses(4))
+        lines = open(path).read().splitlines()
+        fields = lines[3].split(",")
+        fields[lines[0].split(",").index(column)] = value
+        lines[3] = ",".join(fields)
+        open(path, "w").write("\n".join(lines) + "\n")
+        with pytest.raises(LogFormatError, match=r"traj\.csv: line 4: trajectory pose must be finite"):
+            read_trajectory(path)
 
 
 class TestMetrics:

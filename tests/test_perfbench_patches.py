@@ -66,5 +66,7 @@ def test_patched_names_are_called(tmp_path):
         "estimation.ukf_update",
         "placerec.query_candidates",
         "placerec.detect",
+        "kernels.lap_solve",
+        "kernels.ransac_best_mask",
     }
     assert expected <= called, expected - called

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from semslam.core import ClassHistogram, ContractViolation
+from semslam.core import ContractViolation
 from semslam.submap import (
     Corpus,
     GateDefaults,
@@ -19,7 +19,7 @@ from conftest import random_spd
 
 
 def summary(tfidf=0.5, landmark_count=10):
-    return SubmapSummary(ClassHistogram({}, 0), tfidf, landmark_count)
+    return SubmapSummary(np.zeros(3, dtype=int), tfidf, landmark_count)
 
 
 class TestGaussianEntropy:
@@ -50,66 +50,63 @@ class TestGaussianEntropy:
 
 class TestTfidf:
     def test_single_document_scores_zero(self):
-        corpus = Corpus()
-        h = ClassHistogram({0: 3}, 3)
-        corpus.add_submap(h)
+        corpus = Corpus(3)
+        h = np.array([3, 0, 0])
+        corpus.add(h[None])
         assert tfidf_score(h, corpus) == 0.0
 
     def test_worked_example(self):
         # submap {tree: 2, pole: 1}; N = 4 submaps, df(tree) = 2, df(pole) = 1:
         # (2/3) ln 2 + (1/3) ln 4 = 0.9242
-        tree, pole, other = 0, 1, 2
-        corpus = Corpus()
-        corpus.add_submap(ClassHistogram({tree: 2, pole: 1}, 3))
-        corpus.add_submap(ClassHistogram({tree: 1}, 1))
-        corpus.add_submap(ClassHistogram({other: 1}, 1))
-        corpus.add_submap(ClassHistogram({other: 2}, 2))
-        score = tfidf_score(ClassHistogram({tree: 2, pole: 1}, 3), corpus)
+        corpus = Corpus(3)  # tree, pole, other
+        corpus.add(np.array([[2, 1, 0], [1, 0, 0], [0, 0, 1], [0, 0, 2]]))
+        score = tfidf_score(np.array([2, 1, 0]), corpus)
         assert score == pytest.approx((2 / 3) * math.log(2) + (1 / 3) * math.log(4), rel=1e-12)
         assert score == pytest.approx(0.9242, abs=1e-4)
 
     def test_ubiquitous_class_contributes_zero(self):
-        corpus = Corpus()
+        corpus = Corpus(1)
         for _ in range(5):
-            corpus.add_submap(ClassHistogram({0: 1}, 1))
-        assert tfidf_score(ClassHistogram({0: 4}, 4), corpus) == pytest.approx(0.0)
+            corpus.add(np.array([[1]]))
+        assert tfidf_score(np.array([4]), corpus) == pytest.approx(0.0)
 
     def test_empty_histogram_scores_zero(self):
-        corpus = Corpus()
-        corpus.add_submap(ClassHistogram({0: 1}, 1))
-        assert tfidf_score(ClassHistogram({}, 0), corpus) == 0.0
+        corpus = Corpus(2)
+        corpus.add(np.array([[1, 0]]))
+        assert tfidf_score(np.zeros(2, dtype=int), corpus) == 0.0
+
+    def test_empty_corpus_rejected(self):
+        with pytest.raises(ContractViolation, match="at least one document"):
+            tfidf_score(np.array([1, 0]), Corpus(2))
 
     def test_unseen_class_rejected(self):
-        corpus = Corpus()
-        corpus.add_submap(ClassHistogram({0: 1}, 1))
-        with pytest.raises(ContractViolation):
-            tfidf_score(ClassHistogram({1: 1}, 1), corpus)
+        corpus = Corpus(2)
+        corpus.add(np.array([[1, 0]]))
+        with pytest.raises(ContractViolation, match="not present in corpus"):
+            tfidf_score(np.array([0, 1]), corpus)
+
+    def test_document_shape_checked(self):
+        for bad in (np.array([1, 0, 0]), np.zeros((1, 2))):
+            with pytest.raises(ContractViolation):
+                Corpus(3).add(bad)
 
     def test_incremental_equals_batch(self):
-        hists = [
-            ClassHistogram({0: 2, 1: 1}, 3),
-            ClassHistogram({1: 1}, 1),
-            ClassHistogram({0: 1, 2: 2}, 3),
-        ]
-        inc = Corpus()
+        hists = np.array([[2, 1, 0], [0, 1, 0], [1, 0, 2]])
+        inc = Corpus(3)
         for h in hists:
-            inc.add_submap(h)
-        batch = Corpus()
-        for h in hists:
-            batch.add_submap(h)
-        q = hists[0]
-        assert tfidf_score(q, inc) == pytest.approx(tfidf_score(q, batch))
+            inc.add(h[None])
+        batch = Corpus(3)
+        batch.add(hists)
+        assert inc.n_docs == batch.n_docs == 3
+        assert inc.df.tolist() == batch.df.tolist() == [2, 2, 1]
+        assert tfidf_score(hists[0], inc) == tfidf_score(hists[0], batch)
 
     def test_scene_doc_unit(self):
-        corpus = Corpus(doc_unit="scene")
-        sub_hist = ClassHistogram({0: 2}, 2)
-        scenes = [ClassHistogram({0: 1}, 1), ClassHistogram({0: 1}, 1)]
-        corpus.add_submap(sub_hist, scenes)
+        # each normalized scene vector of a submap is one document
+        corpus = Corpus(3)
+        corpus.add(np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 0.5]]))
         assert corpus.n_docs == 2
-
-    def test_scene_doc_unit_requires_scene_histograms(self):
-        with pytest.raises(ContractViolation):
-            Corpus(doc_unit="scene").add_submap(ClassHistogram({0: 1}, 1))
+        assert corpus.df.tolist() == [2, 0, 1]
 
 
 class TestGate:

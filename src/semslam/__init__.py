@@ -3,17 +3,19 @@
 Dirichlet-process data association over a hypothesis tree, per-landmark UKF
 estimation, semantic loop-closure detection, and robust SE(3) pose-graph
 optimization, plus a deterministic synthetic-world simulator and CLI.
+The exports load on first use: `python -m semslam` sets BLAS threads first.
 """
 
-from .core import ContractViolation, Landmark, SemanticMeasurement
-from .geometry import Pose
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ContractViolation",
-    "Landmark",
-    "Pose",
-    "SemanticMeasurement",
-    "__version__",
-]
+_EXPORTS = {"ContractViolation": "core", "Landmark": "core", "SemanticMeasurement": "core", "Pose": "geometry"}
+
+__all__ = [*sorted(_EXPORTS), "__version__"]
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)

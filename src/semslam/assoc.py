@@ -117,6 +117,7 @@ class Assignment:
     n_fp: int
     n_meas: int
     total_cost: float = 0.0
+    columns: Optional[Tuple[int, ...]] = field(default=None, compare=False)  # cost-matrix column per row, if solved
 
     def __post_init__(self):
         if self.n_new + self.n_fp > self.n_meas:
@@ -129,7 +130,7 @@ class Assignment:
                 seen.add(t.landmark_id)
 
     @staticmethod
-    def from_targets(targets: Sequence[AssignmentTarget], total_cost: float = 0.0) -> "Assignment":
+    def from_targets(targets: Sequence[AssignmentTarget], total_cost: float = 0.0, columns=None) -> "Assignment":
         targets = tuple(targets)
         return Assignment(
             targets,
@@ -137,6 +138,7 @@ class Assignment:
             sum(isinstance(t, FalsePositive) for t in targets),
             len(targets),
             total_cost,
+            columns,
         )
 
 
@@ -200,8 +202,16 @@ class CostMatrix:
     def landmark_column(self) -> Dict[AssignmentTarget, int]:
         return {t: j for j, t in enumerate(self.column_targets[: self.n_landmark_cols])}
 
-    def columns_of(self, assignment: Assignment) -> List[int]:
-        """Column of each measurement's target in this matrix."""
+    def assignment_at(self, row_to_col: np.ndarray, total_cost: float = 0.0) -> Assignment:
+        """The assignment of row i to column row_to_col[i]; it keeps the columns."""
+        cols = tuple(row_to_col.tolist())
+        return Assignment.from_targets([self.column_targets[j] for j in cols], total_cost, cols)
+
+    def columns_of(self, assignment: Assignment) -> Sequence[int]:
+        """Column of each measurement's target in this matrix: the solve's
+        columns if the assignment was solved from a matrix of this layout."""
+        if assignment.columns is not None:
+            return assignment.columns
         n_lm = self.n_landmark_cols
         cols = []
         for i, t in enumerate(assignment.targets):
@@ -271,9 +281,8 @@ def build_cost_matrix(
         fp_num = math.log(params.fp_rate) + math.log(params.dirichlet_alpha)
     cand_sum = np.sum(np.where(gated, density, 0.0), axis=1) if n_lm else np.zeros(n)
     fp_cost = -(math.log(params.fp_norm_constant) + fp_num - cand_sum)
-    for i in range(n):
-        mat[i, n_lm + i] = new_cost
-        mat[i, n_lm + n + i] = fp_cost[i]
+    np.fill_diagonal(mat[:, n_lm:], new_cost)
+    np.fill_diagonal(mat[:, n_lm + n :], fp_cost)
     return CostMatrix(mat, targets, n_lm, dp_bonus, row_log_prior)
 
 
@@ -310,23 +319,26 @@ class InfeasibleAssignment(RuntimeError):
     pass
 
 
-def _assignment_from_cols(cm: CostMatrix, row_to_col: np.ndarray, total: float) -> Assignment:
-    return Assignment.from_targets([cm.column_targets[j] for j in row_to_col], total)
-
-
 def _lex_refine(mat: np.ndarray, row_to_col: np.ndarray, u: np.ndarray, v: np.ndarray, total: float, tol: float):
     """Deterministic tie break: lexicographically smallest optimal assignment
     (lowest column per row, rows in order). Zero reduced cost is necessary
-    for a cell to appear in any optimal assignment, so ties are cheap to find."""
-    n = mat.shape[0]
+    for a cell to appear in any optimal assignment, so ties are cheap to find.
+    Rows before the first one with a tied cell left of its column keep it."""
+    n, m = mat.shape
+    # allowed cells with (near-)zero reduced cost; the assigned ones are optimal
+    tied = (mat - u[:, None] - v <= tol) & (mat < kernels.BIG / 2)
+    start = np.flatnonzero((tied & (np.arange(m) < row_to_col[:, None])).any(axis=1))
+    if not start.size:
+        return row_to_col
+    start = int(start[0])
     fixed = mat.copy()
+    fixed[:start] = kernels.BIG
+    fixed[np.arange(start), row_to_col[:start]] = mat[np.arange(start), row_to_col[:start]]
     current = row_to_col.copy()
-    for i in range(n):
+    for i in range(start, n):
         assigned = current[i]
-        # allowed columns below the assigned one with (near-)zero reduced
-        # cost, in ascending order; the assigned column is already optimal
-        red = mat[i, :assigned] - u[i] - v[:assigned]
-        for j in np.flatnonzero((red <= tol) & (mat[i, :assigned] < kernels.BIG / 2)).tolist():
+        # tied columns below the assigned one, in ascending order
+        for j in np.flatnonzero(tied[i, :assigned]).tolist():
             trial = fixed.copy()
             trial[i, :] = kernels.BIG
             trial[i, j] = mat[i, j]
@@ -349,7 +361,7 @@ def solve_assignment(cm: CostMatrix) -> Assignment:
         raise InfeasibleAssignment("no finite assignment exists")
     tol = 1e-9 * max(1.0, abs(total))
     row_to_col = _lex_refine(cm.matrix, row_to_col, u, v, total, tol)
-    return _assignment_from_cols(cm, row_to_col, float(cm.matrix[np.arange(cm.n_rows), row_to_col].sum()))
+    return cm.assignment_at(row_to_col, float(cm.matrix[np.arange(cm.n_rows), row_to_col].sum()))
 
 
 def generate_branches(
@@ -380,6 +392,6 @@ def generate_branches(
             break
         tol = 1e-9 * max(1.0, abs(total))
         cols = _lex_refine(mat, row_to_col, u, v, total, tol)
-        branches.append(_assignment_from_cols(cm, cols, float(mat[rows, cols].sum())))
+        branches.append(cm.assignment_at(cols, float(mat[rows, cols].sum())))
     return branches
 

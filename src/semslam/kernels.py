@@ -34,12 +34,29 @@ def lap_solve(cost):
     v = np.zeros(m)
     p = np.full(m, -1, dtype=np.int64)  # p[j]: row matched to column j, -1 = free
     way = np.zeros(m, dtype=np.int64)  # previous column on the path, -1 = row i itself
-    for i in range(n):
-        # first step, from row i, whose potential is still 0
-        cur = cost[i] - v
+    i = 0
+    while i < n:
+        # first step of rows i.., whose potentials are still 0. Rows whose first
+        # minimum is a free column that no earlier row of the run reached end
+        # their paths there (Jonker & Volgenant's row reduction); v holds.
+        cur = cost[i:] - v
         better = cur < _INF
         minv = np.where(better, cur, _INF)
-        free = None  # allocated once the path needs a second step
+        first = minv.argmin(axis=1)
+        r = np.arange(first.size)
+        run = np.zeros(first.size, dtype=np.bool_)
+        run[np.unique(first, return_index=True)[1]] = True
+        run &= (p[first] < 0) & better[r, first]
+        k = run.size if run.all() else int(run.argmin())
+        u[i : i + k] += minv[r[:k], first[:k]]
+        way[first[:k]] = -1
+        p[first[:k]] = i + r[:k]
+        i += k
+        if i == n:
+            break
+        # row i breaks the run and takes the full search from its first step
+        minv, better = minv[k], better[k]
+        free = np.ones(m, dtype=np.bool_)
         used = []  # columns reached so far, in order
         j0 = -1
         while True:
@@ -55,8 +72,6 @@ def lap_solve(cost):
                     way[j1] = j0
                 break
             way[better] = j0
-            if free is None:
-                free = np.ones(m, dtype=np.bool_)
             minv -= delta
             free[j1] = False
             minv[j1] = np.inf
@@ -71,6 +86,7 @@ def lap_solve(cost):
             j0 = way[j1]
             p[j1] = i if j0 < 0 else p[j0]
             j1 = j0
+        i += 1
     row_to_col = np.full(n, -1, dtype=np.int64)
     cols = np.flatnonzero(p >= 0)
     row_to_col[p[cols]] = cols

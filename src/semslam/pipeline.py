@@ -14,9 +14,7 @@ from .assoc import (
     Assignment,
     AssociationState,
     AssocParams,
-    Existing,
-    New,
-    Previous,
+    CostMatrix,
     build_cost_matrix,
     generate_branches,
     solve_assignment,
@@ -97,30 +95,21 @@ def _assoc_params(cfg: RunConfig) -> AssocParams:
 def _nearest_neighbor_assignment(
     measurements: Sequence[SemanticMeasurement],
     state: AssociationState,
+    cm: CostMatrix,
     nn_new_dist: float,
 ) -> Assignment:
     """Single-hypothesis baseline: Hungarian on plain L2 distances with a
-    fixed new-landmark cost; no false-positive handling."""
-    n = len(measurements)
-    ids = sorted(state.existing) + sorted(state.previous)
-    kinds = [("e", i) for i in sorted(state.existing)] + [("p", i) for i in sorted(state.previous)]
-    mat = np.full((n, len(ids) + n), kernels.BIG)
+    fixed new-landmark cost; no false-positive handling. It solves over the
+    landmark and New columns of `cm`, the cost matrix of `state`."""
+    n, n_lm = len(measurements), cm.n_landmark_cols
+    lms = [state.existing[k] for k in sorted(state.existing)] + [state.previous[k] for k in sorted(state.previous)]
+    mat = np.full((n, n_lm + n), kernels.BIG)
     for i, m in enumerate(measurements):
-        for j, (kind, lid) in enumerate(kinds):
-            lm = state.existing[lid] if kind == "e" else state.previous[lid]
+        for j, lm in enumerate(lms):
             if lm.label == m.label:
                 mat[i, j] = float(np.linalg.norm(m.position - lm.mean))
-        mat[i, len(ids) + i] = nn_new_dist
-    r2c, _, _, _ = kernels.lap_solve(mat)
-    targets = []
-    for i in range(n):
-        j = int(r2c[i])
-        if j >= len(ids):
-            targets.append(New())
-        else:
-            kind, lid = kinds[j]
-            targets.append(Existing(lid) if kind == "e" else Previous(lid))
-    return Assignment.from_targets(targets)
+        mat[i, n_lm + i] = nn_new_dist
+    return cm.assignment_at(kernels.lap_solve(mat)[0])
 
 
 class Pipeline:
@@ -220,8 +209,8 @@ class Pipeline:
         if cfg.mode == "single_ukf":
             leaf = self.tree.leaves[0]
             state = leaf.assoc_state()
-            assignment = _nearest_neighbor_assignment(measurements, state, cfg.nn_new_dist)
             cm = build_cost_matrix(measurements, state, self.assoc_params)
+            assignment = _nearest_neighbor_assignment(measurements, state, cm, cfg.nn_new_dist)
             self.tree.extend(leaf, [assignment], measurements, self.assoc_params, self.ukf_params, cm)
             return
         for leaf in list(self.tree.leaves):

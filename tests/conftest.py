@@ -246,6 +246,30 @@ def scalar_lap_solve(cost):
     return row_to_col, u[1:], v[1:], total
 
 
+def scalar_lex_refine(mat, row_to_col, u, v, total, tol):
+    """Row-by-row search for the lexicographically smallest optimal
+    assignment: the reference for `assoc._lex_refine`, which screens all
+    rows for tied cells at once and must return the same columns."""
+    n = mat.shape[0]
+    fixed = mat.copy()
+    current = row_to_col.copy()
+    for i in range(n):
+        assigned = current[i]
+        red = mat[i, :assigned] - u[i] - v[:assigned]
+        for j in np.flatnonzero((red <= tol) & (mat[i, :assigned] < 1e18 / 2)).tolist():
+            trial = fixed.copy()
+            trial[i, :] = 1e18
+            trial[i, j] = mat[i, j]
+            r2c, _, _, t2 = scalar_lap_solve(trial)
+            if t2 <= total + tol:
+                current = r2c
+                assigned = j
+                break
+        fixed[i, :] = 1e18
+        fixed[i, assigned] = mat[i, assigned]
+    return current
+
+
 def scalar_systematic_resample(weights, n, u0):
     """Walk the weight CDF once for n probes at (u0 + i) / n: the reference
     for `kernels.systematic_resample` when u0 > 0. At u0 == 0 the `j < 0`

@@ -25,8 +25,10 @@ from semslam.assoc import (
     build_cost_matrix,
     generate_branches,
     measurement_set_log_likelihood,
+    _lex_refine,
     solve_assignment,
 )
+from semslam import kernels
 from semslam.core import ContractViolation
 from semslam.kernels import BIG
 
@@ -37,6 +39,7 @@ from conftest import (
     meas,
     random_spd,
     scalar_association_log_likelihood,
+    scalar_lex_refine,
     scalar_measurement_set_log_likelihood,
     simple_params,
 )
@@ -485,6 +488,38 @@ class TestSolveAssignment:
             tied += n_opt > 1
         assert tied >= 30
 
+    @pytest.mark.parametrize("ties", [True, False])
+    def test_lex_refine_matches_row_by_row_reference(self, rng, ties):
+        """The tie screen gives the row-by-row search's columns. On tie-heavy
+        matrices the search moves some assignments; on tie-free ones none."""
+        moved = 0
+        for _ in range(80):
+            n = int(rng.integers(1, 7))
+            m = n + int(rng.integers(0, 6))
+            mat = rng.integers(0, 3, size=(n, m)).astype(float) if ties else rng.uniform(0.0, 10.0, size=(n, m))
+            mat[rng.random((n, m)) < 0.2] = BIG
+            r2c, u, v, total = kernels.lap_solve(mat)
+            if total >= BIG / 2:
+                continue
+            tol = 1e-9 * max(1.0, abs(total))
+            got = _lex_refine(mat, r2c, u, v, total, tol)
+            assert got.tolist() == scalar_lex_refine(mat, r2c, u, v, total, tol).tolist()
+            moved += got.tolist() != r2c.tolist()
+        assert (moved > 0) == ties
+
+    def test_tie_free_solve_runs_one_lap_solve(self, rng, monkeypatch):
+        """Without a tied cell the solver's assignment is final: no trial solve."""
+        lap_solve = kernels.lap_solve
+        calls = []
+        monkeypatch.setattr(kernels, "lap_solve", lambda cost: calls.append(cost.shape) or lap_solve(cost))
+        for _ in range(20):
+            n = int(rng.integers(1, 6))
+            block = rng.uniform(5.0, 10.0, size=(n, n + 2))
+            block[np.arange(n), rng.permutation(n + 2)[:n]] = rng.uniform(0.0, 1.0, size=n)
+            calls.clear()
+            solve_assignment(self.make_cm(block))
+            assert len(calls) == 1
+
     def test_all_forbidden_row_is_infeasible(self):
         cm = self.make_cm([[1.0, 2.0], [3.0, 4.0]])
         cm.matrix[1, :] = 1e18
@@ -537,6 +572,16 @@ class TestGenerateBranches:
                 for i, (a, b) in enumerate(zip(prev.targets, nxt.targets)):
                     if isinstance(a, Existing) and isinstance(b, Existing):
                         assert a != b
+
+    def test_branches_carry_their_columns(self, rng):
+        """Each branch keeps the columns it was solved at, and they are the
+        columns its targets name in the matrix."""
+        for _ in range(20):
+            n = int(rng.integers(1, 5))
+            cm = TestSolveAssignment.make_cm(rng.integers(0, 4, size=(n, n + 1)).astype(float), 3.0, 4.0)
+            for b in generate_branches(cm, solve_assignment(cm), max_branches=4, plausibility_gap=np.inf):
+                assert b.columns == tuple(cm.columns_of(Assignment.from_targets(b.targets)))
+                assert cm.columns_of(b) is b.columns
 
     def test_invalid_max_branches(self):
         cm = TestSolveAssignment.make_cm([[0.0]])

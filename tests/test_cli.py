@@ -200,3 +200,24 @@ def test_import_loads_no_slow_scipy_submodules():
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == ""
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_launcher_defaults_blas_threads_before_numpy(preset):
+    """`python -m semslam` sets one BLAS thread unless the caller chose a
+    count, and the package loads no numpy before it does."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(semslam.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.pop(var, None)
+        if preset is not None:
+            env[var] = preset
+    code = (
+        "import os, sys, semslam.__main__ as launcher; "
+        "before = 'numpy' in sys.modules; "
+        "code = launcher.main(['eval', '--trajectory', 'missing.csv', '--ground-truth', 'missing.csv']); "
+        "print(before, code, 'numpy' in sys.modules, "
+        "*(os.environ[v] for v in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False", "1", "True", *[preset or "1"] * 3]

@@ -178,11 +178,22 @@ def _ransac_problem(rng, kind):
     return src, dst, picks, tol
 
 
-LAP_KINDS = ("uniform", "ties", "forbidden", "forbidden_row", "square", "single_row", "tall_gated")
+LAP_KINDS = ("uniform", "ties", "forbidden", "forbidden_row", "square", "single_row", "tall_gated", "collide", "all_fast")
 
 
 def _lap_problem(rng, kind):
     """One seeded cost matrix (rows <= cols) of the given kind."""
+    if kind in ("collide", "all_fast"):  # each row's minimum well below its other cells
+        n = int(rng.integers(3, 9))
+        m = n + int(rng.integers(0, 10))
+        cost = rng.uniform(5.0, 10.0, size=(n, m))
+        if kind == "all_fast":
+            lows = rng.permutation(m)[:n]
+        else:  # rows 0 and 1 share their minimum, and so does some later row
+            lows = rng.integers(0, n // 2, size=n)
+            lows[1] = lows[0]
+        cost[np.arange(n), lows] = rng.uniform(0.0, 1.0, size=n)
+        return cost
     if kind == "tall_gated":  # association-shaped: gated landmark block, then New and FP diagonals
         n, n_lm = 20, 80
         cost = np.full((n, n_lm + 2 * n), kernels.BIG)
@@ -203,14 +214,20 @@ def _lap_problem(rng, kind):
     return cost
 
 
+def _repeated_minima(cost):
+    """Rows whose minimum lies in the column of an earlier row's minimum."""
+    first = cost.argmin(axis=1).tolist()
+    return [i for i in range(1, len(first)) if first[i] in first[:i]]
+
+
 class TestBackendParity:
     """Each kernel agrees exactly with its scalar reference loop in conftest."""
 
     def test_lap_solve(self, rng):
         """All four outputs equal the column-by-column loop bit for bit, on
-        210 seeded problems of seven kinds, and each kind is what it says."""
+        270 seeded problems of nine kinds, and each kind is what it says."""
         seen = dict.fromkeys(LAP_KINDS, 0)
-        for problem in range(210):
+        for problem in range(270):
             kind = LAP_KINDS[problem % len(LAP_KINDS)]
             cost = _lap_problem(rng, kind)
             n, m = cost.shape
@@ -232,6 +249,10 @@ class TestBackendParity:
                 "square": n == m,
                 "single_row": n == 1,
                 "tall_gated": feasible and (n, m) == (20, 120),
+                # the first-step run breaks at row 1 and again later on
+                "collide": _repeated_minima(cost)[:1] == [1] and len(_repeated_minima(cost)) >= 2 and v.any(),
+                # every row ends its path on its first step, so no column potential moves
+                "all_fast": not _repeated_minima(cost) and not v.any(),
             }[kind]
         assert all(seen.values()), seen
 

@@ -1,0 +1,44 @@
+"""tools/panel_digest.py: one digest line per panel job, hashing the files
+that `semslam simulate` and `semslam run` write for that job."""
+
+import hashlib
+import os
+import subprocess
+import sys
+
+import semslam
+from semslam.config import RunConfig, serialize_config
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+LOGS = ("measurements.csv", "odometry.csv", "ground_truth.csv")
+OUTPUTS = ("trajectory.csv", "map.csv", "metrics.csv")
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def test_digest_of_one_job_hashes_its_outputs(tmp_path):
+    """The line-0 digest equals the hashes of what `python -m semslam` writes
+    and prints for that job. Both run with the launcher's BLAS threads:
+    the round-off printed for the first pose depends on the thread count."""
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    src = os.path.dirname(os.path.dirname(os.path.abspath(semslam.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    tool = os.path.join(ROOT, "tools", "panel_digest.py")
+    out = subprocess.run([sys.executable, tool, "--job", "line-0"], env=env, capture_output=True, text=True, check=True)
+    name, *fields = out.stdout.split()
+    assert name == "line-0"
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(serialize_config(RunConfig(trajectory="line", world_seed=0, run_seed=0)))
+    logs, run = tmp_path / "logs", tmp_path / "out"
+    semslam_cli = [sys.executable, "-m", "semslam"]
+    subprocess.run([*semslam_cli, "simulate", "--config", cfg, "--out", logs], env=env, capture_output=True, check=True)
+    summary = subprocess.run(
+        [*semslam_cli, "run", "--config", cfg, "--logs", logs, "--out", run], env=env, capture_output=True, check=True
+    ).stdout
+    expect = []
+    for d, files in ((logs, LOGS), (run, OUTPUTS)):
+        expect += [f"{f}={sha((d / f).read_bytes())}" for f in files]
+    assert fields == [*expect, f"summary={sha(summary)}"]

@@ -141,7 +141,3 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ConfigError, LogFormatError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

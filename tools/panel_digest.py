@@ -25,11 +25,9 @@ import os
 import sys
 import tempfile
 
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")  # as `python -m semslam` does
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from semslam.cli import main as semslam  # noqa: E402
+from semslam.__main__ import main as semslam  # noqa: E402  (the launcher: one BLAS thread by default)
 from semslam.config import RunConfig, serialize_config  # noqa: E402
 
 LOGS = ("measurements.csv", "odometry.csv", "ground_truth.csv")

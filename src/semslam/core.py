@@ -34,6 +34,28 @@ class SemanticMeasurement:
         if not np.all(np.isfinite(self.position)):
             raise ContractViolation("measurement position must be finite")
 
+    @classmethod
+    def stack(cls, scene_ids, times, positions, labels) -> List["SemanticMeasurement"]:
+        """Measurements from row-aligned scene ids, times, (k, 3) positions and
+        class ids, checked as one block. A row that fails the block check is
+        constructed on its own, so the first bad row raises what __post_init__
+        raises for it."""
+        n = len(labels)
+        positions = np.asarray(positions, dtype=float)
+        if not len(scene_ids) == len(times) == n or positions.shape != (n, 3) and (n or positions.size):
+            raise ContractViolation("measurement rows must align, with 3-D positions")
+        if not n:
+            return []
+        int_ids = all(issubclass(t, (int, np.integer)) and not issubclass(t, bool) for t in set(map(type, labels)))
+        if not (int_ids and min(labels) >= 0 and np.isfinite(positions).all()):
+            for row in zip(scene_ids, times, positions, labels):
+                cls(*row)
+        fields = ("scene_id", "time", "position", "label")
+        out = [object.__new__(cls) for _ in labels]  # the fields __init__ sets, without its per-object check
+        for m, row in zip(out, zip(scene_ids, times, positions, labels)):
+            m.__dict__.update(zip(fields, row))
+        return out
+
 
 def check_spd(cov: np.ndarray, tol: float = SPD_EIG_TOL) -> None:
     cov = np.asarray(cov)

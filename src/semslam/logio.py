@@ -78,23 +78,25 @@ def write_measurements(path: str, per_step: Sequence[Sequence[SemanticMeasuremen
 def read_measurements(path: str, n_classes: int, n_steps: int):
     """Body-frame measurements grouped by scene id; class ids must lie in
     [0, n_classes)."""
-    per_step: List[List[SemanticMeasurement]] = [[] for _ in range(n_steps)]
+    times, positions, labels = ([[] for _ in range(n_steps)] for _ in range(3))  # per scene id
     for lineno, parts in enumerate(_read_rows(path, MEASUREMENT_HEADER, 6), start=2):
         try:
             t = float(parts[0])
             scene = int(parts[1])
             class_id = int(parts[2])
-            pos = np.array([float(parts[3]), float(parts[4]), float(parts[5])])
+            pos = (float(parts[3]), float(parts[4]), float(parts[5]))
         except ValueError as exc:
             raise LogFormatError(f"{path}: line {lineno}: {exc}") from exc
         if not (0 <= scene < n_steps):
             raise LogFormatError(f"{path}: line {lineno}: scene id {scene} out of range")
         if not (0 <= class_id < n_classes):
             raise LogFormatError(f"{path}: line {lineno}: class id {class_id} out of range [0, {n_classes})")
-        if not np.all(np.isfinite(pos)):
+        if not all(map(math.isfinite, pos)):
             raise LogFormatError(f"{path}: line {lineno}: measurement position must be finite")
-        per_step[scene].append(SemanticMeasurement(scene, t, pos, class_id))
-    return per_step
+        times[scene].append(t)
+        positions[scene].append(pos)
+        labels[scene].append(class_id)
+    return [SemanticMeasurement.stack([s] * len(labels[s]), times[s], positions[s], labels[s]) for s in range(n_steps)]
 
 
 def write_odometry(path: str, increments: Sequence[Pose]) -> None:

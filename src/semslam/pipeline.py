@@ -196,10 +196,12 @@ class Pipeline:
                 RelativePoseFactor(step - 1, step, odom_inc.copy(), self._odo_info)
             )
         pose = self.pose_est[step]
-        world_meas = [
-            SemanticMeasurement(m.scene_id, m.time, pose.transform(m.position), m.label)
-            for m in body_measurements
-        ]
+        world_meas = SemanticMeasurement.stack(
+            [m.scene_id for m in body_measurements],
+            [m.time for m in body_measurements],
+            [pose.transform(m.position) for m in body_measurements],
+            [m.label for m in body_measurements],
+        )
         if world_meas:
             self._associate(world_meas)
             self._submap_scenes.append(self._scene_descriptor(step, body_measurements, pose))

@@ -10,7 +10,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .config import RunConfig
-from .core import ContractViolation, SemanticMeasurement
+from .core import SPD_EIG_TOL, ContractViolation, SemanticMeasurement
 from .geometry import Pose, quat_from_rotvec, quat_from_yaw, quat_mul, quat_normalize
 
 TRAJECTORY_SHAPES = ("square_loop", "figure_eight", "line")
@@ -34,20 +34,53 @@ class WorldSpec:
 
 @dataclass(frozen=True)
 class DetectorSpec:
+    """Detector model. The noise covariance is factored here, once per spec:
+    noise_chol is None for a zero covariance."""
+
     detection_range: float = 10.0
     fov_deg: float = 360.0
     miss_rate: float = 0.0
     fp_rate: float = 0.0  # expected false positives per step
     confusion: Optional[np.ndarray] = None  # row-stochastic, identity when None
     meas_noise_cov: np.ndarray = field(default_factory=lambda: np.zeros((3, 3)))
+    noise_chol: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0.0 <= self.miss_rate < 1.0):
             raise ContractViolation("miss_rate must lie in [0, 1)")
+        if not self.detection_range >= 0.0:
+            raise ContractViolation(f"detection_range must be non-negative, got {self.detection_range!r}")
+        if not 0.0 <= self.fp_rate < math.inf:
+            raise ContractViolation(f"fp_rate must be finite and non-negative, got {self.fp_rate!r}")
         if self.confusion is not None:
-            c = np.asarray(self.confusion)
+            c = np.asarray(self.confusion, dtype=float)
+            if c.ndim != 2 or c.shape[0] != c.shape[1]:
+                raise ContractViolation(f"confusion matrix must be square, got shape {c.shape}")
+            if (c < 0.0).any():
+                raise ContractViolation("confusion matrix has a negative entry")
             if not np.allclose(c.sum(axis=1), 1.0, atol=1e-9):
                 raise ContractViolation("confusion rows must sum to 1")
+            object.__setattr__(self, "confusion", c)
+        cov = np.asarray(self.meas_noise_cov, dtype=float)
+        if cov.shape != (3, 3) or not np.isfinite(cov).all() or not np.allclose(cov, cov.T, rtol=1e-5, atol=1e-9):
+            raise ContractViolation(f"meas_noise_cov must be a finite symmetric 3x3 matrix, got shape {cov.shape}")
+        eig = np.linalg.eigvalsh(cov)
+        if eig[0] < -SPD_EIG_TOL * max(1.0, eig[-1]):
+            raise ContractViolation(f"meas_noise_cov is not positive semi-definite (eigenvalue {eig[0]:.3g})")
+        object.__setattr__(self, "noise_chol", _noise_factor(cov))
+
+
+def _noise_factor(cov: np.ndarray) -> Optional[np.ndarray]:
+    """L with L @ L.T == cov for a symmetric PSD cov, None when cov is zero: the
+    Cholesky factor of cov + 1e-18 I, or where a singular cov has none, V sqrt(w)
+    from its eigendecomposition."""
+    if not np.any(cov != 0.0):
+        return None
+    try:
+        return np.linalg.cholesky(cov + 1e-18 * np.eye(3))
+    except np.linalg.LinAlgError:
+        w, V = np.linalg.eigh(cov)
+        return V * np.sqrt(np.maximum(w, 0.0))
 
 
 @dataclass(frozen=True)
@@ -95,9 +128,15 @@ class WorldLandmark:
 
 @dataclass(eq=False)
 class World:
+    """positions stacks the landmark positions, row i for landmarks[i]."""
+
     spec: WorldSpec
     landmarks: List[WorldLandmark]
     trajectory: List[Pose]
+    positions: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.positions = np.reshape([lm.position for lm in self.landmarks], (-1, 3))
 
 
 def _square_loop(steps: int, step_length: float) -> List[Pose]:
@@ -148,31 +187,46 @@ def generate_world(spec: WorldSpec) -> World:
     pts = np.stack([p.translation for p in traj])
     center = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
     half = spec.arena_size / 2.0
-    landmarks = []
-    lid = 0
-    for label, count in enumerate(spec.landmarks_per_class):
-        for _ in range(count):
-            xy = center[:2] + rng.uniform(-half, half, size=2)
-            landmarks.append(WorldLandmark(lid, label, np.array([xy[0], xy[1], 0.0])))
-            lid += 1
+    labels = [label for label, count in enumerate(spec.landmarks_per_class) for _ in range(count)]
+    positions = np.zeros((len(labels), 3))
+    positions[:, :2] = center[:2] + rng.uniform(-half, half, size=(len(labels), 2))
+    landmarks = [WorldLandmark(lid, label, positions[lid]) for lid, label in enumerate(labels)]
     return World(spec, landmarks, traj)
 
 
+# World-frame squared distances agree with the body-frame norms to a few ulp,
+# so a landmark is decided by the screen only when it lies farther than this
+# relative margin from the range.
+_SCREEN_MARGIN = 1e-9
+_TINY = np.finfo(float).tiny  # squares below it lose their relative precision
+
+
+def _in_view(body: np.ndarray, det: DetectorSpec, half_fov: float) -> bool:
+    """The per-landmark test on a body-frame offset."""
+    dist = float(np.linalg.norm(body))
+    if dist > det.detection_range or dist == 0.0:
+        return False
+    return not (half_fov < math.pi and abs(math.atan2(body[1], body[0])) > half_fov)
+
+
 def visible_landmarks(world: World, pose: Pose, det: DetectorSpec) -> List[WorldLandmark]:
-    out = []
+    """The landmarks within range and field of view of pose, in world order.
+
+    One world-frame squared-distance pass screens them all. Those beyond the
+    range widened by _SCREEN_MARGIN are out; under a 360 degree field of view,
+    those clearly inside it and not at the pose are in. Every other landmark
+    takes the body-frame test, so the set is the per-landmark test's."""
+    d = world.positions - pose.translation
+    sq = np.einsum("ij,ij->i", d, d)
+    hi = det.detection_range * (1.0 + _SCREEN_MARGIN)
+    near = np.flatnonzero(~(sq > max(hi * hi, _TINY)))  # NaN rows take the body-frame test
     half_fov = math.radians(det.fov_deg) / 2.0
+    lo = det.detection_range * (1.0 - _SCREEN_MARGIN)
+    lo2 = lo * lo if half_fov >= math.pi else 0.0
+    sure = (sq[near] > 0.0) & (sq[near] <= lo2) if _TINY <= lo2 < math.inf else np.zeros(near.size, dtype=bool)
     R = pose.rot()
-    for lm in world.landmarks:
-        body = R.T @ (lm.position - pose.translation)
-        dist = float(np.linalg.norm(body))
-        if dist > det.detection_range or dist == 0.0:
-            continue
-        if half_fov < math.pi:
-            angle = abs(math.atan2(body[1], body[0]))
-            if angle > half_fov:
-                continue
-        out.append(lm)
-    return out
+    lms = world.landmarks
+    return [lms[i] for i, s in zip(near.tolist(), sure.tolist()) if s or _in_view(R.T @ d[i], det, half_fov)]
 
 
 def simulate_step(
@@ -185,30 +239,27 @@ def simulate_step(
     """Measurements (world frame) for one step plus the noisy odometry
     increment from the previous step (None at step 0)."""
     pose = world.trajectory[step]
-    t = float(step)
-    measurements = []
-    noise_chol = None
-    cov = np.asarray(det.meas_noise_cov, dtype=float)
-    if np.any(cov != 0.0):
-        noise_chol = np.linalg.cholesky(cov + 1e-18 * np.eye(3))
+    positions, labels = [], []
     n_classes = len(world.spec.landmarks_per_class)
     for lm in visible_landmarks(world, pose, det):
         if det.miss_rate > 0.0 and rng.random() < det.miss_rate:
             continue
-        p = lm.position.copy()
-        if noise_chol is not None:
-            p = p + noise_chol @ rng.standard_normal(3)
+        p = lm.position
+        if det.noise_chol is not None:
+            p = p + det.noise_chol @ rng.standard_normal(3)
         label = lm.label
         if det.confusion is not None:
-            label = int(rng.choice(n_classes, p=np.asarray(det.confusion)[lm.label]))
-        measurements.append(SemanticMeasurement(step, t, p, label))
+            label = int(rng.choice(n_classes, p=det.confusion[lm.label]))
+        positions.append(p)
+        labels.append(label)
     if det.fp_rate > 0.0:
         for _ in range(int(rng.poisson(det.fp_rate))):
             direction = rng.uniform(0.0, 2.0 * math.pi)
             radius = det.detection_range * math.sqrt(rng.random())
-            offset = np.array([radius * math.cos(direction), radius * math.sin(direction), 0.0])
-            label = int(rng.integers(n_classes))
-            measurements.append(SemanticMeasurement(step, t, pose.translation + offset, label))
+            positions.append(pose.translation + np.array([radius * math.cos(direction), radius * math.sin(direction), 0.0]))
+            labels.append(int(rng.integers(n_classes)))
+    k = len(labels)
+    measurements = SemanticMeasurement.stack([step] * k, [float(step)] * k, positions, labels)
     increment = None
     if step > 0:
         prev = world.trajectory[step - 1]

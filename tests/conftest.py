@@ -650,6 +650,66 @@ def scalar_optimize(g, max_iters=50, grad_tol=1e-8, lm_lambda0=1e-4):
     return OptimizeResult(state, cost, iterations, trace, converged, initial_cost, rejected)
 
 
+def scalar_visible_landmarks(world, pose, det):
+    """Per-landmark body-frame visibility: the reference for the screen in
+    `sim.visible_landmarks`."""
+    out = []
+    half_fov = math.radians(det.fov_deg) / 2.0
+    R = pose.rot()
+    for lm in world.landmarks:
+        body = R.T @ (lm.position - pose.translation)
+        dist = float(np.linalg.norm(body))
+        if dist > det.detection_range or dist == 0.0:
+            continue
+        if half_fov < math.pi:
+            angle = abs(math.atan2(body[1], body[0]))
+            if angle > half_fov:
+                continue
+        out.append(lm)
+    return out
+
+
+def scalar_simulate_step(world, step, det, odo, rng):
+    """One simulated step with per-step noise factoring and per-object
+    measurement checks: the reference for `sim.simulate_step`, draws and all."""
+    pose = world.trajectory[step]
+    t = float(step)
+    measurements = []
+    noise_chol = None
+    cov = np.asarray(det.meas_noise_cov, dtype=float)
+    if np.any(cov != 0.0):
+        noise_chol = np.linalg.cholesky(cov + 1e-18 * np.eye(3))
+    n_classes = len(world.spec.landmarks_per_class)
+    for lm in scalar_visible_landmarks(world, pose, det):
+        if det.miss_rate > 0.0 and rng.random() < det.miss_rate:
+            continue
+        p = lm.position.copy()
+        if noise_chol is not None:
+            p = p + noise_chol @ rng.standard_normal(3)
+        label = lm.label
+        if det.confusion is not None:
+            label = int(rng.choice(n_classes, p=np.asarray(det.confusion)[lm.label]))
+        measurements.append(SemanticMeasurement(step, t, p, label))
+    if det.fp_rate > 0.0:
+        for _ in range(int(rng.poisson(det.fp_rate))):
+            direction = rng.uniform(0.0, 2.0 * math.pi)
+            radius = det.detection_range * math.sqrt(rng.random())
+            offset = np.array([radius * math.cos(direction), radius * math.sin(direction), 0.0])
+            label = int(rng.integers(n_classes))
+            measurements.append(SemanticMeasurement(step, t, pose.translation + offset, label))
+    increment = None
+    if step > 0:
+        rel = pose.relative_to(world.trajectory[step - 1])
+        dt = rel.translation + np.array([odo.bias_drift, 0.0, 0.0])
+        if odo.sigma_t > 0.0:
+            dt = dt + odo.sigma_t * rng.standard_normal(3)
+        dq = rel.rotation
+        if odo.sigma_r > 0.0:
+            dq = quat_normalize(quat_mul(dq, quat_from_rotvec(odo.sigma_r * rng.standard_normal(3))))
+        increment = Pose(dt, dq)
+    return measurements, increment
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

@@ -1,5 +1,6 @@
 """CLI: simulate -> run -> eval -> export-plot round trip and error paths."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -109,6 +110,19 @@ def test_bad_config_exit_code(tmp_path, capsys):
     rc = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_simulate_with_bad_confusion_exit_code(tmp_path, capsys):
+    """confusion_eps > 1 puts a negative entry on the diagonal; the detector
+    rejects it before any draw."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(serialize_config(dataclasses.replace(SMALL, confusion_eps=1.5)))
+    out = tmp_path / "logs"
+    rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "confusion matrix has a negative entry" in err
+    assert not out.exists()
 
 
 def test_eval_length_mismatch_exit_code(tmp_path, cfg_path, capsys):

@@ -37,6 +37,63 @@ class TestSemanticMeasurement:
     def test_numpy_integer_class_accepted(self):
         assert meas([0, 0, 0], class_id=np.int64(3)).label == 3
 
+    def test_stack_builds_what_the_constructor_builds(self, rng):
+        positions = rng.standard_normal((4, 3))
+        scene_ids, times, labels = [3, 3, 4, 5], [3.0, 3.5, 4.0, 7.25], [0, 2, np.int64(1), 5]
+        got = SemanticMeasurement.stack(scene_ids, times, positions, labels)
+        assert len(got) == 4
+        for m, want in zip(got, map(SemanticMeasurement, scene_ids, times, positions, labels)):
+            assert (m.scene_id, m.time, m.label) == (want.scene_id, want.time, want.label)
+            assert m.position.dtype == want.position.dtype == float
+            assert m.position.tobytes() == want.position.tobytes()
+        # a list of 3-vectors stacks as the (k, 3) array does
+        listed = SemanticMeasurement.stack(scene_ids, times, [tuple(p) for p in positions], labels)
+        assert [m.position.tobytes() for m in listed] == [m.position.tobytes() for m in got]
+
+    def test_stack_of_nothing_is_empty(self):
+        assert SemanticMeasurement.stack([], [], [], []) == []
+        assert SemanticMeasurement.stack([], [], np.zeros((0, 3)), []) == []
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            ([np.nan, 0.0, 0.0], 1),
+            ([0.0, np.inf, 0.0], 1),
+            ([0.0, 0.0, 0.0], -1),
+            ([0.0, 0.0, 0.0], True),
+            ([0.0, 0.0, 0.0], np.bool_(False)),
+            ([0.0, 0.0, 0.0], 1.0),
+            ([0.0, 0.0, 0.0], np.float64(2.0)),
+            ([np.nan, 0.0, 0.0], -1),  # the class id is checked first
+        ],
+    )
+    def test_stack_raises_what_the_constructor_raises(self, row):
+        position, label = row
+        with pytest.raises(ContractViolation) as want:
+            meas(position, class_id=label)
+        for bad_at in range(3):  # the first bad row raises, wherever it sits
+            positions, labels = np.zeros((3, 3)), [0, 1, 2]
+            positions[bad_at], labels[bad_at] = position, label
+            with pytest.raises(ContractViolation) as got:
+                SemanticMeasurement.stack([0] * 3, [0.0] * 3, positions, labels)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ([0, 0], [0.0, 0.0, 0.0], np.zeros((3, 3)), [0, 0, 0]),
+            ([0, 0, 0], [0.0, 0.0], np.zeros((3, 3)), [0, 0, 0]),
+            ([0, 0, 0], [0.0, 0.0, 0.0], np.zeros((2, 3)), [0, 0, 0]),
+            ([0, 0, 0], [0.0, 0.0, 0.0], np.zeros((3, 3)), [0, 0]),
+            ([0, 0, 0], [0.0, 0.0, 0.0], np.zeros((3, 2)), [0, 0, 0]),
+            ([0, 0, 0], [0.0, 0.0, 0.0], np.zeros(9), [0, 0, 0]),
+            ([], [], np.zeros((1, 3)), []),
+        ],
+    )
+    def test_stack_rejects_misaligned_rows(self, rows):
+        with pytest.raises(ContractViolation, match="rows must align"):
+            SemanticMeasurement.stack(*rows)
+
 
 class TestCheckSpd:
     def test_identity_passes(self):

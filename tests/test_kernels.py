@@ -145,7 +145,7 @@ class TestRansacBestMask:
         assert count == 3 + int((scale < tol).sum())
 
 
-RANSAC_KINDS = ("outliers", "collinear", "all_collinear", "all_inlier", "early_stop", "n3", "empty")
+RANSAC_KINDS = ("outliers", "collinear", "all_collinear", "all_inlier", "early_stop", "n3", "empty", "shared_dst")
 
 
 def _collinear(src, picks):
@@ -173,6 +173,9 @@ def _ransac_problem(rng, kind):
         dst += rng.normal(scale=0.15, size=dst.shape)
         n_out = int(rng.integers(n // 5, n // 2)) if kind != "early_stop" else 9
         dst[n - n_out :] += rng.uniform(8.0, 20.0, size=(n_out, 3)) * rng.choice([-1.0, 1.0], size=(n_out, 3))
+    if kind == "shared_dst":  # pairs that share a query point: their samples have a collinear dst triple
+        k = n // 3
+        dst[n - k :] = dst[rng.integers(0, n - k, size=k)]
     iters = {"empty": 0, "n3": int(rng.integers(1, 6)), "early_stop": 200}.get(kind, 100)
     picks = np.argsort(rng.random((iters, n)), axis=1)[:, :3].astype(np.int64)
     return src, dst, picks, tol
@@ -269,9 +272,14 @@ class TestBackendParity:
 
     def test_ransac_best_mask(self, rng):
         """The vectorised kernel equals the per-iteration scalar loop exactly,
-        on 245 seeded problems that exercise each branch of that loop."""
+        on 280 seeded problems that exercise each branch of that loop.
+
+        shared_dst pins today's masks and counts on samples whose src triple
+        spans a plane but whose dst triple does not, as when two putative
+        pairs share one query landmark: their rigid fit is not unique, and
+        the kernel scores whichever rotation the SVD returns."""
         seen = dict.fromkeys(RANSAC_KINDS, 0)
-        for problem in range(245):
+        for problem in range(280):
             kind = RANSAC_KINDS[problem % len(RANSAC_KINDS)]
             src, dst, picks, tol = _ransac_problem(rng, kind)
             n = src.shape[0]
@@ -292,6 +300,7 @@ class TestBackendParity:
                     "all_inlier": count == n,
                     "n3": n == 3 and count == -1,
                     "empty": len(picks) == 0,
+                    "shared_dst": (~_collinear(src, picks) & _collinear(dst, picks)).any(),
                 }[kind]
             seen[kind] += hit
         assert all(seen.values()), seen

@@ -2,6 +2,7 @@
 that `semslam simulate` and `semslam run` write for that job."""
 
 import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -18,20 +19,24 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def test_digest_of_one_job_hashes_its_outputs(tmp_path):
-    """The line-0 digest equals the hashes of what `python -m semslam` writes
-    and prints for that job. Both run with the launcher's BLAS threads:
-    the round-off printed for the first pose depends on the thread count."""
+def _launcher_env():
     env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
     src = os.path.dirname(os.path.dirname(os.path.abspath(semslam.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _check_job(tmp_path, job, config):
+    """The tool's line for `job` equals the hashes of what `python -m semslam`
+    writes and prints for `config`."""
+    env = _launcher_env()
     tool = os.path.join(ROOT, "tools", "panel_digest.py")
-    out = subprocess.run([sys.executable, tool, "--job", "line-0"], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, tool, "--job", job], env=env, capture_output=True, text=True, check=True)
     name, *fields = out.stdout.split()
-    assert name == "line-0"
+    assert name == job
 
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(serialize_config(RunConfig(trajectory="line", world_seed=0, run_seed=0)))
+    cfg.write_text(serialize_config(config))
     logs, run = tmp_path / "logs", tmp_path / "out"
     semslam_cli = [sys.executable, "-m", "semslam"]
     subprocess.run([*semslam_cli, "simulate", "--config", cfg, "--out", logs], env=env, capture_output=True, check=True)
@@ -42,3 +47,24 @@ def test_digest_of_one_job_hashes_its_outputs(tmp_path):
     for d, files in ((logs, LOGS), (run, OUTPUTS)):
         expect += [f"{f}={sha((d / f).read_bytes())}" for f in files]
     assert fields == [*expect, f"summary={sha(summary)}"]
+
+
+def test_digest_of_one_job_hashes_its_outputs(tmp_path):
+    """The line-0 digest. Both sides run with the launcher's BLAS threads:
+    the round-off printed for the first pose depends on the thread count."""
+    _check_job(tmp_path, "line-0", RunConfig(trajectory="line", world_seed=0, run_seed=0))
+
+
+def test_digest_of_a_degraded_job_hashes_its_outputs(tmp_path):
+    _check_job(tmp_path, "clutter-2", RunConfig(world_seed=2, run_seed=2, sim_fp_rate=2.0))
+
+
+def test_degraded_jobs_lie_outside_the_default_panel():
+    spec = importlib.util.spec_from_file_location("panel_digest", os.path.join(ROOT, "tools", "panel_digest.py"))
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    panel, degraded = tool.panel(), tool.degraded()
+    assert len(panel) == 16 and len(degraded) == 7 and not set(panel) & set(degraded)
+    for name, overrides in degraded.items():
+        RunConfig(**overrides)  # every override is a config key
+        assert name.endswith(f"-{overrides['world_seed']}") and overrides["run_seed"] == overrides["world_seed"]

@@ -5,17 +5,23 @@ import math
 import numpy as np
 import pytest
 
+from semslam.config import RunConfig
 from semslam.core import ContractViolation
-from semslam.geometry import Pose
+from semslam.geometry import Pose, quat_from_rotvec
 from semslam.sim import (
     DetectorSpec,
     OdometrySpec,
+    World,
+    WorldLandmark,
     WorldSpec,
     generate_world,
+    scenario_specs,
     simulate,
     simulate_step,
     visible_landmarks,
 )
+
+from conftest import scalar_simulate_step, scalar_visible_landmarks
 
 
 class TestWorldSpec:
@@ -39,6 +45,26 @@ class TestGenerateWorld:
         for pa, pb in zip(a.trajectory, b.trajectory):
             assert np.array_equal(pa.translation, pb.translation)
             assert np.array_equal(pa.rotation, pb.rotation)
+
+    def test_field_is_the_per_landmark_draw_stream(self):
+        """One (N, 2) draw gives the positions N size-2 draws gave, bit for bit."""
+        for seed in range(50):
+            spec = WorldSpec(seed=seed, landmarks_per_class=(8,) * 7 + (seed % 5,), trajectory=("square_loop", "line")[seed % 2])
+            world = generate_world(spec)
+            rng = np.random.default_rng(seed)
+            pts = np.stack([p.translation for p in world.trajectory])
+            center = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
+            half = spec.arena_size / 2.0
+            lid = 0
+            for label, count in enumerate(spec.landmarks_per_class):
+                for _ in range(count):
+                    xy = center[:2] + rng.uniform(-half, half, size=2)
+                    lm = world.landmarks[lid]
+                    assert (lm.id, lm.label) == (lid, label)
+                    assert lm.position.tobytes() == np.array([xy[0], xy[1], 0.0]).tobytes()
+                    lid += 1
+            assert lid == len(world.landmarks)
+            assert world.positions.tobytes() == np.stack([lm.position for lm in world.landmarks]).tobytes()
 
     def test_different_seeds_differ(self):
         a = generate_world(WorldSpec(seed=1))
@@ -97,6 +123,62 @@ class TestVisibility:
         narrow = {lm.id for lm in visible_landmarks(world, pose, DetectorSpec(fov_deg=90.0))}
         full = {lm.id for lm in visible_landmarks(world, pose, DetectorSpec(fov_deg=360.0))}
         assert narrow <= full
+
+
+def _ids(landmarks):
+    return [lm.id for lm in landmarks]
+
+
+def _random_pose(rng):
+    """A pose anywhere near the arena, with a full 3-D rotation."""
+    return Pose(rng.uniform(-20.0, 20.0, size=3), quat_from_rotvec(rng.standard_normal(3)))
+
+
+class TestVisibilityScreen:
+    """visible_landmarks screens in the world frame; the body-frame loop in
+    conftest is its reference, landmark for landmark and in order."""
+
+    @pytest.mark.parametrize("fov", [30.0, 90.0, 360.0])
+    def test_matches_scalar_oracle_on_random_worlds(self, fov):
+        rng = np.random.default_rng(int(fov))
+        for w in range(6):
+            world = generate_world(WorldSpec(seed=w, trajectory=("square_loop", "figure_eight", "line")[w % 3]))
+            poses = world.trajectory[::5] + [_random_pose(rng) for _ in range(6)]
+            for det_range in (0.5, 3.0, 10.0, 25.0, 100.0):
+                det = DetectorSpec(detection_range=det_range, fov_deg=fov)
+                for pose in poses:
+                    assert _ids(visible_landmarks(world, pose, det)) == _ids(scalar_visible_landmarks(world, pose, det))
+
+    @pytest.mark.parametrize("fov", [30.0, 90.0, 360.0])
+    @pytest.mark.parametrize("det_range", [1.0, 7.3, 10.0, 1234.5])
+    def test_matches_scalar_oracle_at_the_range(self, fov, det_range):
+        """Landmarks at the range, one ulp either side of it and at the pose,
+        offset along world-frame and body-frame directions."""
+        rng = np.random.default_rng(int(det_range * 10) + int(fov))
+        half = np.radians(fov) / 2.0
+        radii = (det_range, np.nextafter(det_range, np.inf), np.nextafter(det_range, 0.0))
+        outcomes = set()
+        for _ in range(12):
+            pose = _random_pose(rng)
+            dirs = rng.standard_normal((24, 3))
+            yaw = rng.uniform(-half, half, size=24)  # body-frame directions inside the field of view
+            cone = np.stack([np.cos(yaw), np.sin(yaw), rng.uniform(-0.2, 0.2, size=24)], axis=1)
+            dirs = np.concatenate([dirs, cone]) / np.linalg.norm(np.concatenate([dirs, cone]), axis=1)[:, None]
+            points = [pose.translation + r * u for r in radii for u in dirs]
+            points += [pose.transform(r * u) for r in radii for u in dirs]
+            points.append(pose.translation.copy())
+            world = World(WorldSpec(), [WorldLandmark(i, 0, p) for i, p in enumerate(points)], [pose])
+            det = DetectorSpec(detection_range=det_range, fov_deg=fov)
+            want = _ids(scalar_visible_landmarks(world, pose, det))
+            assert _ids(visible_landmarks(world, pose, det)) == want
+            assert len(points) - 1 not in want  # a landmark at the pose is never seen
+            outcomes.update(i in want for i in range(len(points) - 1))
+        assert outcomes == {True, False}
+
+    def test_negative_or_nan_range_rejected(self):
+        for bad in (-1.0, float("nan")):
+            with pytest.raises(ContractViolation, match="detection_range"):
+                DetectorSpec(detection_range=bad)
 
 
 class TestSimulateStep:
@@ -190,6 +272,61 @@ class TestSimulateStep:
         with pytest.raises(ContractViolation):
             DetectorSpec(confusion=np.array([[0.5, 0.2], [0.0, 1.0]]))
 
+    def test_non_square_confusion_rejected(self):
+        for bad in (np.ones((2, 3)) / 3.0, np.ones(3) / 3.0):
+            with pytest.raises(ContractViolation, match="confusion matrix must be square"):
+                DetectorSpec(confusion=bad)
+
+    def test_negative_confusion_entry_rejected(self):
+        """Rows that sum to 1 through a negative entry, as confusion_eps > 1 gives."""
+        with pytest.raises(ContractViolation, match="confusion matrix has a negative entry"):
+            DetectorSpec(confusion=np.array([[-0.5, 1.5], [0.0, 1.0]]))
+        with pytest.raises(ContractViolation, match="confusion matrix"):
+            scenario_specs(RunConfig(confusion_eps=1.5))
+
+    @pytest.mark.parametrize(
+        "cov",
+        [
+            np.eye(2),
+            np.eye(4),
+            np.zeros(3),
+            np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),  # not symmetric
+            np.diag([1.0, -1e-3, 1.0]),  # not positive semi-definite
+            np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+            np.diag([1.0, np.nan, 1.0]),
+            np.diag([np.inf, 1.0, 1.0]),
+        ],
+    )
+    def test_bad_noise_covariance_rejected(self, cov):
+        with pytest.raises(ContractViolation, match="meas_noise_cov"):
+            DetectorSpec(meas_noise_cov=cov)
+
+    def test_noise_factored_once_per_spec(self):
+        assert DetectorSpec().noise_chol is None  # a zero covariance stays valid: no noise
+        cov = np.array([[0.04, 0.01, 0.0], [0.01, 0.05, 0.002], [0.0, 0.002, 0.03]])
+        det = DetectorSpec(meas_noise_cov=cov)
+        assert det.noise_chol.tobytes() == np.linalg.cholesky(cov + 1e-18 * np.eye(3)).tobytes()
+
+    def test_singular_noise_covariance_factored(self):
+        """A PSD covariance without a Cholesky factor gets its eigen factor."""
+        cov = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(cov + 1e-18 * np.eye(3))
+        det = DetectorSpec(meas_noise_cov=cov)
+        assert np.allclose(det.noise_chol @ det.noise_chol.T, cov, atol=1e-12)
+        world = generate_world(WorldSpec(seed=3))
+        noisy, _ = simulate_step(world, 2, det, OdometrySpec(), np.random.default_rng(8))
+        exact, _ = simulate_step(world, 2, DetectorSpec(), OdometrySpec(), np.random.default_rng(8))
+        assert len(noisy) == len(exact) > 0
+        for m, e in zip(noisy, exact):  # the noise lies along (1, 1, 0)
+            offset = m.position - e.position
+            assert abs(offset[0] - offset[1]) < 1e-9 and abs(offset[2]) < 1e-9 and offset[0] != 0.0
+
+    @pytest.mark.parametrize("rate", [-0.5, float("nan"), float("inf")])
+    def test_bad_fp_rate_rejected(self, rate):
+        with pytest.raises(ContractViolation, match="fp_rate"):
+            DetectorSpec(fp_rate=rate)
+
     def test_meas_noise_perturbs_positions(self):
         world = generate_world(WorldSpec(seed=3))
         det = DetectorSpec(meas_noise_cov=0.01 * np.eye(3))
@@ -198,6 +335,19 @@ class TestSimulateStep:
         for m in meas:
             dists = [np.linalg.norm(m.position - p) for p in exact.values()]
             assert 0.0 < min(dists) < 1.0  # near, not equal to, a landmark
+
+
+SCALAR_PARITY = {
+    "defaults": {},
+    "misses": {"miss_rate": 0.4},
+    "clutter": {"sim_fp_rate": 2.0},
+    "confusion": {"confusion_eps": 0.1},
+    "fov60": {"fov_deg": 60.0},
+    "noiseless": {"meas_noise_std": 0.0},
+    "figure8": {"trajectory": "figure_eight"},
+    "line": {"trajectory": "line"},
+    "degraded": {"miss_rate": 0.2, "sim_fp_rate": 1.0, "confusion_eps": 0.2, "fov_deg": 90.0, "odom_bias_drift": 0.05},
+}
 
 
 class TestSimulate:
@@ -215,6 +365,26 @@ class TestSimulate:
         for pa, pb in zip(i1, i2):
             assert np.array_equal(pa.translation, pb.translation)
             assert np.array_equal(pa.rotation, pb.rotation)
+
+    @pytest.mark.parametrize("case", list(SCALAR_PARITY))
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_matches_scalar_oracle(self, case, seed):
+        """simulate draws what the per-step scalar reference draws, in its order,
+        and builds the same measurements and increments bit for bit."""
+        world_spec, det, odo = scenario_specs(RunConfig(world_seed=seed, run_seed=seed, **SCALAR_PARITY[case]))
+        world = generate_world(world_spec)
+        got_meas, got_inc = simulate(world, det, odo, seed)
+        rng = np.random.default_rng(seed)
+        want = [scalar_simulate_step(world, step, det, odo, rng) for step in range(world_spec.steps)]
+        assert [len(m) for m in got_meas] == [len(m) for m, _ in want]
+        for got, (ref, _) in zip(got_meas, want):
+            for a, b in zip(got, ref):
+                assert (a.scene_id, a.time, a.label) == (b.scene_id, b.time, b.label)
+                assert type(a.label) is type(b.label) and a.position.tobytes() == b.position.tobytes()
+        for a, (_, b) in zip(got_inc, want[1:]):
+            assert a.translation.tobytes() == b.translation.tobytes()
+            assert a.rotation.tobytes() == b.rotation.tobytes()
+        assert len(got_inc) == len(want) - 1
 
     def test_increment_count(self):
         world = generate_world(WorldSpec(steps=20))

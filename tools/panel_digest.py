@@ -14,7 +14,10 @@ checkouts it shows whether a change keeps every output byte-identical:
     (cd ../parent && python3 tools/panel_digest.py) > before.txt
     diff before.txt after.txt
 
-`--job NAME` (repeatable) digests only the named jobs.
+`--job NAME` (repeatable) digests only the named jobs. It also names the
+degraded jobs outside the panel, each on a simulator branch the panel never
+reaches: clutter, misses, heavier noise, class confusion, a 60 degree field
+of view, the figure-eight path and odometry drift. They run only when named.
 """
 
 import argparse
@@ -41,6 +44,22 @@ def panel():
     for w in (1, 3, 4):
         for mode in ("dpmhm", "mhm_threshold"):
             jobs[f"branching-{w}-{mode}"] = {"world_seed": w, "plausibility_gap": 100.0, "mode": mode}
+    for overrides in jobs.values():
+        overrides["run_seed"] = overrides["world_seed"]
+    return jobs
+
+
+def degraded():
+    """Job name -> config overrides of the degraded jobs, named `<what>-<world>`."""
+    jobs = {
+        "clutter-2": {"world_seed": 2, "sim_fp_rate": 2.0},
+        "misses-1": {"world_seed": 1, "miss_rate": 0.4},
+        "noise-1": {"world_seed": 1, "meas_noise_std": 0.6},
+        "confusion-2": {"world_seed": 2, "confusion_eps": 0.1},
+        "fov60-1": {"world_seed": 1, "fov_deg": 60.0},
+        "figure8-1": {"world_seed": 1, "trajectory": "figure_eight"},
+        "drift-1": {"world_seed": 1, "odom_bias_drift": 0.05},
+    }
     for overrides in jobs.values():
         overrides["run_seed"] = overrides["world_seed"]
     return jobs
@@ -73,13 +92,14 @@ def digest(name, overrides, work) -> str:
 
 
 def main(argv=None) -> int:
-    jobs = panel()
+    jobs, named = panel(), degraded()
+    named.update(jobs)
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--job", action="append", choices=list(jobs), help="digest only this job (repeatable)")
+    p.add_argument("--job", action="append", choices=list(named), help="digest only this job (repeatable)")
     args = p.parse_args(argv)
     for name in args.job or jobs:
         with tempfile.TemporaryDirectory() as work:
-            print(digest(name, jobs[name], work), flush=True)
+            print(digest(name, named[name], work), flush=True)
     return 0
 
 

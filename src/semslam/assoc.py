@@ -5,8 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -110,18 +109,14 @@ AssignmentTarget = Union[Existing, Previous, New, FalsePositive]
 
 @dataclass(frozen=True)
 class Assignment:
-    """Per-measurement targets for one time step plus bookkeeping counts."""
+    """Per-measurement targets for one time step, the cost-matrix column
+    each was solved at, and the solve's cost. Built by CostMatrix.assignment_at."""
 
     targets: Tuple[AssignmentTarget, ...]
-    n_new: int
-    n_fp: int
-    n_meas: int
-    total_cost: float = 0.0
-    columns: Optional[Tuple[int, ...]] = field(default=None, compare=False)  # cost-matrix column per row, if solved
+    total_cost: float
+    columns: Tuple[int, ...] = field(compare=False)
 
     def __post_init__(self):
-        if self.n_new + self.n_fp > self.n_meas:
-            raise ContractViolation("n_new + n_fp exceeds measurement count")
         seen = set()
         for t in self.targets:
             if isinstance(t, (Existing, Previous)):
@@ -129,26 +124,17 @@ class Assignment:
                     raise ContractViolation("landmark assigned to more than one measurement")
                 seen.add(t.landmark_id)
 
-    @staticmethod
-    def from_targets(targets: Sequence[AssignmentTarget], total_cost: float = 0.0, columns=None) -> "Assignment":
-        targets = tuple(targets)
-        return Assignment(
-            targets,
-            sum(isinstance(t, New) for t in targets),
-            sum(isinstance(t, FalsePositive) for t in targets),
-            len(targets),
-            total_cost,
-            columns,
-        )
+    @property
+    def n_meas(self) -> int:
+        return len(self.targets)
 
+    @property
+    def n_new(self) -> int:
+        return sum(isinstance(t, New) for t in self.targets)
 
-@dataclass
-class AssociationState:
-    """Landmark sets visible to the association step of one hypothesis."""
-
-    existing: Dict[int, Landmark] = field(default_factory=dict)
-    previous: Dict[int, Landmark] = field(default_factory=dict)
-    n_fp_total: int = 0
+    @property
+    def n_fp(self) -> int:
+        return sum(isinstance(t, FalsePositive) for t in self.targets)
 
 
 def _poisson_logpmf(n: int, mean: float) -> float:
@@ -179,75 +165,47 @@ class CostMatrix:
     A landmark cell holds -(log f(z | landmark) + dp_bonus[column]), or BIG
     on a class mismatch; a New or FalsePositive cell holds minus that case's
     log likelihood. row_log_prior[i] is the log class prior of measurement
-    i's class. A matrix built by hand gets no bonus and a flat prior.
+    i's class.
     """
 
     matrix: np.ndarray
     column_targets: List[AssignmentTarget]
     n_landmark_cols: int
-    dp_bonus: Optional[np.ndarray] = None
-    row_log_prior: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if self.dp_bonus is None:
-            self.dp_bonus = np.zeros(self.n_landmark_cols)
-        if self.row_log_prior is None:
-            self.row_log_prior = np.zeros(self.n_rows)
+    dp_bonus: np.ndarray
+    row_log_prior: np.ndarray
 
     @property
     def n_rows(self) -> int:
         return self.matrix.shape[0]
 
-    @cached_property
-    def landmark_column(self) -> Dict[AssignmentTarget, int]:
-        return {t: j for j, t in enumerate(self.column_targets[: self.n_landmark_cols])}
-
     def assignment_at(self, row_to_col: np.ndarray, total_cost: float = 0.0) -> Assignment:
         """The assignment of row i to column row_to_col[i]; it keeps the columns."""
         cols = tuple(row_to_col.tolist())
-        return Assignment.from_targets([self.column_targets[j] for j in cols], total_cost, cols)
-
-    def columns_of(self, assignment: Assignment) -> Sequence[int]:
-        """Column of each measurement's target in this matrix: the solve's
-        columns if the assignment was solved from a matrix of this layout."""
-        if assignment.columns is not None:
-            return assignment.columns
-        n_lm = self.n_landmark_cols
-        cols = []
-        for i, t in enumerate(assignment.targets):
-            if isinstance(t, New):
-                cols.append(n_lm + i)
-            elif isinstance(t, FalsePositive):
-                cols.append(n_lm + self.n_rows + i)
-            else:
-                cols.append(self.landmark_column[t])
-        return cols
+        return Assignment(tuple(self.column_targets[j] for j in cols), total_cost, cols)
 
 
-def build_cost_matrix(
-    measurements: Sequence[SemanticMeasurement],
-    state: AssociationState,
-    params: AssocParams,
-) -> CostMatrix:
+def _column_landmarks(leaf) -> List[Landmark]:
+    """The landmarks of a hypothesis leaf in cost-matrix column order:
+    existing ones by id, then previous ones by id."""
+    return [leaf.existing[k] for k in sorted(leaf.existing)] + [leaf.previous[k] for k in sorted(leaf.previous)]
+
+
+def build_cost_matrix(measurements: Sequence[SemanticMeasurement], leaf, params: AssocParams) -> CostMatrix:
+    """The cost matrix of `measurements` against the landmarks and clutter
+    count (`existing`, `previous`, `n_fp`) of a hypothesis leaf."""
     n = len(measurements)
-    existing_ids = sorted(state.existing)
-    previous_ids = sorted(state.previous)
-    n_lm = len(existing_ids) + len(previous_ids)
-    targets: List[AssignmentTarget] = [Existing(k) for k in existing_ids]
-    targets += [Previous(k) for k in previous_ids]
-    for _ in range(n):
-        targets.append(New())
-    for _ in range(n):
-        targets.append(FalsePositive())
+    col_lms = _column_landmarks(leaf)
+    n_lm, n_ex = len(col_lms), len(leaf.existing)
+    targets: List[AssignmentTarget] = [Existing(lm.id) for lm in col_lms[:n_ex]]
+    targets += [Previous(lm.id) for lm in col_lms[n_ex:]]
+    targets += [New()] * n + [FalsePositive()] * n
     mat = np.full((n, n_lm + 2 * n), kernels.BIG)
     if n == 0:
-        return CostMatrix(mat, targets, n_lm)
+        return CostMatrix(mat, targets, n_lm, np.zeros(n_lm), np.zeros(0))
     pos = np.stack([m.position for m in measurements])
     meas_class = np.array([m.label for m in measurements])
     row_log_prior = params._log_prior[np.minimum(meas_class, len(params._log_prior) - 1)]
     # landmark columns, grouped by covariance: each group is whitened by one product
-    n_ex = len(existing_ids)
-    col_lms = [state.existing[k] for k in existing_ids] + [state.previous[k] for k in previous_ids]
     col_class = np.array([lm.label for lm in col_lms], dtype=int)
     counts = [lm.assign_count for lm in col_lms[:n_ex]]
     dp_bonus = np.zeros(n_lm)
@@ -275,8 +233,8 @@ def build_cost_matrix(
         ll_lm = density + dp_bonus[None, :]
         mat[:, :n_lm] = np.where(np.isnan(ll_lm), kernels.BIG, -ll_lm)
     new_cost = -(math.log(params.dirichlet_alpha) - math.log(params.map_volume))
-    if state.n_fp_total > 0:
-        fp_num = math.log(params.fp_rate) + math.log(state.n_fp_total)
+    if leaf.n_fp > 0:
+        fp_num = math.log(params.fp_rate) + math.log(leaf.n_fp)
     else:
         fp_num = math.log(params.fp_rate) + math.log(params.dirichlet_alpha)
     cand_sum = np.sum(np.where(gated, density, 0.0), axis=1) if n_lm else np.zeros(n)
@@ -300,7 +258,7 @@ def measurement_set_log_likelihood(assignment: Assignment, cm: CostMatrix) -> fl
     if len(assignment.targets) != cm.n_rows:
         raise ContractViolation("assignment does not cover all measurements")
     total = 0.0
-    for i, j in enumerate(cm.columns_of(assignment)):
+    for i, j in enumerate(assignment.columns):
         cost = float(cm.matrix[i, j])
         if cost >= kernels.BIG / 2:
             return LOG_ZERO
@@ -355,7 +313,7 @@ def _lex_refine(mat: np.ndarray, row_to_col: np.ndarray, u: np.ndarray, v: np.nd
 def solve_assignment(cm: CostMatrix) -> Assignment:
     """Minimum-cost assignment; ties resolved toward low row then column index."""
     if cm.n_rows == 0:
-        return Assignment.from_targets([], 0.0)
+        return cm.assignment_at(np.zeros(0, dtype=int))
     row_to_col, u, v, total = kernels.lap_solve(cm.matrix)
     if total >= kernels.BIG / 2:
         raise InfeasibleAssignment("no finite assignment exists")
@@ -382,7 +340,7 @@ def generate_branches(
         return branches
     mat = cm.matrix.copy()
     rows = np.arange(cm.n_rows)
-    cols = cm.columns_of(best)
+    cols = best.columns
     while len(branches) < max_branches:
         mat[rows, cols] = kernels.BIG
         row_to_col, u, v, total = kernels.lap_solve(mat)
@@ -395,3 +353,22 @@ def generate_branches(
         branches.append(cm.assignment_at(cols, float(mat[rows, cols].sum())))
     return branches
 
+
+def nearest_neighbor_assignment(
+    measurements: Sequence[SemanticMeasurement],
+    leaf,
+    cm: CostMatrix,
+    nn_new_dist: float,
+) -> Assignment:
+    """Single-hypothesis baseline: Hungarian on plain L2 distances with a
+    fixed new-landmark cost; no false-positive handling. It solves over the
+    landmark and New columns of `cm`, the cost matrix of `leaf`."""
+    n, n_lm = len(measurements), cm.n_landmark_cols
+    lms = _column_landmarks(leaf)
+    mat = np.full((n, n_lm + n), kernels.BIG)
+    for i, m in enumerate(measurements):
+        for j, lm in enumerate(lms):
+            if lm.label == m.label:
+                mat[i, j] = float(np.linalg.norm(m.position - lm.mean))
+        mat[i, n_lm + i] = nn_new_dist
+    return cm.assignment_at(kernels.lap_solve(mat)[0])

@@ -7,7 +7,7 @@ import os
 import sys
 from typing import List, Optional
 
-from .config import ConfigError, RunConfig, load_config, serialize_config
+from .config import ConfigError, load_config, serialize_config
 from .logio import (
     LogFormatError,
     read_measurements,
@@ -20,7 +20,7 @@ from .logio import (
     write_odometry,
     write_trajectory,
 )
-from .pipeline import evaluate, integrate_odometry, run_pipeline
+from .pipeline import evaluate, run_pipeline
 from .sim import generate_world, scenario_specs, simulate
 
 

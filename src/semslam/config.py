@@ -6,7 +6,7 @@ parse -> serialize -> parse is a fixed point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Tuple
 
 MODES = ("dpmhm", "mhm_threshold", "single_ukf")

@@ -8,8 +8,7 @@ the capturing pose.
 from __future__ import annotations
 
 import math
-import os
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 

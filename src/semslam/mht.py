@@ -13,7 +13,6 @@ import numpy as np
 from . import kernels
 from .assoc import (
     Assignment,
-    AssociationState,
     AssocParams,
     CostMatrix,
     Existing,
@@ -21,7 +20,6 @@ from .assoc import (
     New,
     Previous,
     assignment_prior_log,
-    build_cost_matrix,
     measurement_set_log_likelihood,
 )
 from .core import ContractViolation, Landmark, SemanticMeasurement
@@ -36,9 +34,6 @@ class HypothesisNode:
     existing: Dict[int, Landmark] = field(default_factory=dict)
     previous: Dict[int, Landmark] = field(default_factory=dict)
     n_fp: int = 0
-
-    def assoc_state(self) -> AssociationState:
-        return AssociationState(self.existing, self.previous, self.n_fp)
 
 
 @dataclass(frozen=True)
@@ -97,13 +92,8 @@ class HypothesisTree:
     ):
         self.params = params
         self.rng = np.random.default_rng(params.rng_seed)
-        self._next_landmark_id = landmark_id_start
+        self.next_landmark_id = landmark_id_start
         self.leaves: List[HypothesisNode] = [HypothesisNode(0.0, {}, dict(previous_landmarks or {}), n_fp)]
-
-    def alloc_landmark_id(self) -> int:
-        lid = self._next_landmark_id
-        self._next_landmark_id += 1
-        return lid
 
     # -- weights ----------------------------------------------------------
 
@@ -125,18 +115,15 @@ class HypothesisTree:
         measurements: Sequence[SemanticMeasurement],
         assoc_params: AssocParams,
         ukf_params: UkfParams,
-        cost_matrix: Optional[CostMatrix] = None,
+        cost_matrix: CostMatrix,
     ) -> List[HypothesisNode]:
         """Replace `leaf` by one child per branch; child weights follow the
         recursion parent + measurement log-likelihood + assignment log-prior.
 
-        The likelihood is read from the leaf's cost matrix: `cost_matrix` if
-        the caller built it for this leaf and these measurements, else it is
-        built here."""
+        The likelihood is read from `cost_matrix`, the matrix the branches
+        were solved from: built for this leaf and these measurements."""
         if not branches:
             raise ContractViolation("branches must be non-empty")
-        if cost_matrix is None:
-            cost_matrix = build_cost_matrix(measurements, leaf.assoc_state(), assoc_params)
         children = []
         updates = []  # (child, prior landmark, measurement), in child and measurement order
         created = []  # (child, new landmark id, measurement)
@@ -169,7 +156,8 @@ class HypothesisTree:
         previous_copied = False
         for m, target in zip(measurements, assignment.targets):
             if isinstance(target, New):
-                lid = self.alloc_landmark_id()
+                lid = self.next_landmark_id
+                self.next_landmark_id += 1
                 node.existing[lid] = None
                 created.append((node, lid, m))
             elif isinstance(target, FalsePositive):

@@ -9,14 +9,11 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from . import kernels
 from .assoc import (
-    Assignment,
-    AssociationState,
     AssocParams,
-    CostMatrix,
     build_cost_matrix,
     generate_branches,
+    nearest_neighbor_assignment,
     solve_assignment,
 )
 from .config import RunConfig
@@ -26,7 +23,6 @@ from .geometry import Pose
 from .graph import (
     GraphState,
     LandmarkFactor,
-    OptimizeResult,
     PriorFactor,
     RelativePoseFactor,
     optimize,
@@ -90,26 +86,6 @@ def _assoc_params(cfg: RunConfig) -> AssocParams:
         dirac_classes=frozenset(cfg.dirac_class_ids),
         dp_weight_mode=cfg.dp_weight_mode,
     )
-
-
-def _nearest_neighbor_assignment(
-    measurements: Sequence[SemanticMeasurement],
-    state: AssociationState,
-    cm: CostMatrix,
-    nn_new_dist: float,
-) -> Assignment:
-    """Single-hypothesis baseline: Hungarian on plain L2 distances with a
-    fixed new-landmark cost; no false-positive handling. It solves over the
-    landmark and New columns of `cm`, the cost matrix of `state`."""
-    n, n_lm = len(measurements), cm.n_landmark_cols
-    lms = [state.existing[k] for k in sorted(state.existing)] + [state.previous[k] for k in sorted(state.previous)]
-    mat = np.full((n, n_lm + n), kernels.BIG)
-    for i, m in enumerate(measurements):
-        for j, lm in enumerate(lms):
-            if lm.label == m.label:
-                mat[i, j] = float(np.linalg.norm(m.position - lm.mean))
-        mat[i, n_lm + i] = nn_new_dist
-    return cm.assignment_at(kernels.lap_solve(mat)[0])
 
 
 class Pipeline:
@@ -210,13 +186,12 @@ class Pipeline:
         cfg = self.cfg
         if cfg.mode == "single_ukf":
             leaf = self.tree.leaves[0]
-            state = leaf.assoc_state()
-            cm = build_cost_matrix(measurements, state, self.assoc_params)
-            assignment = _nearest_neighbor_assignment(measurements, state, cm, cfg.nn_new_dist)
+            cm = build_cost_matrix(measurements, leaf, self.assoc_params)
+            assignment = nearest_neighbor_assignment(measurements, leaf, cm, cfg.nn_new_dist)
             self.tree.extend(leaf, [assignment], measurements, self.assoc_params, self.ukf_params, cm)
             return
         for leaf in list(self.tree.leaves):
-            cm = build_cost_matrix(measurements, leaf.assoc_state(), self.assoc_params)
+            cm = build_cost_matrix(measurements, leaf, self.assoc_params)
             best = solve_assignment(cm)
             branches = generate_branches(cm, best, cfg.max_branches, cfg.plausibility_gap)
             self.tree.extend(leaf, branches, measurements, self.assoc_params, self.ukf_params, cm)
@@ -241,7 +216,7 @@ class Pipeline:
         cfg = self.cfg
         weights = self.tree.normalized_weights()
         fused = fuse_hypotheses(self.tree.leaves, weights)
-        self.next_landmark_id = self.tree._next_landmark_id
+        self.next_landmark_id = self.tree.next_landmark_id
         # the clutter count is kept local to a submap; carrying it across
         # submaps lets the DP rich-get-richer weight swallow new landmarks
         self.n_fp_total = 0

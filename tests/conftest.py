@@ -8,8 +8,6 @@ import pytest
 
 from semslam.assoc import (
     LOG_ZERO,
-    Assignment,
-    AssociationState,
     AssocParams,
     Existing,
     FalsePositive,
@@ -86,6 +84,28 @@ def brute_force_assignment(cost: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
+# the cost-matrix column layout, kept here as the tests' own reference:
+# landmark columns first, then one New and one FalsePositive column per row
+
+
+def assignment_of(cm, targets):
+    """The assignment that `cm.assignment_at` builds from the columns that
+    `targets` name in `cm`: a landmark's own column, else row i's New or
+    FalsePositive column."""
+    n_lm, n = cm.n_landmark_cols, cm.n_rows
+    landmark_col = {t: j for j, t in enumerate(cm.column_targets[:n_lm])}
+    cols = []
+    for i, t in enumerate(targets):
+        if isinstance(t, New):
+            cols.append(n_lm + i)
+        elif isinstance(t, FalsePositive):
+            cols.append(n_lm + n + i)
+        else:
+            cols.append(landmark_col[t])
+    return cm.assignment_at(np.array(cols, dtype=int))
+
+
+# ---------------------------------------------------------------------------
 # scalar association likelihood: the reference for the cost-matrix cells and
 # for the branch score `assoc.measurement_set_log_likelihood` reads from them
 
@@ -152,8 +172,8 @@ def scalar_association_log_likelihood(m, target, state, params) -> float:
     if isinstance(target, New):
         return math.log(params.dirichlet_alpha) - math.log(params.map_volume)
     if isinstance(target, FalsePositive):
-        if state.n_fp_total > 0:
-            num = math.log(params.fp_rate) + math.log(state.n_fp_total)
+        if state.n_fp > 0:
+            num = math.log(params.fp_rate) + math.log(state.n_fp)
         else:
             num = math.log(params.fp_rate) + math.log(params.dirichlet_alpha)
         return math.log(params.fp_norm_constant) + num - sum(_candidate_logpdfs(m, state, params))
@@ -824,12 +844,11 @@ def exhaustive_posterior_best(episodes, params):
     return best[0]
 
 
-def tree_combo_branches(ms, state):
-    """The same exhaustive combos as Assignment objects for the tree side."""
-    existing = state.existing
-    previous = state.previous
+def tree_combo_branches(ms, leaf, cm):
+    """The same exhaustive combos as assignments on `cm`, the cost matrix of
+    `ms` against `leaf`, for the tree side."""
     branches = []
-    for combo in oracle_enumerate_combos(ms, existing, previous):
+    for combo in oracle_enumerate_combos(ms, leaf.existing, leaf.previous):
         targets = []
         for kind, lid in combo:
             if kind == "N":
@@ -840,5 +859,5 @@ def tree_combo_branches(ms, state):
                 targets.append(Existing(lid))
             else:
                 targets.append(Previous(lid))
-        branches.append(Assignment.from_targets(targets))
+        branches.append(assignment_of(cm, targets))
     return branches

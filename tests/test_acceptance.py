@@ -15,7 +15,6 @@ from scipy.stats import multivariate_normal, norm
 from semslam import kernels
 from semslam.assoc import (
     AssocParams,
-    AssociationState,
     CostMatrix,
     Existing,
     FalsePositive,
@@ -41,7 +40,7 @@ from conftest import (
     simple_params,
     tree_combo_branches,
 )
-from test_assoc import convolution_oracle
+from test_assoc import convolution_oracle, state_with
 from test_estimation import kalman_oracle
 from test_graph import assert_jacobians_match, random_pose
 from test_mht import default_tree
@@ -70,7 +69,7 @@ def test_criterion_01_assignment_oracle(capsys):
             mat[i, m + i] = 1e6  # New, never optimal here
             mat[i, m + n + i] = 1e6  # FalsePositive, never optimal here
         targets = [Existing(j) for j in range(m)] + [New()] * n + [FalsePositive()] * n
-        a = solve_assignment(CostMatrix(mat, targets, m))
+        a = solve_assignment(CostMatrix(mat, targets, m, np.zeros(m), np.zeros(n)))
         _, best_total = brute_force_assignment(block)
         if abs(a.total_cost - best_total) > 1e-9:
             ok = False
@@ -106,8 +105,8 @@ def test_criterion_02_posterior_oracle(capsys):
         tree = default_tree(max_hypotheses=10**9)
         for t, ms in enumerate(episodes):
             for leaf in list(tree.leaves):
-                branches = tree_combo_branches(ms, leaf.assoc_state())
-                tree.extend(leaf, branches, ms, params, UkfParams())
+                cm = build_cost_matrix(ms, leaf, params)
+                tree.extend(leaf, tree_combo_branches(ms, leaf, cm), ms, params, UkfParams(), cm)
         best = tree.best_leaf().log_weight
         expect = exhaustive_posterior_best(episodes, params)
         if abs(best - expect) > 1e-6:
@@ -129,7 +128,7 @@ def test_criterion_03_convolution_identity(capsys):
         p = rng.uniform(-2, 2, 3)
         pi = rng.uniform(-2, 2, 3)
         params = simple_params(meas_cov=cov_z, trans_cov_by_class={0: cov_a})
-        state = AssociationState({}, {5: landmark(5, pi)})
+        state = state_with(previous=[landmark(5, pi)])
         cm = build_cost_matrix([meas(p)], state, params)
         closed = float(np.exp(-cm.matrix[0, 0]))  # column 0 is Previous(5)
         numeric = convolution_oracle(p, pi, cov_z, cov_a)

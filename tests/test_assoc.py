@@ -12,8 +12,6 @@ from scipy.stats import multivariate_normal
 
 from semslam.assoc import (
     LOG_ZERO,
-    Assignment,
-    AssociationState,
     AssocParams,
     CostMatrix,
     Existing,
@@ -26,13 +24,16 @@ from semslam.assoc import (
     generate_branches,
     measurement_set_log_likelihood,
     _lex_refine,
+    nearest_neighbor_assignment,
     solve_assignment,
 )
 from semslam import kernels
 from semslam.core import ContractViolation
 from semslam.kernels import BIG
+from semslam.mht import HypothesisNode
 
 from conftest import (
+    assignment_of,
     brute_force_assignment,
     gaussian_logpdf,
     landmark,
@@ -46,23 +47,24 @@ from conftest import (
 
 
 def state_with(existing=(), previous=(), n_fp=0):
-    return AssociationState(
-        {lm.id: lm for lm in existing}, {lm.id: lm for lm in previous}, n_fp
-    )
+    """A hypothesis leaf holding these landmarks and clutter count."""
+    return HypothesisNode(0.0, {lm.id: lm for lm in existing}, {lm.id: lm for lm in previous}, n_fp)
 
 
 def association_likelihood(m, target, state, params):
     """Case likelihood of one measurement, DP bonus included: exp(-cell) of
     the cost matrix built for it, 0 for a forbidden cell."""
     cm = build_cost_matrix([m], state, params)
-    (j,) = cm.columns_of(Assignment.from_targets([target]))
+    (j,) = assignment_of(cm, [target]).columns
     cost = cm.matrix[0, j]
     return 0.0 if cost >= BIG / 2 else math.exp(-cost)
 
 
-def set_log_likelihood(assignment, measurements, state, params):
-    """Branch score read from the cost matrix of this state and these measurements."""
-    return measurement_set_log_likelihood(assignment, build_cost_matrix(measurements, state, params))
+def set_log_likelihood(targets, measurements, state, params):
+    """Score of the branch `targets`, read from the cost matrix of this state
+    and these measurements."""
+    cm = build_cost_matrix(measurements, state, params)
+    return measurement_set_log_likelihood(assignment_of(cm, targets), cm)
 
 
 def convolution_oracle(p, pi, cov_z, cov_a, half=16.0, n=64):
@@ -182,25 +184,23 @@ class TestMeasurementSetLikelihood:
     def test_single_match_spot_value(self):
         params = simple_params()  # empty class_prior -> p_s = 1
         st_ = state_with(existing=[landmark(0, [0, 0, 0])])
-        a = Assignment.from_targets([Existing(0)])
-        ll = set_log_likelihood(a, [meas([0, 0, 0])], st_, params)
+        ll = set_log_likelihood([Existing(0)], [meas([0, 0, 0])], st_, params)
         assert ll == pytest.approx(math.log((2 * math.pi) ** -1.5), rel=1e-9)
         assert ll == pytest.approx(-2.757, abs=1e-3)
 
     def test_class_mismatch_sentinel(self):
         params = simple_params()
         st_ = state_with(existing=[landmark(0, [0, 0, 0], class_id=1)])
-        a = Assignment.from_targets([Existing(0)])
-        assert set_log_likelihood(a, [meas([0, 0, 0], class_id=0)], st_, params) == LOG_ZERO
+        assert set_log_likelihood([Existing(0)], [meas([0, 0, 0], class_id=0)], st_, params) == LOG_ZERO
 
     def test_empty_set_is_zero(self):
         params = simple_params()
-        assert set_log_likelihood(Assignment.from_targets([]), [], state_with(), params) == 0.0
+        assert set_log_likelihood([], [], state_with(), params) == 0.0
 
     def test_uncovered_measurements_rejected(self):
         params = simple_params()
         with pytest.raises(ContractViolation):
-            set_log_likelihood(Assignment.from_targets([]), [meas([0, 0, 0])], state_with(), params)
+            set_log_likelihood([], [meas([0, 0, 0])], state_with(), params)
 
     def test_exchangeability(self, rng):
         params = simple_params()
@@ -208,11 +208,9 @@ class TestMeasurementSetLikelihood:
         st_ = state_with(existing=lms)
         ms = [meas(lm.mean + 0.1 * rng.standard_normal(3)) for lm in lms]
         targets = [Existing(0), Existing(1), Existing(2)]
-        base = set_log_likelihood(Assignment.from_targets(targets), ms, st_, params)
+        base = set_log_likelihood(targets, ms, st_, params)
         for perm in itertools.permutations(range(3)):
-            ll = set_log_likelihood(
-                Assignment.from_targets([targets[i] for i in perm]), [ms[i] for i in perm], st_, params
-            )
+            ll = set_log_likelihood([targets[i] for i in perm], [ms[i] for i in perm], st_, params)
             assert ll == pytest.approx(base, abs=1e-12)
 
 
@@ -256,24 +254,25 @@ class TestBranchScoreParity:
         return params, state, ms
 
     @staticmethod
-    def random_assignment(rng, state, n):
-        """Any target per row, no landmark twice: class mismatches included."""
+    def random_assignment(rng, state, cm):
+        """Any target per row of `cm`, the cost matrix of `state`, no landmark
+        twice: class mismatches included."""
         free = [Existing(k) for k in state.existing] + [Previous(k) for k in state.previous]
         targets = []
-        for _ in range(n):
+        for _ in range(cm.n_rows):
             options = [New(), FalsePositive()] + free
             t = options[int(rng.integers(len(options)))]
             if t in free:
                 free.remove(t)
             targets.append(t)
-        return Assignment.from_targets(targets)
+        return assignment_of(cm, targets)
 
     def observe(self, seen, params, state, ms, assignment, expect):
         if not ms:
             seen.add("empty")
         for m, t in zip(ms, assignment.targets):
             if isinstance(t, FalsePositive):
-                seen.add("n_fp_positive" if state.n_fp_total > 0 else "n_fp_zero")
+                seen.add("n_fp_positive" if state.n_fp > 0 else "n_fp_zero")
             if not isinstance(t, (Existing, Previous)):
                 continue
             lm = (state.existing if isinstance(t, Existing) else state.previous)[t.landmark_id]
@@ -296,7 +295,7 @@ class TestBranchScoreParity:
             cm = build_cost_matrix(ms, state, params)
             original = cm.matrix.copy()
             branches = generate_branches(cm, solve_assignment(cm), max_branches=4, plausibility_gap=np.inf)
-            candidates = branches + [self.random_assignment(rng, state, len(ms)) for _ in range(3)]
+            candidates = branches + [self.random_assignment(rng, state, cm) for _ in range(3)]
             for a in candidates:
                 expect = scalar_measurement_set_log_likelihood(a, ms, state, params)
                 got = measurement_set_log_likelihood(a, cm)
@@ -313,14 +312,20 @@ class TestBranchScoreParity:
 
 
 class TestAssignmentPrior:
+    @staticmethod
+    def assignment(targets):
+        """`targets` on the cost matrix of as many measurements against landmark 0."""
+        cm = build_cost_matrix([meas([0, 0, 0])] * len(targets), state_with([landmark(0, [0, 0, 0])]), simple_params())
+        return assignment_of(cm, targets)
+
     def test_all_zero_counts(self):
         params = simple_params(lambda_new=0.5, lambda_fp=0.2, prior_volume=1.0)
-        a = Assignment.from_targets([])
+        a = self.assignment([])
         assert assignment_prior_log(a, params) == pytest.approx(-0.7)
 
     def test_mixed_counts_spot_value(self):
         params = simple_params(lambda_new=0.5, lambda_fp=0.2, prior_volume=1.0)
-        a = Assignment.from_targets([New(), FalsePositive(), Existing(0)])
+        a = self.assignment([New(), FalsePositive(), Existing(0)])
         expect = math.log((1.0 / 6.0) * 0.5 * math.exp(-0.5) * 0.2 * math.exp(-0.2))
         got = assignment_prior_log(a, params)
         assert got == pytest.approx(expect, rel=1e-9)
@@ -328,14 +333,14 @@ class TestAssignmentPrior:
 
     def test_all_new_factorials_cancel(self):
         params = simple_params(lambda_new=0.5, lambda_fp=0.2, prior_volume=1.0)
-        a = Assignment.from_targets([New(), New(), New()])
+        a = self.assignment([New(), New(), New()])
         lam = 0.5
         expect = math.log(math.exp(-lam) * lam**3 / 6.0) + math.log(math.exp(-0.2))
         assert assignment_prior_log(a, params) == pytest.approx(expect, rel=1e-9)
 
     def test_duplicate_landmark_assignment_rejected(self):
         with pytest.raises(ContractViolation):
-            Assignment.from_targets([Existing(0), Existing(0)])
+            self.assignment([Existing(0), Existing(0)])
 
 
 class TestBuildCostMatrix:
@@ -438,7 +443,7 @@ class TestSolveAssignment:
             mat[i, n_lm + i] = new_cost
             mat[i, n_lm + n + i] = fp_cost
         targets = [Existing(j) for j in range(n_lm)] + [New()] * n + [FalsePositive()] * n
-        return CostMatrix(mat, targets, n_lm)
+        return CostMatrix(mat, targets, n_lm, np.zeros(n_lm), np.zeros(n))
 
     def test_zero_diagonal(self):
         a = solve_assignment(self.make_cm([[0.0, 1.0], [1.0, 0.0]]))
@@ -580,10 +585,59 @@ class TestGenerateBranches:
             n = int(rng.integers(1, 5))
             cm = TestSolveAssignment.make_cm(rng.integers(0, 4, size=(n, n + 1)).astype(float), 3.0, 4.0)
             for b in generate_branches(cm, solve_assignment(cm), max_branches=4, plausibility_gap=np.inf):
-                assert b.columns == tuple(cm.columns_of(Assignment.from_targets(b.targets)))
-                assert cm.columns_of(b) is b.columns
+                assert b.columns == assignment_of(cm, b.targets).columns
+                assert [cm.column_targets[j] for j in b.columns] == list(b.targets)
 
     def test_invalid_max_branches(self):
         cm = TestSolveAssignment.make_cm([[0.0]])
         with pytest.raises(ContractViolation):
             generate_branches(cm, solve_assignment(cm), max_branches=0)
+
+
+class TestNearestNeighborAssignment:
+    """The single_ukf baseline: Hungarian on L2 distances over the landmark
+    and New columns of the leaf's cost matrix."""
+
+    @staticmethod
+    def solve(ms, state, nn_new_dist=2.0):
+        cm = build_cost_matrix(ms, state, simple_params())
+        a = nearest_neighbor_assignment(ms, state, cm, nn_new_dist)
+        assert [cm.column_targets[j] for j in a.columns] == list(a.targets)
+        return cm, a
+
+    def test_picks_the_nearest_landmark_of_the_same_class(self):
+        st_ = state_with(
+            existing=[landmark(0, [0, 0, 0]), landmark(1, [0.8, 0, 0], class_id=1)],
+            previous=[landmark(5, [1.0, 0, 0])],
+        )
+        cm, a = self.solve([meas([0.05, 0, 0]), meas([0.8, 0, 0])], st_)
+        assert a.targets == (Existing(0), Previous(5))
+        assert a.columns == (0, 2)
+
+    def test_far_landmarks_take_the_rows_own_new_column(self):
+        st_ = state_with(existing=[landmark(0, [10, 0, 0])], previous=[landmark(5, [0, 10, 0])])
+        ms = [meas([0, 0, 0]), meas([1, 1, 0]), meas([0, 0, 1])]
+        cm, a = self.solve(ms, st_, nn_new_dist=2.0)
+        assert a.columns == tuple(cm.n_landmark_cols + i for i in range(len(ms)))
+        assert a.targets == (New(), New(), New())
+
+    def test_never_takes_a_class_mismatched_landmark(self, rng):
+        st_ = state_with(existing=[landmark(0, [0, 0, 0], class_id=1)], previous=[landmark(5, [0, 0, 0], class_id=2)])
+        _, a = self.solve([meas([0, 0, 0])], st_)
+        assert a.targets == (New(),)
+        for _ in range(50):
+            lms = [
+                landmark(i, rng.uniform(-2, 2, 3), class_id=int(rng.integers(3)))
+                for i in range(int(rng.integers(0, 6)))
+            ]
+            n_prev = int(rng.integers(0, len(lms) + 1))
+            st_ = state_with(lms[n_prev:], lms[:n_prev])
+            ms = [meas(rng.uniform(-2, 2, 3), class_id=int(rng.integers(3))) for _ in range(int(rng.integers(1, 5)))]
+            cm, a = self.solve(ms, st_, nn_new_dist=3.0)
+            for i, (m, t) in enumerate(zip(ms, a.targets)):
+                assert a.columns[i] < cm.n_landmark_cols + len(ms)  # never a FalsePositive column
+                if isinstance(t, (Existing, Previous)):
+                    lm = (st_.existing if isinstance(t, Existing) else st_.previous)[t.landmark_id]
+                    assert lm.label == m.label
+                else:
+                    assert t == New() and a.columns[i] == cm.n_landmark_cols + i

@@ -10,13 +10,12 @@ import pytest
 from scipy.special import ndtri
 
 from semslam.assoc import (
-    Assignment,
-    AssociationState,
     Existing,
     FalsePositive,
     New,
     Previous,
     assignment_prior_log,
+    build_cost_matrix,
 )
 from semslam.core import ContractViolation, Landmark
 from semslam.estimation import UkfParams
@@ -27,7 +26,7 @@ from semslam.mht import (
     kld_bound,
 )
 
-from conftest import landmark, meas, simple_params
+from conftest import assignment_of, landmark, meas, simple_params
 
 
 class TestEffectiveSampleSize:
@@ -109,14 +108,22 @@ def default_tree(seed=0, max_hypotheses=20, ess_fraction=0.5, previous=None):
     )
 
 
+def extend(tree, leaf, branch_targets, measurements, params):
+    """Extend `leaf` by one branch per target list, each an assignment on the
+    cost matrix of `measurements` against the leaf."""
+    cm = build_cost_matrix(measurements, leaf, params)
+    branches = [assignment_of(cm, targets) for targets in branch_targets]
+    return tree.extend(leaf, branches, measurements, params, UkfParams(), cm)
+
+
 class TestExtend:
     def test_zero_measurements_single_child(self):
         tree = default_tree()
         params = simple_params()
         root = tree.leaves[0]
-        children = tree.extend(root, [Assignment.from_targets([])], [], params, UkfParams())
+        children = extend(tree, root, [[]], [], params)
         assert len(children) == 1
-        expect = assignment_prior_log(Assignment.from_targets([]), params)
+        expect = assignment_prior_log(assignment_of(build_cost_matrix([], root, params), []), params)
         assert children[0].log_weight == pytest.approx(expect)
 
     def test_softmax_of_weight_gap(self):
@@ -124,8 +131,7 @@ class TestExtend:
         # normalized weights are softmax(-1, -3) = (0.881, 0.119)
         tree = default_tree()
         root = tree.leaves[0]
-        a = Assignment.from_targets([])
-        tree.extend(root, [a, a], [], simple_params(), UkfParams())
+        extend(tree, root, [[], []], [], simple_params())
         tree.leaves[0].log_weight = -1.0
         tree.leaves[1].log_weight = -3.0
         w = tree.normalized_weights()
@@ -136,9 +142,7 @@ class TestExtend:
         tree = default_tree()
         params = simple_params()
         m = meas([1.0, 2.0, 3.0], scene_id=4, time=9.5)
-        children = tree.extend(
-            tree.leaves[0], [Assignment.from_targets([New()])], [m], params, UkfParams()
-        )
+        children = extend(tree, tree.leaves[0], [[New()]], [m], params)
         (lm,) = children[0].existing.values()
         assert np.allclose(lm.mean, m.position) and lm.assign_count == 1
         assert lm.last_scene == 4
@@ -149,34 +153,20 @@ class TestExtend:
         lm0 = landmark(0, [0.0, 0.0, 0.0])
         tree.leaves[0].existing[0] = lm0
         m = meas([1.0, 0.0, 0.0])
-        children = tree.extend(
-            tree.leaves[0], [Assignment.from_targets([Existing(0)])], [m], params, UkfParams()
-        )
+        children = extend(tree, tree.leaves[0], [[Existing(0)]], [m], params)
         lm = children[0].existing[0]
         assert lm.assign_count == 2
         assert 0.0 < lm.mean[0] < 1.0  # pulled toward the measurement
 
     def test_false_positive_increments_counter(self):
         tree = default_tree()
-        children = tree.extend(
-            tree.leaves[0],
-            [Assignment.from_targets([FalsePositive()])],
-            [meas([0, 0, 0])],
-            simple_params(),
-            UkfParams(),
-        )
+        children = extend(tree, tree.leaves[0], [[FalsePositive()]], [meas([0, 0, 0])], simple_params())
         assert children[0].n_fp == 1
 
     def test_previous_target_reanchors_keeping_id(self):
         prev = {7: landmark(7, [0.0, 0.0, 0.0])}
         tree = default_tree(previous=prev)
-        children = tree.extend(
-            tree.leaves[0],
-            [Assignment.from_targets([Previous(7)])],
-            [meas([0.1, 0.0, 0.0])],
-            simple_params(),
-            UkfParams(),
-        )
+        children = extend(tree, tree.leaves[0], [[Previous(7)]], [meas([0.1, 0.0, 0.0])], simple_params())
         child = children[0]
         assert 7 in child.existing and 7 not in child.previous
 
@@ -184,20 +174,17 @@ class TestExtend:
         tree = default_tree()
         params = simple_params()
         m = meas([1.0, 2.0, 3.0])
-        a_new = Assignment.from_targets([New()])
-        a_fp = Assignment.from_targets([FalsePositive()])
-        c1, c2 = tree.extend(tree.leaves[0], [a_new, a_fp], [m], params, UkfParams())
+        c1, c2 = extend(tree, tree.leaves[0], [[New()], [FalsePositive()]], [m], params)
         assert len(c1.existing) == 1 and len(c2.existing) == 0
 
     def test_empty_branches_rejected(self):
         tree = default_tree()
         with pytest.raises(ContractViolation):
-            tree.extend(tree.leaves[0], [], [], simple_params(), UkfParams())
+            extend(tree, tree.leaves[0], [], [], simple_params())
 
     def test_weights_normalized_after_extend(self):
         tree = default_tree()
-        a = Assignment.from_targets([])
-        tree.extend(tree.leaves[0], [a, a, a], [], simple_params(), UkfParams())
+        extend(tree, tree.leaves[0], [[], [], []], [], simple_params())
         assert tree.normalized_weights().sum() == pytest.approx(1.0, abs=1e-9)
 
 
@@ -205,8 +192,7 @@ class TestResample:
     @staticmethod
     def tree_with_weights(log_weights, seed=0, max_hypotheses=20):
         tree = default_tree(seed=seed, max_hypotheses=max_hypotheses)
-        a = Assignment.from_targets([])
-        tree.extend(tree.leaves[0], [a] * len(log_weights), [], simple_params(), UkfParams())
+        extend(tree, tree.leaves[0], [[]] * len(log_weights), [], simple_params())
         for leaf, lw in zip(tree.leaves, log_weights):
             leaf.log_weight = lw
         return tree
@@ -285,8 +271,8 @@ class TestPosteriorOracle:
             tree = default_tree(max_hypotheses=10**9)
             for t, ms in enumerate(episodes):
                 for leaf in list(tree.leaves):
-                    branches = tree_combo_branches(ms, leaf.assoc_state())
-                    tree.extend(leaf, branches, ms, params, UkfParams())
+                    cm = build_cost_matrix(ms, leaf, params)
+                    tree.extend(leaf, tree_combo_branches(ms, leaf, cm), ms, params, UkfParams(), cm)
             best = tree.best_leaf()
             expect = exhaustive_posterior_best(episodes, params)
             assert best.log_weight == pytest.approx(expect, abs=1e-6)

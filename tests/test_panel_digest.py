@@ -60,11 +60,14 @@ def test_digest_of_a_degraded_job_hashes_its_outputs(tmp_path):
 
 
 def test_degraded_jobs_lie_outside_the_default_panel():
+    """The degraded and single_ukf baseline jobs run only when named."""
     spec = importlib.util.spec_from_file_location("panel_digest", os.path.join(ROOT, "tools", "panel_digest.py"))
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    panel, degraded = tool.panel(), tool.degraded()
-    assert len(panel) == 16 and len(degraded) == 7 and not set(panel) & set(degraded)
-    for name, overrides in degraded.items():
+    panel, degraded, baselines = tool.panel(), tool.degraded(), tool.baselines()
+    assert len(panel) == 16 and len(degraded) == 7 and len(baselines) == 3
+    assert not set(panel) & set(degraded) and not (set(panel) | set(degraded)) & set(baselines)
+    for name, overrides in {**degraded, **baselines}.items():
         RunConfig(**overrides)  # every override is a config key
         assert name.endswith(f"-{overrides['world_seed']}") and overrides["run_seed"] == overrides["world_seed"]
+    assert {overrides["mode"] for overrides in baselines.values()} == {"single_ukf"}

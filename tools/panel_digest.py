@@ -14,10 +14,12 @@ checkouts it shows whether a change keeps every output byte-identical:
     (cd ../parent && python3 tools/panel_digest.py) > before.txt
     diff before.txt after.txt
 
-`--job NAME` (repeatable) digests only the named jobs. It also names the
-degraded jobs outside the panel, each on a simulator branch the panel never
-reaches: clutter, misses, heavier noise, class confusion, a 60 degree field
-of view, the figure-eight path and odometry drift. They run only when named.
+`--job NAME` (repeatable) digests only the named jobs. It also names jobs
+outside the panel, which run only when named: the degraded jobs, each on a
+simulator branch the panel never reaches (clutter, misses, heavier noise,
+class confusion, a 60 degree field of view, the figure-eight path and
+odometry drift), and the single_ukf baseline jobs on square-loop worlds 1
+and 3 and line world 0.
 """
 
 import argparse
@@ -65,6 +67,18 @@ def degraded():
     return jobs
 
 
+def baselines():
+    """Job name -> config overrides of the single_ukf baseline jobs."""
+    jobs = {
+        "single-ukf-1": {"world_seed": 1},
+        "single-ukf-3": {"world_seed": 3},
+        "single-ukf-line-0": {"world_seed": 0, "trajectory": "line"},
+    }
+    for overrides in jobs.values():
+        overrides.update(mode="single_ukf", run_seed=overrides["world_seed"])
+    return jobs
+
+
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
@@ -93,6 +107,7 @@ def digest(name, overrides, work) -> str:
 
 def main(argv=None) -> int:
     jobs, named = panel(), degraded()
+    named.update(baselines())
     named.update(jobs)
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--job", action="append", choices=list(named), help="digest only this job (repeatable)")

@@ -2,12 +2,16 @@
 
 Levenberg-Marquardt on a minimal parameterization (global translation plus
 right-multiplied rotation-vector increments), with Cauchy IRLS weights on
-robust factors. Each `optimize` call stacks the factors by type once. An
-iteration then linearises every factor of a type in one batched numpy pass
-and scatters the blocks into three parts of the normal equations: the dense
-pose block, the 3x3 landmark blocks and the pose-landmark blocks. The
-landmarks are eliminated by Schur complement, so each step solves a dense
-system over the poses only and back-substitutes the landmarks.
+robust factors. Each `optimize` call stacks the factors once, in two
+stacks: the pose-pose factors and the pose-landmark factors. A prior on pose
+j is an edge to j from a fixed origin (t = 0, R = I), as g2o treats a prior,
+so it heads the pose-pose stack and the odometry and loop-closure factors
+follow it. An iteration linearises each stack in one batched numpy pass and
+scatters the blocks, in one bincount, into the three parts of the normal
+equations: the dense pose block, the 3x3 landmark blocks and the
+pose-landmark blocks. The landmarks are eliminated by Schur complement, so
+each step solves a dense system over the poses only and back-substitutes
+the landmarks.
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ class StructuralError(RuntimeError):
 
 # -- batched SO(3) helpers: one row per factor --------------------------------
 
+_EYE3 = np.eye(3)
+
 
 def _norms(v: np.ndarray) -> np.ndarray:
     """Row norms, computed as `np.linalg.norm` computes one vector's."""
@@ -48,14 +54,10 @@ def _norms(v: np.ndarray) -> np.ndarray:
 
 
 def _hat(v: np.ndarray) -> np.ndarray:
-    K = np.zeros((len(v), 3, 3))
-    K[:, 0, 1] = -v[:, 2]
-    K[:, 0, 2] = v[:, 1]
-    K[:, 1, 0] = v[:, 2]
-    K[:, 1, 2] = -v[:, 0]
-    K[:, 2, 0] = -v[:, 1]
-    K[:, 2, 1] = v[:, 0]
-    return K
+    K = np.zeros((len(v), 9))
+    # row-major: K01 = -v2, K02 = v1, K10 = v2, K12 = -v0, K20 = -v1, K21 = v0
+    K[:, [1, 2, 3, 5, 6, 7]] = v[:, [2, 1, 2, 0, 1, 0]] * [-1.0, 1.0, 1.0, -1.0, -1.0, 1.0]
+    return K.reshape(-1, 3, 3)
 
 
 def _quat_to_rot(q: np.ndarray) -> np.ndarray:
@@ -108,7 +110,8 @@ def _log_so3(R: np.ndarray) -> np.ndarray:
     """Rotation matrices -> rotation vectors, as `geometry.log_so3` row by row."""
     cos_angle = np.clip((np.trace(R, axis1=1, axis2=2) - 1.0) * 0.5, -1.0, 1.0)
     angle = np.arccos(cos_angle)
-    w = np.stack([R[:, 2, 1] - R[:, 1, 2], R[:, 0, 2] - R[:, 2, 0], R[:, 1, 0] - R[:, 0, 1]], axis=1)
+    Rf = R.reshape(-1, 9)
+    w = Rf[:, [7, 2, 3]] - Rf[:, [5, 6, 1]]  # R21 - R12, R02 - R20, R10 - R01
     small = angle < 1e-9
     scale = np.divide(angle, 2.0 * np.sin(angle), out=np.full_like(angle, 0.5), where=~small)
     phi = w * scale[:, None]
@@ -119,7 +122,9 @@ def _log_so3(R: np.ndarray) -> np.ndarray:
 
 
 def _left_jacobian_inv(phi: np.ndarray) -> np.ndarray:
-    """Inverse left Jacobians of SO(3), one per row of phi."""
+    """Inverse left Jacobians of SO(3), one per row of phi. The inverse right
+    Jacobian at phi is this at -phi, which is this transposed entry for
+    entry: the same products, summed in the same order."""
     angle = _norms(phi)
     K = _hat(phi)
     big = angle >= 1e-6
@@ -127,29 +132,15 @@ def _left_jacobian_inv(phi: np.ndarray) -> np.ndarray:
     half = 0.5 * angle[big]
     cot = half / np.tan(half)
     coef[big] = (1.0 - cot) / (angle[big] * angle[big])
-    return np.eye(3) - 0.5 * K + coef[:, None, None] * (K @ K)
-
-
-def _right_jacobian_inv(phi: np.ndarray) -> np.ndarray:
-    return _left_jacobian_inv(-phi)
+    return _EYE3 - 0.5 * K + coef[:, None, None] * (K @ K)
 
 
 # -- factor residuals and Jacobians, one row per factor ------------------------
 #
 # Each takes the stacked variables of its factors (t, R per pose; the point
 # per landmark), then the stacked measurements, and returns the residuals and,
-# if asked, one Jacobian stack per variable.
-
-
-def _prior_terms(t, R, t_m, R_m, jac):
-    phi = _log_so3(R_m.transpose(0, 2, 1) @ R)
-    r = np.concatenate([t - t_m, phi], axis=1)
-    if not jac:
-        return r, None
-    J = np.zeros((len(r), 6, 6))
-    J[:, :3, :3] = np.eye(3)
-    J[:, 3:, 3:] = _right_jacobian_inv(phi)
-    return r, (J,)
+# if asked, the Jacobians: one block of columns per variable (6 per pose, 3
+# per landmark), side by side in one stack.
 
 
 def _relative_terms(ti, Ri, tj, Rj, t_m, R_m, jac):
@@ -160,14 +151,14 @@ def _relative_terms(ti, Ri, tj, Rj, t_m, R_m, jac):
     r = np.concatenate([v - t_m, phi], axis=1)
     if not jac:
         return r, None
-    Ji = np.zeros((len(r), 6, 6))
-    Jj = np.zeros((len(r), 6, 6))
-    Ji[:, :3, :3] = -RiT
-    Ji[:, :3, 3:] = _hat(v)
-    Jj[:, :3, :3] = RiT
-    Ji[:, 3:, 3:] = -_left_jacobian_inv(phi) @ E
-    Jj[:, 3:, 3:] = _right_jacobian_inv(phi)
-    return r, (Ji, Jj)
+    Jl_inv = _left_jacobian_inv(phi)
+    J = np.zeros((len(r), 6, 12))  # pose i, then pose j
+    J[:, :3, :3] = -RiT
+    J[:, :3, 3:6] = _hat(v)
+    J[:, :3, 6:9] = RiT
+    J[:, 3:, 3:6] = -Jl_inv @ E
+    J[:, 3:, 9:] = Jl_inv.transpose(0, 2, 1)  # the inverse right Jacobian
+    return r, J
 
 
 def _landmark_terms(t, R, l, z, jac):
@@ -176,55 +167,56 @@ def _landmark_terms(t, R, l, z, jac):
     r = v - z
     if not jac:
         return r, None
-    Jp = np.zeros((len(r), 3, 6))
-    Jp[:, :, :3] = -RT
-    Jp[:, :, 3:] = _hat(v)
-    return r, (Jp, RT)
+    J = np.empty((len(r), 3, 9))  # pose, then landmark
+    J[:, :, :3] = -RT
+    J[:, :, 3:6] = _hat(v)
+    J[:, :, 6:] = RT
+    return r, J
+
+
+def _one(pose: Pose):
+    """A pose as a one-row stack: translation, rotation matrix."""
+    return pose.translation[None], pose.rot()[None]
+
+
+# a prior's fixed origin, as a one-row stack
+_ORIGIN = (np.zeros((1, 3)), _EYE3[None])
 
 
 class _Factor:
-    """Single-factor access to the batched terms of the factor's type."""
+    """Single-factor access to the batched terms of the factor's kind."""
 
     def variables(self) -> Tuple[Tuple[str, int], ...]:
-        """The (kind, id) variables constrained, in the order TERMS takes them."""
-        raise NotImplementedError
-
-    def measurement(self) -> Tuple[np.ndarray, ...]:
-        """The measured values, in the order TERMS takes them."""
+        """The (kind, id) variables constrained, in the order of the Jacobians."""
         raise NotImplementedError
 
     def _terms(self, state: "GraphState", jac: bool):
-        args = []
-        for kind, vid in self.variables():
-            if kind == "pose":
-                pose = state.poses[vid]
-                args += [pose.translation[None], pose.rot()[None]]
-            else:
-                args.append(np.asarray(state.landmarks[vid], dtype=float)[None])
-        return self.TERMS(*args, *(m[None] for m in self.measurement()), jac)
+        raise NotImplementedError
 
     def residual(self, state: "GraphState") -> np.ndarray:
         return self._terms(state, False)[0][0]
 
     def jacobians(self, state: "GraphState") -> Dict[Tuple[str, int], np.ndarray]:
-        _, jacs = self._terms(state, True)
-        return {var: J[0] for var, J in zip(self.variables(), jacs)}
+        # the first variable is a pose: its 6 columns, then the other's
+        return dict(zip(self.variables(), np.split(self._terms(state, True)[1][0], [6], axis=1)))
 
 
 @dataclass(frozen=True, eq=False)
 class PriorFactor(_Factor):
+    """An edge to pose_id from the fixed origin: a relative factor whose
+    first pose is t = 0, R = I and has no Jacobian."""
+
     pose_id: int
     prior: Pose
     information: np.ndarray  # 6x6
     robust_c: Optional[float] = None
 
-    TERMS = staticmethod(_prior_terms)
-
     def variables(self):
         return (("pose", self.pose_id),)
 
-    def measurement(self):
-        return (self.prior.translation, self.prior.rot())
+    def _terms(self, state, jac):
+        r, J = _relative_terms(*_ORIGIN, *_one(state.poses[self.pose_id]), *_one(self.prior), jac)
+        return r, None if J is None else J[:, :, 6:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,13 +230,11 @@ class RelativePoseFactor(_Factor):
     robust_c: Optional[float] = None
     kind: str = "odometry"  # or "loop"
 
-    TERMS = staticmethod(_relative_terms)
-
     def variables(self):
         return (("pose", self.pose_i), ("pose", self.pose_j))
 
-    def measurement(self):
-        return (self.measured.translation, self.measured.rot())
+    def _terms(self, state, jac):
+        return _relative_terms(*_one(state.poses[self.pose_i]), *_one(state.poses[self.pose_j]), *_one(self.measured), jac)
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,13 +247,12 @@ class LandmarkFactor(_Factor):
     information: np.ndarray  # 3x3
     robust_c: Optional[float] = None
 
-    TERMS = staticmethod(_landmark_terms)
-
     def variables(self):
         return (("pose", self.pose_id), ("landmark", self.landmark_id))
 
-    def measurement(self):
-        return (np.asarray(self.measured, dtype=float),)
+    def _terms(self, state, jac):
+        l = np.asarray(state.landmarks[self.landmark_id], dtype=float)[None]
+        return _landmark_terms(*_one(state.poses[self.pose_id]), l, np.asarray(self.measured, dtype=float)[None], jac)
 
 
 Factor = PriorFactor | RelativePoseFactor | LandmarkFactor
@@ -327,20 +316,9 @@ class OptimizeResult:
 # -- stacked problem ----------------------------------------------------------
 
 
-def _cat(parts: List[np.ndarray]) -> np.ndarray:
-    return np.concatenate(parts) if parts else np.zeros(0, np.intp)
-
-
 def _segment_index(rows: np.ndarray, d: int) -> np.ndarray:
     """Flat indices of the length-d segments at `rows`, segment by segment."""
     return (d * rows[:, None] + np.arange(d)).ravel()
-
-
-def _scatter(idx: np.ndarray, parts: List[np.ndarray], n: int) -> np.ndarray:
-    """Sum the concatenated `parts` into a length-n vector at flat indices `idx`."""
-    vals = np.concatenate(parts) if parts else np.zeros(0)
-    # bincount of no values comes back as integers
-    return np.bincount(idx, vals, minlength=n).astype(float, copy=False)
 
 
 def _block_index(rows: np.ndarray, cols: np.ndarray, dr: int, dc: int, width: int) -> np.ndarray:
@@ -351,41 +329,77 @@ def _block_index(rows: np.ndarray, cols: np.ndarray, dr: int, dc: int, width: in
     return (r * width + c).ravel()
 
 
-class _Group:
-    """The factors of one type, stacked."""
+def _gram(J: np.ndarray) -> np.ndarray:
+    """J^T J per row: every normal-equation block of a factor in one product,
+    each block with the bits of its own J_a^T J_b (OpenBLAS sums every entry
+    over the residual rows in the same order). numpy sends A.T @ A to BLAS
+    syrk, 3-4x slower than gemm at these sizes; a copy of one side takes gemm."""
+    return J.transpose(0, 2, 1) @ J.copy()
 
-    def __init__(self, factors: Sequence[_Factor], index: Dict[Tuple[str, int], int]):
-        self.terms = type(factors[0]).TERMS
-        kinds = [kind for kind, _ in factors[0].variables()]
-        self.slots = [
-            (kind, np.array([index[f.variables()[s]] for f in factors], dtype=np.intp))
-            for s, kind in enumerate(kinds)
-        ]
-        meas = [f.measurement() for f in factors]
-        self.meas = [np.array([m[k] for m in meas], dtype=float) for k in range(len(meas[0]))]
+
+class _Stack:
+    """Factors that share one residual function, stacked, with their upper
+    information factors and Cauchy scales."""
+
+    def __init__(self, factors: Sequence[Factor], dim: int):
         # upper factor W of each information matrix: W^T W = information
-        info = np.array([f.information for f in factors], dtype=float)
+        info = np.array([f.information for f in factors], dtype=float).reshape(-1, dim, dim)
         self.W = np.linalg.cholesky(info).transpose(0, 2, 1)
-        self.robust = np.array([f.robust_c is not None for f in factors])
-        self.c = np.array([f.robust_c if f.robust_c is not None else 1.0 for f in factors], dtype=float)
-        if np.any(self.c[self.robust] <= 0):
+        self.robust = np.array([f.robust_c is not None for f in factors], dtype=bool)
+        # the Cauchy scales of the robust rows only
+        self.c = np.array([f.robust_c for f in factors if f.robust_c is not None], dtype=float)
+        if np.any(self.c <= 0):
             raise ContractViolation("cauchy scale must be positive")
 
-    def evaluate(self, t, R, L):
-        """Per-factor costs, whitened residuals and Jacobians, and IRLS weights."""
-        args = []
-        for kind, idx in self.slots:
-            args += [t[idx], R[idx]] if kind == "pose" else [L[idx]]
-        r, J = self.terms(*args, *self.meas, True)
+    def linearize(self, r, J):
+        """From the residuals and Jacobians of `terms`: per-factor costs, then
+        each factor's IRLS-weighted whitened J^T J and its gradient, split at
+        column 6 into the first variable's (a pose) and the other's."""
         rw = (self.W @ r[:, :, None])[:, :, 0]
         norm = _norms(rw)
+        J = self.W @ J
         cost = 0.5 * norm * norm
         w = np.ones(len(r))
         m = self.robust
         if m.any():
-            cost[m] = cauchy_cost(norm[m], self.c[m])
-            w[m] = cauchy_weight(norm[m], self.c[m])
-        return cost, rw, [self.W @ Jk for Jk in J], w
+            cost[m] = cauchy_cost(norm[m], self.c)
+            w[m] = cauchy_weight(norm[m], self.c)
+        JT, rw = J.transpose(0, 2, 1), rw[:, :, None]
+        return cost, *(w[:, None, None] * blk for blk in (_gram(J), JT[:, :6] @ rw, JT[:, 6:] @ rw))
+
+
+class _EdgeStack(_Stack):
+    """The pose-pose factors: the priors first, each an edge from the fixed
+    origin, then the relative factors in graph order."""
+
+    def __init__(self, priors, relatives, pose_index: Dict[int, int]):
+        self.n0 = len(priors)
+        super().__init__(priors + relatives, 6)
+        # a prior's first pose is the origin, set in `terms`; 0 only holds its place
+        self.i = np.array([0] * self.n0 + [pose_index[f.pose_i] for f in relatives], dtype=np.intp)
+        self.j = np.array([pose_index[f.pose_id] for f in priors] + [pose_index[f.pose_j] for f in relatives], dtype=np.intp)
+        meas = [f.prior for f in priors] + [f.measured for f in relatives]
+        self.t_m = np.array([m.translation for m in meas], dtype=float).reshape(-1, 3)
+        self.R_m = _quat_to_rot(np.array([m.rotation for m in meas], dtype=float).reshape(-1, 4))
+
+    def terms(self, t, R):
+        ti, Ri = t[self.i], R[self.i]
+        ti[: self.n0] = 0.0
+        Ri[: self.n0] = _EYE3
+        return _relative_terms(ti, Ri, t[self.j], R[self.j], self.t_m, self.R_m, True)
+
+
+class _LandmarkStack(_Stack):
+    """The pose-landmark factors in graph order."""
+
+    def __init__(self, factors, pose_index: Dict[int, int], landmark_index: Dict[int, int]):
+        super().__init__(factors, 3)
+        self.p = np.array([pose_index[f.pose_id] for f in factors], dtype=np.intp)
+        self.l = np.array([landmark_index[f.landmark_id] for f in factors], dtype=np.intp)
+        self.z = np.array([f.measured for f in factors], dtype=float).reshape(-1, 3)
+
+    def terms(self, t, R, L):
+        return _landmark_terms(t[self.p], R[self.p], L[self.l], self.z, True)
 
 
 @dataclass
@@ -398,91 +412,82 @@ class _Linearization:
 
 
 class _Problem:
-    """A graph's factors stacked by type, with the scatter indices of their
-    blocks in the normal equations. Variables are ordered by id."""
+    """A graph's two factor stacks, with the scatter indices of their blocks
+    in the normal equations. Variables are ordered by id."""
 
     def __init__(self, g: GraphState):
         self.pose_ids = sorted(g.poses)
         self.landmark_ids = sorted(g.landmarks)
         P, M = len(self.pose_ids), len(self.landmark_ids)
-        self.n6 = 6 * P
-        index = {("pose", pid): k for k, pid in enumerate(self.pose_ids)}
-        index.update({("landmark", lid): k for k, lid in enumerate(self.landmark_ids)})
-        by_type: Dict[type, List[_Factor]] = {}
+        n6 = self.n6 = 6 * P
+        pose_index = {pid: k for k, pid in enumerate(self.pose_ids)}
+        by_type = {PriorFactor: [], RelativePoseFactor: [], LandmarkFactor: []}
         for f in g.factors:
-            by_type.setdefault(type(f), []).append(f)
-        self.groups = [_Group(fs, index) for fs in by_type.values()]
+            by_type[type(f)].append(f)
+        self.edges = e = _EdgeStack(by_type[PriorFactor], by_type[RelativePoseFactor], pose_index)
+        marks = by_type[LandmarkFactor]
+        self.marks = None
+        if marks:
+            self.marks = _LandmarkStack(marks, pose_index, {lid: k for k, lid in enumerate(self.landmark_ids)})
         self.t0 = np.array([g.poses[p].translation for p in self.pose_ids], dtype=float)
         self.q0 = np.array([g.poses[p].rotation for p in self.pose_ids], dtype=float)
         self.L0 = np.array([g.landmarks[l] for l in self.landmark_ids], dtype=float).reshape(M, 3)
 
-        # scatter indices, in the order `linearize` emits the values
-        pp, ll, grad, pl_pose, pl_landmark = [], [], [], [], []
-        for grp in self.groups:
-            for a, (kind_a, ia) in enumerate(grp.slots):
-                if kind_a == "pose":
-                    grad.append(_segment_index(ia, 6))
-                else:
-                    grad.append(self.n6 + _segment_index(ia, 3))
-                for b, (kind_b, ib) in enumerate(grp.slots[a:], start=a):
-                    if kind_a == kind_b == "pose":
-                        pp.append(_block_index(ia, ib, 6, 6, self.n6))
-                        if b != a:
-                            pp.append(_block_index(ib, ia, 6, 6, self.n6))
-                    elif kind_a == kind_b:
-                        ll.append(_segment_index(ia, 9))
-                    else:
-                        pl_pose.append(ia)
-                        pl_landmark.append(ib)
         # pose-landmark blocks: one per observed (pose, landmark) pair
-        keys, pair_of = np.unique(_cat(pl_pose) * M + _cat(pl_landmark), return_inverse=True)
+        p, l = (self.marks.p, self.marks.l) if marks else (np.zeros(0, np.intp),) * 2
+        keys, pair_of = np.unique(p * M + l, return_inverse=True)
         self.pair_p, self.pair_l = keys // max(M, 1), keys % max(M, 1)
-        self._pp, self._ll, self._pl, self._grad = _cat(pp), _cat(ll), _segment_index(pair_of, 18), _cat(grad)
-        self._sizes = (self.n6 * self.n6, 9 * M, 18 * len(keys), self.n6 + 3 * M)
+        # one output holds Hpp, then b, then Hll, then Hpl
+        o_b = n6 * n6
+        self._o_ll = o_ll = o_b + n6 + 3 * M
+        self._o_pl = o_pl = o_ll + 9 * M
+        self._size = o_pl + 18 * len(keys)
+        # scatter indices, in the order `linearize` emits the values
+        n0, i, j = e.n0, e.i[e.n0 :], e.j[e.n0 :]
+        pp = lambda rows, cols: _block_index(rows, cols, 6, 6, n6)
+        idx = [o_b + _segment_index(e.j[:n0], 6), pp(e.j[:n0], e.j[:n0])]
+        idx += [o_b + _segment_index(i, 6), o_b + _segment_index(j, 6), pp(i, i), pp(i, j), pp(j, i), pp(j, j)]
+        if marks:
+            idx += [o_b + _segment_index(p, 6), o_b + n6 + _segment_index(l, 3), pp(p, p)]
+            idx += [o_pl + _segment_index(pair_of, 18), o_ll + _segment_index(l, 9)]
+        self._idx = np.concatenate(idx)
 
         # Schur fill: every two pairs that share a landmark couple their poses
         self._qa, self._qb = np.nonzero(self.pair_l[:, None] == self.pair_l[None, :])
-        self._schur = _block_index(self.pair_p[self._qa], self.pair_p[self._qb], 6, 6, self.n6)
+        self._schur = _block_index(self.pair_p[self._qa], self.pair_p[self._qb], 6, 6, n6)
         self._pair_grad_p = _segment_index(self.pair_p, 6)
         self._pair_grad_l = _segment_index(self.pair_l, 3)
 
     def linearize(self, t, q, L) -> _Linearization:
         R = _quat_to_rot(q)
-        cost = 0.0
-        pp, ll, pl, grad = [], [], [], []
-        for grp in self.groups:
-            c, rw, J, w = grp.evaluate(t, R, L)
+        e, n0 = self.edges, self.edges.n0
+        c, H, gi, gj = e.linearize(*e.terms(t, R))
+        # the priors' terms come first in every sum, as they head the factor list
+        cost = np.sum(c[:n0]) + np.sum(c[n0:])
+        Hii, Hij, Hji, Hjj = H[:, :6, :6], H[:, :6, 6:], H[:, 6:, :6], H[:, 6:, 6:]
+        # a prior has no first pose: only its pose-j terms enter
+        parts = [gj[:n0], Hjj[:n0], gi[n0:], gj[n0:], Hii[n0:], Hij[n0:], Hji[n0:], Hjj[n0:]]
+        if self.marks is not None:
+            c, H, gp, gl = self.marks.linearize(*self.marks.terms(t, R, L))
             cost += np.sum(c)
-            JT = [Jk.transpose(0, 2, 1) for Jk in J]
-            for a, (kind_a, _) in enumerate(grp.slots):
-                grad.append((w[:, None] * (JT[a] @ rw[:, :, None])[:, :, 0]).ravel())
-                for b in range(a, len(grp.slots)):
-                    kind_b = grp.slots[b][0]
-                    blk = w[:, None, None] * (JT[a] @ J[b])
-                    if kind_a == kind_b == "pose":
-                        pp.append(blk.ravel())
-                        if b != a:
-                            pp.append(blk.transpose(0, 2, 1).ravel())
-                    elif kind_a == kind_b:
-                        ll.append(blk.ravel())
-                    else:
-                        pl.append(blk.ravel())
-        n_pp, n_ll, n_pl, n_b = self._sizes
+            parts += [gp, gl, H[:, :6, :6], H[:, :6, 6:], H[:, 6:, 6:]]
+        out = np.bincount(self._idx, np.concatenate(parts, axis=None), minlength=self._size)
+        o_b, o_ll, o_pl = self.n6 * self.n6, self._o_ll, self._o_pl
         return _Linearization(
             float(cost),
-            _scatter(self._grad, grad, n_b),
-            _scatter(self._pp, pp, n_pp).reshape(self.n6, self.n6),
-            _scatter(self._ll, ll, n_ll).reshape(-1, 3, 3),
-            _scatter(self._pl, pl, n_pl).reshape(-1, 6, 3),
+            out[o_b:o_ll],
+            out[:o_b].reshape(self.n6, self.n6),
+            out[o_ll:o_pl].reshape(-1, 3, 3),
+            out[o_pl:].reshape(-1, 6, 3),
         )
 
     def _reduce(self, lin: _Linearization, lam: float):
         """Schur complement of the damped landmark blocks: the reduced pose
         matrix S, the inverse landmark blocks and Hpl D^-1 per pair."""
-        Dinv = np.linalg.inv(lin.Hll + lam * np.eye(3))
+        Dinv = np.linalg.inv(lin.Hll + lam * _EYE3)
         Y = lin.Hpl @ Dinv[self.pair_l]
         S = lin.Hpp.copy()
-        S.flat[:: self.n6 + 1] += lam
+        S.reshape(-1)[:: self.n6 + 1] += lam
         fill = Y[self._qa] @ lin.Hpl[self._qb].transpose(0, 2, 1)
         np.subtract.at(S.reshape(-1), self._schur, fill.reshape(-1))
         return S, Dinv, Y
@@ -491,11 +496,11 @@ class _Problem:
         """The LM step for damping `lam`: pose increments (P, 6) and
         landmark increments (M, 3). Raises LinAlgError if singular."""
         S, Dinv, Y = self._reduce(lin, lam)
-        bp, bl = lin.b[: self.n6], lin.b[self.n6 :].reshape(-1, 3)
+        bp, bl = lin.b[: self.n6], lin.b[self.n6 :]
         g = bp.copy()
-        np.subtract.at(g, self._pair_grad_p, (Y @ bl[self.pair_l][:, :, None]).reshape(-1))
+        np.subtract.at(g, self._pair_grad_p, (Y @ bl.reshape(-1, 3)[self.pair_l][:, :, None]).reshape(-1))
         dp = np.linalg.solve(S, -g).reshape(-1, 6)
-        rhs = -bl.reshape(-1)
+        rhs = -bl
         np.subtract.at(rhs, self._pair_grad_l, (lin.Hpl.transpose(0, 2, 1) @ dp[self.pair_p][:, :, None]).reshape(-1))
         dl = (Dinv @ rhs.reshape(-1, 3)[:, :, None])[:, :, 0]
         return dp, dl

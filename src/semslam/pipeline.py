@@ -220,20 +220,19 @@ class Pipeline:
         # the clutter count is kept local to a submap; carrying it across
         # submaps lets the DP rich-get-richer weight swallow new landmarks
         self.n_fp_total = 0
-        # landmark factors from the fused output
-        for lid, flm in fused.items():
+        # landmark factors from the fused output, in the anchor pose's body frame
+        anchors = [self.pose_est[flm.last_scene] for flm in fused.values()]
+        R = np.reshape([pose.rot() for pose in anchors], (-1, 3, 3))
+        RT = R.transpose(0, 2, 1)
+        offsets = np.reshape([flm.mean - pose.translation for flm, pose in zip(fused.values(), anchors)], (-1, 3, 1))
+        z_body = (RT @ offsets)[:, :, 0]
+        info = np.linalg.inv(RT @ np.reshape([flm.cov for flm in fused.values()], (-1, 3, 3)) @ R)
+        info = 0.5 * (info + info.transpose(0, 2, 1))
+        for (lid, flm), z, inf in zip(fused.items(), z_body, info):
             self.fused_map[lid] = flm
-            pose = self.pose_est[flm.last_scene]
-            R = pose.rot()
-            z_body = pose.transform_inverse(flm.mean)
-            cov_body = R.T @ flm.cov @ R
-            info = np.linalg.inv(cov_body)
-            info = 0.5 * (info + info.T)
             if lid not in self.graph.landmarks:
                 self.graph.landmarks[lid] = flm.mean.copy()
-            self.graph.factors.append(
-                LandmarkFactor(flm.last_scene, lid, z_body, info, robust_c=cfg.cauchy_c)
-            )
+            self.graph.factors.append(LandmarkFactor(flm.last_scene, lid, z, inf, robust_c=cfg.cauchy_c))
         summary = self._summarize(fused)
         submap_hist = summary.histogram / max(summary.histogram.sum(), 1)
         if self._submap_scenes and gate(summary, self.gate_defaults) == "check":

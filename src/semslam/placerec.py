@@ -427,8 +427,9 @@ class LoopClosureDetector:
                 continue
             rel, mask = result
             ia, ib = ia[mask], ib[mask]
-            # inliers must cover distinct landmarks on both sides
-            if min(np.unique(ia).size, np.unique(ib).size) < self.ransac_min_inliers:
+            # inliers must cover distinct landmarks on both sides (counted with
+            # sets: a bare np.unique imports numpy.ma)
+            if min(len(set(ia.tolist())), len(set(ib.tolist()))) < self.ransac_min_inliers:
                 continue
             inliers = tuple(zip(ia.tolist(), ib.tolist()))
             closures.append(LoopClosure(query_scene.scene_id, cand.scene_id, rel, inliers))

@@ -149,7 +149,7 @@ def random_information(rng, dim):
     return rng.uniform(1.0, 100.0) * (A @ A.T / dim + np.eye(dim))
 
 
-PARITY_KINDS = ("mixed", "landmark_free", "near_pi", "zero_residual")
+PARITY_KINDS = ("mixed", "landmark_free", "near_pi", "zero_residual", "moved_prior")
 
 
 def parity_graph(rng, kind):
@@ -160,6 +160,9 @@ def parity_graph(rng, kind):
     same without landmarks. near_pi: an odometry residual rotation within
     1e-6 of pi at the start. zero_residual: every residual exactly zero, or
     only x-translation residuals with identity rotations and information.
+    moved_prior: as mixed, but the prior sits on a random pose with a random
+    SE(3) measurement, is sometimes robust and lies anywhere in the factor
+    list. Every other kind has a non-robust identity prior on pose 0, first.
     """
     max_iters = int(rng.choice([1, 3, 12, 50]))
     robust = lambda: float(rng.uniform(0.5, 3.0)) if rng.random() < 0.5 else None
@@ -182,15 +185,19 @@ def parity_graph(rng, kind):
                 g.factors.append(LandmarkFactor(int(p), lid, z, scale * np.eye(3), robust_c=robust()))
         return g, max_iters
     n = int(rng.integers(2, 7))
-    truth = [Pose()] + [random_pose(rng) for _ in range(n - 1)]
+    moved = kind == "moved_prior"
+    p0 = int(rng.integers(n)) if moved else 0
+    truth = [random_pose(rng) if moved else Pose()] + [random_pose(rng) for _ in range(n - 1)]
     for p in range(n):
-        start = truth[p] if p == 0 else Pose(
+        start = truth[p] if p == p0 else Pose(
             truth[p].translation + 0.3 * rng.standard_normal(3),
             quat_mul(truth[p].rotation, quat_from_rotvec(0.2 * rng.standard_normal(3))),
         )
         g.poses[p] = start
     prior_info = 1e6 * np.eye(6) if rng.random() < 0.5 else random_information(rng, 6)
-    g.factors.append(PriorFactor(0, Pose(), prior_info))
+    prior = PriorFactor(p0, truth[p0].copy(), prior_info, robust_c=robust() if moved else None)
+    if not moved:
+        g.factors.append(prior)
 
     def noisy_relative(i, j):
         rel = truth[j].relative_to(truth[i])
@@ -209,13 +216,15 @@ def parity_graph(rng, kind):
         half = 0.5 * (math.pi - 5e-7)
         g.poses[1] = Pose(g.poses[1].translation, np.concatenate([[math.cos(half)], math.sin(half) * axis]))
         g.factors[1] = RelativePoseFactor(0, 1, Pose(rng.uniform(-1, 1, 3)), random_information(rng, 6), robust_c=robust())
-    if kind in ("mixed", "near_pi"):
+    if kind in ("mixed", "near_pi", "moved_prior"):
         for lid in range(int(rng.integers(1, 7))):
             where = 3.0 * rng.standard_normal(3)
             g.landmarks[10 + lid] = where + 0.3 * rng.standard_normal(3)
             for p in rng.choice(n, size=int(rng.integers(1, min(3, n) + 1)), replace=False):
                 z = truth[p].transform_inverse(where) + 0.05 * rng.standard_normal(3)
                 g.factors.append(LandmarkFactor(int(p), 10 + lid, z, random_spd(rng, rng.uniform(1.0, 30.0)), robust_c=robust()))
+    if moved:
+        g.factors.insert(int(rng.integers(len(g.factors) + 1)), prior)
     return g, max_iters
 
 
@@ -451,6 +460,60 @@ class TestOptimize:
             seen["capped"] += not got.converged
             seen["converged"] += got.converged
         assert all(n > 0 for n in seen.values()), seen
+
+
+class TestPriorFold:
+    """The pose-pose stack holds a prior as an edge from a fixed origin
+    (t = 0, R = I). These are the facts that keep it bit for bit."""
+
+    def test_origin_edge_is_the_prior(self, rng):
+        """The relative terms from the origin are the prior's own: t - t_m,
+        log(R_m^T R), and the Jacobian diag(I, J_r^-1) with J_r^-1(phi) =
+        J_l^-1(-phi); `PriorFactor` and the stack's first row both give them."""
+        from semslam.graph import _Problem, _left_jacobian_inv, _log_so3, _quat_to_rot
+
+        for _ in range(40):
+            pose_id = int(rng.integers(3))
+            g = GraphState(poses={p: random_pose(rng) for p in range(3)})
+            prior = PriorFactor(pose_id, random_pose(rng), np.eye(6))
+            g.factors = [prior] + [RelativePoseFactor(p, p + 1, random_pose(rng), np.eye(6)) for p in range(2)]
+            pose, meas = g.poses[pose_id], prior.prior
+            phi = _log_so3(meas.rot()[None].transpose(0, 2, 1) @ pose.rot()[None])
+            r = np.concatenate([pose.translation - meas.translation, phi[0]])
+            J = np.zeros((6, 6))
+            J[:3, :3] = np.eye(3)
+            J[3:, 3:] = _left_jacobian_inv(-phi)[0]
+            assert np.array_equal(prior.residual(g), r)
+            assert np.array_equal(prior.jacobians(g)[("pose", pose_id)], J)
+            prob = _Problem(g)
+            rs, Js = prob.edges.terms(prob.t0, _quat_to_rot(prob.q0))
+            assert np.array_equal(rs[0], r) and np.array_equal(Js[0, :, 6:], J)
+
+    def test_right_jacobian_inverse_is_the_left_transposed(self, rng):
+        """J_l^-1(-phi) equals J_l^-1(phi) transposed, entry for entry, so a
+        relative factor needs one inverse Jacobian for both of its poses."""
+        from semslam.graph import _left_jacobian_inv
+
+        axes = rng.standard_normal((300, 3))
+        axes /= np.linalg.norm(axes, axis=1)[:, None]
+        for phi in (
+            rng.uniform(0.0, 3.0, (300, 1)) * axes,  # random
+            rng.uniform(0.0, 1e-6, (300, 1)) * axes,  # the small-angle series
+            (math.pi - rng.uniform(0.0, 1e-6, (300, 1))) * axes,  # within 1e-6 of pi
+        ):
+            assert np.array_equal(_left_jacobian_inv(-phi), _left_jacobian_inv(phi).transpose(0, 2, 1))
+
+    def test_linearize_evaluates_two_stacks(self, monkeypatch):
+        from semslam import graph
+
+        calls = []
+        for stack in (graph._EdgeStack, graph._LandmarkStack):
+            terms = stack.terms
+            monkeypatch.setattr(stack, "terms", lambda self, *a, f=terms: calls.append(type(self)) or f(self, *a))
+        g, _ = parity_graph(np.random.default_rng(7), "moved_prior")
+        prob = graph._Problem(g)
+        prob.linearize(prob.t0, prob.q0, prob.L0)
+        assert calls == [graph._EdgeStack, graph._LandmarkStack]
 
 
 class TestRmse:

@@ -28,7 +28,7 @@ def _launcher_env():
 
 def _check_job(tmp_path, job, config):
     """The tool's line for `job` equals the hashes of what `python -m semslam`
-    writes and prints for `config`."""
+    writes and prints for `config`, then a `graph=` field."""
     env = _launcher_env()
     tool = os.path.join(ROOT, "tools", "panel_digest.py")
     out = subprocess.run([sys.executable, tool, "--job", job], env=env, capture_output=True, text=True, check=True)
@@ -46,7 +46,10 @@ def _check_job(tmp_path, job, config):
     expect = []
     for d, files in ((logs, LOGS), (run, OUTPUTS)):
         expect += [f"{f}={sha((d / f).read_bytes())}" for f in files]
-    assert fields == [*expect, f"summary={sha(summary)}"]
+    assert fields[:-1] == [*expect, f"summary={sha(summary)}"]
+    # the optimize results, hashed in the tool's own process
+    key, value = fields[-1].split("=")
+    assert key == "graph" and len(value) == 16 and int(value, 16) >= 0
 
 
 def test_digest_of_one_job_hashes_its_outputs(tmp_path):
@@ -59,11 +62,60 @@ def test_digest_of_a_degraded_job_hashes_its_outputs(tmp_path):
     _check_job(tmp_path, "clutter-2", RunConfig(world_seed=2, run_seed=2, sim_fp_rate=2.0))
 
 
-def test_degraded_jobs_lie_outside_the_default_panel():
-    """The degraded and single_ukf baseline jobs run only when named."""
+def _tool():
     spec = importlib.util.spec_from_file_location("panel_digest", os.path.join(ROOT, "tools", "panel_digest.py"))
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_graph_digest_hashes_every_result_at_full_precision():
+    """The graph field hashes each optimize result in call order; a one-ulp
+    change in a pose, a landmark or the cost, or any other result field
+    changes its bytes."""
+    import dataclasses
+
+    import numpy as np
+
+    from semslam import pipeline
+    from semslam.geometry import Pose
+    from semslam.graph import GraphState, LandmarkFactor, PriorFactor, RelativePoseFactor
+
+    tool = _tool()
+    g = GraphState(poses={0: Pose(), 1: Pose(np.array([1.0, 0.2, 0.0]))}, landmarks={4: np.array([2.0, 1.0, 0.5])})
+    g.factors = [
+        PriorFactor(0, Pose(), 1e6 * np.eye(6)),
+        RelativePoseFactor(0, 1, Pose(np.array([1.0, 0.0, 0.0])), np.eye(6)),
+        LandmarkFactor(1, 4, np.array([1.0, 1.0, 0.5]), np.eye(3), robust_c=1.0),
+    ]
+    optimize = pipeline.optimize
+    h = hashlib.sha256()
+    with tool.hashing_optimize(h):
+        first, second = pipeline.optimize(g, 1), pipeline.optimize(g, 5)
+    assert pipeline.optimize is optimize
+    assert h.digest() == hashlib.sha256(tool.result_bytes(first) + tool.result_bytes(second)).digest()
+
+    base = tool.result_bytes(second)
+    state = second.state.copy()
+    state.poses[1] = Pose(np.nextafter(state.poses[1].translation, np.inf), state.poses[1].rotation)
+    moved_landmark = second.state.copy()
+    moved_landmark.landmarks[4] = np.nextafter(moved_landmark.landmarks[4], np.inf)
+    changed = [
+        dataclasses.replace(second, state=state),
+        dataclasses.replace(second, state=moved_landmark),
+        dataclasses.replace(second, cost=float(np.nextafter(second.cost, np.inf))),
+        dataclasses.replace(second, initial_cost=float(np.nextafter(second.initial_cost, np.inf))),
+        dataclasses.replace(second, last_pose_cov_trace=float(np.nextafter(second.last_pose_cov_trace, np.inf))),
+        dataclasses.replace(second, iterations=second.iterations + 1),
+        dataclasses.replace(second, converged=not second.converged),
+        dataclasses.replace(second, rejected_steps=second.rejected_steps + 1),
+    ]
+    assert all(tool.result_bytes(r) != base for r in changed)
+
+
+def test_degraded_jobs_lie_outside_the_default_panel():
+    """The degraded and single_ukf baseline jobs run only when named."""
+    tool = _tool()
     panel, degraded, baselines = tool.panel(), tool.degraded(), tool.baselines()
     assert len(panel) == 16 and len(degraded) == 7 and len(baselines) == 3
     assert not set(panel) & set(degraded) and not (set(panel) | set(degraded)) & set(baselines)

@@ -4,8 +4,10 @@ The panel is 16 jobs: square-loop worlds 1-5 and line worlds 0-4 at the
 default config, and square-loop worlds 1, 3 and 4 at plausibility_gap = 100
 under both dpmhm and mhm_threshold. World seed and run seed are the world
 number. For each job the script prints one line: the job name, then the
-first 16 hex digits of the sha256 of every output CSV and of the printed
-run summary.
+first 16 hex digits of the sha256 of every output CSV, of the printed
+run summary and of every pose-graph result (`semslam.pipeline.optimize`),
+in call order, at full precision. The CSVs print 9 significant digits, so
+they can hide a last-bit change in the optimizer; the `graph=` field cannot.
 
 It imports semslam from the `src/` directory next to it, so run in two
 checkouts it shows whether a change keeps every output byte-identical:
@@ -83,6 +85,37 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+def result_bytes(result) -> bytes:
+    """An optimize result at full precision: the float64 bytes of every pose
+    (translation, then rotation) and landmark by id, then the scalars."""
+    state = result.state
+    arrays = [a for pid in sorted(state.poses) for a in (state.poses[pid].translation, state.poses[pid].rotation)]
+    arrays += [state.landmarks[lid] for lid in sorted(state.landmarks)]
+    floats = (result.cost, result.initial_cost, result.last_pose_cov_trace)
+    scalars = [float(x).hex() for x in floats] + [repr(int(result.iterations)), repr(bool(result.converged)), repr(int(result.rejected_steps))]
+    return b"".join(a.astype("<f8").tobytes() for a in arrays) + " ".join(scalars).encode()
+
+
+@contextlib.contextmanager
+def hashing_optimize(h):
+    """Feed `h` every `semslam.pipeline.optimize` result while the block runs.
+    Import the pipeline only here: by now the launcher has set the BLAS threads."""
+    from semslam import pipeline
+
+    optimize = pipeline.optimize
+
+    def hashed(*args, **kwargs):
+        result = optimize(*args, **kwargs)
+        h.update(result_bytes(result))
+        return result
+
+    pipeline.optimize = hashed
+    try:
+        yield
+    finally:
+        pipeline.optimize = optimize
+
+
 def digest(name, overrides, work) -> str:
     """Simulate and run one job in `work`; its digest line."""
     cfg = os.path.join(work, "run.cfg")
@@ -93,7 +126,8 @@ def digest(name, overrides, work) -> str:
     with contextlib.redirect_stdout(io.StringIO()):
         if semslam(["simulate", "--config", cfg, "--out", logs]) != 0:
             raise SystemExit(f"{name}: simulate failed")
-    with contextlib.redirect_stdout(summary):
+    results = hashlib.sha256()
+    with contextlib.redirect_stdout(summary), hashing_optimize(results):
         if semslam(["run", "--config", cfg, "--logs", logs, "--out", out]) != 0:
             raise SystemExit(f"{name}: run failed")
     fields = [name]
@@ -102,6 +136,7 @@ def digest(name, overrides, work) -> str:
             with open(os.path.join(d, f), "rb") as fh:
                 fields.append(f"{f}={sha(fh.read())}")
     fields.append(f"summary={sha(summary.getvalue().encode())}")
+    fields.append(f"graph={results.hexdigest()[:16]}")
     return " ".join(fields)
 
 

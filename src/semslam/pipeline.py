@@ -34,6 +34,7 @@ from .placerec import (
     LoopClosureDetector,
     SceneDescriptor,
     VerifyThresholds,
+    similar_submaps,
 )
 from .submap import Corpus, GateDefaults, SubmapSummary, gate, tfidf_score
 
@@ -236,8 +237,9 @@ class Pipeline:
         summary = self._summarize(fused)
         submap_hist = summary.histogram / max(summary.histogram.sum(), 1)
         if self._submap_scenes and gate(summary, self.gate_defaults) == "check":
+            submaps = similar_submaps(self.detector.index, submap_hist, self.detector.tau_jsd)
             for scene in self._submap_scenes:
-                for lc in self.detector.detect(submap_hist, scene):
+                for lc in self.detector.detect(submaps, scene):
                     self.n_loop_closures += 1
                     self.graph.factors.append(
                         RelativePoseFactor(

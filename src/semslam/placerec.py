@@ -88,26 +88,26 @@ class PlaceIndex:
         self.scenes_by_submap[submap_id] = [s.scene_id for s in scenes]
 
 
+def similar_submaps(index: PlaceIndex, query_submap_hist: np.ndarray, tau_jsd: float) -> List[int]:
+    """Stage 1: the indexed submaps within tau_jsd of the query submap
+    histogram (exact JSD), in submap id order. It depends on the query
+    submap alone, so it runs once for all of that submap's scenes."""
+    query_submap_hist = np.asarray(query_submap_hist, dtype=float)
+    return [sid for sid in sorted(index.submap_hist) if jsd(query_submap_hist, index.submap_hist[sid]) <= tau_jsd]
+
+
 def query_candidates(
     index: PlaceIndex,
-    query_submap_hist: np.ndarray,
+    submaps: Sequence[int],
     query_scene: SceneDescriptor,
-    tau_jsd: float,
     r_l2: float,
     exclusion_window: int,
 ) -> List[SceneDescriptor]:
-    """Stage 1: submaps within tau_jsd of the query submap histogram (exact
-    JSD, in submap id order). Stage 2: their scenes within r_l2 of the query
+    """Stage 2: the scenes of the stage-1 submaps within r_l2 of the query
     scene histogram, closest first (ties by scene id). Scenes inside the
     exclusion window are dropped."""
-    query_submap_hist = np.asarray(query_submap_hist, dtype=float)
-    good_submaps = [
-        sid
-        for sid in sorted(index.submap_hist)
-        if jsd(query_submap_hist, index.submap_hist[sid]) <= tau_jsd
-    ]
     out = []
-    for sid in good_submaps:
+    for sid in submaps:
         for scene_id in index.scenes_by_submap[sid]:
             s = index.scenes[scene_id]
             if abs(s.scene_id - query_scene.scene_id) <= exclusion_window:
@@ -122,6 +122,12 @@ def query_candidates(
 # topology score
 
 
+def _distances(p: np.ndarray) -> np.ndarray:
+    # one coordinate at a time: cheaper than reducing an (n, n, 3) array
+    dx, dy, dz = (p[:, k, None] - p[:, k] for k in range(3))
+    return np.sqrt(dx * dx + dy * dy + dz * dz)
+
+
 def scene_laplacian(scene: SceneDescriptor, edge_radius: float) -> np.ndarray:
     """Graph Laplacian of the landmark proximity graph, nodes ordered by
     (class id, distance to the scene centroid)."""
@@ -131,10 +137,7 @@ def scene_laplacian(scene: SceneDescriptor, edge_radius: float) -> np.ndarray:
     centroid = scene.positions.mean(axis=0)
     ids = scene.label_ids.tolist()
     order = sorted(range(n), key=lambda i: (ids[i], float(np.linalg.norm(scene.positions[i] - centroid)), i))
-    pts = scene.positions[order]
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    adj = (dist <= edge_radius).astype(float)
+    adj = (_distances(scene.positions[order]) <= edge_radius).astype(float)
     np.fill_diagonal(adj, 0.0)
     return np.diag(adj.sum(axis=1)) - adj
 
@@ -279,6 +282,27 @@ def rigid_transform_svd(src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, n
     return R, t
 
 
+def consensus_possible(src: np.ndarray, dst: np.ndarray, m: int, inlier_tol: float) -> bool:
+    """False only if no rigid fit has m pairs within inlier_tol. A rigid motion
+    keeps distances, so such pairs i, j have | |s_i - s_j| - |d_i - d_j| | <=
+    2 tol: they form an m-clique of compatible pairs, which survives peeling
+    every pair with fewer than m - 1 live compatible neighbours. The margin,
+    1e-9 of the largest coordinate or more, covers rounding and only admits."""
+    margin = 1e-9 * max(1.0, float(np.abs(src).max()), float(np.abs(dst).max()))
+    gap = _distances(src)
+    gap -= _distances(dst)
+    near = np.where(np.abs(gap, out=gap) > 2.0 * abs(inlier_tol) + margin, 0.0, 1.0)  # NaN: compatible
+    np.fill_diagonal(near, 0.0)
+    live = np.ones(src.shape[0])
+    count = live.size
+    while count >= m:
+        live *= near @ live >= m - 1  # degrees are sums of ones: exact
+        count, left = int(live.sum()), count
+        if count == left:
+            return True
+    return False
+
+
 def ransac_verify(
     src: np.ndarray,
     dst: np.ndarray,
@@ -288,15 +312,20 @@ def ransac_verify(
     min_inliers: int = 4,
 ) -> Optional[Tuple[Pose, np.ndarray]]:
     """RANSAC rigid alignment dst ~ T(src). Returns (pose, inlier mask) or
-    None on rejection. Deterministic under a seeded rng."""
+    None on rejection. Deterministic under a seeded rng. Inputs where
+    `consensus_possible` rules out max(min_inliers, 3) inliers return None
+    unscanned, after the same draws from rng as a full scan."""
     src = np.asarray(src, dtype=float).reshape(-1, 3)
     dst = np.asarray(dst, dtype=float).reshape(-1, 3)
     n = src.shape[0]
     if n < 3:
         return None
-    # minimal samples are drawn up front so the kernel and its scalar test
-    # oracle score the same samples
-    picks = np.argsort(rng.random((iters, n)), axis=1)[:, :3].astype(np.int64)
+    # samples are drawn up front, so the kernel and its scalar oracle score
+    # the same ones and a screened call takes the same draws
+    u = rng.random((iters, n))
+    if not consensus_possible(src, dst, max(min_inliers, 3), inlier_tol):
+        return None
+    picks = np.argsort(u, axis=1)[:, :3].astype(np.int64)
     best_mask, best_count = kernels.ransac_best_mask(src, dst, picks, inlier_tol)
     if best_count < max(min_inliers, 3):
         return None
@@ -400,13 +429,12 @@ class LoopClosureDetector:
             self._lap_cache[scene.scene_id] = L
         return L
 
-    def detect(self, query_submap_hist: np.ndarray, query_scene: SceneDescriptor) -> List[LoopClosure]:
+    def detect(self, submaps: Sequence[int], query_scene: SceneDescriptor) -> List[LoopClosure]:
         """Returns at most one closure: the candidate with the strongest
-        geometric consensus for this query scene."""
+        geometric consensus for this query scene. submaps is stage 1 of
+        retrieval for the query's submap (`similar_submaps` at tau_jsd)."""
         closures = []
-        candidates = query_candidates(
-            self.index, query_submap_hist, query_scene, self.tau_jsd, self.r_l2, self.exclusion_window
-        )
+        candidates = query_candidates(self.index, submaps, query_scene, self.r_l2, self.exclusion_window)
         # verification is the expensive stage: keep only the closest retrievals
         for cand in candidates[: self.max_candidates]:
             if query_scene.positions.shape[0] == 0 or cand.positions.shape[0] == 0:

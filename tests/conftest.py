@@ -23,6 +23,7 @@ from semslam.geometry import (
     quat_from_rotvec,
     quat_mul,
     quat_normalize,
+    rot_to_quat,
 )
 from semslam.graph import (
     GraphState,
@@ -36,9 +37,10 @@ from semslam.placerec import (
     LoopClosure,
     MatchedPair,
     bayes_update,
+    jsd,
     ncc_score,
     query_candidates,
-    ransac_verify,
+    rigid_transform_svd,
 )
 
 
@@ -375,6 +377,26 @@ def scalar_ransac_best_mask(src, dst, picks, tol):
     return best_mask, best_count
 
 
+def scalar_ransac_verify(src, dst, rng, iters=200, inlier_tol=0.5, min_inliers=4):
+    """`placerec.ransac_verify` without its screen: draw, argsort, the scalar
+    scan, refit. Its reference for outputs and rng state."""
+    src = np.asarray(src, dtype=float).reshape(-1, 3)
+    dst = np.asarray(dst, dtype=float).reshape(-1, 3)
+    n = src.shape[0]
+    if n < 3:
+        return None
+    picks = np.argsort(rng.random((iters, n)), axis=1)[:, :3].astype(np.int64)
+    best_mask, best_count = scalar_ransac_best_mask(src, dst, picks, inlier_tol)
+    if best_count < max(min_inliers, 3):
+        return None
+    R, t = rigid_transform_svd(src[best_mask], dst[best_mask])
+    mask = np.linalg.norm(dst - (src @ R.T + t), axis=1) <= inlier_tol
+    if int(mask.sum()) < min_inliers:
+        return None
+    R, t = rigid_transform_svd(src[mask], dst[mask])
+    return Pose(t, rot_to_quat(R)), mask
+
+
 def scalar_check_spd(cov, tol=SPD_EIG_TOL) -> None:
     """The SPD contract with no fast path: the reference for `core.check_spd`."""
     cov = np.asarray(cov)
@@ -466,13 +488,14 @@ def scalar_scene_match(a, b, penalty_p=0.5, dist_norm_scale=5.0, term_mode="as_p
 
 
 def scalar_detect(det, query_submap_hist, query_scene):
-    """`LoopClosureDetector.detect` with every candidate scored exactly and
-    the putative pairs built from scalar class id comparisons: its reference.
-    Runs on det's index, beliefs, Laplacian cache and rng, and updates them."""
+    """`LoopClosureDetector.detect` with stage 1 of retrieval run per query,
+    every candidate scored exactly, the putative pairs built from scalar class
+    id comparisons and the unscreened RANSAC scan: its reference. Runs on
+    det's index, beliefs, Laplacian cache and rng, and updates them."""
     th = det.thresholds
-    candidates = query_candidates(
-        det.index, query_submap_hist, query_scene, det.tau_jsd, det.r_l2, det.exclusion_window
-    )
+    hists = det.index.submap_hist
+    submaps = [sid for sid in sorted(hists) if jsd(query_submap_hist, hists[sid]) <= det.tau_jsd]
+    candidates = query_candidates(det.index, submaps, query_scene, det.r_l2, det.exclusion_window)
     candidates = sorted(
         candidates,
         key=lambda s: (float(np.linalg.norm(query_scene.histogram - s.histogram)), s.scene_id),
@@ -499,7 +522,7 @@ def scalar_detect(det, query_submap_hist, query_scene):
             continue
         src = cand.positions[[ib for _, ib in putative]]
         dst = query_scene.positions[[ia for ia, _ in putative]]
-        result = ransac_verify(src, dst, det.rng, det.ransac_iters, det.ransac_tol, det.ransac_min_inliers)
+        result = scalar_ransac_verify(src, dst, det.rng, det.ransac_iters, det.ransac_tol, det.ransac_min_inliers)
         if result is None:
             continue
         rel, mask = result

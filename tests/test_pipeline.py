@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from semslam import kernels, placerec
 from semslam.config import RunConfig
 from semslam.core import SemanticMeasurement
 from semslam.geometry import Pose
@@ -142,6 +143,26 @@ class TestDeterminism:
         for a, b in zip(r1.trajectory, r2.trajectory):
             assert np.array_equal(a.translation, b.translation)
             assert np.array_equal(a.rotation, b.rotation)
+
+
+
+@pytest.mark.parametrize("trajectory, world, verifies, scans", [("line", 0, 65, 0), ("square_loop", 1, 125, 66)])
+def test_consensus_screen_skips_scans(monkeypatch, trajectory, world, verifies, scans):
+    # at defaults the screen rules out every RANSAC scan of line world 0, where
+    # no loop closes, and 59 of square-loop world 1's 125
+    calls = {"verify": 0, "scan": 0}
+
+    def counted(fn, key):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(placerec, "ransac_verify", counted(placerec.ransac_verify, "verify"))
+    monkeypatch.setattr(kernels, "ransac_best_mask", counted(kernels.ransac_best_mask, "scan"))
+    run_for(RunConfig(trajectory=trajectory, world_seed=world, run_seed=world))
+    assert (calls["verify"], calls["scan"]) == (verifies, scans)
 
 
 class TestModes:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semslam import placerec
+from semslam import kernels, placerec
 from semslam.core import ContractViolation
 from semslam.geometry import Pose, exp_so3, quat_from_yaw, rot_to_quat
 from semslam.placerec import (
@@ -18,6 +18,7 @@ from semslam.placerec import (
     SceneDescriptor,
     VerifyThresholds,
     bayes_update,
+    consensus_possible,
     jsd,
     ncc_score,
     pair_scores,
@@ -27,10 +28,11 @@ from semslam.placerec import (
     scene_laplacian,
     scene_match,
     score_bound,
+    similar_submaps,
     verify_pair,
 )
 
-from conftest import scalar_detect, scalar_scene_match
+from conftest import scalar_detect, scalar_ransac_best_mask, scalar_ransac_verify, scalar_scene_match
 
 
 def scene(scene_id, positions, class_ids, submap_id=0, dim=4, pose=None):
@@ -40,6 +42,11 @@ def scene(scene_id, positions, class_ids, submap_id=0, dim=4, pose=None):
         hist[c] += 1
     hist = hist / hist.sum()
     return SceneDescriptor(scene_id, submap_id, hist, positions, class_ids, pose or Pose())
+
+
+def detect(det, q):
+    """det.detect for a query whose submap histogram is its own histogram."""
+    return det.detect(similar_submaps(det.index, q.histogram, det.tau_jsd), q)
 
 
 class TestJsd:
@@ -99,14 +106,14 @@ class TestQueryCandidates:
     def test_empty_index(self):
         index = PlaceIndex(4)
         q = scene(100, [[0, 0, 0]], [0])
-        assert query_candidates(index, q.histogram, q, 0.2, 0.6, 10) == []
+        assert query_candidates(index, similar_submaps(index, q.histogram, 0.2), q, 0.6, 10) == []
 
     def test_exact_copy_found(self):
         index = PlaceIndex(4)
         s = scene(5, [[0, 0, 0], [1, 0, 0]], [0, 1])
         index.add_submap(0, s.histogram, [s])
         q = scene(100, [[0, 0, 0], [1, 0, 0]], [0, 1])
-        found = query_candidates(index, q.histogram, q, 0.2, 0.6, 10)
+        found = query_candidates(index, similar_submaps(index, q.histogram, 0.2), q, 0.6, 10)
         assert [c.scene_id for c in found] == [5]
 
     def test_exclusion_window_drops_self(self):
@@ -114,8 +121,10 @@ class TestQueryCandidates:
         s = scene(95, [[0, 0, 0]], [0])
         index.add_submap(0, s.histogram, [s])
         q = scene(100, [[0, 0, 0]], [0])
-        assert query_candidates(index, q.histogram, q, 0.2, 0.6, 10) == []
-        assert [c.scene_id for c in query_candidates(index, q.histogram, q, 0.2, 0.6, 4)] == [95]
+        submaps = similar_submaps(index, q.histogram, 0.2)
+        assert submaps == [0]
+        assert query_candidates(index, submaps, q, 0.6, 10) == []
+        assert [c.scene_id for c in query_candidates(index, submaps, q, 0.6, 4)] == [95]
 
     def test_matches_brute_force(self, rng):
         dim = 5
@@ -130,7 +139,7 @@ class TestQueryCandidates:
         for _ in range(10):
             qh = rng.dirichlet(np.ones(dim))
             q = SceneDescriptor(1000, 1000, qh, np.zeros((1, 3)), (0,), Pose())
-            got = {c.scene_id for c in query_candidates(index, qh, q, tau_jsd, r_l2, 10)}
+            got = {c.scene_id for c in query_candidates(index, similar_submaps(index, qh, tau_jsd), q, r_l2, 10)}
             expect = {
                 s.scene_id
                 for s in scenes
@@ -369,6 +378,127 @@ class TestRansacVerify:
         assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-9)
 
 
+SCREEN_KINDS = ("planted", "scaled", "shared", "collinear", "unrelated")
+
+
+def _screen_problem(rng, kind, n, tol):
+    """Putative pairs (src, dst, k) for the consensus screen: the first k >= 3
+    pairs follow a rigid motion as the kind says, the rest are outliers."""
+    R, t = exp_so3(rng.normal(size=3)), rng.uniform(-10.0, 10.0, 3)
+    src = rng.uniform(-8.0, 8.0, (n, 3))
+    dst = rng.uniform(-8.0, 8.0, (n, 3)) + t
+    k = int(rng.integers(3, n + 1))
+    if kind == "planted":  # residuals just under tol; for k >= 5 on the last two only, pointing apart
+        e = rng.normal(size=(k, 3))
+        if k >= 5:
+            e[: k - 2] = 0.0
+            e[k - 2] = src[k - 2] - src[k - 1]
+            e[k - 1] = -e[k - 2]
+        norm = np.linalg.norm(e, axis=1, keepdims=True)
+        e = np.divide(e * (tol * (1.0 - 1e-9)), norm, out=np.zeros_like(e), where=norm > 0.0)
+        dst[:k] = (src[:k] + e) @ R.T + t
+    elif kind == "scaled":  # the longest inlier distance grows by 2 tol, one ulp up or down
+        span = max(np.linalg.norm(a - b) for a in src[:k] for b in src[:k])
+        gap = np.nextafter(2.0 * tol, np.inf if rng.random() < 0.5 else -np.inf)
+        dst[:k] = (1.0 + gap / span) * src[:k] @ R.T + t
+    elif kind == "shared":  # detect's putatives: every same-class pairing of two scenes
+        cand = rng.uniform(-8.0, 8.0, (n, 3))
+        query = cand @ R.T + t + rng.uniform(-0.3 * tol, 0.3 * tol, (n, 3))
+        query[k:] = rng.uniform(-8.0, 8.0, (n - k, 3))
+        ccls, qcls = rng.integers(0, 3, n), rng.integers(0, 3, n)
+        qcls[:k] = ccls[:k]
+        ia, ib = np.nonzero(qcls[:, None] == ccls[None, :])
+        src, dst = cand[ib], query[ia]
+    elif kind == "collinear":  # all but one inlier on a line
+        src[: k - 1] = src[0] + np.outer(rng.uniform(-2.0, 2.0, k - 1), rng.normal(size=3))
+        dst[:k] = src[:k] @ R.T + t
+    return src, dst, k
+
+
+class TestConsensusScreen:
+    def _check(self, src, dst, iters, tol, min_inliers, seed):
+        """The screen admits every input whose unscreened scan reaches
+        max(min_inliers, 3) inliers (returned), and ransac_verify returns what
+        the unscreened verifier returns and leaves the rng where it does."""
+        m = max(min_inliers, 3)
+        picks = np.argsort(np.random.default_rng(seed).random((iters, src.shape[0])), axis=1)[:, :3]
+        reached = scalar_ransac_best_mask(src, dst, picks, tol)[1] >= m
+        assert consensus_possible(src, dst, m, tol) or not reached
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = scalar_ransac_verify(src, dst, ref_rng, iters, tol, min_inliers)
+        got = ransac_verify(src, dst, rng, iters, tol, min_inliers)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got[1], want[1])
+            assert np.array_equal(got[0].translation, want[0].translation)
+            assert np.array_equal(got[0].rotation, want[0].rotation)
+        return reached
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(SCREEN_KINDS),
+        st.integers(3, 14),
+        st.integers(1, 8),
+        st.sampled_from([0.05, 0.5, 2.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_screen_admits_every_accepted_scan(self, kind, n, min_inliers, tol, seed):
+        src, dst, _ = _screen_problem(np.random.default_rng(seed), kind, n, tol)
+        self._check(src, dst, 40, tol, min_inliers, seed)
+
+    def test_every_kind_reaches_m_inliers(self):
+        # the property above is not vacuous: each planted kind, and n = 3, has
+        # scans that reach m inliers, and the screen rejects other inputs.
+        # "planted" asks for all k pairs, the two with opposed residuals too
+        reached = dict.fromkeys(SCREEN_KINDS, 0)
+        reached_at_3 = screened = 0
+        for seed in range(80):
+            kind = SCREEN_KINDS[seed % len(SCREEN_KINDS)]
+            src, dst, k = _screen_problem(np.random.default_rng(seed), kind, 3 if seed % 2 else 10, 0.5)
+            min_inliers = k if kind == "planted" else 3
+            if self._check(src, dst, 40, 0.5, min_inliers, seed):
+                reached[kind] += 1
+                reached_at_3 += len(src) == 3
+            screened += not consensus_possible(src, dst, max(min_inliers, 3), 0.5)
+        assert all(reached[kind] for kind in SCREEN_KINDS[:-1]) and reached_at_3, reached
+        assert screened
+
+    @pytest.mark.parametrize("tol", [0.0, 0.05, 0.5])
+    def test_compatible_up_to_twice_tol_plus_margin(self, tol):
+        # four pairs on a stretched tetrahedron; only the 0-1 distance differs,
+        # by 2 tol one ulp up or down (admitted), or by 2 tol + 1e-6 (not)
+        src = np.array([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 3.0, 0.0], [1.0, 1.0, 3.0]])
+        up, down = np.nextafter(2.0 * tol, np.inf), np.nextafter(2.0 * tol, -np.inf)
+        for gap, ok in ((up, True), (down, True), (2.0 * tol + 1e-6, False)):
+            dst = src.copy()
+            dst[1, 0] += gap
+            assert consensus_possible(src, dst, 4, tol) is ok
+            assert consensus_possible(src, dst, 3, tol)
+
+    def test_shared_points_need_their_partners_within_twice_tol(self):
+        # pairs 0 and 1 share a src point, so they are compatible iff their
+        # dst points lie within 2 tol; with them, the three pairs form a clique
+        src = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [4.0, 0.0, 0.0]])
+        for spread, ok in ((0.99, True), (1.01, False)):
+            dst = np.array([[0.0, 0.0, 0.0], [0.0, spread, 0.0], [4.0, 0.0, 0.0]])
+            assert consensus_possible(src, dst, 3, 0.5) is ok
+
+    def test_screened_call_draws_like_a_full_scan(self, monkeypatch):
+        scans = []
+        scan = kernels.ransac_best_mask
+        monkeypatch.setattr(kernels, "ransac_best_mask", lambda *args: scans.append(1) or scan(*args))
+        src, dst, _ = _screen_problem(np.random.default_rng(3), "unrelated", 12, 0.5)
+        assert not consensus_possible(src, dst, 6, 0.5)
+        full, screened = np.random.default_rng(9), np.random.default_rng(9)
+        assert scalar_ransac_verify(src, dst, full, 100, 0.5, 6) is None
+        assert ransac_verify(src, dst, screened, 100, 0.5, 6) is None
+        assert scans == []
+        assert screened.bit_generator.state == full.bit_generator.state
+        assert ransac_verify(src, src, screened, 100, 0.5, 6) is not None
+        assert scans == [1]
+
+
 class TestVerifyPair:
     def test_identical_scenes_pass(self):
         pos = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [2, 1, 0], [1, 2, 0]]
@@ -493,7 +623,7 @@ class TestLoopClosureDetector:
         s0 = self.grid_scene(0, 0, first, pts, cls)
         det.add_submap(0, s0.histogram, [s0])
         q = self.grid_scene(40, 1, revisit, pts, cls)
-        closures = det.detect(q.histogram, q)
+        closures = detect(det, q)
         assert len(closures) == 1
         lc = closures[0]
         assert lc.candidate_scene == 0 and lc.query_scene == 40
@@ -510,7 +640,7 @@ class TestLoopClosureDetector:
         s0 = self.grid_scene(0, 0, pose, pts, cls)
         det.add_submap(0, s0.histogram, [s0])
         q = self.grid_scene(40, 1, pose, pts, cls)
-        assert det.detect(q.histogram, q) == []
+        assert detect(det, q) == []
 
     def test_unrelated_scene_rejected(self, rng):
         pts, cls = self.make_world(rng)
@@ -520,7 +650,7 @@ class TestLoopClosureDetector:
         s0 = self.grid_scene(0, 0, Pose(), pts, cls)
         det.add_submap(0, s0.histogram, [s0])
         q = self.grid_scene(40, 1, Pose(), other_pts, cls)
-        assert det.detect(q.histogram, q) == []
+        assert detect(det, q) == []
 
     @pytest.mark.parametrize("extra_side", ["query", "candidate"])
     def test_inliers_must_cover_distinct_landmarks_on_both_sides(self, extra_side):
@@ -533,13 +663,13 @@ class TestLoopClosureDetector:
         c = scene(0, c_pts, [0] * len(c_pts))
         det.add_submap(0, c.histogram, [c])
         q = scene(40, q_pts, [0] * len(q_pts))
-        assert det.detect(q.histogram, q) == []
+        assert detect(det, q) == []
         # the same run with a fourth distinct landmark on the other side closes
         det = LoopClosureDetector(**kwargs)
         c = scene(0, near, [0] * 4)
         det.add_submap(0, c.histogram, [c])
         q = scene(40, near, [0] * 4)
-        assert len(det.detect(q.histogram, q)) == 1
+        assert len(detect(det, q)) == 1
 
     def test_at_most_one_closure_per_query(self, rng):
         pts, cls = self.make_world(rng)
@@ -548,7 +678,7 @@ class TestLoopClosureDetector:
         s1 = self.grid_scene(10, 0, Pose(np.array([0.1, 0, 0])), pts, cls)
         det.add_submap(0, s0.histogram, [s0, s1])
         q = self.grid_scene(40, 1, Pose(np.array([0.2, 0.1, 0.0])), pts, cls)
-        closures = det.detect(q.histogram, q)
+        closures = detect(det, q)
         assert len(closures) == 1
 
 
@@ -573,7 +703,10 @@ def _revisit_run(seed, thresholds):
         body = np.stack([pose.transform_inverse(pts[i]) for i in seen]) + rng.normal(scale=0.02, size=(seen.size, 3))
         hist = np.bincount(cls[seen], minlength=dim) / seen.size
         scenes.append(SceneDescriptor(sid, sid // 6, hist, body, cls[seen], pose))
-    kwargs = dict(dim=dim, tau_jsd=0.3, r_l2=0.8, exclusion_window=10, thresholds=thresholds, rng_seed=seed)
+    # 100 RANSAC samples, the RunConfig default: the reference scans each one in Python
+    kwargs = dict(
+        dim=dim, tau_jsd=0.3, r_l2=0.8, exclusion_window=10, thresholds=thresholds, rng_seed=seed, ransac_iters=100
+    )
     return scenes, LoopClosureDetector(**kwargs), LoopClosureDetector(**kwargs)
 
 
@@ -587,11 +720,14 @@ def _same_closures(got, want):
 
 
 def test_detect_matches_scalar_oracle(monkeypatch):
-    """detect (score bound, integer class ids, one verifier) returns the
-    closures of the exact per-candidate detector, leaves the same beliefs
-    and the same rng state, on seeded revisit runs in both term modes."""
+    """detect (stage 1 once per submap, score bound, integer class ids, one
+    verifier, the consensus screen) returns the closures of the exact
+    per-candidate detector with the unscreened scan, and leaves the same
+    beliefs and the same rng state, on seeded revisit runs in both term modes."""
     seen = dict.fromkeys(
-        ["bound pass", "scored pass", "scored fail", "distance_weighted", "shared landmark", "closure after bound"], 0
+        ["bound pass", "scored pass", "scored fail", "distance_weighted", "shared landmark", "closure after bound"]
+        + ["screened", "scanned"],
+        0,
     )
     verified = []
 
@@ -604,9 +740,11 @@ def test_detect_matches_scalar_oracle(monkeypatch):
         seen["distance_weighted"] += th.term_mode == "distance_weighted"
         return out
 
-    def record_ransac(src, dst, *args):
+    def record_ransac(src, dst, rng, iters, tol, min_inliers):
         seen["shared landmark"] += len(np.unique(src, axis=0)) < len(src) or len(np.unique(dst, axis=0)) < len(dst)
-        return ransac_verify(src, dst, *args)
+        passed = consensus_possible(src, dst, max(min_inliers, 3), tol)
+        seen["scanned" if passed else "screened"] += 1
+        return ransac_verify(src, dst, rng, iters, tol, min_inliers)
 
     monkeypatch.setattr(placerec, "verify_pair", record_verify)
     monkeypatch.setattr(placerec, "ransac_verify", record_ransac)
@@ -623,9 +761,10 @@ def test_detect_matches_scalar_oracle(monkeypatch):
                 batch = scenes[6 * k : 6 * k + 6]
                 hist = sum(s.histogram * len(s.label_ids) for s in batch)
                 hist = hist / hist.sum()
+                submaps = similar_submaps(det.index, hist, det.tau_jsd)  # once per submap, as the pipeline does
                 for q in batch:
                     verified.clear()
-                    got, want = det.detect(hist, q), scalar_detect(ref, hist, q)
+                    got, want = det.detect(submaps, q), scalar_detect(ref, hist, q)
                     _same_closures(got, want)
                     bound_passed = {(qs, cs) for qs, cs, by_bound in verified if by_bound}
                     seen["closure after bound"] += any(

@@ -6,6 +6,7 @@ parse -> serialize -> parse is a fixed point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Tuple
 
@@ -109,9 +110,15 @@ class RunConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for name in ("n_classes", "n_landmarks", "steps", "submap_length", "max_hypotheses", "max_branches"):
+        for name in (
+            "n_classes", "n_landmarks", "steps", "submap_length", "max_hypotheses", "max_branches",
+            "ransac_iters", "ransac_min_inliers",
+        ):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        # RANSAC scans |tol| but its refit keeps residuals <= tol, so a negative tol would reject every loop
+        if not math.isfinite(self.ransac_tol) or self.ransac_tol <= 0:
+            raise ConfigError(f"ransac_tol must be finite and positive, got {self.ransac_tol!r}")
         if self.tfidf_doc_unit not in ("submap", "scene"):
             raise ConfigError("tfidf_doc_unit must be 'submap' or 'scene'")
         if self.scene_term_mode not in ("as_printed", "distance_weighted"):

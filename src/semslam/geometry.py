@@ -1,7 +1,11 @@
 """Minimal SE(3) / SO(3) helpers: quaternions, rotation vectors, poses.
 
 Quaternions are (w, x, y, z), always kept at unit norm. Rotation-vector
-increments are applied on the right (body frame).
+increments are applied on the right (body frame). `norms`, `hat`,
+`log_so3` and the `quat_*` functions other than `quat_conj` and
+`quat_from_yaw` take any number of leading stack axes: the last axis holds
+the vector (the last two the matrix), and a single vector or matrix gives a
+single result.
 """
 
 from __future__ import annotations
@@ -11,17 +15,28 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _EPS = 1e-12
+_EYE3 = np.eye(3)
+
+
+def norms(v: np.ndarray) -> np.ndarray:
+    """Norms over the last axis, each computed as `np.linalg.norm` computes
+    one vector's: one BLAS dot over contiguous values (a strided dot sums
+    in another order)."""
+    v = np.ascontiguousarray(v)
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
+
+
+def _last_axis(parts) -> np.ndarray:
+    """`parts`, each over the leading axes in reverse order (as `x.T` unpacks
+    x), stacked on a new last axis in C order."""
+    return np.ascontiguousarray(np.array(parts).T)
 
 
 def hat(v: np.ndarray) -> np.ndarray:
-    """Skew-symmetric cross-product matrix."""
-    return np.array(
-        [
-            [0.0, -v[2], v[1]],
-            [v[2], 0.0, -v[0]],
-            [-v[1], v[0], 0.0],
-        ]
-    )
+    """Skew-symmetric cross-product matrices, one per vector."""
+    x, y, z = v.T
+    o = np.zeros_like(x)
+    return _last_axis([o, -z, y, z, o, -x, -y, x, o]).reshape(v.shape[:-1] + (3, 3))
 
 
 def exp_so3(phi: np.ndarray) -> np.ndarray:
@@ -37,44 +52,45 @@ def exp_so3(phi: np.ndarray) -> np.ndarray:
 
 
 def log_so3(R: np.ndarray) -> np.ndarray:
-    """Rotation matrix -> rotation vector (principal branch)."""
-    cos_angle = np.clip((np.trace(R) - 1.0) * 0.5, -1.0, 1.0)
+    """Rotation matrices -> rotation vectors (principal branch)."""
+    cos_angle = np.clip((np.trace(R, axis1=-2, axis2=-1) - 1.0) * 0.5, -1.0, 1.0)
     angle = np.arccos(cos_angle)
-    if angle < 1e-9:
-        return np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]]) * 0.5
-    if np.pi - angle < 1e-6:
+    scale = np.divide(angle, 2.0 * np.sin(angle), out=np.full_like(angle, 0.5), where=~(angle < 1e-9))
+    # R21 - R12, R02 - R20, R10 - R01
+    phi = (R[..., [2, 0, 1], [1, 2, 0]] - R[..., [1, 2, 0], [2, 0, 1]]) * scale[..., None]
+    for k in map(tuple, np.argwhere(np.pi - angle < 1e-6)):
         # near pi the off-diagonal formula degenerates; use the symmetric part
-        A = (R + np.eye(3)) * 0.5
+        A = (R[k] + _EYE3) * 0.5
         axis = np.sqrt(np.maximum(np.diag(A), 0.0))
         # fix signs from the largest component
-        k = int(np.argmax(axis))
-        if axis[k] > 0:
+        j = int(np.argmax(axis))
+        if axis[j] > 0:
             for i in range(3):
-                if i != k and A[k, i] < 0:
+                if i != j and A[j, i] < 0:
                     axis[i] = -axis[i]
         n = np.linalg.norm(axis)
         if n > 0:
             axis = axis / n
-        return axis * angle
-    w = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    return w * (angle / (2.0 * np.sin(angle)))
+        phi[k] = axis * angle[k]
+    return phi
 
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(q)
-    if n < _EPS:
+    n = norms(q)
+    if np.count_nonzero(n < _EPS):
         raise ValueError("zero-norm quaternion")
-    q = q / n
+    q = q / n[..., None]
     # canonical sign keeps serialization deterministic
-    if q[0] < 0:
-        q = -q
+    np.negative(q, out=q, where=q[..., :1] < 0)
     return q
 
 
 def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a
-    bw, bx, by, bz = b
-    return np.array(
+    """Hamilton products; a and b have the same leading axes, or one of them
+    is a single quaternion."""
+    aw, ax, ay, az = a.T
+    bw, bx, by, bz = b.T
+    return _last_axis(
         [
             aw * bw - ax * bx - ay * by - az * bz,
             aw * bx + ax * bw + ay * bz - az * by,
@@ -89,14 +105,14 @@ def quat_conj(q: np.ndarray) -> np.ndarray:
 
 
 def quat_to_rot(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q
-    return np.array(
+    w, x, y, z = q.T
+    return _last_axis(
         [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+            1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+            2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+            2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
         ]
-    )
+    ).reshape(q.shape[:-1] + (3, 3))
 
 
 def rot_to_quat(R: np.ndarray) -> np.ndarray:
@@ -127,12 +143,14 @@ def rot_to_quat(R: np.ndarray) -> np.ndarray:
 
 
 def quat_from_rotvec(phi: np.ndarray) -> np.ndarray:
-    angle = np.linalg.norm(phi)
-    if angle < 1e-12:
-        return quat_normalize(np.array([1.0, phi[0] * 0.5, phi[1] * 0.5, phi[2] * 0.5]))
-    axis = phi / angle
+    angle = norms(phi)
+    small = angle < 1e-12
     half = 0.5 * angle
-    return quat_normalize(np.concatenate(([np.cos(half)], np.sin(half) * axis)))
+    axis = phi / np.where(small, 1.0, angle)[..., None]
+    # below 1e-12 rad, the first-order quaternion (1, phi / 2)
+    w = np.where(small, 1.0, np.cos(half))
+    v = np.where(small[..., None], phi * 0.5, np.sin(half)[..., None] * axis)
+    return quat_normalize(np.concatenate([w[..., None], v], axis=-1))
 
 
 def quat_from_yaw(yaw: float) -> np.ndarray:

@@ -11,7 +11,8 @@ scatters the blocks, in one bincount, into the three parts of the normal
 equations: the dense pose block, the 3x3 landmark blocks and the
 pose-landmark blocks. The landmarks are eliminated by Schur complement, so
 each step solves a dense system over the poses only and back-substitutes
-the landmarks.
+the landmarks. The rotation maths is `geometry`'s, with the factors as the
+stack axis.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import ContractViolation
-from .geometry import Pose, log_so3
+from .geometry import Pose, hat, log_so3, norms, quat_from_rotvec, quat_mul, quat_normalize, quat_to_rot
 
 
 def cauchy_weight(residual_norm, c):
@@ -43,90 +44,15 @@ class StructuralError(RuntimeError):
     """A factor references a missing variable or the graph is disconnected."""
 
 
-# -- batched SO(3) helpers: one row per factor --------------------------------
-
 _EYE3 = np.eye(3)
-
-
-def _norms(v: np.ndarray) -> np.ndarray:
-    """Row norms, computed as `np.linalg.norm` computes one vector's."""
-    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
-
-
-def _hat(v: np.ndarray) -> np.ndarray:
-    K = np.zeros((len(v), 9))
-    # row-major: K01 = -v2, K02 = v1, K10 = v2, K12 = -v0, K20 = -v1, K21 = v0
-    K[:, [1, 2, 3, 5, 6, 7]] = v[:, [2, 1, 2, 0, 1, 0]] * [-1.0, 1.0, 1.0, -1.0, -1.0, 1.0]
-    return K.reshape(-1, 3, 3)
-
-
-def _quat_to_rot(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q.T
-    R = np.empty((len(q), 3, 3))
-    R[:, 0, 0] = 1 - 2 * (y * y + z * z)
-    R[:, 0, 1] = 2 * (x * y - w * z)
-    R[:, 0, 2] = 2 * (x * z + w * y)
-    R[:, 1, 0] = 2 * (x * y + w * z)
-    R[:, 1, 1] = 1 - 2 * (x * x + z * z)
-    R[:, 1, 2] = 2 * (y * z - w * x)
-    R[:, 2, 0] = 2 * (x * z - w * y)
-    R[:, 2, 1] = 2 * (y * z + w * x)
-    R[:, 2, 2] = 1 - 2 * (x * x + y * y)
-    return R
-
-
-def _quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aw, ax, ay, az = a.T
-    bw, bx, by, bz = b.T
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ],
-        axis=1,
-    )
-
-
-def _quat_normalize(q: np.ndarray) -> np.ndarray:
-    q = q / _norms(q)[:, None]
-    # canonical sign, as in geometry.quat_normalize
-    return np.where(q[:, :1] < 0, -q, q)
-
-
-def _quat_from_rotvec(phi: np.ndarray) -> np.ndarray:
-    angle = _norms(phi)
-    small = angle < 1e-12
-    half = 0.5 * angle
-    axis = phi / np.where(small, 1.0, angle)[:, None]
-    q = np.concatenate([np.cos(half)[:, None], np.sin(half)[:, None] * axis], axis=1)
-    q[small, 0] = 1.0
-    q[small, 1:] = phi[small] * 0.5
-    return _quat_normalize(q)
-
-
-def _log_so3(R: np.ndarray) -> np.ndarray:
-    """Rotation matrices -> rotation vectors, as `geometry.log_so3` row by row."""
-    cos_angle = np.clip((np.trace(R, axis1=1, axis2=2) - 1.0) * 0.5, -1.0, 1.0)
-    angle = np.arccos(cos_angle)
-    Rf = R.reshape(-1, 9)
-    w = Rf[:, [7, 2, 3]] - Rf[:, [5, 6, 1]]  # R21 - R12, R02 - R20, R10 - R01
-    small = angle < 1e-9
-    scale = np.divide(angle, 2.0 * np.sin(angle), out=np.full_like(angle, 0.5), where=~small)
-    phi = w * scale[:, None]
-    # near pi the off-diagonal formula degenerates; the scalar path handles it
-    for k in np.flatnonzero(np.pi - angle < 1e-6):
-        phi[k] = log_so3(R[k])
-    return phi
 
 
 def _left_jacobian_inv(phi: np.ndarray) -> np.ndarray:
     """Inverse left Jacobians of SO(3), one per row of phi. The inverse right
     Jacobian at phi is this at -phi, which is this transposed entry for
     entry: the same products, summed in the same order."""
-    angle = _norms(phi)
-    K = _hat(phi)
+    angle = norms(phi)
+    K = hat(phi)
     big = angle >= 1e-6
     coef = np.full(len(phi), 1.0 / 12.0)
     half = 0.5 * angle[big]
@@ -147,14 +73,14 @@ def _relative_terms(ti, Ri, tj, Rj, t_m, R_m, jac):
     RiT = Ri.transpose(0, 2, 1)
     v = (RiT @ (tj - ti)[:, :, None])[:, :, 0]
     E = R_m.transpose(0, 2, 1)
-    phi = _log_so3(E @ RiT @ Rj)
+    phi = log_so3(E @ RiT @ Rj)
     r = np.concatenate([v - t_m, phi], axis=1)
     if not jac:
         return r, None
     Jl_inv = _left_jacobian_inv(phi)
     J = np.zeros((len(r), 6, 12))  # pose i, then pose j
     J[:, :3, :3] = -RiT
-    J[:, :3, 3:6] = _hat(v)
+    J[:, :3, 3:6] = hat(v)
     J[:, :3, 6:9] = RiT
     J[:, 3:, 3:6] = -Jl_inv @ E
     J[:, 3:, 9:] = Jl_inv.transpose(0, 2, 1)  # the inverse right Jacobian
@@ -169,7 +95,7 @@ def _landmark_terms(t, R, l, z, jac):
         return r, None
     J = np.empty((len(r), 3, 9))  # pose, then landmark
     J[:, :, :3] = -RT
-    J[:, :, 3:6] = _hat(v)
+    J[:, :, 3:6] = hat(v)
     J[:, :, 6:] = RT
     return r, J
 
@@ -356,7 +282,7 @@ class _Stack:
         each factor's IRLS-weighted whitened J^T J and its gradient, split at
         column 6 into the first variable's (a pose) and the other's."""
         rw = (self.W @ r[:, :, None])[:, :, 0]
-        norm = _norms(rw)
+        norm = norms(rw)
         J = self.W @ J
         cost = 0.5 * norm * norm
         w = np.ones(len(r))
@@ -380,7 +306,7 @@ class _EdgeStack(_Stack):
         self.j = np.array([pose_index[f.pose_id] for f in priors] + [pose_index[f.pose_j] for f in relatives], dtype=np.intp)
         meas = [f.prior for f in priors] + [f.measured for f in relatives]
         self.t_m = np.array([m.translation for m in meas], dtype=float).reshape(-1, 3)
-        self.R_m = _quat_to_rot(np.array([m.rotation for m in meas], dtype=float).reshape(-1, 4))
+        self.R_m = quat_to_rot(np.array([m.rotation for m in meas], dtype=float).reshape(-1, 4))
 
     def terms(self, t, R):
         ti, Ri = t[self.i], R[self.i]
@@ -459,7 +385,7 @@ class _Problem:
         self._pair_grad_l = _segment_index(self.pair_l, 3)
 
     def linearize(self, t, q, L) -> _Linearization:
-        R = _quat_to_rot(q)
+        R = quat_to_rot(q)
         e, n0 = self.edges, self.edges.n0
         c, H, gi, gj = e.linearize(*e.terms(t, R))
         # the priors' terms come first in every sum, as they head the factor list
@@ -527,7 +453,7 @@ class _Problem:
 
 
 def _apply_step(t, q, L, dp, dl):
-    return t + dp[:, :3], _quat_normalize(_quat_mul(q, _quat_from_rotvec(dp[:, 3:]))), L + dl
+    return t + dp[:, :3], quat_normalize(quat_mul(q, quat_from_rotvec(dp[:, 3:]))), L + dl
 
 
 def _total_cost(state: GraphState) -> float:

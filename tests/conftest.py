@@ -16,15 +16,7 @@ from semslam.assoc import (
 )
 from semslam.core import SPD_EIG_TOL, ContractViolation, Landmark, SemanticMeasurement
 from semslam.estimation import CovarianceConditioningError, UkfParams
-from semslam.geometry import (
-    Pose,
-    hat,
-    log_so3,
-    quat_from_rotvec,
-    quat_mul,
-    quat_normalize,
-    rot_to_quat,
-)
+from semslam.geometry import Pose, rot_to_quat
 from semslam.graph import (
     GraphState,
     OptimizeResult,
@@ -538,11 +530,90 @@ def scalar_detect(det, query_submap_hist, query_scene):
     return closures
 
 
+def scalar_hat(v: np.ndarray) -> np.ndarray:
+    """Skew-symmetric cross-product matrix of one vector: the reference for
+    `geometry.hat`, as are the other `scalar_*` SO(3) and quaternion
+    functions for theirs."""
+    return np.array(
+        [
+            [0.0, -v[2], v[1]],
+            [v[2], 0.0, -v[0]],
+            [-v[1], v[0], 0.0],
+        ]
+    )
+
+
+def scalar_log_so3(R: np.ndarray) -> np.ndarray:
+    cos_angle = np.clip((np.trace(R) - 1.0) * 0.5, -1.0, 1.0)
+    angle = np.arccos(cos_angle)
+    if angle < 1e-9:
+        return np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]]) * 0.5
+    if np.pi - angle < 1e-6:
+        # near pi the off-diagonal formula degenerates; use the symmetric part
+        A = (R + np.eye(3)) * 0.5
+        axis = np.sqrt(np.maximum(np.diag(A), 0.0))
+        # fix signs from the largest component
+        k = int(np.argmax(axis))
+        if axis[k] > 0:
+            for i in range(3):
+                if i != k and A[k, i] < 0:
+                    axis[i] = -axis[i]
+        n = np.linalg.norm(axis)
+        if n > 0:
+            axis = axis / n
+        return axis * angle
+    w = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
+    return w * (angle / (2.0 * np.sin(angle)))
+
+
+def scalar_quat_normalize(q: np.ndarray) -> np.ndarray:
+    n = np.linalg.norm(q)
+    if n < 1e-12:
+        raise ValueError("zero-norm quaternion")
+    q = q / n
+    if q[0] < 0:
+        q = -q
+    return q
+
+
+def scalar_quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return np.array(
+        [
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw,
+        ]
+    )
+
+
+def scalar_quat_to_rot(q: np.ndarray) -> np.ndarray:
+    w, x, y, z = q
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
+def scalar_quat_from_rotvec(phi: np.ndarray) -> np.ndarray:
+    angle = np.linalg.norm(phi)
+    if angle < 1e-12:
+        return scalar_quat_normalize(np.array([1.0, phi[0] * 0.5, phi[1] * 0.5, phi[2] * 0.5]))
+    axis = phi / angle
+    half = 0.5 * angle
+    return scalar_quat_normalize(np.concatenate(([np.cos(half)], np.sin(half) * axis)))
+
+
 def left_jacobian_inv_so3(phi: np.ndarray) -> np.ndarray:
     """Inverse of the left Jacobian of SO(3) at rotation vector phi: the
     reference for `graph._left_jacobian_inv`."""
     angle = np.linalg.norm(phi)
-    K = hat(phi)
+    K = scalar_hat(phi)
     if angle < 1e-6:
         return np.eye(3) - 0.5 * K + (1.0 / 12.0) * (K @ K)
     half = 0.5 * angle
@@ -559,32 +630,32 @@ def _scalar_factor_terms(f, state):
     """Residual and Jacobians of one factor, one 3x3 product at a time."""
     if isinstance(f, PriorFactor):
         pose = state.poses[f.pose_id]
-        r_r = log_so3(f.prior.rot().T @ pose.rot())
+        r_r = scalar_log_so3(scalar_quat_to_rot(f.prior.rotation).T @ scalar_quat_to_rot(pose.rotation))
         J = np.zeros((6, 6))
         J[:3, :3] = np.eye(3)
         J[3:, 3:] = right_jacobian_inv_so3(r_r)
         return np.concatenate([pose.translation - f.prior.translation, r_r]), {("pose", f.pose_id): J}
     if isinstance(f, RelativePoseFactor):
         Ti, Tj = state.poses[f.pose_i], state.poses[f.pose_j]
-        Ri = Ti.rot()
+        Ri = scalar_quat_to_rot(Ti.rotation)
         v = Ri.T @ (Tj.translation - Ti.translation)
-        E = f.measured.rot().T
-        r_r = log_so3(E @ Ri.T @ Tj.rot())
+        E = scalar_quat_to_rot(f.measured.rotation).T
+        r_r = scalar_log_so3(E @ Ri.T @ scalar_quat_to_rot(Tj.rotation))
         Ji = np.zeros((6, 6))
         Jj = np.zeros((6, 6))
         Ji[:3, :3] = -Ri.T
-        Ji[:3, 3:] = hat(v)
+        Ji[:3, 3:] = scalar_hat(v)
         Jj[:3, :3] = Ri.T
         Ji[3:, 3:] = -left_jacobian_inv_so3(r_r) @ E
         Jj[3:, 3:] = right_jacobian_inv_so3(r_r)
         r = np.concatenate([v - f.measured.translation, r_r])
         return r, {("pose", f.pose_i): Ji, ("pose", f.pose_j): Jj}
     pose = state.poses[f.pose_id]
-    R = pose.rot()
+    R = scalar_quat_to_rot(pose.rotation)
     v = R.T @ (state.landmarks[f.landmark_id] - pose.translation)
     Jp = np.zeros((3, 6))
     Jp[:, :3] = -R.T
-    Jp[:, 3:] = hat(v)
+    Jp[:, 3:] = scalar_hat(v)
     r = v - np.asarray(f.measured)
     return r, {("pose", f.pose_id): Jp, ("landmark", f.landmark_id): R.T}
 
@@ -643,7 +714,7 @@ def scalar_optimize(g, max_iters=50, grad_tol=1e-8, lm_lambda0=1e-4):
         new = GraphState({}, {}, list(state.factors))
         for pid, pose in state.poses.items():
             o = offsets[("pose", pid)]
-            q = quat_normalize(quat_mul(pose.rotation, quat_from_rotvec(delta[o + 3 : o + 6])))
+            q = scalar_quat_normalize(scalar_quat_mul(pose.rotation, scalar_quat_from_rotvec(delta[o + 3 : o + 6])))
             new.poses[pid] = Pose(pose.translation + delta[o : o + 3], q)
         for lid, l in state.landmarks.items():
             o = offsets[("landmark", lid)]
@@ -748,7 +819,7 @@ def scalar_simulate_step(world, step, det, odo, rng):
             dt = dt + odo.sigma_t * rng.standard_normal(3)
         dq = rel.rotation
         if odo.sigma_r > 0.0:
-            dq = quat_normalize(quat_mul(dq, quat_from_rotvec(odo.sigma_r * rng.standard_normal(3))))
+            dq = scalar_quat_normalize(scalar_quat_mul(dq, scalar_quat_from_rotvec(odo.sigma_r * rng.standard_normal(3))))
         increment = Pose(dt, dq)
     return measurements, increment
 

@@ -66,6 +66,17 @@ class TestErrors:
         with pytest.raises(ConfigError):
             parse_config("steps = 0")
 
+    @pytest.mark.parametrize("text", ["ransac_tol = -0.5", "ransac_tol = 0", "ransac_tol = nan", "ransac_tol = inf"])
+    def test_ransac_tol_must_be_finite_and_positive(self, text):
+        with pytest.raises(ConfigError, match="ransac_tol must be finite and positive"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("name", ["ransac_iters", "ransac_min_inliers"])
+    def test_ransac_counts_must_be_positive(self, name):
+        with pytest.raises(ConfigError, match=f"{name} must be >= 1"):
+            parse_config(f"{name} = 0")
+        assert getattr(parse_config(f"{name} = 1"), name) == 1
+
     def test_bad_doc_unit(self):
         with pytest.raises(ConfigError):
             parse_config("tfidf_doc_unit = corpus")

@@ -10,6 +10,7 @@ from semslam.geometry import (
     exp_so3,
     hat,
     log_so3,
+    norms,
     quat_from_rotvec,
     quat_from_yaw,
     quat_mul,
@@ -18,7 +19,16 @@ from semslam.geometry import (
     rot_to_quat,
 )
 
-from conftest import left_jacobian_inv_so3, right_jacobian_inv_so3
+from conftest import (
+    left_jacobian_inv_so3,
+    right_jacobian_inv_so3,
+    scalar_hat,
+    scalar_log_so3,
+    scalar_quat_from_rotvec,
+    scalar_quat_mul,
+    scalar_quat_normalize,
+    scalar_quat_to_rot,
+)
 
 small_floats = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
 vec3 = st.tuples(small_floats, small_floats, small_floats).map(np.array)
@@ -91,6 +101,100 @@ class TestQuaternion:
     def test_quat_from_yaw(self):
         R = quat_to_rot(quat_normalize(quat_from_yaw(np.pi / 2)))
         assert np.allclose(R @ np.array([1.0, 0, 0]), [0, 1, 0], atol=1e-12)
+
+
+def rotvecs(rng, kind, n):
+    """n rotation vectors of one kind: angles in [0, 3], tiny angles
+    (1e-14 to 1e-8) or angles within 1e-6 of pi."""
+    axes = rng.standard_normal((n, 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    angle = {
+        "random": rng.uniform(0.0, 3.0, n),
+        "tiny": 10.0 ** rng.uniform(-14.0, -8.0, n),
+        "near_pi": np.pi - rng.uniform(0.0, 1e-6, n),
+    }[kind]
+    return angle[:, None] * axes
+
+
+def unit_quats(rng, kind, n):
+    return np.array([scalar_quat_from_rotvec(phi) for phi in rotvecs(rng, kind, n)])
+
+
+def stacked_args(name, rng, kind, n):
+    """The arguments of the function `name`, n rows each, for one kind of
+    rotation."""
+    if name in ("hat", "quat_from_rotvec"):
+        return (rotvecs(rng, kind, n),)
+    q = unit_quats(rng, kind, n)
+    if name == "log_so3":
+        return (np.array([scalar_quat_to_rot(row) for row in q]),)
+    if name == "quat_normalize":  # not unit, and about half with w < 0
+        return (q * rng.choice([-1.0, 1.0], (n, 1)) * rng.uniform(0.1, 10.0, (n, 1)),)
+    if name == "quat_mul":
+        return (q, unit_quats(rng, kind, n))
+    return (q,)
+
+
+# each stacked function and its scalar oracle
+STACKED = {
+    "hat": (hat, scalar_hat),
+    "log_so3": (log_so3, scalar_log_so3),
+    "quat_to_rot": (quat_to_rot, scalar_quat_to_rot),
+    "quat_normalize": (quat_normalize, scalar_quat_normalize),
+    "quat_mul": (quat_mul, scalar_quat_mul),
+    "quat_from_rotvec": (quat_from_rotvec, scalar_quat_from_rotvec),
+}
+
+
+def assert_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+class TestStackedParity:
+    """Each stacked SO(3) and quaternion function gives its scalar oracle's
+    result bit for bit, on a stack and on a single row."""
+
+    @pytest.mark.parametrize("kind", ["random", "tiny", "near_pi"])
+    @pytest.mark.parametrize("name", sorted(STACKED))
+    def test_rows_match_scalar_oracle(self, name, kind):
+        f, scalar = STACKED[name]
+        n = 600
+        args = stacked_args(name, np.random.default_rng(17), kind, n)
+        out = f(*args)
+        for i in range(n):
+            want = scalar(*(a[i] for a in args))
+            assert_bits(out[i], want)
+            assert_bits(f(*(a[i] for a in args)), want)
+        # two leading axes: the same rows
+        assert_bits(f(*(a.reshape((2, n // 2) + a.shape[1:]) for a in args)), out.reshape((2, n // 2) + out.shape[1:]))
+
+    @pytest.mark.parametrize("kind", ["random", "tiny", "near_pi"])
+    def test_log_so3_inputs_reach_their_branch(self, kind):
+        (R,) = stacked_args("log_so3", np.random.default_rng(17), kind, 600)
+        angle = np.arccos(np.clip((np.trace(R, axis1=1, axis2=2) - 1.0) * 0.5, -1.0, 1.0))
+        reached = {"random": (angle >= 1e-9) & (np.pi - angle >= 1e-6), "tiny": angle < 1e-9, "near_pi": np.pi - angle < 1e-6}[kind]
+        assert reached.mean() > 0.5
+
+    def test_quat_mul_broadcasts_a_single_quaternion(self, rng):
+        a, b = quat_normalize(rng.standard_normal(4)), quat_normalize(rng.standard_normal((20, 4)))
+        assert_bits(quat_mul(a, b), np.array([scalar_quat_mul(a, row) for row in b]))
+        assert_bits(quat_mul(b, a), np.array([scalar_quat_mul(row, a) for row in b]))
+
+    def test_zero_row_in_a_stack_rejected(self, rng):
+        q = rng.standard_normal((5, 4))
+        q[3] = 0.0
+        with pytest.raises(ValueError):
+            quat_normalize(q)
+
+    @pytest.mark.parametrize("k", [3, 4, 6])
+    def test_norms_match_linalg_norm_in_any_layout(self, rng, k):
+        v = rng.standard_normal((300, k)) * 10.0 ** rng.uniform(-10.0, 10.0, (300, 1))
+        want = np.array([np.linalg.norm(row) for row in v])
+        for stack in (v, np.asfortranarray(v), np.repeat(v, 2, axis=1)[:, ::2]):
+            assert_bits(norms(stack), want)
+        assert_bits(norms(v[0]), want[0])
 
 
 class TestPose:

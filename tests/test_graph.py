@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from semslam.core import ContractViolation
-from semslam.geometry import Pose, quat_from_rotvec, quat_from_yaw, quat_mul, quat_normalize
+from semslam.geometry import Pose, log_so3, quat_from_rotvec, quat_from_yaw, quat_mul, quat_normalize, quat_to_rot
 from semslam.graph import (
     GraphState,
     LandmarkFactor,
@@ -20,7 +20,7 @@ from semslam.graph import (
     rmse,
 )
 
-from conftest import random_spd, scalar_optimize
+from conftest import random_spd, scalar_optimize, scalar_quat_from_rotvec, scalar_quat_mul, scalar_quat_normalize
 
 
 def random_pose(rng, scale=2.0):
@@ -33,7 +33,7 @@ def perturb(state, var, delta):
     kind, vid = var
     if kind == "pose":
         pose = new.poses[vid]
-        q = quat_normalize(quat_mul(pose.rotation, quat_from_rotvec(delta[3:])))
+        q = scalar_quat_normalize(scalar_quat_mul(pose.rotation, scalar_quat_from_rotvec(delta[3:])))
         new.poses[vid] = Pose(pose.translation + delta[:3], q)
     else:
         new.landmarks[vid] = new.landmarks[vid] + delta
@@ -470,7 +470,7 @@ class TestPriorFold:
         """The relative terms from the origin are the prior's own: t - t_m,
         log(R_m^T R), and the Jacobian diag(I, J_r^-1) with J_r^-1(phi) =
         J_l^-1(-phi); `PriorFactor` and the stack's first row both give them."""
-        from semslam.graph import _Problem, _left_jacobian_inv, _log_so3, _quat_to_rot
+        from semslam.graph import _Problem, _left_jacobian_inv
 
         for _ in range(40):
             pose_id = int(rng.integers(3))
@@ -478,7 +478,7 @@ class TestPriorFold:
             prior = PriorFactor(pose_id, random_pose(rng), np.eye(6))
             g.factors = [prior] + [RelativePoseFactor(p, p + 1, random_pose(rng), np.eye(6)) for p in range(2)]
             pose, meas = g.poses[pose_id], prior.prior
-            phi = _log_so3(meas.rot()[None].transpose(0, 2, 1) @ pose.rot()[None])
+            phi = log_so3(meas.rot()[None].transpose(0, 2, 1) @ pose.rot()[None])
             r = np.concatenate([pose.translation - meas.translation, phi[0]])
             J = np.zeros((6, 6))
             J[:3, :3] = np.eye(3)
@@ -486,7 +486,7 @@ class TestPriorFold:
             assert np.array_equal(prior.residual(g), r)
             assert np.array_equal(prior.jacobians(g)[("pose", pose_id)], J)
             prob = _Problem(g)
-            rs, Js = prob.edges.terms(prob.t0, _quat_to_rot(prob.q0))
+            rs, Js = prob.edges.terms(prob.t0, quat_to_rot(prob.q0))
             assert np.array_equal(rs[0], r) and np.array_equal(Js[0, :, 6:], J)
 
     def test_right_jacobian_inverse_is_the_left_transposed(self, rng):

@@ -119,6 +119,16 @@ class RunConfig:
         # RANSAC scans |tol| but its refit keeps residuals <= tol, so a negative tol would reject every loop
         if not math.isfinite(self.ransac_tol) or self.ransac_tol <= 0:
             raise ConfigError(f"ransac_tol must be finite and positive, got {self.ransac_tol!r}")
+        # each range test is written so that NaN fails it
+        for name in ("bayes_prior", "bayes_stay_lc", "bayes_stay_no", "bayes_pos_given_lc", "bayes_pos_given_no"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must lie in [0, 1], got {getattr(self, name)!r}")
+        if not 0.0 < self.ess_fraction <= 1.0:
+            raise ConfigError(f"ess_fraction must lie in (0, 1], got {self.ess_fraction!r}")
+        if not self.kld_epsilon > 0.0:
+            raise ConfigError(f"kld_epsilon must be positive, got {self.kld_epsilon!r}")
+        if not 0.0 < self.kld_delta < 1.0:
+            raise ConfigError(f"kld_delta must lie in (0, 1), got {self.kld_delta!r}")
         if self.tfidf_doc_unit not in ("submap", "scene"):
             raise ConfigError("tfidf_doc_unit must be 'submap' or 'scene'")
         if self.scene_term_mode not in ("as_printed", "distance_weighted"):

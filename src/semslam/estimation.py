@@ -8,18 +8,12 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from .config import RunConfig
 from .core import ContractViolation, Landmark, SemanticMeasurement
 
 
 class CovarianceConditioningError(RuntimeError):
     """Sigma-point Cholesky failed; the prior covariance is ill-conditioned."""
-
-
-@dataclass(frozen=True)
-class UkfParams:
-    alpha: float = 0.1
-    beta: float = 2.0
-    kappa: float = 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,15 +44,22 @@ def _sigma_factors(covs: np.ndarray, spread: float, retry: bool):
     return _sigma_factors(covs, spread, retry=False)
 
 
-def _ukf_batch(means, covs, z, meas_cov, params: UkfParams, retry: bool):
-    """Posterior means and covariances of the unscented updates of (B, n)
-    prior means and (B, n, n) covariances by (B, n) measurements, h(x) = x."""
-    n = means.shape[1]
-    lam = params.alpha**2 * (n + params.kappa) - n
+def _sigma_weights(n: int, cfg: RunConfig):
+    """lambda and the mean and covariance weights of the 2n + 1 sigma points
+    at ukf_alpha, ukf_beta and ukf_kappa."""
+    lam = cfg.ukf_alpha**2 * (n + cfg.ukf_kappa) - n
     wm = np.full(2 * n + 1, 1.0 / (2.0 * (n + lam)))
     wc = wm.copy()
     wm[0] = lam / (n + lam)
-    wc[0] = lam / (n + lam) + (1.0 - params.alpha**2 + params.beta)
+    wc[0] = lam / (n + lam) + (1.0 - cfg.ukf_alpha**2 + cfg.ukf_beta)
+    return lam, wm, wc
+
+
+def _ukf_batch(means, covs, z, meas_cov, cfg: RunConfig, retry: bool):
+    """Posterior means and covariances of the unscented updates of (B, n)
+    prior means and (B, n, n) covariances by (B, n) measurements, h(x) = x."""
+    n = means.shape[1]
+    lam, wm, wc = _sigma_weights(n, cfg)
     L, covs = _sigma_factors(covs, n + lam, retry)
     offsets = np.swapaxes(L, 1, 2)  # row i is column i of L
     centre = means[:, None, :]
@@ -73,16 +74,16 @@ def _ukf_batch(means, covs, z, meas_cov, params: UkfParams, retry: bool):
     return mean, 0.5 * (cov + np.swapaxes(cov, 1, 2))
 
 
-def ukf_update(lm: Landmark, m: SemanticMeasurement, meas_cov: np.ndarray, params: UkfParams = UkfParams()) -> Landmark:
+def ukf_update(lm: Landmark, m: SemanticMeasurement, meas_cov: np.ndarray, cfg: RunConfig) -> Landmark:
     """Unscented measurement update with the identity model h(x) = x.
 
     Does not touch assign_count; the caller owns the association bookkeeping.
     """
-    mean, cov = _ukf_batch(lm.mean[None], lm.cov[None], m.position[None], meas_cov, params, retry=False)
+    mean, cov = _ukf_batch(lm.mean[None], lm.cov[None], m.position[None], meas_cov, cfg, retry=False)
     return lm.with_estimate(mean[0], cov[0], last_scene=m.scene_id)
 
 
-def ukf_update_safe(landmarks, measurements, meas_cov, params=UkfParams()) -> List[Landmark]:
+def ukf_update_safe(landmarks, measurements, meas_cov, cfg: RunConfig) -> List[Landmark]:
     """ukf_update of landmarks[i] by measurements[i] as one batch, counting
     each assignment. A row whose sigma-point Cholesky fails is inflated by
     1e-9 I and retried once; the updated covariances are checked in one call."""
@@ -91,7 +92,7 @@ def ukf_update_safe(landmarks, measurements, meas_cov, params=UkfParams()) -> Li
     if not landmarks:
         return []
     means, covs = np.stack([lm.mean for lm in landmarks]), np.stack([lm.cov for lm in landmarks])
-    mean, cov = _ukf_batch(means, covs, np.stack([m.position for m in measurements]), meas_cov, params, retry=True)
+    mean, cov = _ukf_batch(means, covs, np.stack([m.position for m in measurements]), meas_cov, cfg, retry=True)
     heads = [(lm.id, lm.label, lm.assign_count + 1, lm.submap_id, m.scene_id) for lm, m in zip(landmarks, measurements)]
     return Landmark.stack(heads, mean, cov)
 

@@ -22,8 +22,9 @@ from .assoc import (
     assignment_prior_log,
     measurement_set_log_likelihood,
 )
+from .config import RunConfig
 from .core import ContractViolation, Landmark, SemanticMeasurement
-from .estimation import UkfParams, ukf_update_safe
+from .estimation import ukf_update_safe
 
 
 @dataclass(eq=False)
@@ -34,26 +35,6 @@ class HypothesisNode:
     existing: Dict[int, Landmark] = field(default_factory=dict)
     previous: Dict[int, Landmark] = field(default_factory=dict)
     n_fp: int = 0
-
-
-@dataclass(frozen=True)
-class ResampleParams:
-    ess_fraction: float = 0.5
-    kld_epsilon: float = 0.05
-    kld_delta: float = 0.01
-    max_hypotheses: int = 20
-    rng_seed: int = 0
-    kld_cube_bracket: bool = False
-
-    def __post_init__(self):
-        if not (0.0 < self.ess_fraction <= 1.0):
-            raise ContractViolation("ess_fraction must lie in (0, 1]")
-        if self.kld_epsilon <= 0:
-            raise ContractViolation("kld_epsilon must be positive")
-        if not (0.0 < self.kld_delta < 1.0):
-            raise ContractViolation("kld_delta must lie in (0, 1)")
-        if self.max_hypotheses < 1:
-            raise ContractViolation("max_hypotheses must be >= 1")
 
 
 def effective_sample_size(weights: Sequence[float]) -> float:
@@ -85,13 +66,13 @@ class HypothesisTree:
 
     def __init__(
         self,
-        params: ResampleParams,
+        cfg: RunConfig,
         previous_landmarks: Optional[Dict[int, Landmark]] = None,
         n_fp: int = 0,
         landmark_id_start: int = 0,
     ):
-        self.params = params
-        self.rng = np.random.default_rng(params.rng_seed)
+        self.cfg = cfg
+        self.rng = np.random.default_rng(cfg.run_seed)
         self.next_landmark_id = landmark_id_start
         self.leaves: List[HypothesisNode] = [HypothesisNode(0.0, {}, dict(previous_landmarks or {}), n_fp)]
 
@@ -114,7 +95,6 @@ class HypothesisTree:
         branches: Sequence[Assignment],
         measurements: Sequence[SemanticMeasurement],
         assoc_params: AssocParams,
-        ukf_params: UkfParams,
         cost_matrix: CostMatrix,
     ) -> List[HypothesisNode]:
         """Replace `leaf` by one child per branch; child weights follow the
@@ -142,7 +122,7 @@ class HypothesisTree:
         # slots reserved in measurement order, so each dict keeps its order
         if updates:
             priors, ms = zip(*[(lm, m) for _, lm, m in updates])
-            for (child, _, _), lm in zip(updates, ukf_update_safe(priors, ms, assoc_params.meas_cov, ukf_params)):
+            for (child, _, _), lm in zip(updates, ukf_update_safe(priors, ms, assoc_params.meas_cov, self.cfg)):
                 child.existing[lm.id] = lm
         heads = [(lid, m.label, 1, 0, m.scene_id) for _, lid, m in created]
         covs = np.repeat(assoc_params.meas_cov[None], len(created), axis=0)
@@ -181,24 +161,22 @@ class HypothesisTree:
         Triggers when ESS falls below ess_fraction * N (or when forced).
         Returns True if resampling happened.
         """
+        cfg = self.cfg
         n_leaves = len(self.leaves)
         if n_leaves <= 1:
             return False
         w = self.normalized_weights()
-        if not force and effective_sample_size(w) >= self.params.ess_fraction * n_leaves:
+        if not force and effective_sample_size(w) >= cfg.ess_fraction * n_leaves:
             return False
         u0 = float(self.rng.random())
-        n = min(n_leaves, self.params.max_hypotheses)
+        n = min(n_leaves, cfg.max_hypotheses)
         while True:
             idx = kernels.systematic_resample(w, n, u0)
             k = len(set(idx.tolist()))
             if k < 2:
-                bound = self.params.max_hypotheses
+                bound = cfg.max_hypotheses
             else:
-                bound = min(
-                    kld_bound(k, self.params.kld_epsilon, self.params.kld_delta, self.params.kld_cube_bracket),
-                    self.params.max_hypotheses,
-                )
+                bound = min(kld_bound(k, cfg.kld_epsilon, cfg.kld_delta, cfg.kld_cube_bracket), cfg.max_hypotheses)
             bound = max(bound, 1)
             if bound < n:
                 n = bound

@@ -18,7 +18,7 @@ from .assoc import (
 )
 from .config import RunConfig
 from .core import Landmark, SemanticMeasurement, class_counts
-from .estimation import FusedLandmark, UkfParams, fuse_hypotheses
+from .estimation import FusedLandmark, fuse_hypotheses
 from .geometry import Pose
 from .graph import (
     GraphState,
@@ -28,15 +28,9 @@ from .graph import (
     optimize,
     rmse,
 )
-from .mht import HypothesisTree, ResampleParams
-from .placerec import (
-    BayesBelief,
-    LoopClosureDetector,
-    SceneDescriptor,
-    VerifyThresholds,
-    similar_submaps,
-)
-from .submap import Corpus, GateDefaults, SubmapSummary, gate, tfidf_score
+from .mht import HypothesisTree
+from .placerec import LoopClosureDetector, SceneDescriptor, similar_submaps
+from .submap import Corpus, SubmapSummary, gate, tfidf_score
 
 
 @dataclass
@@ -93,42 +87,8 @@ class Pipeline:
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.assoc_params = _assoc_params(cfg)
-        self.ukf_params = UkfParams(cfg.ukf_alpha, cfg.ukf_beta, cfg.ukf_kappa)
-        self.resample_params = ResampleParams(
-            cfg.ess_fraction,
-            cfg.kld_epsilon,
-            cfg.kld_delta,
-            cfg.max_hypotheses,
-            cfg.run_seed,
-            cfg.kld_cube_bracket,
-        )
-        self.detector = LoopClosureDetector(
-            dim=cfg.n_classes,
-            tau_jsd=cfg.tau_jsd,
-            r_l2=cfg.r_l2,
-            exclusion_window=cfg.exclusion_window,
-            thresholds=VerifyThresholds(
-                cfg.tau_verify,
-                cfg.tau_bayes,
-                cfg.edge_radius,
-                cfg.penalty_p,
-                cfg.dist_norm_scale,
-                cfg.scene_term_mode,
-            ),
-            belief_template=BayesBelief(
-                cfg.bayes_prior,
-                cfg.bayes_stay_lc,
-                cfg.bayes_stay_no,
-                cfg.bayes_pos_given_lc,
-                cfg.bayes_pos_given_no,
-            ),
-            ransac_iters=cfg.ransac_iters,
-            ransac_tol=cfg.ransac_tol,
-            ransac_min_inliers=cfg.ransac_min_inliers,
-            rng_seed=cfg.run_seed,
-        )
+        self.detector = LoopClosureDetector(cfg)
         self.corpus = Corpus(cfg.n_classes)
-        self.gate_defaults = GateDefaults(cfg.gate_min_landmarks, cfg.gate_min_tfidf)
         # factor graph
         self.graph = GraphState()
         self.graph.poses[0] = Pose()
@@ -153,7 +113,7 @@ class Pipeline:
 
     def _new_tree(self):
         self.tree = HypothesisTree(
-            self.resample_params,
+            self.cfg,
             previous_landmarks=self.previous_landmarks,
             n_fp=self.n_fp_total,
             landmark_id_start=self.next_landmark_id,
@@ -189,13 +149,13 @@ class Pipeline:
             leaf = self.tree.leaves[0]
             cm = build_cost_matrix(measurements, leaf, self.assoc_params)
             assignment = nearest_neighbor_assignment(measurements, leaf, cm, cfg.nn_new_dist)
-            self.tree.extend(leaf, [assignment], measurements, self.assoc_params, self.ukf_params, cm)
+            self.tree.extend(leaf, [assignment], measurements, self.assoc_params, cm)
             return
         for leaf in list(self.tree.leaves):
             cm = build_cost_matrix(measurements, leaf, self.assoc_params)
             best = solve_assignment(cm)
             branches = generate_branches(cm, best, cfg.max_branches, cfg.plausibility_gap)
-            self.tree.extend(leaf, branches, measurements, self.assoc_params, self.ukf_params, cm)
+            self.tree.extend(leaf, branches, measurements, self.assoc_params, cm)
         if cfg.mode == "dpmhm":
             self.tree.resample(force=len(self.tree.leaves) > cfg.max_hypotheses)
         else:  # mhm_threshold: naive likelihood thresholding, keep the best third
@@ -236,8 +196,8 @@ class Pipeline:
             self.graph.factors.append(LandmarkFactor(flm.last_scene, lid, z, inf, robust_c=cfg.cauchy_c))
         summary = self._summarize(fused)
         submap_hist = summary.histogram / max(summary.histogram.sum(), 1)
-        if self._submap_scenes and gate(summary, self.gate_defaults) == "check":
-            submaps = similar_submaps(self.detector.index, submap_hist, self.detector.tau_jsd)
+        if self._submap_scenes and gate(summary, cfg) == "check":
+            submaps = similar_submaps(self.detector.index, submap_hist, cfg.tau_jsd)
             for scene in self._submap_scenes:
                 for lc in self.detector.detect(submaps, scene):
                     self.n_loop_closures += 1

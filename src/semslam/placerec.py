@@ -9,16 +9,20 @@ consistency check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import kernels
+from .config import RunConfig
 from .core import ContractViolation
 from .geometry import Pose, rot_to_quat
 
 LN2 = math.log(2.0)
+# verification is the expensive stage: each query scene verifies at most
+# this many of its closest retrievals
+MAX_CANDIDATES = 5
 
 
 # ---------------------------------------------------------------------------
@@ -226,33 +230,18 @@ def scene_match(
 # Bayes filter over loop-closure events
 
 
-@dataclass(frozen=True)
-class BayesBelief:
-    p_lc: float = 0.5
-    p_stay_lc: float = 0.9
-    p_stay_no: float = 0.9
-    p_pos_given_lc: float = 0.8
-    p_pos_given_no: float = 0.1
-
-    def __post_init__(self):
-        for name in ("p_lc", "p_stay_lc", "p_stay_no", "p_pos_given_lc", "p_pos_given_no"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ContractViolation(f"{name} must lie in [0, 1]")
-
-
-def bayes_update(belief: BayesBelief, verified: bool) -> BayesBelief:
-    """Predict with the two-state Markov chain, then correct with the
-    verification observation."""
-    p = belief.p_lc * belief.p_stay_lc + (1.0 - belief.p_lc) * (1.0 - belief.p_stay_no)
+def bayes_update(p_lc: float, verified: bool, cfg: RunConfig) -> float:
+    """Posterior loop-closure probability from the prior p_lc: predict with
+    the two-state Markov chain (bayes_stay_lc, bayes_stay_no), then correct
+    with the verification observation (bayes_pos_given_lc, bayes_pos_given_no)."""
+    p = p_lc * cfg.bayes_stay_lc + (1.0 - p_lc) * (1.0 - cfg.bayes_stay_no)
     if verified:
-        like_lc, like_no = belief.p_pos_given_lc, belief.p_pos_given_no
+        like_lc, like_no = cfg.bayes_pos_given_lc, cfg.bayes_pos_given_no
     else:
-        like_lc, like_no = 1.0 - belief.p_pos_given_lc, 1.0 - belief.p_pos_given_no
+        like_lc, like_no = 1.0 - cfg.bayes_pos_given_lc, 1.0 - cfg.bayes_pos_given_no
     num = p * like_lc
     den = num + (1.0 - p) * like_no
-    post = belief.p_lc if den == 0.0 else num / den
-    return replace(belief, p_lc=post)
+    return p_lc if den == 0.0 else num / den
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +296,9 @@ def ransac_verify(
     src: np.ndarray,
     dst: np.ndarray,
     rng: np.random.Generator,
-    iters: int = 200,
-    inlier_tol: float = 0.5,
-    min_inliers: int = 4,
+    iters: int,
+    inlier_tol: float,
+    min_inliers: int,
 ) -> Optional[Tuple[Pose, np.ndarray]]:
     """RANSAC rigid alignment dst ~ T(src). Returns (pose, inlier mask) or
     None on rejection. Deterministic under a seeded rng. Inputs where
@@ -342,41 +331,30 @@ def ransac_verify(
 # verification pipeline
 
 
-@dataclass(frozen=True)
-class VerifyThresholds:
-    tau_verify: float = 4.0
-    tau_bayes: float = 0.75
-    edge_radius: float = 5.0
-    penalty_p: float = 0.5
-    dist_norm_scale: float = 5.0
-    term_mode: str = "as_printed"
-
-
-def score_bound(n_pairs: int, thresholds: VerifyThresholds) -> float:
+def score_bound(n_pairs: int, cfg: RunConfig) -> float:
     """A lower bound on S_NCC + S_scene, as computed, over n_pairs matched pairs.
     S_NCC >= -1. With finite positions and 0 < dist_norm_scale < inf, s_match
     lies in [0, 1] and each rounded step of a pair's term is monotone in it, so
     the term is least at s_match 0 or 1. -inf when a premise fails."""
-    p, mode = thresholds.penalty_p, thresholds.term_mode
-    if not (math.isfinite(p) and 0.0 < thresholds.dist_norm_scale < math.inf):
+    p, mode = cfg.penalty_p, cfg.scene_term_mode
+    if not (math.isfinite(p) and 0.0 < cfg.dist_norm_scale < math.inf):
         return -math.inf
     floor = min(_pair_term(s, c, mode) for s in (0.0, 1.0) for c in (0.0, p))
     return -1.0 + _running_sum(np.full(n_pairs, float(floor)))
 
 
 def pair_scores(
-    a: SceneDescriptor, b: SceneDescriptor, thresholds: VerifyThresholds, laplacian=None
+    a: SceneDescriptor, b: SceneDescriptor, cfg: RunConfig, laplacian=None
 ) -> Tuple[float, float, List[MatchedPair]]:
     """(S_NCC, S_scene, matched pairs) of two non-empty scenes; laplacian maps
     a scene to its Laplacian (default: scene_laplacian at edge_radius)."""
-    th = thresholds
-    lap = laplacian or (lambda s: scene_laplacian(s, th.edge_radius))
-    s_scene, pairs = scene_match(a, b, th.penalty_p, th.dist_norm_scale, th.term_mode)
+    lap = laplacian or (lambda s: scene_laplacian(s, cfg.edge_radius))
+    s_scene, pairs = scene_match(a, b, cfg.penalty_p, cfg.dist_norm_scale, cfg.scene_term_mode)
     return ncc_score(lap(a), lap(b)), s_scene, pairs
 
 
 def verify_pair(
-    a: SceneDescriptor, b: SceneDescriptor, thresholds: VerifyThresholds, laplacian=None
+    a: SceneDescriptor, b: SceneDescriptor, cfg: RunConfig, laplacian=None
 ) -> Tuple[bool, Optional[float], Optional[float], Optional[List[MatchedPair]]]:
     """Topology + similarity check: passes iff S_NCC + S_scene > tau_verify.
     Returns (passed, s_ncc, s_scene, pairs). A pair whose score_bound already
@@ -384,65 +362,44 @@ def verify_pair(
     na, nb = a.positions.shape[0], b.positions.shape[0]
     if na == 0 or nb == 0:
         return False, 0.0, 0.0, []
-    if score_bound(min(na, nb), thresholds) > thresholds.tau_verify:
+    if score_bound(min(na, nb), cfg) > cfg.tau_verify:
         return True, None, None, None
-    s_ncc, s_scene, pairs = pair_scores(a, b, thresholds, laplacian)
-    return s_ncc + s_scene > thresholds.tau_verify, s_ncc, s_scene, pairs
+    s_ncc, s_scene, pairs = pair_scores(a, b, cfg, laplacian)
+    return s_ncc + s_scene > cfg.tau_verify, s_ncc, s_scene, pairs
 
 
 class LoopClosureDetector:
-    """Owns the retrieval indices and per-pair Bayes beliefs."""
+    """Owns the retrieval index, the scene Laplacians and the RANSAC
+    generator; reads every threshold from the run config."""
 
-    def __init__(
-        self,
-        dim: int,
-        tau_jsd: float = 0.2,
-        r_l2: float = 0.5,
-        exclusion_window: int = 20,
-        thresholds: VerifyThresholds = VerifyThresholds(),
-        belief_template: BayesBelief = BayesBelief(),
-        ransac_iters: int = 200,
-        ransac_tol: float = 0.5,
-        ransac_min_inliers: int = 4,
-        rng_seed: int = 0,
-        max_candidates: int = 5,
-    ):
-        self.index = PlaceIndex(dim)
-        self.tau_jsd = tau_jsd
-        self.r_l2 = r_l2
-        self.exclusion_window = exclusion_window
-        self.thresholds = thresholds
-        self.belief_template = belief_template
-        self.ransac_iters = ransac_iters
-        self.ransac_tol = ransac_tol
-        self.ransac_min_inliers = ransac_min_inliers
-        self.rng = np.random.default_rng(rng_seed)
-        self.max_candidates = max_candidates
-        self.beliefs: Dict[Tuple[int, int], BayesBelief] = {}
+    def __init__(self, cfg: RunConfig):
+        self.cfg = cfg
+        self.index = PlaceIndex(cfg.n_classes)
+        self.rng = np.random.default_rng(cfg.run_seed)
         self._lap_cache: Dict[int, np.ndarray] = {}
 
     def _laplacian(self, scene: SceneDescriptor) -> np.ndarray:
         # scene ids are unique per run and descriptors are immutable
         L = self._lap_cache.get(scene.scene_id)
         if L is None:
-            L = scene_laplacian(scene, self.thresholds.edge_radius)
+            L = scene_laplacian(scene, self.cfg.edge_radius)
             self._lap_cache[scene.scene_id] = L
         return L
 
     def detect(self, submaps: Sequence[int], query_scene: SceneDescriptor) -> List[LoopClosure]:
         """Returns at most one closure: the candidate with the strongest
         geometric consensus for this query scene. submaps is stage 1 of
-        retrieval for the query's submap (`similar_submaps` at tau_jsd)."""
+        retrieval for the query's submap (`similar_submaps` at tau_jsd).
+        A run queries each scene once, so each (query, candidate) pair gets
+        one Bayes update, from bayes_prior."""
+        cfg = self.cfg
         closures = []
-        candidates = query_candidates(self.index, submaps, query_scene, self.r_l2, self.exclusion_window)
-        # verification is the expensive stage: keep only the closest retrievals
-        for cand in candidates[: self.max_candidates]:
+        candidates = query_candidates(self.index, submaps, query_scene, cfg.r_l2, cfg.exclusion_window)
+        for cand in candidates[:MAX_CANDIDATES]:
             if query_scene.positions.shape[0] == 0 or cand.positions.shape[0] == 0:
                 continue
-            ok = verify_pair(query_scene, cand, self.thresholds, self._laplacian)[0]
-            key = (query_scene.scene_id, cand.scene_id)
-            belief = self.beliefs[key] = bayes_update(self.beliefs.get(key, self.belief_template), ok)
-            if belief.p_lc <= self.thresholds.tau_bayes:
+            ok = verify_pair(query_scene, cand, cfg, self._laplacian)[0]
+            if bayes_update(cfg.bayes_prior, ok, cfg) <= cfg.tau_bayes:
                 continue
             # putative correspondences: every same-class cross pairing (row-major);
             # the consensus step sorts out which instances actually align
@@ -450,14 +407,14 @@ class LoopClosureDetector:
             if ia.size < 3:
                 continue
             src, dst = cand.positions[ib], query_scene.positions[ia]
-            result = ransac_verify(src, dst, self.rng, self.ransac_iters, self.ransac_tol, self.ransac_min_inliers)
+            result = ransac_verify(src, dst, self.rng, cfg.ransac_iters, cfg.ransac_tol, cfg.ransac_min_inliers)
             if result is None:
                 continue
             rel, mask = result
             ia, ib = ia[mask], ib[mask]
             # inliers must cover distinct landmarks on both sides (counted with
             # sets: a bare np.unique imports numpy.ma)
-            if min(len(set(ia.tolist())), len(set(ib.tolist()))) < self.ransac_min_inliers:
+            if min(len(set(ia.tolist())), len(set(ib.tolist()))) < cfg.ransac_min_inliers:
                 continue
             inliers = tuple(zip(ia.tolist(), ib.tolist()))
             closures.append(LoopClosure(query_scene.scene_id, cand.scene_id, rel, inliers))

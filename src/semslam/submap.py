@@ -2,8 +2,8 @@
 
 A submap is a fixed-length run of scenes. Its summary carries the class
 histogram, a tf-idf score against all submaps seen so far, and the landmark
-count. The gate checks the last two against fixed thresholds to decide
-whether the submap is worth a loop-closure search.
+count. The gate checks the last two against the config's thresholds to
+decide whether the submap is worth a loop-closure search.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .core import ContractViolation, check_spd
 
 
@@ -65,13 +66,7 @@ def tfidf_score(counts: np.ndarray, corpus: Corpus) -> float:
 # gate
 
 
-@dataclass(frozen=True)
-class GateDefaults:
-    min_landmarks: int = 8
-    min_tfidf: float = 0.0
-
-
-def gate(summary: SubmapSummary, defaults: GateDefaults = GateDefaults()) -> str:
+def gate(summary: SubmapSummary, cfg: RunConfig) -> str:
     """Check/skip decision for loop-closure search on this submap."""
-    ok = summary.landmark_count >= defaults.min_landmarks and summary.tfidf >= defaults.min_tfidf
+    ok = summary.landmark_count >= cfg.gate_min_landmarks and summary.tfidf >= cfg.gate_min_tfidf
     return "check" if ok else "skip"

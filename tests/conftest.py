@@ -14,8 +14,9 @@ from semslam.assoc import (
     New,
     Previous,
 )
+from semslam.config import RunConfig
 from semslam.core import SPD_EIG_TOL, ContractViolation, Landmark, SemanticMeasurement
-from semslam.estimation import CovarianceConditioningError, UkfParams
+from semslam.estimation import CovarianceConditioningError
 from semslam.geometry import Pose, rot_to_quat
 from semslam.graph import (
     GraphState,
@@ -26,6 +27,7 @@ from semslam.graph import (
     cauchy_weight,
 )
 from semslam.placerec import (
+    MAX_CANDIDATES,
     LoopClosure,
     MatchedPair,
     bayes_update,
@@ -369,7 +371,7 @@ def scalar_ransac_best_mask(src, dst, picks, tol):
     return best_mask, best_count
 
 
-def scalar_ransac_verify(src, dst, rng, iters=200, inlier_tol=0.5, min_inliers=4):
+def scalar_ransac_verify(src, dst, rng, iters, inlier_tol, min_inliers):
     """`placerec.ransac_verify` without its screen: draw, argsort, the scalar
     scan, refit. Its reference for outputs and rng state."""
     src = np.asarray(src, dtype=float).reshape(-1, 3)
@@ -400,10 +402,10 @@ def scalar_check_spd(cov, tol=SPD_EIG_TOL) -> None:
         raise ContractViolation("covariance not positive definite")
 
 
-def scalar_sigma_points(mean, cov, params):
+def scalar_sigma_points(mean, cov, cfg: RunConfig):
     """Sigma points and weights of one prior, column by column."""
     n = mean.size
-    lam = params.alpha**2 * (n + params.kappa) - n
+    lam = cfg.ukf_alpha**2 * (n + cfg.ukf_kappa) - n
     try:
         L = np.linalg.cholesky((n + lam) * cov)
     except np.linalg.LinAlgError as exc:
@@ -416,13 +418,13 @@ def scalar_sigma_points(mean, cov, params):
     wm = np.full(2 * n + 1, 1.0 / (2.0 * (n + lam)))
     wc = wm.copy()
     wm[0] = lam / (n + lam)
-    wc[0] = lam / (n + lam) + (1.0 - params.alpha**2 + params.beta)
+    wc[0] = lam / (n + lam) + (1.0 - cfg.ukf_alpha**2 + cfg.ukf_beta)
     return pts, wm, wc
 
 
-def scalar_ukf_estimate(lm, m, meas_cov, params):
+def scalar_ukf_estimate(lm, m, meas_cov, cfg: RunConfig):
     """Posterior mean and covariance of the unscented update of lm by m."""
-    pts, wm, wc = scalar_sigma_points(lm.mean, lm.cov, params)
+    pts, wm, wc = scalar_sigma_points(lm.mean, lm.cov, cfg)
     z_pred = wm @ pts
     d = pts - z_pred
     S = (wc[:, None] * d).T @ d + np.asarray(meas_cov)
@@ -436,14 +438,14 @@ def scalar_ukf_estimate(lm, m, meas_cov, params):
     return mean, cov
 
 
-def scalar_ukf_update_safe(lm, m, meas_cov, params=UkfParams()):
+def scalar_ukf_update_safe(lm, m, meas_cov, cfg: RunConfig):
     """One landmark's update with the one-shot conditioning retry: the
     reference for the batched `estimation.ukf_update_safe`."""
     try:
-        mean, cov = scalar_ukf_estimate(lm, m, meas_cov, params)
+        mean, cov = scalar_ukf_estimate(lm, m, meas_cov, cfg)
     except CovarianceConditioningError:
         inflated = lm.with_estimate(lm.mean, lm.cov + 1e-9 * np.eye(3))
-        mean, cov = scalar_ukf_estimate(inflated, m, meas_cov, params)
+        mean, cov = scalar_ukf_estimate(inflated, m, meas_cov, cfg)
     return lm.with_estimate(mean, cov, assign_count=lm.assign_count + 1, last_scene=m.scene_id)
 
 
@@ -483,26 +485,24 @@ def scalar_detect(det, query_submap_hist, query_scene):
     """`LoopClosureDetector.detect` with stage 1 of retrieval run per query,
     every candidate scored exactly, the putative pairs built from scalar class
     id comparisons and the unscreened RANSAC scan: its reference. Runs on
-    det's index, beliefs, Laplacian cache and rng, and updates them."""
-    th = det.thresholds
+    det's config, index, Laplacian cache and rng, and updates them."""
+    cfg = det.cfg
     hists = det.index.submap_hist
-    submaps = [sid for sid in sorted(hists) if jsd(query_submap_hist, hists[sid]) <= det.tau_jsd]
-    candidates = query_candidates(det.index, submaps, query_scene, det.r_l2, det.exclusion_window)
+    submaps = [sid for sid in sorted(hists) if jsd(query_submap_hist, hists[sid]) <= cfg.tau_jsd]
+    candidates = query_candidates(det.index, submaps, query_scene, cfg.r_l2, cfg.exclusion_window)
     candidates = sorted(
         candidates,
         key=lambda s: (float(np.linalg.norm(query_scene.histogram - s.histogram)), s.scene_id),
-    )[: det.max_candidates]
+    )[:MAX_CANDIDATES]
     closures = []
     for cand in candidates:
         if query_scene.positions.shape[0] == 0 or cand.positions.shape[0] == 0:
             continue
         s_ncc = ncc_score(det._laplacian(query_scene), det._laplacian(cand))
-        s_scene, _ = scalar_scene_match(query_scene, cand, th.penalty_p, th.dist_norm_scale, th.term_mode)
-        ok = s_ncc + s_scene > th.tau_verify
-        key = (query_scene.scene_id, cand.scene_id)
-        belief = bayes_update(det.beliefs.get(key, det.belief_template), ok)
-        det.beliefs[key] = belief
-        if belief.p_lc <= th.tau_bayes:
+        s_scene, _ = scalar_scene_match(query_scene, cand, cfg.penalty_p, cfg.dist_norm_scale, cfg.scene_term_mode)
+        ok = s_ncc + s_scene > cfg.tau_verify
+        # the one-step posterior from the prior: each pair is queried once
+        if bayes_update(cfg.bayes_prior, ok, cfg) <= cfg.tau_bayes:
             continue
         putative = [
             (ia, ib)
@@ -514,14 +514,14 @@ def scalar_detect(det, query_submap_hist, query_scene):
             continue
         src = cand.positions[[ib for _, ib in putative]]
         dst = query_scene.positions[[ia for ia, _ in putative]]
-        result = scalar_ransac_verify(src, dst, det.rng, det.ransac_iters, det.ransac_tol, det.ransac_min_inliers)
+        result = scalar_ransac_verify(src, dst, det.rng, cfg.ransac_iters, cfg.ransac_tol, cfg.ransac_min_inliers)
         if result is None:
             continue
         rel, mask = result
         inliers = tuple(p for p, keep in zip(putative, mask) if keep)
         if (
-            len({ia for ia, _ in inliers}) < det.ransac_min_inliers
-            or len({ib for _, ib in inliers}) < det.ransac_min_inliers
+            len({ia for ia, _ in inliers}) < cfg.ransac_min_inliers
+            or len({ib for _, ib in inliers}) < cfg.ransac_min_inliers
         ):
             continue
         closures.append(LoopClosure(query_scene.scene_id, cand.scene_id, rel, inliers))

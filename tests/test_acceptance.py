@@ -24,7 +24,7 @@ from semslam.assoc import (
 )
 from semslam.cli import main as cli_main
 from semslam.config import RunConfig, serialize_config
-from semslam.estimation import UkfParams, ukf_update
+from semslam.estimation import ukf_update
 from semslam.geometry import Pose
 from semslam.graph import GraphState, LandmarkFactor, PriorFactor, RelativePoseFactor
 from semslam.mht import kld_bound
@@ -106,7 +106,7 @@ def test_criterion_02_posterior_oracle(capsys):
         for t, ms in enumerate(episodes):
             for leaf in list(tree.leaves):
                 cm = build_cost_matrix(ms, leaf, params)
-                tree.extend(leaf, tree_combo_branches(ms, leaf, cm), ms, params, UkfParams(), cm)
+                tree.extend(leaf, tree_combo_branches(ms, leaf, cm), ms, params, cm)
         best = tree.best_leaf().log_weight
         expect = exhaustive_posterior_best(episodes, params)
         if abs(best - expect) > 1e-6:
@@ -178,7 +178,7 @@ def test_criterion_06_ukf_equals_kalman(capsys):
         R = random_spd(rng)
         mu = rng.standard_normal(3)
         z = rng.standard_normal(3)
-        out = ukf_update(landmark(0, mu, cov=P), meas(z), R)
+        out = ukf_update(landmark(0, mu, cov=P), meas(z), R, RunConfig())
         em, ec = kalman_oracle(mu, P, z, R)
         worst = max(worst, float(np.max(np.abs(out.mean - em))), float(np.max(np.abs(out.cov - ec))))
     ok = worst < 1e-9

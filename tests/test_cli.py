@@ -112,6 +112,19 @@ def test_bad_config_exit_code(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def test_simulate_with_out_of_range_probability_exit_code(tmp_path, capsys):
+    """A config value outside its range fails when the config is loaded,
+    before any simulation, and the error names the key."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("bayes_prior = 1.5\n")
+    out = tmp_path / "logs"
+    rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bayes_prior must lie in [0, 1]" in err
+    assert not out.exists()
+
+
 def test_simulate_with_bad_confusion_exit_code(tmp_path, capsys):
     """confusion_eps > 1 puts a negative entry on the diagonal; the detector
     rejects it before any draw."""

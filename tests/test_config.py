@@ -77,6 +77,30 @@ class TestErrors:
             parse_config(f"{name} = 0")
         assert getattr(parse_config(f"{name} = 1"), name) == 1
 
+    @pytest.mark.parametrize(
+        "name", ["bayes_prior", "bayes_stay_lc", "bayes_stay_no", "bayes_pos_given_lc", "bayes_pos_given_no"]
+    )
+    @pytest.mark.parametrize("value", ["-0.1", "1.5", "nan"])
+    def test_bayes_probabilities_must_lie_in_unit_interval(self, name, value):
+        with pytest.raises(ConfigError, match=rf"{name} must lie in \[0, 1\]"):
+            parse_config(f"{name} = {value}")
+        assert getattr(parse_config(f"{name} = 1.0"), name) == 1.0
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("ess_fraction = 0", r"ess_fraction must lie in \(0, 1\]"),
+            ("ess_fraction = nan", r"ess_fraction must lie in \(0, 1\]"),
+            ("kld_delta = 1", r"kld_delta must lie in \(0, 1\)"),
+            ("kld_delta = nan", r"kld_delta must lie in \(0, 1\)"),
+            ("kld_epsilon = 0", "kld_epsilon must be positive"),
+            ("kld_epsilon = nan", "kld_epsilon must be positive"),
+        ],
+    )
+    def test_resampling_ranges(self, text, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+
     def test_bad_doc_unit(self):
         with pytest.raises(ConfigError):
             parse_config("tfidf_doc_unit = corpus")

@@ -5,11 +5,12 @@ weighted hypotheses."""
 import numpy as np
 import pytest
 
+from semslam.config import RunConfig
 from semslam.core import ContractViolation
 from semslam.estimation import (
     CovarianceConditioningError,
     FusedLandmark,
-    UkfParams,
+    _sigma_weights,
     fuse_hypotheses,
     spd_project,
     ukf_update,
@@ -17,6 +18,8 @@ from semslam.estimation import (
 )
 
 from conftest import landmark, meas, random_spd, scalar_ukf_update_safe
+
+CFG = RunConfig()
 
 
 def kalman_oracle(prior_mean, prior_cov, z, meas_cov):
@@ -33,7 +36,7 @@ class TestUkfUpdate:
         # prior N(0, I), measurement (1,0,0), meas cov I -> posterior
         # mean (0.5,0,0), cov 0.5 I
         lm = landmark(0, [0.0, 0.0, 0.0])
-        out = ukf_update(lm, meas([1.0, 0.0, 0.0], scene_id=3, time=0.3), np.eye(3))
+        out = ukf_update(lm, meas([1.0, 0.0, 0.0], scene_id=3, time=0.3), np.eye(3), CFG)
         assert np.allclose(out.mean, [0.5, 0.0, 0.0], atol=1e-9)
         assert np.allclose(out.cov, 0.5 * np.eye(3), atol=1e-9)
         assert out.last_scene == 3
@@ -45,32 +48,43 @@ class TestUkfUpdate:
             mu = rng.standard_normal(3)
             z = rng.standard_normal(3)
             lm = landmark(0, mu, cov=P)
-            out = ukf_update(lm, meas(z), R)
+            out = ukf_update(lm, meas(z), R, CFG)
             em, ec = kalman_oracle(mu, P, z, R)
             assert np.allclose(out.mean, em, atol=1e-9)
             assert np.allclose(out.cov, ec, atol=1e-9)
 
     def test_confident_prior_ignores_measurement(self):
         lm = landmark(0, [1.0, 2.0, 3.0], cov=1e-12 * np.eye(3) + 1e-13 * np.eye(3))
-        out = ukf_update(lm, meas([9.0, 9.0, 9.0]), np.eye(3))
+        out = ukf_update(lm, meas([9.0, 9.0, 9.0]), np.eye(3), CFG)
         assert np.allclose(out.mean, [1.0, 2.0, 3.0], atol=1e-6)
 
     def test_information_grows_with_repeated_measurements(self):
         lm = landmark(0, [0.0, 0.0, 0.0])
         prev = np.linalg.eigvalsh(lm.cov)
         for _ in range(3):
-            lm = ukf_update(lm, meas([0.5, 0.0, 0.0]), np.eye(3))
+            lm = ukf_update(lm, meas([0.5, 0.0, 0.0]), np.eye(3), CFG)
             cur = np.linalg.eigvalsh(lm.cov)
             assert np.all(cur < prev)
             prev = cur
 
     def test_does_not_touch_assign_count(self):
         lm = landmark(0, [0.0, 0.0, 0.0], assign_count=3)
-        assert ukf_update(lm, meas([1.0, 0.0, 0.0]), np.eye(3)).assign_count == 3
+        assert ukf_update(lm, meas([1.0, 0.0, 0.0]), np.eye(3), CFG).assign_count == 3
+
+    def test_sigma_weights_read_each_ukf_key(self):
+        # with h(x) = x the posterior does not depend on the spread beyond
+        # rounding, so the weights pin the reads: n = 3, alpha 0.3, beta 1.5,
+        # kappa 1 give lambda = 0.09 * 4 - 3 = -2.64 and n + lambda = 0.36
+        lam, wm, wc = _sigma_weights(3, RunConfig(ukf_alpha=0.3, ukf_beta=1.5, ukf_kappa=1.0))
+        assert lam == pytest.approx(-2.64, rel=1e-12)
+        assert wm[1:] == pytest.approx(np.full(6, 1.0 / 0.72), rel=1e-12)
+        assert wm[0] == pytest.approx(-2.64 / 0.36, rel=1e-12)
+        assert wc[0] == pytest.approx(-2.64 / 0.36 + (1.0 - 0.09 + 1.5), rel=1e-12)
+        assert np.array_equal(wc[1:], wm[1:])
 
     def test_safe_variant_increments_count_and_sets_scene(self):
         lm = landmark(0, [0.0, 0.0, 0.0], assign_count=3)
-        (out,) = ukf_update_safe([lm], [meas([1.0, 0.0, 0.0], scene_id=7, time=1000.7)], np.eye(3))
+        (out,) = ukf_update_safe([lm], [meas([1.0, 0.0, 0.0], scene_id=7, time=1000.7)], np.eye(3), CFG)
         assert out.assign_count == 4
         assert out.last_scene == 7
 
@@ -85,7 +99,7 @@ class TestUkfBatch:
     """The batched ukf_update_safe against the per-landmark scalar oracle."""
 
     def test_matches_scalar_oracle(self, rng):
-        params = UkfParams(0.3, 2.0, 1.0)
+        cfg = RunConfig(ukf_alpha=0.3, ukf_beta=2.0, ukf_kappa=1.0)
         for size in (1, 2, 21):
             lms = [
                 landmark(i, rng.standard_normal(3), class_id=i % 3, cov=random_spd(rng), assign_count=1 + i % 4)
@@ -93,10 +107,10 @@ class TestUkfBatch:
             ]
             ms = [meas(rng.standard_normal(3), scene_id=10 + i) for i in range(size)]
             R = random_spd(rng)
-            out = ukf_update_safe(lms, ms, R, params)
+            out = ukf_update_safe(lms, ms, R, cfg)
             assert len(out) == size
             for lm, m, got in zip(lms, ms, out):
-                want = scalar_ukf_update_safe(lm, m, R, params)
+                want = scalar_ukf_update_safe(lm, m, R, cfg)
                 assert np.max(np.abs(got.mean - want.mean)) <= 1e-12
                 assert np.max(np.abs(got.cov - want.cov)) <= 1e-12
                 assert (got.id, got.label, got.submap_id) == (lm.id, lm.label, lm.submap_id)
@@ -109,13 +123,13 @@ class TestUkfBatch:
         lms = [landmark(i, rng.standard_normal(3), cov=random_spd(rng)) for i in range(3)]
         _unchecked(lms[1], np.diag([1.0, 2.0, 0.0]))
         ms = [meas(rng.standard_normal(3), scene_id=i) for i in range(3)]
-        out = ukf_update_safe(lms, ms, np.eye(3))
+        out = ukf_update_safe(lms, ms, np.eye(3), CFG)
         for i, (lm, m, got) in enumerate(zip(lms, ms, out)):
-            want = scalar_ukf_update_safe(lm, m, np.eye(3))
+            want = scalar_ukf_update_safe(lm, m, np.eye(3), CFG)
             assert np.max(np.abs(got.mean - want.mean)) <= 1e-12
             assert np.max(np.abs(got.cov - want.cov)) <= 1e-12
             if i != 1:
-                plain = ukf_update(lm, m, np.eye(3))
+                plain = ukf_update(lm, m, np.eye(3), CFG)
                 assert np.array_equal(got.mean, plain.mean) and np.array_equal(got.cov, plain.cov)
         assert 0.0 < out[1].cov[2, 2] <= 1e-9
 
@@ -124,17 +138,17 @@ class TestUkfBatch:
         _unchecked(lms[2], np.diag([1.0, 1.0, -1.0]))
         ms = [meas(rng.standard_normal(3)) for _ in range(3)]
         with pytest.raises(CovarianceConditioningError):
-            ukf_update_safe(lms, ms, np.eye(3))
+            ukf_update_safe(lms, ms, np.eye(3), CFG)
 
     def test_plain_update_does_not_retry(self):
         lm = _unchecked(landmark(0, [0.0, 0.0, 0.0]), np.diag([1.0, 2.0, 0.0]))
         with pytest.raises(CovarianceConditioningError):
-            ukf_update(lm, meas([1.0, 0.0, 0.0]), np.eye(3))
+            ukf_update(lm, meas([1.0, 0.0, 0.0]), np.eye(3), CFG)
 
     def test_empty_and_misaligned(self):
-        assert ukf_update_safe([], [], np.eye(3)) == []
+        assert ukf_update_safe([], [], np.eye(3), CFG) == []
         with pytest.raises(ContractViolation):
-            ukf_update_safe([landmark(0, [0.0, 0.0, 0.0])], [], np.eye(3))
+            ukf_update_safe([landmark(0, [0.0, 0.0, 0.0])], [], np.eye(3), CFG)
 
 
 class TestSpdProject:

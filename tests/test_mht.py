@@ -17,11 +17,10 @@ from semslam.assoc import (
     assignment_prior_log,
     build_cost_matrix,
 )
+from semslam.config import RunConfig
 from semslam.core import ContractViolation, Landmark
-from semslam.estimation import UkfParams
 from semslam.mht import (
     HypothesisTree,
-    ResampleParams,
     effective_sample_size,
     kld_bound,
 )
@@ -103,7 +102,7 @@ class TestKldBound:
 
 def default_tree(seed=0, max_hypotheses=20, ess_fraction=0.5, previous=None):
     return HypothesisTree(
-        ResampleParams(ess_fraction, 0.05, 0.01, max_hypotheses, seed),
+        RunConfig(ess_fraction=ess_fraction, max_hypotheses=max_hypotheses, run_seed=seed),
         previous_landmarks=previous,
     )
 
@@ -113,7 +112,7 @@ def extend(tree, leaf, branch_targets, measurements, params):
     cost matrix of `measurements` against the leaf."""
     cm = build_cost_matrix(measurements, leaf, params)
     branches = [assignment_of(cm, targets) for targets in branch_targets]
-    return tree.extend(leaf, branches, measurements, params, UkfParams(), cm)
+    return tree.extend(leaf, branches, measurements, params, cm)
 
 
 class TestExtend:
@@ -272,7 +271,7 @@ class TestPosteriorOracle:
             for t, ms in enumerate(episodes):
                 for leaf in list(tree.leaves):
                     cm = build_cost_matrix(ms, leaf, params)
-                    tree.extend(leaf, tree_combo_branches(ms, leaf, cm), ms, params, UkfParams(), cm)
+                    tree.extend(leaf, tree_combo_branches(ms, leaf, cm), ms, params, cm)
             best = tree.best_leaf()
             expect = exhaustive_posterior_best(episodes, params)
             assert best.log_weight == pytest.approx(expect, abs=1e-6)

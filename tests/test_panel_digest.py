@@ -114,12 +114,18 @@ def test_graph_digest_hashes_every_result_at_full_precision():
 
 
 def test_degraded_jobs_lie_outside_the_default_panel():
-    """The degraded and single_ukf baseline jobs run only when named."""
+    """The degraded, single_ukf baseline and knob jobs run only when named."""
     tool = _tool()
-    panel, degraded, baselines = tool.panel(), tool.degraded(), tool.baselines()
-    assert len(panel) == 16 and len(degraded) == 7 and len(baselines) == 3
-    assert not set(panel) & set(degraded) and not (set(panel) | set(degraded)) & set(baselines)
-    for name, overrides in {**degraded, **baselines}.items():
+    panel, degraded, baselines, knobs = tool.panel(), tool.degraded(), tool.baselines(), tool.knobs()
+    assert len(panel) == 16 and len(degraded) == 7 and len(baselines) == 3 and len(knobs) == 4
+    groups = [set(panel), set(degraded), set(baselines), set(knobs)]
+    assert sum(map(len, groups)) == len(set().union(*groups))
+    for name, overrides in {**degraded, **baselines, **knobs}.items():
         RunConfig(**overrides)  # every override is a config key
         assert name.endswith(f"-{overrides['world_seed']}") and overrides["run_seed"] == overrides["world_seed"]
     assert {overrides["mode"] for overrides in baselines.values()} == {"single_ukf"}
+    assert {overrides.get("mode", "dpmhm") for overrides in knobs.values()} == {"dpmhm", "mhm_threshold"}
+    # every knob job moves the same keys off their defaults
+    default = RunConfig()
+    moved = [{k for k, v in o.items() if v != getattr(default, k)} - {"world_seed", "run_seed", "mode"} for o in knobs.values()]
+    assert len(moved[0]) == 27 and all(m == moved[0] for m in moved)

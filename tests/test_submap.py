@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from semslam.config import RunConfig
 from semslam.core import ContractViolation
 from semslam.submap import (
     Corpus,
-    GateDefaults,
     SubmapSummary,
     gate,
     gaussian_entropy,
@@ -111,16 +111,16 @@ class TestTfidf:
 
 class TestGate:
     def test_default_rule_skips_sparse_submaps(self):
-        assert gate(summary(landmark_count=0)) == "skip"
+        assert gate(summary(landmark_count=0), RunConfig()) == "skip"
 
     def test_default_rule_checks_rich_submaps(self):
-        assert gate(summary(landmark_count=20, tfidf=1.0)) == "check"
+        assert gate(summary(landmark_count=20, tfidf=1.0), RunConfig()) == "check"
 
     def test_default_thresholds_configurable(self):
-        defaults = GateDefaults(min_landmarks=3, min_tfidf=0.9)
-        assert gate(summary(landmark_count=5, tfidf=0.5), defaults=defaults) == "skip"
-        assert gate(summary(landmark_count=5, tfidf=1.0), defaults=defaults) == "check"
+        cfg = RunConfig(gate_min_landmarks=3, gate_min_tfidf=0.9)
+        assert gate(summary(landmark_count=5, tfidf=0.5), cfg) == "skip"
+        assert gate(summary(landmark_count=5, tfidf=1.0), cfg) == "check"
 
     def test_deterministic(self):
         s = summary(landmark_count=9, tfidf=0.4)
-        assert all(gate(s) == gate(s) for _ in range(5))
+        assert all(gate(s, RunConfig()) == gate(s, RunConfig()) for _ in range(5))

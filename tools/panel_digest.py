@@ -20,8 +20,11 @@ checkouts it shows whether a change keeps every output byte-identical:
 outside the panel, which run only when named: the degraded jobs, each on a
 simulator branch the panel never reaches (clutter, misses, heavier noise,
 class confusion, a 60 degree field of view, the figure-eight path and
-odometry drift), and the single_ukf baseline jobs on square-loop worlds 1
-and 3 and line world 0.
+odometry drift), the single_ukf baseline jobs on square-loop worlds 1
+and 3 and line world 0, and the knob jobs on square-loop worlds 1 and 3,
+which set every tunable of the UKF, the resampler, verification, the Bayes
+filter, retrieval, RANSAC and the gate away from its default, so a stage
+that reads the wrong config key changes some digest.
 """
 
 import argparse
@@ -78,6 +81,27 @@ def baselines():
     }
     for overrides in jobs.values():
         overrides.update(mode="single_ukf", run_seed=overrides["world_seed"])
+    return jobs
+
+
+def knobs():
+    """Job name -> config overrides of the knob jobs, `knobs[-mhm]-<world>`
+    (`mhm`: mode = mhm_threshold)."""
+    knob_values = {
+        "ukf_alpha": 0.3, "ukf_beta": 1.5, "ukf_kappa": 1.0,
+        "ess_fraction": 0.8, "kld_epsilon": 0.1, "kld_delta": 0.05, "kld_cube_bracket": True,
+        "max_hypotheses": 8, "plausibility_gap": 100.0,
+        "tau_verify": 8.0, "edge_radius": 5.0, "penalty_p": 0.4, "dist_norm_scale": 4.0,
+        "scene_term_mode": "distance_weighted",
+        "bayes_prior": 0.6, "bayes_stay_lc": 0.85, "bayes_stay_no": 0.95,
+        "bayes_pos_given_lc": 0.75, "bayes_pos_given_no": 0.15, "tau_bayes": 0.7,
+        "r_l2": 0.7, "tau_jsd": 0.25, "exclusion_window": 15,
+        "ransac_iters": 150, "ransac_tol": 0.6, "ransac_min_inliers": 5, "gate_min_landmarks": 4,
+    }
+    jobs = {}
+    for w in (1, 3):
+        jobs[f"knobs-{w}"] = dict(knob_values, world_seed=w, run_seed=w)
+        jobs[f"knobs-mhm-{w}"] = dict(knob_values, world_seed=w, run_seed=w, mode="mhm_threshold")
     return jobs
 
 
@@ -143,6 +167,7 @@ def digest(name, overrides, work) -> str:
 def main(argv=None) -> int:
     jobs, named = panel(), degraded()
     named.update(baselines())
+    named.update(knobs())
     named.update(jobs)
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--job", action="append", choices=list(named), help="digest only this job (repeatable)")

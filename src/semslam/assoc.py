@@ -343,6 +343,10 @@ def generate_branches(
     cols = best.columns
     while len(branches) < max_branches:
         mat[rows, cols] = kernels.BIG
+        # the row minima, added in row order as lap_solve adds its total:
+        # rounding is monotone, so this bounds the re-solve's total from below
+        if float(np.add.accumulate(mat.min(axis=1))[-1]) > best.total_cost + plausibility_gap:
+            break
         row_to_col, u, v, total = kernels.lap_solve(mat)
         if total >= kernels.BIG / 2:
             break

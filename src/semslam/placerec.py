@@ -126,9 +126,9 @@ def query_candidates(
 # topology score
 
 
-def _distances(p: np.ndarray) -> np.ndarray:
-    # one coordinate at a time: cheaper than reducing an (n, n, 3) array
-    dx, dy, dz = (p[:, k, None] - p[:, k] for k in range(3))
+def _distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    # one coordinate at a time: cheaper than reducing an (n, m, 3) array
+    dx, dy, dz = (p[:, k, None] - q[:, k] for k in range(3))
     return np.sqrt(dx * dx + dy * dy + dz * dz)
 
 
@@ -141,7 +141,8 @@ def scene_laplacian(scene: SceneDescriptor, edge_radius: float) -> np.ndarray:
     centroid = scene.positions.mean(axis=0)
     ids = scene.label_ids.tolist()
     order = sorted(range(n), key=lambda i: (ids[i], float(np.linalg.norm(scene.positions[i] - centroid)), i))
-    adj = (_distances(scene.positions[order]) <= edge_radius).astype(float)
+    p = scene.positions[order]
+    adj = (_distances(p, p) <= edge_radius).astype(float)
     np.fill_diagonal(adj, 0.0)
     return np.diag(adj.sum(axis=1)) - adj
 
@@ -271,25 +272,58 @@ def rigid_transform_svd(src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, n
     return R, t
 
 
-def consensus_possible(src: np.ndarray, dst: np.ndarray, m: int, inlier_tol: float) -> bool:
-    """False only if no rigid fit has m pairs within inlier_tol. A rigid motion
-    keeps distances, so such pairs i, j have | |s_i - s_j| - |d_i - d_j| | <=
-    2 tol: they form an m-clique of compatible pairs, which survives peeling
-    every pair with fewer than m - 1 live compatible neighbours. The margin,
-    1e-9 of the largest coordinate or more, covers rounding and only admits."""
-    margin = 1e-9 * max(1.0, float(np.abs(src).max()), float(np.abs(dst).max()))
-    gap = _distances(src)
-    gap -= _distances(dst)
-    near = np.where(np.abs(gap, out=gap) > 2.0 * abs(inlier_tol) + margin, 0.0, 1.0)  # NaN: compatible
+def _margin(src: np.ndarray, dst: np.ndarray) -> float:
+    # 1e-9 of the largest coordinate or more: covers rounding and only admits
+    return 1e-9 * max(1.0, float(np.abs(src).max()), float(np.abs(dst).max()))
+
+
+def consensus_possible(src, dst, m: int, inlier_tol: float, gap=None) -> Optional[np.ndarray]:
+    """The pairs that can be among m inliers of one rigid fit within
+    inlier_tol (a mask), or None if no fit has m. A rigid motion keeps
+    distances, so those pairs i, j have |gap_ij| = | |s_i - s_j| - |d_i - d_j| |
+    <= 2 tol: an m-clique of compatible pairs. It survives peeling every pair
+    with fewer than m - 1 compatible neighbours, then every compatible link
+    whose ends share fewer than m - 2. Counts are sums of ones: exact."""
+    if gap is None:
+        gap = _distances(src, src) - _distances(dst, dst)
+    near = (~(np.abs(gap) > 2.0 * abs(inlier_tol) + _margin(src, dst))).astype(float)  # NaN: compatible
     np.fill_diagonal(near, 0.0)
     live = np.ones(src.shape[0])
-    count = live.size
-    while count >= m:
-        live *= near @ live >= m - 1  # degrees are sums of ones: exact
+    count, left = live.size, -1
+    while m <= count != left:
+        live *= near @ live >= m - 1
         count, left = int(live.sum()), count
-        if count == left:
-            return True
-    return False
+    if count < m:
+        return None
+    core = np.flatnonzero(live)
+    near = near[core][:, core]
+    links, left = int(near.sum()), -1
+    while links != left:  # a kept link's ends keep m - 1 neighbours
+        near *= near @ near >= m - 2
+        links, left = int(near.sum()), links
+    live[core] = near.any(axis=1)
+    return live > 0.0 if links else None
+
+
+def _sample_bound(src, dst, picks, core, tol) -> np.ndarray:
+    """Per sample, the core pairs with | |s_i - c_s| - |d_i - c_d| | <= tol
+    (+ margin), c being the sample's centroids."""
+    cs, cd = src[picks].sum(axis=1) / 3.0, dst[picks].sum(axis=1) / 3.0
+    gap = _distances(cs, src[core]) - _distances(cd, dst[core])
+    return (np.abs(gap) <= abs(tol) + _margin(src, dst)).sum(axis=1)
+
+
+def _consensus_scan(src, dst, picks, tol, m, core):
+    """kernels.ransac_best_mask over the samples whose fit can have m inliers,
+    or None if none can. From m inliers on, the count and mask are the full
+    scan's: those inliers all lie in the core, and R maps s_i - c_s onto
+    d_i - c_d up to the residual, so the `_sample_bound` of their sample is at
+    least m, whatever R the SVD picks. Skipping the rest is exact while no
+    count below m can shorten the replay; otherwise every sample is fit."""
+    if kernels.ransac_trials(m - 1, src.shape[0]) < picks.shape[0]:
+        return kernels.ransac_best_mask(src, dst, picks, tol)
+    fit = np.flatnonzero(_sample_bound(src, dst, picks, core, tol) >= m)
+    return kernels.ransac_best_mask(src, dst, picks, tol, fit) if fit.size else None
 
 
 def ransac_verify(
@@ -299,26 +333,28 @@ def ransac_verify(
     iters: int,
     inlier_tol: float,
     min_inliers: int,
+    gap: Optional[np.ndarray] = None,
 ) -> Optional[Tuple[Pose, np.ndarray]]:
     """RANSAC rigid alignment dst ~ T(src). Returns (pose, inlier mask) or
-    None on rejection. Deterministic under a seeded rng. Inputs where
-    `consensus_possible` rules out max(min_inliers, 3) inliers return None
-    unscanned, after the same draws from rng as a full scan."""
+    None on rejection. Deterministic under a seeded rng. Inputs that
+    `consensus_possible` (given `gap`, if any) or `_consensus_scan` rule out
+    return None unfit, after the same draws from rng as a full scan."""
     src = np.asarray(src, dtype=float).reshape(-1, 3)
     dst = np.asarray(dst, dtype=float).reshape(-1, 3)
-    n = src.shape[0]
+    finite = np.isfinite(src).all(axis=1) & np.isfinite(dst).all(axis=1)
+    if not finite.all():
+        raise ContractViolation(f"putative pairs {np.flatnonzero(~finite).tolist()} have a non-finite position")
+    n, m = src.shape[0], max(min_inliers, 3)
     if n < 3:
         return None
     # samples are drawn up front, so the kernel and its scalar oracle score
     # the same ones and a screened call takes the same draws
     u = rng.random((iters, n))
-    if not consensus_possible(src, dst, max(min_inliers, 3), inlier_tol):
+    core = consensus_possible(src, dst, m, inlier_tol, gap)
+    scan = None if core is None else _consensus_scan(src, dst, np.argsort(u, axis=1)[:, :3], inlier_tol, m, core)
+    if scan is None or scan[1] < m:
         return None
-    picks = np.argsort(u, axis=1)[:, :3].astype(np.int64)
-    best_mask, best_count = kernels.ransac_best_mask(src, dst, picks, inlier_tol)
-    if best_count < max(min_inliers, 3):
-        return None
-    R, t = rigid_transform_svd(src[best_mask], dst[best_mask])
+    R, t = rigid_transform_svd(src[scan[0]], dst[scan[0]])
     err = np.linalg.norm(dst - (src @ R.T + t), axis=1)
     mask = err <= inlier_tol
     if int(mask.sum()) < min_inliers:
@@ -377,6 +413,7 @@ class LoopClosureDetector:
         self.index = PlaceIndex(cfg.n_classes)
         self.rng = np.random.default_rng(cfg.run_seed)
         self._lap_cache: Dict[int, np.ndarray] = {}
+        self._dist_cache: Dict[int, np.ndarray] = {}
 
     def _laplacian(self, scene: SceneDescriptor) -> np.ndarray:
         # scene ids are unique per run and descriptors are immutable
@@ -385,6 +422,12 @@ class LoopClosureDetector:
             L = scene_laplacian(scene, self.cfg.edge_radius)
             self._lap_cache[scene.scene_id] = L
         return L
+
+    def _scene_distances(self, scene: SceneDescriptor) -> np.ndarray:
+        D = self._dist_cache.get(scene.scene_id)
+        if D is None:
+            D = self._dist_cache[scene.scene_id] = _distances(scene.positions, scene.positions)
+        return D
 
     def detect(self, submaps: Sequence[int], query_scene: SceneDescriptor) -> List[LoopClosure]:
         """Returns at most one closure: the candidate with the strongest
@@ -407,7 +450,9 @@ class LoopClosureDetector:
             if ia.size < 3:
                 continue
             src, dst = cand.positions[ib], query_scene.positions[ia]
-            result = ransac_verify(src, dst, self.rng, cfg.ransac_iters, cfg.ransac_tol, cfg.ransac_min_inliers)
+            # the putatives' distances: sub-blocks of the scenes', bit for bit
+            gap = self._scene_distances(cand)[ib][:, ib] - self._scene_distances(query_scene)[ia][:, ia]
+            result = ransac_verify(src, dst, self.rng, cfg.ransac_iters, cfg.ransac_tol, cfg.ransac_min_inliers, gap)
             if result is None:
                 continue
             rel, mask = result

@@ -641,3 +641,54 @@ class TestNearestNeighborAssignment:
                     assert lm.label == m.label
                 else:
                     assert t == New() and a.columns[i] == cm.n_landmark_cols + i
+
+
+def _unbounded_branches(cm, best, max_branches, gap):
+    """generate_branches without its row-minima bound: every re-solve runs."""
+    branches = [best]
+    mat = cm.matrix.copy()
+    rows, cols = np.arange(cm.n_rows), best.columns
+    while len(branches) < max_branches:
+        mat[rows, cols] = BIG
+        r2c, u, v, total = kernels.lap_solve(mat)
+        if total >= BIG / 2 or total > best.total_cost + gap:
+            break
+        cols = _lex_refine(mat, r2c, u, v, total, 1e-9 * max(1.0, abs(total)))
+        branches.append(cm.assignment_at(cols, float(mat[rows, cols].sum())))
+    return branches
+
+
+class TestBranchBound:
+    def test_row_minima_bound_the_solve(self, rng):
+        # summed in row order, the row minima never exceed lap_solve's total,
+        # forbidden cells and infeasible rows included
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            m = n + int(rng.integers(0, 8))
+            mat = rng.uniform(-5.0, 15.0, size=(n, m)) if rng.random() < 0.7 else rng.integers(0, 3, (n, m)) * 1.0
+            mat[rng.random((n, m)) < rng.uniform(0.0, 0.6)] = BIG
+            total = kernels.lap_solve(mat)[3]
+            assert float(np.add.accumulate(mat.min(axis=1))[-1]) <= total
+
+    @pytest.mark.parametrize("gap", [6.0, 100.0])
+    def test_branches_equal_the_unbounded_loop(self, rng, monkeypatch, gap):
+        lap_solve = kernels.lap_solve
+        calls = []
+        monkeypatch.setattr(kernels, "lap_solve", lambda cost: calls.append(1) or lap_solve(cost))
+        bounded = unbounded = 0
+        for _ in range(150):
+            n = int(rng.integers(1, 7))
+            block = rng.uniform(0.0, 14.0, size=(n, int(rng.integers(0, 9))))
+            block[rng.random(block.shape) < 0.5] = BIG
+            cm = TestSolveAssignment.make_cm(block, new_cost=8.0, fp_cost=float(rng.uniform(6.0, 14.0)))
+            best = solve_assignment(cm)
+            calls.clear()
+            got = generate_branches(cm, best, max_branches=5, plausibility_gap=gap)
+            bounded += len(calls)
+            calls.clear()
+            want = _unbounded_branches(cm, best, 5, gap)
+            unbounded += len(calls)
+            assert [(b.targets, b.total_cost, b.columns) for b in got] == [
+                (b.targets, b.total_cost, b.columns) for b in want
+            ]
+        assert bounded < unbounded, (bounded, unbounded)

@@ -304,3 +304,41 @@ class TestBackendParity:
                 }[kind]
             seen[kind] += hit
         assert all(seen.values()), seen
+
+    def test_ransac_best_mask_fit_rows(self, rng):
+        """Given `fit`, the kernel returns what the scalar loop returns when
+        every other row is a collinear sample (0, 0, 0)."""
+        for problem in range(160):
+            kind = RANSAC_KINDS[problem % len(RANSAC_KINDS)]
+            src, dst, picks, tol = _ransac_problem(rng, kind)
+            fit = np.flatnonzero(rng.random(len(picks)) < rng.uniform(0.0, 0.5))
+            masked = np.zeros_like(picks)
+            masked[fit] = picks[fit]
+            mask, count = kernels.ransac_best_mask(src, dst, picks, tol, fit)
+            ref_mask, ref_count = scalar_ransac_best_mask(src, dst, masked, tol)
+            assert count == ref_count and mask.tolist() == ref_mask.tolist(), (problem, kind)
+
+    def test_bounded_scan_decides_as_the_full_scan(self, rng):
+        """The scan ransac_verify runs (consensus core, per-sample bound,
+        replay guard) reaches m inliers exactly when the scalar loop does,
+        and then returns its mask and count, on the problems above at m 3-8.
+        Below m the count is not compared: no caller reads it."""
+        from semslam import placerec
+
+        accepted = skipped = 0
+        for problem in range(280):
+            kind = RANSAC_KINDS[problem % len(RANSAC_KINDS)]
+            src, dst, picks, tol = _ransac_problem(rng, kind)
+            if len(src) < 3:
+                continue
+            m = int(rng.integers(3, 9))
+            ref_mask, ref_count = scalar_ransac_best_mask(src, dst, picks, tol)
+            core = placerec.consensus_possible(src, dst, m, tol)
+            scan = None if core is None else placerec._consensus_scan(src, dst, picks, tol, m, core)
+            skipped += scan is None
+            if scan is None or scan[1] < m:
+                assert ref_count < m, (problem, kind)
+                continue
+            assert scan[1] == ref_count and scan[0].tolist() == ref_mask.tolist(), (problem, kind)
+            accepted += 1
+        assert accepted and skipped

@@ -114,13 +114,15 @@ def test_graph_digest_hashes_every_result_at_full_precision():
 
 
 def test_degraded_jobs_lie_outside_the_default_panel():
-    """The degraded, single_ukf baseline and knob jobs run only when named."""
+    """The degraded, single_ukf baseline, knob and RANSAC fallback jobs run
+    only when named."""
     tool = _tool()
     panel, degraded, baselines, knobs = tool.panel(), tool.degraded(), tool.baselines(), tool.knobs()
-    assert len(panel) == 16 and len(degraded) == 7 and len(baselines) == 3 and len(knobs) == 4
-    groups = [set(panel), set(degraded), set(baselines), set(knobs)]
+    fallbacks = tool.fallbacks()
+    assert len(panel) == 16 and len(degraded) == 7 and len(baselines) == 3 and len(knobs) == 4 and len(fallbacks) == 1
+    groups = [set(panel), set(degraded), set(baselines), set(knobs), set(fallbacks)]
     assert sum(map(len, groups)) == len(set().union(*groups))
-    for name, overrides in {**degraded, **baselines, **knobs}.items():
+    for name, overrides in {**degraded, **baselines, **knobs, **fallbacks}.items():
         RunConfig(**overrides)  # every override is a config key
         assert name.endswith(f"-{overrides['world_seed']}") and overrides["run_seed"] == overrides["world_seed"]
     assert {overrides["mode"] for overrides in baselines.values()} == {"single_ukf"}
@@ -129,3 +131,23 @@ def test_degraded_jobs_lie_outside_the_default_panel():
     default = RunConfig()
     moved = [{k for k, v in o.items() if v != getattr(default, k)} - {"world_seed", "run_seed", "mode"} for o in knobs.values()]
     assert len(moved[0]) == 27 and all(m == moved[0] for m in moved)
+
+
+def test_fallback_job_fits_every_sample_of_some_scan(tmp_path, monkeypatch):
+    """The fallback job reaches the branch of `_consensus_scan` that no
+    default job reaches: a scan past the consensus screen whose counts below
+    m could end it early, so that every sample is fit. It closes loops."""
+    from semslam import kernels, placerec
+
+    scan, fallbacks = placerec._consensus_scan, []
+
+    def counted(src, dst, picks, tol, m, core):
+        fallbacks.append(kernels.ransac_trials(m - 1, src.shape[0]) < picks.shape[0])
+        return scan(src, dst, picks, tol, m, core)
+
+    monkeypatch.setattr(placerec, "_consensus_scan", counted)
+    tool = _tool()
+    tool.digest("ransac-fallback-1", tool.fallbacks()["ransac-fallback-1"], str(tmp_path))
+    assert sum(fallbacks) == 2 and len(fallbacks) == 58
+    header, *_, last = (tmp_path / "out" / "metrics.csv").read_text().splitlines()
+    assert int(last.split(",")[header.split(",").index("n_loop_closures")]) > 0

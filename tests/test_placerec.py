@@ -431,7 +431,7 @@ class TestConsensusScreen:
         m = max(min_inliers, 3)
         picks = np.argsort(np.random.default_rng(seed).random((iters, src.shape[0])), axis=1)[:, :3]
         reached = scalar_ransac_best_mask(src, dst, picks, tol)[1] >= m
-        assert consensus_possible(src, dst, m, tol) or not reached
+        assert consensus_possible(src, dst, m, tol) is not None or not reached
         ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         want = scalar_ransac_verify(src, dst, ref_rng, iters, tol, min_inliers)
         got = ransac_verify(src, dst, rng, iters, tol, min_inliers)
@@ -468,7 +468,7 @@ class TestConsensusScreen:
             if self._check(src, dst, 40, 0.5, min_inliers, seed):
                 reached[kind] += 1
                 reached_at_3 += len(src) == 3
-            screened += not consensus_possible(src, dst, max(min_inliers, 3), 0.5)
+            screened += consensus_possible(src, dst, max(min_inliers, 3), 0.5) is None
         assert all(reached[kind] for kind in SCREEN_KINDS[:-1]) and reached_at_3, reached
         assert screened
 
@@ -481,8 +481,8 @@ class TestConsensusScreen:
         for gap, ok in ((up, True), (down, True), (2.0 * tol + 1e-6, False)):
             dst = src.copy()
             dst[1, 0] += gap
-            assert consensus_possible(src, dst, 4, tol) is ok
-            assert consensus_possible(src, dst, 3, tol)
+            assert (consensus_possible(src, dst, 4, tol) is not None) is ok
+            assert consensus_possible(src, dst, 3, tol) is not None
 
     def test_shared_points_need_their_partners_within_twice_tol(self):
         # pairs 0 and 1 share a src point, so they are compatible iff their
@@ -490,14 +490,14 @@ class TestConsensusScreen:
         src = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [4.0, 0.0, 0.0]])
         for spread, ok in ((0.99, True), (1.01, False)):
             dst = np.array([[0.0, 0.0, 0.0], [0.0, spread, 0.0], [4.0, 0.0, 0.0]])
-            assert consensus_possible(src, dst, 3, 0.5) is ok
+            assert (consensus_possible(src, dst, 3, 0.5) is not None) is ok
 
     def test_screened_call_draws_like_a_full_scan(self, monkeypatch):
         scans = []
         scan = kernels.ransac_best_mask
         monkeypatch.setattr(kernels, "ransac_best_mask", lambda *args: scans.append(1) or scan(*args))
         src, dst, _ = _screen_problem(np.random.default_rng(3), "unrelated", 12, 0.5)
-        assert not consensus_possible(src, dst, 6, 0.5)
+        assert consensus_possible(src, dst, 6, 0.5) is None
         full, screened = np.random.default_rng(9), np.random.default_rng(9)
         assert scalar_ransac_verify(src, dst, full, 100, 0.5, 6) is None
         assert ransac_verify(src, dst, screened, 100, 0.5, 6) is None
@@ -505,6 +505,125 @@ class TestConsensusScreen:
         assert screened.bit_generator.state == full.bit_generator.state
         assert ransac_verify(src, src, screened, 100, 0.5, 6) is not None
         assert scans == [1]
+
+
+def _k33(tol):
+    """Six pairs whose compatibility graph at tol is K3,3: pairs 0-2 on a
+    triangle that shrinks from side 10 to side 2, pairs 3-5 on its axis,
+    moved so that every distance across the two sides keeps its length."""
+    ring = np.array([[np.cos(a), np.sin(a), 0.0] for a in (0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0)])
+    r, r2 = 10.0 / np.sqrt(3.0), 2.0 / np.sqrt(3.0)
+    z = np.array([-10.0, 0.0, 10.0])
+    z2 = np.sign(z + 0.5) * np.sqrt(r * r + z * z - r2 * r2)
+    src = np.vstack([r * ring, np.outer(z, [0.0, 0.0, 1.0])])
+    dst = np.vstack([r2 * ring, np.outer(z2, [0.0, 0.0, 1.0])])
+    return src, dst
+
+
+class TestSampleBound:
+    """The edge peel and the per-sample centroid bound: every sample whose
+    fit has m inliers is fit, and ransac_verify returns the full scan's result."""
+
+    def test_k33_passes_the_vertex_core_and_fails_the_edge_peel(self):
+        src, dst = _k33(0.5)
+        gap = np.abs(placerec._distances(src, src) - placerec._distances(dst, dst))
+        side = np.arange(6) < 3
+        cross = side[:, None] != side[None, :]
+        assert (gap[cross] < 1e-9).all() and (gap[~cross & ~np.eye(6, dtype=bool)] > 1.0).all()
+        # each pair has 3 = m - 1 compatible neighbours, but no link lies on a triangle
+        assert consensus_possible(src, dst, 4, 0.5) is None
+        assert consensus_possible(src, dst, 3, 0.5) is None
+        assert consensus_possible(src, dst, 2, 0.5).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(4, 20), st.sampled_from([0.05, 0.5, 2.0]), st.integers(0, 2**32 - 1))
+    def test_planted_clique_survives(self, n, tol, seed):
+        src, dst, k = _screen_problem(np.random.default_rng(seed), "planted", n, tol)
+        core = consensus_possible(src, dst, k, tol)
+        assert core is not None and core[:k].all()
+
+    def test_bound_admits_every_sample_that_reaches_m(self):
+        """For each sample whose fit has count >= m inliers, the core and the
+        sample's bound hold at least count pairs; other samples are ruled out."""
+        reached = skipped = 0
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            kind = ("planted", "shared", "collinear")[seed % 3]
+            src, dst, k = _screen_problem(rng, kind, int(rng.integers(6, 14)), 0.5)
+            m = max(3, min(k, int(rng.integers(3, 8))))
+            picks = np.argsort(rng.random((40, len(src))), axis=1)[:, :3]
+            counts = np.array([scalar_ransac_best_mask(src, dst, picks[i : i + 1], 0.5)[1] for i in range(40)])
+            core = consensus_possible(src, dst, m, 0.5)
+            if core is None:
+                assert (counts < m).all()
+                continue
+            bound = placerec._sample_bound(src, dst, picks, core, 0.5)
+            assert (bound[counts >= m] >= counts[counts >= m]).all()
+            assert int(core.sum()) >= counts.max()
+            reached += int((counts >= m).sum())
+            skipped += int((bound < m).sum())
+        assert reached and skipped, (reached, skipped)
+
+    def test_replay_guard(self):
+        """n = 7, m = 6: a count-5 sample at row 0 sets the scan's length to
+        ransac_trials(5, 7) = 16 samples. The bound rules it out, so the scan
+        of 17 samples, whose count-6 sample at row 16 the full scan never
+        reaches, must fit every sample; the scan of 16 may skip it."""
+        rng = np.random.default_rng(17)
+        src = rng.uniform(-4.0, 4.0, (7, 3))
+        dst = src @ exp_so3(rng.normal(size=3)).T + rng.uniform(-3.0, 3.0, 3)
+        dst[:6] += rng.normal(scale=0.15, size=(6, 3))
+        dst[6] += rng.normal(scale=1.0, size=3)
+        core = consensus_possible(src, dst, 6, 0.5)
+        triples = np.array([(i, j, k) for i in range(7) for j in range(i + 1, 7) for k in range(j + 1, 7)])
+        counts = [scalar_ransac_best_mask(src, dst, triples[i : i + 1], 0.5)[1] for i in range(len(triples))]
+        bound = placerec._sample_bound(src, dst, triples, core, 0.5)
+        five = next(i for i, c in enumerate(counts) if c == 5 and bound[i] < 6)
+        six = counts.index(6)
+        assert kernels.ransac_trials(5, 7) == 16
+        for rows, want in ((17, 5), (16, 6)):
+            picks = triples[[five] * (rows - 1) + [six]]
+            assert scalar_ransac_best_mask(src, dst, picks, 0.5)[1] == want
+            # what skipping the count-5 sample would return
+            assert kernels.ransac_best_mask(src, dst, picks, 0.5, np.array([rows - 1]))[1] == 6
+            mask, count = placerec._consensus_scan(src, dst, picks, 0.5, 6, core)
+            assert count == want and mask.tolist() == scalar_ransac_best_mask(src, dst, picks, 0.5)[0].tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["planted", "shared"]),
+        st.integers(3, 12),
+        st.integers(3, 12),
+        st.integers(20, 150),
+        st.sampled_from([0.2, 0.5, 1.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_verify_matches_full_scan(self, kind, n, min_inliers, iters, tol, seed):
+        """ransac_verify returns the unscreened verifier's result, bit for
+        bit, with the bound (long scans) and without it (short ones)."""
+        src, dst, _ = _screen_problem(np.random.default_rng(seed), kind, n, tol)
+        TestConsensusScreen()._check(src, dst, iters, tol, min_inliers, seed)
+
+    def test_both_regimes_accept(self):
+        # the property above is not vacuous: seeded scenes accept both with
+        # the bound and with every sample fit
+        accepted = {True: 0, False: 0}
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            kind, n = ("planted", "shared")[seed % 2], int(rng.integers(5, 12))
+            src, dst, k = _screen_problem(rng, kind, n, 0.5)
+            m = min(k, 6)
+            if TestConsensusScreen()._check(src, dst, 150, 0.5, m, seed):
+                accepted[kernels.ransac_trials(m - 1, len(src)) >= 150] += 1
+        assert all(accepted.values()), accepted
+
+    def test_non_finite_putatives_rejected(self):
+        src = np.random.default_rng(0).uniform(-5.0, 5.0, (8, 3))
+        dst = src.copy()
+        dst[5, 1] = np.nan
+        src[2, 0] = np.inf
+        with pytest.raises(ContractViolation, match=r"putative pairs \[2, 5\] have a non-finite position"):
+            ransac_verify(src, dst, np.random.default_rng(0), 100, 0.5, 4)
 
 
 def verify_cfg(**overrides) -> RunConfig:
@@ -759,11 +878,13 @@ def test_detect_matches_scalar_oracle(monkeypatch):
         seen["distance_weighted"] += cfg.scene_term_mode == "distance_weighted"
         return out
 
-    def record_ransac(src, dst, rng, iters, tol, min_inliers):
+    def record_ransac(src, dst, rng, iters, tol, min_inliers, gap):
         seen["shared landmark"] += len(np.unique(src, axis=0)) < len(src) or len(np.unique(dst, axis=0)) < len(dst)
-        passed = consensus_possible(src, dst, max(min_inliers, 3), tol)
+        # the detector's cached distances are the putatives' own, bit for bit
+        assert gap.tobytes() == (placerec._distances(src, src) - placerec._distances(dst, dst)).tobytes()
+        passed = consensus_possible(src, dst, max(min_inliers, 3), tol) is not None
         seen["scanned" if passed else "screened"] += 1
-        return ransac_verify(src, dst, rng, iters, tol, min_inliers)
+        return ransac_verify(src, dst, rng, iters, tol, min_inliers, gap)
 
     monkeypatch.setattr(placerec, "verify_pair", record_verify)
     monkeypatch.setattr(placerec, "ransac_verify", record_ransac)

@@ -21,10 +21,12 @@ outside the panel, which run only when named: the degraded jobs, each on a
 simulator branch the panel never reaches (clutter, misses, heavier noise,
 class confusion, a 60 degree field of view, the figure-eight path and
 odometry drift), the single_ukf baseline jobs on square-loop worlds 1
-and 3 and line world 0, and the knob jobs on square-loop worlds 1 and 3,
+and 3 and line world 0, the knob jobs on square-loop worlds 1 and 3,
 which set every tunable of the UKF, the resampler, verification, the Bayes
 filter, retrieval, RANSAC and the gate away from its default, so a stage
-that reads the wrong config key changes some digest.
+that reads the wrong config key changes some digest, and the RANSAC
+fallback job on square-loop world 1, whose thresholds make some scans fit
+every sample (`placerec._consensus_scan`), which no other job does.
 """
 
 import argparse
@@ -105,6 +107,16 @@ def knobs():
     return jobs
 
 
+def fallbacks():
+    """Job name -> config overrides of the RANSAC fallback job: 10 inliers
+    within 1.5 out of 400 samples, so a count below 10 can end a scan early."""
+    return {
+        "ransac-fallback-1": {
+            "world_seed": 1, "run_seed": 1, "ransac_tol": 1.5, "ransac_min_inliers": 10, "ransac_iters": 400,
+        }
+    }
+
+
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
@@ -168,6 +180,7 @@ def main(argv=None) -> int:
     jobs, named = panel(), degraded()
     named.update(baselines())
     named.update(knobs())
+    named.update(fallbacks())
     named.update(jobs)
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--job", action="append", choices=list(named), help="digest only this job (repeatable)")

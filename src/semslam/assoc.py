@@ -22,7 +22,8 @@ _LOG2PI = math.log(2.0 * math.pi)
 
 @dataclass(frozen=True, eq=False)
 class AssocParams:
-    """Tunables of the association model.
+    """Tunables of the association model. The fields named after `RunConfig`
+    keys have no default: the pipeline passes the config's values.
 
     fp_norm_constant is the proportionality constant of the false-positive
     likelihood (the model only fixes it up to proportionality; it cancels in
@@ -31,15 +32,15 @@ class AssocParams:
 
     meas_cov: np.ndarray
     trans_cov_by_class: Mapping[int, np.ndarray]  # class id -> transitional covariance
-    dirichlet_alpha: float = 1.0
-    fp_rate: float = 0.1
-    map_volume: float = 1000.0
-    lambda_new: float = 0.5
-    lambda_fp: float = 0.2
-    prior_volume: float = 1.0
+    dirichlet_alpha: float
+    fp_rate: float
+    map_volume: float
+    lambda_new: float
+    lambda_fp: float
+    prior_volume: float
+    dp_weight_mode: str  # "exp" follows the printed model, "linear" the standard DP weight
     class_prior: Mapping[int, float] = field(default_factory=dict)  # class id -> p_s(class)
     dirac_classes: frozenset = frozenset()  # class ids
-    dp_weight_mode: str = "exp"  # "exp" follows the printed model, "linear" the standard DP weight
     fp_norm_constant: float = 1.0
     # candidates enter the false-positive denominator only inside this
     # squared-Mahalanobis validation gate (chi-square 99%, 3 dof); without it

@@ -88,12 +88,6 @@ class RunConfig:
     dist_norm_scale: float = 5.0
     scene_term_mode: str = "as_printed"
     tau_verify: float = 4.0
-    tau_bayes: float = 0.75
-    bayes_prior: float = 0.5
-    bayes_stay_lc: float = 0.9
-    bayes_stay_no: float = 0.9
-    bayes_pos_given_lc: float = 0.8
-    bayes_pos_given_no: float = 0.1
     ransac_iters: int = 100
     ransac_tol: float = 0.5
     ransac_min_inliers: int = 6
@@ -116,13 +110,14 @@ class RunConfig:
         ):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        # RANSAC scans |tol| but its refit keeps residuals <= tol, so a negative tol would reject every loop
-        if not math.isfinite(self.ransac_tol) or self.ransac_tol <= 0:
-            raise ConfigError(f"ransac_tol must be finite and positive, got {self.ransac_tol!r}")
-        # each range test is written so that NaN fails it
-        for name in ("bayes_prior", "bayes_stay_lc", "bayes_stay_no", "bayes_pos_given_lc", "bayes_pos_given_no"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {getattr(self, name)!r}")
+        # each range test is written so that NaN fails it. RANSAC scans |tol| but its
+        # refit keeps residuals <= tol, so a negative ransac_tol would reject every loop
+        for name in ("ransac_tol", "cauchy_c", "loop_info_scale", "meas_cov_scale", "trans_cov_scale"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and positive, got {getattr(self, name)!r}")
+        for name in ("odom_sigma_t", "odom_sigma_r", "lm_grad_tol"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and non-negative, got {getattr(self, name)!r}")
         if not 0.0 < self.ess_fraction <= 1.0:
             raise ConfigError(f"ess_fraction must lie in (0, 1], got {self.ess_fraction!r}")
         if not self.kld_epsilon > 0.0:

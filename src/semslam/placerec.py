@@ -1,9 +1,9 @@
 """Semantic loop-closure detection.
 
 Two-stage retrieval (submap histograms under JSD, scene histograms under
-L2), topology verification via Laplacian NCC, Hungarian scene similarity,
-a discrete Bayes filter over loop-closure events, and a final RANSAC rigid
-consistency check.
+L2), topology verification via Laplacian NCC plus Hungarian scene
+similarity, and a final RANSAC rigid consistency check on the verified
+candidates.
 """
 
 from __future__ import annotations
@@ -228,24 +228,6 @@ def scene_match(
 
 
 # ---------------------------------------------------------------------------
-# Bayes filter over loop-closure events
-
-
-def bayes_update(p_lc: float, verified: bool, cfg: RunConfig) -> float:
-    """Posterior loop-closure probability from the prior p_lc: predict with
-    the two-state Markov chain (bayes_stay_lc, bayes_stay_no), then correct
-    with the verification observation (bayes_pos_given_lc, bayes_pos_given_no)."""
-    p = p_lc * cfg.bayes_stay_lc + (1.0 - p_lc) * (1.0 - cfg.bayes_stay_no)
-    if verified:
-        like_lc, like_no = cfg.bayes_pos_given_lc, cfg.bayes_pos_given_no
-    else:
-        like_lc, like_no = 1.0 - cfg.bayes_pos_given_lc, 1.0 - cfg.bayes_pos_given_no
-    num = p * like_lc
-    den = num + (1.0 - p) * like_no
-    return p_lc if den == 0.0 else num / den
-
-
-# ---------------------------------------------------------------------------
 # RANSAC rigid consistency
 
 
@@ -433,16 +415,14 @@ class LoopClosureDetector:
         """Returns at most one closure: the candidate with the strongest
         geometric consensus for this query scene. submaps is stage 1 of
         retrieval for the query's submap (`similar_submaps` at tau_jsd).
-        A run queries each scene once, so each (query, candidate) pair gets
-        one Bayes update, from bayes_prior."""
+        Only candidates that pass `verify_pair` go on to RANSAC."""
         cfg = self.cfg
         closures = []
         candidates = query_candidates(self.index, submaps, query_scene, cfg.r_l2, cfg.exclusion_window)
         for cand in candidates[:MAX_CANDIDATES]:
             if query_scene.positions.shape[0] == 0 or cand.positions.shape[0] == 0:
                 continue
-            ok = verify_pair(query_scene, cand, cfg, self._laplacian)[0]
-            if bayes_update(cfg.bayes_prior, ok, cfg) <= cfg.tau_bayes:
+            if not verify_pair(query_scene, cand, cfg, self._laplacian)[0]:
                 continue
             # putative correspondences: every same-class cross pairing (row-major);
             # the consensus step sorts out which instances actually align

@@ -30,7 +30,6 @@ from semslam.placerec import (
     MAX_CANDIDATES,
     LoopClosure,
     MatchedPair,
-    bayes_update,
     jsd,
     ncc_score,
     query_candidates,
@@ -62,6 +61,7 @@ def simple_params(**overrides) -> AssocParams:
         lambda_new=0.5,
         lambda_fp=0.2,
         prior_volume=1.0,
+        dp_weight_mode="exp",
     )
     defaults.update(overrides)
     return AssocParams(**defaults)
@@ -500,9 +500,7 @@ def scalar_detect(det, query_submap_hist, query_scene):
             continue
         s_ncc = ncc_score(det._laplacian(query_scene), det._laplacian(cand))
         s_scene, _ = scalar_scene_match(query_scene, cand, cfg.penalty_p, cfg.dist_norm_scale, cfg.scene_term_mode)
-        ok = s_ncc + s_scene > cfg.tau_verify
-        # the one-step posterior from the prior: each pair is queried once
-        if bayes_update(cfg.bayes_prior, ok, cfg) <= cfg.tau_bayes:
+        if not s_ncc + s_scene > cfg.tau_verify:
             continue
         putative = [
             (ia, ib)

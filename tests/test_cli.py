@@ -112,16 +112,16 @@ def test_bad_config_exit_code(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
-def test_simulate_with_out_of_range_probability_exit_code(tmp_path, capsys):
+def test_simulate_with_out_of_range_value_exit_code(tmp_path, capsys):
     """A config value outside its range fails when the config is loaded,
     before any simulation, and the error names the key."""
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("bayes_prior = 1.5\n")
+    cfg.write_text("cauchy_c = nan\n")
     out = tmp_path / "logs"
     rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "bayes_prior must lie in [0, 1]" in err
+    assert err.startswith("error: ") and "cauchy_c must be finite and positive" in err
     assert not out.exists()
 
 

@@ -1,8 +1,16 @@
-"""Flat key = value configuration: fixed-point round trip and strictness."""
+"""Flat key = value configuration: fixed-point round trip, strictness, and
+no key that the pipeline never reads."""
+
+import ast
+import os
+from dataclasses import fields
 
 import pytest
 
+import semslam
 from semslam.config import ConfigError, RunConfig, load_config, parse_config, serialize_config
+
+SRC = os.path.dirname(os.path.abspath(semslam.__file__))
 
 
 class TestRoundTrip:
@@ -77,14 +85,19 @@ class TestErrors:
             parse_config(f"{name} = 0")
         assert getattr(parse_config(f"{name} = 1"), name) == 1
 
-    @pytest.mark.parametrize(
-        "name", ["bayes_prior", "bayes_stay_lc", "bayes_stay_no", "bayes_pos_given_lc", "bayes_pos_given_no"]
-    )
-    @pytest.mark.parametrize("value", ["-0.1", "1.5", "nan"])
-    def test_bayes_probabilities_must_lie_in_unit_interval(self, name, value):
-        with pytest.raises(ConfigError, match=rf"{name} must lie in \[0, 1\]"):
+    @pytest.mark.parametrize("name", ["cauchy_c", "loop_info_scale", "meas_cov_scale", "trans_cov_scale"])
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_graph_and_covariance_scales_must_be_finite_and_positive(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite and positive"):
             parse_config(f"{name} = {value}")
-        assert getattr(parse_config(f"{name} = 1.0"), name) == 1.0
+        assert getattr(parse_config(f"{name} = 1e-9"), name) == 1e-9
+
+    @pytest.mark.parametrize("name", ["odom_sigma_t", "odom_sigma_r", "lm_grad_tol"])
+    @pytest.mark.parametrize("value", ["-1e-9", "nan", "inf"])
+    def test_noise_and_tolerance_must_be_finite_and_non_negative(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite and non-negative"):
+            parse_config(f"{name} = {value}")
+        assert getattr(parse_config(f"{name} = 0"), name) == 0.0
 
     @pytest.mark.parametrize(
         "text, message",
@@ -126,3 +139,27 @@ class TestTupleField:
         assert parse_config("n_classes = 10\ndirac_class_ids = 9").dirac_class_ids == (9,)
         with pytest.raises(ConfigError):
             RunConfig(n_classes=3, dirac_class_ids=(3,))
+
+
+def attribute_reads(source: str):
+    """Every attribute name that `source` reads (`x.name` in load context)."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_attribute_reads_are_found():
+    source = "cfg.a + f(x.b)\ncfg.c = 1\ndel cfg.d\n"
+    assert attribute_reads(source) == {"a", "b"}
+
+
+def test_every_config_key_is_read_outside_config():
+    """A key that no stage reads is inert: setting it changes nothing."""
+    read = set()
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py") and name != "config.py":
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                read |= attribute_reads(fh.read())
+    assert [f.name for f in fields(RunConfig) if f.name not in read] == []

@@ -130,7 +130,7 @@ def test_degraded_jobs_lie_outside_the_default_panel():
     # every knob job moves the same keys off their defaults
     default = RunConfig()
     moved = [{k for k, v in o.items() if v != getattr(default, k)} - {"world_seed", "run_seed", "mode"} for o in knobs.values()]
-    assert len(moved[0]) == 27 and all(m == moved[0] for m in moved)
+    assert len(moved[0]) == 21 and all(m == moved[0] for m in moved)
 
 
 def test_fallback_job_fits_every_sample_of_some_scan(tmp_path, monkeypatch):

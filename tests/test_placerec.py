@@ -1,5 +1,5 @@
 """Loop-closure detection: JSD, two-stage retrieval, Laplacian NCC, scene
-similarity, the discrete Bayes filter, RANSAC, and the end-to-end detector."""
+similarity, RANSAC, and the end-to-end detector."""
 
 import math
 
@@ -16,7 +16,6 @@ from semslam.placerec import (
     LoopClosureDetector,
     PlaceIndex,
     SceneDescriptor,
-    bayes_update,
     consensus_possible,
     jsd,
     ncc_score,
@@ -296,45 +295,6 @@ class TestSceneDescriptor:
     def test_non_finite_position_rejected(self, bad):
         with pytest.raises(ContractViolation):
             SceneDescriptor(0, 0, np.array([1.0, 0, 0, 0]), [[0.0, bad, 0.0]], (0,), Pose())
-
-
-class TestBayesUpdate:
-    def test_positive_observation_spot_value(self):
-        assert bayes_update(0.5, True, RunConfig()) == pytest.approx(8.0 / 9.0, rel=1e-12)
-
-    def test_defaults_pass_exactly_the_verified_pairs(self):
-        # one update from bayes_prior: 8/9 if verified, 2/11 if not, about tau_bayes = 0.75
-        cfg = RunConfig()
-        assert bayes_update(cfg.bayes_prior, False, cfg) == pytest.approx(2.0 / 11.0, rel=1e-12)
-        assert bayes_update(cfg.bayes_prior, False, cfg) <= cfg.tau_bayes < bayes_update(cfg.bayes_prior, True, cfg)
-
-    @pytest.mark.parametrize("verified, want", [(True, 31.0 / 54.0), (False, 31.0 / 169.0)])
-    def test_asymmetric_chain_and_sensor_spot_values(self, verified, want):
-        # predict: 0.4 * 0.7 + 0.6 * (1 - 0.95) = 0.31; correct with 0.6 / 0.2
-        # (verified) or 0.4 / 0.8 (not). Swapping the two stay or the two
-        # likelihood keys, or reading bayes_prior for p_lc, moves the value.
-        cfg = RunConfig(
-            bayes_prior=0.9, bayes_stay_lc=0.7, bayes_stay_no=0.95, bayes_pos_given_lc=0.6, bayes_pos_given_no=0.2
-        )
-        assert bayes_update(0.4, verified, cfg) == pytest.approx(want, rel=1e-12)
-
-    def test_uninformative_likelihood_keeps_prediction(self):
-        cfg = RunConfig(bayes_pos_given_lc=0.3, bayes_pos_given_no=0.3)
-        assert bayes_update(0.5, True, cfg) == pytest.approx(0.5)
-
-    def test_repeated_negatives_monotone_to_fixed_point(self):
-        p_lc, values = 0.9, []
-        for _ in range(20):
-            p_lc = bayes_update(p_lc, False, RunConfig())
-            values.append(p_lc)
-        assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
-        assert values[-1] == pytest.approx(values[-2], abs=1e-6)
-
-    def test_probability_stays_in_unit_interval(self, rng):
-        p_lc = float(rng.random())
-        for _ in range(50):
-            p_lc = bayes_update(p_lc, bool(rng.random() < 0.5), RunConfig())
-            assert 0.0 <= p_lc <= 1.0
 
 
 class TestRansacVerify:

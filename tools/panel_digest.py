@@ -22,8 +22,8 @@ simulator branch the panel never reaches (clutter, misses, heavier noise,
 class confusion, a 60 degree field of view, the figure-eight path and
 odometry drift), the single_ukf baseline jobs on square-loop worlds 1
 and 3 and line world 0, the knob jobs on square-loop worlds 1 and 3,
-which set every tunable of the UKF, the resampler, verification, the Bayes
-filter, retrieval, RANSAC and the gate away from its default, so a stage
+which set every tunable of the UKF, the resampler, verification,
+retrieval, RANSAC and the gate away from its default, so a stage
 that reads the wrong config key changes some digest, and the RANSAC
 fallback job on square-loop world 1, whose thresholds make some scans fit
 every sample (`placerec._consensus_scan`), which no other job does.
@@ -95,8 +95,6 @@ def knobs():
         "max_hypotheses": 8, "plausibility_gap": 100.0,
         "tau_verify": 8.0, "edge_radius": 5.0, "penalty_p": 0.4, "dist_norm_scale": 4.0,
         "scene_term_mode": "distance_weighted",
-        "bayes_prior": 0.6, "bayes_stay_lc": 0.85, "bayes_stay_no": 0.95,
-        "bayes_pos_given_lc": 0.75, "bayes_pos_given_no": 0.15, "tau_bayes": 0.7,
         "r_l2": 0.7, "tau_jsd": 0.25, "exclusion_window": 15,
         "ransac_iters": 150, "ransac_tol": 0.6, "ransac_min_inliers": 5, "gate_min_landmarks": 4,
     }

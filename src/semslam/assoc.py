@@ -10,7 +10,7 @@ from typing import List, Mapping, Sequence, Tuple, Union
 import numpy as np
 
 from . import kernels
-from .core import ContractViolation, Landmark, SemanticMeasurement, check_spd
+from .core import ContractViolation, SemanticMeasurement, check_spd
 
 LOG_ZERO = -1e18  # log-domain sentinel for impossible events
 _LOG2PI = math.log(2.0 * math.pi)
@@ -78,11 +78,6 @@ class AssocParams:
                 raise ContractViolation("class_prior values must lie in (0, 1]")
             log_prior[class_id] = math.log(p)
         object.__setattr__(self, "_log_prior", log_prior)
-        for name in ("dirichlet_alpha", "fp_rate", "map_volume", "lambda_new", "lambda_fp", "prior_volume"):
-            if getattr(self, name) <= 0:
-                raise ContractViolation(f"{name} must be positive")
-        if self.dp_weight_mode not in ("exp", "linear"):
-            raise ContractViolation("dp_weight_mode must be 'exp' or 'linear'")
 
 
 @dataclass(frozen=True)
@@ -106,6 +101,7 @@ class FalsePositive:
 
 
 AssignmentTarget = Union[Existing, Previous, New, FalsePositive]
+_NEW, _FALSE_POSITIVE = New(), FalsePositive()
 
 
 @dataclass(frozen=True)
@@ -163,59 +159,57 @@ class CostMatrix:
 
     Columns: existing landmarks, previous landmarks, then one New and one
     FalsePositive column per measurement (forbidden for the other rows).
-    A landmark cell holds -(log f(z | landmark) + dp_bonus[column]), or BIG
-    on a class mismatch; a New or FalsePositive cell holds minus that case's
-    log likelihood. row_log_prior[i] is the log class prior of measurement
-    i's class.
+    column_ids holds the landmark columns' ids, the first n_existing of them
+    existing landmarks. A landmark cell holds -(log f(z | landmark) +
+    dp_bonus[column]), or BIG on a class mismatch; a New or FalsePositive
+    cell holds minus that case's log likelihood. row_log_prior[i] is the log
+    class prior of measurement i's class.
     """
 
     matrix: np.ndarray
-    column_targets: List[AssignmentTarget]
-    n_landmark_cols: int
+    column_ids: np.ndarray
+    n_existing: int
     dp_bonus: np.ndarray
     row_log_prior: np.ndarray
 
-    @property
-    def n_rows(self) -> int:
-        return self.matrix.shape[0]
+    def __post_init__(self):
+        self.n_rows, self.n_landmark_cols = self.matrix.shape[0], len(self.column_ids)
+
+    def target(self, j: int) -> AssignmentTarget:
+        """The target that column j stands for."""
+        if j < self.n_existing:
+            return Existing(int(self.column_ids[j]))
+        if j < self.n_landmark_cols:
+            return Previous(int(self.column_ids[j]))
+        return _NEW if j < self.n_landmark_cols + self.n_rows else _FALSE_POSITIVE
 
     def assignment_at(self, row_to_col: np.ndarray, total_cost: float = 0.0) -> Assignment:
         """The assignment of row i to column row_to_col[i]; it keeps the columns."""
         cols = tuple(row_to_col.tolist())
-        return Assignment(tuple(self.column_targets[j] for j in cols), total_cost, cols)
-
-
-def _column_landmarks(leaf) -> List[Landmark]:
-    """The landmarks of a hypothesis leaf in cost-matrix column order:
-    existing ones by id, then previous ones by id."""
-    return [leaf.existing[k] for k in sorted(leaf.existing)] + [leaf.previous[k] for k in sorted(leaf.previous)]
+        return Assignment(tuple(map(self.target, cols)), total_cost, cols)
 
 
 def build_cost_matrix(measurements: Sequence[SemanticMeasurement], leaf, params: AssocParams) -> CostMatrix:
-    """The cost matrix of `measurements` against the landmarks and clutter
-    count (`existing`, `previous`, `n_fp`) of a hypothesis leaf."""
-    n = len(measurements)
-    col_lms = _column_landmarks(leaf)
-    n_lm, n_ex = len(col_lms), len(leaf.existing)
-    targets: List[AssignmentTarget] = [Existing(lm.id) for lm in col_lms[:n_ex]]
-    targets += [Previous(lm.id) for lm in col_lms[n_ex:]]
-    targets += [New()] * n + [FalsePositive()] * n
+    """The cost matrix of `measurements` against the landmark tables and
+    clutter count (`existing`, `previous`, `n_fp`) of a hypothesis leaf,
+    whose `columns` gives the landmark columns."""
+    n, n_ex = len(measurements), len(leaf.existing)
+    column_ids, col_class, means = leaf.columns("ids", "labels", "means")
+    n_lm = len(column_ids)
     mat = np.full((n, n_lm + 2 * n), kernels.BIG)
     if n == 0:
-        return CostMatrix(mat, targets, n_lm, np.zeros(n_lm), np.zeros(0))
-    pos = np.stack([m.position for m in measurements])
+        return CostMatrix(mat, column_ids, n_ex, np.zeros(n_lm), np.zeros(0))
+    pos = np.array([m.position for m in measurements])
     meas_class = np.array([m.label for m in measurements])
     row_log_prior = params._log_prior[np.minimum(meas_class, len(params._log_prior) - 1)]
     # landmark columns, grouped by covariance: each group is whitened by one product
-    col_class = np.array([lm.label for lm in col_lms], dtype=int)
-    counts = [lm.assign_count for lm in col_lms[:n_ex]]
     dp_bonus = np.zeros(n_lm)
+    counts = leaf.existing.assign_count.tolist()
     dp_bonus[:n_ex] = counts if params.dp_weight_mode == "exp" else [math.log(c) for c in counts]
     col_group = params._cov_group[np.minimum(col_class, len(params._cov_group) - 1)]
     col_group[:n_ex] = 0
     if (col_group < 0).any():
         raise ContractViolation(f"no transitional covariance for class {col_class[np.argmax(col_group < 0)]}")
-    means = np.stack([lm.mean for lm in col_lms]) if n_lm else np.empty((0, 3))
     density = np.full((n, n_lm), np.nan)
     gated = np.zeros((n, n_lm), dtype=bool)
     for g, (L_inv, logdet) in enumerate(params._cov_factors):
@@ -242,7 +236,7 @@ def build_cost_matrix(measurements: Sequence[SemanticMeasurement], leaf, params:
     fp_cost = -(math.log(params.fp_norm_constant) + fp_num - cand_sum)
     np.fill_diagonal(mat[:, n_lm:], new_cost)
     np.fill_diagonal(mat[:, n_lm + n :], fp_cost)
-    return CostMatrix(mat, targets, n_lm, dp_bonus, row_log_prior)
+    return CostMatrix(mat, column_ids, n_ex, dp_bonus, row_log_prior)
 
 
 def measurement_set_log_likelihood(assignment: Assignment, cm: CostMatrix) -> float:
@@ -369,11 +363,10 @@ def nearest_neighbor_assignment(
     fixed new-landmark cost; no false-positive handling. It solves over the
     landmark and New columns of `cm`, the cost matrix of `leaf`."""
     n, n_lm = len(measurements), cm.n_landmark_cols
-    lms = _column_landmarks(leaf)
+    labels, means = leaf.columns("labels", "means")
     mat = np.full((n, n_lm + n), kernels.BIG)
     for i, m in enumerate(measurements):
-        for j, lm in enumerate(lms):
-            if lm.label == m.label:
-                mat[i, j] = float(np.linalg.norm(m.position - lm.mean))
+        for j in np.flatnonzero(labels == m.label).tolist():
+            mat[i, j] = float(np.linalg.norm(m.position - means[j]))
         mat[i, n_lm + i] = nn_new_dist
     return cm.assignment_at(kernels.lap_solve(mat)[0])

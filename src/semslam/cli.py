@@ -52,7 +52,7 @@ def cmd_run(args) -> int:
     result = run_pipeline(cfg, measurements, increments, ground_truth)
     os.makedirs(args.out, exist_ok=True)
     write_trajectory(os.path.join(args.out, "trajectory.csv"), result.trajectory)
-    write_map(os.path.join(args.out, "map.csv"), sorted(result.fused_map.values(), key=lambda l: l.id))
+    write_map(os.path.join(args.out, "map.csv"), result.fused_map)
     write_metrics(os.path.join(args.out, "metrics.csv"), result.metrics_rows())
     msg = (
         f"{cfg.mode}: {len(result.trajectory)} frames, "

@@ -111,8 +111,10 @@ class RunConfig:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         # each range test is written so that NaN fails it. RANSAC scans |tol| but its
-        # refit keeps residuals <= tol, so a negative ransac_tol would reject every loop
-        for name in ("ransac_tol", "cauchy_c", "loop_info_scale", "meas_cov_scale", "trans_cov_scale"):
+        # refit keeps residuals <= tol, so a negative ransac_tol would reject every loop;
+        # the association model takes logs of its rates and volumes; the UKF divides by ukf_alpha
+        for name in ("ransac_tol", "cauchy_c", "loop_info_scale", "meas_cov_scale", "trans_cov_scale",
+                     "dirichlet_alpha", "fp_rate", "map_volume", "lambda_new", "lambda_fp", "prior_volume", "ukf_alpha"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and positive, got {getattr(self, name)!r}")
         for name in ("odom_sigma_t", "odom_sigma_r", "lm_grad_tol"):

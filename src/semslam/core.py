@@ -1,4 +1,4 @@
-"""Shared domain types: measurements, landmarks, class histograms.
+"""Shared domain types: measurements, landmark tables, class histograms.
 
 A class is its dense integer id, 0 <= id < n_classes."""
 
@@ -80,51 +80,70 @@ def check_spd_stack(covs: np.ndarray, tol: float = SPD_EIG_TOL) -> None:
         raise ContractViolation("covariance not positive definite")
 
 
+_TABLE_FIELDS = ("ids", "labels", "means", "covs", "assign_count", "submap_id", "last_scene")
+
+
 @dataclass(frozen=True, eq=False)
-class Landmark:
-    """Mapped static object with a filtered position estimate.
+class LandmarkTable:
+    """Mapped static objects with filtered position estimates, one row each,
+    in ascending id order: the order of their cost-matrix columns.
 
-    last_scene is the scene id of the latest measurement assigned to it."""
+    last_scene is the scene id of the latest measurement assigned to a row.
+    No array that a leaf holds is written in place, so leaves share the
+    arrays of the tables they were built from: a change builds a new table
+    whose unchanged columns are the old arrays."""
 
-    id: int
-    label: int
-    mean: np.ndarray
-    cov: np.ndarray
-    assign_count: int = 1
-    submap_id: int = 0
-    last_scene: int = 0
+    ids: np.ndarray  # (k,) int
+    labels: np.ndarray  # (k,) class ids
+    means: np.ndarray  # (k, 3)
+    covs: np.ndarray  # (k, 3, 3)
+    assign_count: np.ndarray  # (k,) int, >= 1
+    submap_id: np.ndarray  # (k,) int
+    last_scene: np.ndarray  # (k,) int
 
-    def __post_init__(self):
-        object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
-        object.__setattr__(self, "cov", np.asarray(self.cov, dtype=float))
-        if self.assign_count < 1:
-            raise ContractViolation("assign_count must be >= 1 once created")
-        check_spd(self.cov)
+    def __len__(self) -> int:
+        return len(self.ids)
 
     @classmethod
-    def stack(cls, heads, means, covs) -> List["Landmark"]:
-        """Landmarks from (id, label, assign_count, submap_id, last_scene) heads and
-        row-aligned means and covariances, checked in one check_spd_stack call."""
-        means, covs = np.asarray(means, dtype=float), np.asarray(covs, dtype=float)
-        if not len(heads) == len(means) == len(covs) or any(head[2] < 1 for head in heads):
-            raise ContractViolation("landmark rows must align, with assign_count >= 1")
+    def build(cls, ids, labels, means, covs, assign_count=1, submap_id=0, last_scene=0) -> "LandmarkTable":
+        """A table of row-aligned fields, sorted by id and checked as one
+        block: unique ids, assign_count >= 1 and SPD covariances. A scalar
+        count, submap id or scene applies to every row."""
+        ids = np.asarray(ids, dtype=int).reshape(-1)
+        k = len(ids)
+        means, covs = np.asarray(means, dtype=float).reshape(-1, 3), np.asarray(covs, dtype=float).reshape(-1, 3, 3)
+        ints = [np.asarray(a, dtype=int) for a in (labels, assign_count, submap_id, last_scene)]
+        if len(means) != k or len(covs) != k or any(a.shape not in ((), (k,)) for a in ints):
+            raise ContractViolation("landmark rows must align")
+        labels, assign_count, submap_id, last_scene = (np.broadcast_to(a, (k,)).copy() for a in ints)
+        if (assign_count < 1).any():
+            raise ContractViolation("assign_count must be >= 1 once created")
         check_spd_stack(covs)
-        fields = ("id", "label", "assign_count", "submap_id", "last_scene", "mean", "cov")
-        out = [object.__new__(cls) for _ in heads]  # the fields __init__ sets, without its per-object check
-        for lm, head, mean, cov in zip(out, heads, means, covs):
-            lm.__dict__.update(zip(fields, (*head, mean, cov)))
+        return cls.concat([cls(ids, labels, means, covs, assign_count, submap_id, last_scene)])
+
+    @classmethod
+    def empty(cls) -> "LandmarkTable":
+        return cls.build([], [], [], [])
+
+    @classmethod
+    def stack(cls, tables) -> "LandmarkTable":
+        """The rows of `tables`, in table order."""
+        return cls(*(np.concatenate([getattr(t, f) for t in tables]) for f in _TABLE_FIELDS))
+
+    @classmethod
+    def concat(cls, tables) -> "LandmarkTable":
+        """The rows of `tables`, sorted by id, in new arrays unless there is
+        one table. Ids must be unique."""
+        out = tables[0] if len(tables) == 1 else cls.stack(tables)
+        if (np.diff(out.ids) <= 0).any():
+            out = out.take(np.argsort(out.ids, kind="stable"))
+            if (np.diff(out.ids) == 0).any():
+                raise ContractViolation("landmark id in more than one row")
         return out
 
-    def with_estimate(self, mean, cov, *, assign_count=None, submap_id=None, last_scene=None):
-        return Landmark(
-            self.id,
-            self.label,
-            mean,
-            cov,
-            self.assign_count if assign_count is None else assign_count,
-            self.submap_id if submap_id is None else submap_id,
-            self.last_scene if last_scene is None else last_scene,
-        )
+    def take(self, rows) -> "LandmarkTable":
+        """The rows `rows` (indices or a mask) of this table, as a new table."""
+        return LandmarkTable(*(getattr(self, f)[rows] for f in _TABLE_FIELDS))
 
 
 def class_counts(labels, n_classes: int) -> np.ndarray:
@@ -137,7 +156,7 @@ def class_counts(labels, n_classes: int) -> np.ndarray:
 
 __all__ = [
     "SemanticMeasurement",
-    "Landmark",
+    "LandmarkTable",
     "Pose",
     "class_counts",
     "check_spd",

@@ -3,27 +3,16 @@ the weighted hypothesis set into single-landmark constraints."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .config import RunConfig
-from .core import ContractViolation, Landmark, SemanticMeasurement
+from .core import ContractViolation, LandmarkTable, check_spd_stack
 
 
 class CovarianceConditioningError(RuntimeError):
     """Sigma-point Cholesky failed; the prior covariance is ill-conditioned."""
-
-
-@dataclass(frozen=True, eq=False)
-class FusedLandmark:
-    id: int
-    label: int
-    mean: np.ndarray
-    cov: np.ndarray
-    assign_count: int
-    last_scene: int
 
 
 def _sigma_factors(covs: np.ndarray, spread: float, retry: bool):
@@ -74,73 +63,67 @@ def _ukf_batch(means, covs, z, meas_cov, cfg: RunConfig, retry: bool):
     return mean, 0.5 * (cov + np.swapaxes(cov, 1, 2))
 
 
-def ukf_update(lm: Landmark, m: SemanticMeasurement, meas_cov: np.ndarray, cfg: RunConfig) -> Landmark:
-    """Unscented measurement update with the identity model h(x) = x.
+def ukf_update(mean: np.ndarray, cov: np.ndarray, z: np.ndarray, meas_cov: np.ndarray, cfg: RunConfig):
+    """Unscented update of one landmark's mean and covariance by the
+    measured position z, with the identity model h(x) = x."""
+    mean, cov, z = (np.asarray(a, dtype=float)[None] for a in (mean, cov, z))
+    mean, cov = _ukf_batch(mean, cov, z, meas_cov, cfg, retry=False)
+    return mean[0], cov[0]
 
-    Does not touch assign_count; the caller owns the association bookkeeping.
-    """
-    mean, cov = _ukf_batch(lm.mean[None], lm.cov[None], m.position[None], meas_cov, cfg, retry=False)
-    return lm.with_estimate(mean[0], cov[0], last_scene=m.scene_id)
 
-
-def ukf_update_safe(landmarks, measurements, meas_cov, cfg: RunConfig) -> List[Landmark]:
-    """ukf_update of landmarks[i] by measurements[i] as one batch, counting
-    each assignment. A row whose sigma-point Cholesky fails is inflated by
-    1e-9 I and retried once; the updated covariances are checked in one call."""
-    if len(landmarks) != len(measurements):
+def ukf_update_safe(means, covs, z, meas_cov, cfg: RunConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """ukf_update of (B, 3) means and (B, 3, 3) covariances by (B, 3)
+    measured positions, as one batch. A row whose sigma-point Cholesky fails
+    is inflated by 1e-9 I and retried once; the updated covariances are
+    checked in one call. The caller owns the association bookkeeping."""
+    if not len(means) == len(covs) == len(z):
         raise ContractViolation("one measurement per landmark")
-    if not landmarks:
-        return []
-    means, covs = np.stack([lm.mean for lm in landmarks]), np.stack([lm.cov for lm in landmarks])
-    mean, cov = _ukf_batch(means, covs, np.stack([m.position for m in measurements]), meas_cov, cfg, retry=True)
-    heads = [(lm.id, lm.label, lm.assign_count + 1, lm.submap_id, m.scene_id) for lm, m in zip(landmarks, measurements)]
-    return Landmark.stack(heads, mean, cov)
+    if not len(means):
+        return np.empty((0, 3)), np.empty((0, 3, 3))
+    mean, cov = _ukf_batch(means, covs, z, meas_cov, cfg, retry=True)
+    check_spd_stack(cov)
+    return mean, cov
 
 
 def spd_project(cov: np.ndarray, floor: float = 1e-12) -> np.ndarray:
-    """Symmetric part with eigenvalues floored, keeping downstream math SPD."""
-    sym = 0.5 * (cov + cov.T)
-    vals, vecs = np.linalg.eigh(sym)
-    vals = np.maximum(vals, floor)
-    return vecs @ np.diag(vals) @ vecs.T
+    """Symmetric part with eigenvalues floored, keeping downstream math SPD.
+    Takes one matrix or a stack of them."""
+    vals, vecs = np.linalg.eigh(0.5 * (cov + np.swapaxes(cov, -1, -2)))
+    return vecs @ (np.maximum(vals, floor)[..., None] * np.eye(3)) @ np.swapaxes(vecs, -1, -2)
 
 
-def fuse_hypotheses(
-    leaves: Sequence,
-    weights: Sequence[float],
-) -> Dict[int, FusedLandmark]:
+def fuse_hypotheses(leaves: Sequence, weights: Sequence[float]) -> LandmarkTable:
     """Fuse per-hypothesis landmark estimates into one moment-matched
-    Gaussian per landmark.
+    Gaussian per landmark, with the largest count and scene of its rows.
 
-    `leaves` expose .existing (dict id -> Landmark); identity across
-    hypotheses is by creation id. Component weights are the normalized leaf
-    weights restricted to the leaves that carry the landmark.
+    `leaves` expose .existing, a LandmarkTable; identity across hypotheses
+    is by creation id. Component weights are the normalized leaf weights
+    restricted to the leaves that carry the landmark. The rows of all
+    leaves are grouped by id, in leaf order within a group, and each
+    group's moments are summed in that order. The fused rows have submap 0.
     """
     weights = np.asarray(weights, dtype=float)
     if abs(weights.sum() - 1.0) > 1e-6:
         raise ContractViolation("leaf weights must be normalized")
-    per_lm: Dict[int, List[Tuple[float, Landmark]]] = {}
-    for leaf, w in zip(leaves, weights):
-        for lm in leaf.existing.values():
-            per_lm.setdefault(lm.id, []).append((float(w), lm))
-    fused: Dict[int, FusedLandmark] = {}
-    for lid in sorted(per_lm):
-        pairs = per_lm[lid]
-        wsum = sum(w for w, _ in pairs)
-        if wsum <= 0.0:
-            continue
-        # moments of the mixture of components (w / wsum, landmark)
-        mean, cov = np.zeros(3), np.zeros((3, 3))
-        for w, lm in pairs:
-            mean += (w / wsum) * lm.mean
-            cov += (w / wsum) * (lm.cov + np.outer(lm.mean, lm.mean))
-        cov -= np.outer(mean, mean)
-        fused[lid] = FusedLandmark(
-            lid,
-            pairs[0][1].label,
-            mean,
-            spd_project(cov),
-            max(lm.assign_count for _, lm in pairs),
-            max(lm.last_scene for _, lm in pairs),
-        )
-    return fused
+    tables = [leaf.existing for leaf in leaves]
+    rows = LandmarkTable.stack(tables)
+    if not len(rows):
+        return rows
+    order = np.argsort(rows.ids, kind="stable")
+    rows, w = rows.take(order), np.repeat(weights, [len(t) for t in tables])[order]
+    starts = np.r_[True, rows.ids[1:] != rows.ids[:-1]]
+    first, group = np.flatnonzero(starts), np.cumsum(starts) - 1  # each group's first row, each row's group
+    wsum = np.bincount(group, weights=w, minlength=len(first))
+    kept = wsum > 0.0
+    # moments of the mixture of components (w / wsum, landmark); a group of
+    # weight 0 gives NaN here and is dropped
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = w / wsum[group]
+    mean = np.zeros((len(first), 3))
+    np.add.at(mean, group, c[:, None] * rows.means)
+    cov = np.zeros((len(first), 3, 3))
+    np.add.at(cov, group, c[:, None, None] * (rows.covs + rows.means[:, :, None] * rows.means[:, None, :]))
+    cov -= mean[:, :, None] * mean[:, None, :]
+    count, scene = (np.maximum.reduceat(getattr(rows, f), first)[kept] for f in ("assign_count", "last_scene"))
+    ids, labels = rows.ids[first[kept]], rows.labels[first[kept]]
+    return LandmarkTable(ids, labels, mean[kept], spd_project(cov[kept]), count, np.zeros_like(ids), scene)

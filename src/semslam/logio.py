@@ -142,12 +142,10 @@ def read_trajectory(path: str) -> Tuple[List[float], List[Pose]]:
 
 
 def write_map(path: str, landmarks) -> None:
-    """landmarks: iterable with id, label, mean, cov."""
+    """landmarks: a LandmarkTable, written in its (id) order."""
     rows = []
-    for lm in landmarks:
-        row = [str(lm.id), str(lm.label)] + [_fmt(v) for v in lm.mean]
-        row += [_fmt(v) for v in np.asarray(lm.cov).ravel()]
-        rows.append(row)
+    for lid, label, mean, cov in zip(landmarks.ids.tolist(), landmarks.labels.tolist(), landmarks.means, landmarks.covs):
+        rows.append([str(lid), str(label)] + [_fmt(v) for v in mean] + [_fmt(v) for v in cov.ravel()])
     _write(path, MAP_HEADER, rows)
 
 

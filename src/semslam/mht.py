@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -15,26 +15,29 @@ from .assoc import (
     Assignment,
     AssocParams,
     CostMatrix,
-    Existing,
-    FalsePositive,
-    New,
-    Previous,
     assignment_prior_log,
     measurement_set_log_likelihood,
 )
 from .config import RunConfig
-from .core import ContractViolation, Landmark, SemanticMeasurement
+from .core import ContractViolation, LandmarkTable, SemanticMeasurement
 from .estimation import ukf_update_safe
 
 
 @dataclass(eq=False)
 class HypothesisNode:
-    """One leaf of the tree; landmark state is copy-on-write from the leaf it extends."""
+    """One leaf of the tree: the landmarks of this submap (`existing`), those
+    of earlier submaps not yet re-observed (`previous`), and the clutter count.
+    A leaf shares the table arrays of the leaf it extends until it writes them."""
 
     log_weight: float
-    existing: Dict[int, Landmark] = field(default_factory=dict)
-    previous: Dict[int, Landmark] = field(default_factory=dict)
+    existing: LandmarkTable = field(default_factory=LandmarkTable.empty)
+    previous: LandmarkTable = field(default_factory=LandmarkTable.empty)
     n_fp: int = 0
+
+    def columns(self, *fields: str) -> List[np.ndarray]:
+        """The named fields of this leaf's landmarks in cost-matrix column
+        order: the existing rows, then the previous rows."""
+        return [np.concatenate([getattr(self.existing, f), getattr(self.previous, f)]) for f in fields]
 
 
 def effective_sample_size(weights: Sequence[float]) -> float:
@@ -67,14 +70,14 @@ class HypothesisTree:
     def __init__(
         self,
         cfg: RunConfig,
-        previous_landmarks: Optional[Dict[int, Landmark]] = None,
+        previous_landmarks: Optional[LandmarkTable] = None,
         n_fp: int = 0,
         landmark_id_start: int = 0,
     ):
         self.cfg = cfg
         self.rng = np.random.default_rng(cfg.run_seed)
         self.next_landmark_id = landmark_id_start
-        self.leaves: List[HypothesisNode] = [HypothesisNode(0.0, {}, dict(previous_landmarks or {}), n_fp)]
+        self.leaves = [HypothesisNode(0.0, previous=previous_landmarks or LandmarkTable.empty(), n_fp=n_fp)]
 
     # -- weights ----------------------------------------------------------
 
@@ -101,57 +104,61 @@ class HypothesisTree:
         recursion parent + measurement log-likelihood + assignment log-prior.
 
         The likelihood is read from `cost_matrix`, the matrix the branches
-        were solved from: built for this leaf and these measurements."""
+        were solved from: built for this leaf and these measurements. A
+        branch is read from its columns: an existing or previous landmark's
+        row, or a measurement's New or FalsePositive column."""
         if not branches:
             raise ContractViolation("branches must be non-empty")
+        ex, prev = leaf.existing, leaf.previous
+        n, n_ex, n_lm = cost_matrix.n_rows, len(ex), cost_matrix.n_landmark_cols
+        pos = np.array([m.position for m in measurements], dtype=float).reshape(n, 3)
+        scenes = np.array([m.scene_id for m in measurements], dtype=int)
+        labels = np.array([m.label for m in measurements], dtype=int)
         children = []
-        updates = []  # (child, prior landmark, measurement), in child and measurement order
-        created = []  # (child, new landmark id, measurement)
+        updates = []  # (child, measurement rows, landmark columns), in child and measurement order
         for assignment in branches:
             ll = measurement_set_log_likelihood(assignment, cost_matrix)
             lp = assignment_prior_log(assignment, assoc_params)
-            child = HypothesisNode(
-                leaf.log_weight + ll + lp,
-                dict(leaf.existing),
-                leaf.previous,  # only mutated via re-anchoring below, which copies
-                leaf.n_fp,
-            )
-            self._collect_assignment(child, assignment, measurements, updates, created)
+            cols = assignment.columns
+            rows = [i for i, j in enumerate(cols) if j < n_lm]  # an existing or previous landmark's column
+            created = [i for i, j in enumerate(cols) if n_lm <= j < n_lm + n]  # the row's New column
+            child = HypothesisNode(leaf.log_weight + ll + lp, ex, prev, leaf.n_fp + n - len(rows) - len(created))
+            parts = [ex]
+            moved = [cols[i] - n_ex for i in rows if cols[i] >= n_ex]
+            if moved:
+                # re-anchored into the current submap; keeps the creation id
+                child.previous = prev.take(np.delete(np.arange(len(prev)), moved))
+                parts.append(prev.take(moved))
+            if created:
+                ids = np.arange(self.next_landmark_id, self.next_landmark_id + len(created))
+                self.next_landmark_id += len(created)
+                ones, zeros = np.ones_like(ids), np.zeros_like(ids)
+                covs = np.broadcast_to(assoc_params.meas_cov, (len(ids), 3, 3))  # checked once, by AssocParams
+                parts.append(LandmarkTable(ids, labels[created], pos[created], covs, ones, zeros, scenes[created]))
+            child.existing = LandmarkTable.concat(parts)
+            if rows:
+                updates.append((child, rows, [cols[i] for i in rows]))
             children.append(child)
-        # every branch's landmark updates run as one UKF batch; they fill the
-        # slots reserved in measurement order, so each dict keeps its order
+        # every branch's landmark updates run as one UKF batch, gathered from
+        # this leaf's columns and written into each child's rows: in place
+        # where concat built the child new arrays, else into copies
         if updates:
-            priors, ms = zip(*[(lm, m) for _, lm, m in updates])
-            for (child, _, _), lm in zip(updates, ukf_update_safe(priors, ms, assoc_params.meas_cov, self.cfg)):
-                child.existing[lm.id] = lm
-        heads = [(lid, m.label, 1, 0, m.scene_id) for _, lid, m in created]
-        covs = np.repeat(assoc_params.meas_cov[None], len(created), axis=0)
-        for (child, _, _), lm in zip(created, Landmark.stack(heads, [m.position for _, _, m in created], covs)):
-            child.existing[lm.id] = lm
-        self.leaves = [n for n in self.leaves if n is not leaf] + children
+            lm_cols = [j for _, _, cols in updates for j in cols]
+            prior_means, prior_covs = (column[lm_cols] for column in leaf.columns("means", "covs"))
+            z = pos[[i for _, rows, _ in updates for i in rows]]
+            mean, cov = ukf_update_safe(prior_means, prior_covs, z, assoc_params.meas_cov, self.cfg)
+            start = 0
+            for child, rows, cols in updates:
+                t, stop = child.existing, start + len(rows)
+                at = np.searchsorted(t.ids, cost_matrix.column_ids[cols])
+                columns = (t.means, t.covs, t.assign_count, t.last_scene)
+                means, covs, counts, last_scene = columns if t is not ex else (a.copy() for a in columns)
+                means[at], covs[at], last_scene[at] = mean[start:stop], cov[start:stop], scenes[rows]
+                counts[at] += 1
+                child.existing = LandmarkTable(t.ids, t.labels, means, covs, counts, t.submap_id, last_scene)
+                start = stop
+        self.leaves = [node for node in self.leaves if node is not leaf] + children
         return children
-
-    def _collect_assignment(self, node, assignment, measurements, updates, created):
-        """One branch's bookkeeping; reserves the slots that the batches fill."""
-        previous_copied = False
-        for m, target in zip(measurements, assignment.targets):
-            if isinstance(target, New):
-                lid = self.next_landmark_id
-                self.next_landmark_id += 1
-                node.existing[lid] = None
-                created.append((node, lid, m))
-            elif isinstance(target, FalsePositive):
-                node.n_fp += 1
-            elif isinstance(target, Existing):
-                updates.append((node, node.existing[target.landmark_id], m))
-            elif isinstance(target, Previous):
-                # re-anchor into the current submap; keeps the creation id
-                if not previous_copied:
-                    node.previous = dict(node.previous)
-                    previous_copied = True
-                lm = node.previous.pop(target.landmark_id)
-                node.existing[lm.id] = lm
-                updates.append((node, lm, m))
 
     # -- resampling -------------------------------------------------------
 
@@ -182,16 +189,11 @@ class HypothesisTree:
                 n = bound
             else:
                 break
-        counts: Dict[int, int] = {}
-        for i in idx.tolist():
-            counts[i] = counts.get(i, 0) + 1
-        survivors = []
-        total = float(sum(counts.values()))
-        for i in sorted(counts):
-            leaf = self.leaves[i]
-            leaf.log_weight = math.log(counts[i] / total)
-            survivors.append(leaf)
-        self.leaves = survivors
+        counts = np.bincount(idx, minlength=n_leaves).tolist()
+        survivors = [i for i, count in enumerate(counts) if count]
+        for i in survivors:
+            self.leaves[i].log_weight = math.log(counts[i] / float(len(idx)))
+        self.leaves = [self.leaves[i] for i in survivors]
         return True
 
     def prune_to_best(self, keep: int) -> None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -17,8 +17,8 @@ from .assoc import (
     solve_assignment,
 )
 from .config import RunConfig
-from .core import Landmark, SemanticMeasurement, class_counts
-from .estimation import FusedLandmark, fuse_hypotheses
+from .core import LandmarkTable, SemanticMeasurement, class_counts
+from .estimation import fuse_hypotheses
 from .geometry import Pose
 from .graph import (
     GraphState,
@@ -36,7 +36,7 @@ from .submap import Corpus, SubmapSummary, gate, tfidf_score
 @dataclass
 class PipelineResult:
     trajectory: List[Pose]
-    fused_map: Dict[int, FusedLandmark]
+    fused_map: LandmarkTable
     hypothesis_counts: List[int]
     landmark_counts: List[int]
     loop_closure_counts: List[int]  # cumulative per frame
@@ -100,8 +100,8 @@ class Pipeline:
         self._loop_info = cfg.loop_info_scale * np.eye(6)
         # running state
         self.pose_est: List[Pose] = [Pose()]
-        self.fused_map: Dict[int, FusedLandmark] = {}
-        self.previous_landmarks: Dict[int, Landmark] = {}
+        self.fused_map = LandmarkTable.empty()
+        self.previous_landmarks = LandmarkTable.empty()
         self.n_fp_total = 0
         self.next_landmark_id = 0
         self.n_loop_closures = 0
@@ -182,18 +182,18 @@ class Pipeline:
         # submaps lets the DP rich-get-richer weight swallow new landmarks
         self.n_fp_total = 0
         # landmark factors from the fused output, in the anchor pose's body frame
-        anchors = [self.pose_est[flm.last_scene] for flm in fused.values()]
+        anchors = [self.pose_est[t] for t in fused.last_scene.tolist()]
         R = np.reshape([pose.rot() for pose in anchors], (-1, 3, 3))
         RT = R.transpose(0, 2, 1)
-        offsets = np.reshape([flm.mean - pose.translation for flm, pose in zip(fused.values(), anchors)], (-1, 3, 1))
+        offsets = np.reshape([mean - pose.translation for mean, pose in zip(fused.means, anchors)], (-1, 3, 1))
         z_body = (RT @ offsets)[:, :, 0]
-        info = np.linalg.inv(RT @ np.reshape([flm.cov for flm in fused.values()], (-1, 3, 3)) @ R)
+        info = np.linalg.inv(RT @ fused.covs @ R)
         info = 0.5 * (info + info.transpose(0, 2, 1))
-        for (lid, flm), z, inf in zip(fused.items(), z_body, info):
-            self.fused_map[lid] = flm
+        for lid, mean, scene, z, inf in zip(fused.ids.tolist(), fused.means, fused.last_scene.tolist(), z_body, info):
             if lid not in self.graph.landmarks:
-                self.graph.landmarks[lid] = flm.mean.copy()
-            self.graph.factors.append(LandmarkFactor(flm.last_scene, lid, z, inf, robust_c=cfg.cauchy_c))
+                self.graph.landmarks[lid] = mean.copy()
+            self.graph.factors.append(LandmarkFactor(scene, lid, z, inf, robust_c=cfg.cauchy_c))
+        self.fused_map = LandmarkTable.concat([self.fused_map.take(~np.isin(self.fused_map.ids, fused.ids)), fused])
         summary = self._summarize(fused)
         submap_hist = summary.histogram / max(summary.histogram.sum(), 1)
         if self._submap_scenes and gate(summary, cfg) == "check":
@@ -215,25 +215,25 @@ class Pipeline:
             self.detector.add_submap(self.submap_id, submap_hist, self._submap_scenes)
         self._optimize()
         # fused landmarks become previous-submap landmarks for the next tree
-        flms = list(self.fused_map.values())
-        heads = [(flm.id, flm.label, flm.assign_count, self.submap_id, flm.last_scene) for flm in flms]
-        means = np.reshape([self.graph.landmarks.get(flm.id, flm.mean) for flm in flms], (-1, 3))
-        lms = Landmark.stack(heads, means, np.reshape([flm.cov for flm in flms], (-1, 3, 3)))
-        self.previous_landmarks = {lm.id: lm for lm in lms}
+        fm = self.fused_map
+        means = [self.graph.landmarks.get(lid, mean) for lid, mean in zip(fm.ids.tolist(), fm.means)]
+        self.previous_landmarks = LandmarkTable.build(
+            fm.ids, fm.labels, means, fm.covs, fm.assign_count, self.submap_id, fm.last_scene
+        )
         self.submap_id += 1
         self._new_tree()
 
-    def _summarize(self, fused: Dict[int, FusedLandmark]) -> SubmapSummary:
+    def _summarize(self, fused: LandmarkTable) -> SubmapSummary:
         """Class counts of the landmarks that this submap's scenes measured
         last (all fused landmarks if there are none), scored by tf-idf."""
-        scene_ids = {s.scene_id for s in self._submap_scenes}
-        active = [flm for flm in fused.values() if flm.last_scene in scene_ids] or list(fused.values())
-        counts = class_counts([flm.label for flm in active], self.cfg.n_classes)
+        active = np.isin(fused.last_scene, [s.scene_id for s in self._submap_scenes])
+        labels = fused.labels[active] if active.any() else fused.labels
+        counts = class_counts(labels, self.cfg.n_classes)
         if self.cfg.tfidf_doc_unit == "scene":
             self.corpus.add(np.reshape([s.histogram for s in self._submap_scenes], (-1, self.cfg.n_classes)))
         else:
             self.corpus.add(counts[None])
-        return SubmapSummary(counts, tfidf_score(counts, self.corpus), len(active))
+        return SubmapSummary(counts, tfidf_score(counts, self.corpus), len(labels))
 
     # -- optimization -----------------------------------------------------
 

@@ -1,7 +1,9 @@
 """Shared fixtures and helpers for the test suite."""
 
+import dataclasses
 import itertools
 import math
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from semslam.assoc import (
     Previous,
 )
 from semslam.config import RunConfig
-from semslam.core import SPD_EIG_TOL, ContractViolation, Landmark, SemanticMeasurement
+from semslam.core import SPD_EIG_TOL, ContractViolation, LandmarkTable, SemanticMeasurement
 from semslam.estimation import CovarianceConditioningError
 from semslam.geometry import Pose, rot_to_quat
 from semslam.graph import (
@@ -41,9 +43,54 @@ def meas(position, class_id=0, scene_id=0, time=0.0) -> SemanticMeasurement:
     return SemanticMeasurement(scene_id, time, np.asarray(position, dtype=float), class_id)
 
 
-def landmark(lid, position, class_id=0, cov=None, assign_count=1) -> Landmark:
+@dataclasses.dataclass(frozen=True, eq=False)
+class Row:
+    """One landmark, as the scalar oracles read it: a row of a LandmarkTable."""
+
+    id: int
+    label: int
+    mean: np.ndarray
+    cov: np.ndarray
+    assign_count: int = 1
+    submap_id: int = 0
+    last_scene: int = 0
+
+
+def landmark(lid, position, class_id=0, cov=None, assign_count=1, last_scene=0) -> Row:
     cov = np.eye(3) if cov is None else np.asarray(cov, dtype=float)
-    return Landmark(lid, class_id, np.asarray(position, dtype=float), cov, assign_count)
+    return Row(lid, class_id, np.asarray(position, dtype=float), cov, assign_count, 0, last_scene)
+
+
+def table_of(rows) -> LandmarkTable:
+    """The checked table of these rows."""
+    rows = list(rows)
+    return LandmarkTable.build(
+        [r.id for r in rows],
+        [r.label for r in rows],
+        [r.mean for r in rows],
+        [r.cov for r in rows],
+        [r.assign_count for r in rows],
+        [r.submap_id for r in rows],
+        [r.last_scene for r in rows],
+    )
+
+
+def rows_of(table: Optional[LandmarkTable]):
+    """Landmark id -> Row of each row of `table`, in table order."""
+    if table is None:
+        return {}
+    return {
+        lid: Row(lid, label, mean, cov, count, submap, scene)
+        for lid, label, mean, cov, count, submap, scene in zip(
+            table.ids.tolist(),
+            table.labels.tolist(),
+            table.means,
+            table.covs,
+            table.assign_count.tolist(),
+            table.submap_id.tolist(),
+            table.last_scene.tolist(),
+        )
+    }
 
 
 def random_spd(rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
@@ -89,7 +136,7 @@ def assignment_of(cm, targets):
     `targets` name in `cm`: a landmark's own column, else row i's New or
     FalsePositive column."""
     n_lm, n = cm.n_landmark_cols, cm.n_rows
-    landmark_col = {t: j for j, t in enumerate(cm.column_targets[:n_lm])}
+    landmark_col = {cm.target(j): j for j in range(n_lm)}
     cols = []
     for i, t in enumerate(targets):
         if isinstance(t, New):
@@ -137,12 +184,12 @@ def _gated(logpdf, cov, params) -> bool:
 def _candidate_logpdfs(m, state, params):
     """Densities f(z | theta=j) of class-matched landmarks inside the gate."""
     out = []
-    for lm in state.existing.values():
+    for lm in rows_of(state.existing).values():
         if lm.label == m.label:
             lp = gaussian_logpdf(m.position, lm.mean, params.meas_cov)
             if _gated(lp, params.meas_cov, params):
                 out.append(lp)
-    for lm in state.previous.values():
+    for lm in rows_of(state.previous).values():
         if lm.label == m.label:
             cov = _previous_cov(lm, params)
             lp = gaussian_logpdf(m.position, lm.mean, cov)
@@ -155,13 +202,13 @@ def scalar_association_log_likelihood(m, target, state, params) -> float:
     """Log of the four-case association likelihood, DP bonus included.
     Class mismatch -> LOG_ZERO."""
     if isinstance(target, Existing):
-        lm = state.existing[target.landmark_id]
+        lm = rows_of(state.existing)[target.landmark_id]
         if lm.label != m.label:
             return LOG_ZERO
         dp = float(lm.assign_count) if params.dp_weight_mode == "exp" else math.log(lm.assign_count)
         return dp + gaussian_logpdf(m.position, lm.mean, params.meas_cov)
     if isinstance(target, Previous):
-        lm = state.previous[target.landmark_id]
+        lm = rows_of(state.previous)[target.landmark_id]
         if lm.label != m.label:
             return LOG_ZERO
         return gaussian_logpdf(m.position, lm.mean, _previous_cov(lm, params))
@@ -194,7 +241,7 @@ def scalar_measurement_set_log_likelihood(assignment, measurements, state, param
     total = 0.0
     for m, target in zip(measurements, assignment.targets):
         if isinstance(target, (Existing, Previous)):
-            lm = (state.existing if isinstance(target, Existing) else state.previous)[target.landmark_id]
+            lm = rows_of(state.existing if isinstance(target, Existing) else state.previous)[target.landmark_id]
             if lm.label != m.label:
                 return LOG_ZERO
             total += _log_class_prior(m.label, params)
@@ -442,11 +489,40 @@ def scalar_ukf_update_safe(lm, m, meas_cov, cfg: RunConfig):
     """One landmark's update with the one-shot conditioning retry: the
     reference for the batched `estimation.ukf_update_safe`."""
     try:
-        mean, cov = scalar_ukf_estimate(lm, m, meas_cov, cfg)
+        return scalar_ukf_estimate(lm, m, meas_cov, cfg)
     except CovarianceConditioningError:
-        inflated = lm.with_estimate(lm.mean, lm.cov + 1e-9 * np.eye(3))
-        mean, cov = scalar_ukf_estimate(inflated, m, meas_cov, cfg)
-    return lm.with_estimate(mean, cov, assign_count=lm.assign_count + 1, last_scene=m.scene_id)
+        inflated = dataclasses.replace(lm, cov=lm.cov + 1e-9 * np.eye(3))
+        return scalar_ukf_estimate(inflated, m, meas_cov, cfg)
+
+
+def scalar_fuse_hypotheses(leaves, weights):
+    """Per-landmark moment matching over the leaves that carry each landmark,
+    as id -> Row: the reference for `estimation.fuse_hypotheses`, whose table
+    must equal it bit for bit."""
+    weights = np.asarray(weights, dtype=float)
+    per_lm = {}
+    for leaf, w in zip(leaves, weights):
+        for lm in rows_of(leaf.existing).values():
+            per_lm.setdefault(lm.id, []).append((float(w), lm))
+    fused = {}
+    for lid in sorted(per_lm):
+        pairs = per_lm[lid]
+        wsum = 0.0
+        for w, _ in pairs:
+            wsum += w
+        if wsum <= 0.0:
+            continue
+        mean, cov = np.zeros(3), np.zeros((3, 3))
+        for w, lm in pairs:
+            mean += (w / wsum) * lm.mean
+            cov += (w / wsum) * (lm.cov + np.outer(lm.mean, lm.mean))
+        cov -= np.outer(mean, mean)
+        sym = 0.5 * (cov + cov.T)
+        vals, vecs = np.linalg.eigh(sym)
+        cov = vecs @ np.diag(np.maximum(vals, 1e-12)) @ vecs.T
+        count, last = max(lm.assign_count for _, lm in pairs), max(lm.last_scene for _, lm in pairs)
+        fused[lid] = Row(lid, pairs[0][1].label, mean, cov, count, 0, last)
+    return fused
 
 
 def scalar_scene_match(a, b, penalty_p=0.5, dist_norm_scale=5.0, term_mode="as_printed"):
@@ -940,7 +1016,7 @@ def tree_combo_branches(ms, leaf, cm):
     """The same exhaustive combos as assignments on `cm`, the cost matrix of
     `ms` against `leaf`, for the tree side."""
     branches = []
-    for combo in oracle_enumerate_combos(ms, leaf.existing, leaf.previous):
+    for combo in oracle_enumerate_combos(ms, rows_of(leaf.existing), rows_of(leaf.previous)):
         targets = []
         for kind, lid in combo:
             if kind == "N":

@@ -16,9 +16,6 @@ from semslam import kernels
 from semslam.assoc import (
     AssocParams,
     CostMatrix,
-    Existing,
-    FalsePositive,
-    New,
     build_cost_matrix,
     solve_assignment,
 )
@@ -68,8 +65,7 @@ def test_criterion_01_assignment_oracle(capsys):
         for i in range(n):
             mat[i, m + i] = 1e6  # New, never optimal here
             mat[i, m + n + i] = 1e6  # FalsePositive, never optimal here
-        targets = [Existing(j) for j in range(m)] + [New()] * n + [FalsePositive()] * n
-        a = solve_assignment(CostMatrix(mat, targets, m, np.zeros(m), np.zeros(n)))
+        a = solve_assignment(CostMatrix(mat, np.arange(m), m, np.zeros(m), np.zeros(n)))
         _, best_total = brute_force_assignment(block)
         if abs(a.total_cost - best_total) > 1e-9:
             ok = False
@@ -178,9 +174,9 @@ def test_criterion_06_ukf_equals_kalman(capsys):
         R = random_spd(rng)
         mu = rng.standard_normal(3)
         z = rng.standard_normal(3)
-        out = ukf_update(landmark(0, mu, cov=P), meas(z), R, RunConfig())
+        mean, cov = ukf_update(mu, P, z, R, RunConfig())
         em, ec = kalman_oracle(mu, P, z, R)
-        worst = max(worst, float(np.max(np.abs(out.mean - em))), float(np.max(np.abs(out.cov - ec))))
+        worst = max(worst, float(np.max(np.abs(mean - em))), float(np.max(np.abs(cov - ec))))
     ok = worst < 1e-9
     report(capsys, 6, "UKF equals Kalman on 100 random priors", ok, f"worst abs err {worst:.2e}")
 

@@ -39,16 +39,18 @@ from conftest import (
     landmark,
     meas,
     random_spd,
+    rows_of,
     scalar_association_log_likelihood,
     scalar_lex_refine,
     scalar_measurement_set_log_likelihood,
     simple_params,
+    table_of,
 )
 
 
 def state_with(existing=(), previous=(), n_fp=0):
     """A hypothesis leaf holding these landmarks and clutter count."""
-    return HypothesisNode(0.0, {lm.id: lm for lm in existing}, {lm.id: lm for lm in previous}, n_fp)
+    return HypothesisNode(0.0, table_of(existing), table_of(previous), n_fp)
 
 
 def association_likelihood(m, target, state, params):
@@ -257,7 +259,7 @@ class TestBranchScoreParity:
     def random_assignment(rng, state, cm):
         """Any target per row of `cm`, the cost matrix of `state`, no landmark
         twice: class mismatches included."""
-        free = [Existing(k) for k in state.existing] + [Previous(k) for k in state.previous]
+        free = [Existing(k) for k in state.existing.ids.tolist()] + [Previous(k) for k in state.previous.ids.tolist()]
         targets = []
         for _ in range(cm.n_rows):
             options = [New(), FalsePositive()] + free
@@ -275,7 +277,7 @@ class TestBranchScoreParity:
                 seen.add("n_fp_positive" if state.n_fp > 0 else "n_fp_zero")
             if not isinstance(t, (Existing, Previous)):
                 continue
-            lm = (state.existing if isinstance(t, Existing) else state.previous)[t.landmark_id]
+            lm = rows_of(state.existing if isinstance(t, Existing) else state.previous)[t.landmark_id]
             if lm.label != m.label:
                 seen.add("class_mismatch")
             elif params.class_prior and m.label not in params.class_prior:
@@ -414,9 +416,8 @@ class TestBuildCostMatrix:
             ms = [meas(rng.uniform(-4, 4, 3), class_id=int(rng.integers(3))) for _ in range(3)]
             cm = build_cost_matrix(ms, st_, params)
             for i, m in enumerate(ms):
-                for j, target in enumerate(cm.column_targets):
-                    if isinstance(target, (New, FalsePositive)):
-                        continue
+                for j in range(cm.n_landmark_cols):
+                    target = cm.target(j)
                     expect = scalar_association_log_likelihood(m, target, st_, params)
                     if expect <= LOG_ZERO:
                         assert cm.matrix[i, j] >= 1e17
@@ -442,8 +443,7 @@ class TestSolveAssignment:
         for i in range(n):
             mat[i, n_lm + i] = new_cost
             mat[i, n_lm + n + i] = fp_cost
-        targets = [Existing(j) for j in range(n_lm)] + [New()] * n + [FalsePositive()] * n
-        return CostMatrix(mat, targets, n_lm, np.zeros(n_lm), np.zeros(n))
+        return CostMatrix(mat, np.arange(n_lm), n_lm, np.zeros(n_lm), np.zeros(n))
 
     def test_zero_diagonal(self):
         a = solve_assignment(self.make_cm([[0.0, 1.0], [1.0, 0.0]]))
@@ -484,7 +484,7 @@ class TestSolveAssignment:
             cm = self.make_cm(rng.integers(0, 3, size=(n, int(rng.integers(1, 4)))).astype(float), 2.0, 2.0)
             cols, best = brute_force_assignment(cm.matrix)
             got = solve_assignment(cm)
-            assert got.targets == tuple(cm.column_targets[j] for j in cols)
+            assert got.targets == tuple(cm.target(j) for j in cols)
             assert got.total_cost == best
             n_opt = sum(
                 sum(cm.matrix[i, j] for i, j in enumerate(perm)) == best
@@ -586,7 +586,7 @@ class TestGenerateBranches:
             cm = TestSolveAssignment.make_cm(rng.integers(0, 4, size=(n, n + 1)).astype(float), 3.0, 4.0)
             for b in generate_branches(cm, solve_assignment(cm), max_branches=4, plausibility_gap=np.inf):
                 assert b.columns == assignment_of(cm, b.targets).columns
-                assert [cm.column_targets[j] for j in b.columns] == list(b.targets)
+                assert [cm.target(j) for j in b.columns] == list(b.targets)
 
     def test_invalid_max_branches(self):
         cm = TestSolveAssignment.make_cm([[0.0]])
@@ -602,7 +602,7 @@ class TestNearestNeighborAssignment:
     def solve(ms, state, nn_new_dist=2.0):
         cm = build_cost_matrix(ms, state, simple_params())
         a = nearest_neighbor_assignment(ms, state, cm, nn_new_dist)
-        assert [cm.column_targets[j] for j in a.columns] == list(a.targets)
+        assert [cm.target(j) for j in a.columns] == list(a.targets)
         return cm, a
 
     def test_picks_the_nearest_landmark_of_the_same_class(self):
@@ -637,7 +637,7 @@ class TestNearestNeighborAssignment:
             for i, (m, t) in enumerate(zip(ms, a.targets)):
                 assert a.columns[i] < cm.n_landmark_cols + len(ms)  # never a FalsePositive column
                 if isinstance(t, (Existing, Previous)):
-                    lm = (st_.existing if isinstance(t, Existing) else st_.previous)[t.landmark_id]
+                    lm = rows_of(st_.existing if isinstance(t, Existing) else st_.previous)[t.landmark_id]
                     assert lm.label == m.label
                 else:
                     assert t == New() and a.columns[i] == cm.n_landmark_cols + i

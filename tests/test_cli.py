@@ -125,6 +125,26 @@ def test_simulate_with_out_of_range_value_exit_code(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("dirichlet_alpha", "nan"), ("fp_rate", "nan"), ("lambda_new", "nan"), ("ukf_alpha", "0"), ("ukf_alpha", "nan")],
+)
+def test_run_with_bad_model_value_exit_code(tmp_path, cfg_path, capsys, key, value):
+    """A model key outside its domain stops `run` at config load, with an
+    error line that names the key, instead of a traceback or a silent run."""
+    logs, out = str(tmp_path / "logs"), tmp_path / "out"
+    assert main(["simulate", "--config", cfg_path, "--out", logs]) == 0
+    capsys.readouterr()
+    bad = tmp_path / "bad.cfg"
+    lines = serialize_config(SMALL).splitlines(keepends=True)
+    bad.write_text("".join(f"{key} = {value}\n" if line.startswith(f"{key} = ") else line for line in lines))
+    rc = main(["run", "--config", str(bad), "--logs", logs, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{key} must be finite and positive" in err
+    assert not out.exists()
+
+
 def test_simulate_with_bad_confusion_exit_code(tmp_path, capsys):
     """confusion_eps > 1 puts a negative entry on the diagonal; the detector
     rejects it before any draw."""

@@ -92,6 +92,15 @@ class TestErrors:
             parse_config(f"{name} = {value}")
         assert getattr(parse_config(f"{name} = 1e-9"), name) == 1e-9
 
+    @pytest.mark.parametrize(
+        "name", ["dirichlet_alpha", "fp_rate", "map_volume", "lambda_new", "lambda_fp", "prior_volume", "ukf_alpha"]
+    )
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_association_and_ukf_keys_must_be_finite_and_positive(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite and positive"):
+            parse_config(f"{name} = {value}")
+        assert getattr(parse_config(f"{name} = 1e-9"), name) == 1e-9
+
     @pytest.mark.parametrize("name", ["odom_sigma_t", "odom_sigma_r", "lm_grad_tol"])
     @pytest.mark.parametrize("value", ["-1e-9", "nan", "inf"])
     def test_noise_and_tolerance_must_be_finite_and_non_negative(self, name, value):
@@ -113,6 +122,10 @@ class TestErrors:
     def test_resampling_ranges(self, text, message):
         with pytest.raises(ConfigError, match=message):
             parse_config(text)
+
+    def test_bad_dp_weight_mode(self):
+        with pytest.raises(ConfigError, match="dp_weight_mode must be 'exp' or 'linear'"):
+            parse_config("dp_weight_mode = log")
 
     def test_bad_doc_unit(self):
         with pytest.raises(ConfigError):

@@ -1,4 +1,4 @@
-"""Domain types: class ids, measurements, landmarks, class histograms, SPD checks."""
+"""Domain types: class ids, measurements, landmark tables, class histograms, SPD checks."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,14 @@ import pytest
 from semslam.core import (
     SPD_EIG_TOL,
     ContractViolation,
-    Landmark,
+    LandmarkTable,
     SemanticMeasurement,
     check_spd,
     check_spd_stack,
     class_counts,
 )
 
-from conftest import landmark, meas, random_spd, scalar_check_spd
+from conftest import landmark, meas, random_spd, scalar_check_spd, table_of
 
 
 class TestSemanticMeasurement:
@@ -191,37 +191,45 @@ class TestCheckSpd:
                 check_spd_stack(np.zeros(shape))
 
 
-class TestLandmark:
+class TestLandmarkTable:
     def test_assign_count_at_least_one(self):
-        with pytest.raises(ContractViolation):
-            landmark(0, [0, 0, 0], assign_count=0)
+        with pytest.raises(ContractViolation, match="assign_count"):
+            table_of([landmark(0, [0, 0, 0], assign_count=0)])
 
-    def test_stack_builds_what_the_constructor_builds(self, rng):
+    def test_build_sorts_rows_by_id(self, rng):
         means = rng.standard_normal((3, 3))
         covs = np.stack([random_spd(rng) for _ in range(3)])
-        heads = [(5 + i, i, 1 + i, 2, 7 * i) for i in range(3)]
-        for head, mean, cov, lm in zip(heads, means, covs, Landmark.stack(heads, means, covs)):
-            want = Landmark(head[0], head[1], mean, cov, *head[2:])
-            for name in ("id", "label", "assign_count", "submap_id", "last_scene"):
-                assert getattr(lm, name) == getattr(want, name)
-            assert np.array_equal(lm.mean, want.mean) and np.array_equal(lm.cov, want.cov)
+        ids, labels, counts, scenes = [9, 5, 7], [0, 1, 2], [1, 2, 3], [0, 7, 14]
+        table = LandmarkTable.build(ids, labels, means, covs, counts, 2, scenes)
+        order = [1, 2, 0]
+        assert table.ids.tolist() == [5, 7, 9]
+        assert table.labels.tolist() == [labels[i] for i in order]
+        assert table.assign_count.tolist() == [counts[i] for i in order]
+        assert table.submap_id.tolist() == [2, 2, 2]
+        assert table.last_scene.tolist() == [scenes[i] for i in order]
+        assert np.array_equal(table.means, means[order]) and np.array_equal(table.covs, covs[order])
+        assert len(LandmarkTable.empty()) == 0 and LandmarkTable.empty().means.shape == (0, 3)
 
-    def test_stack_keeps_the_contract(self, rng):
+    def test_build_keeps_the_contract(self):
         covs = np.stack([np.eye(3), np.diag([1.0, 1.0, 0.0])])
-        heads = [(0, 0, 1, 0, 0), (1, 0, 1, 0, 0)]
-        with pytest.raises(ContractViolation):
-            Landmark.stack(heads, np.zeros((2, 3)), covs)
-        with pytest.raises(ContractViolation):
-            Landmark.stack([(0, 0, 0, 0, 0)], np.zeros((1, 3)), np.eye(3)[None])
-        with pytest.raises(ContractViolation):
-            Landmark.stack(heads[:1], np.zeros((2, 3)), np.stack([np.eye(3)] * 2))
+        with pytest.raises(ContractViolation, match="positive definite"):
+            LandmarkTable.build([0, 1], [0, 0], np.zeros((2, 3)), covs)
+        with pytest.raises(ContractViolation, match="align"):
+            LandmarkTable.build([0], [0], np.zeros((2, 3)), np.stack([np.eye(3)] * 2))
+        with pytest.raises(ContractViolation, match="align"):
+            LandmarkTable.build([0, 1], [0, 0, 0], np.zeros((2, 3)), np.stack([np.eye(3)] * 2))
+        with pytest.raises(ContractViolation, match="more than one row"):
+            LandmarkTable.build([3, 3], [0, 0], np.zeros((2, 3)), np.stack([np.eye(3)] * 2))
 
-    def test_with_estimate_preserves_untouched_fields(self):
-        lm = landmark(7, [1, 2, 3], class_id=2, assign_count=4)
-        lm2 = lm.with_estimate(np.zeros(3), 2.0 * np.eye(3))
-        assert lm2.id == 7 and lm2.label == 2 and lm2.assign_count == 4
-        lm3 = lm.with_estimate(lm.mean, lm.cov, assign_count=9)
-        assert lm3.assign_count == 9
+    def test_concat_inserts_rows_at_their_sorted_place(self):
+        a = table_of([landmark(2, [0, 0, 0]), landmark(8, [1, 0, 0])])
+        b = table_of([landmark(5, [2, 0, 0])])
+        c = table_of([landmark(9, [3, 0, 0])])
+        assert LandmarkTable.concat([a, b, c]).ids.tolist() == [2, 5, 8, 9]
+        assert LandmarkTable.concat([a, b, c]).means[:, 0].tolist() == [0, 2, 1, 3]
+        assert LandmarkTable.concat([a]) is a
+        with pytest.raises(ContractViolation, match="more than one row"):
+            LandmarkTable.concat([a, a])
 
 
 class TestClassHistogram:

@@ -9,7 +9,6 @@ from semslam.config import RunConfig
 from semslam.core import ContractViolation
 from semslam.estimation import (
     CovarianceConditioningError,
-    FusedLandmark,
     _sigma_weights,
     fuse_hypotheses,
     spd_project,
@@ -17,7 +16,7 @@ from semslam.estimation import (
     ukf_update_safe,
 )
 
-from conftest import landmark, meas, random_spd, scalar_ukf_update_safe
+from conftest import landmark, meas, random_spd, rows_of, scalar_ukf_update_safe, table_of
 
 CFG = RunConfig()
 
@@ -35,11 +34,9 @@ class TestUkfUpdate:
     def test_equals_kalman_spot_case(self):
         # prior N(0, I), measurement (1,0,0), meas cov I -> posterior
         # mean (0.5,0,0), cov 0.5 I
-        lm = landmark(0, [0.0, 0.0, 0.0])
-        out = ukf_update(lm, meas([1.0, 0.0, 0.0], scene_id=3, time=0.3), np.eye(3), CFG)
-        assert np.allclose(out.mean, [0.5, 0.0, 0.0], atol=1e-9)
-        assert np.allclose(out.cov, 0.5 * np.eye(3), atol=1e-9)
-        assert out.last_scene == 3
+        mean, cov = ukf_update(np.zeros(3), np.eye(3), [1.0, 0.0, 0.0], np.eye(3), CFG)
+        assert np.allclose(mean, [0.5, 0.0, 0.0], atol=1e-9)
+        assert np.allclose(cov, 0.5 * np.eye(3), atol=1e-9)
 
     def test_equals_kalman_random(self, rng):
         for _ in range(30):
@@ -47,29 +44,23 @@ class TestUkfUpdate:
             R = random_spd(rng)
             mu = rng.standard_normal(3)
             z = rng.standard_normal(3)
-            lm = landmark(0, mu, cov=P)
-            out = ukf_update(lm, meas(z), R, CFG)
+            mean, cov = ukf_update(mu, P, z, R, CFG)
             em, ec = kalman_oracle(mu, P, z, R)
-            assert np.allclose(out.mean, em, atol=1e-9)
-            assert np.allclose(out.cov, ec, atol=1e-9)
+            assert np.allclose(mean, em, atol=1e-9)
+            assert np.allclose(cov, ec, atol=1e-9)
 
     def test_confident_prior_ignores_measurement(self):
-        lm = landmark(0, [1.0, 2.0, 3.0], cov=1e-12 * np.eye(3) + 1e-13 * np.eye(3))
-        out = ukf_update(lm, meas([9.0, 9.0, 9.0]), np.eye(3), CFG)
-        assert np.allclose(out.mean, [1.0, 2.0, 3.0], atol=1e-6)
+        mean, _ = ukf_update([1.0, 2.0, 3.0], 1e-12 * np.eye(3) + 1e-13 * np.eye(3), [9.0, 9.0, 9.0], np.eye(3), CFG)
+        assert np.allclose(mean, [1.0, 2.0, 3.0], atol=1e-6)
 
     def test_information_grows_with_repeated_measurements(self):
-        lm = landmark(0, [0.0, 0.0, 0.0])
-        prev = np.linalg.eigvalsh(lm.cov)
+        mean, cov = np.zeros(3), np.eye(3)
+        prev = np.linalg.eigvalsh(cov)
         for _ in range(3):
-            lm = ukf_update(lm, meas([0.5, 0.0, 0.0]), np.eye(3), CFG)
-            cur = np.linalg.eigvalsh(lm.cov)
+            mean, cov = ukf_update(mean, cov, [0.5, 0.0, 0.0], np.eye(3), CFG)
+            cur = np.linalg.eigvalsh(cov)
             assert np.all(cur < prev)
             prev = cur
-
-    def test_does_not_touch_assign_count(self):
-        lm = landmark(0, [0.0, 0.0, 0.0], assign_count=3)
-        assert ukf_update(lm, meas([1.0, 0.0, 0.0]), np.eye(3), CFG).assign_count == 3
 
     def test_sigma_weights_read_each_ukf_key(self):
         # with h(x) = x the posterior does not depend on the spread beyond
@@ -82,17 +73,16 @@ class TestUkfUpdate:
         assert wc[0] == pytest.approx(-2.64 / 0.36 + (1.0 - 0.09 + 1.5), rel=1e-12)
         assert np.array_equal(wc[1:], wm[1:])
 
-    def test_safe_variant_increments_count_and_sets_scene(self):
-        lm = landmark(0, [0.0, 0.0, 0.0], assign_count=3)
-        (out,) = ukf_update_safe([lm], [meas([1.0, 0.0, 0.0], scene_id=7, time=1000.7)], np.eye(3), CFG)
-        assert out.assign_count == 4
-        assert out.last_scene == 7
 
-
-def _unchecked(lm, cov):
-    """lm with a covariance that the Landmark contract would reject."""
-    object.__setattr__(lm, "cov", np.asarray(cov, dtype=float))
-    return lm
+def safe_batch(lms, ms, meas_cov, cfg):
+    """ukf_update_safe of the rows `lms` by the measurements `ms`."""
+    return ukf_update_safe(
+        np.reshape([lm.mean for lm in lms], (-1, 3)),
+        np.reshape([lm.cov for lm in lms], (-1, 3, 3)),
+        np.reshape([m.position for m in ms], (-1, 3)),
+        meas_cov,
+        cfg,
+    )
 
 
 class TestUkfBatch:
@@ -101,54 +91,48 @@ class TestUkfBatch:
     def test_matches_scalar_oracle(self, rng):
         cfg = RunConfig(ukf_alpha=0.3, ukf_beta=2.0, ukf_kappa=1.0)
         for size in (1, 2, 21):
-            lms = [
-                landmark(i, rng.standard_normal(3), class_id=i % 3, cov=random_spd(rng), assign_count=1 + i % 4)
-                for i in range(size)
-            ]
+            lms = [landmark(i, rng.standard_normal(3), cov=random_spd(rng)) for i in range(size)]
             ms = [meas(rng.standard_normal(3), scene_id=10 + i) for i in range(size)]
             R = random_spd(rng)
-            out = ukf_update_safe(lms, ms, R, cfg)
-            assert len(out) == size
-            for lm, m, got in zip(lms, ms, out):
-                want = scalar_ukf_update_safe(lm, m, R, cfg)
-                assert np.max(np.abs(got.mean - want.mean)) <= 1e-12
-                assert np.max(np.abs(got.cov - want.cov)) <= 1e-12
-                assert (got.id, got.label, got.submap_id) == (lm.id, lm.label, lm.submap_id)
-                assert got.assign_count == lm.assign_count + 1
-                assert got.last_scene == m.scene_id
+            means, covs = safe_batch(lms, ms, R, cfg)
+            assert means.shape == (size, 3) and covs.shape == (size, 3, 3)
+            for lm, m, got_mean, got_cov in zip(lms, ms, means, covs):
+                want_mean, want_cov = scalar_ukf_update_safe(lm, m, R, cfg)
+                assert np.max(np.abs(got_mean - want_mean)) <= 1e-12
+                assert np.max(np.abs(got_cov - want_cov)) <= 1e-12
 
     def test_retry_inflates_only_the_failing_row(self, rng):
         # a zero prior variance fails the sigma-point Cholesky; inflated by
         # 1e-9 I it factors, and its neighbours take the plain update
         lms = [landmark(i, rng.standard_normal(3), cov=random_spd(rng)) for i in range(3)]
-        _unchecked(lms[1], np.diag([1.0, 2.0, 0.0]))
+        lms[1] = landmark(1, lms[1].mean, cov=np.diag([1.0, 2.0, 0.0]))
         ms = [meas(rng.standard_normal(3), scene_id=i) for i in range(3)]
-        out = ukf_update_safe(lms, ms, np.eye(3), CFG)
-        for i, (lm, m, got) in enumerate(zip(lms, ms, out)):
-            want = scalar_ukf_update_safe(lm, m, np.eye(3), CFG)
-            assert np.max(np.abs(got.mean - want.mean)) <= 1e-12
-            assert np.max(np.abs(got.cov - want.cov)) <= 1e-12
+        means, covs = safe_batch(lms, ms, np.eye(3), CFG)
+        for i, (lm, m) in enumerate(zip(lms, ms)):
+            want_mean, want_cov = scalar_ukf_update_safe(lm, m, np.eye(3), CFG)
+            assert np.max(np.abs(means[i] - want_mean)) <= 1e-12
+            assert np.max(np.abs(covs[i] - want_cov)) <= 1e-12
             if i != 1:
-                plain = ukf_update(lm, m, np.eye(3), CFG)
-                assert np.array_equal(got.mean, plain.mean) and np.array_equal(got.cov, plain.cov)
-        assert 0.0 < out[1].cov[2, 2] <= 1e-9
+                plain_mean, plain_cov = ukf_update(lm.mean, lm.cov, m.position, np.eye(3), CFG)
+                assert np.array_equal(means[i], plain_mean) and np.array_equal(covs[i], plain_cov)
+        assert 0.0 < covs[1][2, 2] <= 1e-9
 
     def test_second_failure_raises(self, rng):
         lms = [landmark(i, rng.standard_normal(3)) for i in range(3)]
-        _unchecked(lms[2], np.diag([1.0, 1.0, -1.0]))
+        lms[2] = landmark(2, lms[2].mean, cov=np.diag([1.0, 1.0, -1.0]))
         ms = [meas(rng.standard_normal(3)) for _ in range(3)]
         with pytest.raises(CovarianceConditioningError):
-            ukf_update_safe(lms, ms, np.eye(3), CFG)
+            safe_batch(lms, ms, np.eye(3), CFG)
 
     def test_plain_update_does_not_retry(self):
-        lm = _unchecked(landmark(0, [0.0, 0.0, 0.0]), np.diag([1.0, 2.0, 0.0]))
         with pytest.raises(CovarianceConditioningError):
-            ukf_update(lm, meas([1.0, 0.0, 0.0]), np.eye(3), CFG)
+            ukf_update(np.zeros(3), np.diag([1.0, 2.0, 0.0]), [1.0, 0.0, 0.0], np.eye(3), CFG)
 
     def test_empty_and_misaligned(self):
-        assert ukf_update_safe([], [], np.eye(3), CFG) == []
+        means, covs = ukf_update_safe(np.empty((0, 3)), np.empty((0, 3, 3)), np.empty((0, 3)), np.eye(3), CFG)
+        assert means.shape == (0, 3) and covs.shape == (0, 3, 3)
         with pytest.raises(ContractViolation):
-            ukf_update_safe([landmark(0, [0.0, 0.0, 0.0])], [], np.eye(3), CFG)
+            ukf_update_safe(np.zeros((1, 3)), np.eye(3)[None], np.empty((0, 3)), np.eye(3), CFG)
 
 
 class TestSpdProject:
@@ -164,13 +148,18 @@ class TestSpdProject:
 
 class _Leaf:
     def __init__(self, landmarks):
-        self.existing = {lm.id: lm for lm in landmarks}
+        self.existing = table_of(landmarks)
+
+
+def fuse(leaves, weights):
+    """fuse_hypotheses as landmark id -> row."""
+    return rows_of(fuse_hypotheses(leaves, weights))
 
 
 class TestFuseHypotheses:
     def test_single_hypothesis_pass_through(self, rng):
         lm = landmark(0, rng.standard_normal(3), cov=random_spd(rng))
-        fused = fuse_hypotheses([_Leaf([lm])], [1.0])
+        fused = fuse([_Leaf([lm])], [1.0])
         assert np.allclose(fused[0].mean, lm.mean)
         assert np.allclose(fused[0].cov, lm.cov, atol=1e-9)
         assert np.array_equal(fused[0].mean, lm.mean)
@@ -180,19 +169,19 @@ class TestFuseHypotheses:
         # mixture mean 0, covariance diag(2, 1, 1)
         a = landmark(0, [1.0, 0.0, 0.0])
         b = landmark(0, [-1.0, 0.0, 0.0])
-        fused = fuse_hypotheses([_Leaf([a]), _Leaf([b])], [0.5, 0.5])
+        fused = fuse([_Leaf([a]), _Leaf([b])], [0.5, 0.5])
         assert np.allclose(fused[0].mean, np.zeros(3), atol=1e-12)
         assert np.allclose(fused[0].cov, np.diag([2.0, 1.0, 1.0]), atol=1e-9)
 
     def test_zero_weight_component_ignored(self):
         a = landmark(0, [1.0, 0.0, 0.0])
         b = landmark(0, [50.0, 0.0, 0.0])
-        fused = fuse_hypotheses([_Leaf([a]), _Leaf([b])], [1.0, 0.0])
+        fused = fuse([_Leaf([a]), _Leaf([b])], [1.0, 0.0])
         assert np.allclose(fused[0].mean, [1.0, 0.0, 0.0])
 
     def test_landmark_missing_from_some_leaves_renormalizes(self):
         a = landmark(0, [1.0, 0.0, 0.0])
-        fused = fuse_hypotheses([_Leaf([a]), _Leaf([])], [0.6, 0.4])
+        fused = fuse([_Leaf([a]), _Leaf([])], [0.6, 0.4])
         # the one carrying leaf has weight 0.6 / 0.6 = 1, so the landmark passes through
         assert np.array_equal(fused[0].mean, a.mean)
         assert np.allclose(fused[0].cov, a.cov, atol=1e-12)
@@ -201,8 +190,8 @@ class TestFuseHypotheses:
         lms = [landmark(i, rng.standard_normal(3), cov=random_spd(rng)) for i in range(3)]
         alt = [landmark(i, rng.standard_normal(3), cov=random_spd(rng)) for i in range(3)]
         w = [0.7, 0.3]
-        f1 = fuse_hypotheses([_Leaf(lms), _Leaf(alt)], w)
-        f2 = fuse_hypotheses([_Leaf(alt), _Leaf(lms)], list(reversed(w)))
+        f1 = fuse([_Leaf(lms), _Leaf(alt)], w)
+        f2 = fuse([_Leaf(alt), _Leaf(lms)], list(reversed(w)))
         for lid in f1:
             assert np.allclose(f1[lid].mean, f2[lid].mean, atol=1e-12)
             assert np.allclose(f1[lid].cov, f2[lid].cov, atol=1e-12)
@@ -212,7 +201,7 @@ class TestFuseHypotheses:
             _Leaf([landmark(0, rng.uniform(-5, 5, 3), cov=random_spd(rng, 0.1))]) for _ in range(4)
         ]
         w = np.asarray(np.random.default_rng(1).dirichlet(np.ones(4)))
-        fused = fuse_hypotheses(leaves, list(w))
+        fused = fuse(leaves, list(w))
         assert np.min(np.linalg.eigvalsh(fused[0].cov)) > 0
 
     def test_unnormalized_weights_rejected(self):
@@ -220,10 +209,8 @@ class TestFuseHypotheses:
             fuse_hypotheses([_Leaf([])], [0.5])
 
     def test_assign_count_and_last_seen_aggregate(self):
-        a = landmark(0, [0.0, 0.0, 0.0], assign_count=2)
-        a = a.with_estimate(a.mean, a.cov, last_scene=9)
-        b = landmark(0, [0.0, 0.0, 0.0], assign_count=5)
-        b = b.with_estimate(b.mean, b.cov, last_scene=4)
-        fused = fuse_hypotheses([_Leaf([a]), _Leaf([b])], [0.5, 0.5])
+        a = landmark(0, [0.0, 0.0, 0.0], assign_count=2, last_scene=9)
+        b = landmark(0, [0.0, 0.0, 0.0], assign_count=5, last_scene=4)
+        fused = fuse([_Leaf([a]), _Leaf([b])], [0.5, 0.5])
         assert fused[0].assign_count == 5
         assert fused[0].last_scene == 9

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from semslam.core import SemanticMeasurement
+from semslam.core import LandmarkTable, SemanticMeasurement
 from semslam.geometry import Pose, quat_from_yaw
 from semslam.logio import (
     LogFormatError,
@@ -193,15 +193,8 @@ class TestMetrics:
 
 class TestMap:
     def test_write_map_shape(self, tmp_path):
-        class _Lm:
-            def __init__(self):
-                self.id = 4
-                self.label = 1
-                self.mean = np.array([1.0, 2.0, 3.0])
-                self.cov = 0.5 * np.eye(3)
-
         path = str(tmp_path / "map.csv")
-        write_map(path, [_Lm()])
+        write_map(path, LandmarkTable.build([4], [1], [[1.0, 2.0, 3.0]], 0.5 * np.eye(3)))
         lines = open(path).read().splitlines()
         assert lines[0].startswith("landmark_id,class_id,")
         parts = lines[1].split(",")

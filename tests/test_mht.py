@@ -1,6 +1,8 @@
 """Hypothesis tree: weight recursion, ESS, the KLD count bound, systematic
-resampling, and the exhaustive posterior oracle on tiny episodes."""
+resampling, the exhaustive posterior oracle on tiny episodes, and the
+leaves' copy-on-write landmark tables."""
 
+import dataclasses
 import itertools
 import math
 import statistics
@@ -16,16 +18,29 @@ from semslam.assoc import (
     Previous,
     assignment_prior_log,
     build_cost_matrix,
+    generate_branches,
+    solve_assignment,
 )
 from semslam.config import RunConfig
-from semslam.core import ContractViolation, Landmark
+from semslam.core import ContractViolation, LandmarkTable
+from semslam.estimation import fuse_hypotheses, ukf_update
 from semslam.mht import (
+    HypothesisNode,
     HypothesisTree,
     effective_sample_size,
     kld_bound,
 )
 
-from conftest import assignment_of, landmark, meas, simple_params
+from conftest import (
+    assignment_of,
+    landmark,
+    meas,
+    random_spd,
+    rows_of,
+    scalar_fuse_hypotheses,
+    simple_params,
+    table_of,
+)
 
 
 class TestEffectiveSampleSize:
@@ -100,10 +115,11 @@ class TestKldBound:
         assert mismatches == []
 
 
-def default_tree(seed=0, max_hypotheses=20, ess_fraction=0.5, previous=None):
+def default_tree(seed=0, max_hypotheses=20, ess_fraction=0.5, previous=(), landmark_id_start=0):
     return HypothesisTree(
         RunConfig(ess_fraction=ess_fraction, max_hypotheses=max_hypotheses, run_seed=seed),
-        previous_landmarks=previous,
+        previous_landmarks=table_of(previous),
+        landmark_id_start=landmark_id_start,
     )
 
 
@@ -142,18 +158,17 @@ class TestExtend:
         params = simple_params()
         m = meas([1.0, 2.0, 3.0], scene_id=4, time=9.5)
         children = extend(tree, tree.leaves[0], [[New()]], [m], params)
-        (lm,) = children[0].existing.values()
+        (lm,) = rows_of(children[0].existing).values()
         assert np.allclose(lm.mean, m.position) and lm.assign_count == 1
         assert lm.last_scene == 4
 
     def test_existing_target_updates_and_counts(self):
         tree = default_tree()
         params = simple_params()
-        lm0 = landmark(0, [0.0, 0.0, 0.0])
-        tree.leaves[0].existing[0] = lm0
+        tree.leaves[0].existing = table_of([landmark(0, [0.0, 0.0, 0.0])])
         m = meas([1.0, 0.0, 0.0])
         children = extend(tree, tree.leaves[0], [[Existing(0)]], [m], params)
-        lm = children[0].existing[0]
+        lm = rows_of(children[0].existing)[0]
         assert lm.assign_count == 2
         assert 0.0 < lm.mean[0] < 1.0  # pulled toward the measurement
 
@@ -163,11 +178,10 @@ class TestExtend:
         assert children[0].n_fp == 1
 
     def test_previous_target_reanchors_keeping_id(self):
-        prev = {7: landmark(7, [0.0, 0.0, 0.0])}
-        tree = default_tree(previous=prev)
+        tree = default_tree(previous=[landmark(7, [0.0, 0.0, 0.0])])
         children = extend(tree, tree.leaves[0], [[Previous(7)]], [meas([0.1, 0.0, 0.0])], simple_params())
         child = children[0]
-        assert 7 in child.existing and 7 not in child.previous
+        assert 7 in child.existing.ids and 7 not in child.previous.ids
 
     def test_sibling_landmark_states_independent(self):
         tree = default_tree()
@@ -185,6 +199,142 @@ class TestExtend:
         tree = default_tree()
         extend(tree, tree.leaves[0], [[], [], []], [], simple_params())
         assert tree.normalized_weights().sum() == pytest.approx(1.0, abs=1e-9)
+
+    def test_update_increments_count_and_sets_scene(self):
+        tree = default_tree(previous=[landmark(7, [0.0, 0.0, 0.0], assign_count=5)], landmark_id_start=8)
+        tree.leaves[0].existing = table_of([landmark(0, [1.0, 0.0, 0.0], assign_count=3)])
+        ms = [meas([1.0, 0.0, 0.0], scene_id=7, time=1000.7), meas([0.0, 0.0, 0.0], scene_id=7, time=1000.7)]
+        (child,) = extend(tree, tree.leaves[0], [[Existing(0), Previous(7)]], ms, simple_params())
+        assert child.existing.assign_count.tolist() == [4, 6]
+        assert child.existing.last_scene.tolist() == [7, 7]
+
+    def test_update_keeps_untouched_fields(self):
+        """An update writes the estimate, the count and the scene of its row;
+        the id, class and submap stay, and so does every other row."""
+        tree = default_tree()
+        rows = [landmark(2, [0, 0, 0], class_id=1, assign_count=4), landmark(5, [3, 0, 0], class_id=2)]
+        means, covs = [r.mean for r in rows], [r.cov for r in rows]
+        tree.leaves[0].existing = LandmarkTable.build([2, 5], [1, 2], means, covs, [4, 1], submap_id=6, last_scene=1)
+        params = simple_params()
+        m = meas([0.5, 0.0, 0.0], class_id=1, scene_id=9)
+        (child,) = extend(tree, tree.leaves[0], [[Existing(2)]], [m], params)
+        got = child.existing
+        assert got.ids.tolist() == [2, 5] and got.labels.tolist() == [1, 2] and got.submap_id.tolist() == [6, 6]
+        assert got.assign_count.tolist() == [5, 1] and got.last_scene.tolist() == [9, 1]
+        mean, cov = ukf_update(rows[0].mean, rows[0].cov, m.position, params.meas_cov, tree.cfg)
+        assert np.array_equal(got.means[0], mean) and np.array_equal(got.covs[0], cov)
+        assert np.array_equal(got.means[1], rows[1].mean) and np.array_equal(got.covs[1], rows[1].cov)
+
+
+def table_bytes(table):
+    return tuple(getattr(table, f.name).tobytes() for f in dataclasses.fields(table))
+
+
+def leaf_bytes(leaf):
+    return table_bytes(leaf.existing), table_bytes(leaf.previous), leaf.n_fp
+
+
+def grow_tree(seed, steps=4, gap=100.0):
+    """A tree grown from three previous landmarks over `steps` random scenes,
+    every leaf extended by its generated branches, as the pipeline does."""
+    rng = np.random.default_rng(seed)
+    params = simple_params(fp_rate=0.05, map_volume=50.0)
+    previous = [
+        landmark(i, rng.uniform(-2, 2, 3), class_id=i % 2, cov=random_spd(rng, 0.1), assign_count=1 + i)
+        for i in range(3)
+    ]
+    tree = default_tree(seed=seed, max_hypotheses=10**9, previous=previous, landmark_id_start=3)
+    for t in range(steps):
+        ms = [
+            meas(rng.uniform(-2, 2, 3), class_id=int(rng.integers(2)), scene_id=t, time=float(t))
+            for _ in range(int(rng.integers(1, 4)))
+        ]
+        for leaf in list(tree.leaves):
+            cm = build_cost_matrix(ms, leaf, params)
+            branches = generate_branches(cm, solve_assignment(cm), max_branches=3, plausibility_gap=gap)
+            tree.extend(leaf, branches, ms, params, cm)
+    return tree
+
+
+class TestLeafTables:
+    """Leaves keep their landmarks as tables in cost-matrix column order and
+    share the arrays of the leaf they extend until they write them."""
+
+    def test_children_copy_only_what_they_write(self, rng):
+        params = simple_params()
+        previous = [landmark(i, rng.uniform(-1, 1, 3), cov=random_spd(rng, 0.1)) for i in (1, 4, 6)]
+        tree = default_tree(previous=previous, landmark_id_start=10)
+        (parent,) = extend(tree, tree.leaves[0], [[New(), New()]], [meas([0, 0, 0]), meas([5, 0, 0])], params)
+        assert parent.existing.ids.tolist() == [10, 11]
+        before = leaf_bytes(parent)
+        ms = [meas([0.3, 0, 0], scene_id=1), meas([-0.2, 0.1, 0], scene_id=1), meas([9, 9, 9], scene_id=1)]
+        branches = [
+            [Existing(10), Previous(4), New()],  # update, re-anchor and create
+            [FalsePositive(), Existing(10), New()],  # update by another measurement, and create
+            [Existing(10), FalsePositive(), FalsePositive()],  # update only
+            [FalsePositive(), FalsePositive(), FalsePositive()],  # write nothing
+        ]
+        children = extend(tree, parent, branches, ms, params)
+        assert leaf_bytes(parent) == before
+        # each child's landmark 10 is the UKF update by its own measurement
+        for child, i in zip(children[:3], (0, 1, 0)):
+            row = int(np.searchsorted(child.existing.ids, 10))
+            mean, cov = ukf_update(parent.existing.means[0], parent.existing.covs[0], ms[i].position, params.meas_cov, tree.cfg)
+            assert np.array_equal(child.existing.means[row], mean) and np.array_equal(child.existing.covs[row], cov)
+        reanchor, created, updated, idle = children
+        assert reanchor.existing.ids.tolist() == [4, 10, 11, 12] and reanchor.previous.ids.tolist() == [1, 6]
+        assert created.existing.ids.tolist() == [10, 11, 13] and created.previous is parent.previous
+        assert updated.existing.ids.tolist() == [10, 11] and updated.previous is parent.previous
+        for f in ("ids", "labels", "submap_id"):
+            assert np.shares_memory(getattr(updated.existing, f), getattr(parent.existing, f))
+        for f in ("means", "covs", "assign_count", "last_scene"):
+            assert not np.shares_memory(getattr(updated.existing, f), getattr(parent.existing, f))
+        assert idle.existing is parent.existing and idle.previous is parent.previous and idle.n_fp == 3
+        # a grandchild's writes reach neither its parent, its siblings nor theirs
+        siblings = [leaf_bytes(c) for c in children]
+        extend(tree, updated, [[Existing(10), Previous(1), New()], [Existing(11), Previous(6), New()]], ms, params)
+        extend(tree, idle, [[Existing(10), Existing(11), Previous(1)]], ms, params)
+        assert [leaf_bytes(c) for c in children] == siblings
+        assert leaf_bytes(parent) == before
+
+    def test_reanchored_row_takes_its_sorted_column(self, rng):
+        params = simple_params()
+        previous = [landmark(i, rng.uniform(-1, 1, 3), class_id=i % 2, cov=random_spd(rng, 0.1)) for i in (1, 3, 5)]
+        tree = default_tree(previous=previous, landmark_id_start=10)
+        created = [meas([4, 0, 0], class_id=0), meas([0, 4, 0], class_id=1)]
+        (leaf,) = extend(tree, tree.leaves[0], [[New(), New()]], created, params)
+        (leaf,) = extend(tree, leaf, [[Previous(3)]], [meas([0.1, 0, 0], class_id=1)], params)
+        ms = [meas(rng.uniform(-1, 1, 3), class_id=c) for c in (0, 1, 1)]
+        cm = build_cost_matrix(ms, leaf, params)
+        assert cm.column_ids.tolist() == [3, 10, 11, 1, 5] and cm.n_existing == 3
+        # the same rows, listed out of order, give the same matrix
+        rows, prev_rows = rows_of(leaf.existing), rows_of(leaf.previous)
+        explicit = HypothesisNode(0.0, table_of(rows[k] for k in (11, 3, 10)), table_of(prev_rows[k] for k in (5, 1)), 0)
+        want = build_cost_matrix(ms, explicit, params)
+        assert np.array_equal(cm.matrix, want.matrix) and np.array_equal(cm.dp_bonus, want.dp_bonus)
+        assert [cm.target(j) for j in range(5)] == [Existing(3), Existing(10), Existing(11), Previous(1), Previous(5)]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_fusion_matches_the_scalar_oracle(self, seed):
+        tree = grow_tree(seed)
+        assert len(tree.leaves) > 1
+        w = tree.normalized_weights()
+        # a leaf of weight exactly 0 that alone carries some landmark, which fusion drops
+        ids, carriers = np.unique(np.concatenate([leaf.existing.ids for leaf in tree.leaves]), return_counts=True)
+        lone = int(ids[np.argmax(carriers == 1)])
+        zeroed = w.copy()
+        zeroed[[lone in leaf.existing.ids for leaf in tree.leaves]] = 0.0
+        zeroed /= zeroed.sum()
+        for weights in (w, zeroed):
+            got = fuse_hypotheses(tree.leaves, weights)
+            want = scalar_fuse_hypotheses(tree.leaves, weights).values()
+            assert got.ids.tolist() == [r.id for r in want] and (lone in got.ids) == (weights is w)
+            assert got.labels.tolist() == [r.label for r in want]
+            assert got.assign_count.tolist() == [r.assign_count for r in want]
+            assert got.submap_id.tolist() == [0] * len(want)
+            assert got.last_scene.tolist() == [r.last_scene for r in want]
+            assert got.means.tobytes() == b"".join(r.mean.tobytes() for r in want)
+            assert got.covs.tobytes() == b"".join(r.cov.tobytes() for r in want)
 
 
 class TestResample:

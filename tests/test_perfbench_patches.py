@@ -63,7 +63,9 @@ def test_patched_names_are_called(tmp_path):
         "logio.read_measurements",
         "pipeline.run_pipeline",
         "assoc.build_cost_matrix",
+        "mht.extend",
         "estimation.ukf_update",
+        "estimation.fuse",
         "placerec.query_candidates",
         "placerec.detect",
         "kernels.lap_solve",

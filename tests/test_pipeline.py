@@ -108,9 +108,9 @@ class TestNoiselessRun:
         result, world = run_for(self.CFG)
         truth = {tuple(np.round(lm.position, 6)): lm.label for lm in world.landmarks}
         matched = 0
-        for flm in result.fused_map.values():
+        for mean in result.fused_map.means:
             close = [
-                p for p in truth if np.linalg.norm(np.array(p) - flm.mean) < 0.1
+                p for p in truth if np.linalg.norm(np.array(p) - mean) < 0.1
             ]
             if close:
                 matched += 1

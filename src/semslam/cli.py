@@ -21,14 +21,13 @@ from .logio import (
     write_trajectory,
 )
 from .pipeline import evaluate, run_pipeline
-from .sim import generate_world, scenario_specs, simulate
+from .sim import generate_world, simulate
 
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    world_spec, det, odo = scenario_specs(cfg)
-    world = generate_world(world_spec)
-    measurements, increments = simulate(world, det, odo, cfg.run_seed)
+    world = generate_world(cfg)
+    measurements, increments = simulate(world)
     os.makedirs(args.out, exist_ok=True)
     write_measurements(os.path.join(args.out, "measurements.csv"), measurements, world.trajectory)
     write_odometry(os.path.join(args.out, "odometry.csv"), increments)

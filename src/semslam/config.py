@@ -1,16 +1,19 @@
 """Flat key = value run configuration.
 
-Every tunable of the pipeline lives here. Unknown keys are hard errors;
-parse -> serialize -> parse is a fixed point.
+Every tunable of the pipeline lives here. Each key declares its domain
+next to its default, and RunConfig checks every value against it when it
+is built, so a bad value fails at load with an error that names the key.
+Unknown keys are hard errors; parse -> serialize -> parse is a fixed point.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Tuple
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable, Tuple
 
 MODES = ("dpmhm", "mhm_threshold", "single_ukf")
+TRAJECTORY_SHAPES = ("square_loop", "figure_eight", "line")
 
 
 class ConfigError(ValueError):
@@ -18,122 +21,140 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
+class Domain:
+    """The values a key accepts: those for which test(value, cfg) holds. A
+    value outside it fails with "<key> must <says>", says formatted with cfg.
+    Every test is written so that NaN fails it."""
+
+    test: Callable[[Any, Any], bool]
+    says: str
+
+
+POSITIVE = Domain(lambda v, _: 0.0 < v < math.inf, "be finite and positive")
+NON_NEGATIVE = Domain(lambda v, _: 0.0 <= v < math.inf, "be finite and non-negative")
+FINITE = Domain(lambda v, _: math.isfinite(v), "be finite")
+# ORDERED, ABOVE_0 and AT_LEAST_0 take inf, a threshold or limit that inf
+# switches off; AT_LEAST_0 and AT_LEAST_1 also bound integers
+ORDERED = Domain(lambda v, _: v == v, "not be NaN")
+ABOVE_0 = Domain(lambda v, _: v > 0, "be positive")
+AT_LEAST_0 = Domain(lambda v, _: v >= 0, "be >= 0")
+AT_LEAST_1 = Domain(lambda v, _: v >= 1, "be >= 1")
+BOOL = Domain(lambda v, _: isinstance(v, bool), "be true or false")
+# confusion_eps spreads its mass over the other classes, which one class lacks
+CONFUSION = Domain(
+    lambda v, c: 0.0 <= v <= (1.0 if c.n_classes > 1 else 0.0), "lie in [0, 1], and be 0 when n_classes = 1"
+)
+CLASS_IDS = Domain(lambda v, c: all(0 <= i < c.n_classes for i in v), "lie in [0, n_classes = {cfg.n_classes})")
+
+
+def interval(lo: float, hi: float, open_lo: bool = False, open_hi: bool = False) -> Domain:
+    def test(v, _):
+        return (lo < v if open_lo else lo <= v) and (v < hi if open_hi else v <= hi)
+
+    return Domain(test, f"lie in {'(' if open_lo else '['}{lo:g}, {hi:g}{')' if open_hi else ']'}")
+
+
+def choice(*options) -> Domain:
+    text = " or ".join([", ".join(map(repr, options[:-1])), repr(options[-1])])
+    return Domain(lambda v, _: v in options, f"be {text}")
+
+
+def key(default, domain: Domain):
+    """A config field: its default and its domain."""
+    return field(default=default, metadata={"domain": domain})
+
+
+@dataclass(frozen=True)
 class RunConfig:
     # estimator selection
-    mode: str = "dpmhm"
+    mode: str = key("dpmhm", choice(*MODES))
 
     # world
-    world_seed: int = 0
-    run_seed: int = 0
-    arena_size: float = 30.0
-    n_classes: int = 8
-    n_landmarks: int = 60
-    trajectory: str = "square_loop"
-    steps: int = 48
-    step_length: float = 1.0
+    world_seed: int = key(0, AT_LEAST_0)
+    run_seed: int = key(0, AT_LEAST_0)
+    arena_size: float = key(30.0, POSITIVE)
+    n_classes: int = key(8, AT_LEAST_1)
+    n_landmarks: int = key(60, AT_LEAST_1)
+    trajectory: str = key("square_loop", choice(*TRAJECTORY_SHAPES))
+    steps: int = key(48, AT_LEAST_1)
+    step_length: float = key(1.0, POSITIVE)
 
     # detector
-    detection_range: float = 10.0
-    fov_deg: float = 360.0
-    miss_rate: float = 0.0
-    sim_fp_rate: float = 0.0
-    confusion_eps: float = 0.0
-    meas_noise_std: float = 0.2
+    detection_range: float = key(10.0, NON_NEGATIVE)
+    fov_deg: float = key(360.0, interval(0.0, 360.0))
+    miss_rate: float = key(0.0, interval(0.0, 1.0, open_hi=True))
+    sim_fp_rate: float = key(0.0, NON_NEGATIVE)  # expected false positives per step
+    confusion_eps: float = key(0.0, CONFUSION)
+    meas_noise_std: float = key(0.2, NON_NEGATIVE)
 
-    # odometry
-    odom_sigma_t: float = 0.02
-    odom_sigma_r: float = 0.002
-    odom_bias_drift: float = 0.0
+    # odometry: per-step noise per axis, and a constant body-x translation bias per step
+    odom_sigma_t: float = key(0.02, NON_NEGATIVE)
+    odom_sigma_r: float = key(0.002, NON_NEGATIVE)
+    odom_bias_drift: float = key(0.0, FINITE)
 
-    # association model
-    meas_cov_scale: float = 0.04
-    trans_cov_scale: float = 0.25
-    dirichlet_alpha: float = 1.0
-    fp_rate: float = 0.01
-    map_volume: float = 50.0
-    lambda_new: float = 0.5
-    lambda_fp: float = 0.2
-    prior_volume: float = 1.0
-    dirac_class_ids: Tuple[int, ...] = ()
-    dp_weight_mode: str = "exp"
+    # association model: it takes logs of its rates and volumes
+    meas_cov_scale: float = key(0.04, POSITIVE)
+    trans_cov_scale: float = key(0.25, POSITIVE)
+    dirichlet_alpha: float = key(1.0, POSITIVE)
+    fp_rate: float = key(0.01, POSITIVE)
+    map_volume: float = key(50.0, POSITIVE)
+    lambda_new: float = key(0.5, POSITIVE)
+    lambda_fp: float = key(0.2, POSITIVE)
+    prior_volume: float = key(1.0, POSITIVE)
+    dirac_class_ids: Tuple[int, ...] = key((), CLASS_IDS)
+    dp_weight_mode: str = key("exp", choice("exp", "linear"))
 
     # hypothesis tree
-    ess_fraction: float = 0.5
-    kld_epsilon: float = 0.05
-    kld_delta: float = 0.01
-    max_hypotheses: int = 20
-    max_branches: int = 5
-    plausibility_gap: float = 6.0
-    kld_cube_bracket: bool = False
+    ess_fraction: float = key(0.5, interval(0.0, 1.0, open_lo=True))
+    kld_epsilon: float = key(0.05, ABOVE_0)
+    kld_delta: float = key(0.01, interval(0.0, 1.0, open_lo=True, open_hi=True))
+    max_hypotheses: int = key(20, AT_LEAST_1)
+    max_branches: int = key(5, AT_LEAST_1)
+    plausibility_gap: float = key(6.0, AT_LEAST_0)
+    kld_cube_bracket: bool = key(False, BOOL)
 
-    # UKF
-    ukf_alpha: float = 0.1
-    ukf_beta: float = 2.0
-    ukf_kappa: float = 0.0
+    # UKF: the sigma points divide by ukf_alpha
+    ukf_alpha: float = key(0.1, POSITIVE)
+    ukf_beta: float = key(2.0, NON_NEGATIVE)
+    ukf_kappa: float = key(0.0, NON_NEGATIVE)
 
     # submaps and gate
-    submap_length: int = 12
-    tfidf_doc_unit: str = "submap"
-    gate_min_landmarks: int = 8
+    submap_length: int = key(12, AT_LEAST_1)
+    tfidf_doc_unit: str = key("submap", choice("submap", "scene"))
+    gate_min_landmarks: int = key(8, AT_LEAST_0)
     # idf is 0 for a class seen in every earlier submap, so a positive value can
     # skip all loop search (17 of the 20 square-loop submaps of worlds 1-5 score 0)
-    gate_min_tfidf: float = 0.0
+    gate_min_tfidf: float = key(0.0, AT_LEAST_0)
 
     # place recognition
-    tau_jsd: float = 0.2
-    r_l2: float = 0.6
-    exclusion_window: int = 20
-    edge_radius: float = 6.0
-    penalty_p: float = 0.5
-    dist_norm_scale: float = 5.0
-    scene_term_mode: str = "as_printed"
-    tau_verify: float = 4.0
-    ransac_iters: int = 100
-    ransac_tol: float = 0.5
-    ransac_min_inliers: int = 6
+    tau_jsd: float = key(0.2, AT_LEAST_0)
+    r_l2: float = key(0.6, AT_LEAST_0)
+    exclusion_window: int = key(20, AT_LEAST_0)
+    edge_radius: float = key(6.0, AT_LEAST_0)
+    penalty_p: float = key(0.5, FINITE)
+    dist_norm_scale: float = key(5.0, POSITIVE)
+    scene_term_mode: str = key("as_printed", choice("as_printed", "distance_weighted"))
+    tau_verify: float = key(4.0, ORDERED)
+    ransac_iters: int = key(100, AT_LEAST_1)
+    # RANSAC scans |tol| but its refit keeps residuals <= tol, so a
+    # negative ransac_tol would reject every loop
+    ransac_tol: float = key(0.5, POSITIVE)
+    ransac_min_inliers: int = key(6, AT_LEAST_1)
 
     # factor graph
-    cauchy_c: float = 1.0
-    lm_max_iters: int = 12
-    lm_grad_tol: float = 1e-6
-    loop_info_scale: float = 25.0
+    cauchy_c: float = key(1.0, POSITIVE)
+    lm_max_iters: int = key(12, AT_LEAST_0)
+    lm_grad_tol: float = key(1e-6, NON_NEGATIVE)
+    loop_info_scale: float = key(25.0, POSITIVE)
 
     # single-UKF baseline
-    nn_new_dist: float = 2.0
+    nn_new_dist: float = key(2.0, NON_NEGATIVE)
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for name in (
-            "n_classes", "n_landmarks", "steps", "submap_length", "max_hypotheses", "max_branches",
-            "ransac_iters", "ransac_min_inliers",
-        ):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        # each range test is written so that NaN fails it. RANSAC scans |tol| but its
-        # refit keeps residuals <= tol, so a negative ransac_tol would reject every loop;
-        # the association model takes logs of its rates and volumes; the UKF divides by ukf_alpha
-        for name in ("ransac_tol", "cauchy_c", "loop_info_scale", "meas_cov_scale", "trans_cov_scale",
-                     "dirichlet_alpha", "fp_rate", "map_volume", "lambda_new", "lambda_fp", "prior_volume", "ukf_alpha"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be finite and positive, got {getattr(self, name)!r}")
-        for name in ("odom_sigma_t", "odom_sigma_r", "lm_grad_tol"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be finite and non-negative, got {getattr(self, name)!r}")
-        if not 0.0 < self.ess_fraction <= 1.0:
-            raise ConfigError(f"ess_fraction must lie in (0, 1], got {self.ess_fraction!r}")
-        if not self.kld_epsilon > 0.0:
-            raise ConfigError(f"kld_epsilon must be positive, got {self.kld_epsilon!r}")
-        if not 0.0 < self.kld_delta < 1.0:
-            raise ConfigError(f"kld_delta must lie in (0, 1), got {self.kld_delta!r}")
-        if self.tfidf_doc_unit not in ("submap", "scene"):
-            raise ConfigError("tfidf_doc_unit must be 'submap' or 'scene'")
-        if self.scene_term_mode not in ("as_printed", "distance_weighted"):
-            raise ConfigError("scene_term_mode must be 'as_printed' or 'distance_weighted'")
-        if self.dp_weight_mode not in ("exp", "linear"):
-            raise ConfigError("dp_weight_mode must be 'exp' or 'linear'")
-        if any(not (0 <= c < self.n_classes) for c in self.dirac_class_ids):
-            raise ConfigError(f"dirac_class_ids must lie in [0, n_classes = {self.n_classes})")
+        for f in fields(self):
+            value, domain = getattr(self, f.name), f.metadata["domain"]
+            if not domain.test(value, self):
+                raise ConfigError(f"{f.name} must {domain.says.format(cfg=self)}, got {value!r}")
 
 
 def _parse_value(name: str, text: str, kind):

@@ -80,7 +80,7 @@ def check_spd_stack(covs: np.ndarray, tol: float = SPD_EIG_TOL) -> None:
         raise ContractViolation("covariance not positive definite")
 
 
-_TABLE_FIELDS = ("ids", "labels", "means", "covs", "assign_count", "submap_id", "last_scene")
+_TABLE_FIELDS = ("ids", "labels", "means", "covs", "assign_count", "last_scene")
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,28 +98,27 @@ class LandmarkTable:
     means: np.ndarray  # (k, 3)
     covs: np.ndarray  # (k, 3, 3)
     assign_count: np.ndarray  # (k,) int, >= 1
-    submap_id: np.ndarray  # (k,) int
     last_scene: np.ndarray  # (k,) int
 
     def __len__(self) -> int:
         return len(self.ids)
 
     @classmethod
-    def build(cls, ids, labels, means, covs, assign_count=1, submap_id=0, last_scene=0) -> "LandmarkTable":
+    def build(cls, ids, labels, means, covs, assign_count=1, last_scene=0) -> "LandmarkTable":
         """A table of row-aligned fields, sorted by id and checked as one
         block: unique ids, assign_count >= 1 and SPD covariances. A scalar
-        count, submap id or scene applies to every row."""
+        count or scene applies to every row."""
         ids = np.asarray(ids, dtype=int).reshape(-1)
         k = len(ids)
         means, covs = np.asarray(means, dtype=float).reshape(-1, 3), np.asarray(covs, dtype=float).reshape(-1, 3, 3)
-        ints = [np.asarray(a, dtype=int) for a in (labels, assign_count, submap_id, last_scene)]
+        ints = [np.asarray(a, dtype=int) for a in (labels, assign_count, last_scene)]
         if len(means) != k or len(covs) != k or any(a.shape not in ((), (k,)) for a in ints):
             raise ContractViolation("landmark rows must align")
-        labels, assign_count, submap_id, last_scene = (np.broadcast_to(a, (k,)).copy() for a in ints)
+        labels, assign_count, last_scene = (np.broadcast_to(a, (k,)).copy() for a in ints)
         if (assign_count < 1).any():
             raise ContractViolation("assign_count must be >= 1 once created")
         check_spd_stack(covs)
-        return cls.concat([cls(ids, labels, means, covs, assign_count, submap_id, last_scene)])
+        return cls.concat([cls(ids, labels, means, covs, assign_count, last_scene)])
 
     @classmethod
     def empty(cls) -> "LandmarkTable":

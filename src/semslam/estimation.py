@@ -100,7 +100,7 @@ def fuse_hypotheses(leaves: Sequence, weights: Sequence[float]) -> LandmarkTable
     is by creation id. Component weights are the normalized leaf weights
     restricted to the leaves that carry the landmark. The rows of all
     leaves are grouped by id, in leaf order within a group, and each
-    group's moments are summed in that order. The fused rows have submap 0.
+    group's moments are summed in that order.
     """
     weights = np.asarray(weights, dtype=float)
     if abs(weights.sum() - 1.0) > 1e-6:
@@ -126,4 +126,4 @@ def fuse_hypotheses(leaves: Sequence, weights: Sequence[float]) -> LandmarkTable
     cov -= mean[:, :, None] * mean[:, None, :]
     count, scene = (np.maximum.reduceat(getattr(rows, f), first)[kept] for f in ("assign_count", "last_scene"))
     ids, labels = rows.ids[first[kept]], rows.labels[first[kept]]
-    return LandmarkTable(ids, labels, mean[kept], spd_project(cov[kept]), count, np.zeros_like(ids), scene)
+    return LandmarkTable(ids, labels, mean[kept], spd_project(cov[kept]), count, scene)

@@ -40,7 +40,7 @@ def _write(path: str, header: str, rows: Sequence[Sequence]) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def _read_rows(path: str, header: str, n_cols: int) -> List[List[str]]:
+def _read_rows(path: str, header: str, n_cols: int, may_be_empty: bool = False) -> List[List[str]]:
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -55,7 +55,7 @@ def _read_rows(path: str, header: str, n_cols: int) -> List[List[str]]:
         if len(parts) != n_cols:
             raise LogFormatError(f"{path}: line {lineno}: expected {n_cols} fields, got {len(parts)}")
         rows.append(parts)
-    if not rows:
+    if not rows and not may_be_empty:
         raise LogFormatError(f"{path}: no data rows")
     return rows
 
@@ -78,7 +78,7 @@ def read_measurements(path: str, n_classes: int, n_steps: int):
     """Body-frame measurements grouped by scene id; class ids must lie in
     [0, n_classes)."""
     times, positions, labels = ([[] for _ in range(n_steps)] for _ in range(3))  # per scene id
-    for lineno, parts in enumerate(_read_rows(path, MEASUREMENT_HEADER, 6), start=2):
+    for lineno, parts in enumerate(_read_rows(path, MEASUREMENT_HEADER, 6, may_be_empty=True), start=2):
         try:
             t = float(parts[0])
             scene = int(parts[1])
@@ -107,11 +107,11 @@ def write_odometry(path: str, increments: Sequence[Pose]) -> None:
     _write(path, ODOMETRY_HEADER, rows)
 
 
-def _read_poses(path: str, header: str, what: str) -> Tuple[List[float], List[Pose]]:
+def _read_poses(path: str, header: str, what: str, may_be_empty: bool = False) -> Tuple[List[float], List[Pose]]:
     """Times and poses of a file of t, x, y, z, qw, qx, qy, qz rows; every
     field must be finite."""
     times, poses = [], []
-    for lineno, parts in enumerate(_read_rows(path, header, 8), start=2):
+    for lineno, parts in enumerate(_read_rows(path, header, 8, may_be_empty), start=2):
         try:
             vals = [float(x) for x in parts]
         except ValueError as exc:
@@ -124,7 +124,7 @@ def _read_poses(path: str, header: str, what: str) -> Tuple[List[float], List[Po
 
 
 def read_odometry(path: str) -> List[Pose]:
-    return _read_poses(path, ODOMETRY_HEADER, "odometry increment")[1]
+    return _read_poses(path, ODOMETRY_HEADER, "odometry increment", may_be_empty=True)[1]
 
 
 def write_trajectory(path: str, poses: Sequence[Pose], times: Sequence[float] | None = None) -> None:

@@ -132,9 +132,8 @@ class HypothesisTree:
             if created:
                 ids = np.arange(self.next_landmark_id, self.next_landmark_id + len(created))
                 self.next_landmark_id += len(created)
-                ones, zeros = np.ones_like(ids), np.zeros_like(ids)
                 covs = np.broadcast_to(assoc_params.meas_cov, (len(ids), 3, 3))  # checked once, by AssocParams
-                parts.append(LandmarkTable(ids, labels[created], pos[created], covs, ones, zeros, scenes[created]))
+                parts.append(LandmarkTable(ids, labels[created], pos[created], covs, np.ones_like(ids), scenes[created]))
             child.existing = LandmarkTable.concat(parts)
             if rows:
                 updates.append((child, rows, [cols[i] for i in rows]))
@@ -155,7 +154,7 @@ class HypothesisTree:
                 means, covs, counts, last_scene = columns if t is not ex else (a.copy() for a in columns)
                 means[at], covs[at], last_scene[at] = mean[start:stop], cov[start:stop], scenes[rows]
                 counts[at] += 1
-                child.existing = LandmarkTable(t.ids, t.labels, means, covs, counts, t.submap_id, last_scene)
+                child.existing = LandmarkTable(t.ids, t.labels, means, covs, counts, last_scene)
                 start = stop
         self.leaves = [node for node in self.leaves if node is not leaf] + children
         return children

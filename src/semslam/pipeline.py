@@ -217,9 +217,7 @@ class Pipeline:
         # fused landmarks become previous-submap landmarks for the next tree
         fm = self.fused_map
         means = [self.graph.landmarks.get(lid, mean) for lid, mean in zip(fm.ids.tolist(), fm.means)]
-        self.previous_landmarks = LandmarkTable.build(
-            fm.ids, fm.labels, means, fm.covs, fm.assign_count, self.submap_id, fm.last_scene
-        )
+        self.previous_landmarks = LandmarkTable.build(fm.ids, fm.labels, means, fm.covs, fm.assign_count, fm.last_scene)
         self.submap_id += 1
         self._new_tree()
 

@@ -351,12 +351,11 @@ def ransac_verify(
 
 def score_bound(n_pairs: int, cfg: RunConfig) -> float:
     """A lower bound on S_NCC + S_scene, as computed, over n_pairs matched pairs.
-    S_NCC >= -1. With finite positions and 0 < dist_norm_scale < inf, s_match
-    lies in [0, 1] and each rounded step of a pair's term is monotone in it, so
-    the term is least at s_match 0 or 1. -inf when a premise fails."""
+    S_NCC >= -1. With finite positions, and the finite penalty_p and finite,
+    positive dist_norm_scale that their domains give, s_match lies in [0, 1]
+    and each rounded step of a pair's term is monotone in it, so the term is
+    least at s_match 0 or 1."""
     p, mode = cfg.penalty_p, cfg.scene_term_mode
-    if not (math.isfinite(p) and 0.0 < cfg.dist_norm_scale < math.inf):
-        return -math.inf
     floor = min(_pair_term(s, c, mode) for s in (0.0, 1.0) for c in (0.0, p))
     return -1.0 + _running_sum(np.full(n_pairs, float(floor)))
 

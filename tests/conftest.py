@@ -52,13 +52,12 @@ class Row:
     mean: np.ndarray
     cov: np.ndarray
     assign_count: int = 1
-    submap_id: int = 0
     last_scene: int = 0
 
 
 def landmark(lid, position, class_id=0, cov=None, assign_count=1, last_scene=0) -> Row:
     cov = np.eye(3) if cov is None else np.asarray(cov, dtype=float)
-    return Row(lid, class_id, np.asarray(position, dtype=float), cov, assign_count, 0, last_scene)
+    return Row(lid, class_id, np.asarray(position, dtype=float), cov, assign_count, last_scene)
 
 
 def table_of(rows) -> LandmarkTable:
@@ -70,7 +69,6 @@ def table_of(rows) -> LandmarkTable:
         [r.mean for r in rows],
         [r.cov for r in rows],
         [r.assign_count for r in rows],
-        [r.submap_id for r in rows],
         [r.last_scene for r in rows],
     )
 
@@ -80,14 +78,13 @@ def rows_of(table: Optional[LandmarkTable]):
     if table is None:
         return {}
     return {
-        lid: Row(lid, label, mean, cov, count, submap, scene)
-        for lid, label, mean, cov, count, submap, scene in zip(
+        lid: Row(lid, label, mean, cov, count, scene)
+        for lid, label, mean, cov, count, scene in zip(
             table.ids.tolist(),
             table.labels.tolist(),
             table.means,
             table.covs,
             table.assign_count.tolist(),
-            table.submap_id.tolist(),
             table.last_scene.tolist(),
         )
     }
@@ -521,7 +518,7 @@ def scalar_fuse_hypotheses(leaves, weights):
         vals, vecs = np.linalg.eigh(sym)
         cov = vecs @ np.diag(np.maximum(vals, 1e-12)) @ vecs.T
         count, last = max(lm.assign_count for _, lm in pairs), max(lm.last_scene for _, lm in pairs)
-        fused[lid] = Row(lid, pairs[0][1].label, mean, cov, count, 0, last)
+        fused[lid] = Row(lid, pairs[0][1].label, mean, cov, count, last)
     return fused
 
 
@@ -838,16 +835,16 @@ def scalar_optimize(g, max_iters=50, grad_tol=1e-8, lm_lambda0=1e-4):
     return OptimizeResult(state, cost, iterations, trace, converged, initial_cost, rejected)
 
 
-def scalar_visible_landmarks(world, pose, det):
+def scalar_visible_landmarks(world, pose):
     """Per-landmark body-frame visibility: the reference for the screen in
     `sim.visible_landmarks`."""
     out = []
-    half_fov = math.radians(det.fov_deg) / 2.0
+    half_fov = math.radians(world.cfg.fov_deg) / 2.0
     R = pose.rot()
     for lm in world.landmarks:
         body = R.T @ (lm.position - pose.translation)
         dist = float(np.linalg.norm(body))
-        if dist > det.detection_range or dist == 0.0:
+        if dist > world.cfg.detection_range or dist == 0.0:
             continue
         if half_fov < math.pi:
             angle = abs(math.atan2(body[1], body[0]))
@@ -857,43 +854,49 @@ def scalar_visible_landmarks(world, pose, det):
     return out
 
 
-def scalar_simulate_step(world, step, det, odo, rng):
-    """One simulated step with per-step noise factoring and per-object
-    measurement checks: the reference for `sim.simulate_step`, draws and all."""
+def scalar_simulate_step(world, step, rng):
+    """One simulated step that factors the noise covariance and builds the
+    confusion matrix itself, and checks each measurement: the reference for
+    `sim.simulate_step`, draws and all."""
+    cfg = world.cfg
     pose = world.trajectory[step]
     t = float(step)
     measurements = []
     noise_chol = None
-    cov = np.asarray(det.meas_noise_cov, dtype=float)
+    cov = cfg.meas_noise_std**2 * np.eye(3)
     if np.any(cov != 0.0):
         noise_chol = np.linalg.cholesky(cov + 1e-18 * np.eye(3))
-    n_classes = len(world.spec.landmarks_per_class)
-    for lm in scalar_visible_landmarks(world, pose, det):
-        if det.miss_rate > 0.0 and rng.random() < det.miss_rate:
+    n_classes = cfg.n_classes
+    confusion = None
+    if cfg.confusion_eps > 0.0:
+        confusion = np.full((n_classes, n_classes), cfg.confusion_eps / (n_classes - 1))
+        np.fill_diagonal(confusion, 1.0 - cfg.confusion_eps)
+    for lm in scalar_visible_landmarks(world, pose):
+        if cfg.miss_rate > 0.0 and rng.random() < cfg.miss_rate:
             continue
         p = lm.position.copy()
         if noise_chol is not None:
             p = p + noise_chol @ rng.standard_normal(3)
         label = lm.label
-        if det.confusion is not None:
-            label = int(rng.choice(n_classes, p=np.asarray(det.confusion)[lm.label]))
+        if confusion is not None:
+            label = int(rng.choice(n_classes, p=confusion[lm.label]))
         measurements.append(SemanticMeasurement(step, t, p, label))
-    if det.fp_rate > 0.0:
-        for _ in range(int(rng.poisson(det.fp_rate))):
+    if cfg.sim_fp_rate > 0.0:
+        for _ in range(int(rng.poisson(cfg.sim_fp_rate))):
             direction = rng.uniform(0.0, 2.0 * math.pi)
-            radius = det.detection_range * math.sqrt(rng.random())
+            radius = cfg.detection_range * math.sqrt(rng.random())
             offset = np.array([radius * math.cos(direction), radius * math.sin(direction), 0.0])
             label = int(rng.integers(n_classes))
             measurements.append(SemanticMeasurement(step, t, pose.translation + offset, label))
     increment = None
     if step > 0:
         rel = pose.relative_to(world.trajectory[step - 1])
-        dt = rel.translation + np.array([odo.bias_drift, 0.0, 0.0])
-        if odo.sigma_t > 0.0:
-            dt = dt + odo.sigma_t * rng.standard_normal(3)
+        dt = rel.translation + np.array([cfg.odom_bias_drift, 0.0, 0.0])
+        if cfg.odom_sigma_t > 0.0:
+            dt = dt + cfg.odom_sigma_t * rng.standard_normal(3)
         dq = rel.rotation
-        if odo.sigma_r > 0.0:
-            dq = scalar_quat_normalize(scalar_quat_mul(dq, scalar_quat_from_rotvec(odo.sigma_r * rng.standard_normal(3))))
+        if cfg.odom_sigma_r > 0.0:
+            dq = scalar_quat_normalize(scalar_quat_mul(dq, scalar_quat_from_rotvec(cfg.odom_sigma_r * rng.standard_normal(3))))
         increment = Pose(dt, dq)
     return measurements, increment
 

@@ -1,6 +1,5 @@
 """CLI: simulate -> run -> eval -> export-plot round trip and error paths."""
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -146,16 +145,49 @@ def test_run_with_bad_model_value_exit_code(tmp_path, cfg_path, capsys, key, val
 
 
 def test_simulate_with_bad_confusion_exit_code(tmp_path, capsys):
-    """confusion_eps > 1 puts a negative entry on the diagonal; the detector
-    rejects it before any draw."""
+    """confusion_eps > 1 would put a negative entry on the diagonal; the
+    config rejects it at load, before any draw."""
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(serialize_config(dataclasses.replace(SMALL, confusion_eps=1.5)))
+    cfg.write_text(serialize_config(SMALL).replace("confusion_eps = 0.0", "confusion_eps = 1.5"))
     out = tmp_path / "logs"
     rc = main(["simulate", "--config", str(cfg), "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "confusion matrix has a negative entry" in err
+    assert err.startswith("error: ") and "confusion_eps must lie in [0, 1]" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, key, text",
+    [
+        ("simulate", "arena_size", "arena_size = nan"),
+        ("simulate", "meas_noise_std", "meas_noise_std = nan"),
+        ("simulate", "step_length", "step_length = nan"),
+        ("simulate", "confusion_eps", "n_classes = 1\nconfusion_eps = 0.1"),
+        ("run", "tau_verify", "tau_verify = nan"),
+        ("run", "r_l2", "r_l2 = nan"),
+        ("run", "tau_jsd", "tau_jsd = nan"),
+        ("run", "penalty_p", "penalty_p = nan"),
+        ("run", "plausibility_gap", "plausibility_gap = nan"),
+    ],
+)
+def test_value_outside_its_domain_exit_code(tmp_path, cfg_path, capsys, command, key, text):
+    """A simulator or estimator key outside its domain stops the command at
+    config load, with an error line that names the key, instead of a
+    traceback, a late failure or a silent run."""
+    logs, out = tmp_path / "logs", tmp_path / "out"
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text + "\n")
+    if command == "simulate":
+        argv = ["simulate", "--config", str(bad), "--out", str(logs)]
+    else:
+        assert main(["simulate", "--config", cfg_path, "--out", str(logs)]) == 0
+        capsys.readouterr()
+        argv = ["run", "--config", str(bad), "--logs", str(logs), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{key} must" in err
+    assert not out.exists() and (command == "run" or not logs.exists())
 
 
 def test_eval_length_mismatch_exit_code(tmp_path, cfg_path, capsys):

@@ -1,14 +1,18 @@
-"""Flat key = value configuration: fixed-point round trip, strictness, and
-no key that the pipeline never reads."""
+"""Flat key = value configuration: fixed-point round trip, strictness, a
+domain for every key, and no key that the pipeline never reads."""
 
 import ast
+import math
 import os
+import re
 from dataclasses import fields
 
 import pytest
 
 import semslam
-from semslam.config import ConfigError, RunConfig, load_config, parse_config, serialize_config
+from semslam.cli import main
+from semslam.config import ConfigError, Domain, RunConfig, load_config, parse_config, serialize_config
+from semslam.placerec import score_bound
 
 SRC = os.path.dirname(os.path.abspath(semslam.__file__))
 
@@ -123,6 +127,22 @@ class TestErrors:
         with pytest.raises(ConfigError, match=message):
             parse_config(text)
 
+    def test_score_bound_premises_fail_at_load(self):
+        """placerec.score_bound holds for a finite penalty_p and a finite,
+        positive dist_norm_scale; their domains reject every other value."""
+        base = RunConfig(edge_radius=5.0, tau_verify=-10.0)
+        assert score_bound(5, base) > base.tau_verify
+        for name, value in (
+            ("penalty_p", math.inf),
+            ("penalty_p", -math.inf),
+            ("penalty_p", math.nan),
+            ("dist_norm_scale", 0.0),
+            ("dist_norm_scale", -5.0),
+            ("dist_norm_scale", math.inf),
+        ):
+            with pytest.raises(ConfigError, match=f"{name} must be finite"):
+                RunConfig(edge_radius=5.0, tau_verify=-10.0, **{name: value})
+
     def test_bad_dp_weight_mode(self):
         with pytest.raises(ConfigError, match="dp_weight_mode must be 'exp' or 'linear'"):
             parse_config("dp_weight_mode = log")
@@ -176,3 +196,48 @@ def test_every_config_key_is_read_outside_config():
             with open(os.path.join(SRC, name), encoding="utf-8") as fh:
                 read |= attribute_reads(fh.read())
     assert [f.name for f in fields(RunConfig) if f.name not in read] == []
+
+
+NUMERIC_KEYS = [f.name for f in fields(RunConfig) if f.type in ("int", "float")]
+SWEEP_BASE = {"steps": "12", "submap_length": "4"}
+
+
+def test_every_config_key_declares_a_domain():
+    """A key without a domain would take any value: RunConfig checks each
+    key's value against the domain declared next to its default."""
+    assert [f.name for f in fields(RunConfig) if not isinstance(f.metadata.get("domain"), Domain)] == []
+    assert len(NUMERIC_KEYS) == 51  # the keys the sweep covers: all but 5 choices, 1 flag and 1 tuple
+
+
+def sweep_values(name):
+    """NaN, +-inf, -1, 0 and the numbers that bound the key's domain."""
+    says = {f.name: f.metadata["domain"].says for f in fields(RunConfig)}[name]
+    return list(dict.fromkeys(["nan", "inf", "-inf", "-1", "0", *re.findall(r"\d+(?:\.\d+)?", says)]))
+
+
+def finite_csv(path):
+    with open(path, encoding="utf-8") as fh:
+        return all(math.isfinite(float(x)) for line in fh.read().splitlines()[1:] for x in line.split(","))
+
+
+@pytest.mark.parametrize("name", NUMERIC_KEYS)
+def test_domain_sweep(tmp_path, capsys, name):
+    """Every value of the sweep either fails at load, naming the key, or
+    loads, round-trips, and simulates and runs a 12-step world to exit 0
+    with finite outputs."""
+    for value in sweep_values(name):
+        text = "".join(f"{k} = {v}\n" for k, v in {**SWEEP_BASE, name: value}.items())
+        try:
+            cfg = parse_config(text)
+        except ConfigError as exc:
+            assert name in str(exc), (value, str(exc))
+            continue
+        assert parse_config(serialize_config(cfg)) == cfg
+        work = tmp_path / value
+        work.mkdir()
+        (work / "run.cfg").write_text(text)
+        cfg_path, logs, out = str(work / "run.cfg"), str(work / "logs"), str(work / "out")
+        assert main(["simulate", "--config", cfg_path, "--out", logs]) == 0, (value, capsys.readouterr().err)
+        assert main(["run", "--config", cfg_path, "--logs", logs, "--out", out]) == 0, (value, capsys.readouterr().err)
+        for f in ("trajectory.csv", "map.csv", "metrics.csv"):
+            assert finite_csv(os.path.join(out, f)), (value, f)

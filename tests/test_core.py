@@ -200,12 +200,11 @@ class TestLandmarkTable:
         means = rng.standard_normal((3, 3))
         covs = np.stack([random_spd(rng) for _ in range(3)])
         ids, labels, counts, scenes = [9, 5, 7], [0, 1, 2], [1, 2, 3], [0, 7, 14]
-        table = LandmarkTable.build(ids, labels, means, covs, counts, 2, scenes)
+        table = LandmarkTable.build(ids, labels, means, covs, counts, scenes)
         order = [1, 2, 0]
         assert table.ids.tolist() == [5, 7, 9]
         assert table.labels.tolist() == [labels[i] for i in order]
         assert table.assign_count.tolist() == [counts[i] for i in order]
-        assert table.submap_id.tolist() == [2, 2, 2]
         assert table.last_scene.tolist() == [scenes[i] for i in order]
         assert np.array_equal(table.means, means[order]) and np.array_equal(table.covs, covs[order])
         assert len(LandmarkTable.empty()) == 0 and LandmarkTable.empty().means.shape == (0, 3)

@@ -210,16 +210,16 @@ class TestExtend:
 
     def test_update_keeps_untouched_fields(self):
         """An update writes the estimate, the count and the scene of its row;
-        the id, class and submap stay, and so does every other row."""
+        the id and class stay, and so does every other row."""
         tree = default_tree()
         rows = [landmark(2, [0, 0, 0], class_id=1, assign_count=4), landmark(5, [3, 0, 0], class_id=2)]
         means, covs = [r.mean for r in rows], [r.cov for r in rows]
-        tree.leaves[0].existing = LandmarkTable.build([2, 5], [1, 2], means, covs, [4, 1], submap_id=6, last_scene=1)
+        tree.leaves[0].existing = LandmarkTable.build([2, 5], [1, 2], means, covs, [4, 1], last_scene=1)
         params = simple_params()
         m = meas([0.5, 0.0, 0.0], class_id=1, scene_id=9)
         (child,) = extend(tree, tree.leaves[0], [[Existing(2)]], [m], params)
         got = child.existing
-        assert got.ids.tolist() == [2, 5] and got.labels.tolist() == [1, 2] and got.submap_id.tolist() == [6, 6]
+        assert got.ids.tolist() == [2, 5] and got.labels.tolist() == [1, 2]
         assert got.assign_count.tolist() == [5, 1] and got.last_scene.tolist() == [9, 1]
         mean, cov = ukf_update(rows[0].mean, rows[0].cov, m.position, params.meas_cov, tree.cfg)
         assert np.array_equal(got.means[0], mean) and np.array_equal(got.covs[0], cov)
@@ -285,7 +285,7 @@ class TestLeafTables:
         assert reanchor.existing.ids.tolist() == [4, 10, 11, 12] and reanchor.previous.ids.tolist() == [1, 6]
         assert created.existing.ids.tolist() == [10, 11, 13] and created.previous is parent.previous
         assert updated.existing.ids.tolist() == [10, 11] and updated.previous is parent.previous
-        for f in ("ids", "labels", "submap_id"):
+        for f in ("ids", "labels"):
             assert np.shares_memory(getattr(updated.existing, f), getattr(parent.existing, f))
         for f in ("means", "covs", "assign_count", "last_scene"):
             assert not np.shares_memory(getattr(updated.existing, f), getattr(parent.existing, f))
@@ -331,7 +331,6 @@ class TestLeafTables:
             assert got.ids.tolist() == [r.id for r in want] and (lone in got.ids) == (weights is w)
             assert got.labels.tolist() == [r.label for r in want]
             assert got.assign_count.tolist() == [r.assign_count for r in want]
-            assert got.submap_id.tolist() == [0] * len(want)
             assert got.last_scene.tolist() == [r.last_scene for r in want]
             assert got.means.tobytes() == b"".join(r.mean.tobytes() for r in want)
             assert got.covs.tobytes() == b"".join(r.cov.tobytes() for r in want)

@@ -114,15 +114,16 @@ def test_graph_digest_hashes_every_result_at_full_precision():
 
 
 def test_degraded_jobs_lie_outside_the_default_panel():
-    """The degraded, single_ukf baseline, knob and RANSAC fallback jobs run
-    only when named."""
+    """The degraded, single_ukf baseline, knob, RANSAC fallback and
+    simulator jobs run only when named."""
     tool = _tool()
     panel, degraded, baselines, knobs = tool.panel(), tool.degraded(), tool.baselines(), tool.knobs()
-    fallbacks = tool.fallbacks()
+    fallbacks, simulator = tool.fallbacks(), tool.simulator()
     assert len(panel) == 16 and len(degraded) == 7 and len(baselines) == 3 and len(knobs) == 4 and len(fallbacks) == 1
-    groups = [set(panel), set(degraded), set(baselines), set(knobs), set(fallbacks)]
+    assert len(simulator) == 2
+    groups = [set(panel), set(degraded), set(baselines), set(knobs), set(fallbacks), set(simulator)]
     assert sum(map(len, groups)) == len(set().union(*groups))
-    for name, overrides in {**degraded, **baselines, **knobs, **fallbacks}.items():
+    for name, overrides in {**degraded, **baselines, **knobs, **fallbacks, **simulator}.items():
         RunConfig(**overrides)  # every override is a config key
         assert name.endswith(f"-{overrides['world_seed']}") and overrides["run_seed"] == overrides["world_seed"]
     assert {overrides["mode"] for overrides in baselines.values()} == {"single_ukf"}
@@ -131,6 +132,15 @@ def test_degraded_jobs_lie_outside_the_default_panel():
     default = RunConfig()
     moved = [{k for k, v in o.items() if v != getattr(default, k)} - {"world_seed", "run_seed", "mode"} for o in knobs.values()]
     assert len(moved[0]) == 21 and all(m == moved[0] for m in moved)
+    # sim-knobs-1 moves the simulator keys that no other job moves, with a
+    # landmark count that the classes do not divide
+    sim = simulator["sim-knobs-1"]
+    others = {k for o in {**panel, **degraded, **baselines, **knobs, **fallbacks}.values() for k in o}
+    assert set(sim) - {"world_seed", "run_seed"} == {
+        "arena_size", "n_classes", "n_landmarks", "steps", "step_length", "detection_range", "odom_sigma_t", "odom_sigma_r",
+    }
+    assert not (set(sim) - {"world_seed", "run_seed"}) & others and sim["n_landmarks"] % sim["n_classes"] != 0
+    assert simulator["noiseless-1"]["meas_noise_std"] == 0.0
 
 
 def test_fallback_job_fits_every_sample_of_some_scan(tmp_path, monkeypatch):

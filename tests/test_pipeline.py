@@ -8,13 +8,12 @@ from semslam.config import RunConfig
 from semslam.core import SemanticMeasurement
 from semslam.geometry import Pose
 from semslam.pipeline import Pipeline, evaluate, integrate_odometry, run_pipeline
-from semslam.sim import generate_world, scenario_specs, simulate
+from semslam.sim import generate_world, simulate
 
 
 def simulate_for(cfg):
-    world_spec, det, odo = scenario_specs(cfg)
-    world = generate_world(world_spec)
-    measurements, increments = simulate(world, det, odo, cfg.run_seed)
+    world = generate_world(cfg)
+    measurements, increments = simulate(world)
     body = []
     for step, ms in enumerate(measurements):
         pose = world.trajectory[step]

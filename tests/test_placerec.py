@@ -640,19 +640,6 @@ class TestVerifyPair:
                 total += floor
                 assert score_bound(n, verify_cfg(penalty_p=p, scene_term_mode=mode)) == -1.0 + total
 
-    def test_bound_needs_its_premises(self):
-        base = verify_cfg(tau_verify=-10.0)
-        assert score_bound(5, base) > base.tau_verify
-        for cfg in (
-            verify_cfg(tau_verify=-10.0, penalty_p=math.inf),
-            verify_cfg(tau_verify=-10.0, penalty_p=-math.inf),
-            verify_cfg(tau_verify=-10.0, penalty_p=math.nan),
-            verify_cfg(tau_verify=-10.0, dist_norm_scale=0.0),
-            verify_cfg(tau_verify=-10.0, dist_norm_scale=-5.0),
-            verify_cfg(tau_verify=-10.0, dist_norm_scale=math.inf),
-        ):
-            assert score_bound(5, cfg) == -math.inf
-
     @given(
         na=st.integers(0, 13),
         nb=st.integers(0, 13),

@@ -24,9 +24,13 @@ odometry drift), the single_ukf baseline jobs on square-loop worlds 1
 and 3 and line world 0, the knob jobs on square-loop worlds 1 and 3,
 which set every tunable of the UKF, the resampler, verification,
 retrieval, RANSAC and the gate away from its default, so a stage
-that reads the wrong config key changes some digest, and the RANSAC
+that reads the wrong config key changes some digest, the RANSAC
 fallback job on square-loop world 1, whose thresholds make some scans fit
-every sample (`placerec._consensus_scan`), which no other job does.
+every sample (`placerec._consensus_scan`), which no other job does, and
+the simulator jobs on square-loop world 1: one sets every world, range and
+odometry-noise key that no other job moves away from its default, with a
+landmark count that the classes do not divide, and one turns the
+measurement noise off.
 """
 
 import argparse
@@ -115,6 +119,17 @@ def fallbacks():
     }
 
 
+def simulator():
+    """Job name -> config overrides of the simulator jobs."""
+    return {
+        "sim-knobs-1": {
+            "world_seed": 1, "run_seed": 1, "arena_size": 26.0, "n_classes": 6, "n_landmarks": 50, "steps": 52,
+            "step_length": 0.9, "detection_range": 9.0, "odom_sigma_t": 0.03, "odom_sigma_r": 0.003,
+        },
+        "noiseless-1": {"world_seed": 1, "run_seed": 1, "meas_noise_std": 0.0},
+    }
+
+
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
@@ -179,6 +194,7 @@ def main(argv=None) -> int:
     named.update(baselines())
     named.update(knobs())
     named.update(fallbacks())
+    named.update(simulator())
     named.update(jobs)
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--job", action="append", choices=list(named), help="digest only this job (repeatable)")

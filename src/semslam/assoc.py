@@ -5,12 +5,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Mapping, Sequence, Tuple, Union
+from typing import List, Mapping, Tuple, Union
 
 import numpy as np
 
 from . import kernels
-from .core import ContractViolation, SemanticMeasurement, check_spd
+from .core import ContractViolation, MeasurementTable, check_spd
 
 LOG_ZERO = -1e18  # log-domain sentinel for impossible events
 _LOG2PI = math.log(2.0 * math.pi)
@@ -189,8 +189,8 @@ class CostMatrix:
         return Assignment(tuple(map(self.target, cols)), total_cost, cols)
 
 
-def build_cost_matrix(measurements: Sequence[SemanticMeasurement], leaf, params: AssocParams) -> CostMatrix:
-    """The cost matrix of `measurements` against the landmark tables and
+def build_cost_matrix(measurements: MeasurementTable, leaf, params: AssocParams) -> CostMatrix:
+    """The cost matrix of the rows of `measurements` against the landmark tables and
     clutter count (`existing`, `previous`, `n_fp`) of a hypothesis leaf,
     whose `columns` gives the landmark columns."""
     n, n_ex = len(measurements), len(leaf.existing)
@@ -199,8 +199,7 @@ def build_cost_matrix(measurements: Sequence[SemanticMeasurement], leaf, params:
     mat = np.full((n, n_lm + 2 * n), kernels.BIG)
     if n == 0:
         return CostMatrix(mat, column_ids, n_ex, np.zeros(n_lm), np.zeros(0))
-    pos = np.array([m.position for m in measurements])
-    meas_class = np.array([m.label for m in measurements])
+    pos, meas_class = measurements.positions, measurements.labels
     row_log_prior = params._log_prior[np.minimum(meas_class, len(params._log_prior) - 1)]
     # landmark columns, grouped by covariance: each group is whitened by one product
     dp_bonus = np.zeros(n_lm)
@@ -354,7 +353,7 @@ def generate_branches(
 
 
 def nearest_neighbor_assignment(
-    measurements: Sequence[SemanticMeasurement],
+    measurements: MeasurementTable,
     leaf,
     cm: CostMatrix,
     nn_new_dist: float,
@@ -365,8 +364,8 @@ def nearest_neighbor_assignment(
     n, n_lm = len(measurements), cm.n_landmark_cols
     labels, means = leaf.columns("labels", "means")
     mat = np.full((n, n_lm + n), kernels.BIG)
-    for i, m in enumerate(measurements):
-        for j in np.flatnonzero(labels == m.label).tolist():
-            mat[i, j] = float(np.linalg.norm(m.position - means[j]))
+    for i, (position, label) in enumerate(zip(measurements.positions, measurements.labels.tolist())):
+        for j in np.flatnonzero(labels == label).tolist():
+            mat[i, j] = float(np.linalg.norm(position - means[j]))
         mat[i, n_lm + i] = nn_new_dist
     return cm.assignment_at(kernels.lap_solve(mat)[0])

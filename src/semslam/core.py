@@ -1,11 +1,10 @@
-"""Shared domain types: measurements, landmark tables, class histograms.
+"""Shared domain types: measurement and landmark tables, class histograms.
 
 A class is its dense integer id, 0 <= id < n_classes."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -19,42 +18,38 @@ class ContractViolation(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class SemanticMeasurement:
-    """One detected object: 3-D position, class id, and time of observation."""
+class MeasurementTable:
+    """The detections of one scene, one row each: time of observation, 3-D
+    position and class id. Row i is row i of the scene's cost matrices."""
 
     scene_id: int
-    time: float
-    position: np.ndarray
-    label: int
+    times: np.ndarray  # (k,)
+    positions: np.ndarray  # (k, 3)
+    labels: np.ndarray  # (k,) class ids
 
-    def __post_init__(self):
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-        if isinstance(self.label, bool) or not isinstance(self.label, (int, np.integer)) or self.label < 0:
-            raise ContractViolation(f"class id must be a non-negative integer, got {self.label!r}")
-        if not np.all(np.isfinite(self.position)):
-            raise ContractViolation("measurement position must be finite")
+    def __len__(self) -> int:
+        return len(self.labels)
 
     @classmethod
-    def stack(cls, scene_ids, times, positions, labels) -> List["SemanticMeasurement"]:
-        """Measurements from row-aligned scene ids, times, (k, 3) positions and
-        class ids, checked as one block. A row that fails the block check is
-        constructed on its own, so the first bad row raises what __post_init__
-        raises for it."""
+    def build(cls, scene_id, times, positions, labels) -> "MeasurementTable":
+        """A table of row-aligned times, (k, 3) positions and class ids,
+        checked as one block. If the block check fails, the rows are checked
+        in order, so the first bad row raises: a class id that is not a
+        non-negative integer, then a position that is not finite."""
         n = len(labels)
         positions = np.asarray(positions, dtype=float)
-        if not len(scene_ids) == len(times) == n or positions.shape != (n, 3) and (n or positions.size):
+        if len(times) != n or positions.shape != (n, 3) and (n or positions.size):
             raise ContractViolation("measurement rows must align, with 3-D positions")
-        if not n:
-            return []
-        int_ids = all(issubclass(t, (int, np.integer)) and not issubclass(t, bool) for t in set(map(type, labels)))
-        if not (int_ids and min(labels) >= 0 and np.isfinite(positions).all()):
-            for row in zip(scene_ids, times, positions, labels):
-                cls(*row)
-        fields = ("scene_id", "time", "position", "label")
-        out = [object.__new__(cls) for _ in labels]  # the fields __init__ sets, without its per-object check
-        for m, row in zip(out, zip(scene_ids, times, positions, labels)):
-            m.__dict__.update(zip(fields, row))
-        return out
+        positions = positions.reshape(n, 3)
+        types = {labels.dtype.type} if isinstance(labels, np.ndarray) else set(map(type, labels))
+        ints = all(issubclass(t, (int, np.integer)) and not issubclass(t, bool) for t in types)
+        if not (ints and min(labels, default=0) >= 0 and np.isfinite(positions).all()):
+            for position, label in zip(positions, labels):
+                if isinstance(label, bool) or not isinstance(label, (int, np.integer)) or label < 0:
+                    raise ContractViolation(f"class id must be a non-negative integer, got {label!r}")
+                if not np.isfinite(position).all():
+                    raise ContractViolation("measurement position must be finite")
+        return cls(int(scene_id), np.asarray(times, dtype=float), positions, np.asarray(labels, dtype=int))
 
 
 def check_spd(cov: np.ndarray, tol: float = SPD_EIG_TOL) -> None:
@@ -154,7 +149,7 @@ def class_counts(labels, n_classes: int) -> np.ndarray:
 
 
 __all__ = [
-    "SemanticMeasurement",
+    "MeasurementTable",
     "LandmarkTable",
     "Pose",
     "class_counts",

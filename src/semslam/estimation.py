@@ -7,7 +7,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, ukf_lambda
 from .core import ContractViolation, LandmarkTable, check_spd_stack
 
 
@@ -36,7 +36,7 @@ def _sigma_factors(covs: np.ndarray, spread: float, retry: bool):
 def _sigma_weights(n: int, cfg: RunConfig):
     """lambda and the mean and covariance weights of the 2n + 1 sigma points
     at ukf_alpha, ukf_beta and ukf_kappa."""
-    lam = cfg.ukf_alpha**2 * (n + cfg.ukf_kappa) - n
+    lam = ukf_lambda(n, cfg.ukf_alpha, cfg.ukf_kappa)
     wm = np.full(2 * n + 1, 1.0 / (2.0 * (n + lam)))
     wc = wm.copy()
     wm[0] = lam / (n + lam)

@@ -198,6 +198,17 @@ class Pose:
         """World-frame point -> body frame."""
         return self.rot().T @ (np.asarray(p, dtype=float) - self.translation)
 
+    def transform_points(self, points: np.ndarray) -> np.ndarray:
+        """Body-frame (k, 3) points -> world frame, each row with the bits that
+        `transform` gives it: k stacked matrix-vector products, not one
+        (k, 3) x (3, 3) product, whose sums round differently."""
+        return (self.rot()[None] @ points[:, :, None])[:, :, 0] + self.translation
+
+    def transform_points_inverse(self, points: np.ndarray) -> np.ndarray:
+        """World-frame (k, 3) points -> body frame, each row with the bits that
+        `transform_inverse` gives it."""
+        return (self.rot().T[None] @ (points - self.translation)[:, :, None])[:, :, 0]
+
     def copy(self) -> "Pose":
         return Pose(self.translation.copy(), self.rotation.copy())
 

@@ -12,7 +12,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import SemanticMeasurement
+from .core import MeasurementTable
 from .geometry import Pose
 
 MEASUREMENT_HEADER = "t,scene_id,class_id,x,y,z"
@@ -60,30 +60,25 @@ def _read_rows(path: str, header: str, n_cols: int, may_be_empty: bool = False) 
     return rows
 
 
-def write_measurements(path: str, per_step: Sequence[Sequence[SemanticMeasurement]], poses: Sequence[Pose]) -> None:
-    """per_step[i] are world-frame measurements at the true pose poses[i];
-    positions are written in that pose's body frame."""
+def write_measurements(path: str, scenes: Sequence[MeasurementTable], poses: Sequence[Pose]) -> None:
+    """scenes[i] is the world-frame measurement table at the true pose
+    poses[i]; positions are written in that pose's body frame."""
     rows = []
-    for step, measurements in enumerate(per_step):
-        pose = poses[step]
-        for m in measurements:
-            body = pose.transform_inverse(m.position)
-            rows.append(
-                [_fmt(m.time), str(m.scene_id), str(m.label), _fmt(body[0]), _fmt(body[1]), _fmt(body[2])]
-            )
+    for step, scene in enumerate(scenes):
+        body = poses[step].transform_points_inverse(scene.positions)
+        scene_id = str(scene.scene_id)
+        for t, label, (x, y, z) in zip(scene.times.tolist(), scene.labels.tolist(), body.tolist()):
+            rows.append([_fmt(t), scene_id, str(label), _fmt(x), _fmt(y), _fmt(z)])
     _write(path, MEASUREMENT_HEADER, rows)
 
 
-def read_measurements(path: str, n_classes: int, n_steps: int):
-    """Body-frame measurements grouped by scene id; class ids must lie in
-    [0, n_classes)."""
+def read_measurements(path: str, n_classes: int, n_steps: int) -> List[MeasurementTable]:
+    """One table of body-frame measurements per scene id, in file order
+    within a scene; class ids must lie in [0, n_classes)."""
     times, positions, labels = ([[] for _ in range(n_steps)] for _ in range(3))  # per scene id
     for lineno, parts in enumerate(_read_rows(path, MEASUREMENT_HEADER, 6, may_be_empty=True), start=2):
         try:
-            t = float(parts[0])
-            scene = int(parts[1])
-            class_id = int(parts[2])
-            pos = (float(parts[3]), float(parts[4]), float(parts[5]))
+            t, scene, class_id, pos = float(parts[0]), int(parts[1]), int(parts[2]), tuple(map(float, parts[3:]))
         except ValueError as exc:
             raise LogFormatError(f"{path}: line {lineno}: {exc}") from exc
         if not (0 <= scene < n_steps):
@@ -95,7 +90,7 @@ def read_measurements(path: str, n_classes: int, n_steps: int):
         times[scene].append(t)
         positions[scene].append(pos)
         labels[scene].append(class_id)
-    return [SemanticMeasurement.stack([s] * len(labels[s]), times[s], positions[s], labels[s]) for s in range(n_steps)]
+    return [MeasurementTable.build(s, times[s], positions[s], labels[s]) for s in range(n_steps)]
 
 
 def write_odometry(path: str, increments: Sequence[Pose]) -> None:

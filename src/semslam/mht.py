@@ -19,7 +19,7 @@ from .assoc import (
     measurement_set_log_likelihood,
 )
 from .config import RunConfig
-from .core import ContractViolation, LandmarkTable, SemanticMeasurement
+from .core import ContractViolation, LandmarkTable, MeasurementTable
 from .estimation import ukf_update_safe
 
 
@@ -96,7 +96,7 @@ class HypothesisTree:
         self,
         leaf: HypothesisNode,
         branches: Sequence[Assignment],
-        measurements: Sequence[SemanticMeasurement],
+        measurements: MeasurementTable,
         assoc_params: AssocParams,
         cost_matrix: CostMatrix,
     ) -> List[HypothesisNode]:
@@ -111,9 +111,7 @@ class HypothesisTree:
             raise ContractViolation("branches must be non-empty")
         ex, prev = leaf.existing, leaf.previous
         n, n_ex, n_lm = cost_matrix.n_rows, len(ex), cost_matrix.n_landmark_cols
-        pos = np.array([m.position for m in measurements], dtype=float).reshape(n, 3)
-        scenes = np.array([m.scene_id for m in measurements], dtype=int)
-        labels = np.array([m.label for m in measurements], dtype=int)
+        pos, labels, scene = measurements.positions, measurements.labels, measurements.scene_id
         children = []
         updates = []  # (child, measurement rows, landmark columns), in child and measurement order
         for assignment in branches:
@@ -133,7 +131,8 @@ class HypothesisTree:
                 ids = np.arange(self.next_landmark_id, self.next_landmark_id + len(created))
                 self.next_landmark_id += len(created)
                 covs = np.broadcast_to(assoc_params.meas_cov, (len(ids), 3, 3))  # checked once, by AssocParams
-                parts.append(LandmarkTable(ids, labels[created], pos[created], covs, np.ones_like(ids), scenes[created]))
+                last_scene = np.full_like(ids, scene)
+                parts.append(LandmarkTable(ids, labels[created], pos[created], covs, np.ones_like(ids), last_scene))
             child.existing = LandmarkTable.concat(parts)
             if rows:
                 updates.append((child, rows, [cols[i] for i in rows]))
@@ -152,7 +151,7 @@ class HypothesisTree:
                 at = np.searchsorted(t.ids, cost_matrix.column_ids[cols])
                 columns = (t.means, t.covs, t.assign_count, t.last_scene)
                 means, covs, counts, last_scene = columns if t is not ex else (a.copy() for a in columns)
-                means[at], covs[at], last_scene[at] = mean[start:stop], cov[start:stop], scenes[rows]
+                means[at], covs[at], last_scene[at] = mean[start:stop], cov[start:stop], scene
                 counts[at] += 1
                 child.existing = LandmarkTable(t.ids, t.labels, means, covs, counts, last_scene)
                 start = stop

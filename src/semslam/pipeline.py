@@ -17,7 +17,7 @@ from .assoc import (
     solve_assignment,
 )
 from .config import RunConfig
-from .core import LandmarkTable, SemanticMeasurement, class_counts
+from .core import LandmarkTable, MeasurementTable, class_counts
 from .estimation import fuse_hypotheses
 from .geometry import Pose
 from .graph import (
@@ -122,7 +122,9 @@ class Pipeline:
 
     # -- per-scene processing --------------------------------------------
 
-    def process_scene(self, step: int, body_measurements: Sequence[SemanticMeasurement], odom_inc: Optional[Pose]):
+    def process_scene(self, step: int, measurements: MeasurementTable, odom_inc: Optional[Pose]):
+        """Extend the trajectory by odom_inc, then associate the scene's
+        body-frame measurements in the world frame."""
         if step > 0:
             if odom_inc is None:
                 raise ValueError("missing odometry increment")
@@ -132,18 +134,15 @@ class Pipeline:
             self.graph.factors.append(
                 RelativePoseFactor(step - 1, step, odom_inc.copy(), self._odo_info)
             )
-        pose = self.pose_est[step]
-        world_meas = SemanticMeasurement.stack(
-            [m.scene_id for m in body_measurements],
-            [m.time for m in body_measurements],
-            [pose.transform(m.position) for m in body_measurements],
-            [m.label for m in body_measurements],
-        )
-        if world_meas:
-            self._associate(world_meas)
-            self._submap_scenes.append(self._scene_descriptor(step, body_measurements, pose))
+        if len(measurements):
+            scene, times, labels = measurements.scene_id, measurements.times, measurements.labels
+            world = self.pose_est[step].transform_points(measurements.positions)  # checked: it may overflow
+            self._associate(MeasurementTable.build(scene, times, world, labels))
+            counts = class_counts(labels, self.cfg.n_classes)
+            hist = counts / counts.sum()
+            self._submap_scenes.append(SceneDescriptor(step, self.submap_id, hist, measurements.positions, labels))
 
-    def _associate(self, measurements: Sequence[SemanticMeasurement]):
+    def _associate(self, measurements: MeasurementTable):
         cfg = self.cfg
         if cfg.mode == "single_ukf":
             leaf = self.tree.leaves[0]
@@ -161,13 +160,6 @@ class Pipeline:
         else:  # mhm_threshold: naive likelihood thresholding, keep the best third
             if len(self.tree.leaves) > cfg.max_hypotheses:
                 self.tree.prune_to_best(max(1, math.ceil(len(self.tree.leaves) / 3)))
-
-    def _scene_descriptor(self, step: int, body_measurements, pose: Pose) -> SceneDescriptor:
-        labels = [m.label for m in body_measurements]
-        counts = class_counts(labels, self.cfg.n_classes)
-        hist = counts / counts.sum()
-        positions = np.stack([m.position for m in body_measurements])
-        return SceneDescriptor(step, self.submap_id, hist, positions, labels, pose.copy())
 
     # -- submap completion ------------------------------------------------
 
@@ -245,11 +237,11 @@ class Pipeline:
 
 def run_pipeline(
     cfg: RunConfig,
-    measurements_per_step: Sequence[Sequence[SemanticMeasurement]],
+    measurements_per_step: Sequence[MeasurementTable],
     odometry_increments: Sequence[Pose],
     ground_truth: Optional[Sequence[Pose]] = None,
 ) -> PipelineResult:
-    """Run the full estimator over body-frame measurement logs."""
+    """Run the full estimator over body-frame measurement tables, one per step."""
     n_steps = len(measurements_per_step)
     if n_steps == 0:
         raise ValueError("empty measurement log")

@@ -64,7 +64,6 @@ class SceneDescriptor:
     histogram: np.ndarray  # normalized, one dimension per class
     positions: np.ndarray  # (n, 3) body-frame landmark positions
     label_ids: np.ndarray  # (n,) class id of each landmark
-    pose: Pose  # estimated pose at capture
 
     def __post_init__(self):
         object.__setattr__(self, "histogram", np.asarray(self.histogram, dtype=float))
@@ -320,7 +319,8 @@ def ransac_verify(
     """RANSAC rigid alignment dst ~ T(src). Returns (pose, inlier mask) or
     None on rejection. Deterministic under a seeded rng. Inputs that
     `consensus_possible` (given `gap`, if any) or `_consensus_scan` rule out
-    return None unfit, after the same draws from rng as a full scan."""
+    return None unfit, leaving rng where a full scan leaves it: a PCG64
+    generator (`default_rng`'s) takes one step per float64 drawn."""
     src = np.asarray(src, dtype=float).reshape(-1, 3)
     dst = np.asarray(dst, dtype=float).reshape(-1, 3)
     finite = np.isfinite(src).all(axis=1) & np.isfinite(dst).all(axis=1)
@@ -329,11 +329,13 @@ def ransac_verify(
     n, m = src.shape[0], max(min_inliers, 3)
     if n < 3:
         return None
-    # samples are drawn up front, so the kernel and its scalar oracle score
-    # the same ones and a screened call takes the same draws
-    u = rng.random((iters, n))
     core = consensus_possible(src, dst, m, inlier_tol, gap)
-    scan = None if core is None else _consensus_scan(src, dst, np.argsort(u, axis=1)[:, :3], inlier_tol, m, core)
+    if core is None:
+        rng.bit_generator.advance(iters * n)  # the draws of a scan, skipped
+        return None
+    # samples are drawn up front, so the kernel and its scalar oracle score the same ones
+    u = rng.random((iters, n))
+    scan = _consensus_scan(src, dst, np.argsort(u, axis=1)[:, :3], inlier_tol, m, core)
     if scan is None or scan[1] < m:
         return None
     R, t = rigid_transform_svd(src[scan[0]], dst[scan[0]])

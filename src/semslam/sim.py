@@ -10,7 +10,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .config import RunConfig
-from .core import SemanticMeasurement
+from .core import MeasurementTable
 from .geometry import Pose, quat_from_rotvec, quat_from_yaw, quat_mul, quat_normalize
 
 
@@ -142,9 +142,9 @@ def visible_landmarks(world: World, pose: Pose) -> List[WorldLandmark]:
     return [lms[i] for i, s in zip(near.tolist(), sure.tolist()) if s or _in_view(R.T @ d[i], detection_range, half_fov)]
 
 
-def simulate_step(world: World, step: int, rng: np.random.Generator) -> Tuple[List[SemanticMeasurement], Optional[Pose]]:
-    """Measurements (world frame) for one step plus the noisy odometry
-    increment from the previous step (None at step 0)."""
+def simulate_step(world: World, step: int, rng: np.random.Generator) -> Tuple[MeasurementTable, Optional[Pose]]:
+    """The world-frame measurement table of one step, plus the noisy
+    odometry increment from the previous step (None at step 0)."""
     cfg = world.cfg
     pose = world.trajectory[step]
     positions, labels = [], []
@@ -165,8 +165,7 @@ def simulate_step(world: World, step: int, rng: np.random.Generator) -> Tuple[Li
             radius = cfg.detection_range * math.sqrt(rng.random())
             positions.append(pose.translation + np.array([radius * math.cos(direction), radius * math.sin(direction), 0.0]))
             labels.append(int(rng.integers(cfg.n_classes)))
-    k = len(labels)
-    measurements = SemanticMeasurement.stack([step] * k, [float(step)] * k, positions, labels)
+    measurements = MeasurementTable.build(step, np.full(len(labels), float(step)), positions, labels)
     increment = None
     if step > 0:
         prev = world.trajectory[step - 1]
@@ -183,13 +182,7 @@ def simulate_step(world: World, step: int, rng: np.random.Generator) -> Tuple[Li
 
 def simulate(world: World):
     """Full log generation at the world's run_seed: per-step measurement
-    lists and odometry increments."""
+    tables and odometry increments."""
     rng = np.random.default_rng(world.cfg.run_seed)
-    all_measurements: List[List[SemanticMeasurement]] = []
-    increments: List[Pose] = []
-    for step in range(world.cfg.steps):
-        meas, inc = simulate_step(world, step, rng)
-        all_measurements.append(meas)
-        if inc is not None:
-            increments.append(inc)
-    return all_measurements, increments
+    steps = [simulate_step(world, step, rng) for step in range(world.cfg.steps)]
+    return [measurements for measurements, _ in steps], [increment for _, increment in steps[1:]]

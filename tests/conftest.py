@@ -17,7 +17,7 @@ from semslam.assoc import (
     Previous,
 )
 from semslam.config import RunConfig
-from semslam.core import SPD_EIG_TOL, ContractViolation, LandmarkTable, SemanticMeasurement
+from semslam.core import SPD_EIG_TOL, ContractViolation, LandmarkTable, MeasurementTable
 from semslam.estimation import CovarianceConditioningError
 from semslam.geometry import Pose, rot_to_quat
 from semslam.graph import (
@@ -39,8 +39,33 @@ from semslam.placerec import (
 )
 
 
-def meas(position, class_id=0, scene_id=0, time=0.0) -> SemanticMeasurement:
-    return SemanticMeasurement(scene_id, time, np.asarray(position, dtype=float), class_id)
+@dataclasses.dataclass(frozen=True, eq=False)
+class Detection:
+    """One detection, as the scalar oracles read it: a row of a MeasurementTable."""
+
+    scene_id: int
+    time: float
+    position: np.ndarray
+    label: int
+
+
+def meas(position, class_id=0, scene_id=0, time=0.0) -> Detection:
+    return Detection(scene_id, time, np.asarray(position, dtype=float), class_id)
+
+
+def scene_of(detections) -> MeasurementTable:
+    """The checked table of these detections, which share one scene id (0
+    for no detections)."""
+    detections = list(detections)
+    (scene_id,) = {m.scene_id for m in detections} or {0}
+    return MeasurementTable.build(
+        scene_id, [m.time for m in detections], [m.position for m in detections], [m.label for m in detections]
+    )
+
+
+def detections_of(table: MeasurementTable):
+    """The rows of `table`, in table order."""
+    return [Detection(table.scene_id, *row) for row in zip(table.times.tolist(), table.positions, table.labels.tolist())]
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -835,6 +860,13 @@ def scalar_optimize(g, max_iters=50, grad_tol=1e-8, lm_lambda0=1e-4):
     return OptimizeResult(state, cost, iterations, trace, converged, initial_cost, rejected)
 
 
+def scalar_transform_points(pose, points, inverse=False):
+    """`Pose.transform` (or `transform_inverse`) of each row of (k, 3)
+    points: the reference for `Pose.transform_points` and its inverse."""
+    transform = pose.transform_inverse if inverse else pose.transform
+    return np.reshape([transform(p) for p in points], (-1, 3))
+
+
 def scalar_visible_landmarks(world, pose):
     """Per-landmark body-frame visibility: the reference for the screen in
     `sim.visible_landmarks`."""
@@ -855,9 +887,10 @@ def scalar_visible_landmarks(world, pose):
 
 
 def scalar_simulate_step(world, step, rng):
-    """One simulated step that factors the noise covariance and builds the
-    confusion matrix itself, and checks each measurement: the reference for
-    `sim.simulate_step`, draws and all."""
+    """One simulated step, one detection at a time, that factors the noise
+    covariance and builds the confusion matrix itself: the reference for
+    `sim.simulate_step`, draws and all. Returns the detections, in table
+    order, and the odometry increment."""
     cfg = world.cfg
     pose = world.trajectory[step]
     t = float(step)
@@ -880,14 +913,14 @@ def scalar_simulate_step(world, step, rng):
         label = lm.label
         if confusion is not None:
             label = int(rng.choice(n_classes, p=confusion[lm.label]))
-        measurements.append(SemanticMeasurement(step, t, p, label))
+        measurements.append(Detection(step, t, p, label))
     if cfg.sim_fp_rate > 0.0:
         for _ in range(int(rng.poisson(cfg.sim_fp_rate))):
             direction = rng.uniform(0.0, 2.0 * math.pi)
             radius = cfg.detection_range * math.sqrt(rng.random())
             offset = np.array([radius * math.cos(direction), radius * math.sin(direction), 0.0])
             label = int(rng.integers(n_classes))
-            measurements.append(SemanticMeasurement(step, t, pose.translation + offset, label))
+            measurements.append(Detection(step, t, pose.translation + offset, label))
     increment = None
     if step > 0:
         rel = pose.relative_to(world.trajectory[step - 1])

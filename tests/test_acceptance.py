@@ -34,6 +34,7 @@ from conftest import (
     landmark,
     meas,
     random_spd,
+    scene_of,
     simple_params,
     tree_combo_branches,
 )
@@ -100,9 +101,10 @@ def test_criterion_02_posterior_oracle(capsys):
         ]
         tree = default_tree(max_hypotheses=10**9)
         for t, ms in enumerate(episodes):
+            scene = scene_of(ms)
             for leaf in list(tree.leaves):
-                cm = build_cost_matrix(ms, leaf, params)
-                tree.extend(leaf, tree_combo_branches(ms, leaf, cm), ms, params, cm)
+                cm = build_cost_matrix(scene, leaf, params)
+                tree.extend(leaf, tree_combo_branches(ms, leaf, cm), scene, params, cm)
         best = tree.best_leaf().log_weight
         expect = exhaustive_posterior_best(episodes, params)
         if abs(best - expect) > 1e-6:
@@ -125,7 +127,7 @@ def test_criterion_03_convolution_identity(capsys):
         pi = rng.uniform(-2, 2, 3)
         params = simple_params(meas_cov=cov_z, trans_cov_by_class={0: cov_a})
         state = state_with(previous=[landmark(5, pi)])
-        cm = build_cost_matrix([meas(p)], state, params)
+        cm = build_cost_matrix(scene_of([meas(p)]), state, params)
         closed = float(np.exp(-cm.matrix[0, 0]))  # column 0 is Previous(5)
         numeric = convolution_oracle(p, pi, cov_z, cov_a)
         worst = max(worst, abs(closed - numeric) / closed)

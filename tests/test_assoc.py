@@ -43,6 +43,7 @@ from conftest import (
     scalar_association_log_likelihood,
     scalar_lex_refine,
     scalar_measurement_set_log_likelihood,
+    scene_of,
     simple_params,
     table_of,
 )
@@ -56,7 +57,7 @@ def state_with(existing=(), previous=(), n_fp=0):
 def association_likelihood(m, target, state, params):
     """Case likelihood of one measurement, DP bonus included: exp(-cell) of
     the cost matrix built for it, 0 for a forbidden cell."""
-    cm = build_cost_matrix([m], state, params)
+    cm = build_cost_matrix(scene_of([m]), state, params)
     (j,) = assignment_of(cm, [target]).columns
     cost = cm.matrix[0, j]
     return 0.0 if cost >= BIG / 2 else math.exp(-cost)
@@ -65,7 +66,7 @@ def association_likelihood(m, target, state, params):
 def set_log_likelihood(targets, measurements, state, params):
     """Score of the branch `targets`, read from the cost matrix of this state
     and these measurements."""
-    cm = build_cost_matrix(measurements, state, params)
+    cm = build_cost_matrix(scene_of(measurements), state, params)
     return measurement_set_log_likelihood(assignment_of(cm, targets), cm)
 
 
@@ -294,7 +295,7 @@ class TestBranchScoreParity:
         scored = 0
         for trial in range(300):
             params, state, ms = self.random_case(rng, trial)
-            cm = build_cost_matrix(ms, state, params)
+            cm = build_cost_matrix(scene_of(ms), state, params)
             original = cm.matrix.copy()
             branches = generate_branches(cm, solve_assignment(cm), max_branches=4, plausibility_gap=np.inf)
             candidates = branches + [self.random_assignment(rng, state, cm) for _ in range(3)]
@@ -317,7 +318,7 @@ class TestAssignmentPrior:
     @staticmethod
     def assignment(targets):
         """`targets` on the cost matrix of as many measurements against landmark 0."""
-        cm = build_cost_matrix([meas([0, 0, 0])] * len(targets), state_with([landmark(0, [0, 0, 0])]), simple_params())
+        cm = build_cost_matrix(scene_of([meas([0, 0, 0])] * len(targets)), state_with([landmark(0, [0, 0, 0])]), simple_params())
         return assignment_of(cm, targets)
 
     def test_all_zero_counts(self):
@@ -347,20 +348,20 @@ class TestAssignmentPrior:
 
 class TestBuildCostMatrix:
     def test_zero_measurements(self):
-        cm = build_cost_matrix([], state_with(), simple_params())
+        cm = build_cost_matrix(scene_of([]), state_with(), simple_params())
         assert cm.matrix.shape == (0, 0)
         assert cm.n_rows == 0
 
     def test_existing_column_spot_value(self):
         params = simple_params()
         st_ = state_with(existing=[landmark(0, [0, 0, 0], assign_count=1)])
-        cm = build_cost_matrix([meas([0, 0, 0])], st_, params)
+        cm = build_cost_matrix(scene_of([meas([0, 0, 0])]), st_, params)
         assert cm.matrix[0, 0] == pytest.approx(-1.0 + 2.757, abs=1e-3)
 
     def test_class_mismatch_forbidden(self):
         params = simple_params()
         st_ = state_with(existing=[landmark(0, [0, 0, 0], class_id=1)])
-        cm = build_cost_matrix([meas([0, 0, 0], class_id=0)], st_, params)
+        cm = build_cost_matrix(scene_of([meas([0, 0, 0], class_id=0)]), st_, params)
         assert cm.matrix[0, 0] >= 1e17
 
     def test_previous_class_without_transitional_covariance_rejected(self):
@@ -369,18 +370,18 @@ class TestBuildCostMatrix:
         ms = [meas([0, 0, 0], class_id=c) for c in range(4)]
         # an existing column, or a Dirac class, needs no transitional covariance
         ok = state_with([landmark(0, [0, 0, 0], class_id=1)], [landmark(1, [0, 0, 0], class_id=3)])
-        assert np.isfinite(build_cost_matrix(ms, ok, params).matrix[1, 0])
+        assert np.isfinite(build_cost_matrix(scene_of(ms), ok, params).matrix[1, 0])
         for class_id in (1, 9):  # inside and past the classes that have one
             st_ = state_with([], [landmark(0, [0, 0, 0], class_id=2), landmark(1, [0, 0, 0], class_id=class_id)])
             with pytest.raises(ContractViolation, match=f"class {class_id}$"):
-                build_cost_matrix(ms, st_, params)
+                build_cost_matrix(scene_of(ms), st_, params)
 
     def test_row_log_prior_reads_the_class_prior_table(self):
         ms = [meas([0, 0, 0], class_id=c) for c in (0, 1, 2, 9)]
-        flat = build_cost_matrix(ms, state_with(), simple_params())
+        flat = build_cost_matrix(scene_of(ms), state_with(), simple_params())
         assert flat.row_log_prior.tolist() == [0.0] * 4
         params = simple_params(class_prior={0: 0.25, 2: 1.0})
-        got = build_cost_matrix(ms, state_with(), params).row_log_prior
+        got = build_cost_matrix(scene_of(ms), state_with(), params).row_log_prior
         assert got.tolist() == [math.log(0.25), LOG_ZERO, 0.0, LOG_ZERO]
 
     @pytest.mark.parametrize(
@@ -394,7 +395,7 @@ class TestBuildCostMatrix:
 
     def test_new_and_fp_columns_are_per_measurement(self):
         params = simple_params()
-        cm = build_cost_matrix([meas([0, 0, 0]), meas([1, 0, 0])], state_with(), params)
+        cm = build_cost_matrix(scene_of([meas([0, 0, 0]), meas([1, 0, 0])]), state_with(), params)
         # cross-row new/fp cells are forbidden
         assert cm.matrix[0, 1] >= 1e17 and cm.matrix[1, 0] >= 1e17
         assert cm.matrix[0, 3] >= 1e17 and cm.matrix[1, 2] >= 1e17
@@ -414,7 +415,7 @@ class TestBuildCostMatrix:
             ]
             st_ = state_with(existing, previous, n_fp=int(rng.integers(0, 3)))
             ms = [meas(rng.uniform(-4, 4, 3), class_id=int(rng.integers(3))) for _ in range(3)]
-            cm = build_cost_matrix(ms, st_, params)
+            cm = build_cost_matrix(scene_of(ms), st_, params)
             for i, m in enumerate(ms):
                 for j in range(cm.n_landmark_cols):
                     target = cm.target(j)
@@ -454,7 +455,7 @@ class TestSolveAssignment:
         assert a.targets == (Existing(1), Existing(0)) and a.total_cost == 3.0
 
     def test_empty(self):
-        a = solve_assignment(build_cost_matrix([], state_with(), simple_params()))
+        a = solve_assignment(build_cost_matrix(scene_of([]), state_with(), simple_params()))
         assert a.targets == () and a.n_meas == 0
 
     def test_matches_brute_force(self, rng):
@@ -600,8 +601,9 @@ class TestNearestNeighborAssignment:
 
     @staticmethod
     def solve(ms, state, nn_new_dist=2.0):
-        cm = build_cost_matrix(ms, state, simple_params())
-        a = nearest_neighbor_assignment(ms, state, cm, nn_new_dist)
+        scene = scene_of(ms)
+        cm = build_cost_matrix(scene, state, simple_params())
+        a = nearest_neighbor_assignment(scene, state, cm, nn_new_dist)
         assert [cm.target(j) for j in a.columns] == list(a.targets)
         return cm, a
 

@@ -169,6 +169,7 @@ def test_simulate_with_bad_confusion_exit_code(tmp_path, capsys):
         ("run", "tau_jsd", "tau_jsd = nan"),
         ("run", "penalty_p", "penalty_p = nan"),
         ("run", "plausibility_gap", "plausibility_gap = nan"),
+        ("run", "ukf_alpha", "ukf_alpha = 1e-9"),  # the sigma-point spread 3 + lambda rounds to 0
     ],
 )
 def test_value_outside_its_domain_exit_code(tmp_path, cfg_path, capsys, command, key, text):

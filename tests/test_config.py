@@ -11,7 +11,7 @@ import pytest
 
 import semslam
 from semslam.cli import main
-from semslam.config import ConfigError, Domain, RunConfig, load_config, parse_config, serialize_config
+from semslam.config import ConfigError, Domain, RunConfig, load_config, parse_config, serialize_config, ukf_lambda
 from semslam.placerec import score_bound
 
 SRC = os.path.dirname(os.path.abspath(semslam.__file__))
@@ -103,7 +103,26 @@ class TestErrors:
     def test_association_and_ukf_keys_must_be_finite_and_positive(self, name, value):
         with pytest.raises(ConfigError, match=f"{name} must be finite and positive"):
             parse_config(f"{name} = {value}")
-        assert getattr(parse_config(f"{name} = 1e-9"), name) == 1e-9
+        small = 1e-8 if name == "ukf_alpha" else 1e-9  # see test_ukf_alpha_keeps_the_sigma_spread_positive
+        assert getattr(parse_config(f"{name} = {small!r}"), name) == small
+
+    @pytest.mark.parametrize("kappa", [0.0, 2.0])
+    def test_ukf_alpha_keeps_the_sigma_spread_positive(self, kappa):
+        """The UKF weights divide by n + lambda, n = 3, which rounds to 0 once
+        ukf_alpha**2 * (3 + ukf_kappa) is below half an ulp of 3. Such an
+        alpha fails at load, naming the key; the next float up loads."""
+        def spread(alpha):
+            return 3 + ukf_lambda(3, alpha, kappa)
+
+        lo, hi = 1e-12, 1e-6  # spread(lo) == 0 < spread(hi): bisect to the edge
+        while math.nextafter(lo, hi) != hi:
+            mid = math.sqrt(lo * hi) if hi / lo > 2 else 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if spread(mid) <= 0.0 else (lo, mid)
+        assert spread(lo) == 0.0 < spread(hi) and 6e-9 < lo < 9e-9
+        for alpha in (1e-9, lo):
+            with pytest.raises(ConfigError, match="ukf_alpha must be finite and positive, with a positive sigma-point spread"):
+                parse_config(f"ukf_alpha = {alpha!r}\nukf_kappa = {kappa!r}")
+        assert parse_config(f"ukf_alpha = {hi!r}\nukf_kappa = {kappa!r}").ukf_alpha == hi
 
     @pytest.mark.parametrize("name", ["odom_sigma_t", "odom_sigma_r", "lm_grad_tol"])
     @pytest.mark.parametrize("value", ["-1e-9", "nan", "inf"])

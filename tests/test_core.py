@@ -1,4 +1,4 @@
-"""Domain types: class ids, measurements, landmark tables, class histograms, SPD checks."""
+"""Domain types: class ids, measurement and landmark tables, class histograms, SPD checks."""
 
 import numpy as np
 import pytest
@@ -7,92 +7,125 @@ from semslam.core import (
     SPD_EIG_TOL,
     ContractViolation,
     LandmarkTable,
-    SemanticMeasurement,
+    MeasurementTable,
     check_spd,
     check_spd_stack,
     class_counts,
 )
 
-from conftest import landmark, meas, random_spd, scalar_check_spd, table_of
+from conftest import landmark, random_spd, scalar_check_spd, table_of
+
+
+def one_row(position, label) -> MeasurementTable:
+    return MeasurementTable.build(0, [0.0], [position], [label])
 
 
 class TestSemanticMeasurement:
+    """Semantic measurements are the rows of a MeasurementTable: a scene's
+    times, positions and class ids, checked as one block by `build`."""
+
     def test_position_coerced_to_float_array(self):
-        m = meas([1, 2, 3])
-        assert m.position.dtype == float
+        table = one_row([1, 2, 3], 0)
+        assert table.positions.dtype == float and table.positions.shape == (1, 3)
+        assert table.times.dtype == float and table.labels.dtype == np.int64 and len(table) == 1
 
     def test_non_finite_position_rejected(self):
-        with pytest.raises(ContractViolation):
-            meas([np.nan, 0.0, 0.0])
+        with pytest.raises(ContractViolation, match="^measurement position must be finite$"):
+            one_row([np.nan, 0.0, 0.0], 0)
 
     def test_negative_id_rejected(self):
-        with pytest.raises(ContractViolation, match="non-negative integer"):
-            meas([0, 0, 0], class_id=-1)
+        with pytest.raises(ContractViolation, match="^class id must be a non-negative integer, got -1$"):
+            one_row([0, 0, 0], -1)
 
     @pytest.mark.parametrize("bad", [1.0, True, "1", None])
     def test_non_integer_class_rejected(self, bad):
-        with pytest.raises(ContractViolation, match="non-negative integer"):
-            meas([0, 0, 0], class_id=bad)
+        with pytest.raises(ContractViolation) as got:
+            one_row([0, 0, 0], bad)
+        assert str(got.value) == f"class id must be a non-negative integer, got {bad!r}"
 
     def test_numpy_integer_class_accepted(self):
-        assert meas([0, 0, 0], class_id=np.int64(3)).label == 3
+        assert one_row([0, 0, 0], np.int64(3)).labels.tolist() == [3]
 
     def test_stack_builds_what_the_constructor_builds(self, rng):
+        """Class ids given as a list or as an integer array, and positions
+        given as an array or as a list of 3-tuples, build the same table."""
         positions = rng.standard_normal((4, 3))
-        scene_ids, times, labels = [3, 3, 4, 5], [3.0, 3.5, 4.0, 7.25], [0, 2, np.int64(1), 5]
-        got = SemanticMeasurement.stack(scene_ids, times, positions, labels)
-        assert len(got) == 4
-        for m, want in zip(got, map(SemanticMeasurement, scene_ids, times, positions, labels)):
-            assert (m.scene_id, m.time, m.label) == (want.scene_id, want.time, want.label)
-            assert m.position.dtype == want.position.dtype == float
-            assert m.position.tobytes() == want.position.tobytes()
-        # a list of 3-vectors stacks as the (k, 3) array does
-        listed = SemanticMeasurement.stack(scene_ids, times, [tuple(p) for p in positions], labels)
-        assert [m.position.tobytes() for m in listed] == [m.position.tobytes() for m in got]
+        times, labels = [3.0, 3.5, 4.0, 7.25], [0, 2, np.int64(1), 5]
+        got = MeasurementTable.build(np.int64(3), times, positions, labels)
+        assert type(got.scene_id) is int and got.scene_id == 3 and len(got) == 4
+        assert got.times.tolist() == times and got.labels.tolist() == [0, 2, 1, 5]
+        assert got.positions.tobytes() == positions.tobytes()
+        for other in (
+            MeasurementTable.build(3, np.array(times), [tuple(p) for p in positions], np.array([0, 2, 1, 5])),
+            MeasurementTable.build(3, times, positions, np.array([0, 2, 1, 5], dtype=np.uint8)),
+        ):
+            for f in ("times", "positions", "labels"):
+                a, b = getattr(got, f), getattr(other, f)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_stack_of_nothing_is_empty(self):
-        assert SemanticMeasurement.stack([], [], [], []) == []
-        assert SemanticMeasurement.stack([], [], np.zeros((0, 3)), []) == []
+        for positions in ([], np.zeros((0, 3))):
+            table = MeasurementTable.build(5, [], positions, [])
+            assert len(table) == 0 and table.scene_id == 5
+            assert table.positions.shape == (0, 3) and table.times.shape == table.labels.shape == (0,)
 
     @pytest.mark.parametrize(
         "row",
         [
-            ([np.nan, 0.0, 0.0], 1),
-            ([0.0, np.inf, 0.0], 1),
-            ([0.0, 0.0, 0.0], -1),
-            ([0.0, 0.0, 0.0], True),
-            ([0.0, 0.0, 0.0], np.bool_(False)),
-            ([0.0, 0.0, 0.0], 1.0),
-            ([0.0, 0.0, 0.0], np.float64(2.0)),
-            ([np.nan, 0.0, 0.0], -1),  # the class id is checked first
+            ([np.nan, 0.0, 0.0], 1, "measurement position must be finite"),
+            ([0.0, np.inf, 0.0], 1, "measurement position must be finite"),
+            ([0.0, 0.0, 0.0], -1, "class id must be a non-negative integer, got -1"),
+            ([0.0, 0.0, 0.0], True, "class id must be a non-negative integer, got True"),
+            ([0.0, 0.0, 0.0], np.bool_(False), "class id must be a non-negative integer, got np.False_"),
+            ([0.0, 0.0, 0.0], 1.0, "class id must be a non-negative integer, got 1.0"),
+            ([0.0, 0.0, 0.0], np.float64(2.0), "class id must be a non-negative integer, got np.float64(2.0)"),
+            ([np.nan, 0.0, 0.0], -1, "class id must be a non-negative integer, got -1"),  # the class id is checked first
         ],
     )
     def test_stack_raises_what_the_constructor_raises(self, row):
-        position, label = row
+        """A bad row raises the same message alone and among good rows,
+        wherever it sits."""
+        position, label, message = row
         with pytest.raises(ContractViolation) as want:
-            meas(position, class_id=label)
-        for bad_at in range(3):  # the first bad row raises, wherever it sits
+            one_row(position, label)
+        assert str(want.value) == message
+        for bad_at in range(3):
             positions, labels = np.zeros((3, 3)), [0, 1, 2]
             positions[bad_at], labels[bad_at] = position, label
             with pytest.raises(ContractViolation) as got:
-                SemanticMeasurement.stack([0] * 3, [0.0] * 3, positions, labels)
-            assert str(got.value) == str(want.value)
+                MeasurementTable.build(0, [0.0] * 3, positions, labels)
+            assert str(got.value) == message
 
     @pytest.mark.parametrize(
         "rows",
         [
-            ([0, 0], [0.0, 0.0, 0.0], np.zeros((3, 3)), [0, 0, 0]),
-            ([0, 0, 0], [0.0, 0.0], np.zeros((3, 3)), [0, 0, 0]),
-            ([0, 0, 0], [0.0, 0.0, 0.0], np.zeros((2, 3)), [0, 0, 0]),
-            ([0, 0, 0], [0.0, 0.0, 0.0], np.zeros((3, 3)), [0, 0]),
-            ([0, 0, 0], [0.0, 0.0, 0.0], np.zeros((3, 2)), [0, 0, 0]),
-            ([0, 0, 0], [0.0, 0.0, 0.0], np.zeros(9), [0, 0, 0]),
-            ([], [], np.zeros((1, 3)), []),
+            ([0.0, 0.0, 0.0, 0.0], np.zeros((3, 3)), [0, 0, 0]),
+            ([0.0, 0.0], np.zeros((3, 3)), [0, 0, 0]),
+            ([0.0, 0.0, 0.0], np.zeros((2, 3)), [0, 0, 0]),
+            ([0.0, 0.0, 0.0], np.zeros((3, 3)), [0, 0]),
+            ([0.0, 0.0, 0.0], np.zeros((3, 2)), [0, 0, 0]),
+            ([0.0, 0.0, 0.0], np.zeros(9), [0, 0, 0]),
+            ([], np.zeros((1, 3)), []),
         ],
     )
     def test_stack_rejects_misaligned_rows(self, rows):
-        with pytest.raises(ContractViolation, match="rows must align"):
-            SemanticMeasurement.stack(*rows)
+        with pytest.raises(ContractViolation, match="^measurement rows must align, with 3-D positions$"):
+            MeasurementTable.build(0, *rows)
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [
+            (np.array([0, -2, -1]), "got np.int64(-2)"),
+            (np.array([False, True, True]), "got np.False_"),
+            (np.array([0.0, 1.0, 2.0]), "got np.float64(0.0)"),
+        ],
+    )
+    def test_class_id_arrays_take_the_row_check(self, labels, message):
+        """An array of class ids passes the block check only as a
+        non-negative integer array; otherwise its first bad row raises."""
+        with pytest.raises(ContractViolation) as got:
+            MeasurementTable.build(0, [0.0] * 3, np.zeros((3, 3)), labels)
+        assert str(got.value) == f"class id must be a non-negative integer, {message}"
 
 
 class TestCheckSpd:
@@ -233,8 +266,8 @@ class TestLandmarkTable:
 
 class TestClassHistogram:
     def test_class_counts_per_id(self):
-        items = [meas([0, 0, 0], class_id=0), meas([1, 0, 0], class_id=0), meas([2, 0, 0], class_id=1)]
-        counts = class_counts([m.label for m in items], 3)
+        scene = MeasurementTable.build(0, [0.0] * 3, [[0, 0, 0], [1, 0, 0], [2, 0, 0]], [0, 0, 1])
+        counts = class_counts(scene.labels, 3)
         assert counts.dtype.kind == "i"
         assert counts.tolist() == [2, 1, 0]
 

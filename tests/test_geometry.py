@@ -28,6 +28,7 @@ from conftest import (
     scalar_quat_mul,
     scalar_quat_normalize,
     scalar_quat_to_rot,
+    scalar_transform_points,
 )
 
 small_floats = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
@@ -209,6 +210,20 @@ class TestPose:
         b = Pose(rng.standard_normal(3), quat_normalize(rng.standard_normal(4)))
         rel = a.relative_to(b)
         assert b.compose(rel).approx_equal(a)
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 25])
+    def test_transform_points_match_the_per_point_oracle(self, k):
+        """The stacked world and body transforms of a (k, 3) block give each
+        row the bits of the per-point transform; k = 3 is a square block."""
+        rng = np.random.default_rng(k)
+        poses = [Pose(rng.uniform(-30, 30, 3), quat_from_yaw(rng.uniform(-np.pi, np.pi))) for _ in range(20)]
+        poses += [Pose(rng.uniform(-30, 30, 3), quat_from_rotvec(random_rotvec(rng))) for _ in range(20)]
+        for pose in poses:
+            points = rng.uniform(-15, 15, (k, 3))
+            for inverse, f in ((False, pose.transform_points), (True, pose.transform_points_inverse)):
+                got = f(points)
+                assert got.shape == (k, 3)
+                assert_bits(got, scalar_transform_points(pose, points, inverse))
 
     def test_transform_round_trip(self, rng):
         p = Pose(rng.standard_normal(3), quat_normalize(rng.standard_normal(4)))

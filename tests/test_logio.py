@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from semslam.core import LandmarkTable, SemanticMeasurement
+from semslam.core import LandmarkTable, MeasurementTable
 from semslam.geometry import Pose, quat_from_yaw
 from semslam.logio import (
     LogFormatError,
@@ -18,6 +18,8 @@ from semslam.logio import (
     write_map,
 )
 
+from conftest import scalar_transform_points
+
 
 N_CLASSES = 3
 
@@ -29,31 +31,49 @@ def make_poses(n):
 class TestMeasurements:
     def test_round_trip(self, tmp_path):
         poses = make_poses(3)
-        per_step = [
-            [SemanticMeasurement(0, 0.0, np.array([1.0, 2.0, 0.0]), 0)],
-            [],
-            [
-                SemanticMeasurement(2, 2.0, np.array([-3.25, 0.125, 1.5]), 2),
-                SemanticMeasurement(2, 2.0, np.array([4.0, 4.0, 0.0]), 1),
-            ],
+        scenes = [
+            MeasurementTable.build(0, [0.0], [[1.0, 2.0, 0.0]], [0]),
+            MeasurementTable.build(1, [], [], []),
+            MeasurementTable.build(2, [2.0, 2.5], [[-3.25, 0.125, 1.5], [4.0, 4.0, 0.0]], [2, 1]),
         ]
         path = str(tmp_path / "meas.csv")
-        write_measurements(path, per_step, poses)
+        write_measurements(path, scenes, poses)
         back = read_measurements(path, N_CLASSES, 3)
         assert [len(s) for s in back] == [1, 0, 2]
-        for step, scene in enumerate(back):
-            for orig, got in zip(per_step[step], scene):
-                # file stores body-frame positions; map back to world
-                world = poses[step].transform(got.position)
-                assert np.allclose(world, orig.position, atol=1e-7)
-                assert got.label == orig.label
-                assert got.scene_id == orig.scene_id and got.time == orig.time
+        for pose, orig, got in zip(poses, scenes, back):
+            assert got.scene_id == orig.scene_id and got.times.tolist() == orig.times.tolist()
+            assert got.labels.tolist() == orig.labels.tolist() and got.positions.shape == orig.positions.shape
+            # the file stores body-frame positions; map them back to the world
+            assert np.allclose(pose.transform_points(got.positions), orig.positions, atol=1e-7)
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 25])
+    def test_rows_are_the_per_point_body_positions(self, tmp_path, rng, k):
+        """Each scene is written in one stacked transform, which prints each
+        row as the per-point transform does, and reads back as printed."""
+        poses = make_poses(4)
+        scenes = []
+        for s in range(4):
+            positions, labels = rng.uniform(-20, 20, (k, 3)), rng.integers(N_CLASSES, size=k)
+            scenes.append(MeasurementTable.build(s, np.full(k, s + 0.5), positions, labels))
+        path = str(tmp_path / "meas.csv")
+        write_measurements(path, scenes, poses)
+        want = []
+        for scene, pose in zip(scenes, poses):
+            body = scalar_transform_points(pose, scene.positions, inverse=True)
+            for t, label, row in zip(scene.times.tolist(), scene.labels.tolist(), body):
+                want.append(",".join([format(t, ".9g"), str(scene.scene_id), str(label), *(format(x, ".9g") for x in row)]))
+        assert open(path).read().splitlines()[1:] == want
+        back = read_measurements(path, N_CLASSES, 4)
+        for scene, got, rows in zip(scenes, back, [want[i * k : (i + 1) * k] for i in range(4)]):
+            assert got.scene_id == scene.scene_id and got.labels.tolist() == scene.labels.tolist()
+            assert got.times.tolist() == scene.times.tolist()
+            assert got.positions.tolist() == [[float(x) for x in row.split(",")[3:]] for row in rows]
 
     def test_body_frame_on_disk(self, tmp_path):
         pose = Pose(np.array([10.0, 0.0, 0.0]), quat_from_yaw(np.pi / 2))
-        m = SemanticMeasurement(0, 0.0, np.array([10.0, 5.0, 0.0]), 0)
+        scene = MeasurementTable.build(0, [0.0], [[10.0, 5.0, 0.0]], [0])
         path = str(tmp_path / "meas.csv")
-        write_measurements(path, [[m]], [pose])
+        write_measurements(path, [scene], [pose])
         line = open(path).read().splitlines()[1]
         vals = [float(x) for x in line.split(",")[3:]]
         assert np.allclose(vals, [5.0, 0.0, 0.0], atol=1e-7)

@@ -38,6 +38,7 @@ from conftest import (
     random_spd,
     rows_of,
     scalar_fuse_hypotheses,
+    scene_of,
     simple_params,
     table_of,
 )
@@ -126,9 +127,10 @@ def default_tree(seed=0, max_hypotheses=20, ess_fraction=0.5, previous=(), landm
 def extend(tree, leaf, branch_targets, measurements, params):
     """Extend `leaf` by one branch per target list, each an assignment on the
     cost matrix of `measurements` against the leaf."""
-    cm = build_cost_matrix(measurements, leaf, params)
+    scene = scene_of(measurements)
+    cm = build_cost_matrix(scene, leaf, params)
     branches = [assignment_of(cm, targets) for targets in branch_targets]
-    return tree.extend(leaf, branches, measurements, params, cm)
+    return tree.extend(leaf, branches, scene, params, cm)
 
 
 class TestExtend:
@@ -138,7 +140,7 @@ class TestExtend:
         root = tree.leaves[0]
         children = extend(tree, root, [[]], [], params)
         assert len(children) == 1
-        expect = assignment_prior_log(assignment_of(build_cost_matrix([], root, params), []), params)
+        expect = assignment_prior_log(assignment_of(build_cost_matrix(scene_of([]), root, params), []), params)
         assert children[0].log_weight == pytest.approx(expect)
 
     def test_softmax_of_weight_gap(self):
@@ -249,10 +251,11 @@ def grow_tree(seed, steps=4, gap=100.0):
             meas(rng.uniform(-2, 2, 3), class_id=int(rng.integers(2)), scene_id=t, time=float(t))
             for _ in range(int(rng.integers(1, 4)))
         ]
+        scene = scene_of(ms)
         for leaf in list(tree.leaves):
-            cm = build_cost_matrix(ms, leaf, params)
+            cm = build_cost_matrix(scene, leaf, params)
             branches = generate_branches(cm, solve_assignment(cm), max_branches=3, plausibility_gap=gap)
-            tree.extend(leaf, branches, ms, params, cm)
+            tree.extend(leaf, branches, scene, params, cm)
     return tree
 
 
@@ -305,12 +308,13 @@ class TestLeafTables:
         (leaf,) = extend(tree, tree.leaves[0], [[New(), New()]], created, params)
         (leaf,) = extend(tree, leaf, [[Previous(3)]], [meas([0.1, 0, 0], class_id=1)], params)
         ms = [meas(rng.uniform(-1, 1, 3), class_id=c) for c in (0, 1, 1)]
-        cm = build_cost_matrix(ms, leaf, params)
+        scene = scene_of(ms)
+        cm = build_cost_matrix(scene, leaf, params)
         assert cm.column_ids.tolist() == [3, 10, 11, 1, 5] and cm.n_existing == 3
         # the same rows, listed out of order, give the same matrix
         rows, prev_rows = rows_of(leaf.existing), rows_of(leaf.previous)
         explicit = HypothesisNode(0.0, table_of(rows[k] for k in (11, 3, 10)), table_of(prev_rows[k] for k in (5, 1)), 0)
-        want = build_cost_matrix(ms, explicit, params)
+        want = build_cost_matrix(scene, explicit, params)
         assert np.array_equal(cm.matrix, want.matrix) and np.array_equal(cm.dp_bonus, want.dp_bonus)
         assert [cm.target(j) for j in range(5)] == [Existing(3), Existing(10), Existing(11), Previous(1), Previous(5)]
 
@@ -418,9 +422,10 @@ class TestPosteriorOracle:
             ]
             tree = default_tree(max_hypotheses=10**9)
             for t, ms in enumerate(episodes):
+                scene = scene_of(ms)
                 for leaf in list(tree.leaves):
-                    cm = build_cost_matrix(ms, leaf, params)
-                    tree.extend(leaf, tree_combo_branches(ms, leaf, cm), ms, params, cm)
+                    cm = build_cost_matrix(scene, leaf, params)
+                    tree.extend(leaf, tree_combo_branches(ms, leaf, cm), scene, params, cm)
             best = tree.best_leaf()
             expect = exhaustive_posterior_best(episodes, params)
             assert best.log_weight == pytest.approx(expect, abs=1e-6)

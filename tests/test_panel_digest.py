@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import semslam
 from semslam.config import RunConfig, serialize_config
 
@@ -141,6 +143,22 @@ def test_degraded_jobs_lie_outside_the_default_panel():
     }
     assert not (set(sim) - {"world_seed", "run_seed"}) & others and sim["n_landmarks"] % sim["n_classes"] != 0
     assert simulator["noiseless-1"]["meas_noise_std"] == 0.0
+
+
+def test_all_digests_the_panel_then_every_named_job(monkeypatch, capsys):
+    """`--all` digests all 33 jobs, the 16 panel jobs first, each once with
+    its own overrides; it does not combine with `--job`."""
+    tool = _tool()
+    seen = []
+    monkeypatch.setattr(tool, "digest", lambda name, overrides, work: seen.append((name, overrides)) or name)
+    assert tool.main(["--all"]) == 0
+    panel = tool.panel()
+    named = {**tool.degraded(), **tool.baselines(), **tool.knobs(), **tool.fallbacks(), **tool.simulator()}
+    assert [name for name, _ in seen] == [*panel, *named] and len(seen) == 33
+    assert dict(seen) == {**panel, **named}
+    assert capsys.readouterr().out.split() == [name for name, _ in seen]
+    with pytest.raises(SystemExit):
+        tool.main(["--all", "--job", "line-0"])
 
 
 def test_fallback_job_fits_every_sample_of_some_scan(tmp_path, monkeypatch):

@@ -60,8 +60,10 @@ def test_patched_names_are_called(tmp_path):
     expected = {
         "sim.generate_world",
         "sim.simulate",
+        "logio.write_measurements",
         "logio.read_measurements",
         "pipeline.run_pipeline",
+        "pipeline.process_scene",
         "assoc.build_cost_matrix",
         "mht.extend",
         "estimation.ukf_update",

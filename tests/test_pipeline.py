@@ -5,7 +5,7 @@ import pytest
 
 from semslam import kernels, placerec
 from semslam.config import RunConfig
-from semslam.core import SemanticMeasurement
+from semslam.core import MeasurementTable
 from semslam.geometry import Pose
 from semslam.pipeline import Pipeline, evaluate, integrate_odometry, run_pipeline
 from semslam.sim import generate_world, simulate
@@ -14,15 +14,10 @@ from semslam.sim import generate_world, simulate
 def simulate_for(cfg):
     world = generate_world(cfg)
     measurements, increments = simulate(world)
-    body = []
-    for step, ms in enumerate(measurements):
-        pose = world.trajectory[step]
-        body.append(
-            [
-                SemanticMeasurement(m.scene_id, m.time, pose.transform_inverse(m.position), m.label)
-                for m in ms
-            ]
-        )
+    body = [
+        MeasurementTable.build(ms.scene_id, ms.times, pose.transform_points_inverse(ms.positions), ms.labels)
+        for ms, pose in zip(measurements, world.trajectory)
+    ]
     return world, body, increments
 
 
@@ -41,10 +36,10 @@ class TestScenario:
             points = np.stack([lm.position for lm in world.landmarks])
             relabelled = 0
             for t, ms in enumerate(body):
-                for m in ms:
-                    d = np.linalg.norm(points - world.trajectory[t].transform(m.position), axis=1)
+                for position, label in zip(ms.positions, ms.labels.tolist()):
+                    d = np.linalg.norm(points - world.trajectory[t].transform(position), axis=1)
                     assert d.min() < 1e-9
-                    relabelled += m.label != world.landmarks[int(np.argmin(d))].label
+                    relabelled += label != world.landmarks[int(np.argmin(d))].label
             assert (relabelled > 0) == (eps > 0.0)
 
 

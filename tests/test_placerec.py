@@ -33,13 +33,13 @@ from semslam.placerec import (
 from conftest import scalar_detect, scalar_ransac_best_mask, scalar_ransac_verify, scalar_scene_match
 
 
-def scene(scene_id, positions, class_ids, submap_id=0, dim=4, pose=None):
+def scene(scene_id, positions, class_ids, submap_id=0, dim=4):
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
     hist = np.zeros(dim)
     for c in class_ids:
         hist[c] += 1
     hist = hist / hist.sum()
-    return SceneDescriptor(scene_id, submap_id, hist, positions, class_ids, pose or Pose())
+    return SceneDescriptor(scene_id, submap_id, hist, positions, class_ids)
 
 
 def detect(det, q):
@@ -130,13 +130,13 @@ class TestQueryCandidates:
         scenes = []
         for sid in range(200):
             hist = rng.dirichlet(np.ones(dim))
-            s = SceneDescriptor(sid, sid, hist, np.zeros((1, 3)), (0,), Pose())
+            s = SceneDescriptor(sid, sid, hist, np.zeros((1, 3)), (0,))
             index.add_submap(sid, hist, [s])
             scenes.append(s)
         tau_jsd, r_l2 = 0.15, 0.5
         for _ in range(10):
             qh = rng.dirichlet(np.ones(dim))
-            q = SceneDescriptor(1000, 1000, qh, np.zeros((1, 3)), (0,), Pose())
+            q = SceneDescriptor(1000, 1000, qh, np.zeros((1, 3)), (0,))
             got = {c.scene_id for c in query_candidates(index, similar_submaps(index, qh, tau_jsd), q, r_l2, 10)}
             expect = {
                 s.scene_id
@@ -172,7 +172,7 @@ class TestSceneLaplacian:
         assert np.allclose(L1, L2)
 
     def test_empty_scene_rejected(self):
-        s = SceneDescriptor(0, 0, np.array([1.0]), np.zeros((0, 3)), (), Pose())
+        s = SceneDescriptor(0, 0, np.array([1.0]), np.zeros((0, 3)), ())
         with pytest.raises(ContractViolation):
             scene_laplacian(s, 1.0)
 
@@ -264,7 +264,7 @@ class TestSceneMatch:
 
     def test_empty_scene_rejected(self):
         a = scene(0, [[0, 0, 0]], [0])
-        empty = SceneDescriptor(1, 0, np.zeros(4), np.zeros((0, 3)), (), Pose())
+        empty = SceneDescriptor(1, 0, np.zeros(4), np.zeros((0, 3)), ())
         with pytest.raises(ContractViolation):
             scene_match(a, empty)
 
@@ -286,15 +286,15 @@ class TestSceneDescriptor:
     def test_label_ids_follow_labels(self):
         s = scene(0, [[0, 0, 0], [1, 0, 0], [2, 0, 0]], np.array([2, 0, 2], dtype=np.int32))
         assert s.label_ids.tolist() == [2, 0, 2] and s.label_ids.dtype == np.int64
-        empty = SceneDescriptor(1, 0, np.zeros(4), np.zeros((0, 3)), (), Pose())
+        empty = SceneDescriptor(1, 0, np.zeros(4), np.zeros((0, 3)), ())
         assert empty.label_ids.shape == (0,)
         with pytest.raises(ContractViolation):
-            SceneDescriptor(2, 0, np.zeros(4), np.zeros((2, 3)), (0,), Pose())
+            SceneDescriptor(2, 0, np.zeros(4), np.zeros((2, 3)), (0,))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_position_rejected(self, bad):
         with pytest.raises(ContractViolation):
-            SceneDescriptor(0, 0, np.array([1.0, 0, 0, 0]), [[0.0, bad, 0.0]], (0,), Pose())
+            SceneDescriptor(0, 0, np.array([1.0, 0, 0, 0]), [[0.0, bad, 0.0]], (0,))
 
 
 class TestRansacVerify:
@@ -466,6 +466,31 @@ class TestConsensusScreen:
         assert ransac_verify(src, src, screened, 100, 0.5, 6) is not None
         assert scans == [1]
 
+    @pytest.mark.parametrize(
+        "iters, n, kind",
+        [(1, 3, "planted"), (40, 5, "unrelated"), (100, 12, "unrelated"), (100, 52, "planted"), (7, 31, "unrelated")],
+    )
+    def test_screened_call_advances_without_drawing(self, iters, n, kind):
+        """A call that the screen rejects draws nothing: it advances the
+        generator past the iters x n uniforms of a scan, to the state that
+        drawing them leaves."""
+
+        class NoDraws:
+            def __init__(self, rng):
+                self.bit_generator = rng.bit_generator
+
+            def random(self, *args):
+                raise AssertionError("a screened call drew uniforms")
+
+        src, dst, _ = _screen_problem(np.random.default_rng(n), kind, n, 0.5)
+        min_inliers = n + 1 if kind == "planted" else 6  # more inliers than pairs, or an unrelated scene
+        assert consensus_possible(src, dst, max(min_inliers, 3), 0.5) is None
+        drawn, screened = np.random.default_rng(n), np.random.default_rng(n)
+        drawn.random((iters, n))
+        assert ransac_verify(src, dst, NoDraws(screened), iters, 0.5, min_inliers) is None
+        assert screened.bit_generator.state == drawn.bit_generator.state
+        assert screened.random() == drawn.random()
+
 
 def _k33(tol):
     """Six pairs whose compatibility graph at tol is K3,3: pairs 0-2 on a
@@ -606,7 +631,7 @@ class TestVerifyPair:
 
     def test_empty_scene_fails_quietly(self):
         a = scene(0, [[0, 0, 0]], [0])
-        empty = SceneDescriptor(1, 0, np.zeros(4), np.zeros((0, 3)), (), Pose())
+        empty = SceneDescriptor(1, 0, np.zeros(4), np.zeros((0, 3)), ())
         ok, s_ncc, s_scene, pairs = verify_pair(a, empty, verify_cfg())
         assert not ok and pairs == []
 
@@ -661,7 +686,7 @@ class TestVerifyPair:
         def draw_scene(sid, n):
             pos = np.array(data.draw(st.lists(st.tuples(coord, coord, coord), min_size=n, max_size=n)), dtype=float)
             cls = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-            return SceneDescriptor(sid, 0, np.full(4, 0.25), pos.reshape(-1, 3), cls, Pose())
+            return SceneDescriptor(sid, 0, np.full(4, 0.25), pos.reshape(-1, 3), cls)
 
         a, b = draw_scene(0, na), draw_scene(1, nb)
         cfg = verify_cfg(tau_verify=tau, penalty_p=p, scene_term_mode=mode)
@@ -695,7 +720,7 @@ class TestLoopClosureDetector:
     def grid_scene(scene_id, submap_id, pose, world_points, class_ids, dim=4):
         """Scene descriptor from world landmarks seen at a given pose."""
         body = np.stack([pose.transform_inverse(p) for p in world_points])
-        return scene(scene_id, body, class_ids, submap_id=submap_id, dim=dim, pose=pose)
+        return scene(scene_id, body, class_ids, submap_id=submap_id, dim=dim)
 
     def make_world(self, rng, n=10):
         pts = rng.uniform(-6, 6, (n, 3))
@@ -789,7 +814,7 @@ def _revisit_run(seed, verify):
             seen = np.array([int(np.argmin(np.linalg.norm(pts - pose.translation, axis=1)))])
         body = np.stack([pose.transform_inverse(pts[i]) for i in seen]) + rng.normal(scale=0.02, size=(seen.size, 3))
         hist = np.bincount(cls[seen], minlength=dim) / seen.size
-        scenes.append(SceneDescriptor(sid, sid // 6, hist, body, cls[seen], pose))
+        scenes.append(SceneDescriptor(sid, sid // 6, hist, body, cls[seen]))
     # 100 RANSAC samples, the RunConfig default: the reference scans each one in Python
     overrides = dict(tau_jsd=0.3, r_l2=0.8, exclusion_window=10, run_seed=seed, ransac_iters=100, **verify)
     return scenes, detector(**overrides), detector(**overrides)

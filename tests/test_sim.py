@@ -11,7 +11,7 @@ from semslam.config import ConfigError, RunConfig
 from semslam.geometry import Pose, quat_from_rotvec
 from semslam.sim import World, WorldLandmark, generate_world, simulate, simulate_step, visible_landmarks
 
-from conftest import scalar_simulate_step, scalar_visible_landmarks
+from conftest import detections_of, scalar_simulate_step, scalar_visible_landmarks
 
 # a detector without noise and an odometry without noise
 NOISELESS = {"meas_noise_std": 0.0, "odom_sigma_t": 0.0, "odom_sigma_r": 0.0}
@@ -114,7 +114,7 @@ class TestVisibility:
     def test_zero_fov_sees_nothing(self):
         world = world_of(fov_deg=0.0, **NOISELESS)
         meas, _ = simulate_step(world, 0, np.random.default_rng(0))
-        assert meas == []
+        assert len(meas) == 0 and meas.positions.shape == (0, 3) and meas.scene_id == 0
 
     def test_narrow_fov_subset_of_full(self):
         pose = world_of().trajectory[3]
@@ -187,7 +187,7 @@ class TestSimulateStep:
         by_pos = {lm.id: lm for lm in world.landmarks}
         vis = {lm.id for lm in visible_landmarks(world, world.trajectory[2])}
         assert len(meas) == len(vis)
-        for m in meas:
+        for m in detections_of(meas):
             # each measurement coincides bit-exactly with some visible landmark
             match = [
                 lid
@@ -235,7 +235,7 @@ class TestSimulateStep:
         count = 0
         for _ in range(n_steps):
             meas, _ = simulate_step(world, 0, rng)
-            for m in meas:
+            for m in detections_of(meas):
                 if not any(np.array_equal(lm.position, m.position) for lm in world.landmarks):
                     count += 1
         mean = count / n_steps
@@ -243,8 +243,8 @@ class TestSimulateStep:
         assert abs(mean - rate) < 3.0 * sigma
         # false positives land inside the detection disc
         center = world.trajectory[0].translation
-        for m in meas:
-            assert np.linalg.norm(m.position - center) <= world.cfg.detection_range + 1e-9
+        for position in meas.positions:
+            assert np.linalg.norm(position - center) <= world.cfg.detection_range + 1e-9
 
     def test_confusion_matrix_relabels(self):
         """n_classes = 2 and confusion_eps = 1: each class is always reported as the other."""
@@ -252,7 +252,7 @@ class TestSimulateStep:
         assert world.confusion.tolist() == [[0.0, 1.0], [1.0, 0.0]]
         meas, _ = simulate_step(world, 0, np.random.default_rng(0))
         label_at = {lm.position.tobytes(): lm.label for lm in world.landmarks}
-        assert len(meas) == 6 and all(m.label == 1 - label_at[m.position.tobytes()] for m in meas)
+        assert len(meas) == 6 and all(m.label == 1 - label_at[m.position.tobytes()] for m in detections_of(meas))
 
     def test_negative_confusion_entry_rejected(self):
         """confusion_eps > 1 would put a negative entry on the diagonal; the config rejects it at load."""
@@ -282,8 +282,8 @@ class TestSimulateStep:
         world = world_of(world_seed=3, meas_noise_std=0.1)
         meas, _ = simulate_step(world, 2, np.random.default_rng(8))
         exact = {lm.id: lm.position for lm in world.landmarks}
-        for m in meas:
-            dists = [np.linalg.norm(m.position - p) for p in exact.values()]
+        for position in meas.positions:
+            dists = [np.linalg.norm(position - p) for p in exact.values()]
             assert 0.0 < min(dists) < 1.0  # near, not equal to, a landmark
 
 
@@ -308,9 +308,7 @@ class TestSimulate:
         m2, i2 = simulate(world)
         assert len(m1) == len(m2) == world.cfg.steps
         for a, b in zip(m1, m2):
-            assert len(a) == len(b)
-            for ma, mb in zip(a, b):
-                assert np.array_equal(ma.position, mb.position) and ma.label == mb.label
+            assert np.array_equal(a.positions, b.positions) and np.array_equal(a.labels, b.labels)
         for pa, pb in zip(i1, i2):
             assert np.array_equal(pa.translation, pb.translation)
             assert np.array_equal(pa.rotation, pb.rotation)
@@ -319,16 +317,18 @@ class TestSimulate:
     @pytest.mark.parametrize("seed", [1, 4])
     def test_matches_scalar_oracle(self, case, seed):
         """simulate draws what the per-step scalar reference draws, in its order,
-        and builds the same measurements and increments bit for bit."""
+        and builds the same measurements and increments bit for bit: each step's
+        table holds the reference's detections as its rows, in order."""
         world = world_of(world_seed=seed, run_seed=seed, **SCALAR_PARITY[case])
         got_meas, got_inc = simulate(world)
         rng = np.random.default_rng(seed)
         want = [scalar_simulate_step(world, step, rng) for step in range(world.cfg.steps)]
         assert [len(m) for m in got_meas] == [len(m) for m, _ in want]
-        for got, (ref, _) in zip(got_meas, want):
-            for a, b in zip(got, ref):
-                assert (a.scene_id, a.time, a.label) == (b.scene_id, b.time, b.label)
-                assert type(a.label) is type(b.label) and a.position.tobytes() == b.position.tobytes()
+        for step, (got, (ref, _)) in enumerate(zip(got_meas, want)):
+            assert got.scene_id == step and {m.scene_id for m in ref} <= {step}
+            assert got.times.tolist() == [m.time for m in ref] and got.labels.tolist() == [m.label for m in ref]
+            assert got.positions.shape == (len(ref), 3) and got.labels.dtype == np.int64
+            assert got.positions.tobytes() == b"".join(m.position.tobytes() for m in ref)
         for a, (_, b) in zip(got_inc, want[1:]):
             assert a.translation.tobytes() == b.translation.tobytes()
             assert a.rotation.tobytes() == b.rotation.tobytes()
@@ -341,9 +341,5 @@ class TestSimulate:
     def test_different_run_seeds_differ(self):
         m1, _ = simulate(world_of(world_seed=9, run_seed=1, meas_noise_std=math.sqrt(0.05)))
         m2, _ = simulate(world_of(world_seed=9, run_seed=2, meas_noise_std=math.sqrt(0.05)))
-        diff = any(
-            not np.array_equal(a.position, b.position)
-            for ta, tb in zip(m1, m2)
-            for a, b in zip(ta, tb)
-        )
+        diff = any(not np.array_equal(a.positions, b.positions) for a, b in zip(m1, m2))
         assert diff

@@ -12,12 +12,13 @@ they can hide a last-bit change in the optimizer; the `graph=` field cannot.
 It imports semslam from the `src/` directory next to it, so run in two
 checkouts it shows whether a change keeps every output byte-identical:
 
-    python3 tools/panel_digest.py > after.txt
-    (cd ../parent && python3 tools/panel_digest.py) > before.txt
+    python3 tools/panel_digest.py --all > after.txt
+    (cd ../parent && python3 tools/panel_digest.py --all) > before.txt
     diff before.txt after.txt
 
-`--job NAME` (repeatable) digests only the named jobs. It also names jobs
-outside the panel, which run only when named: the degraded jobs, each on a
+`--job NAME` (repeatable) digests only the named jobs, and `--all` digests
+the panel and then every named job. `--job` also names jobs outside the
+panel, which run otherwise only under `--all`: the degraded jobs, each on a
 simulator branch the panel never reaches (clutter, misses, heavier noise,
 class confusion, a 60 degree field of view, the figure-eight path and
 odometry drift), the single_ukf baseline jobs on square-loop worlds 1
@@ -190,16 +191,14 @@ def digest(name, overrides, work) -> str:
 
 
 def main(argv=None) -> int:
-    jobs, named = panel(), degraded()
-    named.update(baselines())
-    named.update(knobs())
-    named.update(fallbacks())
-    named.update(simulator())
-    named.update(jobs)
+    jobs = panel()
+    named = {**jobs, **degraded(), **baselines(), **knobs(), **fallbacks(), **simulator()}
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--job", action="append", choices=list(named), help="digest only this job (repeatable)")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--job", action="append", choices=list(named), help="digest only this job (repeatable)")
+    which.add_argument("--all", action="store_true", help="digest the panel, then every job outside it")
     args = p.parse_args(argv)
-    for name in args.job or jobs:
+    for name in args.job or (named if args.all else jobs):
         with tempfile.TemporaryDirectory() as work:
             print(digest(name, named[name], work), flush=True)
     return 0

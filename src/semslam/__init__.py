@@ -10,7 +10,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-_EXPORTS = {"ContractViolation": "core", "LandmarkTable": "core", "MeasurementTable": "core", "Pose": "geometry"}
+_EXPORTS = {"ContractViolation": "core", "LandmarkTable": "core", "MeasurementTable": "core", "Pose": "geometry", "PoseTable": "core"}
 
 __all__ = [*sorted(_EXPORTS), "__version__"]
 

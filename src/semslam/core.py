@@ -1,4 +1,5 @@
-"""Shared domain types: measurement and landmark tables, class histograms.
+"""Shared domain types: measurement, landmark and pose tables, class
+histograms.
 
 A class is its dense integer id, 0 <= id < n_classes."""
 
@@ -140,6 +141,31 @@ class LandmarkTable:
         return LandmarkTable(*(getattr(self, f)[rows] for f in _TABLE_FIELDS))
 
 
+@dataclass(frozen=True, eq=False)
+class PoseTable:
+    """A trajectory, one pose per row: pose id = row. Its rotations are unit
+    quaternions as they were computed or read; a table never renormalises
+    them, and no array it holds is written in place."""
+
+    translations: np.ndarray  # (N, 3)
+    rotations: np.ndarray  # (N, 4)
+
+    def __len__(self) -> int:
+        return len(self.translations)
+
+    @classmethod
+    def of(cls, poses) -> "PoseTable":
+        """The table of a sequence of poses, in order."""
+        return cls(np.reshape([p.translation for p in poses], (-1, 3)), np.reshape([p.rotation for p in poses], (-1, 4)))
+
+    def pose(self, row: int) -> Pose:
+        return Pose.unit(self.translations[row], self.rotations[row])
+
+    def append(self, pose: Pose) -> "PoseTable":
+        """This table with `pose` as a new last row, in new arrays."""
+        return PoseTable(np.vstack([self.translations, pose.translation]), np.vstack([self.rotations, pose.rotation]))
+
+
 def class_counts(labels, n_classes: int) -> np.ndarray:
     """Class histogram: the number of items per class id, as an int vector."""
     counts = np.bincount(np.asarray(labels, dtype=int), minlength=n_classes)
@@ -151,6 +177,7 @@ def class_counts(labels, n_classes: int) -> np.ndarray:
 __all__ = [
     "MeasurementTable",
     "LandmarkTable",
+    "PoseTable",
     "Pose",
     "class_counts",
     "check_spd",

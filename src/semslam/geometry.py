@@ -159,7 +159,8 @@ def quat_from_yaw(yaw: float) -> np.ndarray:
 
 @dataclass(eq=False)
 class Pose:
-    """Rigid transform: world position plus unit quaternion orientation."""
+    """Rigid transform: world position plus unit quaternion orientation.
+    The constructor normalises the rotation it is given; `unit` does not."""
 
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
     rotation: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0, 0.0]))
@@ -168,6 +169,14 @@ class Pose:
         self.translation = np.asarray(self.translation, dtype=float)
         self.rotation = quat_normalize(np.asarray(self.rotation, dtype=float))
         self._rot = None
+
+    @classmethod
+    def unit(cls, translation: np.ndarray, rotation: np.ndarray) -> "Pose":
+        """The pose of a float translation and a unit quaternion, held as
+        given: renormalising a unit quaternion can change its last bit."""
+        pose = cls.__new__(cls)
+        pose.translation, pose.rotation, pose._rot = translation, rotation, None
+        return pose
 
     def rot(self) -> np.ndarray:
         # rotation is never mutated in place, so the matrix can be memoized
@@ -208,9 +217,6 @@ class Pose:
         """World-frame (k, 3) points -> body frame, each row with the bits that
         `transform_inverse` gives it."""
         return (self.rot().T[None] @ (points - self.translation)[:, :, None])[:, :, 0]
-
-    def copy(self) -> "Pose":
-        return Pose(self.translation.copy(), self.rotation.copy())
 
     def approx_equal(self, other: "Pose", tol: float = 1e-9) -> bool:
         return (

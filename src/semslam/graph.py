@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import ContractViolation
+from .core import ContractViolation, PoseTable
 from .geometry import Pose, hat, log_so3, norms, quat_from_rotvec, quat_mul, quat_normalize, quat_to_rot
 
 
@@ -141,7 +141,7 @@ class PriorFactor(_Factor):
         return (("pose", self.pose_id),)
 
     def _terms(self, state, jac):
-        r, J = _relative_terms(*_ORIGIN, *_one(state.poses[self.pose_id]), *_one(self.prior), jac)
+        r, J = _relative_terms(*_ORIGIN, *_one(state.poses.pose(self.pose_id)), *_one(self.prior), jac)
         return r, None if J is None else J[:, :, 6:]
 
 
@@ -160,7 +160,8 @@ class RelativePoseFactor(_Factor):
         return (("pose", self.pose_i), ("pose", self.pose_j))
 
     def _terms(self, state, jac):
-        return _relative_terms(*_one(state.poses[self.pose_i]), *_one(state.poses[self.pose_j]), *_one(self.measured), jac)
+        poses = state.poses
+        return _relative_terms(*_one(poses.pose(self.pose_i)), *_one(poses.pose(self.pose_j)), *_one(self.measured), jac)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,7 +179,7 @@ class LandmarkFactor(_Factor):
 
     def _terms(self, state, jac):
         l = np.asarray(state.landmarks[self.landmark_id], dtype=float)[None]
-        return _landmark_terms(*_one(state.poses[self.pose_id]), l, np.asarray(self.measured, dtype=float)[None], jac)
+        return _landmark_terms(*_one(state.poses.pose(self.pose_id)), l, np.asarray(self.measured, dtype=float)[None], jac)
 
 
 Factor = PriorFactor | RelativePoseFactor | LandmarkFactor
@@ -186,40 +187,36 @@ Factor = PriorFactor | RelativePoseFactor | LandmarkFactor
 
 @dataclass
 class GraphState:
-    poses: Dict[int, Pose] = field(default_factory=dict)
+    """The graph's variables and factors. A pose id is a row of `poses`."""
+
+    poses: PoseTable = field(default_factory=lambda: PoseTable.of([]))
     landmarks: Dict[int, np.ndarray] = field(default_factory=dict)
     factors: List[Factor] = field(default_factory=list)
-
-    def copy(self) -> "GraphState":
-        return GraphState(
-            {k: p.copy() for k, p in self.poses.items()},
-            {k: v.copy() for k, v in self.landmarks.items()},
-            list(self.factors),
-        )
 
     def check_structure(self):
         priors = [f for f in self.factors if isinstance(f, PriorFactor)]
         if len(priors) != 1:
             raise StructuralError(f"expected exactly one prior factor, found {len(priors)}")
+        has_pose = lambda pid: 0 <= pid < len(self.poses)
         touched = set()
         for f in self.factors:
             if isinstance(f, PriorFactor):
-                if f.pose_id not in self.poses:
+                if not has_pose(f.pose_id):
                     raise StructuralError("prior references a missing pose")
                 touched.add(("pose", f.pose_id))
             elif isinstance(f, RelativePoseFactor):
                 for pid in (f.pose_i, f.pose_j):
-                    if pid not in self.poses:
+                    if not has_pose(pid):
                         raise StructuralError(f"factor references missing pose {pid}")
                     touched.add(("pose", pid))
             else:
-                if f.pose_id not in self.poses:
+                if not has_pose(f.pose_id):
                     raise StructuralError(f"factor references missing pose {f.pose_id}")
                 if f.landmark_id not in self.landmarks:
                     raise StructuralError(f"factor references missing landmark {f.landmark_id}")
                 touched.add(("pose", f.pose_id))
                 touched.add(("landmark", f.landmark_id))
-        for pid in self.poses:
+        for pid in range(len(self.poses)):
             if ("pose", pid) not in touched:
                 raise StructuralError(f"pose {pid} has no factor")
         for lid in self.landmarks:
@@ -298,12 +295,12 @@ class _EdgeStack(_Stack):
     """The pose-pose factors: the priors first, each an edge from the fixed
     origin, then the relative factors in graph order."""
 
-    def __init__(self, priors, relatives, pose_index: Dict[int, int]):
+    def __init__(self, priors, relatives):
         self.n0 = len(priors)
         super().__init__(priors + relatives, 6)
         # a prior's first pose is the origin, set in `terms`; 0 only holds its place
-        self.i = np.array([0] * self.n0 + [pose_index[f.pose_i] for f in relatives], dtype=np.intp)
-        self.j = np.array([pose_index[f.pose_id] for f in priors] + [pose_index[f.pose_j] for f in relatives], dtype=np.intp)
+        self.i = np.array([0] * self.n0 + [f.pose_i for f in relatives], dtype=np.intp)
+        self.j = np.array([f.pose_id for f in priors] + [f.pose_j for f in relatives], dtype=np.intp)
         meas = [f.prior for f in priors] + [f.measured for f in relatives]
         self.t_m = np.array([m.translation for m in meas], dtype=float).reshape(-1, 3)
         self.R_m = quat_to_rot(np.array([m.rotation for m in meas], dtype=float).reshape(-1, 4))
@@ -318,9 +315,9 @@ class _EdgeStack(_Stack):
 class _LandmarkStack(_Stack):
     """The pose-landmark factors in graph order."""
 
-    def __init__(self, factors, pose_index: Dict[int, int], landmark_index: Dict[int, int]):
+    def __init__(self, factors, landmark_index: Dict[int, int]):
         super().__init__(factors, 3)
-        self.p = np.array([pose_index[f.pose_id] for f in factors], dtype=np.intp)
+        self.p = np.array([f.pose_id for f in factors], dtype=np.intp)
         self.l = np.array([landmark_index[f.landmark_id] for f in factors], dtype=np.intp)
         self.z = np.array([f.measured for f in factors], dtype=float).reshape(-1, 3)
 
@@ -342,21 +339,18 @@ class _Problem:
     in the normal equations. Variables are ordered by id."""
 
     def __init__(self, g: GraphState):
-        self.pose_ids = sorted(g.poses)
         self.landmark_ids = sorted(g.landmarks)
-        P, M = len(self.pose_ids), len(self.landmark_ids)
-        n6 = self.n6 = 6 * P
-        pose_index = {pid: k for k, pid in enumerate(self.pose_ids)}
+        M = len(self.landmark_ids)
+        n6 = self.n6 = 6 * len(g.poses)
         by_type = {PriorFactor: [], RelativePoseFactor: [], LandmarkFactor: []}
         for f in g.factors:
             by_type[type(f)].append(f)
-        self.edges = e = _EdgeStack(by_type[PriorFactor], by_type[RelativePoseFactor], pose_index)
+        self.edges = e = _EdgeStack(by_type[PriorFactor], by_type[RelativePoseFactor])
         marks = by_type[LandmarkFactor]
         self.marks = None
         if marks:
-            self.marks = _LandmarkStack(marks, pose_index, {lid: k for k, lid in enumerate(self.landmark_ids)})
-        self.t0 = np.array([g.poses[p].translation for p in self.pose_ids], dtype=float)
-        self.q0 = np.array([g.poses[p].rotation for p in self.pose_ids], dtype=float)
+            self.marks = _LandmarkStack(marks, {lid: k for k, lid in enumerate(self.landmark_ids)})
+        self.t0, self.q0 = g.poses.translations, g.poses.rotations
         self.L0 = np.array([g.landmarks[l] for l in self.landmark_ids], dtype=float).reshape(M, 3)
 
         # pose-landmark blocks: one per observed (pose, landmark) pair
@@ -443,13 +437,8 @@ class _Problem:
             return float("inf")
 
     def state(self, g: GraphState, t, q, L) -> GraphState:
-        pk = {pid: k for k, pid in enumerate(self.pose_ids)}
         lk = {lid: k for k, lid in enumerate(self.landmark_ids)}
-        return GraphState(
-            {pid: Pose(t[pk[pid]].copy(), q[pk[pid]].copy()) for pid in g.poses},
-            {lid: L[lk[lid]].copy() for lid in g.landmarks},
-            list(g.factors),
-        )
+        return GraphState(PoseTable(t, q), {lid: L[lk[lid]].copy() for lid in g.landmarks}, list(g.factors))
 
 
 def _apply_step(t, q, L, dp, dl):
@@ -512,14 +501,11 @@ def optimize(
     return OptimizeResult(prob.state(g, t, q, L), lin.cost, iterations, trace, converged, initial_cost, rejected)
 
 
-def rmse(trajectory: Sequence[Pose], ground_truth: Sequence[Pose]) -> float:
+def rmse(trajectory: PoseTable, ground_truth: PoseTable) -> float:
     """Root-mean-square translational error between aligned trajectories."""
     if len(trajectory) != len(ground_truth):
         raise ContractViolation("trajectory lengths differ")
-    if not trajectory:
+    if not len(trajectory):
         return 0.0
-    err = [
-        float(np.sum((a.translation - b.translation) ** 2))
-        for a, b in zip(trajectory, ground_truth)
-    ]
+    err = [float(np.sum(d**2)) for d in trajectory.translations - ground_truth.translations]
     return math.sqrt(sum(err) / len(err))

@@ -12,7 +12,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .core import MeasurementTable
+from .core import MeasurementTable, PoseTable
 from .geometry import Pose
 
 MEASUREMENT_HEADER = "t,scene_id,class_id,x,y,z"
@@ -122,18 +122,18 @@ def read_odometry(path: str) -> List[Pose]:
     return _read_poses(path, ODOMETRY_HEADER, "odometry increment", may_be_empty=True)[1]
 
 
-def write_trajectory(path: str, poses: Sequence[Pose], times: Sequence[float] | None = None) -> None:
+def write_trajectory(path: str, poses: PoseTable, times: Sequence[float] | None = None) -> None:
     rows = []
-    for t, pose in enumerate(poses):
+    for t, (p, q) in enumerate(zip(poses.translations.tolist(), poses.rotations.tolist())):
         time = float(times[t]) if times is not None else float(t)
-        p = pose.translation
-        q = pose.rotation
-        rows.append([_fmt(time), _fmt(p[0]), _fmt(p[1]), _fmt(p[2]), _fmt(q[0]), _fmt(q[1]), _fmt(q[2]), _fmt(q[3])])
+        rows.append([_fmt(v) for v in (time, *p, *q)])
     _write(path, POSE_HEADER, rows)
 
 
-def read_trajectory(path: str) -> Tuple[List[float], List[Pose]]:
-    return _read_poses(path, POSE_HEADER, "trajectory pose")
+def read_trajectory(path: str) -> Tuple[List[float], PoseTable]:
+    """Times and the table of a pose file's rows, each rotation normalised."""
+    times, poses = _read_poses(path, POSE_HEADER, "trajectory pose")
+    return times, PoseTable.of(poses)
 
 
 def write_map(path: str, landmarks) -> None:

@@ -17,9 +17,9 @@ from .assoc import (
     solve_assignment,
 )
 from .config import RunConfig
-from .core import LandmarkTable, MeasurementTable, class_counts
+from .core import LandmarkTable, MeasurementTable, PoseTable, class_counts
 from .estimation import fuse_hypotheses
-from .geometry import Pose
+from .geometry import Pose, quat_to_rot
 from .graph import (
     GraphState,
     LandmarkFactor,
@@ -35,13 +35,13 @@ from .submap import Corpus, SubmapSummary, gate, tfidf_score
 
 @dataclass
 class PipelineResult:
-    trajectory: List[Pose]
+    trajectory: PoseTable
     fused_map: LandmarkTable
     hypothesis_counts: List[int]
     landmark_counts: List[int]
     loop_closure_counts: List[int]  # cumulative per frame
     n_loop_closures: int
-    raw_odometry: List[Pose]
+    raw_odometry: PoseTable
     per_frame_error: Optional[List[float]] = None
     final_rmse: Optional[float] = None
 
@@ -59,11 +59,12 @@ class PipelineResult:
         return float(np.mean(self.hypothesis_counts))
 
 
-def integrate_odometry(increments: Sequence[Pose], start: Optional[Pose] = None) -> List[Pose]:
-    poses = [start.copy() if start is not None else Pose()]
+def integrate_odometry(increments: Sequence[Pose]) -> PoseTable:
+    """The odometry chain from the identity pose."""
+    poses = [Pose()]
     for inc in increments:
         poses.append(poses[-1].compose(inc))
-    return poses
+    return PoseTable.of(poses)
 
 
 def _assoc_params(cfg: RunConfig) -> AssocParams:
@@ -89,17 +90,14 @@ class Pipeline:
         self.assoc_params = _assoc_params(cfg)
         self.detector = LoopClosureDetector(cfg)
         self.corpus = Corpus(cfg.n_classes)
-        # factor graph
-        self.graph = GraphState()
-        self.graph.poses[0] = Pose()
-        self.graph.factors.append(PriorFactor(0, Pose(), 1e6 * np.eye(6)))
+        # factor graph; its poses are the trajectory estimate
+        self.graph = GraphState(PoseTable.of([Pose()]), factors=[PriorFactor(0, Pose(), 1e6 * np.eye(6))])
         odo_cov = np.diag(
             [max(cfg.odom_sigma_t, 1e-3) ** 2] * 3 + [max(cfg.odom_sigma_r, 1e-3) ** 2] * 3
         )
         self._odo_info = np.linalg.inv(odo_cov)
         self._loop_info = cfg.loop_info_scale * np.eye(6)
         # running state
-        self.pose_est: List[Pose] = [Pose()]
         self.fused_map = LandmarkTable.empty()
         self.previous_landmarks = LandmarkTable.empty()
         self.n_fp_total = 0
@@ -128,15 +126,12 @@ class Pipeline:
         if step > 0:
             if odom_inc is None:
                 raise ValueError("missing odometry increment")
-            pose = self.pose_est[-1].compose(odom_inc)
-            self.pose_est.append(pose)
-            self.graph.poses[step] = pose.copy()
-            self.graph.factors.append(
-                RelativePoseFactor(step - 1, step, odom_inc.copy(), self._odo_info)
-            )
+            poses = self.graph.poses
+            self.graph.poses = poses.append(poses.pose(-1).compose(odom_inc))
+            self.graph.factors.append(RelativePoseFactor(step - 1, step, odom_inc, self._odo_info))
         if len(measurements):
             scene, times, labels = measurements.scene_id, measurements.times, measurements.labels
-            world = self.pose_est[step].transform_points(measurements.positions)  # checked: it may overflow
+            world = self.graph.poses.pose(step).transform_points(measurements.positions)  # checked: it may overflow
             self._associate(MeasurementTable.build(scene, times, world, labels))
             counts = class_counts(labels, self.cfg.n_classes)
             hist = counts / counts.sum()
@@ -174,11 +169,10 @@ class Pipeline:
         # submaps lets the DP rich-get-richer weight swallow new landmarks
         self.n_fp_total = 0
         # landmark factors from the fused output, in the anchor pose's body frame
-        anchors = [self.pose_est[t] for t in fused.last_scene.tolist()]
-        R = np.reshape([pose.rot() for pose in anchors], (-1, 3, 3))
+        poses = self.graph.poses
+        R = quat_to_rot(poses.rotations[fused.last_scene])
         RT = R.transpose(0, 2, 1)
-        offsets = np.reshape([mean - pose.translation for mean, pose in zip(fused.means, anchors)], (-1, 3, 1))
-        z_body = (RT @ offsets)[:, :, 0]
+        z_body = (RT @ (fused.means - poses.translations[fused.last_scene])[:, :, None])[:, :, 0]
         info = np.linalg.inv(RT @ fused.covs @ R)
         info = 0.5 * (info + info.transpose(0, 2, 1))
         for lid, mean, scene, z, inf in zip(fused.ids.tolist(), fused.means, fused.last_scene.tolist(), z_body, info):
@@ -205,7 +199,7 @@ class Pipeline:
                     )
         if self._submap_scenes and summary.histogram.any():
             self.detector.add_submap(self.submap_id, submap_hist, self._submap_scenes)
-        self._optimize()
+        self.graph = optimize(self.graph, cfg.lm_max_iters, cfg.lm_grad_tol).state
         # fused landmarks become previous-submap landmarks for the next tree
         fm = self.fused_map
         means = [self.graph.landmarks.get(lid, mean) for lid, mean in zip(fm.ids.tolist(), fm.means)]
@@ -225,21 +219,12 @@ class Pipeline:
             self.corpus.add(counts[None])
         return SubmapSummary(counts, tfidf_score(counts, self.corpus), len(labels))
 
-    # -- optimization -----------------------------------------------------
-
-    def _optimize(self):
-        result = optimize(self.graph, self.cfg.lm_max_iters, self.cfg.lm_grad_tol)
-        self.graph = result.state
-        for t in sorted(self.graph.poses):
-            self.pose_est[t] = self.graph.poses[t].copy()
-        self.last_optimize = result
-
 
 def run_pipeline(
     cfg: RunConfig,
     measurements_per_step: Sequence[MeasurementTable],
     odometry_increments: Sequence[Pose],
-    ground_truth: Optional[Sequence[Pose]] = None,
+    ground_truth: Optional[PoseTable] = None,
 ) -> PipelineResult:
     """Run the full estimator over body-frame measurement tables, one per step."""
     n_steps = len(measurements_per_step)
@@ -263,17 +248,9 @@ def run_pipeline(
         if (t + 1) % cfg.submap_length == 0 or t == n_steps - 1:
             pipe.finalize_submap(t)
             lc_counts[-1] = pipe.n_loop_closures
-    trajectory = [pipe.pose_est[t] for t in range(n_steps)]
+    trajectory = pipe.graph.poses
     raw = integrate_odometry(odometry_increments)
-    result = PipelineResult(
-        trajectory,
-        pipe.fused_map,
-        hyp_counts,
-        lm_counts,
-        lc_counts,
-        pipe.n_loop_closures,
-        raw,
-    )
+    result = PipelineResult(trajectory, pipe.fused_map, hyp_counts, lm_counts, lc_counts, pipe.n_loop_closures, raw)
     if ground_truth is not None:
         report = evaluate(trajectory, ground_truth)
         result.per_frame_error, result.final_rmse = report.per_frame_error, report.rmse
@@ -288,12 +265,10 @@ class EvalReport:
     max_error: float
 
 
-def evaluate(trajectory: Sequence[Pose], ground_truth: Sequence[Pose], times_a=None, times_b=None) -> EvalReport:
+def evaluate(trajectory: PoseTable, ground_truth: PoseTable, times_a=None, times_b=None) -> EvalReport:
     if times_a is not None and times_b is not None:
         if len(times_a) != len(times_b) or any(abs(a - b) > 1e-9 for a, b in zip(times_a, times_b)):
             raise ValueError("trajectory timestamps are not aligned")
-    errs = [
-        float(np.linalg.norm(a.translation - b.translation))
-        for a, b in zip(trajectory, ground_truth)
-    ]
-    return EvalReport(rmse(list(trajectory), list(ground_truth)), errs, float(np.mean(errs)), float(np.max(errs)))
+    error = rmse(trajectory, ground_truth)
+    errs = [float(np.linalg.norm(d)) for d in trajectory.translations - ground_truth.translations]
+    return EvalReport(error, errs, float(np.mean(errs)), float(np.max(errs)))

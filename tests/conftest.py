@@ -17,7 +17,7 @@ from semslam.assoc import (
     Previous,
 )
 from semslam.config import RunConfig
-from semslam.core import SPD_EIG_TOL, ContractViolation, LandmarkTable, MeasurementTable
+from semslam.core import SPD_EIG_TOL, ContractViolation, LandmarkTable, MeasurementTable, PoseTable
 from semslam.estimation import CovarianceConditioningError
 from semslam.geometry import Pose, rot_to_quat
 from semslam.graph import (
@@ -725,14 +725,14 @@ def right_jacobian_inv_so3(phi: np.ndarray) -> np.ndarray:
 def _scalar_factor_terms(f, state):
     """Residual and Jacobians of one factor, one 3x3 product at a time."""
     if isinstance(f, PriorFactor):
-        pose = state.poses[f.pose_id]
+        pose = state.poses.pose(f.pose_id)
         r_r = scalar_log_so3(scalar_quat_to_rot(f.prior.rotation).T @ scalar_quat_to_rot(pose.rotation))
         J = np.zeros((6, 6))
         J[:3, :3] = np.eye(3)
         J[3:, 3:] = right_jacobian_inv_so3(r_r)
         return np.concatenate([pose.translation - f.prior.translation, r_r]), {("pose", f.pose_id): J}
     if isinstance(f, RelativePoseFactor):
-        Ti, Tj = state.poses[f.pose_i], state.poses[f.pose_j]
+        Ti, Tj = state.poses.pose(f.pose_i), state.poses.pose(f.pose_j)
         Ri = scalar_quat_to_rot(Ti.rotation)
         v = Ri.T @ (Tj.translation - Ti.translation)
         E = scalar_quat_to_rot(f.measured.rotation).T
@@ -746,7 +746,7 @@ def _scalar_factor_terms(f, state):
         Jj[3:, 3:] = right_jacobian_inv_so3(r_r)
         r = np.concatenate([v - f.measured.translation, r_r])
         return r, {("pose", f.pose_i): Ji, ("pose", f.pose_j): Jj}
-    pose = state.poses[f.pose_id]
+    pose = state.poses.pose(f.pose_id)
     R = scalar_quat_to_rot(pose.rotation)
     v = R.T @ (state.landmarks[f.landmark_id] - pose.translation)
     Jp = np.zeros((3, 6))
@@ -796,9 +796,9 @@ def scalar_optimize(g, max_iters=50, grad_tol=1e-8, lm_lambda0=1e-4):
     reference for `graph.optimize`. It assembles H factor by factor, solves
     H + lam I directly and reads the covariance from its full inverse."""
     g.check_structure()
-    state = g.copy()
+    state = g
     offsets, off = {}, 0
-    for pid in sorted(state.poses):
+    for pid in range(len(state.poses)):
         offsets[("pose", pid)] = off
         off += 6
     for lid in sorted(state.landmarks):
@@ -807,11 +807,12 @@ def scalar_optimize(g, max_iters=50, grad_tol=1e-8, lm_lambda0=1e-4):
     dim = off
 
     def apply_step(state, delta):
-        new = GraphState({}, {}, list(state.factors))
-        for pid, pose in state.poses.items():
-            o = offsets[("pose", pid)]
+        poses = []
+        for pid in range(len(state.poses)):
+            pose, o = state.poses.pose(pid), offsets[("pose", pid)]
             q = scalar_quat_normalize(scalar_quat_mul(pose.rotation, scalar_quat_from_rotvec(delta[o + 3 : o + 6])))
-            new.poses[pid] = Pose(pose.translation + delta[o : o + 3], q)
+            poses.append(Pose(pose.translation + delta[o : o + 3], q))
+        new = GraphState(PoseTable.of(poses), {}, list(state.factors))
         for lid, l in state.landmarks.items():
             o = offsets[("landmark", lid)]
             new.landmarks[lid] = l + delta[o : o + 3]
@@ -851,7 +852,7 @@ def scalar_optimize(g, max_iters=50, grad_tol=1e-8, lm_lambda0=1e-4):
         if not accepted or converged:  # a stall ends the run unconverged
             break
     H, _, _ = _scalar_normal_equations(state, offsets, dim)
-    o = offsets[("pose", max(state.poses))]
+    o = offsets[("pose", len(state.poses) - 1)]
     try:
         cov = np.linalg.inv(H + 1e-12 * np.eye(dim))
         trace = float(np.trace(cov[o : o + 6, o : o + 6]))

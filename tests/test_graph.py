@@ -1,12 +1,13 @@
 """Factor graph: Cauchy loss, analytic vs numerical Jacobians, gauge
 behavior, robust optimization, and trajectory RMSE."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from semslam.core import ContractViolation
+from semslam.core import ContractViolation, PoseTable
 from semslam.geometry import Pose, log_so3, quat_from_rotvec, quat_from_yaw, quat_mul, quat_normalize, quat_to_rot
 from semslam.graph import (
     GraphState,
@@ -27,17 +28,20 @@ def random_pose(rng, scale=2.0):
     return Pose(scale * rng.standard_normal(3), quat_normalize(rng.standard_normal(4)))
 
 
+def poses_of(table):
+    """The rows of a pose table, as poses."""
+    return [table.pose(p) for p in range(len(table))]
+
+
 def perturb(state, var, delta):
     """Apply a minimal-parameterization increment to one variable."""
-    new = state.copy()
     kind, vid = var
-    if kind == "pose":
-        pose = new.poses[vid]
-        q = scalar_quat_normalize(scalar_quat_mul(pose.rotation, scalar_quat_from_rotvec(delta[3:])))
-        new.poses[vid] = Pose(pose.translation + delta[:3], q)
-    else:
-        new.landmarks[vid] = new.landmarks[vid] + delta
-    return new
+    if kind == "landmark":
+        return dataclasses.replace(state, landmarks={**state.landmarks, vid: state.landmarks[vid] + delta})
+    poses = poses_of(state.poses)
+    q = scalar_quat_normalize(scalar_quat_mul(poses[vid].rotation, scalar_quat_from_rotvec(delta[3:])))
+    poses[vid] = Pose(poses[vid].translation + delta[:3], q)
+    return dataclasses.replace(state, poses=PoseTable.of(poses))
 
 
 def fd_jacobian(factor, state, var, dim, h=1e-6):
@@ -84,64 +88,75 @@ class TestCauchy:
 class TestJacobians:
     def test_prior_factor(self, rng):
         for _ in range(30):
-            state = GraphState(poses={0: random_pose(rng)})
+            state = GraphState(PoseTable.of([random_pose(rng)]))
             f = PriorFactor(0, random_pose(rng), np.eye(6))
             assert_jacobians_match(f, state)
 
     def test_relative_pose_factor(self, rng):
         for _ in range(30):
-            state = GraphState(poses={0: random_pose(rng), 1: random_pose(rng)})
+            state = GraphState(PoseTable.of([random_pose(rng), random_pose(rng)]))
             f = RelativePoseFactor(0, 1, random_pose(rng), np.eye(6))
             assert_jacobians_match(f, state)
 
     def test_landmark_factor(self, rng):
         for _ in range(30):
-            state = GraphState(
-                poses={0: random_pose(rng)}, landmarks={5: rng.standard_normal(3)}
-            )
+            state = GraphState(PoseTable.of([random_pose(rng)]), landmarks={5: rng.standard_normal(3)})
             f = LandmarkFactor(0, 5, rng.standard_normal(3), np.eye(3))
             assert_jacobians_match(f, state)
 
 
 class TestStructure:
     def test_missing_prior_rejected(self):
-        g = GraphState(poses={0: Pose(), 1: Pose()})
+        g = GraphState(PoseTable.of([Pose(), Pose()]))
         g.factors.append(RelativePoseFactor(0, 1, Pose(), np.eye(6)))
         with pytest.raises(StructuralError):
             optimize(g)
 
     def test_factor_referencing_missing_pose_rejected(self):
-        g = GraphState(poses={0: Pose()})
+        g = GraphState(PoseTable.of([Pose()]))
         g.factors.append(PriorFactor(0, Pose(), np.eye(6)))
         g.factors.append(RelativePoseFactor(0, 3, Pose(), np.eye(6)))
         with pytest.raises(StructuralError):
             optimize(g)
 
+    @pytest.mark.parametrize("kind", ["prior", "relative", "landmark"])
+    def test_negative_pose_id_rejected(self, kind):
+        """A pose id is a row of the pose table: -1 names no pose, though
+        indexing the table with it would wrap round to the last row."""
+        g = GraphState(PoseTable.of([Pose(), Pose()]), landmarks={5: np.zeros(3)})
+        g.factors = [PriorFactor(-1 if kind == "prior" else 0, Pose(), np.eye(6)), RelativePoseFactor(0, 1, Pose(), np.eye(6))]
+        if kind == "relative":
+            g.factors.append(RelativePoseFactor(1, -1, Pose(), np.eye(6)))
+        g.factors.append(LandmarkFactor(-1 if kind == "landmark" else 1, 5, np.zeros(3), np.eye(3)))
+        with pytest.raises(StructuralError, match="missing pose"):
+            optimize(g)
+
     def test_disconnected_variable_rejected(self):
-        g = GraphState(poses={0: Pose(), 1: Pose()})
+        g = GraphState(PoseTable.of([Pose(), Pose()]))
         g.factors.append(PriorFactor(0, Pose(), np.eye(6)))
         with pytest.raises(StructuralError):
             optimize(g)
 
 
 def chain_graph(increments, start=None, info_scale=1.0):
-    g = GraphState()
-    pose = start.copy() if start is not None else Pose()
-    g.poses[0] = pose.copy()
-    g.factors.append(PriorFactor(0, pose.copy(), 1e6 * np.eye(6)))
-    for i, inc in enumerate(increments):
-        pose = pose.compose(inc)
-        g.poses[i + 1] = pose.copy()
-        g.factors.append(RelativePoseFactor(i, i + 1, inc.copy(), info_scale * np.eye(6)))
+    poses = [start if start is not None else Pose()]
+    for inc in increments:
+        poses.append(poses[-1].compose(inc))
+    g = GraphState(PoseTable.of(poses), factors=[PriorFactor(0, poses[0], 1e6 * np.eye(6))])
+    g.factors += [RelativePoseFactor(i, i + 1, inc, info_scale * np.eye(6)) for i, inc in enumerate(increments)]
     return g
+
+
+def moved_start(g, rng):
+    """`g` with every pose but the first moved by 0.3 m normal noise."""
+    t = g.poses.translations.copy()
+    t[1:] += 0.3 * rng.standard_normal(t[1:].shape)
+    return dataclasses.replace(g, poses=PoseTable(t, g.poses.rotations))
 
 
 def perturbed_chain(rng):
     incs = [Pose(rng.uniform(-1, 1, 3), quat_from_rotvec(0.2 * rng.standard_normal(3))) for _ in range(5)]
-    g = chain_graph(incs)
-    for pid in list(g.poses)[1:]:
-        g.poses[pid] = Pose(g.poses[pid].translation + 0.3 * rng.standard_normal(3), g.poses[pid].rotation)
-    return g
+    return moved_start(chain_graph(incs), rng)
 
 
 def random_information(rng, dim):
@@ -170,8 +185,7 @@ def parity_graph(rng, kind):
     if kind == "zero_residual":
         n, scale = int(rng.integers(2, 6)), float(rng.uniform(1.0, 50.0))
         xs = np.cumsum(rng.integers(1, 4, n)).astype(float)
-        for p in range(n):
-            g.poses[p] = Pose(np.array([xs[p], 0.0, 0.0]))
+        g.poses = PoseTable.of([Pose(np.array([x, 0.0, 0.0])) for x in xs])
         g.factors.append(PriorFactor(0, Pose(np.array([xs[0], 0.0, 0.0])), 1e6 * np.eye(6)))
         shift = 0.25 if rng.random() < 0.5 else 0.0
         for p in range(1, n):
@@ -188,14 +202,15 @@ def parity_graph(rng, kind):
     moved = kind == "moved_prior"
     p0 = int(rng.integers(n)) if moved else 0
     truth = [random_pose(rng) if moved else Pose()] + [random_pose(rng) for _ in range(n - 1)]
-    for p in range(n):
-        start = truth[p] if p == p0 else Pose(
+    starts = [
+        truth[p] if p == p0 else Pose(
             truth[p].translation + 0.3 * rng.standard_normal(3),
             quat_mul(truth[p].rotation, quat_from_rotvec(0.2 * rng.standard_normal(3))),
         )
-        g.poses[p] = start
+        for p in range(n)
+    ]
     prior_info = 1e6 * np.eye(6) if rng.random() < 0.5 else random_information(rng, 6)
-    prior = PriorFactor(p0, truth[p0].copy(), prior_info, robust_c=robust() if moved else None)
+    prior = PriorFactor(p0, truth[p0], prior_info, robust_c=robust() if moved else None)
     if not moved:
         g.factors.append(prior)
 
@@ -214,8 +229,9 @@ def parity_graph(rng, kind):
         axis = rng.standard_normal(3)
         axis /= np.linalg.norm(axis)
         half = 0.5 * (math.pi - 5e-7)
-        g.poses[1] = Pose(g.poses[1].translation, np.concatenate([[math.cos(half)], math.sin(half) * axis]))
+        starts[1] = Pose(starts[1].translation, np.concatenate([[math.cos(half)], math.sin(half) * axis]))
         g.factors[1] = RelativePoseFactor(0, 1, Pose(rng.uniform(-1, 1, 3)), random_information(rng, 6), robust_c=robust())
+    g.poses = PoseTable.of(starts)
     if kind in ("mixed", "near_pi", "moved_prior"):
         for lid in range(int(rng.integers(1, 7))):
             where = 3.0 * rng.standard_normal(3)
@@ -234,8 +250,8 @@ class TestOptimize:
         g = chain_graph(incs)
         result = optimize(g)
         assert result.cost == pytest.approx(0.0, abs=1e-12)
-        for pid in g.poses:
-            assert result.state.poses[pid].approx_equal(g.poses[pid], tol=1e-9)
+        for got, start in zip(poses_of(result.state.poses), poses_of(g.poses)):
+            assert got.approx_equal(start, tol=1e-9)
 
     def test_loop_factor_corrects_drift(self):
         # L-shaped path so per-step body-frame translation drift accumulates
@@ -245,32 +261,17 @@ class TestOptimize:
             + [Pose(np.zeros(3), quat_from_yaw(math.pi / 2))]
             + [Pose(np.array([1.0, 0.0, 0.0])) for _ in range(10)]
         )
-        g = chain_graph(incs)
-        true_poses = {pid: p.copy() for pid, p in g.poses.items()}
-        drift = 0.02
-        g2 = GraphState()
-        pose = Pose()
-        g2.poses[0] = pose.copy()
-        g2.factors.append(PriorFactor(0, Pose(), 1e6 * np.eye(6)))
-        for i, inc in enumerate(incs):
-            bad = inc
-            if np.linalg.norm(inc.translation) > 0:
-                bad = Pose(inc.translation + np.array([drift, 0.0, 0.0]), inc.rotation)
-            pose = pose.compose(bad)
-            g2.poses[i + 1] = pose.copy()
-            g2.factors.append(RelativePoseFactor(i, i + 1, bad, np.eye(6)))
-        last = max(g2.poses)
-        endpoint_err_before = np.linalg.norm(
-            g2.poses[last].translation - true_poses[last].translation
-        )
+        true_poses = chain_graph(incs).poses
+        drift = np.array([0.02, 0.0, 0.0])
+        g2 = chain_graph([Pose(inc.translation + drift, inc.rotation) if inc.translation.any() else inc for inc in incs])
+        last = len(incs)
+        endpoint_err_before = np.linalg.norm(g2.poses.translations[last] - true_poses.translations[last])
         assert endpoint_err_before > 0.2
         # exact loop factor with information far above odometry
-        measured = true_poses[last].relative_to(true_poses[0])
+        measured = true_poses.pose(last).relative_to(true_poses.pose(0))
         g2.factors.append(RelativePoseFactor(0, last, measured, 1e4 * np.eye(6), kind="loop"))
         result = optimize(g2, max_iters=50)
-        endpoint_err_after = np.linalg.norm(
-            result.state.poses[last].translation - true_poses[last].translation
-        )
+        endpoint_err_after = np.linalg.norm(result.state.poses.translations[last] - true_poses.translations[last])
         assert endpoint_err_after < 0.1 * endpoint_err_before
 
     def test_cauchy_downweights_outlier_loop(self):
@@ -284,10 +285,7 @@ class TestOptimize:
             RelativePoseFactor(0, 10, bogus, 100.0 * np.eye(6), robust_c=1.0, kind="loop")
         )
         robust = optimize(g, max_iters=50)
-        errs = [
-            np.linalg.norm(robust.state.poses[p].translation - clean.state.poses[p].translation)
-            for p in g.poses
-        ]
+        errs = np.linalg.norm(robust.state.poses.translations - clean.state.poses.translations, axis=1)
         assert max(errs) < 0.35  # clean chain spans 10 m; outlier barely moves it
 
     def test_gauge_transport(self, rng):
@@ -299,19 +297,13 @@ class TestOptimize:
         base = optimize(chain_graph(incs)).state
         offset = Pose(np.array([10.0, -4.0, 2.0]), quat_from_yaw(0.7))
         moved = optimize(chain_graph(incs, start=offset)).state
-        for pid in base.poses:
-            expect = offset.compose(base.poses[pid])
-            assert moved.poses[pid].approx_equal(expect, tol=1e-6)
+        for pose, got in zip(poses_of(base.poses), poses_of(moved.poses)):
+            assert got.approx_equal(offset.compose(pose), tol=1e-6)
 
     def test_cost_non_increasing(self, rng):
         incs = [Pose(rng.uniform(-1, 1, 3)) for _ in range(6)]
-        g = chain_graph(incs)
         # perturb the initial guess away from the optimum
-        for pid in list(g.poses):
-            if pid > 0:
-                g.poses[pid] = Pose(
-                    g.poses[pid].translation + 0.3 * rng.standard_normal(3), g.poses[pid].rotation
-                )
+        g = moved_start(chain_graph(incs), rng)
         from semslam.graph import _total_cost
 
         start_cost = _total_cost(g)
@@ -319,9 +311,7 @@ class TestOptimize:
         assert result.cost <= start_cost + 1e-12
 
     def test_landmark_factors_recover_positions(self, rng):
-        g = GraphState()
-        g.poses[0] = Pose()
-        g.factors.append(PriorFactor(0, Pose(), 1e6 * np.eye(6)))
+        g = GraphState(PoseTable.of([Pose()]), factors=[PriorFactor(0, Pose(), 1e6 * np.eye(6))])
         true_lm = rng.uniform(-3, 3, (3, 3))
         for i, lm in enumerate(true_lm):
             g.landmarks[i] = lm + 0.5 * rng.standard_normal(3)
@@ -333,8 +323,7 @@ class TestOptimize:
     def test_quaternions_stay_normalized(self, rng):
         incs = [Pose(rng.uniform(-1, 1, 3), quat_from_rotvec(0.3 * rng.standard_normal(3))) for _ in range(5)]
         result = optimize(chain_graph(incs))
-        for p in result.state.poses.values():
-            assert abs(np.linalg.norm(p.rotation) - 1.0) < 1e-9
+        assert (abs(np.linalg.norm(result.state.poses.rotations, axis=1) - 1.0) < 1e-9).all()
 
     def test_reports_last_pose_covariance_trace(self):
         incs = [Pose(np.array([1.0, 0.0, 0.0]))]
@@ -363,7 +352,7 @@ class TestOptimize:
     def test_stall_reports_not_converged(self):
         # a prior at its own mean costs 0, so no trial step can lower the
         # cost; with grad_tol 0 the zero gradient does not stop the run first
-        g = GraphState(poses={0: Pose()}, factors=[PriorFactor(0, Pose(), np.eye(6))])
+        g = GraphState(PoseTable.of([Pose()]), factors=[PriorFactor(0, Pose(), np.eye(6))])
         for result in (optimize(g, grad_tol=0.0), scalar_optimize(g, grad_tol=0.0)):
             assert (result.iterations, result.rejected_steps) == (1, 12)
             assert result.converged is False
@@ -375,17 +364,25 @@ class TestOptimize:
         result = optimize(g, max_iters=0)
         assert result.iterations == 0 and result.converged is False
         assert result.cost == result.initial_cost == _total_cost(g)
-        for pid, pose in g.poses.items():
-            assert np.array_equal(result.state.poses[pid].translation, pose.translation)
-            assert np.array_equal(result.state.poses[pid].rotation, pose.rotation)
+        assert np.array_equal(result.state.poses.translations, g.poses.translations)
+        assert np.array_equal(result.state.poses.rotations, g.poses.rotations)
+
+    def test_zero_iterations_hand_back_every_bit(self):
+        """No pose is renormalised on its way through `optimize`: 200 random
+        unit poses come back with every bit, though renormalising a unit
+        quaternion can change its last bit."""
+        rng = np.random.default_rng(0)
+        g = GraphState(PoseTable.of([random_pose(rng) for _ in range(200)]), factors=[PriorFactor(0, Pose(), np.eye(6))])
+        g.factors += [RelativePoseFactor(p, p + 1, Pose(), np.eye(6)) for p in range(199)]
+        got = optimize(g, 0).state.poses
+        assert got.translations.tobytes() == g.poses.translations.tobytes()
+        assert got.rotations.tobytes() == g.poses.rotations.tobytes()
 
     def test_counts_rejected_steps(self):
         # a pose started 2 rad of yaw away from where its landmarks put it:
         # near-Gauss-Newton steps overshoot the rotation and are rejected
-        g = GraphState()
-        g.poses[0] = Pose()
+        g = GraphState(PoseTable.of([Pose(), Pose(np.array([1.0, 0.0, 0.0]), quat_from_yaw(2.0))]))
         g.factors.append(PriorFactor(0, Pose(), 1e6 * np.eye(6)))
-        g.poses[1] = Pose(np.array([1.0, 0.0, 0.0]), quat_from_yaw(2.0))
         g.factors.append(RelativePoseFactor(0, 1, Pose(np.array([1.0, 0.0, 0.0])), 1e-2 * np.eye(6)))
         for lid, lm in enumerate([[3.0, 1.0, 0.0], [2.0, -2.0, 0.5], [5.0, 0.0, -1.0]]):
             g.landmarks[lid] = np.array(lm)
@@ -448,8 +445,8 @@ class TestOptimize:
             assert got.iterations == want.iterations, seed
             assert got.converged == want.converged, seed
             assert got.rejected_steps == want.rejected_steps, seed
-            for pid in g.poses:
-                assert got.state.poses[pid].approx_equal(want.state.poses[pid], tol=1e-9), (seed, pid)
+            for pid, (a, b) in enumerate(zip(poses_of(got.state.poses), poses_of(want.state.poses))):
+                assert a.approx_equal(b, tol=1e-9), (seed, pid)
             for lid in g.landmarks:
                 assert np.allclose(got.state.landmarks[lid], want.state.landmarks[lid], rtol=0, atol=1e-9)
             # a cost below 1e-15 is rounding left at an exact fit: no digit of it agrees
@@ -474,10 +471,10 @@ class TestPriorFold:
 
         for _ in range(40):
             pose_id = int(rng.integers(3))
-            g = GraphState(poses={p: random_pose(rng) for p in range(3)})
+            g = GraphState(PoseTable.of([random_pose(rng) for p in range(3)]))
             prior = PriorFactor(pose_id, random_pose(rng), np.eye(6))
             g.factors = [prior] + [RelativePoseFactor(p, p + 1, random_pose(rng), np.eye(6)) for p in range(2)]
-            pose, meas = g.poses[pose_id], prior.prior
+            pose, meas = g.poses.pose(pose_id), prior.prior
             phi = log_so3(meas.rot()[None].transpose(0, 2, 1) @ pose.rot()[None])
             r = np.concatenate([pose.translation - meas.translation, phi[0]])
             J = np.zeros((6, 6))
@@ -516,25 +513,28 @@ class TestPriorFold:
         assert calls == [graph._EdgeStack, graph._LandmarkStack]
 
 
+def table(*points):
+    return PoseTable.of([Pose(np.array(p, dtype=float)) for p in points])
+
+
 class TestRmse:
     def test_identical_is_zero(self):
-        t = [Pose(np.array([float(i), 0, 0])) for i in range(4)]
+        t = table(*([i, 0, 0] for i in range(4)))
         assert rmse(t, t) == 0.0
 
     def test_constant_offset(self):
-        a = [Pose(np.array([float(i), 0, 0])) for i in range(4)]
-        b = [Pose(np.array([float(i), 1.0, 0])) for i in range(4)]
+        a = table(*([i, 0, 0] for i in range(4)))
+        b = table(*([i, 1, 0] for i in range(4)))
         assert rmse(a, b) == pytest.approx(1.0)
 
     def test_mixed_offsets(self):
-        a = [Pose(np.array([1.0, 0, 0])), Pose(np.array([0, 2.0, 0]))]
-        b = [Pose(), Pose()]
+        a, b = table([1, 0, 0], [0, 2, 0]), table([0, 0, 0], [0, 0, 0])
         assert rmse(a, b) == pytest.approx(math.sqrt(2.5), rel=1e-12)
         assert rmse(a, b) == pytest.approx(1.5811, abs=1e-4)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ContractViolation):
-            rmse([Pose()], [Pose(), Pose()])
+            rmse(table([0, 0, 0]), table([0, 0, 0], [0, 0, 0]))
 
     def test_empty_is_zero(self):
-        assert rmse([], []) == 0.0
+        assert rmse(table(), table()) == 0.0

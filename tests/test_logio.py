@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from semslam.core import LandmarkTable, MeasurementTable
+from semslam.core import LandmarkTable, MeasurementTable, PoseTable
 from semslam.geometry import Pose, quat_from_yaw
 from semslam.logio import (
     LogFormatError,
@@ -165,7 +165,7 @@ class TestTrajectory:
     def test_header_only_rejected(self, tmp_path):
         """A trajectory has at least one pose; the odometry of a one-step run has no increment."""
         path = str(tmp_path / "traj.csv")
-        write_trajectory(path, [])
+        write_trajectory(path, PoseTable.of([]))
         with pytest.raises(LogFormatError, match="no data rows"):
             read_trajectory(path)
         write_odometry(path, [])
@@ -174,15 +174,15 @@ class TestTrajectory:
     def test_round_trip(self, tmp_path):
         poses = make_poses(4)
         path = str(tmp_path / "traj.csv")
-        write_trajectory(path, poses)
+        write_trajectory(path, PoseTable.of(poses))
         times, back = read_trajectory(path)
-        assert times == [0.0, 1.0, 2.0, 3.0]
-        for a, b in zip(poses, back):
-            assert a.approx_equal(b, tol=1e-8)
+        assert times == [0.0, 1.0, 2.0, 3.0] and len(back) == 4
+        for row, pose in enumerate(poses):
+            assert pose.approx_equal(back.pose(row), tol=1e-8)
 
     def test_custom_times(self, tmp_path):
         path = str(tmp_path / "traj.csv")
-        write_trajectory(path, make_poses(2), times=[1.5, 2.5])
+        write_trajectory(path, PoseTable.of(make_poses(2)), times=[1.5, 2.5])
         times, _ = read_trajectory(path)
         assert times == [1.5, 2.5]
 
@@ -190,7 +190,7 @@ class TestTrajectory:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_field_reports_file_and_line(self, tmp_path, column, value):
         path = str(tmp_path / "traj.csv")
-        write_trajectory(path, make_poses(4))
+        write_trajectory(path, PoseTable.of(make_poses(4)))
         lines = open(path).read().splitlines()
         fields = lines[3].split(",")
         fields[lines[0].split(",").index(column)] = value

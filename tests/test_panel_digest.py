@@ -80,11 +80,12 @@ def test_graph_digest_hashes_every_result_at_full_precision():
     import numpy as np
 
     from semslam import pipeline
+    from semslam.core import PoseTable
     from semslam.geometry import Pose
     from semslam.graph import GraphState, LandmarkFactor, PriorFactor, RelativePoseFactor
 
     tool = _tool()
-    g = GraphState(poses={0: Pose(), 1: Pose(np.array([1.0, 0.2, 0.0]))}, landmarks={4: np.array([2.0, 1.0, 0.5])})
+    g = GraphState(PoseTable.of([Pose(), Pose(np.array([1.0, 0.2, 0.0]))]), landmarks={4: np.array([2.0, 1.0, 0.5])})
     g.factors = [
         PriorFactor(0, Pose(), 1e6 * np.eye(6)),
         RelativePoseFactor(0, 1, Pose(np.array([1.0, 0.0, 0.0])), np.eye(6)),
@@ -98,13 +99,15 @@ def test_graph_digest_hashes_every_result_at_full_precision():
     assert h.digest() == hashlib.sha256(tool.result_bytes(first) + tool.result_bytes(second)).digest()
 
     base = tool.result_bytes(second)
-    state = second.state.copy()
-    state.poses[1] = Pose(np.nextafter(state.poses[1].translation, np.inf), state.poses[1].rotation)
-    moved_landmark = second.state.copy()
-    moved_landmark.landmarks[4] = np.nextafter(moved_landmark.landmarks[4], np.inf)
+    state = second.state
+    moved = []
+    for column in ("translations", "rotations"):
+        a = getattr(state.poses, column).copy()
+        a[1] = np.nextafter(a[1], np.inf)
+        moved.append(dataclasses.replace(state, poses=dataclasses.replace(state.poses, **{column: a})))
+    moved.append(dataclasses.replace(state, landmarks={4: np.nextafter(state.landmarks[4], np.inf)}))
     changed = [
-        dataclasses.replace(second, state=state),
-        dataclasses.replace(second, state=moved_landmark),
+        *(dataclasses.replace(second, state=s) for s in moved),
         dataclasses.replace(second, cost=float(np.nextafter(second.cost, np.inf))),
         dataclasses.replace(second, initial_cost=float(np.nextafter(second.initial_cost, np.inf))),
         dataclasses.replace(second, last_pose_cov_trace=float(np.nextafter(second.last_pose_cov_trace, np.inf))),

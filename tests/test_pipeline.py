@@ -5,8 +5,8 @@ import pytest
 
 from semslam import kernels, placerec
 from semslam.config import RunConfig
-from semslam.core import MeasurementTable
-from semslam.geometry import Pose
+from semslam.core import MeasurementTable, PoseTable
+from semslam.geometry import Pose, quat_from_rotvec
 from semslam.pipeline import Pipeline, evaluate, integrate_odometry, run_pipeline
 from semslam.sim import generate_world, simulate
 
@@ -23,7 +23,7 @@ def simulate_for(cfg):
 
 def run_for(cfg):
     world, body, increments = simulate_for(cfg)
-    return run_pipeline(cfg, body, increments, world.trajectory), world
+    return run_pipeline(cfg, body, increments, PoseTable.of(world.trajectory)), world
 
 
 class TestScenario:
@@ -63,12 +63,23 @@ class TestIntegrateOdometry:
         incs = [Pose(np.array([1.0, 0.0, 0.0]))] * 3
         poses = integrate_odometry(incs)
         assert len(poses) == 4
-        assert np.allclose(poses[-1].translation, [3.0, 0.0, 0.0])
+        assert np.allclose(poses.translations[-1], [3.0, 0.0, 0.0])
 
-    def test_custom_start(self):
-        start = Pose(np.array([5.0, 0.0, 0.0]))
-        poses = integrate_odometry([], start)
-        assert np.allclose(poses[0].translation, [5.0, 0.0, 0.0])
+
+def test_appended_pose_is_the_composed_pose():
+    """`process_scene` appends the pose that `Pose.compose` returns, with
+    every bit: the estimate is the graph's pose table, held as computed."""
+    rng = np.random.default_rng(0)
+    pipe, chain = Pipeline(RunConfig()), [Pose()]
+    pipe.process_scene(0, MeasurementTable.build(0, [], [], []), None)
+    for step in range(1, 30):
+        inc = Pose(rng.standard_normal(3), quat_from_rotvec(0.3 * rng.standard_normal(3)))
+        chain.append(chain[-1].compose(inc))
+        pipe.process_scene(step, MeasurementTable.build(step, [], [], []), inc)
+    poses = pipe.graph.poses
+    for row, pose in enumerate(chain):
+        assert poses.translations[row].tobytes() == pose.translation.tobytes()
+        assert poses.rotations[row].tobytes() == pose.rotation.tobytes()
 
 
 class TestValidation:
@@ -134,9 +145,8 @@ class TestDeterminism:
         r1, _ = run_for(self.CFG)
         r2, _ = run_for(self.CFG)
         assert r1.metrics_rows() == r2.metrics_rows()
-        for a, b in zip(r1.trajectory, r2.trajectory):
-            assert np.array_equal(a.translation, b.translation)
-            assert np.array_equal(a.rotation, b.rotation)
+        assert np.array_equal(r1.trajectory.translations, r2.trajectory.translations)
+        assert np.array_equal(r1.trajectory.rotations, r2.trajectory.rotations)
 
 
 
@@ -187,11 +197,11 @@ class TestModes:
 
 class TestEvaluate:
     def test_perfect_match(self):
-        t = [Pose(np.array([float(i), 0, 0])) for i in range(3)]
+        t = PoseTable.of([Pose(np.array([float(i), 0, 0])) for i in range(3)])
         rep = evaluate(t, t)
         assert rep.rmse == 0.0 and rep.max_error == 0.0
 
     def test_misaligned_times_rejected(self):
-        t = [Pose()] * 2
+        t = PoseTable.of([Pose()] * 2)
         with pytest.raises(ValueError, match="aligned"):
             evaluate(t, t, [0.0, 1.0], [0.0, 2.0])

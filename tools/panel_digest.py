@@ -137,9 +137,10 @@ def sha(data: bytes) -> str:
 
 def result_bytes(result) -> bytes:
     """An optimize result at full precision: the float64 bytes of every pose
-    (translation, then rotation) and landmark by id, then the scalars."""
+    (translation, then rotation) and landmark by id, then the scalars. A pose
+    id is a row of the pose table."""
     state = result.state
-    arrays = [a for pid in sorted(state.poses) for a in (state.poses[pid].translation, state.poses[pid].rotation)]
+    arrays = [a for row in zip(state.poses.translations, state.poses.rotations) for a in row]
     arrays += [state.landmarks[lid] for lid in sorted(state.landmarks)]
     floats = (result.cost, result.initial_cost, result.last_pose_cov_trace)
     scalars = [float(x).hex() for x in floats] + [repr(int(result.iterations)), repr(bool(result.converged)), repr(int(result.rejected_steps))]

@@ -8,7 +8,6 @@ import sys
 from typing import List, Optional
 
 from .config import ConfigError, load_config, serialize_config
-from .core import PoseTable
 from .logio import (
     LogFormatError,
     read_measurements,
@@ -30,9 +29,9 @@ def cmd_simulate(args) -> int:
     world = generate_world(cfg)
     measurements, increments = simulate(world)
     os.makedirs(args.out, exist_ok=True)
-    write_measurements(os.path.join(args.out, "measurements.csv"), measurements, world.trajectory)
+    write_measurements(os.path.join(args.out, "measurements.csv"), measurements)
     write_odometry(os.path.join(args.out, "odometry.csv"), increments)
-    write_trajectory(os.path.join(args.out, "ground_truth.csv"), PoseTable.of(world.trajectory))
+    write_trajectory(os.path.join(args.out, "ground_truth.csv"), world.trajectory)
     with open(os.path.join(args.out, "config.txt"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(serialize_config(cfg))
     n_meas = sum(len(m) for m in measurements)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_EPS = 1e-12
+ZERO_NORM = 1e-12  # a quaternion of a smaller norm has no direction
 _EYE3 = np.eye(3)
 
 
@@ -77,7 +77,7 @@ def log_so3(R: np.ndarray) -> np.ndarray:
 
 def quat_normalize(q: np.ndarray) -> np.ndarray:
     n = norms(q)
-    if np.count_nonzero(n < _EPS):
+    if np.count_nonzero(n < ZERO_NORM):
         raise ValueError("zero-norm quaternion")
     q = q / n[..., None]
     # canonical sign keeps serialization deterministic

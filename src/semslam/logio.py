@@ -8,12 +8,12 @@ the capturing pose.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from .core import MeasurementTable, PoseTable
-from .geometry import Pose
+from .geometry import ZERO_NORM, norms, quat_normalize
 
 MEASUREMENT_HEADER = "t,scene_id,class_id,x,y,z"
 ODOMETRY_HEADER = "t,dx,dy,dz,dqw,dqx,dqy,dqz"
@@ -40,7 +40,8 @@ def _write(path: str, header: str, rows: Sequence[Sequence]) -> None:
             fh.write(",".join(row) + "\n")
 
 
-def _read_rows(path: str, header: str, n_cols: int, may_be_empty: bool = False) -> List[List[str]]:
+def _read_rows(path: str, header: str, n_cols: int, may_be_empty: bool = False) -> List[Tuple[int, List[str]]]:
+    """The line number and fields of each non-blank data line."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -54,20 +55,18 @@ def _read_rows(path: str, header: str, n_cols: int, may_be_empty: bool = False) 
         parts = line.split(",")
         if len(parts) != n_cols:
             raise LogFormatError(f"{path}: line {lineno}: expected {n_cols} fields, got {len(parts)}")
-        rows.append(parts)
+        rows.append((lineno, parts))
     if not rows and not may_be_empty:
         raise LogFormatError(f"{path}: no data rows")
     return rows
 
 
-def write_measurements(path: str, scenes: Sequence[MeasurementTable], poses: Sequence[Pose]) -> None:
-    """scenes[i] is the world-frame measurement table at the true pose
-    poses[i]; positions are written in that pose's body frame."""
+def write_measurements(path: str, scenes: Sequence[MeasurementTable]) -> None:
+    """scenes holds body-frame measurement tables, written in order."""
     rows = []
-    for step, scene in enumerate(scenes):
-        body = poses[step].transform_points_inverse(scene.positions)
+    for scene in scenes:
         scene_id = str(scene.scene_id)
-        for t, label, (x, y, z) in zip(scene.times.tolist(), scene.labels.tolist(), body.tolist()):
+        for t, label, (x, y, z) in zip(scene.times.tolist(), scene.labels.tolist(), scene.positions.tolist()):
             rows.append([_fmt(t), scene_id, str(label), _fmt(x), _fmt(y), _fmt(z)])
     _write(path, MEASUREMENT_HEADER, rows)
 
@@ -76,11 +75,13 @@ def read_measurements(path: str, n_classes: int, n_steps: int) -> List[Measureme
     """One table of body-frame measurements per scene id, in file order
     within a scene; class ids must lie in [0, n_classes)."""
     times, positions, labels = ([[] for _ in range(n_steps)] for _ in range(3))  # per scene id
-    for lineno, parts in enumerate(_read_rows(path, MEASUREMENT_HEADER, 6, may_be_empty=True), start=2):
+    for lineno, parts in _read_rows(path, MEASUREMENT_HEADER, 6, may_be_empty=True):
         try:
             t, scene, class_id, pos = float(parts[0]), int(parts[1]), int(parts[2]), tuple(map(float, parts[3:]))
         except ValueError as exc:
             raise LogFormatError(f"{path}: line {lineno}: {exc}") from exc
+        if not math.isfinite(t):
+            raise LogFormatError(f"{path}: line {lineno}: measurement time must be finite")
         if not (0 <= scene < n_steps):
             raise LogFormatError(f"{path}: line {lineno}: scene id {scene} out of range")
         if not (0 <= class_id < n_classes):
@@ -93,47 +94,49 @@ def read_measurements(path: str, n_classes: int, n_steps: int) -> List[Measureme
     return [MeasurementTable.build(s, times[s], positions[s], labels[s]) for s in range(n_steps)]
 
 
-def write_odometry(path: str, increments: Sequence[Pose]) -> None:
-    rows = []
-    for t, inc in enumerate(increments, start=1):
-        q = inc.rotation
-        d = inc.translation
-        rows.append([_fmt(float(t)), _fmt(d[0]), _fmt(d[1]), _fmt(d[2]), _fmt(q[0]), _fmt(q[1]), _fmt(q[2]), _fmt(q[3])])
-    _write(path, ODOMETRY_HEADER, rows)
+def _write_poses(path: str, header: str, poses: PoseTable, times: Iterable[float]) -> None:
+    """One t, x, y, z, qw, qx, qy, qz row per pose."""
+    rows = zip(times, poses.translations.tolist(), poses.rotations.tolist(), strict=True)
+    _write(path, header, [[_fmt(v) for v in (t, *p, *q)] for t, p, q in rows])
 
 
-def _read_poses(path: str, header: str, what: str, may_be_empty: bool = False) -> Tuple[List[float], List[Pose]]:
-    """Times and poses of a file of t, x, y, z, qw, qx, qy, qz rows; every
-    field must be finite."""
-    times, poses = [], []
-    for lineno, parts in enumerate(_read_rows(path, header, 8, may_be_empty), start=2):
+def _read_poses(path: str, header: str, what: str, may_be_empty: bool = False) -> Tuple[List[float], PoseTable]:
+    """Times and the table of a file of t, x, y, z, qw, qx, qy, qz rows;
+    every field must be finite and no rotation zero. The rotations are
+    normalised as one stack."""
+    linenos, vals = [], []
+    for lineno, parts in _read_rows(path, header, 8, may_be_empty):
         try:
-            vals = [float(x) for x in parts]
+            row = [float(x) for x in parts]
         except ValueError as exc:
             raise LogFormatError(f"{path}: line {lineno}: {exc}") from exc
-        if not all(map(math.isfinite, vals)):
+        if not all(map(math.isfinite, row)):
             raise LogFormatError(f"{path}: line {lineno}: {what} must be finite")
-        times.append(vals[0])
-        poses.append(Pose(np.array(vals[1:4]), np.array(vals[4:8])))
-    return times, poses
+        linenos.append(lineno)
+        vals.append(row)
+    vals = np.reshape(vals, (-1, 8))
+    zero = np.flatnonzero(norms(vals[:, 4:]) < ZERO_NORM)
+    if zero.size:
+        raise LogFormatError(f"{path}: line {linenos[zero[0]]}: {what} has a zero-norm rotation")
+    return vals[:, 0].tolist(), PoseTable(vals[:, 1:4].copy(), quat_normalize(vals[:, 4:]))
 
 
-def read_odometry(path: str) -> List[Pose]:
+def write_odometry(path: str, increments: PoseTable) -> None:
+    """Row t - 1 of increments, the motion from step t - 1 to step t, at time t."""
+    _write_poses(path, ODOMETRY_HEADER, increments, range(1, len(increments) + 1))
+
+
+def read_odometry(path: str) -> PoseTable:
     return _read_poses(path, ODOMETRY_HEADER, "odometry increment", may_be_empty=True)[1]
 
 
 def write_trajectory(path: str, poses: PoseTable, times: Sequence[float] | None = None) -> None:
-    rows = []
-    for t, (p, q) in enumerate(zip(poses.translations.tolist(), poses.rotations.tolist())):
-        time = float(times[t]) if times is not None else float(t)
-        rows.append([_fmt(v) for v in (time, *p, *q)])
-    _write(path, POSE_HEADER, rows)
+    _write_poses(path, POSE_HEADER, poses, range(len(poses)) if times is None else times)
 
 
 def read_trajectory(path: str) -> Tuple[List[float], PoseTable]:
     """Times and the table of a pose file's rows, each rotation normalised."""
-    times, poses = _read_poses(path, POSE_HEADER, "trajectory pose")
-    return times, PoseTable.of(poses)
+    return _read_poses(path, POSE_HEADER, "trajectory pose")
 
 
 def write_map(path: str, landmarks) -> None:
@@ -153,7 +156,7 @@ def write_metrics(path: str, rows: Sequence[Tuple[int, float, int, int, int]]) -
 
 def read_metrics(path: str):
     rows = []
-    for lineno, parts in enumerate(_read_rows(path, METRICS_HEADER, 5), start=2):
+    for lineno, parts in _read_rows(path, METRICS_HEADER, 5):
         try:
             rows.append((int(parts[0]), float(parts[1]), int(parts[2]), int(parts[3]), int(parts[4])))
         except ValueError as exc:

@@ -59,11 +59,11 @@ class PipelineResult:
         return float(np.mean(self.hypothesis_counts))
 
 
-def integrate_odometry(increments: Sequence[Pose]) -> PoseTable:
+def integrate_odometry(increments: PoseTable) -> PoseTable:
     """The odometry chain from the identity pose."""
     poses = [Pose()]
-    for inc in increments:
-        poses.append(poses[-1].compose(inc))
+    for row in range(len(increments)):
+        poses.append(poses[-1].compose(increments.pose(row)))
     return PoseTable.of(poses)
 
 
@@ -223,10 +223,11 @@ class Pipeline:
 def run_pipeline(
     cfg: RunConfig,
     measurements_per_step: Sequence[MeasurementTable],
-    odometry_increments: Sequence[Pose],
+    odometry_increments: PoseTable,
     ground_truth: Optional[PoseTable] = None,
 ) -> PipelineResult:
-    """Run the full estimator over body-frame measurement tables, one per step."""
+    """Run the full estimator over body-frame measurement tables, one per
+    step, and the table of odometry increments between them."""
     n_steps = len(measurements_per_step)
     if n_steps == 0:
         raise ValueError("empty measurement log")
@@ -239,7 +240,7 @@ def run_pipeline(
     lm_counts = []
     lc_counts = []
     for t in range(n_steps):
-        inc = odometry_increments[t - 1] if t > 0 else None
+        inc = odometry_increments.pose(t - 1) if t > 0 else None
         pipe.process_scene(t, measurements_per_step[t], inc)
         hyp_counts.append(len(pipe.tree.leaves))
         best = pipe.tree.best_leaf()

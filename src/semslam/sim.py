@@ -10,34 +10,27 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .config import RunConfig
-from .core import MeasurementTable
+from .core import MeasurementTable, PoseTable
 from .geometry import Pose, quat_from_rotvec, quat_from_yaw, quat_mul, quat_normalize
-
-
-@dataclass(frozen=True, eq=False)
-class WorldLandmark:
-    id: int
-    label: int
-    position: np.ndarray
 
 
 @dataclass(eq=False)
 class World:
-    """The world that cfg describes, and its detector model. positions
-    stacks the landmark positions, row i for landmarks[i]. Per world, the
-    detector's noise scale is computed once, None where its variance is 0,
-    and so is its confusion matrix, None without confusion: row c is the
-    distribution of the class reported for class c."""
+    """The world that cfg describes, and its detector model. Landmark i,
+    its id, has class labels[i] at positions[i]; row t of the trajectory is
+    the true pose at step t. Per world, the detector's noise scale is
+    computed once, None where its variance is 0, and so is its confusion
+    matrix, None without confusion: row c is the distribution of the class
+    reported for class c."""
 
     cfg: RunConfig
-    landmarks: List[WorldLandmark]
-    trajectory: List[Pose]
-    positions: np.ndarray = field(init=False, repr=False)
+    labels: np.ndarray  # (n,) class ids
+    positions: np.ndarray  # (n, 3)
+    trajectory: PoseTable
     noise_scale: Optional[float] = field(init=False, repr=False)
     confusion: Optional[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.positions = np.reshape([lm.position for lm in self.landmarks], (-1, 3))
         # the square root of the variance plus 1e-18, as the Cholesky factor of that isotropic covariance
         var = self.cfg.meas_noise_std**2
         self.noise_scale = math.sqrt(var + 1e-18) if var != 0.0 else None
@@ -48,39 +41,37 @@ class World:
             np.fill_diagonal(self.confusion, 1.0 - eps)
 
 
-def _square_loop(steps: int, step_length: float) -> List[Pose]:
+def _square_loop(steps: int, step_length: float):
     side = max(steps // 4, 1)
-    poses = []
+    translations, yaws = [], []
     pos = np.zeros(3)
     yaw = 0.0
     for t in range(steps):
-        poses.append(Pose(pos.copy(), quat_from_yaw(yaw)))
+        translations.append(pos)
+        yaws.append(yaw)
         pos = pos + step_length * np.array([math.cos(yaw), math.sin(yaw), 0.0])
         if (t + 1) % side == 0:
             yaw += math.pi / 2.0
-    return poses
+    return translations, yaws
 
 
-def _figure_eight(steps: int, step_length: float) -> List[Pose]:
-    # two tangent circles traced with constant arc length
+def _figure_eight(steps: int, step_length: float):
+    # two tangent circles traced with constant arc length, the second mirrored in y
     r = steps * step_length / (4.0 * math.pi)
-    poses = []
+    translations, yaws = [], []
     for t in range(steps):
         s = 2.0 * math.pi * (2.0 * t / steps)
-        if t < steps / 2:
-            x = r * math.sin(s)
-            y = r * (1.0 - math.cos(s))
-            yaw = s + 0.0
-        else:
-            x = r * math.sin(s)
-            y = -r * (1.0 - math.cos(s))
-            yaw = -s
-        poses.append(Pose(np.array([x, y, 0.0]), quat_from_yaw(yaw)))
-    return poses
+        sign = 1.0 if t < steps / 2 else -1.0
+        translations.append([r * math.sin(s), sign * r * (1.0 - math.cos(s)), 0.0])
+        yaws.append(sign * s)
+    return translations, yaws
 
 
-def _line(steps: int, step_length: float) -> List[Pose]:
-    return [Pose(np.array([t * step_length, 0.0, 0.0]), quat_from_yaw(0.0)) for t in range(steps)]
+def _line(steps: int, step_length: float):
+    return [[t * step_length, 0.0, 0.0] for t in range(steps)], [0.0] * steps
+
+
+_PATHS = {"square_loop": _square_loop, "figure_eight": _figure_eight, "line": _line}
 
 
 def generate_world(cfg: RunConfig) -> World:
@@ -88,22 +79,17 @@ def generate_world(cfg: RunConfig) -> World:
     Landmarks are split evenly over the classes, the first classes taking
     the rest."""
     rng = np.random.default_rng(cfg.world_seed)
-    if cfg.trajectory == "square_loop":
-        traj = _square_loop(cfg.steps, cfg.step_length)
-    elif cfg.trajectory == "figure_eight":
-        traj = _figure_eight(cfg.steps, cfg.step_length)
-    else:
-        traj = _line(cfg.steps, cfg.step_length)
+    translations, yaws = _PATHS[cfg.trajectory](cfg.steps, cfg.step_length)  # positions and headings about z
+    pts = np.reshape(translations, (-1, 3))
+    rotations = quat_normalize(np.reshape([quat_from_yaw(yaw) for yaw in yaws], (-1, 4)))
     # recentre the arena on the trajectory so landmarks surround the path
-    pts = np.stack([p.translation for p in traj])
     center = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
     half = cfg.arena_size / 2.0
     per_class, rest = divmod(cfg.n_landmarks, cfg.n_classes)
-    labels = [label for label in range(cfg.n_classes) for _ in range(per_class + (label < rest))]
+    labels = np.repeat(np.arange(cfg.n_classes), per_class + (np.arange(cfg.n_classes) < rest))
     positions = np.zeros((len(labels), 3))
     positions[:, :2] = center[:2] + rng.uniform(-half, half, size=(len(labels), 2))
-    landmarks = [WorldLandmark(lid, label, positions[lid]) for lid, label in enumerate(labels)]
-    return World(cfg, landmarks, traj)
+    return World(cfg, labels, positions, PoseTable(pts, rotations))
 
 
 # World-frame squared distances agree with the body-frame norms to a few ulp,
@@ -121,8 +107,8 @@ def _in_view(body: np.ndarray, detection_range: float, half_fov: float) -> bool:
     return not (half_fov < math.pi and abs(math.atan2(body[1], body[0])) > half_fov)
 
 
-def visible_landmarks(world: World, pose: Pose) -> List[WorldLandmark]:
-    """The landmarks within range and field of view of pose, in world order.
+def visible_landmarks(world: World, pose: Pose) -> np.ndarray:
+    """Rows of the landmarks in range and field of view of pose, in world order.
 
     One world-frame squared-distance pass screens them all. Those beyond the
     range widened by _SCREEN_MARGIN are out; under a 360 degree field of view,
@@ -138,25 +124,27 @@ def visible_landmarks(world: World, pose: Pose) -> List[WorldLandmark]:
     lo2 = lo * lo if half_fov >= math.pi else 0.0
     sure = (sq[near] > 0.0) & (sq[near] <= lo2) if _TINY <= lo2 < math.inf else np.zeros(near.size, dtype=bool)
     R = pose.rot()
-    lms = world.landmarks
-    return [lms[i] for i, s in zip(near.tolist(), sure.tolist()) if s or _in_view(R.T @ d[i], detection_range, half_fov)]
+    seen = [s or _in_view(R.T @ d[i], detection_range, half_fov) for i, s in zip(near.tolist(), sure.tolist())]
+    return near[np.array(seen, dtype=bool)]
 
 
 def simulate_step(world: World, step: int, rng: np.random.Generator) -> Tuple[MeasurementTable, Optional[Pose]]:
-    """The world-frame measurement table of one step, plus the noisy
-    odometry increment from the previous step (None at step 0)."""
+    """The measurement table of one step, in the body frame of its true
+    pose, plus the noisy odometry increment from the previous step (None at
+    step 0). Each visible landmark takes its miss, noise and confusion draws
+    in turn, so the draws of one landmark follow those of the last."""
     cfg = world.cfg
-    pose = world.trajectory[step]
+    pose = world.trajectory.pose(step)
     positions, labels = [], []
-    for lm in visible_landmarks(world, pose):
+    for row in visible_landmarks(world, pose).tolist():
         if cfg.miss_rate > 0.0 and rng.random() < cfg.miss_rate:
             continue
-        p = lm.position
+        p = world.positions[row]
         if world.noise_scale is not None:
             p = p + world.noise_scale * rng.standard_normal(3)
-        label = lm.label
+        label = int(world.labels[row])
         if world.confusion is not None:
-            label = int(rng.choice(cfg.n_classes, p=world.confusion[lm.label]))
+            label = int(rng.choice(cfg.n_classes, p=world.confusion[label]))
         positions.append(p)
         labels.append(label)
     if cfg.sim_fp_rate > 0.0:
@@ -165,11 +153,11 @@ def simulate_step(world: World, step: int, rng: np.random.Generator) -> Tuple[Me
             radius = cfg.detection_range * math.sqrt(rng.random())
             positions.append(pose.translation + np.array([radius * math.cos(direction), radius * math.sin(direction), 0.0]))
             labels.append(int(rng.integers(cfg.n_classes)))
-    measurements = MeasurementTable.build(step, np.full(len(labels), float(step)), positions, labels)
+    body = pose.transform_points_inverse(np.reshape(positions, (-1, 3)))
+    measurements = MeasurementTable.build(step, np.full(len(labels), float(step)), body, labels)
     increment = None
     if step > 0:
-        prev = world.trajectory[step - 1]
-        rel = pose.relative_to(prev)
+        rel = pose.relative_to(world.trajectory.pose(step - 1))
         dt = rel.translation + np.array([cfg.odom_bias_drift, 0.0, 0.0])
         if cfg.odom_sigma_t > 0.0:
             dt = dt + cfg.odom_sigma_t * rng.standard_normal(3)
@@ -180,9 +168,10 @@ def simulate_step(world: World, step: int, rng: np.random.Generator) -> Tuple[Me
     return measurements, increment
 
 
-def simulate(world: World):
-    """Full log generation at the world's run_seed: per-step measurement
-    tables and odometry increments."""
+def simulate(world: World) -> Tuple[List[MeasurementTable], PoseTable]:
+    """Full log generation at the world's run_seed: per-step body-frame
+    measurement tables and the table of odometry increments, row t - 1 the
+    motion from step t - 1 to step t."""
     rng = np.random.default_rng(world.cfg.run_seed)
     steps = [simulate_step(world, step, rng) for step in range(world.cfg.steps)]
-    return [measurements for measurements, _ in steps], [increment for _, increment in steps[1:]]
+    return [measurements for measurements, _ in steps], PoseTable.of([increment for _, increment in steps[1:]])

@@ -870,12 +870,12 @@ def scalar_transform_points(pose, points, inverse=False):
 
 def scalar_visible_landmarks(world, pose):
     """Per-landmark body-frame visibility: the reference for the screen in
-    `sim.visible_landmarks`."""
+    `sim.visible_landmarks`. Returns the rows of the visible landmarks."""
     out = []
     half_fov = math.radians(world.cfg.fov_deg) / 2.0
     R = pose.rot()
-    for lm in world.landmarks:
-        body = R.T @ (lm.position - pose.translation)
+    for row, position in enumerate(world.positions):
+        body = R.T @ (position - pose.translation)
         dist = float(np.linalg.norm(body))
         if dist > world.cfg.detection_range or dist == 0.0:
             continue
@@ -883,17 +883,17 @@ def scalar_visible_landmarks(world, pose):
             angle = abs(math.atan2(body[1], body[0]))
             if angle > half_fov:
                 continue
-        out.append(lm)
+        out.append(row)
     return out
 
 
 def scalar_simulate_step(world, step, rng):
     """One simulated step, one detection at a time, that factors the noise
     covariance and builds the confusion matrix itself: the reference for
-    `sim.simulate_step`, draws and all. Returns the detections, in table
-    order, and the odometry increment."""
+    `sim.simulate_step`, draws and all. Returns the world-frame detections,
+    in table order, and the odometry increment."""
     cfg = world.cfg
-    pose = world.trajectory[step]
+    pose = world.trajectory.pose(step)
     t = float(step)
     measurements = []
     noise_chol = None
@@ -905,15 +905,15 @@ def scalar_simulate_step(world, step, rng):
     if cfg.confusion_eps > 0.0:
         confusion = np.full((n_classes, n_classes), cfg.confusion_eps / (n_classes - 1))
         np.fill_diagonal(confusion, 1.0 - cfg.confusion_eps)
-    for lm in scalar_visible_landmarks(world, pose):
+    for row in scalar_visible_landmarks(world, pose):
         if cfg.miss_rate > 0.0 and rng.random() < cfg.miss_rate:
             continue
-        p = lm.position.copy()
+        p = world.positions[row].copy()
         if noise_chol is not None:
             p = p + noise_chol @ rng.standard_normal(3)
-        label = lm.label
+        label = int(world.labels[row])
         if confusion is not None:
-            label = int(rng.choice(n_classes, p=confusion[lm.label]))
+            label = int(rng.choice(n_classes, p=confusion[label]))
         measurements.append(Detection(step, t, p, label))
     if cfg.sim_fp_rate > 0.0:
         for _ in range(int(rng.poisson(cfg.sim_fp_rate))):
@@ -924,7 +924,7 @@ def scalar_simulate_step(world, step, rng):
             measurements.append(Detection(step, t, pose.translation + offset, label))
     increment = None
     if step > 0:
-        rel = pose.relative_to(world.trajectory[step - 1])
+        rel = pose.relative_to(world.trajectory.pose(step - 1))
         dt = rel.translation + np.array([cfg.odom_bias_drift, 0.0, 0.0])
         if cfg.odom_sigma_t > 0.0:
             dt = dt + cfg.odom_sigma_t * rng.standard_normal(3)

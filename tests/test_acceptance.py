@@ -233,8 +233,8 @@ def test_criterion_09_end_to_end_loop_world(capsys):
         cfg = replace(RunConfig(), world_seed=seed, run_seed=seed)
         result, world = run_for(cfg)
         raw_errs = [
-            float(np.sum((a - b.translation) ** 2))
-            for a, b in zip(result.raw_odometry.translations, world.trajectory)
+            float(np.sum((a - b) ** 2))
+            for a, b in zip(result.raw_odometry.translations, world.trajectory.translations)
         ]
         raw_rmse = float(np.sqrt(np.mean(raw_errs)))
         if result.final_rmse < raw_rmse:

@@ -269,6 +269,49 @@ def test_eval_on_non_finite_trajectory_exit_code(tmp_path, cfg_path, capsys):
     assert captured.err.startswith("error: ") and "trajectory.csv: line 4: trajectory pose must be finite" in captured.err
 
 
+def test_run_on_non_finite_times_exit_code(tmp_path, cfg_path, capsys):
+    """nan and -inf times in two rows of the measurement log: the run stops
+    at the first of them, naming its file and line."""
+    logs = str(tmp_path / "logs")
+    assert main(["simulate", "--config", cfg_path, "--out", logs]) == 0
+    path = os.path.join(logs, "measurements.csv")
+    lines = open(path).read().splitlines()
+    for row, value in ((3, "nan"), (5, "-inf")):
+        lines[row] = value + "," + lines[row].split(",", 1)[1]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg_path, "--logs", logs, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "measurements.csv: line 4: measurement time must be finite" in err
+    assert not out.exists()
+
+
+def test_zero_rotation_exit_code(tmp_path, cfg_path, capsys):
+    """A zero quaternion in the odometry log, after a blank line, stops
+    `run`, and one in a trajectory stops `eval`, each naming its file and
+    line."""
+    logs = str(tmp_path / "logs")
+    assert main(["simulate", "--config", cfg_path, "--out", logs]) == 0
+    for name, command in (("odometry.csv", "run"), ("ground_truth.csv", "eval")):
+        path = os.path.join(logs, name)
+        lines = open(path).read().splitlines()
+        lines[4] = ",".join(lines[4].split(",")[:4] + ["0"] * 4)
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines[:2] + [""] + lines[2:]) + "\n")
+        if command == "run":
+            argv = ["run", "--config", cfg_path, "--logs", logs, "--out", str(tmp_path / "o")]
+            what = "odometry increment"
+        else:
+            argv = ["eval", "--trajectory", path, "--ground-truth", path]
+            what = "trajectory pose"
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{name}: line 6: {what} has a zero-norm rotation" in err
+
+
 def test_import_loads_no_slow_scipy_submodules():
     """Importing scipy costs each process about 0.2 s of CPU and 24 MB of
     memory; the CLI needs no scipy module at all."""

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from semslam.config import RunConfig
 from semslam.core import LandmarkTable, MeasurementTable, PoseTable
-from semslam.geometry import Pose, quat_from_yaw
+from semslam.geometry import Pose, quat_from_yaw, quat_normalize
 from semslam.logio import (
     LogFormatError,
     read_measurements,
@@ -17,6 +18,7 @@ from semslam.logio import (
     write_trajectory,
     write_map,
 )
+from semslam.sim import World, simulate
 
 from conftest import scalar_transform_points
 
@@ -30,33 +32,36 @@ def make_poses(n):
 
 class TestMeasurements:
     def test_round_trip(self, tmp_path):
-        poses = make_poses(3)
         scenes = [
             MeasurementTable.build(0, [0.0], [[1.0, 2.0, 0.0]], [0]),
             MeasurementTable.build(1, [], [], []),
-            MeasurementTable.build(2, [2.0, 2.5], [[-3.25, 0.125, 1.5], [4.0, 4.0, 0.0]], [2, 1]),
+            MeasurementTable.build(2, [2.0, 2.5], [[-3.25, 0.125, 1.5], [4.0, 4.0, 1 / 3]], [2, 1]),
         ]
         path = str(tmp_path / "meas.csv")
-        write_measurements(path, scenes, poses)
+        write_measurements(path, scenes)
         back = read_measurements(path, N_CLASSES, 3)
         assert [len(s) for s in back] == [1, 0, 2]
-        for pose, orig, got in zip(poses, scenes, back):
+        for orig, got in zip(scenes, back):
             assert got.scene_id == orig.scene_id and got.times.tolist() == orig.times.tolist()
             assert got.labels.tolist() == orig.labels.tolist() and got.positions.shape == orig.positions.shape
-            # the file stores body-frame positions; map them back to the world
-            assert np.allclose(pose.transform_points(got.positions), orig.positions, atol=1e-7)
+            assert np.allclose(got.positions, orig.positions, atol=1e-7)  # 9 significant digits
 
     @pytest.mark.parametrize("k", [0, 1, 3, 25])
     def test_rows_are_the_per_point_body_positions(self, tmp_path, rng, k):
-        """Each scene is written in one stacked transform, which prints each
-        row as the per-point transform does, and reads back as printed."""
+        """A scene moved into the body frame in one stacked transform, as the
+        simulator moves it, is written as the per-point transform prints
+        each row, and reads back as printed."""
         poses = make_poses(4)
         scenes = []
         for s in range(4):
             positions, labels = rng.uniform(-20, 20, (k, 3)), rng.integers(N_CLASSES, size=k)
             scenes.append(MeasurementTable.build(s, np.full(k, s + 0.5), positions, labels))
         path = str(tmp_path / "meas.csv")
-        write_measurements(path, scenes, poses)
+        body_scenes = [
+            MeasurementTable.build(s.scene_id, s.times, pose.transform_points_inverse(s.positions), s.labels)
+            for s, pose in zip(scenes, poses)
+        ]
+        write_measurements(path, body_scenes)
         want = []
         for scene, pose in zip(scenes, poses):
             body = scalar_transform_points(pose, scene.positions, inverse=True)
@@ -70,10 +75,13 @@ class TestMeasurements:
             assert got.positions.tolist() == [[float(x) for x in row.split(",")[3:]] for row in rows]
 
     def test_body_frame_on_disk(self, tmp_path):
+        """The simulator's log holds a landmark at (10, 5) seen from (10, 0)
+        facing +y at (5, 0), in the body frame."""
         pose = Pose(np.array([10.0, 0.0, 0.0]), quat_from_yaw(np.pi / 2))
-        scene = MeasurementTable.build(0, [0.0], [[10.0, 5.0, 0.0]], [0])
+        cfg = RunConfig(steps=1, n_classes=1, n_landmarks=1, meas_noise_std=0.0)
+        scenes, _ = simulate(World(cfg, np.zeros(1, dtype=int), np.array([[10.0, 5.0, 0.0]]), PoseTable.of([pose])))
         path = str(tmp_path / "meas.csv")
-        write_measurements(path, [scene], [pose])
+        write_measurements(path, scenes)
         line = open(path).read().splitlines()[1]
         vals = [float(x) for x in line.split(",")[3:]]
         assert np.allclose(vals, [5.0, 0.0, 0.0], atol=1e-7)
@@ -117,6 +125,19 @@ class TestMeasurements:
         with pytest.raises(LogFormatError, match=r"bad\.csv: line 3: measurement position must be finite"):
             read_measurements(path, N_CLASSES, 1)
 
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+    def test_non_finite_time_reports_file_and_line(self, tmp_path, field):
+        path = str(tmp_path / "bad.csv")
+        open(path, "w").write(f"t,scene_id,class_id,x,y,z\n0,0,0,1,2,3\n{field},0,0,1,2,3\n")
+        with pytest.raises(LogFormatError, match=r"bad\.csv: line 3: measurement time must be finite"):
+            read_measurements(path, N_CLASSES, 1)
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        path = str(tmp_path / "bad.csv")
+        open(path, "w").write("t,scene_id,class_id,x,y,z\n\n0,0,0,1,2,3\n\n\n0,0,0,1,2,nan\n")
+        with pytest.raises(LogFormatError, match=r"bad\.csv: line 6: measurement position must be finite"):
+            read_measurements(path, N_CLASSES, 1)
+
     def test_empty_file(self, tmp_path):
         path = str(tmp_path / "empty.csv")
         open(path, "w").write("")
@@ -131,6 +152,78 @@ class TestMeasurements:
         assert [len(scene) for scene in read_measurements(path, N_CLASSES, 3)] == [0, 0, 0]
 
 
+def random_table(rng, n):
+    """n poses anywhere, with unit rotations, as the program writes them."""
+    return PoseTable(rng.uniform(-50.0, 50.0, (n, 3)), quat_normalize(rng.standard_normal((n, 4))))
+
+
+def write_rows(path, header, rows):
+    """A pose file of t, x, y, z, qw, qx, qy, qz rows, each field printed
+    with 9 significant digits."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n" + "".join(",".join(format(v, ".9g") for v in row) + "\n" for row in rows))
+
+
+class TestStackedRead:
+    """A pose file is read as one table, its rotations normalised as one
+    stack, with the bits that normalising each row as a `Pose` gives."""
+
+    @pytest.mark.parametrize("reader", ["odometry", "trajectory"])
+    def test_rows_are_the_per_row_poses(self, tmp_path, reader):
+        rng = np.random.default_rng(5)
+        rows = np.concatenate([np.arange(2000.0)[:, None], rng.uniform(-50, 50, (2000, 3)), rng.standard_normal((2000, 4))], axis=1)
+        rows[:40, 4:] = np.eye(4)[rng.integers(4, size=40)] * rng.choice([-1.0, 1.0], size=(40, 1))  # axis-aligned, either sign
+        rows[40:80, 4:] *= 1e-6
+        path = str(tmp_path / "poses.csv")
+        if reader == "odometry":
+            write_rows(path, "t,dx,dy,dz,dqw,dqx,dqy,dqz", rows)
+            table = read_odometry(path)
+        else:
+            write_rows(path, "t,x,y,z,qw,qx,qy,qz", rows)
+            times, table = read_trajectory(path)
+            assert times == [float(format(t, ".9g")) for t in rows[:, 0]]
+        assert len(table) == 2000
+        for row, line in enumerate(open(path).read().splitlines()[1:]):
+            vals = [float(x) for x in line.split(",")]
+            pose = Pose(np.array(vals[1:4]), np.array(vals[4:8]))
+            assert table.translations[row].tobytes() == pose.translation.tobytes()
+            assert table.rotations[row].tobytes() == pose.rotation.tobytes()
+
+    @pytest.mark.parametrize("reader", ["odometry", "trajectory"])
+    @pytest.mark.parametrize("n", [1, 7, 300])
+    def test_round_trip_moves_only_the_last_rotation_digit(self, tmp_path, reader, n):
+        """Writing what was read gives back every time and translation field
+        as printed. A printed unit rotation is not unit at 9 digits, and the
+        read normalises it, so a rotation field may come back off by one in
+        its last digit."""
+        rng = np.random.default_rng(n)
+        path, path2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+        if reader == "odometry":
+            write_odometry(path, random_table(rng, n))
+            write_odometry(path2, read_odometry(path))
+        else:
+            write_trajectory(path, random_table(rng, n), times=rng.uniform(0.0, 1e4, n).tolist())
+            times, table = read_trajectory(path)
+            write_trajectory(path2, table, times=times)
+        a, b = (open(p).read().splitlines() for p in (path, path2))
+        assert len(a) == len(b) == n + 1 and a[0] == b[0]
+        for row_a, row_b in zip(a[1:], b[1:]):
+            fields_a, fields_b = row_a.split(","), row_b.split(",")
+            assert fields_a[:4] == fields_b[:4]
+            assert np.abs(np.array(fields_a[4:], dtype=float) - np.array(fields_b[4:], dtype=float)).max() <= 1.5e-9
+
+    @pytest.mark.parametrize("reader", ["odometry", "trajectory"])
+    @pytest.mark.parametrize("rotation", ["0,0,0,0", "0,-0,0,1e-13"])
+    def test_zero_rotation_reports_file_and_line(self, tmp_path, reader, rotation):
+        """The line counts the blank lines before it."""
+        header = "t,dx,dy,dz,dqw,dqx,dqy,dqz" if reader == "odometry" else "t,x,y,z,qw,qx,qy,qz"
+        what = "odometry increment" if reader == "odometry" else "trajectory pose"
+        path = str(tmp_path / "poses.csv")
+        open(path, "w").write(f"{header}\n1,0,0,0,1,0,0,0\n\n2,1,0,0,1,0,0,0\n\n3,1,0,0,{rotation}\n4,0,0,0,0,0,0,1\n")
+        with pytest.raises(LogFormatError, match=rf"poses\.csv: line 6: {what} has a zero-norm rotation"):
+            read_odometry(path) if reader == "odometry" else read_trajectory(path)
+
+
 class TestOdometry:
     def test_round_trip_bit_exact(self, tmp_path):
         incs = [
@@ -138,11 +231,11 @@ class TestOdometry:
             Pose(np.array([1.0, 0.0, 0.0]), quat_from_yaw(-0.1)),
         ]
         path = str(tmp_path / "odo.csv")
-        write_odometry(path, incs)
+        write_odometry(path, PoseTable.of(incs))
         back = read_odometry(path)
         assert len(back) == 2
-        for a, b in zip(incs, back):
-            assert a.approx_equal(b, tol=1e-8)
+        for row, inc in enumerate(incs):
+            assert inc.approx_equal(back.pose(row), tol=1e-8)
         # writing what was read reproduces the file byte for byte
         path2 = str(tmp_path / "odo2.csv")
         write_odometry(path2, back)
@@ -151,7 +244,7 @@ class TestOdometry:
     @pytest.mark.parametrize("column", ["t", "dx", "dy", "dz", "dqw", "dqx", "dqy", "dqz"])
     def test_non_finite_increment_reports_file_and_line(self, tmp_path, column):
         path = str(tmp_path / "odo.csv")
-        write_odometry(path, [Pose(np.array([0.5, 0.0, 0.0]), quat_from_yaw(0.1))] * 4)
+        write_odometry(path, PoseTable.of([Pose(np.array([0.5, 0.0, 0.0]), quat_from_yaw(0.1))] * 4))
         lines = open(path).read().splitlines()
         fields = lines[3].split(",")
         fields[lines[0].split(",").index(column)] = "nan"
@@ -168,8 +261,9 @@ class TestTrajectory:
         write_trajectory(path, PoseTable.of([]))
         with pytest.raises(LogFormatError, match="no data rows"):
             read_trajectory(path)
-        write_odometry(path, [])
-        assert read_odometry(path) == []
+        write_odometry(path, PoseTable.of([]))
+        empty = read_odometry(path)
+        assert len(empty) == 0 and empty.translations.shape == (0, 3) and empty.rotations.shape == (0, 4)
 
     def test_round_trip(self, tmp_path):
         poses = make_poses(4)
@@ -185,6 +279,8 @@ class TestTrajectory:
         write_trajectory(path, PoseTable.of(make_poses(2)), times=[1.5, 2.5])
         times, _ = read_trajectory(path)
         assert times == [1.5, 2.5]
+        with pytest.raises(ValueError):  # one time per pose
+            write_trajectory(path, PoseTable.of(make_poses(2)), times=[1.5])
 
     @pytest.mark.parametrize("column", ["t", "x", "y", "z", "qw", "qx", "qy", "qz"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

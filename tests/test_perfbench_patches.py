@@ -62,6 +62,10 @@ def test_patched_names_are_called(tmp_path):
         "sim.simulate",
         "logio.write_measurements",
         "logio.read_measurements",
+        "logio.write_odometry",
+        "logio.read_odometry",
+        "logio.write_trajectory",
+        "logio.read_trajectory",
         "pipeline.run_pipeline",
         "pipeline.process_scene",
         "assoc.build_cost_matrix",

@@ -13,17 +13,12 @@ from semslam.sim import generate_world, simulate
 
 def simulate_for(cfg):
     world = generate_world(cfg)
-    measurements, increments = simulate(world)
-    body = [
-        MeasurementTable.build(ms.scene_id, ms.times, pose.transform_points_inverse(ms.positions), ms.labels)
-        for ms, pose in zip(measurements, world.trajectory)
-    ]
-    return world, body, increments
+    return (world, *simulate(world))
 
 
 def run_for(cfg):
     world, body, increments = simulate_for(cfg)
-    return run_pipeline(cfg, body, increments, PoseTable.of(world.trajectory)), world
+    return run_pipeline(cfg, body, increments, world.trajectory), world
 
 
 class TestScenario:
@@ -33,13 +28,12 @@ class TestScenario:
         base = dict(steps=12, n_landmarks=24, n_classes=4, meas_noise_std=0.0)
         for eps in (0.0, 0.3):
             world, body, _ = simulate_for(RunConfig(confusion_eps=eps, **base))
-            points = np.stack([lm.position for lm in world.landmarks])
             relabelled = 0
             for t, ms in enumerate(body):
                 for position, label in zip(ms.positions, ms.labels.tolist()):
-                    d = np.linalg.norm(points - world.trajectory[t].transform(position), axis=1)
+                    d = np.linalg.norm(world.positions - world.trajectory.pose(t).transform(position), axis=1)
                     assert d.min() < 1e-9
-                    relabelled += label != world.landmarks[int(np.argmin(d))].label
+                    relabelled += label != world.labels[int(np.argmin(d))]
             assert (relabelled > 0) == (eps > 0.0)
 
 
@@ -50,7 +44,7 @@ class TestCorpus:
         world, body, increments = simulate_for(cfg)
         pipe = Pipeline(cfg)
         for t, ms in enumerate(body):
-            pipe.process_scene(t, ms, increments[t - 1] if t else None)
+            pipe.process_scene(t, ms, increments.pose(t - 1) if t else None)
             if (t + 1) % cfg.submap_length == 0:
                 pipe.finalize_submap(t)
         scenes = sum(1 for ms in body if ms)
@@ -60,7 +54,7 @@ class TestCorpus:
 
 class TestIntegrateOdometry:
     def test_identity_chain(self):
-        incs = [Pose(np.array([1.0, 0.0, 0.0]))] * 3
+        incs = PoseTable.of([Pose(np.array([1.0, 0.0, 0.0]))] * 3)
         poses = integrate_odometry(incs)
         assert len(poses) == 4
         assert np.allclose(poses.translations[-1], [3.0, 0.0, 0.0])
@@ -85,11 +79,11 @@ def test_appended_pose_is_the_composed_pose():
 class TestValidation:
     def test_empty_log_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            run_pipeline(RunConfig(), [], [])
+            run_pipeline(RunConfig(), [], PoseTable.of([]))
 
     def test_odometry_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="odometry increments"):
-            run_pipeline(RunConfig(steps=3), [[], [], []], [])
+            run_pipeline(RunConfig(steps=3), [[], [], []], PoseTable.of([]))
 
 
 class TestNoiselessRun:
@@ -111,7 +105,7 @@ class TestNoiselessRun:
 
     def test_map_positions_match_world(self):
         result, world = run_for(self.CFG)
-        truth = {tuple(np.round(lm.position, 6)): lm.label for lm in world.landmarks}
+        truth = {tuple(np.round(p, 6)): label for p, label in zip(world.positions, world.labels.tolist())}
         matched = 0
         for mean in result.fused_map.means:
             close = [

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from semslam.config import ConfigError, RunConfig
+from semslam.core import PoseTable
 from semslam.geometry import Pose, quat_from_rotvec
-from semslam.sim import World, WorldLandmark, generate_world, simulate, simulate_step, visible_landmarks
+from semslam.sim import World, generate_world, simulate, simulate_step, visible_landmarks
 
 from conftest import detections_of, scalar_simulate_step, scalar_visible_landmarks
 
@@ -38,78 +39,67 @@ class TestGenerateWorld:
     def test_seed_determinism_bit_identical(self):
         a = world_of(world_seed=7)
         b = world_of(world_seed=7)
-        assert len(a.landmarks) == len(b.landmarks)
-        for la, lb in zip(a.landmarks, b.landmarks):
-            assert la.id == lb.id and la.label == lb.label
-            assert np.array_equal(la.position, lb.position)
-        for pa, pb in zip(a.trajectory, b.trajectory):
-            assert np.array_equal(pa.translation, pb.translation)
-            assert np.array_equal(pa.rotation, pb.rotation)
+        assert a.labels.tolist() == b.labels.tolist()
+        assert a.positions.tobytes() == b.positions.tobytes()
+        assert a.trajectory.translations.tobytes() == b.trajectory.translations.tobytes()
+        assert a.trajectory.rotations.tobytes() == b.trajectory.rotations.tobytes()
 
     def test_field_is_the_per_landmark_draw_stream(self):
         """One (N, 2) draw gives the positions N size-2 draws gave, bit for bit."""
         for seed in range(50):
             world = world_of(world_seed=seed, n_landmarks=56 + seed % 5, trajectory=("square_loop", "line")[seed % 2])
             rng = np.random.default_rng(seed)
-            pts = np.stack([p.translation for p in world.trajectory])
+            pts = world.trajectory.translations
             center = 0.5 * (pts.min(axis=0) + pts.max(axis=0))
             half = world.cfg.arena_size / 2.0
             lid = 0
             for label in range(8):  # 7 landmarks per class, one more for the first seed % 5 classes
                 for _ in range(7 + (label < seed % 5)):
                     xy = center[:2] + rng.uniform(-half, half, size=2)
-                    lm = world.landmarks[lid]
-                    assert (lm.id, lm.label) == (lid, label)
-                    assert lm.position.tobytes() == np.array([xy[0], xy[1], 0.0]).tobytes()
+                    assert world.labels[lid] == label
+                    assert world.positions[lid].tobytes() == np.array([xy[0], xy[1], 0.0]).tobytes()
                     lid += 1
-            assert lid == len(world.landmarks)
-            assert world.positions.tobytes() == np.stack([lm.position for lm in world.landmarks]).tobytes()
+            assert world.labels.shape == (lid,) and world.positions.shape == (lid, 3)
 
     def test_different_seeds_differ(self):
         a = world_of(world_seed=1)
         b = world_of(world_seed=2)
-        assert not np.allclose(a.landmarks[0].position, b.landmarks[0].position)
+        assert not np.allclose(a.positions[0], b.positions[0])
 
     def test_landmark_counts_per_class_exact(self):
         """n_landmarks is split evenly over the classes, the first classes taking the rest."""
         for n_classes, n_landmarks, want in ((3, 8, {0: 3, 1: 3, 2: 2}), (5, 3, {0: 1, 1: 1, 2: 1}), (2, 6, {0: 3, 1: 3})):
             world = world_of(n_classes=n_classes, n_landmarks=n_landmarks)
-            counts = {}
-            for lm in world.landmarks:
-                counts[lm.label] = counts.get(lm.label, 0) + 1
-            assert counts == want
-            assert [lm.id for lm in world.landmarks] == list(range(n_landmarks))
+            assert dict(enumerate(np.bincount(world.labels).tolist())) == want
+            assert world.labels.tolist() == sorted(world.labels.tolist())
 
     def test_square_loop_closes(self):
         world = world_of(trajectory="square_loop", steps=48)
-        start = world.trajectory[0].translation
+        start = world.trajectory.translations[0]
         # one more unit step past the last pose returns to the start
-        last = world.trajectory[-1]
+        last = world.trajectory.pose(-1)
         nxt = last.compose(Pose(np.array([1.0, 0.0, 0.0])))
         assert np.linalg.norm(nxt.translation - start) < 1.0
 
     def test_line_is_straight(self):
         world = world_of(trajectory="line", steps=10, step_length=2.0)
-        for t, p in enumerate(world.trajectory):
-            assert np.allclose(p.translation, [2.0 * t, 0.0, 0.0])
-            assert np.allclose(p.rotation, [1.0, 0.0, 0.0, 0.0])
+        for t, (p, q) in enumerate(zip(world.trajectory.translations, world.trajectory.rotations)):
+            assert np.allclose(p, [2.0 * t, 0.0, 0.0])
+            assert np.allclose(q, [1.0, 0.0, 0.0, 0.0])
 
     def test_figure_eight_step_lengths_roughly_constant(self):
         world = world_of(trajectory="figure_eight", steps=40)
-        steps = [
-            np.linalg.norm(b.translation - a.translation)
-            for a, b in zip(world.trajectory, world.trajectory[1:])
-        ]
-        assert all(s < 3.0 * world.cfg.step_length for s in steps)
+        steps = np.linalg.norm(np.diff(world.trajectory.translations, axis=0), axis=1)
+        assert (steps < 3.0 * world.cfg.step_length).all()
 
 
 class TestVisibility:
     def test_range_limit(self):
         world = world_of(n_classes=1, n_landmarks=4, arena_size=40.0, detection_range=5.0)
-        pose = world.trajectory[0]
+        pose = world.trajectory.pose(0)
         near = visible_landmarks(world, pose)
-        for lm in near:
-            assert np.linalg.norm(lm.position - pose.translation) <= 5.0
+        for row in near:
+            assert np.linalg.norm(world.positions[row] - pose.translation) <= 5.0
 
     def test_zero_fov_sees_nothing(self):
         world = world_of(fov_deg=0.0, **NOISELESS)
@@ -117,14 +107,10 @@ class TestVisibility:
         assert len(meas) == 0 and meas.positions.shape == (0, 3) and meas.scene_id == 0
 
     def test_narrow_fov_subset_of_full(self):
-        pose = world_of().trajectory[3]
-        narrow = {lm.id for lm in visible_landmarks(world_of(fov_deg=90.0), pose)}
-        full = {lm.id for lm in visible_landmarks(world_of(fov_deg=360.0), pose)}
+        pose = world_of().trajectory.pose(3)
+        narrow = set(visible_landmarks(world_of(fov_deg=90.0), pose).tolist())
+        full = set(visible_landmarks(world_of(fov_deg=360.0), pose).tolist())
         assert narrow <= full
-
-
-def _ids(landmarks):
-    return [lm.id for lm in landmarks]
 
 
 def _random_pose(rng):
@@ -142,11 +128,12 @@ class TestVisibilityScreen:
         for w in range(6):
             cfg = RunConfig(world_seed=w, trajectory=("square_loop", "figure_eight", "line")[w % 3], fov_deg=fov)
             world = generate_world(cfg)
-            poses = world.trajectory[::5] + [_random_pose(rng) for _ in range(6)]
+            poses = [world.trajectory.pose(t) for t in range(0, cfg.steps, 5)] + [_random_pose(rng) for _ in range(6)]
             for det_range in (0.5, 3.0, 10.0, 25.0, 100.0):
-                world = World(dataclasses.replace(cfg, detection_range=det_range), world.landmarks, world.trajectory)
+                cfg_at = dataclasses.replace(cfg, detection_range=det_range)
+                world = World(cfg_at, world.labels, world.positions, world.trajectory)
                 for pose in poses:
-                    assert _ids(visible_landmarks(world, pose)) == _ids(scalar_visible_landmarks(world, pose))
+                    assert visible_landmarks(world, pose).tolist() == scalar_visible_landmarks(world, pose)
 
     @pytest.mark.parametrize("fov", [30.0, 90.0, 360.0])
     @pytest.mark.parametrize("det_range", [1.0, 7.3, 10.0, 1234.5])
@@ -167,9 +154,9 @@ class TestVisibilityScreen:
             points += [pose.transform(r * u) for r in radii for u in dirs]
             points.append(pose.translation.copy())
             cfg = RunConfig(detection_range=det_range, fov_deg=fov)
-            world = World(cfg, [WorldLandmark(i, 0, p) for i, p in enumerate(points)], [pose])
-            want = _ids(scalar_visible_landmarks(world, pose))
-            assert _ids(visible_landmarks(world, pose)) == want
+            world = World(cfg, np.zeros(len(points), dtype=int), np.reshape(points, (-1, 3)), PoseTable.of([pose]))
+            want = scalar_visible_landmarks(world, pose)
+            assert visible_landmarks(world, pose).tolist() == want
             assert len(points) - 1 not in want  # a landmark at the pose is never seen
             outcomes.update(i in want for i in range(len(points) - 1))
         assert outcomes == {True, False}
@@ -184,16 +171,16 @@ class TestSimulateStep:
     def test_noiseless_measurements_exact(self):
         world = world_of(world_seed=3, **NOISELESS)
         meas, _ = simulate_step(world, 2, np.random.default_rng(0))
-        by_pos = {lm.id: lm for lm in world.landmarks}
-        vis = {lm.id for lm in visible_landmarks(world, world.trajectory[2])}
+        pose = world.trajectory.pose(2)
+        vis = visible_landmarks(world, pose).tolist()
         assert len(meas) == len(vis)
         for m in detections_of(meas):
-            # each measurement coincides bit-exactly with some visible landmark
+            # each measurement is bit-exactly some visible landmark, in the body frame
             match = [
-                lid
-                for lid in vis
-                if np.array_equal(by_pos[lid].position, m.position)
-                and by_pos[lid].label == m.label
+                row
+                for row in vis
+                if np.array_equal(pose.transform_inverse(world.positions[row]), m.position)
+                and world.labels[row] == m.label
             ]
             assert match
             assert m.scene_id == 2 and m.time == 2.0
@@ -207,7 +194,7 @@ class TestSimulateStep:
         world = world_of(**NOISELESS)
         for step in (1, 12, 13):
             _, inc = simulate_step(world, step, np.random.default_rng(0))
-            expect = world.trajectory[step].relative_to(world.trajectory[step - 1])
+            expect = world.trajectory.pose(step).relative_to(world.trajectory.pose(step - 1))
             assert inc.approx_equal(expect, tol=1e-12)
 
     def test_bias_drift_shifts_body_x(self):
@@ -233,25 +220,24 @@ class TestSimulateStep:
         rng = np.random.default_rng(4)
         n_steps = 500
         count = 0
+        landmark = world.trajectory.pose(0).transform_inverse(world.positions[0])  # in the body frame
         for _ in range(n_steps):
             meas, _ = simulate_step(world, 0, rng)
-            for m in detections_of(meas):
-                if not any(np.array_equal(lm.position, m.position) for lm in world.landmarks):
-                    count += 1
+            count += sum(not np.array_equal(landmark, position) for position in meas.positions)
         mean = count / n_steps
         sigma = math.sqrt(rate / n_steps)
         assert abs(mean - rate) < 3.0 * sigma
-        # false positives land inside the detection disc
-        center = world.trajectory[0].translation
+        # false positives land inside the detection disc about the body origin
         for position in meas.positions:
-            assert np.linalg.norm(position - center) <= world.cfg.detection_range + 1e-9
+            assert np.linalg.norm(position) <= world.cfg.detection_range + 1e-9
 
     def test_confusion_matrix_relabels(self):
         """n_classes = 2 and confusion_eps = 1: each class is always reported as the other."""
         world = world_of(n_classes=2, n_landmarks=6, detection_range=100.0, confusion_eps=1.0, **NOISELESS)
         assert world.confusion.tolist() == [[0.0, 1.0], [1.0, 0.0]]
         meas, _ = simulate_step(world, 0, np.random.default_rng(0))
-        label_at = {lm.position.tobytes(): lm.label for lm in world.landmarks}
+        pose = world.trajectory.pose(0)
+        label_at = {pose.transform_inverse(p).tobytes(): label for p, label in zip(world.positions, world.labels.tolist())}
         assert len(meas) == 6 and all(m.label == 1 - label_at[m.position.tobytes()] for m in detections_of(meas))
 
     def test_negative_confusion_entry_rejected(self):
@@ -281,10 +267,10 @@ class TestSimulateStep:
     def test_meas_noise_perturbs_positions(self):
         world = world_of(world_seed=3, meas_noise_std=0.1)
         meas, _ = simulate_step(world, 2, np.random.default_rng(8))
-        exact = {lm.id: lm.position for lm in world.landmarks}
+        exact = world.trajectory.pose(2).transform_points_inverse(world.positions)
         for position in meas.positions:
-            dists = [np.linalg.norm(position - p) for p in exact.values()]
-            assert 0.0 < min(dists) < 1.0  # near, not equal to, a landmark
+            dists = np.linalg.norm(exact - position, axis=1)
+            assert 0.0 < dists.min() < 1.0  # near, not equal to, a landmark
 
 
 SCALAR_PARITY = {
@@ -309,30 +295,31 @@ class TestSimulate:
         assert len(m1) == len(m2) == world.cfg.steps
         for a, b in zip(m1, m2):
             assert np.array_equal(a.positions, b.positions) and np.array_equal(a.labels, b.labels)
-        for pa, pb in zip(i1, i2):
-            assert np.array_equal(pa.translation, pb.translation)
-            assert np.array_equal(pa.rotation, pb.rotation)
+        assert i1.translations.tobytes() == i2.translations.tobytes()
+        assert i1.rotations.tobytes() == i2.rotations.tobytes()
 
     @pytest.mark.parametrize("case", list(SCALAR_PARITY))
     @pytest.mark.parametrize("seed", [1, 4])
     def test_matches_scalar_oracle(self, case, seed):
         """simulate draws what the per-step scalar reference draws, in its order,
         and builds the same measurements and increments bit for bit: each step's
-        table holds the reference's detections as its rows, in order."""
+        table holds the reference's detections as its rows, in order, each
+        moved into the body frame of the true pose by `Pose.transform_inverse`."""
         world = world_of(world_seed=seed, run_seed=seed, **SCALAR_PARITY[case])
         got_meas, got_inc = simulate(world)
         rng = np.random.default_rng(seed)
         want = [scalar_simulate_step(world, step, rng) for step in range(world.cfg.steps)]
         assert [len(m) for m in got_meas] == [len(m) for m, _ in want]
         for step, (got, (ref, _)) in enumerate(zip(got_meas, want)):
+            pose = world.trajectory.pose(step)
             assert got.scene_id == step and {m.scene_id for m in ref} <= {step}
             assert got.times.tolist() == [m.time for m in ref] and got.labels.tolist() == [m.label for m in ref]
             assert got.positions.shape == (len(ref), 3) and got.labels.dtype == np.int64
-            assert got.positions.tobytes() == b"".join(m.position.tobytes() for m in ref)
-        for a, (_, b) in zip(got_inc, want[1:]):
-            assert a.translation.tobytes() == b.translation.tobytes()
-            assert a.rotation.tobytes() == b.rotation.tobytes()
+            assert got.positions.tobytes() == b"".join(pose.transform_inverse(m.position).tobytes() for m in ref)
         assert len(got_inc) == len(want) - 1
+        for row, (_, b) in enumerate(want[1:]):
+            assert got_inc.translations[row].tobytes() == b.translation.tobytes()
+            assert got_inc.rotations[row].tobytes() == b.rotation.tobytes()
 
     def test_increment_count(self):
         _, incs = simulate(world_of(steps=20, **NOISELESS))

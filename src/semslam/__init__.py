@@ -1,6 +1,6 @@
 """Multiple-hypothesis semantic SLAM toolkit.
 
-Dirichlet-process data association over a hypothesis tree, per-landmark UKF
+Dirichlet-process data association over a hypothesis tree, per-landmark Kalman
 estimation, semantic loop-closure detection, and robust SE(3) pose-graph
 optimization, plus a deterministic synthetic-world simulator and CLI.
 The exports load on first use: `python -m semslam` sets BLAS threads first.

@@ -44,19 +44,6 @@ BOOL = Domain(lambda v, _: isinstance(v, bool), "be true or false")
 CONFUSION = Domain(
     lambda v, c: 0.0 <= v <= (1.0 if c.n_classes > 1 else 0.0), "lie in [0, 1], and be 0 when n_classes = 1"
 )
-
-
-def ukf_lambda(n: int, alpha: float, kappa: float) -> float:
-    """The UKF's lambda in n dimensions; its sigma points spread by n + lambda."""
-    return alpha**2 * (n + kappa) - n
-
-
-# The sigma points are 3-D. Below alpha ~ 8.6e-9, 3 + lambda rounds to 0, and
-# the UKF weights would divide by it. A NaN or infinite ukf_kappa fails its own domain.
-UKF_ALPHA = Domain(
-    lambda v, c: 0.0 < v < math.inf and not 3 + ukf_lambda(3, v, c.ukf_kappa) <= 0.0,
-    "be finite and positive, with a positive sigma-point spread n + lambda at ukf_kappa = {cfg.ukf_kappa}",
-)
 CLASS_IDS = Domain(lambda v, c: all(0 <= i < c.n_classes for i in v), "lie in [0, n_classes = {cfg.n_classes})")
 
 
@@ -125,11 +112,6 @@ class RunConfig:
     max_branches: int = key(5, AT_LEAST_1)
     plausibility_gap: float = key(6.0, AT_LEAST_0)
     kld_cube_bracket: bool = key(False, BOOL)
-
-    # UKF: the sigma points divide by ukf_alpha
-    ukf_alpha: float = key(0.1, UKF_ALPHA)
-    ukf_beta: float = key(2.0, NON_NEGATIVE)
-    ukf_kappa: float = key(0.0, NON_NEGATIVE)
 
     # submaps and gate
     submap_length: int = key(12, AT_LEAST_1)

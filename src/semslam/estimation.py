@@ -1,5 +1,9 @@
-"""Batched UKF updates of landmark positions and Gaussian-mixture fusion of
-the weighted hypothesis set into single-landmark constraints."""
+"""Kalman updates of landmark positions, batched, and Gaussian-mixture
+fusion of the weighted hypothesis set into single-landmark constraints.
+
+Each detection is moved into the world frame before association, so the
+measurement model of a landmark is h(x) = x. The unscented transform of a
+linear map is exact, so the UKF update is the closed-form Kalman update."""
 
 from __future__ import annotations
 
@@ -7,80 +11,39 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .config import RunConfig, ukf_lambda
+from .config import RunConfig
 from .core import ContractViolation, LandmarkTable, check_spd_stack
 
 
-class CovarianceConditioningError(RuntimeError):
-    """Sigma-point Cholesky failed; the prior covariance is ill-conditioned."""
-
-
-def _sigma_factors(covs: np.ndarray, spread: float, retry: bool):
-    """Lower Cholesky factors of spread * covs, and the covariances they
-    factor. With retry, each row that fails is inflated by 1e-9 I and the
-    batch is factored once more; the other rows are unaffected."""
-    try:
-        return np.linalg.cholesky(spread * covs), covs
-    except np.linalg.LinAlgError as exc:
-        if not retry:
-            raise CovarianceConditioningError(str(exc)) from exc
-    covs = covs.copy()
-    for cov in covs:
-        try:
-            np.linalg.cholesky(spread * cov)
-        except np.linalg.LinAlgError:
-            cov += 1e-9 * np.eye(len(cov))
-    return _sigma_factors(covs, spread, retry=False)
-
-
-def _sigma_weights(n: int, cfg: RunConfig):
-    """lambda and the mean and covariance weights of the 2n + 1 sigma points
-    at ukf_alpha, ukf_beta and ukf_kappa."""
-    lam = ukf_lambda(n, cfg.ukf_alpha, cfg.ukf_kappa)
-    wm = np.full(2 * n + 1, 1.0 / (2.0 * (n + lam)))
-    wc = wm.copy()
-    wm[0] = lam / (n + lam)
-    wc[0] = lam / (n + lam) + (1.0 - cfg.ukf_alpha**2 + cfg.ukf_beta)
-    return lam, wm, wc
-
-
-def _ukf_batch(means, covs, z, meas_cov, cfg: RunConfig, retry: bool):
-    """Posterior means and covariances of the unscented updates of (B, n)
-    prior means and (B, n, n) covariances by (B, n) measurements, h(x) = x."""
-    n = means.shape[1]
-    lam, wm, wc = _sigma_weights(n, cfg)
-    L, covs = _sigma_factors(covs, n + lam, retry)
-    offsets = np.swapaxes(L, 1, 2)  # row i is column i of L
-    centre = means[:, None, :]
-    pts = np.concatenate([centre, centre + offsets, centre - offsets], axis=1)  # (B, 2n+1, n)
-    z_pred = wm @ pts
-    d = pts - z_pred[:, None, :]
-    P_xz = np.swapaxes(wc[:, None] * d, 1, 2) @ d
-    S = P_xz + np.asarray(meas_cov)
-    K = np.swapaxes(np.linalg.solve(np.swapaxes(S, 1, 2), np.swapaxes(P_xz, 1, 2)), 1, 2)
-    mean = means + (K @ (z - z_pred)[:, :, None])[:, :, 0]
+def _kalman_batch(means, covs, z, meas_cov):
+    """Posterior means and covariances of the Kalman updates of (B, n) prior
+    means and (B, n, n) covariances by (B, n) measurements, h(x) = x. S is
+    SPD whenever the prior is PSD and meas_cov SPD, so the solve holds."""
+    S = covs + np.asarray(meas_cov)
+    K = np.swapaxes(np.linalg.solve(np.swapaxes(S, 1, 2), np.swapaxes(covs, 1, 2)), 1, 2)  # P S^-1
+    mean = means + (K @ (z - means)[:, :, None])[:, :, 0]
     cov = covs - K @ S @ np.swapaxes(K, 1, 2)
     return mean, 0.5 * (cov + np.swapaxes(cov, 1, 2))
 
 
 def ukf_update(mean: np.ndarray, cov: np.ndarray, z: np.ndarray, meas_cov: np.ndarray, cfg: RunConfig):
-    """Unscented update of one landmark's mean and covariance by the
-    measured position z, with the identity model h(x) = x."""
+    """Update of one landmark's mean and covariance by the measured position
+    z: the UKF update with h(x) = x, which is the Kalman update. `cfg` is
+    accepted for the callers that pass one; the closed form has no tunable."""
     mean, cov, z = (np.asarray(a, dtype=float)[None] for a in (mean, cov, z))
-    mean, cov = _ukf_batch(mean, cov, z, meas_cov, cfg, retry=False)
+    mean, cov = _kalman_batch(mean, cov, z, meas_cov)
     return mean[0], cov[0]
 
 
-def ukf_update_safe(means, covs, z, meas_cov, cfg: RunConfig) -> Tuple[np.ndarray, np.ndarray]:
+def ukf_update_safe(means, covs, z, meas_cov) -> Tuple[np.ndarray, np.ndarray]:
     """ukf_update of (B, 3) means and (B, 3, 3) covariances by (B, 3)
-    measured positions, as one batch. A row whose sigma-point Cholesky fails
-    is inflated by 1e-9 I and retried once; the updated covariances are
-    checked in one call. The caller owns the association bookkeeping."""
+    measured positions, as one batch; the updated covariances are checked
+    SPD in one call. The caller owns the association bookkeeping."""
     if not len(means) == len(covs) == len(z):
         raise ContractViolation("one measurement per landmark")
     if not len(means):
         return np.empty((0, 3)), np.empty((0, 3, 3))
-    mean, cov = _ukf_batch(means, covs, z, meas_cov, cfg, retry=True)
+    mean, cov = _kalman_batch(means, covs, z, meas_cov)
     check_spd_stack(cov)
     return mean, cov
 

@@ -229,7 +229,6 @@ class OptimizeResult:
     state: GraphState
     cost: float
     iterations: int
-    last_pose_cov_trace: float
     converged: bool
     initial_cost: float
     # LM trial steps that did not lower the cost, plus singular-system retries
@@ -401,21 +400,16 @@ class _Problem:
             out[o_pl:].reshape(-1, 6, 3),
         )
 
-    def _reduce(self, lin: _Linearization, lam: float):
-        """Schur complement of the damped landmark blocks: the reduced pose
-        matrix S, the inverse landmark blocks and Hpl D^-1 per pair."""
+    def solve(self, lin: _Linearization, lam: float):
+        """The LM step for damping `lam`: pose increments (P, 6) and
+        landmark increments (M, 3), from the Schur complement S of the
+        damped landmark blocks. Raises LinAlgError if singular."""
         Dinv = np.linalg.inv(lin.Hll + lam * _EYE3)
-        Y = lin.Hpl @ Dinv[self.pair_l]
+        Y = lin.Hpl @ Dinv[self.pair_l]  # Hpl D^-1 per pair
         S = lin.Hpp.copy()
         S.reshape(-1)[:: self.n6 + 1] += lam
         fill = Y[self._qa] @ lin.Hpl[self._qb].transpose(0, 2, 1)
         np.subtract.at(S.reshape(-1), self._schur, fill.reshape(-1))
-        return S, Dinv, Y
-
-    def solve(self, lin: _Linearization, lam: float):
-        """The LM step for damping `lam`: pose increments (P, 6) and
-        landmark increments (M, 3). Raises LinAlgError if singular."""
-        S, Dinv, Y = self._reduce(lin, lam)
         bp, bl = lin.b[: self.n6], lin.b[self.n6 :]
         g = bp.copy()
         np.subtract.at(g, self._pair_grad_p, (Y @ bl.reshape(-1, 3)[self.pair_l][:, :, None]).reshape(-1))
@@ -424,17 +418,6 @@ class _Problem:
         np.subtract.at(rhs, self._pair_grad_l, (lin.Hpl.transpose(0, 2, 1) @ dp[self.pair_p][:, :, None]).reshape(-1))
         dl = (Dinv @ rhs.reshape(-1, 3)[:, :, None])[:, :, 0]
         return dp, dl
-
-    def last_pose_cov_trace(self, lin: _Linearization) -> float:
-        """Trace of the last pose's 6x6 block of (H + 1e-12 I)^-1, from a
-        6-column solve of the Schur system; inf if it is singular."""
-        try:
-            S, _, _ = self._reduce(lin, 1e-12)
-            E = np.zeros((self.n6, 6))
-            E[-6:] = np.eye(6)
-            return float(np.trace(np.linalg.solve(S, E)[-6:]))
-        except np.linalg.LinAlgError:
-            return float("inf")
 
     def state(self, g: GraphState, t, q, L) -> GraphState:
         lk = {lid: k for k, lid in enumerate(self.landmark_ids)}
@@ -497,8 +480,7 @@ def optimize(
             lam *= 10.0
         if not accepted or converged:  # a stall ends the run unconverged
             break
-    trace = prob.last_pose_cov_trace(lin)
-    return OptimizeResult(prob.state(g, t, q, L), lin.cost, iterations, trace, converged, initial_cost, rejected)
+    return OptimizeResult(prob.state(g, t, q, L), lin.cost, iterations, converged, initial_cost, rejected)
 
 
 def rmse(trajectory: PoseTable, ground_truth: PoseTable) -> float:

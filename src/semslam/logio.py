@@ -102,8 +102,8 @@ def _write_poses(path: str, header: str, poses: PoseTable, times: Iterable[float
 
 def _read_poses(path: str, header: str, what: str, may_be_empty: bool = False) -> Tuple[List[float], PoseTable]:
     """Times and the table of a file of t, x, y, z, qw, qx, qy, qz rows;
-    every field must be finite and no rotation zero. The rotations are
-    normalised as one stack."""
+    every field must be finite, and every rotation's norm nonzero and
+    finite. The rotations are normalised as one stack."""
     linenos, vals = [], []
     for lineno, parts in _read_rows(path, header, 8, may_be_empty):
         try:
@@ -115,9 +115,12 @@ def _read_poses(path: str, header: str, what: str, may_be_empty: bool = False) -
         linenos.append(lineno)
         vals.append(row)
     vals = np.reshape(vals, (-1, 8))
-    zero = np.flatnonzero(norms(vals[:, 4:]) < ZERO_NORM)
-    if zero.size:
-        raise LogFormatError(f"{path}: line {linenos[zero[0]]}: {what} has a zero-norm rotation")
+    with np.errstate(over="ignore"):
+        n = norms(vals[:, 4:])
+    bad = np.flatnonzero((n < ZERO_NORM) | (n == np.inf))
+    if bad.size:
+        says = "a zero-norm rotation" if n[bad[0]] < ZERO_NORM else "a rotation whose norm overflows"
+        raise LogFormatError(f"{path}: line {linenos[bad[0]]}: {what} has {says}")
     return vals[:, 0].tolist(), PoseTable(vals[:, 1:4].copy(), quat_normalize(vals[:, 4:]))
 
 
@@ -158,7 +161,10 @@ def read_metrics(path: str):
     rows = []
     for lineno, parts in _read_rows(path, METRICS_HEADER, 5):
         try:
-            rows.append((int(parts[0]), float(parts[1]), int(parts[2]), int(parts[3]), int(parts[4])))
+            row = (int(parts[0]), float(parts[1]), int(parts[2]), int(parts[3]), int(parts[4]))
         except ValueError as exc:
             raise LogFormatError(f"{path}: line {lineno}: {exc}") from exc
+        if not math.isfinite(row[1]):
+            raise LogFormatError(f"{path}: line {lineno}: rmse must be finite")
+        rows.append(row)
     return rows

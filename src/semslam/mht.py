@@ -137,14 +137,14 @@ class HypothesisTree:
             if rows:
                 updates.append((child, rows, [cols[i] for i in rows]))
             children.append(child)
-        # every branch's landmark updates run as one UKF batch, gathered from
+        # every branch's landmark updates run as one Kalman batch, gathered from
         # this leaf's columns and written into each child's rows: in place
         # where concat built the child new arrays, else into copies
         if updates:
             lm_cols = [j for _, _, cols in updates for j in cols]
             prior_means, prior_covs = (column[lm_cols] for column in leaf.columns("means", "covs"))
             z = pos[[i for _, rows, _ in updates for i in rows]]
-            mean, cov = ukf_update_safe(prior_means, prior_covs, z, assoc_params.meas_cov, self.cfg)
+            mean, cov = ukf_update_safe(prior_means, prior_covs, z, assoc_params.meas_cov)
             start = 0
             for child, rows, cols in updates:
                 t, stop = child.existing, start + len(rows)

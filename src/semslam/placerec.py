@@ -344,7 +344,7 @@ def ransac_verify(
     if int(mask.sum()) < min_inliers:
         return None
     R, t = rigid_transform_svd(src[mask], dst[mask])
-    return Pose(t, rot_to_quat(R)), mask
+    return Pose.unit(t, rot_to_quat(R)), mask
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,7 @@ from semslam.assoc import (
     New,
     Previous,
 )
-from semslam.config import RunConfig
 from semslam.core import SPD_EIG_TOL, ContractViolation, LandmarkTable, MeasurementTable, PoseTable
-from semslam.estimation import CovarianceConditioningError
 from semslam.geometry import Pose, rot_to_quat
 from semslam.graph import (
     GraphState,
@@ -457,7 +455,7 @@ def scalar_ransac_verify(src, dst, rng, iters, inlier_tol, min_inliers):
     if int(mask.sum()) < min_inliers:
         return None
     R, t = rigid_transform_svd(src[mask], dst[mask])
-    return Pose(t, rot_to_quat(R)), mask
+    return Pose.unit(t, rot_to_quat(R)), mask
 
 
 def scalar_check_spd(cov, tol=SPD_EIG_TOL) -> None:
@@ -469,52 +467,6 @@ def scalar_check_spd(cov, tol=SPD_EIG_TOL) -> None:
         raise ContractViolation("covariance not symmetric")
     if np.min(np.linalg.eigvalsh(cov)) <= tol:
         raise ContractViolation("covariance not positive definite")
-
-
-def scalar_sigma_points(mean, cov, cfg: RunConfig):
-    """Sigma points and weights of one prior, column by column."""
-    n = mean.size
-    lam = cfg.ukf_alpha**2 * (n + cfg.ukf_kappa) - n
-    try:
-        L = np.linalg.cholesky((n + lam) * cov)
-    except np.linalg.LinAlgError as exc:
-        raise CovarianceConditioningError(str(exc)) from exc
-    pts = np.empty((2 * n + 1, n))
-    pts[0] = mean
-    for i in range(n):
-        pts[1 + i] = mean + L[:, i]
-        pts[1 + n + i] = mean - L[:, i]
-    wm = np.full(2 * n + 1, 1.0 / (2.0 * (n + lam)))
-    wc = wm.copy()
-    wm[0] = lam / (n + lam)
-    wc[0] = lam / (n + lam) + (1.0 - cfg.ukf_alpha**2 + cfg.ukf_beta)
-    return pts, wm, wc
-
-
-def scalar_ukf_estimate(lm, m, meas_cov, cfg: RunConfig):
-    """Posterior mean and covariance of the unscented update of lm by m."""
-    pts, wm, wc = scalar_sigma_points(lm.mean, lm.cov, cfg)
-    z_pred = wm @ pts
-    d = pts - z_pred
-    S = (wc[:, None] * d).T @ d + np.asarray(meas_cov)
-    dx = pts - (wm @ pts)
-    P_xz = (wc[:, None] * dx).T @ d
-    K = np.linalg.solve(S.T, P_xz.T).T
-    innov = np.asarray(m.position) - z_pred
-    mean = lm.mean + K @ innov
-    cov = lm.cov - K @ S @ K.T
-    cov = 0.5 * (cov + cov.T)
-    return mean, cov
-
-
-def scalar_ukf_update_safe(lm, m, meas_cov, cfg: RunConfig):
-    """One landmark's update with the one-shot conditioning retry: the
-    reference for the batched `estimation.ukf_update_safe`."""
-    try:
-        return scalar_ukf_estimate(lm, m, meas_cov, cfg)
-    except CovarianceConditioningError:
-        inflated = dataclasses.replace(lm, cov=lm.cov + 1e-9 * np.eye(3))
-        return scalar_ukf_estimate(inflated, m, meas_cov, cfg)
 
 
 def scalar_fuse_hypotheses(leaves, weights):
@@ -793,8 +745,8 @@ def _scalar_normal_equations(state, offsets, dim):
 
 def scalar_optimize(g, max_iters=50, grad_tol=1e-8, lm_lambda0=1e-4):
     """Per-factor Levenberg-Marquardt over the full dense system: the
-    reference for `graph.optimize`. It assembles H factor by factor, solves
-    H + lam I directly and reads the covariance from its full inverse."""
+    reference for `graph.optimize`. It assembles H factor by factor and
+    solves H + lam I directly."""
     g.check_structure()
     state = g
     offsets, off = {}, 0
@@ -851,14 +803,7 @@ def scalar_optimize(g, max_iters=50, grad_tol=1e-8, lm_lambda0=1e-4):
             lam *= 10.0
         if not accepted or converged:  # a stall ends the run unconverged
             break
-    H, _, _ = _scalar_normal_equations(state, offsets, dim)
-    o = offsets[("pose", len(state.poses) - 1)]
-    try:
-        cov = np.linalg.inv(H + 1e-12 * np.eye(dim))
-        trace = float(np.trace(cov[o : o + 6, o : o + 6]))
-    except np.linalg.LinAlgError:
-        trace = float("inf")
-    return OptimizeResult(state, cost, iterations, trace, converged, initial_cost, rejected)
+    return OptimizeResult(state, cost, iterations, converged, initial_cost, rejected)
 
 
 def scalar_transform_points(pose, points, inverse=False):

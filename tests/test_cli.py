@@ -126,7 +126,7 @@ def test_simulate_with_out_of_range_value_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("dirichlet_alpha", "nan"), ("fp_rate", "nan"), ("lambda_new", "nan"), ("ukf_alpha", "0"), ("ukf_alpha", "nan")],
+    [("dirichlet_alpha", "nan"), ("fp_rate", "nan"), ("lambda_new", "nan")],
 )
 def test_run_with_bad_model_value_exit_code(tmp_path, cfg_path, capsys, key, value):
     """A model key outside its domain stops `run` at config load, with an
@@ -169,7 +169,6 @@ def test_simulate_with_bad_confusion_exit_code(tmp_path, capsys):
         ("run", "tau_jsd", "tau_jsd = nan"),
         ("run", "penalty_p", "penalty_p = nan"),
         ("run", "plausibility_gap", "plausibility_gap = nan"),
-        ("run", "ukf_alpha", "ukf_alpha = 1e-9"),  # the sigma-point spread 3 + lambda rounds to 0
     ],
 )
 def test_value_outside_its_domain_exit_code(tmp_path, cfg_path, capsys, command, key, text):
@@ -310,6 +309,25 @@ def test_zero_rotation_exit_code(tmp_path, cfg_path, capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{name}: line 6: {what} has a zero-norm rotation" in err
+
+
+def test_overflowing_rotation_exit_code(tmp_path, cfg_path, capsys):
+    """An odometry rotation whose fields are finite but whose norm overflows
+    stops `run`, naming the file and line, instead of reading as a zero
+    rotation."""
+    logs = str(tmp_path / "logs")
+    assert main(["simulate", "--config", cfg_path, "--out", logs]) == 0
+    path = os.path.join(logs, "odometry.csv")
+    lines = open(path).read().splitlines()
+    lines[3] = ",".join(lines[3].split(",")[:4] + ["1e200", "0", "0", "0"])
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg_path, "--logs", logs, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "odometry.csv: line 4: odometry increment has a rotation whose norm overflows" in err
+    assert not out.exists()
 
 
 def test_import_loads_no_slow_scipy_submodules():

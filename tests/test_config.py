@@ -11,7 +11,7 @@ import pytest
 
 import semslam
 from semslam.cli import main
-from semslam.config import ConfigError, Domain, RunConfig, load_config, parse_config, serialize_config, ukf_lambda
+from semslam.config import ConfigError, Domain, RunConfig, load_config, parse_config, serialize_config
 from semslam.placerec import score_bound
 
 SRC = os.path.dirname(os.path.abspath(semslam.__file__))
@@ -53,6 +53,13 @@ class TestErrors:
     def test_unknown_key_reports_line(self):
         with pytest.raises(ConfigError, match="line 2.*unknown key"):
             parse_config("steps = 5\nnot_a_key = 1\n")
+
+    @pytest.mark.parametrize("name", ["ukf_alpha", "ukf_beta", "ukf_kappa"])
+    def test_sigma_point_keys_are_unknown(self, name):
+        """The landmark update is the closed-form Kalman update, which has no
+        sigma points: a file that still sets their keys fails to load."""
+        with pytest.raises(ConfigError, match=f"line 3: unknown key '{name}'"):
+            parse_config(f"steps = 5\n\n{name} = 0.5\n")
 
     def test_duplicate_key_reports_line(self):
         with pytest.raises(ConfigError, match="line 3.*duplicate"):
@@ -97,32 +104,13 @@ class TestErrors:
         assert getattr(parse_config(f"{name} = 1e-9"), name) == 1e-9
 
     @pytest.mark.parametrize(
-        "name", ["dirichlet_alpha", "fp_rate", "map_volume", "lambda_new", "lambda_fp", "prior_volume", "ukf_alpha"]
+        "name", ["dirichlet_alpha", "fp_rate", "map_volume", "lambda_new", "lambda_fp", "prior_volume"]
     )
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
     def test_association_and_ukf_keys_must_be_finite_and_positive(self, name, value):
         with pytest.raises(ConfigError, match=f"{name} must be finite and positive"):
             parse_config(f"{name} = {value}")
-        small = 1e-8 if name == "ukf_alpha" else 1e-9  # see test_ukf_alpha_keeps_the_sigma_spread_positive
-        assert getattr(parse_config(f"{name} = {small!r}"), name) == small
-
-    @pytest.mark.parametrize("kappa", [0.0, 2.0])
-    def test_ukf_alpha_keeps_the_sigma_spread_positive(self, kappa):
-        """The UKF weights divide by n + lambda, n = 3, which rounds to 0 once
-        ukf_alpha**2 * (3 + ukf_kappa) is below half an ulp of 3. Such an
-        alpha fails at load, naming the key; the next float up loads."""
-        def spread(alpha):
-            return 3 + ukf_lambda(3, alpha, kappa)
-
-        lo, hi = 1e-12, 1e-6  # spread(lo) == 0 < spread(hi): bisect to the edge
-        while math.nextafter(lo, hi) != hi:
-            mid = math.sqrt(lo * hi) if hi / lo > 2 else 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if spread(mid) <= 0.0 else (lo, mid)
-        assert spread(lo) == 0.0 < spread(hi) and 6e-9 < lo < 9e-9
-        for alpha in (1e-9, lo):
-            with pytest.raises(ConfigError, match="ukf_alpha must be finite and positive, with a positive sigma-point spread"):
-                parse_config(f"ukf_alpha = {alpha!r}\nukf_kappa = {kappa!r}")
-        assert parse_config(f"ukf_alpha = {hi!r}\nukf_kappa = {kappa!r}").ukf_alpha == hi
+        assert getattr(parse_config(f"{name} = 1e-09"), name) == 1e-9
 
     @pytest.mark.parametrize("name", ["odom_sigma_t", "odom_sigma_r", "lm_grad_tol"])
     @pytest.mark.parametrize("value", ["-1e-9", "nan", "inf"])
@@ -225,7 +213,7 @@ def test_every_config_key_declares_a_domain():
     """A key without a domain would take any value: RunConfig checks each
     key's value against the domain declared next to its default."""
     assert [f.name for f in fields(RunConfig) if not isinstance(f.metadata.get("domain"), Domain)] == []
-    assert len(NUMERIC_KEYS) == 51  # the keys the sweep covers: all but 5 choices, 1 flag and 1 tuple
+    assert len(NUMERIC_KEYS) == 48  # the keys the sweep covers: all but 5 choices, 1 flag and 1 tuple
 
 
 def sweep_values(name):

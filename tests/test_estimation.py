@@ -1,22 +1,14 @@
-"""UKF landmark updates (against the closed-form Kalman oracle and, batched,
-against the per-landmark scalar UKF) and Gaussian-mixture fusion of
-weighted hypotheses."""
+"""Landmark updates (one and batched, against the closed-form Kalman
+oracle) and Gaussian-mixture fusion of weighted hypotheses."""
 
 import numpy as np
 import pytest
 
 from semslam.config import RunConfig
 from semslam.core import ContractViolation
-from semslam.estimation import (
-    CovarianceConditioningError,
-    _sigma_weights,
-    fuse_hypotheses,
-    spd_project,
-    ukf_update,
-    ukf_update_safe,
-)
+from semslam.estimation import fuse_hypotheses, spd_project, ukf_update, ukf_update_safe
 
-from conftest import landmark, meas, random_spd, rows_of, scalar_ukf_update_safe, table_of
+from conftest import landmark, meas, random_spd, rows_of, table_of
 
 CFG = RunConfig()
 
@@ -62,77 +54,49 @@ class TestUkfUpdate:
             assert np.all(cur < prev)
             prev = cur
 
-    def test_sigma_weights_read_each_ukf_key(self):
-        # with h(x) = x the posterior does not depend on the spread beyond
-        # rounding, so the weights pin the reads: n = 3, alpha 0.3, beta 1.5,
-        # kappa 1 give lambda = 0.09 * 4 - 3 = -2.64 and n + lambda = 0.36
-        lam, wm, wc = _sigma_weights(3, RunConfig(ukf_alpha=0.3, ukf_beta=1.5, ukf_kappa=1.0))
-        assert lam == pytest.approx(-2.64, rel=1e-12)
-        assert wm[1:] == pytest.approx(np.full(6, 1.0 / 0.72), rel=1e-12)
-        assert wm[0] == pytest.approx(-2.64 / 0.36, rel=1e-12)
-        assert wc[0] == pytest.approx(-2.64 / 0.36 + (1.0 - 0.09 + 1.5), rel=1e-12)
-        assert np.array_equal(wc[1:], wm[1:])
+    def test_zero_prior_variance_stays_zero(self):
+        """A prior with a zero variance is PSD, so S = P + R is SPD and the
+        update is exact: the posterior keeps that variance at 0, and the
+        batch's SPD check rejects it."""
+        mu, P, z = np.zeros(3), np.diag([1.0, 2.0, 0.0]), np.array([1.0, 0.0, 0.0])
+        mean, cov = ukf_update(mu, P, z, np.eye(3), CFG)
+        em, ec = kalman_oracle(mu, P, z, np.eye(3))
+        assert np.max(np.abs(mean - em)) <= 1e-15 and np.max(np.abs(cov - ec)) <= 1e-15
+        assert cov[2, 2] == 0.0 and np.all(cov[2] == 0.0)
+        with pytest.raises(ContractViolation, match="not positive definite"):
+            ukf_update_safe(mu[None], P[None], z[None], np.eye(3))
 
 
-def safe_batch(lms, ms, meas_cov, cfg):
+def safe_batch(lms, ms, meas_cov):
     """ukf_update_safe of the rows `lms` by the measurements `ms`."""
     return ukf_update_safe(
         np.reshape([lm.mean for lm in lms], (-1, 3)),
         np.reshape([lm.cov for lm in lms], (-1, 3, 3)),
         np.reshape([m.position for m in ms], (-1, 3)),
         meas_cov,
-        cfg,
     )
 
 
 class TestUkfBatch:
-    """The batched ukf_update_safe against the per-landmark scalar oracle."""
+    """The batched ukf_update_safe against the per-landmark Kalman oracle."""
 
     def test_matches_scalar_oracle(self, rng):
-        cfg = RunConfig(ukf_alpha=0.3, ukf_beta=2.0, ukf_kappa=1.0)
         for size in (1, 2, 21):
             lms = [landmark(i, rng.standard_normal(3), cov=random_spd(rng)) for i in range(size)]
             ms = [meas(rng.standard_normal(3), scene_id=10 + i) for i in range(size)]
             R = random_spd(rng)
-            means, covs = safe_batch(lms, ms, R, cfg)
+            means, covs = safe_batch(lms, ms, R)
             assert means.shape == (size, 3) and covs.shape == (size, 3, 3)
             for lm, m, got_mean, got_cov in zip(lms, ms, means, covs):
-                want_mean, want_cov = scalar_ukf_update_safe(lm, m, R, cfg)
+                want_mean, want_cov = kalman_oracle(lm.mean, lm.cov, m.position, R)
                 assert np.max(np.abs(got_mean - want_mean)) <= 1e-12
                 assert np.max(np.abs(got_cov - want_cov)) <= 1e-12
 
-    def test_retry_inflates_only_the_failing_row(self, rng):
-        # a zero prior variance fails the sigma-point Cholesky; inflated by
-        # 1e-9 I it factors, and its neighbours take the plain update
-        lms = [landmark(i, rng.standard_normal(3), cov=random_spd(rng)) for i in range(3)]
-        lms[1] = landmark(1, lms[1].mean, cov=np.diag([1.0, 2.0, 0.0]))
-        ms = [meas(rng.standard_normal(3), scene_id=i) for i in range(3)]
-        means, covs = safe_batch(lms, ms, np.eye(3), CFG)
-        for i, (lm, m) in enumerate(zip(lms, ms)):
-            want_mean, want_cov = scalar_ukf_update_safe(lm, m, np.eye(3), CFG)
-            assert np.max(np.abs(means[i] - want_mean)) <= 1e-12
-            assert np.max(np.abs(covs[i] - want_cov)) <= 1e-12
-            if i != 1:
-                plain_mean, plain_cov = ukf_update(lm.mean, lm.cov, m.position, np.eye(3), CFG)
-                assert np.array_equal(means[i], plain_mean) and np.array_equal(covs[i], plain_cov)
-        assert 0.0 < covs[1][2, 2] <= 1e-9
-
-    def test_second_failure_raises(self, rng):
-        lms = [landmark(i, rng.standard_normal(3)) for i in range(3)]
-        lms[2] = landmark(2, lms[2].mean, cov=np.diag([1.0, 1.0, -1.0]))
-        ms = [meas(rng.standard_normal(3)) for _ in range(3)]
-        with pytest.raises(CovarianceConditioningError):
-            safe_batch(lms, ms, np.eye(3), CFG)
-
-    def test_plain_update_does_not_retry(self):
-        with pytest.raises(CovarianceConditioningError):
-            ukf_update(np.zeros(3), np.diag([1.0, 2.0, 0.0]), [1.0, 0.0, 0.0], np.eye(3), CFG)
-
     def test_empty_and_misaligned(self):
-        means, covs = ukf_update_safe(np.empty((0, 3)), np.empty((0, 3, 3)), np.empty((0, 3)), np.eye(3), CFG)
+        means, covs = ukf_update_safe(np.empty((0, 3)), np.empty((0, 3, 3)), np.empty((0, 3)), np.eye(3))
         assert means.shape == (0, 3) and covs.shape == (0, 3, 3)
         with pytest.raises(ContractViolation):
-            ukf_update_safe(np.zeros((1, 3)), np.eye(3)[None], np.empty((0, 3)), np.eye(3), CFG)
+            ukf_update_safe(np.zeros((1, 3)), np.eye(3)[None], np.empty((0, 3)), np.eye(3))
 
 
 class TestSpdProject:

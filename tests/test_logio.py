@@ -1,7 +1,14 @@
 """CSV log round trips and format-error reporting with line numbers."""
 
+import math
+import os
+import re
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semslam.config import RunConfig
 from semslam.core import LandmarkTable, MeasurementTable, PoseTable
@@ -223,6 +230,24 @@ class TestStackedRead:
         with pytest.raises(LogFormatError, match=rf"poses\.csv: line 6: {what} has a zero-norm rotation"):
             read_odometry(path) if reader == "odometry" else read_trajectory(path)
 
+    @pytest.mark.parametrize("reader", ["odometry", "trajectory"])
+    @pytest.mark.parametrize("rotation", ["1e200,0,0,0", "1e160,1e160,0,0", "0,0,-1e155,1e155"])
+    def test_overflowing_rotation_reports_file_and_line(self, tmp_path, reader, rotation):
+        """Every field is finite but the norm overflows to inf, which would
+        normalise the rotation to zero."""
+        header = "t,dx,dy,dz,dqw,dqx,dqy,dqz" if reader == "odometry" else "t,x,y,z,qw,qx,qy,qz"
+        what = "odometry increment" if reader == "odometry" else "trajectory pose"
+        path = str(tmp_path / "poses.csv")
+        open(path, "w").write(f"{header}\n1,0,0,0,1,0,0,0\n\n2,1,0,0,1,0,0,0\n\n3,1,0,0,{rotation}\n4,0,0,0,0,0,0,1\n")
+        with pytest.raises(LogFormatError, match=rf"poses\.csv: line 6: {what} has a rotation whose norm overflows"):
+            read_odometry(path) if reader == "odometry" else read_trajectory(path)
+
+    def test_huge_finite_norm_is_normalised(self, tmp_path):
+        path = str(tmp_path / "poses.csv")
+        open(path, "w").write("t,x,y,z,qw,qx,qy,qz\n0,0,0,0,1e150,0,0,1e150\n1,0,0,0,0,3e-12,0,0\n")
+        _, table = read_trajectory(path)
+        assert np.allclose(table.rotations, [[np.sqrt(0.5), 0, 0, np.sqrt(0.5)], [0, 1, 0, 0]], rtol=0, atol=1e-15)
+
 
 class TestOdometry:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -316,6 +341,13 @@ class TestMetrics:
         data = open(path, "rb").read()
         assert b"\r" not in data and data.endswith(b"\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_rmse_reports_file_and_line(self, tmp_path, value):
+        path = str(tmp_path / "m.csv")
+        open(path, "w").write(f"frame,rmse,n_hypotheses,n_landmarks,n_loop_closures\n0,0.5,1,2,0\n\n1,{value},1,2,0\n")
+        with pytest.raises(LogFormatError, match=r"m\.csv: line 4: rmse must be finite"):
+            read_metrics(path)
+
 
 class TestMap:
     def test_write_map_shape(self, tmp_path):
@@ -326,3 +358,91 @@ class TestMap:
         parts = lines[1].split(",")
         assert parts[0] == "4" and parts[1] == "1"
         assert len(parts) == 14
+
+
+# what a fuzzed field may hold in place of a valid one: numbers, ids out of
+# range, non-finite and non-numeric text, and quaternion components whose
+# norm underflows or overflows
+FIELD = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-3, 12).map(str),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "1e400", "-1e400", "", " ", "x", "1.2.3", "0x10", "1_0"]),
+    st.sampled_from(["0", "-0", "1e-200", "5e-324", "1e-13", "1e-11", "1e155", "1e160", "1e200", "1.7e308"]),
+)
+NUMBER = st.floats(-1e3, 1e3).map(repr)
+N_STEPS = 6
+
+
+def fuzzed_log(*columns):
+    """Data lines of one field per column strategy, each field replaced by a
+    FIELD one time in eight; blank lines and lines of a wrong field count
+    among them. At least one line is not blank."""
+    row = st.tuples(*(st.integers(0, 7).flatmap(lambda k, c=c: FIELD if k == 0 else c) for c in columns))
+    wrong = st.lists(FIELD, min_size=1, max_size=len(columns) + 2)
+    line = st.one_of(row, row, row, wrong, st.just([""]))
+    return st.lists(line.map(",".join), min_size=1, max_size=8).filter(any)
+
+
+MEASUREMENT_COLUMNS = (NUMBER, st.integers(0, N_STEPS - 1).map(str), st.integers(0, N_CLASSES - 1).map(str), *[NUMBER] * 3)
+POSE_COLUMNS = (*[NUMBER] * 4, *[st.floats(-1.0, 1.0).map(repr)] * 4)
+METRICS_COLUMNS = (st.integers(0, 99).map(str), st.floats(0.0, 1e3).map(repr), *[st.integers(0, 99).map(str)] * 3)
+
+
+def read_fuzzed(header, lines, read):
+    """read(path) of a file holding header and lines: what it returns, or
+    None if it raised LogFormatError naming the path and a line."""
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "log.csv")
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join([header, *lines]) + "\n")
+        try:
+            return read(path)
+        except LogFormatError as exc:
+            assert re.match(rf"{re.escape(path)}: line (\d+): ", str(exc)), str(exc)
+            assert 2 <= int(re.match(r".*?: line (\d+)", str(exc))[1]) <= len(lines) + 1
+            return None
+
+
+def assert_finite_unit(table):
+    assert np.isfinite(table.translations).all() and np.isfinite(table.rotations).all()
+    assert np.all(np.abs(np.linalg.norm(table.rotations, axis=1) - 1.0) <= 4e-15)
+
+
+class TestFuzzedLogs:
+    """Every reader either parses a malformed log into finite values and
+    unit rotations, or raises LogFormatError with the path and a line
+    number; no other exception escapes."""
+
+    @given(fuzzed_log(*MEASUREMENT_COLUMNS))
+    @settings(max_examples=100, deadline=None)
+    def test_measurements(self, lines):
+        scenes = read_fuzzed("t,scene_id,class_id,x,y,z", lines, lambda p: read_measurements(p, N_CLASSES, N_STEPS))
+        if scenes is not None:
+            assert [s.scene_id for s in scenes] == list(range(N_STEPS))
+            for s in scenes:
+                assert np.isfinite(s.times).all() and np.isfinite(s.positions).all()
+                assert ((0 <= s.labels) & (s.labels < N_CLASSES)).all()
+
+    @given(fuzzed_log(*POSE_COLUMNS))
+    @settings(max_examples=100, deadline=None)
+    def test_odometry(self, lines):
+        table = read_fuzzed("t,dx,dy,dz,dqw,dqx,dqy,dqz", lines, read_odometry)
+        if table is not None:
+            assert_finite_unit(table)
+
+    @given(fuzzed_log(*POSE_COLUMNS))
+    @settings(max_examples=100, deadline=None)
+    def test_trajectory(self, lines):
+        read = read_fuzzed("t,x,y,z,qw,qx,qy,qz", lines, read_trajectory)
+        if read is not None:
+            times, table = read
+            assert len(times) == len(table) > 0 and all(map(math.isfinite, times))
+            assert_finite_unit(table)
+
+    @given(fuzzed_log(*METRICS_COLUMNS))
+    @settings(max_examples=100, deadline=None)
+    def test_metrics(self, lines):
+        rows = read_fuzzed("frame,rmse,n_hypotheses,n_landmarks,n_loop_closures", lines, read_metrics)
+        if rows is not None:
+            assert rows and all(math.isfinite(r[1]) for r in rows)
+            assert all(isinstance(v, int) for r in rows for v in (r[0], *r[2:]))

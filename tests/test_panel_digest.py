@@ -110,7 +110,6 @@ def test_graph_digest_hashes_every_result_at_full_precision():
         *(dataclasses.replace(second, state=s) for s in moved),
         dataclasses.replace(second, cost=float(np.nextafter(second.cost, np.inf))),
         dataclasses.replace(second, initial_cost=float(np.nextafter(second.initial_cost, np.inf))),
-        dataclasses.replace(second, last_pose_cov_trace=float(np.nextafter(second.last_pose_cov_trace, np.inf))),
         dataclasses.replace(second, iterations=second.iterations + 1),
         dataclasses.replace(second, converged=not second.converged),
         dataclasses.replace(second, rejected_steps=second.rejected_steps + 1),
@@ -136,7 +135,7 @@ def test_degraded_jobs_lie_outside_the_default_panel():
     # every knob job moves the same keys off their defaults
     default = RunConfig()
     moved = [{k for k, v in o.items() if v != getattr(default, k)} - {"world_seed", "run_seed", "mode"} for o in knobs.values()]
-    assert len(moved[0]) == 21 and all(m == moved[0] for m in moved)
+    assert len(moved[0]) == 18 and all(m == moved[0] for m in moved)
     # sim-knobs-1 moves the simulator keys that no other job moves, with a
     # landmark count that the classes do not divide
     sim = simulator["sim-knobs-1"]

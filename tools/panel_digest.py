@@ -23,7 +23,7 @@ simulator branch the panel never reaches (clutter, misses, heavier noise,
 class confusion, a 60 degree field of view, the figure-eight path and
 odometry drift), the single_ukf baseline jobs on square-loop worlds 1
 and 3 and line world 0, the knob jobs on square-loop worlds 1 and 3,
-which set every tunable of the UKF, the resampler, verification,
+which set every tunable of the resampler, verification,
 retrieval, RANSAC and the gate away from its default, so a stage
 that reads the wrong config key changes some digest, the RANSAC
 fallback job on square-loop world 1, whose thresholds make some scans fit
@@ -95,7 +95,6 @@ def knobs():
     """Job name -> config overrides of the knob jobs, `knobs[-mhm]-<world>`
     (`mhm`: mode = mhm_threshold)."""
     knob_values = {
-        "ukf_alpha": 0.3, "ukf_beta": 1.5, "ukf_kappa": 1.0,
         "ess_fraction": 0.8, "kld_epsilon": 0.1, "kld_delta": 0.05, "kld_cube_bracket": True,
         "max_hypotheses": 8, "plausibility_gap": 100.0,
         "tau_verify": 8.0, "edge_radius": 5.0, "penalty_p": 0.4, "dist_norm_scale": 4.0,
@@ -142,7 +141,7 @@ def result_bytes(result) -> bytes:
     state = result.state
     arrays = [a for row in zip(state.poses.translations, state.poses.rotations) for a in row]
     arrays += [state.landmarks[lid] for lid in sorted(state.landmarks)]
-    floats = (result.cost, result.initial_cost, result.last_pose_cov_trace)
+    floats = (result.cost, result.initial_cost)
     scalars = [float(x).hex() for x in floats] + [repr(int(result.iterations)), repr(bool(result.converged)), repr(int(result.rejected_steps))]
     return b"".join(a.astype("<f8").tobytes() for a in arrays) + " ".join(scalars).encode()
 

@@ -39,18 +39,6 @@ def hat(v: np.ndarray) -> np.ndarray:
     return _last_axis([o, -z, y, z, o, -x, -y, x, o]).reshape(v.shape[:-1] + (3, 3))
 
 
-def exp_so3(phi: np.ndarray) -> np.ndarray:
-    """Rodrigues formula: rotation vector -> rotation matrix."""
-    angle = np.linalg.norm(phi)
-    K = hat(phi)
-    if angle < 1e-9:
-        # second-order series, accurate and stable near zero
-        return np.eye(3) + K + 0.5 * (K @ K)
-    s = np.sin(angle) / angle
-    c = (1.0 - np.cos(angle)) / (angle * angle)
-    return np.eye(3) + s * K + c * (K @ K)
-
-
 def log_so3(R: np.ndarray) -> np.ndarray:
     """Rotation matrices -> rotation vectors (principal branch)."""
     cos_angle = np.clip((np.trace(R, axis1=-2, axis2=-1) - 1.0) * 0.5, -1.0, 1.0)
@@ -199,31 +187,13 @@ class Pose:
         """other^{-1} * self."""
         return other.inverse().compose(self)
 
-    def transform(self, p: np.ndarray) -> np.ndarray:
-        """Body-frame point -> world frame."""
-        return self.translation + self.rot() @ np.asarray(p, dtype=float)
-
-    def transform_inverse(self, p: np.ndarray) -> np.ndarray:
-        """World-frame point -> body frame."""
-        return self.rot().T @ (np.asarray(p, dtype=float) - self.translation)
-
     def transform_points(self, points: np.ndarray) -> np.ndarray:
-        """Body-frame (k, 3) points -> world frame, each row with the bits that
-        `transform` gives it: k stacked matrix-vector products, not one
+        """Body-frame (k, 3) points -> world frame: k stacked matrix-vector
+        products, so each row has the bits of t + R p, not those of one
         (k, 3) x (3, 3) product, whose sums round differently."""
         return (self.rot()[None] @ points[:, :, None])[:, :, 0] + self.translation
 
     def transform_points_inverse(self, points: np.ndarray) -> np.ndarray:
-        """World-frame (k, 3) points -> body frame, each row with the bits that
-        `transform_inverse` gives it."""
+        """World-frame (k, 3) points -> body frame, each row with the bits of
+        R^T (p - t)."""
         return (self.rot().T[None] @ (points - self.translation)[:, :, None])[:, :, 0]
-
-    def approx_equal(self, other: "Pose", tol: float = 1e-9) -> bool:
-        return (
-            np.allclose(self.translation, other.translation, atol=tol)
-            and min(
-                np.linalg.norm(self.rotation - other.rotation),
-                np.linalg.norm(self.rotation + other.rotation),
-            )
-            < tol
-        )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -64,19 +64,17 @@ def _left_jacobian_inv(phi: np.ndarray) -> np.ndarray:
 # -- factor residuals and Jacobians, one row per factor ------------------------
 #
 # Each takes the stacked variables of its factors (t, R per pose; the point
-# per landmark), then the stacked measurements, and returns the residuals and,
-# if asked, the Jacobians: one block of columns per variable (6 per pose, 3
-# per landmark), side by side in one stack.
+# per landmark), then the stacked measurements, and returns the residuals and
+# the Jacobians: one block of columns per variable (6 per pose, 3 per
+# landmark), side by side in one stack.
 
 
-def _relative_terms(ti, Ri, tj, Rj, t_m, R_m, jac):
+def _relative_terms(ti, Ri, tj, Rj, t_m, R_m):
     RiT = Ri.transpose(0, 2, 1)
     v = (RiT @ (tj - ti)[:, :, None])[:, :, 0]
     E = R_m.transpose(0, 2, 1)
     phi = log_so3(E @ RiT @ Rj)
     r = np.concatenate([v - t_m, phi], axis=1)
-    if not jac:
-        return r, None
     Jl_inv = _left_jacobian_inv(phi)
     J = np.zeros((len(r), 6, 12))  # pose i, then pose j
     J[:, :3, :3] = -RiT
@@ -87,12 +85,10 @@ def _relative_terms(ti, Ri, tj, Rj, t_m, R_m, jac):
     return r, J
 
 
-def _landmark_terms(t, R, l, z, jac):
+def _landmark_terms(t, R, l, z):
     RT = R.transpose(0, 2, 1)
     v = (RT @ (l - t)[:, :, None])[:, :, 0]
     r = v - z
-    if not jac:
-        return r, None
     J = np.empty((len(r), 3, 9))  # pose, then landmark
     J[:, :, :3] = -RT
     J[:, :, 3:6] = hat(v)
@@ -100,35 +96,8 @@ def _landmark_terms(t, R, l, z, jac):
     return r, J
 
 
-def _one(pose: Pose):
-    """A pose as a one-row stack: translation, rotation matrix."""
-    return pose.translation[None], pose.rot()[None]
-
-
-# a prior's fixed origin, as a one-row stack
-_ORIGIN = (np.zeros((1, 3)), _EYE3[None])
-
-
-class _Factor:
-    """Single-factor access to the batched terms of the factor's kind."""
-
-    def variables(self) -> Tuple[Tuple[str, int], ...]:
-        """The (kind, id) variables constrained, in the order of the Jacobians."""
-        raise NotImplementedError
-
-    def _terms(self, state: "GraphState", jac: bool):
-        raise NotImplementedError
-
-    def residual(self, state: "GraphState") -> np.ndarray:
-        return self._terms(state, False)[0][0]
-
-    def jacobians(self, state: "GraphState") -> Dict[Tuple[str, int], np.ndarray]:
-        # the first variable is a pose: its 6 columns, then the other's
-        return dict(zip(self.variables(), np.split(self._terms(state, True)[1][0], [6], axis=1)))
-
-
 @dataclass(frozen=True, eq=False)
-class PriorFactor(_Factor):
+class PriorFactor:
     """An edge to pose_id from the fixed origin: a relative factor whose
     first pose is t = 0, R = I and has no Jacobian."""
 
@@ -137,16 +106,9 @@ class PriorFactor(_Factor):
     information: np.ndarray  # 6x6
     robust_c: Optional[float] = None
 
-    def variables(self):
-        return (("pose", self.pose_id),)
-
-    def _terms(self, state, jac):
-        r, J = _relative_terms(*_ORIGIN, *_one(state.poses.pose(self.pose_id)), *_one(self.prior), jac)
-        return r, None if J is None else J[:, :, 6:]
-
 
 @dataclass(frozen=True, eq=False)
-class RelativePoseFactor(_Factor):
+class RelativePoseFactor:
     """Odometry or loop-closure constraint: measured T_i^{-1} T_j."""
 
     pose_i: int
@@ -156,16 +118,9 @@ class RelativePoseFactor(_Factor):
     robust_c: Optional[float] = None
     kind: str = "odometry"  # or "loop"
 
-    def variables(self):
-        return (("pose", self.pose_i), ("pose", self.pose_j))
-
-    def _terms(self, state, jac):
-        poses = state.poses
-        return _relative_terms(*_one(poses.pose(self.pose_i)), *_one(poses.pose(self.pose_j)), *_one(self.measured), jac)
-
 
 @dataclass(frozen=True, eq=False)
-class LandmarkFactor(_Factor):
+class LandmarkFactor:
     """Pose-to-point constraint: landmark observed in the body frame."""
 
     pose_id: int
@@ -173,13 +128,6 @@ class LandmarkFactor(_Factor):
     measured: np.ndarray  # 3-vector, body frame
     information: np.ndarray  # 3x3
     robust_c: Optional[float] = None
-
-    def variables(self):
-        return (("pose", self.pose_id), ("landmark", self.landmark_id))
-
-    def _terms(self, state, jac):
-        l = np.asarray(state.landmarks[self.landmark_id], dtype=float)[None]
-        return _landmark_terms(*_one(state.poses.pose(self.pose_id)), l, np.asarray(self.measured, dtype=float)[None], jac)
 
 
 Factor = PriorFactor | RelativePoseFactor | LandmarkFactor
@@ -308,7 +256,7 @@ class _EdgeStack(_Stack):
         ti, Ri = t[self.i], R[self.i]
         ti[: self.n0] = 0.0
         Ri[: self.n0] = _EYE3
-        return _relative_terms(ti, Ri, t[self.j], R[self.j], self.t_m, self.R_m, True)
+        return _relative_terms(ti, Ri, t[self.j], R[self.j], self.t_m, self.R_m)
 
 
 class _LandmarkStack(_Stack):
@@ -321,7 +269,7 @@ class _LandmarkStack(_Stack):
         self.z = np.array([f.measured for f in factors], dtype=float).reshape(-1, 3)
 
     def terms(self, t, R, L):
-        return _landmark_terms(t[self.p], R[self.p], L[self.l], self.z, True)
+        return _landmark_terms(t[self.p], R[self.p], L[self.l], self.z)
 
 
 @dataclass
@@ -426,11 +374,6 @@ class _Problem:
 
 def _apply_step(t, q, L, dp, dl):
     return t + dp[:, :3], quat_normalize(quat_mul(q, quat_from_rotvec(dp[:, 3:]))), L + dl
-
-
-def _total_cost(state: GraphState) -> float:
-    prob = _Problem(state)
-    return prob.linearize(prob.t0, prob.q0, prob.L0).cost
 
 
 def optimize(

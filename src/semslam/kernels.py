@@ -119,10 +119,11 @@ def ransac_best_mask(src, dst, picks, tol, fit=None):
     rows `fit` (ascending; default all) are fit at once (one batched SVD, R
     and t bit for bit the loop's) and scored at once (one (n, 3) @ (3, 3S)
     product), then the sequential choice is replayed over the counts, other
-    rows counting as collinear: the first strictly better sample wins, an
-    all-inlier fit stops, and the search ends early at 99.9% confidence for
-    the best ratio seen so far (`ransac_trials`). Returns a fresh inlier mask
-    and its count; (all-False, -1) when no sample fit spans a plane.
+    rows counting as collinear: the first strictly better sample wins, and
+    the search ends early at 99.9% confidence for the best ratio seen so far
+    (`ransac_trials`, which is 1 for an all-inlier fit, so that stops it).
+    Returns a fresh inlier mask and its count; (all-False, -1) when no
+    sample fit spans a plane.
     """
     n = src.shape[0]
     iters = picks.shape[0]
@@ -161,8 +162,6 @@ def ransac_best_mask(src, dst, picks, tol, fit=None):
         if count <= best_count:
             continue  # no better than the best so far
         best_count, best = count, col
-        if count == n:
-            break
         needed = max(min(needed, ransac_trials(count, n)), it + 1)
     return masks[:, best].copy(), best_count
 

@@ -158,6 +158,8 @@ def write_metrics(path: str, rows: Sequence[Tuple[int, float, int, int, int]]) -
 
 
 def read_metrics(path: str):
+    """The rows of a metrics file: frame t on the t-th data row, counts
+    non-negative."""
     rows = []
     for lineno, parts in _read_rows(path, METRICS_HEADER, 5):
         try:
@@ -166,5 +168,9 @@ def read_metrics(path: str):
             raise LogFormatError(f"{path}: line {lineno}: {exc}") from exc
         if not math.isfinite(row[1]):
             raise LogFormatError(f"{path}: line {lineno}: rmse must be finite")
+        if row[0] != len(rows):
+            raise LogFormatError(f"{path}: line {lineno}: frame {row[0]} is not row {len(rows)}")
+        if min(row[2:]) < 0:
+            raise LogFormatError(f"{path}: line {lineno}: counts must be non-negative")
         rows.append(row)
     return rows

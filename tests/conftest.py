@@ -591,6 +591,19 @@ def scalar_hat(v: np.ndarray) -> np.ndarray:
     )
 
 
+def scalar_exp_so3(phi: np.ndarray) -> np.ndarray:
+    """Rodrigues formula, rotation vector -> rotation matrix: the reference
+    for `quat_to_rot(quat_from_rotvec(phi))`."""
+    angle = np.linalg.norm(phi)
+    K = scalar_hat(phi)
+    if angle < 1e-9:
+        # second-order series, accurate and stable near zero
+        return np.eye(3) + K + 0.5 * (K @ K)
+    s = np.sin(angle) / angle
+    c = (1.0 - np.cos(angle)) / (angle * angle)
+    return np.eye(3) + s * K + c * (K @ K)
+
+
 def scalar_log_so3(R: np.ndarray) -> np.ndarray:
     cos_angle = np.clip((np.trace(R) - 1.0) * 0.5, -1.0, 1.0)
     angle = np.arccos(cos_angle)
@@ -807,10 +820,24 @@ def scalar_optimize(g, max_iters=50, grad_tol=1e-8, lm_lambda0=1e-4):
 
 
 def scalar_transform_points(pose, points, inverse=False):
-    """`Pose.transform` (or `transform_inverse`) of each row of (k, 3)
-    points: the reference for `Pose.transform_points` and its inverse."""
-    transform = pose.transform_inverse if inverse else pose.transform
-    return np.reshape([transform(p) for p in points], (-1, 3))
+    """Each row of (k, 3) points moved from the body frame of `pose` to the
+    world frame, t + R p (or back, R^T (p - t), if `inverse`), one point at
+    a time: the reference for `Pose.transform_points` and its inverse."""
+    R = pose.rot()
+    if inverse:
+        moved = [R.T @ (np.asarray(p, dtype=float) - pose.translation) for p in points]
+    else:
+        moved = [pose.translation + R @ np.asarray(p, dtype=float) for p in points]
+    return np.reshape(moved, (-1, 3))
+
+
+def pose_approx_equal(a, b, tol=1e-9) -> bool:
+    """Translations within `tol` entry for entry, and rotations within `tol`
+    as quaternions, either sign."""
+    return (
+        np.allclose(a.translation, b.translation, atol=tol)
+        and min(np.linalg.norm(a.rotation - b.rotation), np.linalg.norm(a.rotation + b.rotation)) < tol
+    )
 
 
 def scalar_visible_landmarks(world, pose):

@@ -209,6 +209,41 @@ def test_eval_length_mismatch_exit_code(tmp_path, cfg_path, capsys):
     assert "differ" in capsys.readouterr().err
 
 
+def eval_with_run_metrics(tmp_path, cfg_path, rows):
+    """The exit code of `semslam eval` of the ground truth against itself,
+    merging a metrics file of these data rows."""
+    logs = str(tmp_path / "logs")
+    assert main(["simulate", "--config", cfg_path, "--out", logs]) == 0
+    gt = os.path.join(logs, "ground_truth.csv")
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text("\n".join(["frame,rmse,n_hypotheses,n_landmarks,n_loop_closures", *rows]) + "\n")
+    return main(["eval", "--trajectory", gt, "--ground-truth", gt, "--run-metrics", str(metrics)])
+
+
+def run_rows(n):
+    """Metrics rows as `semslam run` writes them, for n frames."""
+    return [f"{t},0,1,{t},0" for t in range(n)]
+
+
+def test_eval_run_metrics_length_mismatch_exit_code(tmp_path, cfg_path, capsys):
+    assert eval_with_run_metrics(tmp_path, cfg_path, run_rows(SMALL.steps - 1)) == 1
+    assert "error: run metrics length does not match trajectory" in capsys.readouterr().err
+
+
+def test_eval_shuffled_run_metrics_exit_code(tmp_path, cfg_path, capsys):
+    rows = run_rows(SMALL.steps)
+    rows[0], rows[1] = rows[1], rows[0]
+    assert eval_with_run_metrics(tmp_path, cfg_path, rows) == 1
+    assert "metrics.csv: line 2: frame 1 is not row 0" in capsys.readouterr().err
+
+
+def test_eval_negative_run_metrics_count_exit_code(tmp_path, cfg_path, capsys):
+    rows = run_rows(SMALL.steps)
+    rows[4] = "4,0,1,-2,0"
+    assert eval_with_run_metrics(tmp_path, cfg_path, rows) == 1
+    assert "metrics.csv: line 6: counts must be non-negative" in capsys.readouterr().err
+
+
 def test_run_on_corrupt_logs_exit_code(tmp_path, cfg_path, capsys):
     logs = str(tmp_path / "logs")
     main(["simulate", "--config", cfg_path, "--out", logs])

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from semslam.geometry import (
     Pose,
-    exp_so3,
     hat,
     log_so3,
     norms,
@@ -21,7 +20,9 @@ from semslam.geometry import (
 
 from conftest import (
     left_jacobian_inv_so3,
+    pose_approx_equal,
     right_jacobian_inv_so3,
+    scalar_exp_so3,
     scalar_hat,
     scalar_log_so3,
     scalar_quat_from_rotvec,
@@ -44,18 +45,18 @@ class TestSo3:
     def test_exp_log_round_trip(self, rng):
         for _ in range(50):
             phi = random_rotvec(rng)
-            assert np.allclose(log_so3(exp_so3(phi)), phi, atol=1e-9)
+            assert np.allclose(log_so3(scalar_exp_so3(phi)), phi, atol=1e-9)
 
     def test_exp_zero_is_identity(self):
-        assert np.allclose(exp_so3(np.zeros(3)), np.eye(3))
+        assert np.array_equal(quat_to_rot(quat_from_rotvec(np.zeros(3))), np.eye(3))
 
     def test_log_near_pi(self, rng):
         for _ in range(20):
             axis = rng.standard_normal(3)
             axis /= np.linalg.norm(axis)
             phi = axis * (np.pi - 1e-7)
-            back = log_so3(exp_so3(phi))
-            assert np.allclose(exp_so3(back), exp_so3(phi), atol=1e-6)
+            back = log_so3(scalar_exp_so3(phi))
+            assert np.allclose(scalar_exp_so3(back), scalar_exp_so3(phi), atol=1e-6)
 
     def test_hat_antisymmetric(self, rng):
         v = rng.standard_normal(3)
@@ -89,7 +90,7 @@ class TestQuaternion:
 
     def test_quat_from_rotvec_matches_exp(self, rng):
         phi = random_rotvec(rng)
-        assert np.allclose(quat_to_rot(quat_from_rotvec(phi)), exp_so3(phi), atol=1e-12)
+        assert np.allclose(quat_to_rot(quat_from_rotvec(phi)), scalar_exp_so3(phi), atol=1e-12)
 
     def test_canonical_sign(self):
         q = quat_normalize(np.array([-1.0, 0.2, 0.0, 0.0]))
@@ -203,13 +204,13 @@ class TestPose:
         for _ in range(20):
             p = Pose(rng.standard_normal(3), quat_normalize(rng.standard_normal(4)))
             ident = p.compose(p.inverse())
-            assert ident.approx_equal(Pose())
+            assert pose_approx_equal(ident, Pose())
 
     def test_relative_to(self, rng):
         a = Pose(rng.standard_normal(3), quat_normalize(rng.standard_normal(4)))
         b = Pose(rng.standard_normal(3), quat_normalize(rng.standard_normal(4)))
         rel = a.relative_to(b)
-        assert b.compose(rel).approx_equal(a)
+        assert pose_approx_equal(b.compose(rel), a)
 
     @pytest.mark.parametrize("k", [0, 1, 3, 25])
     def test_transform_points_match_the_per_point_oracle(self, k):
@@ -228,7 +229,7 @@ class TestPose:
     def test_transform_round_trip(self, rng):
         p = Pose(rng.standard_normal(3), quat_normalize(rng.standard_normal(4)))
         x = rng.standard_normal(3)
-        assert np.allclose(p.transform_inverse(p.transform(x)), x)
+        assert np.allclose(p.transform_points_inverse(p.transform_points(x[None]))[0], x)
 
     @given(vec3, vec3)
     @settings(max_examples=25, deadline=None)

@@ -15,13 +15,23 @@ from semslam.graph import (
     PriorFactor,
     RelativePoseFactor,
     StructuralError,
+    _Problem,
     cauchy_cost,
     cauchy_weight,
     optimize,
     rmse,
 )
 
-from conftest import random_spd, scalar_optimize, scalar_quat_from_rotvec, scalar_quat_mul, scalar_quat_normalize
+from conftest import (
+    _scalar_factor_terms,
+    _scalar_total_cost,
+    pose_approx_equal,
+    random_spd,
+    scalar_optimize,
+    scalar_quat_from_rotvec,
+    scalar_quat_mul,
+    scalar_quat_normalize,
+)
 
 
 def random_pose(rng, scale=2.0):
@@ -44,20 +54,40 @@ def perturb(state, var, delta):
     return dataclasses.replace(state, poses=PoseTable.of(poses))
 
 
+def stacked_terms(factor, state):
+    """One factor's residual and its Jacobians by (kind, id) variable, as
+    `optimize` evaluates them: the only row of its stack in a one-factor
+    problem. A prior's first pose is the fixed origin, which has none."""
+    prob = _Problem(GraphState(state.poses, state.landmarks, [factor]))
+    R = quat_to_rot(prob.q0)
+    if isinstance(factor, LandmarkFactor):
+        r, J = prob.marks.terms(prob.t0, R, prob.L0)
+        variables = [("pose", factor.pose_id), ("landmark", factor.landmark_id)]
+    elif isinstance(factor, PriorFactor):
+        r, J = prob.edges.terms(prob.t0, R)
+        J, variables = J[:, :, 6:], [("pose", factor.pose_id)]
+    else:
+        r, J = prob.edges.terms(prob.t0, R)
+        variables = [("pose", factor.pose_i), ("pose", factor.pose_j)]
+    return r[0], dict(zip(variables, np.split(J[0], [6], axis=1)))
+
+
 def fd_jacobian(factor, state, var, dim, h=1e-6):
-    r0 = factor.residual(state)
+    r0 = stacked_terms(factor, state)[0]
     J = np.zeros((r0.size, dim))
     for k in range(dim):
         d = np.zeros(dim)
         d[k] = h
-        rp = factor.residual(perturb(state, var, d))
-        rm = factor.residual(perturb(state, var, -d))
+        rp = stacked_terms(factor, perturb(state, var, d))[0]
+        rm = stacked_terms(factor, perturb(state, var, -d))[0]
         J[:, k] = (rp - rm) / (2.0 * h)
     return J
 
 
 def assert_jacobians_match(factor, state, tol=1e-5):
-    for var, J in factor.jacobians(state).items():
+    """The Jacobians `optimize` stacks for `factor` match central
+    differences of the residual it stacks."""
+    for var, J in stacked_terms(factor, state)[1].items():
         dim = J.shape[1]
         Jn = fd_jacobian(factor, state, var, dim)
         scale = max(1.0, float(np.max(np.abs(Jn))))
@@ -129,6 +159,19 @@ class TestStructure:
             g.factors.append(RelativePoseFactor(1, -1, Pose(), np.eye(6)))
         g.factors.append(LandmarkFactor(-1 if kind == "landmark" else 1, 5, np.zeros(3), np.eye(3)))
         with pytest.raises(StructuralError, match="missing pose"):
+            optimize(g)
+
+    def test_landmark_factor_referencing_missing_landmark_rejected(self):
+        g = GraphState(PoseTable.of([Pose()]), landmarks={5: np.zeros(3)})
+        g.factors = [PriorFactor(0, Pose(), np.eye(6)), LandmarkFactor(0, 5, np.zeros(3), np.eye(3))]
+        g.factors.append(LandmarkFactor(0, 7, np.zeros(3), np.eye(3)))
+        with pytest.raises(StructuralError, match="missing landmark 7"):
+            optimize(g)
+
+    def test_landmark_without_factor_rejected(self):
+        g = GraphState(PoseTable.of([Pose()]), landmarks={5: np.zeros(3), 7: np.ones(3)})
+        g.factors = [PriorFactor(0, Pose(), np.eye(6)), LandmarkFactor(0, 5, np.zeros(3), np.eye(3))]
+        with pytest.raises(StructuralError, match="landmark 7 has no factor"):
             optimize(g)
 
     def test_disconnected_variable_rejected(self):
@@ -237,7 +280,7 @@ def parity_graph(rng, kind):
             where = 3.0 * rng.standard_normal(3)
             g.landmarks[10 + lid] = where + 0.3 * rng.standard_normal(3)
             for p in rng.choice(n, size=int(rng.integers(1, min(3, n) + 1)), replace=False):
-                z = truth[p].transform_inverse(where) + 0.05 * rng.standard_normal(3)
+                z = truth[p].transform_points_inverse(where[None])[0] + 0.05 * rng.standard_normal(3)
                 g.factors.append(LandmarkFactor(int(p), 10 + lid, z, random_spd(rng, rng.uniform(1.0, 30.0)), robust_c=robust()))
     if moved:
         g.factors.insert(int(rng.integers(len(g.factors) + 1)), prior)
@@ -251,7 +294,7 @@ class TestOptimize:
         result = optimize(g)
         assert result.cost == pytest.approx(0.0, abs=1e-12)
         for got, start in zip(poses_of(result.state.poses), poses_of(g.poses)):
-            assert got.approx_equal(start, tol=1e-9)
+            assert pose_approx_equal(got, start, tol=1e-9)
 
     def test_loop_factor_corrects_drift(self):
         # L-shaped path so per-step body-frame translation drift accumulates
@@ -298,15 +341,13 @@ class TestOptimize:
         offset = Pose(np.array([10.0, -4.0, 2.0]), quat_from_yaw(0.7))
         moved = optimize(chain_graph(incs, start=offset)).state
         for pose, got in zip(poses_of(base.poses), poses_of(moved.poses)):
-            assert got.approx_equal(offset.compose(pose), tol=1e-6)
+            assert pose_approx_equal(got, offset.compose(pose), tol=1e-6)
 
     def test_cost_non_increasing(self, rng):
         incs = [Pose(rng.uniform(-1, 1, 3)) for _ in range(6)]
         # perturb the initial guess away from the optimum
         g = moved_start(chain_graph(incs), rng)
-        from semslam.graph import _total_cost
-
-        start_cost = _total_cost(g)
+        start_cost = _scalar_total_cost(g)
         result = optimize(g, max_iters=30)
         assert result.cost <= start_cost + 1e-12
 
@@ -353,12 +394,10 @@ class TestOptimize:
             assert result.converged is False
 
     def test_zero_iterations_return_initial_cost(self, rng):
-        from semslam.graph import _total_cost
-
         g = perturbed_chain(rng)
         result = optimize(g, max_iters=0)
         assert result.iterations == 0 and result.converged is False
-        assert result.cost == result.initial_cost == _total_cost(g)
+        assert result.cost == result.initial_cost == pytest.approx(_scalar_total_cost(g), rel=1e-12)
         assert np.array_equal(result.state.poses.translations, g.poses.translations)
         assert np.array_equal(result.state.poses.rotations, g.poses.rotations)
 
@@ -387,6 +426,37 @@ class TestOptimize:
         assert result.rejected_steps == scalar_optimize(g, 50, 1e-8, 1e-12).rejected_steps
         assert result.converged and result.cost < 1e-12 < result.initial_cost
 
+    def test_singular_solve_retries_with_more_damping(self, monkeypatch):
+        """A singular Schur system is a rejected step: the damping grows
+        tenfold and the same linearisation is solved again, so the run is
+        the run from ten times the damping, with one more rejected step."""
+        from semslam import graph
+
+        solve = graph._Problem.solve
+        lams = []
+
+        def singular_once(self, lin, lam):
+            lams.append(lam)
+            if len(lams) == 1:
+                raise np.linalg.LinAlgError("singular matrix")
+            return solve(self, lin, lam)
+
+        kinds = [kind for kind in PARITY_KINDS if kind != "zero_residual"]  # which may stop before a solve
+        for seed in range(12):
+            g, max_iters = parity_graph(np.random.default_rng(2000 + seed), kinds[seed % len(kinds)])
+            want = optimize(g, max_iters, lm_lambda0=10.0 * 1e-4)
+            with monkeypatch.context() as m:
+                m.setattr(graph._Problem, "solve", singular_once)
+                lams.clear()
+                got = optimize(g, max_iters, lm_lambda0=1e-4)
+            assert lams[:2] == [1e-4, 10.0 * 1e-4], seed
+            assert got.rejected_steps == want.rejected_steps + 1, seed
+            assert (got.iterations, got.converged) == (want.iterations, want.converged), seed
+            assert (got.cost, got.initial_cost) == (want.cost, want.initial_cost), seed
+            for a, b in ((got.state.poses.translations, want.state.poses.translations), (got.state.poses.rotations, want.state.poses.rotations)):
+                assert a.tobytes() == b.tobytes(), seed
+            assert all(got.state.landmarks[lid].tobytes() == want.state.landmarks[lid].tobytes() for lid in g.landmarks), seed
+
     def test_linearises_each_point_once(self, monkeypatch):
         """The start point and each trial point are linearised once, and the
         linearisation gives their cost: no separate cost pass exists."""
@@ -413,7 +483,7 @@ class TestOptimize:
 
     def test_matches_scalar_optimize(self):
         """The batched Schur-complement LM takes the per-factor dense LM's
-        steps: same poses, landmarks, cost, covariance trace and decisions."""
+        steps: same poses, landmarks, cost and decisions."""
         seen = dict.fromkeys(
             ("all_types", "robust", "non_robust", "landmark_free", "shared_landmark", "near_pi",
              "zero_residual", "rejected", "capped", "converged"),
@@ -430,9 +500,10 @@ class TestOptimize:
                     observed[f.landmark_id] = observed.get(f.landmark_id, 0) + 1
             seen["shared_landmark"] += any(n > 1 for n in observed.values())
             seen["landmark_free"] += not g.landmarks
-            rot = [np.linalg.norm(f.residual(g)[3:]) for f in g.factors if not isinstance(f, LandmarkFactor)]
+            residuals = [(f, _scalar_factor_terms(f, g)[0]) for f in g.factors]
+            rot = [np.linalg.norm(r[3:]) for f, r in residuals if not isinstance(f, LandmarkFactor)]
             seen["near_pi"] += any(math.pi - a < 1e-6 for a in rot)
-            seen["zero_residual"] += all(np.all(f.residual(g) == 0.0) for f in g.factors)
+            seen["zero_residual"] += all(np.all(r == 0.0) for _, r in residuals)
             seen["all_types"] += {type(f) for f in g.factors} == {PriorFactor, RelativePoseFactor, LandmarkFactor}
 
             got = optimize(g, max_iters)
@@ -441,7 +512,7 @@ class TestOptimize:
             assert got.converged == want.converged, seed
             assert got.rejected_steps == want.rejected_steps, seed
             for pid, (a, b) in enumerate(zip(poses_of(got.state.poses), poses_of(want.state.poses))):
-                assert a.approx_equal(b, tol=1e-9), (seed, pid)
+                assert pose_approx_equal(a, b, tol=1e-9), (seed, pid)
             for lid in g.landmarks:
                 assert np.allclose(got.state.landmarks[lid], want.state.landmarks[lid], rtol=0, atol=1e-9)
             # a cost below 1e-15 is rounding left at an exact fit: no digit of it agrees
@@ -461,8 +532,8 @@ class TestPriorFold:
     def test_origin_edge_is_the_prior(self, rng):
         """The relative terms from the origin are the prior's own: t - t_m,
         log(R_m^T R), and the Jacobian diag(I, J_r^-1) with J_r^-1(phi) =
-        J_l^-1(-phi); `PriorFactor` and the stack's first row both give them."""
-        from semslam.graph import _Problem, _left_jacobian_inv
+        J_l^-1(-phi); the stack's first row gives them bit for bit."""
+        from semslam.graph import _left_jacobian_inv
 
         for _ in range(40):
             pose_id = int(rng.integers(3))
@@ -475,8 +546,6 @@ class TestPriorFold:
             J = np.zeros((6, 6))
             J[:3, :3] = np.eye(3)
             J[3:, 3:] = _left_jacobian_inv(-phi)[0]
-            assert np.array_equal(prior.residual(g), r)
-            assert np.array_equal(prior.jacobians(g)[("pose", pose_id)], J)
             prob = _Problem(g)
             rs, Js = prob.edges.terms(prob.t0, quat_to_rot(prob.q0))
             assert np.array_equal(rs[0], r) and np.array_equal(Js[0, :, 6:], J)

@@ -10,6 +10,7 @@ from semslam import kernels
 
 from conftest import (
     brute_force_assignment,
+    scalar_exp_so3,
     scalar_lap_solve,
     scalar_ransac_best_mask,
     scalar_systematic_resample,
@@ -105,10 +106,7 @@ class TestRansacBestMask:
 
     def test_clean_data_all_inliers(self, rng):
         src = rng.uniform(-5, 5, size=(12, 3))
-        phi = np.array([0.1, -0.2, 0.3])
-        from semslam.geometry import exp_so3
-
-        R = exp_so3(phi)
+        R = scalar_exp_so3(np.array([0.1, -0.2, 0.3]))
         t = np.array([1.0, -2.0, 0.5])
         dst = src @ R.T + t
         mask, count = kernels.ransac_best_mask(src, dst, self._picks(rng, 100, 12), 0.1)
@@ -157,14 +155,12 @@ def _collinear(src, picks):
 
 def _ransac_problem(rng, kind):
     """One seeded (src, dst, picks, tol) problem of the given kind."""
-    from semslam.geometry import exp_so3
-
     n = {"n3": 3, "early_stop": 30}.get(kind, int(rng.integers(6, 40)))
     src = rng.uniform(-5.0, 5.0, size=(n, 3))
     if kind in ("collinear", "all_collinear") or (kind == "n3" and rng.random() < 0.5):
         k = n if kind == "all_collinear" else max(3, n // 2)  # these points share one line
         src[:k] = rng.uniform(-5.0, 5.0, size=3) + np.outer(rng.uniform(-3.0, 3.0, size=k), rng.standard_normal(3))
-    R = exp_so3(rng.standard_normal(3))
+    R = scalar_exp_so3(rng.standard_normal(3))
     dst = src @ R.T + rng.uniform(-3.0, 3.0, size=3)
     tol = 0.5
     if kind == "all_inlier":

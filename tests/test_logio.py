@@ -27,7 +27,7 @@ from semslam.logio import (
 )
 from semslam.sim import World, simulate
 
-from conftest import scalar_transform_points
+from conftest import pose_approx_equal, scalar_transform_points
 
 
 N_CLASSES = 3
@@ -260,7 +260,7 @@ class TestOdometry:
         back = read_odometry(path)
         assert len(back) == 2
         for row, inc in enumerate(incs):
-            assert inc.approx_equal(back.pose(row), tol=1e-8)
+            assert pose_approx_equal(inc, back.pose(row), tol=1e-8)
         # writing what was read reproduces the file byte for byte
         path2 = str(tmp_path / "odo2.csv")
         write_odometry(path2, back)
@@ -297,7 +297,7 @@ class TestTrajectory:
         times, back = read_trajectory(path)
         assert times == [0.0, 1.0, 2.0, 3.0] and len(back) == 4
         for row, pose in enumerate(poses):
-            assert pose.approx_equal(back.pose(row), tol=1e-8)
+            assert pose_approx_equal(pose, back.pose(row), tol=1e-8)
 
     def test_custom_times(self, tmp_path):
         path = str(tmp_path / "traj.csv")
@@ -349,6 +349,25 @@ class TestMetrics:
             read_metrics(path)
 
 
+    @pytest.mark.parametrize(
+        "rows, error",
+        [
+            (["1,0.5,1,2,0"], "line 2: frame 1 is not row 0"),
+            (["0,0.5,1,2,0", "0,0.5,1,2,0"], "line 3: frame 0 is not row 1"),
+            (["0,0.5,1,2,0", "2,0.5,1,2,0"], "line 3: frame 2 is not row 1"),
+            (["0,0.5,-1,2,0"], "line 2: counts must be non-negative"),
+            (["0,0.5,1,2,0", "1,0.5,1,2,-3"], "line 3: counts must be non-negative"),
+        ],
+    )
+    def test_frame_out_of_place_or_negative_count_rejected(self, tmp_path, rows, error):
+        """Frame t is the t-th data row and no count is negative, as every
+        writer writes them."""
+        path = str(tmp_path / "m.csv")
+        open(path, "w").write("\n".join(["frame,rmse,n_hypotheses,n_landmarks,n_loop_closures", *rows]) + "\n")
+        with pytest.raises(LogFormatError, match=rf"m\.csv: {error}$"):
+            read_metrics(path)
+
+
 class TestMap:
     def test_write_map_shape(self, tmp_path):
         path = str(tmp_path / "map.csv")
@@ -385,7 +404,7 @@ def fuzzed_log(*columns):
 
 MEASUREMENT_COLUMNS = (NUMBER, st.integers(0, N_STEPS - 1).map(str), st.integers(0, N_CLASSES - 1).map(str), *[NUMBER] * 3)
 POSE_COLUMNS = (*[NUMBER] * 4, *[st.floats(-1.0, 1.0).map(repr)] * 4)
-METRICS_COLUMNS = (st.integers(0, 99).map(str), st.floats(0.0, 1e3).map(repr), *[st.integers(0, 99).map(str)] * 3)
+METRICS_COLUMNS = (st.integers(0, 7).map(str), st.floats(0.0, 1e3).map(repr), *[st.integers(0, 99).map(str)] * 3)
 
 
 def read_fuzzed(header, lines, read):
@@ -446,3 +465,5 @@ class TestFuzzedLogs:
         if rows is not None:
             assert rows and all(math.isfinite(r[1]) for r in rows)
             assert all(isinstance(v, int) for r in rows for v in (r[0], *r[2:]))
+            assert [r[0] for r in rows] == list(range(len(rows)))
+            assert all(v >= 0 for r in rows for v in r[2:])

@@ -396,6 +396,46 @@ class TestResample:
         # resampled counts are stored as weights count/total; compare means
         assert np.allclose(survived / n_seeds, 4 * w, atol=0.05)
 
+    def test_kld_bound_shrinks_the_draw(self, monkeypatch):
+        """At kld_epsilon = 0.5 the KLD bound of the k leaves a draw of 20
+        picks is below 20, so the draw shrinks to that bound and repeats:
+        the draw count ends at the loop's fixed point, the first count whose
+        bound does not lie below it, and each survivor weighs log(count / n)."""
+        from semslam import kernels
+
+        draws = []
+        systematic_resample = kernels.systematic_resample
+
+        def recorded(w, n, u0):
+            draws.append((n, systematic_resample(w, n, u0)))
+            return draws[-1][1]
+
+        monkeypatch.setattr(kernels, "systematic_resample", recorded)
+        rng = np.random.default_rng(3)
+        cfg = RunConfig(kld_epsilon=0.5)
+        shrinks = 0
+        for seed in range(20):
+            tree = HypothesisTree(dataclasses.replace(cfg, run_seed=seed))
+            extend(tree, tree.leaves[0], [[]] * 20, [], simple_params())
+            for leaf, lw in zip(tree.leaves, np.log(rng.dirichlet(np.ones(20)))):
+                leaf.log_weight = lw
+            before = list(tree.leaves)
+            draws.clear()
+            assert tree.resample(force=True) is True
+            bounds = []
+            for _, idx in draws:
+                k = len(set(idx.tolist()))
+                bound = cfg.max_hypotheses if k < 2 else min(kld_bound(k, 0.5, cfg.kld_delta), cfg.max_hypotheses)
+                bounds.append(max(bound, 1))
+            ns = [n for n, _ in draws]
+            assert ns[0] == 20 and ns[1:] == bounds[:-1] and bounds[-1] >= ns[-1], seed
+            shrinks += len(draws) - 1
+            n, idx = draws[-1]
+            counts = np.bincount(idx, minlength=20)
+            assert tree.leaves == [leaf for leaf, c in zip(before, counts) if c]
+            assert [leaf.log_weight for leaf in tree.leaves] == [math.log(c / n) for c in counts if c]
+        assert shrinks > 0
+
     def test_prune_to_best(self):
         tree = self.tree_with_weights([-1.0, -5.0, -0.5, -3.0])
         tree.prune_to_best(2)

@@ -30,8 +30,8 @@ class TestScenario:
             world, body, _ = simulate_for(RunConfig(confusion_eps=eps, **base))
             relabelled = 0
             for t, ms in enumerate(body):
-                for position, label in zip(ms.positions, ms.labels.tolist()):
-                    d = np.linalg.norm(world.positions - world.trajectory.pose(t).transform(position), axis=1)
+                for position, label in zip(world.trajectory.pose(t).transform_points(ms.positions), ms.labels.tolist()):
+                    d = np.linalg.norm(world.positions - position, axis=1)
                     assert d.min() < 1e-9
                     relabelled += label != world.labels[int(np.argmin(d))]
             assert (relabelled > 0) == (eps > 0.0)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from semslam import kernels, placerec
 from semslam.config import RunConfig
 from semslam.core import ContractViolation
-from semslam.geometry import Pose, exp_so3, quat_from_yaw, rot_to_quat
+from semslam.geometry import Pose, quat_from_yaw, rot_to_quat
 from semslam.placerec import (
     LoopClosureDetector,
     PlaceIndex,
@@ -30,7 +30,14 @@ from semslam.placerec import (
     verify_pair,
 )
 
-from conftest import scalar_detect, scalar_ransac_best_mask, scalar_ransac_verify, scalar_scene_match
+from conftest import (
+    pose_approx_equal,
+    scalar_detect,
+    scalar_exp_so3,
+    scalar_ransac_best_mask,
+    scalar_ransac_verify,
+    scalar_scene_match,
+)
 
 
 def scene(scene_id, positions, class_ids, submap_id=0, dim=4):
@@ -300,7 +307,7 @@ class TestSceneDescriptor:
 class TestRansacVerify:
     def test_exact_transform_recovered(self, rng):
         src = rng.uniform(-5, 5, (10, 3))
-        R = exp_so3(np.array([0.2, -0.1, 0.4]))
+        R = scalar_exp_so3(np.array([0.2, -0.1, 0.4]))
         t = np.array([3.0, -1.0, 0.5])
         dst = src @ R.T + t
         pose, mask = ransac_verify(src, dst, np.random.default_rng(0), 200, 0.5, 4)
@@ -310,7 +317,7 @@ class TestRansacVerify:
 
     def test_half_outliers_rejected_from_consensus(self, rng):
         src = rng.uniform(-5, 5, (12, 3))
-        R = exp_so3(np.array([0.0, 0.0, 0.5]))
+        R = scalar_exp_so3(np.array([0.0, 0.0, 0.5]))
         t = np.array([1.0, 2.0, 0.0])
         dst = src @ R.T + t
         dst[6:] += rng.uniform(10.0, 20.0, (6, 3)) * np.sign(rng.standard_normal((6, 3)))
@@ -333,11 +340,11 @@ class TestRansacVerify:
         a = ransac_verify(src, dst, np.random.default_rng(7), 100, 0.5, 4)
         b = ransac_verify(src, dst, np.random.default_rng(7), 100, 0.5, 4)
         assert a[1].tolist() == b[1].tolist()
-        assert a[0].approx_equal(b[0])
+        assert pose_approx_equal(a[0], b[0])
 
     def test_rigid_transform_svd_is_least_squares(self, rng):
         src = rng.uniform(-2, 2, (6, 3))
-        R_true = exp_so3(np.array([0.3, 0.2, -0.1]))
+        R_true = scalar_exp_so3(np.array([0.3, 0.2, -0.1]))
         t_true = np.array([0.5, -0.2, 1.0])
         dst = src @ R_true.T + t_true
         R, t = rigid_transform_svd(src, dst)
@@ -352,7 +359,7 @@ SCREEN_KINDS = ("planted", "scaled", "shared", "collinear", "unrelated")
 def _screen_problem(rng, kind, n, tol):
     """Putative pairs (src, dst, k) for the consensus screen: the first k >= 3
     pairs follow a rigid motion as the kind says, the rest are outliers."""
-    R, t = exp_so3(rng.normal(size=3)), rng.uniform(-10.0, 10.0, 3)
+    R, t = scalar_exp_so3(rng.normal(size=3)), rng.uniform(-10.0, 10.0, 3)
     src = rng.uniform(-8.0, 8.0, (n, 3))
     dst = rng.uniform(-8.0, 8.0, (n, 3)) + t
     k = int(rng.integers(3, n + 1))
@@ -556,7 +563,7 @@ class TestSampleBound:
         reaches, must fit every sample; the scan of 16 may skip it."""
         rng = np.random.default_rng(17)
         src = rng.uniform(-4.0, 4.0, (7, 3))
-        dst = src @ exp_so3(rng.normal(size=3)).T + rng.uniform(-3.0, 3.0, 3)
+        dst = src @ scalar_exp_so3(rng.normal(size=3)).T + rng.uniform(-3.0, 3.0, 3)
         dst[:6] += rng.normal(scale=0.15, size=(6, 3))
         dst[6] += rng.normal(scale=1.0, size=3)
         core = consensus_possible(src, dst, 6, 0.5)
@@ -719,7 +726,7 @@ class TestLoopClosureDetector:
     @staticmethod
     def grid_scene(scene_id, submap_id, pose, world_points, class_ids, dim=4):
         """Scene descriptor from world landmarks seen at a given pose."""
-        body = np.stack([pose.transform_inverse(p) for p in world_points])
+        body = pose.transform_points_inverse(np.asarray(world_points, dtype=float))
         return scene(scene_id, body, class_ids, submap_id=submap_id, dim=dim)
 
     def make_world(self, rng, n=10):
@@ -812,7 +819,7 @@ def _revisit_run(seed, verify):
         seen = np.flatnonzero(np.linalg.norm(pts[:, :2] - pose.translation[:2], axis=1) <= radius)
         if seen.size == 0:
             seen = np.array([int(np.argmin(np.linalg.norm(pts - pose.translation, axis=1)))])
-        body = np.stack([pose.transform_inverse(pts[i]) for i in seen]) + rng.normal(scale=0.02, size=(seen.size, 3))
+        body = pose.transform_points_inverse(pts[seen]) + rng.normal(scale=0.02, size=(seen.size, 3))
         hist = np.bincount(cls[seen], minlength=dim) / seen.size
         scenes.append(SceneDescriptor(sid, sid // 6, hist, body, cls[seen]))
     # 100 RANSAC samples, the RunConfig default: the reference scans each one in Python

@@ -12,7 +12,7 @@ from semslam.core import PoseTable
 from semslam.geometry import Pose, quat_from_rotvec
 from semslam.sim import World, generate_world, simulate, simulate_step, visible_landmarks
 
-from conftest import detections_of, scalar_simulate_step, scalar_visible_landmarks
+from conftest import detections_of, pose_approx_equal, scalar_simulate_step, scalar_transform_points, scalar_visible_landmarks
 
 # a detector without noise and an odometry without noise
 NOISELESS = {"meas_noise_std": 0.0, "odom_sigma_t": 0.0, "odom_sigma_r": 0.0}
@@ -151,7 +151,7 @@ class TestVisibilityScreen:
             cone = np.stack([np.cos(yaw), np.sin(yaw), rng.uniform(-0.2, 0.2, size=24)], axis=1)
             dirs = np.concatenate([dirs, cone]) / np.linalg.norm(np.concatenate([dirs, cone]), axis=1)[:, None]
             points = [pose.translation + r * u for r in radii for u in dirs]
-            points += [pose.transform(r * u) for r in radii for u in dirs]
+            points += list(pose.transform_points(np.array([r * u for r in radii for u in dirs])))
             points.append(pose.translation.copy())
             cfg = RunConfig(detection_range=det_range, fov_deg=fov)
             world = World(cfg, np.zeros(len(points), dtype=int), np.reshape(points, (-1, 3)), PoseTable.of([pose]))
@@ -173,13 +173,14 @@ class TestSimulateStep:
         meas, _ = simulate_step(world, 2, np.random.default_rng(0))
         pose = world.trajectory.pose(2)
         vis = visible_landmarks(world, pose).tolist()
+        body = scalar_transform_points(pose, world.positions, inverse=True)
         assert len(meas) == len(vis)
         for m in detections_of(meas):
             # each measurement is bit-exactly some visible landmark, in the body frame
             match = [
                 row
                 for row in vis
-                if np.array_equal(pose.transform_inverse(world.positions[row]), m.position)
+                if np.array_equal(body[row], m.position)
                 and world.labels[row] == m.label
             ]
             assert match
@@ -195,7 +196,7 @@ class TestSimulateStep:
         for step in (1, 12, 13):
             _, inc = simulate_step(world, step, np.random.default_rng(0))
             expect = world.trajectory.pose(step).relative_to(world.trajectory.pose(step - 1))
-            assert inc.approx_equal(expect, tol=1e-12)
+            assert pose_approx_equal(inc, expect, tol=1e-12)
 
     def test_bias_drift_shifts_body_x(self):
         _, clean = simulate_step(world_of(**NOISELESS), 1, np.random.default_rng(0))
@@ -220,7 +221,7 @@ class TestSimulateStep:
         rng = np.random.default_rng(4)
         n_steps = 500
         count = 0
-        landmark = world.trajectory.pose(0).transform_inverse(world.positions[0])  # in the body frame
+        landmark = scalar_transform_points(world.trajectory.pose(0), world.positions[:1], inverse=True)[0]  # in the body frame
         for _ in range(n_steps):
             meas, _ = simulate_step(world, 0, rng)
             count += sum(not np.array_equal(landmark, position) for position in meas.positions)
@@ -237,7 +238,8 @@ class TestSimulateStep:
         assert world.confusion.tolist() == [[0.0, 1.0], [1.0, 0.0]]
         meas, _ = simulate_step(world, 0, np.random.default_rng(0))
         pose = world.trajectory.pose(0)
-        label_at = {pose.transform_inverse(p).tobytes(): label for p, label in zip(world.positions, world.labels.tolist())}
+        body = scalar_transform_points(pose, world.positions, inverse=True)
+        label_at = {p.tobytes(): label for p, label in zip(body, world.labels.tolist())}
         assert len(meas) == 6 and all(m.label == 1 - label_at[m.position.tobytes()] for m in detections_of(meas))
 
     def test_negative_confusion_entry_rejected(self):
@@ -304,7 +306,7 @@ class TestSimulate:
         """simulate draws what the per-step scalar reference draws, in its order,
         and builds the same measurements and increments bit for bit: each step's
         table holds the reference's detections as its rows, in order, each
-        moved into the body frame of the true pose by `Pose.transform_inverse`."""
+        moved into the body frame of the true pose one point at a time."""
         world = world_of(world_seed=seed, run_seed=seed, **SCALAR_PARITY[case])
         got_meas, got_inc = simulate(world)
         rng = np.random.default_rng(seed)
@@ -315,7 +317,7 @@ class TestSimulate:
             assert got.scene_id == step and {m.scene_id for m in ref} <= {step}
             assert got.times.tolist() == [m.time for m in ref] and got.labels.tolist() == [m.label for m in ref]
             assert got.positions.shape == (len(ref), 3) and got.labels.dtype == np.int64
-            assert got.positions.tobytes() == b"".join(pose.transform_inverse(m.position).tobytes() for m in ref)
+            assert got.positions.tobytes() == scalar_transform_points(pose, [m.position for m in ref], inverse=True).tobytes()
         assert len(got_inc) == len(want) - 1
         for row, (_, b) in enumerate(want[1:]):
             assert got_inc.translations[row].tobytes() == b.translation.tobytes()

@@ -130,6 +130,12 @@ def simulator():
     }
 
 
+def named_jobs():
+    """Job name -> config overrides of every job `--job` can name: the panel,
+    then the jobs outside it."""
+    return {**panel(), **degraded(), **baselines(), **knobs(), **fallbacks(), **simulator()}
+
+
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
@@ -191,8 +197,7 @@ def digest(name, overrides, work) -> str:
 
 
 def main(argv=None) -> int:
-    jobs = panel()
-    named = {**jobs, **degraded(), **baselines(), **knobs(), **fallbacks(), **simulator()}
+    jobs, named = panel(), named_jobs()
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     which = p.add_mutually_exclusive_group()
     which.add_argument("--job", action="append", choices=list(named), help="digest only this job (repeatable)")

@@ -5,19 +5,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Mapping, Tuple, Union
+from typing import List, Mapping, Tuple
 
 import numpy as np
 
 from . import kernels
 from .core import ContractViolation, MeasurementTable, check_spd
+from .geometry import norms
 
 LOG_ZERO = -1e18  # log-domain sentinel for impossible events
 _LOG2PI = math.log(2.0 * math.pi)
 
 
 # ---------------------------------------------------------------------------
-# parameters and assignment targets
+# parameters and assignments
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,57 +82,23 @@ class AssocParams:
 
 
 @dataclass(frozen=True)
-class Existing:
-    landmark_id: int
-
-
-@dataclass(frozen=True)
-class Previous:
-    landmark_id: int
-
-
-@dataclass(frozen=True)
-class New:
-    pass
-
-
-@dataclass(frozen=True)
-class FalsePositive:
-    pass
-
-
-AssignmentTarget = Union[Existing, Previous, New, FalsePositive]
-_NEW, _FALSE_POSITIVE = New(), FalsePositive()
-
-
-@dataclass(frozen=True)
 class Assignment:
-    """Per-measurement targets for one time step, the cost-matrix column
-    each was solved at, and the solve's cost. Built by CostMatrix.assignment_at."""
+    """One branch: row i takes cost-matrix column columns[i], at the solve's
+    cost. CostMatrix.assignment_at derives the rows at a landmark's column
+    and the rows at their own New column; every other row is a false positive."""
 
-    targets: Tuple[AssignmentTarget, ...]
+    columns: Tuple[int, ...]
     total_cost: float
-    columns: Tuple[int, ...] = field(compare=False)
+    landmark_rows: List[int] = field(compare=False)
+    new_rows: List[int] = field(compare=False)
 
     def __post_init__(self):
-        seen = set()
-        for t in self.targets:
-            if isinstance(t, (Existing, Previous)):
-                if t.landmark_id in seen:
-                    raise ContractViolation("landmark assigned to more than one measurement")
-                seen.add(t.landmark_id)
-
-    @property
-    def n_meas(self) -> int:
-        return len(self.targets)
-
-    @property
-    def n_new(self) -> int:
-        return sum(isinstance(t, New) for t in self.targets)
+        if len(set(self.columns)) != len(self.columns):
+            raise ContractViolation("column assigned to more than one measurement")
 
     @property
     def n_fp(self) -> int:
-        return sum(isinstance(t, FalsePositive) for t in self.targets)
+        return len(self.columns) - len(self.landmark_rows) - len(self.new_rows)
 
 
 def _poisson_logpmf(n: int, mean: float) -> float:
@@ -140,7 +107,7 @@ def _poisson_logpmf(n: int, mean: float) -> float:
 
 def assignment_prior_log(assignment: Assignment, params: AssocParams) -> float:
     """Log prior of the (n_new, n_fp) pattern with Poisson count priors."""
-    n_new, n_fp, n_meas = assignment.n_new, assignment.n_fp, assignment.n_meas
+    n_new, n_fp, n_meas = len(assignment.new_rows), assignment.n_fp, len(assignment.columns)
     log_comb = math.lgamma(n_new + 1) + math.lgamma(n_fp + 1) - math.lgamma(n_meas + 1)
     return (
         log_comb
@@ -175,18 +142,12 @@ class CostMatrix:
     def __post_init__(self):
         self.n_rows, self.n_landmark_cols = self.matrix.shape[0], len(self.column_ids)
 
-    def target(self, j: int) -> AssignmentTarget:
-        """The target that column j stands for."""
-        if j < self.n_existing:
-            return Existing(int(self.column_ids[j]))
-        if j < self.n_landmark_cols:
-            return Previous(int(self.column_ids[j]))
-        return _NEW if j < self.n_landmark_cols + self.n_rows else _FALSE_POSITIVE
-
     def assignment_at(self, row_to_col: np.ndarray, total_cost: float = 0.0) -> Assignment:
-        """The assignment of row i to column row_to_col[i]; it keeps the columns."""
-        cols = tuple(row_to_col.tolist())
-        return Assignment(tuple(map(self.target, cols)), total_cost, cols)
+        """The assignment of row i to column row_to_col[i]."""
+        cols, n_lm = row_to_col.tolist(), self.n_landmark_cols
+        landmark_rows = [i for i, j in enumerate(cols) if j < n_lm]
+        new_rows = [i for i, j in enumerate(cols) if n_lm <= j < n_lm + self.n_rows]  # the row's own New column
+        return Assignment(tuple(cols), total_cost, landmark_rows, new_rows)
 
 
 def build_cost_matrix(measurements: MeasurementTable, leaf, params: AssocParams) -> CostMatrix:
@@ -249,14 +210,14 @@ def measurement_set_log_likelihood(assignment: Assignment, cm: CostMatrix) -> fl
     mismatch or a class without prior -> LOG_ZERO. `cm` must be the matrix
     as built, not a copy with cells forbidden by branch generation.
     """
-    if len(assignment.targets) != cm.n_rows:
+    if len(assignment.columns) != cm.n_rows:
         raise ContractViolation("assignment does not cover all measurements")
-    total = 0.0
+    total, landmark_rows = 0.0, set(assignment.landmark_rows)
     for i, j in enumerate(assignment.columns):
         cost = float(cm.matrix[i, j])
         if cost >= kernels.BIG / 2:
             return LOG_ZERO
-        if j < cm.n_landmark_cols:
+        if i in landmark_rows:
             prior = float(cm.row_log_prior[i])
             if prior <= LOG_ZERO:
                 return LOG_ZERO
@@ -364,8 +325,7 @@ def nearest_neighbor_assignment(
     n, n_lm = len(measurements), cm.n_landmark_cols
     labels, means = leaf.columns("labels", "means")
     mat = np.full((n, n_lm + n), kernels.BIG)
-    for i, (position, label) in enumerate(zip(measurements.positions, measurements.labels.tolist())):
-        for j in np.flatnonzero(labels == label).tolist():
-            mat[i, j] = float(np.linalg.norm(position - means[j]))
-        mat[i, n_lm + i] = nn_new_dist
+    dist = norms(measurements.positions[:, None, :] - means[None, :, :])
+    mat[:, :n_lm] = np.where(measurements.labels[:, None] == labels[None, :], dist, kernels.BIG)
+    np.fill_diagonal(mat[:, n_lm:], nn_new_dist)
     return cm.assignment_at(kernels.lap_solve(mat)[0])

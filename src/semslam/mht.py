@@ -105,22 +105,19 @@ class HypothesisTree:
 
         The likelihood is read from `cost_matrix`, the matrix the branches
         were solved from: built for this leaf and these measurements. A
-        branch is read from its columns: an existing or previous landmark's
-        row, or a measurement's New or FalsePositive column."""
+        branch's landmark rows update the landmark of their column, and its
+        New rows create one landmark each."""
         if not branches:
             raise ContractViolation("branches must be non-empty")
-        ex, prev = leaf.existing, leaf.previous
-        n, n_ex, n_lm = cost_matrix.n_rows, len(ex), cost_matrix.n_landmark_cols
+        ex, prev, n_ex = leaf.existing, leaf.previous, len(leaf.existing)
         pos, labels, scene = measurements.positions, measurements.labels, measurements.scene_id
         children = []
         updates = []  # (child, measurement rows, landmark columns), in child and measurement order
         for assignment in branches:
             ll = measurement_set_log_likelihood(assignment, cost_matrix)
             lp = assignment_prior_log(assignment, assoc_params)
-            cols = assignment.columns
-            rows = [i for i, j in enumerate(cols) if j < n_lm]  # an existing or previous landmark's column
-            created = [i for i, j in enumerate(cols) if n_lm <= j < n_lm + n]  # the row's New column
-            child = HypothesisNode(leaf.log_weight + ll + lp, ex, prev, leaf.n_fp + n - len(rows) - len(created))
+            cols, rows, created = assignment.columns, assignment.landmark_rows, assignment.new_rows
+            child = HypothesisNode(leaf.log_weight + ll + lp, ex, prev, leaf.n_fp + assignment.n_fp)
             parts = [ex]
             moved = [cols[i] - n_ex for i in rows if cols[i] >= n_ex]
             if moved:

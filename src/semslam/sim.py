@@ -11,7 +11,7 @@ import numpy as np
 
 from .config import RunConfig
 from .core import MeasurementTable, PoseTable
-from .geometry import Pose, quat_from_rotvec, quat_from_yaw, quat_mul, quat_normalize
+from .geometry import Pose, norms, quat_from_rotvec, quat_from_yaw, quat_mul, quat_normalize
 
 
 @dataclass(eq=False)
@@ -92,40 +92,18 @@ def generate_world(cfg: RunConfig) -> World:
     return World(cfg, labels, positions, PoseTable(pts, rotations))
 
 
-# World-frame squared distances agree with the body-frame norms to a few ulp,
-# so a landmark is decided by the screen only when it lies farther than this
-# relative margin from the range.
-_SCREEN_MARGIN = 1e-9
-_TINY = np.finfo(float).tiny  # squares below it lose their relative precision
-
-
-def _in_view(body: np.ndarray, detection_range: float, half_fov: float) -> bool:
-    """The per-landmark test on a body-frame offset."""
-    dist = float(np.linalg.norm(body))
-    if dist > detection_range or dist == 0.0:
-        return False
-    return not (half_fov < math.pi and abs(math.atan2(body[1], body[0])) > half_fov)
-
-
 def visible_landmarks(world: World, pose: Pose) -> np.ndarray:
-    """Rows of the landmarks in range and field of view of pose, in world order.
-
-    One world-frame squared-distance pass screens them all. Those beyond the
-    range widened by _SCREEN_MARGIN are out; under a 360 degree field of view,
-    those clearly inside it and not at the pose are in. Every other landmark
-    takes the body-frame test, so the set is the per-landmark test's."""
-    detection_range = world.cfg.detection_range
-    d = world.positions - pose.translation
-    sq = np.einsum("ij,ij->i", d, d)
-    hi = detection_range * (1.0 + _SCREEN_MARGIN)
-    near = np.flatnonzero(~(sq > max(hi * hi, _TINY)))  # NaN rows take the body-frame test
+    """Rows of the landmarks in range and field of view of pose, in world
+    order, from their body-frame offsets: not farther than the range, not
+    at the pose and, under a field of view below 360 degrees, at a bearing
+    within half of it. A NaN offset passes both tests."""
+    body = pose.transform_points_inverse(world.positions)
+    dist = norms(body)
+    near = np.flatnonzero(~(dist > world.cfg.detection_range) & (dist != 0.0))
     half_fov = math.radians(world.cfg.fov_deg) / 2.0
-    lo = detection_range * (1.0 - _SCREEN_MARGIN)
-    lo2 = lo * lo if half_fov >= math.pi else 0.0
-    sure = (sq[near] > 0.0) & (sq[near] <= lo2) if _TINY <= lo2 < math.inf else np.zeros(near.size, dtype=bool)
-    R = pose.rot()
-    seen = [s or _in_view(R.T @ d[i], detection_range, half_fov) for i, s in zip(near.tolist(), sure.tolist())]
-    return near[np.array(seen, dtype=bool)]
+    if half_fov < math.pi:
+        near = near[[not abs(math.atan2(y, x)) > half_fov for x, y in body[near, :2].tolist()]]
+    return near
 
 
 def simulate_step(world: World, step: int, rng: np.random.Generator) -> Tuple[MeasurementTable, Optional[Pose]]:

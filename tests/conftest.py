@@ -8,14 +8,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from semslam.assoc import (
-    LOG_ZERO,
-    AssocParams,
-    Existing,
-    FalsePositive,
-    New,
-    Previous,
-)
+from semslam.assoc import LOG_ZERO, AssocParams
 from semslam.core import SPD_EIG_TOL, ContractViolation, LandmarkTable, MeasurementTable, PoseTable
 from semslam.geometry import Pose, rot_to_quat
 from semslam.graph import (
@@ -147,8 +140,44 @@ def brute_force_assignment(cost: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# the cost-matrix column layout, kept here as the tests' own reference:
-# landmark columns first, then one New and one FalsePositive column per row
+# the four association cases and the cost-matrix column layout, kept here
+# as the tests' own reference: landmark columns first, the existing
+# landmarks before the previous ones, then one New and one FalsePositive
+# column per row
+
+
+@dataclasses.dataclass(frozen=True)
+class Existing:
+    landmark_id: int
+
+
+@dataclasses.dataclass(frozen=True)
+class Previous:
+    landmark_id: int
+
+
+@dataclasses.dataclass(frozen=True)
+class New:
+    pass
+
+
+@dataclasses.dataclass(frozen=True)
+class FalsePositive:
+    pass
+
+
+def target_of(cm, j):
+    """The case that column j of `cm` stands for."""
+    if j < cm.n_existing:
+        return Existing(int(cm.column_ids[j]))
+    if j < cm.n_landmark_cols:
+        return Previous(int(cm.column_ids[j]))
+    return New() if j < cm.n_landmark_cols + cm.n_rows else FalsePositive()
+
+
+def targets_of(cm, assignment):
+    """The case of each row of `assignment`, read from its columns in `cm`."""
+    return tuple(target_of(cm, j) for j in assignment.columns)
 
 
 def assignment_of(cm, targets):
@@ -156,7 +185,7 @@ def assignment_of(cm, targets):
     `targets` name in `cm`: a landmark's own column, else row i's New or
     FalsePositive column."""
     n_lm, n = cm.n_landmark_cols, cm.n_rows
-    landmark_col = {cm.target(j): j for j in range(n_lm)}
+    landmark_col = {target_of(cm, j): j for j in range(n_lm)}
     cols = []
     for i, t in enumerate(targets):
         if isinstance(t, New):
@@ -253,13 +282,14 @@ def _log_class_prior(class_id, params) -> float:
     return math.log(p)
 
 
-def scalar_measurement_set_log_likelihood(assignment, measurements, state, params) -> float:
-    """Joint measurement log-likelihood, one Gaussian density at a time: a
-    landmark case scores log class prior + log density (no DP bonus)."""
-    if len(assignment.targets) != len(measurements):
+def scalar_measurement_set_log_likelihood(targets, measurements, state, params) -> float:
+    """Joint measurement log-likelihood of one case per measurement, one
+    Gaussian density at a time: a landmark case scores log class prior +
+    log density (no DP bonus)."""
+    if len(targets) != len(measurements):
         raise ContractViolation("assignment does not cover all measurements")
     total = 0.0
-    for m, target in zip(measurements, assignment.targets):
+    for m, target in zip(measurements, targets):
         if isinstance(target, (Existing, Previous)):
             lm = rows_of(state.existing if isinstance(target, Existing) else state.previous)[target.landmark_id]
             if lm.label != m.label:

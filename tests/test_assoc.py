@@ -8,17 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import multivariate_normal
+from scipy.stats import multivariate_normal, poisson
 
 from semslam.assoc import (
     LOG_ZERO,
     AssocParams,
     CostMatrix,
-    Existing,
-    FalsePositive,
     InfeasibleAssignment,
-    New,
-    Previous,
     assignment_prior_log,
     build_cost_matrix,
     generate_branches,
@@ -33,6 +29,10 @@ from semslam.kernels import BIG
 from semslam.mht import HypothesisNode
 
 from conftest import (
+    Existing,
+    FalsePositive,
+    New,
+    Previous,
     assignment_of,
     brute_force_assignment,
     gaussian_logpdf,
@@ -46,6 +46,8 @@ from conftest import (
     scene_of,
     simple_params,
     table_of,
+    target_of,
+    targets_of,
 )
 
 
@@ -270,10 +272,10 @@ class TestBranchScoreParity:
             targets.append(t)
         return assignment_of(cm, targets)
 
-    def observe(self, seen, params, state, ms, assignment, expect):
+    def observe(self, seen, params, state, ms, targets, expect):
         if not ms:
             seen.add("empty")
-        for m, t in zip(ms, assignment.targets):
+        for m, t in zip(ms, targets):
             if isinstance(t, FalsePositive):
                 seen.add("n_fp_positive" if state.n_fp > 0 else "n_fp_zero")
             if not isinstance(t, (Existing, Previous)):
@@ -300,18 +302,48 @@ class TestBranchScoreParity:
             branches = generate_branches(cm, solve_assignment(cm), max_branches=4, plausibility_gap=np.inf)
             candidates = branches + [self.random_assignment(rng, state, cm) for _ in range(3)]
             for a in candidates:
-                expect = scalar_measurement_set_log_likelihood(a, ms, state, params)
+                targets = targets_of(cm, a)
+                expect = scalar_measurement_set_log_likelihood(targets, ms, state, params)
                 got = measurement_set_log_likelihood(a, cm)
                 if expect == LOG_ZERO:
                     assert got == LOG_ZERO
                 else:
                     assert abs(got - expect) <= 1e-12 * abs(expect)
-                self.observe(seen, params, state, ms, a, expect)
+                self.observe(seen, params, state, ms, targets, expect)
                 scored += 1
             # branch generation forbids cells in a copy, never in the matrix itself
             assert np.array_equal(cm.matrix, original)
         assert seen == self.CASES
         assert scored >= 900
+
+
+class TestAssignmentRows:
+    """A branch's landmark rows, its New rows and the rest partition its
+    rows by the case that each row's column names (conftest's vocabulary),
+    and the assignment prior counts them."""
+
+    def test_rows_partition_by_the_case_of_each_column(self):
+        rng = np.random.default_rng(28)
+        seen = set()
+        for trial in range(200):
+            params, state, ms = TestBranchScoreParity.random_case(rng, trial)
+            cm = build_cost_matrix(scene_of(ms), state, params)
+            for a in generate_branches(cm, solve_assignment(cm), max_branches=4, plausibility_gap=np.inf):
+                targets = targets_of(cm, a)
+                rows = {kind: [i for i, t in enumerate(targets) if isinstance(t, kind)] for kind in (New, FalsePositive)}
+                landmark = [i for i, t in enumerate(targets) if isinstance(t, (Existing, Previous))]
+                assert type(a.landmark_rows) is list and type(a.new_rows) is list
+                assert a.landmark_rows == landmark and a.new_rows == rows[New] and a.n_fp == len(rows[FalsePositive])
+                assert sorted(landmark + rows[New] + rows[FalsePositive]) == list(range(len(ms)))
+                n_new, n_fp = len(rows[New]), len(rows[FalsePositive])
+                expect = (
+                    math.lgamma(n_new + 1) + math.lgamma(n_fp + 1) - math.lgamma(len(ms) + 1)
+                    + poisson.logpmf(n_new, params.lambda_new * params.prior_volume)
+                    + poisson.logpmf(n_fp, params.lambda_fp * params.prior_volume)
+                )
+                assert assignment_prior_log(a, params) == pytest.approx(expect, rel=1e-12, abs=1e-12)
+                seen.update(type(t) for t in targets)
+        assert seen == {Existing, Previous, New, FalsePositive}
 
 
 class TestAssignmentPrior:
@@ -342,8 +374,11 @@ class TestAssignmentPrior:
         assert assignment_prior_log(a, params) == pytest.approx(expect, rel=1e-9)
 
     def test_duplicate_landmark_assignment_rejected(self):
-        with pytest.raises(ContractViolation):
-            self.assignment([Existing(0), Existing(0)])
+        """No column twice: neither a landmark's nor a row's New column."""
+        cm = build_cost_matrix(scene_of([meas([0, 0, 0])] * 2), state_with([landmark(0, [0, 0, 0])]), simple_params())
+        for cols in ([0, 0], [1, 1]):
+            with pytest.raises(ContractViolation):
+                cm.assignment_at(np.array(cols))
 
 
 class TestBuildCostMatrix:
@@ -418,7 +453,7 @@ class TestBuildCostMatrix:
             cm = build_cost_matrix(scene_of(ms), st_, params)
             for i, m in enumerate(ms):
                 for j in range(cm.n_landmark_cols):
-                    target = cm.target(j)
+                    target = target_of(cm, j)
                     expect = scalar_association_log_likelihood(m, target, st_, params)
                     if expect <= LOG_ZERO:
                         assert cm.matrix[i, j] >= 1e17
@@ -447,16 +482,18 @@ class TestSolveAssignment:
         return CostMatrix(mat, np.arange(n_lm), n_lm, np.zeros(n_lm), np.zeros(n))
 
     def test_zero_diagonal(self):
-        a = solve_assignment(self.make_cm([[0.0, 1.0], [1.0, 0.0]]))
-        assert a.targets == (Existing(0), Existing(1)) and a.total_cost == 0.0
+        cm = self.make_cm([[0.0, 1.0], [1.0, 0.0]])
+        a = solve_assignment(cm)
+        assert targets_of(cm, a) == (Existing(0), Existing(1)) and a.total_cost == 0.0
 
     def test_forced_swap(self):
-        a = solve_assignment(self.make_cm([[4.0, 1.0], [2.0, 3.0]]))
-        assert a.targets == (Existing(1), Existing(0)) and a.total_cost == 3.0
+        cm = self.make_cm([[4.0, 1.0], [2.0, 3.0]])
+        a = solve_assignment(cm)
+        assert targets_of(cm, a) == (Existing(1), Existing(0)) and a.total_cost == 3.0
 
     def test_empty(self):
         a = solve_assignment(build_cost_matrix(scene_of([]), state_with(), simple_params()))
-        assert a.targets == () and a.n_meas == 0
+        assert a.columns == () and a.landmark_rows == a.new_rows == [] and a.n_fp == 0
 
     def test_matches_brute_force(self, rng):
         for _ in range(40):
@@ -468,13 +505,13 @@ class TestSolveAssignment:
 
     def test_deterministic_tie_break(self):
         # every assignment costs 2; the lexicographically smallest wins
-        a = solve_assignment(self.make_cm([[1.0, 1.0], [1.0, 1.0]]))
-        assert a.targets == (Existing(0), Existing(1))
+        cm = self.make_cm([[1.0, 1.0], [1.0, 1.0]])
+        assert targets_of(cm, solve_assignment(cm)) == (Existing(0), Existing(1))
 
     def test_tie_break_prefers_low_column_for_low_row(self):
         # rows x cols all tied at cost 5 across 3 landmarks
-        a = solve_assignment(self.make_cm(np.full((2, 3), 5.0)))
-        assert a.targets == (Existing(0), Existing(1))
+        cm = self.make_cm(np.full((2, 3), 5.0))
+        assert targets_of(cm, solve_assignment(cm)) == (Existing(0), Existing(1))
 
     def test_lexicographically_first_optimum_on_ties(self, rng):
         """Among tied optima, the one brute force meets first in
@@ -485,7 +522,7 @@ class TestSolveAssignment:
             cm = self.make_cm(rng.integers(0, 3, size=(n, int(rng.integers(1, 4)))).astype(float), 2.0, 2.0)
             cols, best = brute_force_assignment(cm.matrix)
             got = solve_assignment(cm)
-            assert got.targets == tuple(cm.target(j) for j in cols)
+            assert got.columns == cols
             assert got.total_cost == best
             n_opt = sum(
                 sum(cm.matrix[i, j] for i, j in enumerate(perm)) == best
@@ -539,7 +576,7 @@ class TestGenerateBranches:
         best = solve_assignment(cm)
         branches = generate_branches(cm, best, max_branches=5, plausibility_gap=np.inf)
         assert [b.total_cost for b in branches[:2]] == [3.0, 7.0]
-        assert branches[1].targets == (Existing(0), Existing(1))
+        assert targets_of(cm, branches[1]) == (Existing(0), Existing(1))
 
     def test_max_branches_one(self):
         cm = TestSolveAssignment.make_cm([[4.0, 1.0], [2.0, 3.0]])
@@ -575,19 +612,18 @@ class TestGenerateBranches:
             best = solve_assignment(cm)
             branches = generate_branches(cm, best, max_branches=3, plausibility_gap=np.inf)
             for prev, nxt in zip(branches, branches[1:]):
-                for i, (a, b) in enumerate(zip(prev.targets, nxt.targets)):
+                for a, b in zip(targets_of(cm, prev), targets_of(cm, nxt)):
                     if isinstance(a, Existing) and isinstance(b, Existing):
                         assert a != b
 
     def test_branches_carry_their_columns(self, rng):
-        """Each branch keeps the columns it was solved at, and they are the
-        columns its targets name in the matrix."""
+        """Each branch keeps the columns it was solved at: their cells sum
+        to its cost."""
         for _ in range(20):
             n = int(rng.integers(1, 5))
             cm = TestSolveAssignment.make_cm(rng.integers(0, 4, size=(n, n + 1)).astype(float), 3.0, 4.0)
             for b in generate_branches(cm, solve_assignment(cm), max_branches=4, plausibility_gap=np.inf):
-                assert b.columns == assignment_of(cm, b.targets).columns
-                assert [cm.target(j) for j in b.columns] == list(b.targets)
+                assert b.total_cost == cm.matrix[np.arange(n), b.columns].sum()
 
     def test_invalid_max_branches(self):
         cm = TestSolveAssignment.make_cm([[0.0]])
@@ -604,29 +640,28 @@ class TestNearestNeighborAssignment:
         scene = scene_of(ms)
         cm = build_cost_matrix(scene, state, simple_params())
         a = nearest_neighbor_assignment(scene, state, cm, nn_new_dist)
-        assert [cm.target(j) for j in a.columns] == list(a.targets)
-        return cm, a
+        return cm, a, targets_of(cm, a)
 
     def test_picks_the_nearest_landmark_of_the_same_class(self):
         st_ = state_with(
             existing=[landmark(0, [0, 0, 0]), landmark(1, [0.8, 0, 0], class_id=1)],
             previous=[landmark(5, [1.0, 0, 0])],
         )
-        cm, a = self.solve([meas([0.05, 0, 0]), meas([0.8, 0, 0])], st_)
-        assert a.targets == (Existing(0), Previous(5))
+        cm, a, targets = self.solve([meas([0.05, 0, 0]), meas([0.8, 0, 0])], st_)
+        assert targets == (Existing(0), Previous(5))
         assert a.columns == (0, 2)
 
     def test_far_landmarks_take_the_rows_own_new_column(self):
         st_ = state_with(existing=[landmark(0, [10, 0, 0])], previous=[landmark(5, [0, 10, 0])])
         ms = [meas([0, 0, 0]), meas([1, 1, 0]), meas([0, 0, 1])]
-        cm, a = self.solve(ms, st_, nn_new_dist=2.0)
+        cm, a, targets = self.solve(ms, st_, nn_new_dist=2.0)
         assert a.columns == tuple(cm.n_landmark_cols + i for i in range(len(ms)))
-        assert a.targets == (New(), New(), New())
+        assert targets == (New(), New(), New())
 
     def test_never_takes_a_class_mismatched_landmark(self, rng):
         st_ = state_with(existing=[landmark(0, [0, 0, 0], class_id=1)], previous=[landmark(5, [0, 0, 0], class_id=2)])
-        _, a = self.solve([meas([0, 0, 0])], st_)
-        assert a.targets == (New(),)
+        *_, targets = self.solve([meas([0, 0, 0])], st_)
+        assert targets == (New(),)
         for _ in range(50):
             lms = [
                 landmark(i, rng.uniform(-2, 2, 3), class_id=int(rng.integers(3)))
@@ -635,8 +670,8 @@ class TestNearestNeighborAssignment:
             n_prev = int(rng.integers(0, len(lms) + 1))
             st_ = state_with(lms[n_prev:], lms[:n_prev])
             ms = [meas(rng.uniform(-2, 2, 3), class_id=int(rng.integers(3))) for _ in range(int(rng.integers(1, 5)))]
-            cm, a = self.solve(ms, st_, nn_new_dist=3.0)
-            for i, (m, t) in enumerate(zip(ms, a.targets)):
+            cm, a, targets = self.solve(ms, st_, nn_new_dist=3.0)
+            for i, (m, t) in enumerate(zip(ms, targets)):
                 assert a.columns[i] < cm.n_landmark_cols + len(ms)  # never a FalsePositive column
                 if isinstance(t, (Existing, Previous)):
                     lm = rows_of(st_.existing if isinstance(t, Existing) else st_.previous)[t.landmark_id]
@@ -690,7 +725,5 @@ class TestBranchBound:
             calls.clear()
             want = _unbounded_branches(cm, best, 5, gap)
             unbounded += len(calls)
-            assert [(b.targets, b.total_cost, b.columns) for b in got] == [
-                (b.targets, b.total_cost, b.columns) for b in want
-            ]
+            assert [(b.columns, b.total_cost) for b in got] == [(b.columns, b.total_cost) for b in want]
         assert bounded < unbounded, (bounded, unbounded)

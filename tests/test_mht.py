@@ -12,10 +12,6 @@ import pytest
 from scipy.special import ndtri
 
 from semslam.assoc import (
-    Existing,
-    FalsePositive,
-    New,
-    Previous,
     assignment_prior_log,
     build_cost_matrix,
     generate_branches,
@@ -32,6 +28,10 @@ from semslam.mht import (
 )
 
 from conftest import (
+    Existing,
+    FalsePositive,
+    New,
+    Previous,
     assignment_of,
     landmark,
     meas,
@@ -41,6 +41,7 @@ from conftest import (
     scene_of,
     simple_params,
     table_of,
+    target_of,
 )
 
 
@@ -316,7 +317,7 @@ class TestLeafTables:
         explicit = HypothesisNode(0.0, table_of(rows[k] for k in (11, 3, 10)), table_of(prev_rows[k] for k in (5, 1)), 0)
         want = build_cost_matrix(scene, explicit, params)
         assert np.array_equal(cm.matrix, want.matrix) and np.array_equal(cm.dp_bonus, want.dp_bonus)
-        assert [cm.target(j) for j in range(5)] == [Existing(3), Existing(10), Existing(11), Previous(1), Previous(5)]
+        assert [target_of(cm, j) for j in range(5)] == [Existing(3), Existing(10), Existing(11), Previous(1), Previous(5)]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_fusion_matches_the_scalar_oracle(self, seed):

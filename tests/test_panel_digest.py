@@ -118,16 +118,16 @@ def test_graph_digest_hashes_every_result_at_full_precision():
 
 
 def test_degraded_jobs_lie_outside_the_default_panel():
-    """The degraded, single_ukf baseline, knob, RANSAC fallback and
-    simulator jobs run only when named."""
+    """The degraded, single_ukf baseline, knob, RANSAC fallback, simulator
+    and corpus jobs run only when named."""
     tool = _tool()
     panel, degraded, baselines, knobs = tool.panel(), tool.degraded(), tool.baselines(), tool.knobs()
-    fallbacks, simulator = tool.fallbacks(), tool.simulator()
+    fallbacks, simulator, corpus = tool.fallbacks(), tool.simulator(), tool.corpus()
     assert len(panel) == 16 and len(degraded) == 7 and len(baselines) == 3 and len(knobs) == 4 and len(fallbacks) == 1
-    assert len(simulator) == 2
-    groups = [set(panel), set(degraded), set(baselines), set(knobs), set(fallbacks), set(simulator)]
+    assert len(simulator) == 2 and len(corpus) == 1
+    groups = [set(panel), set(degraded), set(baselines), set(knobs), set(fallbacks), set(simulator), set(corpus)]
     assert sum(map(len, groups)) == len(set().union(*groups))
-    for name, overrides in {**degraded, **baselines, **knobs, **fallbacks, **simulator}.items():
+    for name, overrides in {**degraded, **baselines, **knobs, **fallbacks, **simulator, **corpus}.items():
         RunConfig(**overrides)  # every override is a config key
         assert name.endswith(f"-{overrides['world_seed']}") and overrides["run_seed"] == overrides["world_seed"]
     assert {overrides["mode"] for overrides in baselines.values()} == {"single_ukf"}
@@ -148,15 +148,15 @@ def test_degraded_jobs_lie_outside_the_default_panel():
 
 
 def test_all_digests_the_panel_then_every_named_job(monkeypatch, capsys):
-    """`--all` digests all 33 jobs, the 16 panel jobs first, each once with
+    """`--all` digests all 34 jobs, the 16 panel jobs first, each once with
     its own overrides; it does not combine with `--job`."""
     tool = _tool()
     seen = []
     monkeypatch.setattr(tool, "digest", lambda name, overrides, work: seen.append((name, overrides)) or name)
     assert tool.main(["--all"]) == 0
     panel = tool.panel()
-    named = {**tool.degraded(), **tool.baselines(), **tool.knobs(), **tool.fallbacks(), **tool.simulator()}
-    assert [name for name, _ in seen] == [*panel, *named] and len(seen) == 33
+    named = {**tool.degraded(), **tool.baselines(), **tool.knobs(), **tool.fallbacks(), **tool.simulator(), **tool.corpus()}
+    assert [name for name, _ in seen] == [*panel, *named] and len(seen) == 34
     assert dict(seen) == {**panel, **named}
     assert capsys.readouterr().out.split() == [name for name, _ in seen]
     with pytest.raises(SystemExit):
@@ -181,3 +181,20 @@ def test_fallback_job_fits_every_sample_of_some_scan(tmp_path, monkeypatch):
     assert sum(fallbacks) == 2 and len(fallbacks) == 58
     header, *_, last = (tmp_path / "out" / "metrics.csv").read_text().splitlines()
     assert int(last.split(",")[header.split(",").index("n_loop_closures")]) > 0
+
+
+def test_corpus_job_gate_checks_and_skips_submaps(tmp_path, monkeypatch):
+    """The corpus job adds one tf-idf document per scene, and its tf-idf
+    threshold lets the gate check some submaps and skip others."""
+    from semslam import pipeline
+
+    gate, decisions = pipeline.gate, []
+    monkeypatch.setattr(pipeline, "gate", lambda summary, cfg: decisions.append(gate(summary, cfg)) or decisions[-1])
+    add, documents = pipeline.Corpus.add, []
+    monkeypatch.setattr(pipeline.Corpus, "add", lambda corpus, docs: documents.append(len(docs)) or add(corpus, docs))
+    tool = _tool()
+    overrides = tool.corpus()["tfidf-scene-4"]
+    assert overrides["tfidf_doc_unit"] == "scene" and overrides["gate_min_tfidf"] > RunConfig().gate_min_tfidf
+    tool.digest("tfidf-scene-4", overrides, str(tmp_path))
+    assert "check" in decisions and "skip" in decisions
+    assert len(documents) == len(decisions) and sum(documents) > len(documents)

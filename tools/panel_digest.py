@@ -28,10 +28,12 @@ retrieval, RANSAC and the gate away from its default, so a stage
 that reads the wrong config key changes some digest, the RANSAC
 fallback job on square-loop world 1, whose thresholds make some scans fit
 every sample (`placerec._consensus_scan`), which no other job does, and
-the simulator jobs on square-loop world 1: one sets every world, range and
+the simulator jobs on square-loop world 1 (one sets every world, range and
 odometry-noise key that no other job moves away from its default, with a
 landmark count that the classes do not divide, and one turns the
-measurement noise off.
+measurement noise off), and the corpus job on square-loop world 4, whose
+tf-idf corpus holds one document per scene and whose tf-idf threshold
+makes the gate skip some submaps.
 """
 
 import argparse
@@ -130,10 +132,17 @@ def simulator():
     }
 
 
+def corpus():
+    """Job name -> config overrides of the corpus job: one tf-idf document
+    per scene, under a gate threshold that checks some submaps and skips
+    others."""
+    return {"tfidf-scene-4": {"world_seed": 4, "run_seed": 4, "tfidf_doc_unit": "scene", "gate_min_tfidf": 0.04}}
+
+
 def named_jobs():
     """Job name -> config overrides of every job `--job` can name: the panel,
     then the jobs outside it."""
-    return {**panel(), **degraded(), **baselines(), **knobs(), **fallbacks(), **simulator()}
+    return {**panel(), **degraded(), **baselines(), **knobs(), **fallbacks(), **simulator(), **corpus()}
 
 
 def sha(data: bytes) -> str:

@@ -116,7 +116,6 @@ class RelativePoseFactor:
     measured: Pose
     information: np.ndarray  # 6x6
     robust_c: Optional[float] = None
-    kind: str = "odometry"  # or "loop"
 
 
 @dataclass(frozen=True, eq=False)

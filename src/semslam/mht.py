@@ -71,13 +71,14 @@ class HypothesisTree:
         self,
         cfg: RunConfig,
         previous_landmarks: Optional[LandmarkTable] = None,
-        n_fp: int = 0,
         landmark_id_start: int = 0,
     ):
         self.cfg = cfg
         self.rng = np.random.default_rng(cfg.run_seed)
         self.next_landmark_id = landmark_id_start
-        self.leaves = [HypothesisNode(0.0, previous=previous_landmarks or LandmarkTable.empty(), n_fp=n_fp)]
+        # the root leaf starts the clutter count at 0 in every submap: carrying
+        # it across submaps lets the DP rich-get-richer weight swallow new landmarks
+        self.leaves = [HypothesisNode(0.0, previous=previous_landmarks or LandmarkTable.empty())]
 
     # -- weights ----------------------------------------------------------
 

@@ -29,7 +29,7 @@ from .graph import (
     rmse,
 )
 from .mht import HypothesisTree
-from .placerec import LoopClosureDetector, SceneDescriptor, similar_submaps
+from .placerec import LoopClosureDetector, similar_submaps
 from .submap import Corpus, SubmapSummary, gate, tfidf_score
 
 
@@ -100,22 +100,16 @@ class Pipeline:
         # running state
         self.fused_map = LandmarkTable.empty()
         self.previous_landmarks = LandmarkTable.empty()
-        self.n_fp_total = 0
         self.next_landmark_id = 0
         self.n_loop_closures = 0
         self.submap_id = 0
-        self._submap_scenes: List[SceneDescriptor] = []
+        self._submap_scenes: List[MeasurementTable] = []  # body frame
         self._new_tree()
 
     # -- submap bookkeeping ----------------------------------------------
 
     def _new_tree(self):
-        self.tree = HypothesisTree(
-            self.cfg,
-            previous_landmarks=self.previous_landmarks,
-            n_fp=self.n_fp_total,
-            landmark_id_start=self.next_landmark_id,
-        )
+        self.tree = HypothesisTree(self.cfg, self.previous_landmarks, self.next_landmark_id)
         self._submap_scenes = []
 
     # -- per-scene processing --------------------------------------------
@@ -133,9 +127,7 @@ class Pipeline:
             scene, times, labels = measurements.scene_id, measurements.times, measurements.labels
             world = self.graph.poses.pose(step).transform_points(measurements.positions)  # checked: it may overflow
             self._associate(MeasurementTable.build(scene, times, world, labels))
-            counts = class_counts(labels, self.cfg.n_classes)
-            hist = counts / counts.sum()
-            self._submap_scenes.append(SceneDescriptor(step, self.submap_id, hist, measurements.positions, labels))
+            self._submap_scenes.append(measurements)
 
     def _associate(self, measurements: MeasurementTable):
         cfg = self.cfg
@@ -165,9 +157,6 @@ class Pipeline:
         weights = self.tree.normalized_weights()
         fused = fuse_hypotheses(self.tree.leaves, weights)
         self.next_landmark_id = self.tree.next_landmark_id
-        # the clutter count is kept local to a submap; carrying it across
-        # submaps lets the DP rich-get-richer weight swallow new landmarks
-        self.n_fp_total = 0
         # landmark factors from the fused output, in the anchor pose's body frame
         poses = self.graph.poses
         R = quat_to_rot(poses.rotations[fused.last_scene])
@@ -182,8 +171,10 @@ class Pipeline:
         self.fused_map = LandmarkTable.concat([self.fused_map.take(~np.isin(self.fused_map.ids, fused.ids)), fused])
         summary = self._summarize(fused)
         submap_hist = summary.histogram / max(summary.histogram.sum(), 1)
-        if self._submap_scenes and gate(summary, cfg) == "check":
-            submaps = similar_submaps(self.detector.index, submap_hist, cfg.tau_jsd)
+        # a submap that fused no landmark has no histogram to retrieve by
+        searchable = self._submap_scenes and summary.histogram.any()
+        if searchable and gate(summary, cfg) == "check":
+            submaps = similar_submaps(self.detector, submap_hist)
             for scene in self._submap_scenes:
                 for lc in self.detector.detect(submaps, scene):
                     self.n_loop_closures += 1
@@ -194,10 +185,9 @@ class Pipeline:
                             lc.relative_pose,
                             self._loop_info,
                             robust_c=cfg.cauchy_c,
-                            kind="loop",
                         )
                     )
-        if self._submap_scenes and summary.histogram.any():
+        if searchable:
             self.detector.add_submap(self.submap_id, submap_hist, self._submap_scenes)
         self.graph = optimize(self.graph, cfg.lm_max_iters, cfg.lm_grad_tol).state
         # fused landmarks become previous-submap landmarks for the next tree
@@ -214,7 +204,8 @@ class Pipeline:
         labels = fused.labels[active] if active.any() else fused.labels
         counts = class_counts(labels, self.cfg.n_classes)
         if self.cfg.tfidf_doc_unit == "scene":
-            self.corpus.add(np.reshape([s.histogram for s in self._submap_scenes], (-1, self.cfg.n_classes)))
+            n = self.cfg.n_classes
+            self.corpus.add(np.reshape([class_counts(s.labels, n) for s in self._submap_scenes], (-1, n)))
         else:
             self.corpus.add(counts[None])
         return SubmapSummary(counts, tfidf_score(counts, self.corpus), len(labels))

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import kernels
 from .config import RunConfig
-from .core import ContractViolation
+from .core import ContractViolation, MeasurementTable, class_counts
 from .geometry import Pose, rot_to_quat
 
 LN2 = math.log(2.0)
@@ -54,69 +54,39 @@ def jsd(h1: np.ndarray, h2: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# scene descriptors and retrieval
+# retrieval
 
 
-@dataclass(frozen=True, eq=False)
-class SceneDescriptor:
-    scene_id: int
-    submap_id: int
-    histogram: np.ndarray  # normalized, one dimension per class
-    positions: np.ndarray  # (n, 3) body-frame landmark positions
-    label_ids: np.ndarray  # (n,) class id of each landmark
-
-    def __post_init__(self):
-        object.__setattr__(self, "histogram", np.asarray(self.histogram, dtype=float))
-        object.__setattr__(self, "positions", np.asarray(self.positions, dtype=float).reshape(-1, 3))
-        object.__setattr__(self, "label_ids", np.asarray(self.label_ids, dtype=np.int64))
-        if len(self.label_ids) != self.positions.shape[0] or not np.isfinite(self.positions).all():
-            raise ContractViolation("class ids and positions disagree, or a position is not finite")
+def scene_histogram(labels, n_classes: int) -> np.ndarray:
+    """A scene's normalized class histogram (all zeros for an empty scene)."""
+    counts = class_counts(labels, n_classes)
+    return counts / max(counts.sum(), 1)
 
 
-class PlaceIndex:
-    """Two-stage retrieval state: each submap's histogram and its scenes."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.submap_hist: Dict[int, np.ndarray] = {}
-        self.scenes: Dict[int, SceneDescriptor] = {}
-        self.scenes_by_submap: Dict[int, List[int]] = {}
-
-    def add_submap(self, submap_id: int, histogram: np.ndarray, scenes: Sequence[SceneDescriptor]):
-        histogram = np.asarray(histogram, dtype=float)
-        if histogram.shape != (self.dim,):
-            raise ContractViolation(f"expected shape ({self.dim},), got {histogram.shape}")
-        self.submap_hist[submap_id] = histogram
-        self.scenes.update((s.scene_id, s) for s in scenes)
-        self.scenes_by_submap[submap_id] = [s.scene_id for s in scenes]
-
-
-def similar_submaps(index: PlaceIndex, query_submap_hist: np.ndarray, tau_jsd: float) -> List[int]:
+def similar_submaps(det: "LoopClosureDetector", query_submap_hist: np.ndarray) -> List[int]:
     """Stage 1: the indexed submaps within tau_jsd of the query submap
     histogram (exact JSD), in submap id order. It depends on the query
     submap alone, so it runs once for all of that submap's scenes."""
     query_submap_hist = np.asarray(query_submap_hist, dtype=float)
-    return [sid for sid in sorted(index.submap_hist) if jsd(query_submap_hist, index.submap_hist[sid]) <= tau_jsd]
+    hists = det.submap_hist
+    return [sid for sid in sorted(hists) if jsd(query_submap_hist, hists[sid]) <= det.cfg.tau_jsd]
 
 
 def query_candidates(
-    index: PlaceIndex,
-    submaps: Sequence[int],
-    query_scene: SceneDescriptor,
-    r_l2: float,
-    exclusion_window: int,
-) -> List[SceneDescriptor]:
+    det: "LoopClosureDetector", submaps: Sequence[int], query: MeasurementTable
+) -> List[MeasurementTable]:
     """Stage 2: the scenes of the stage-1 submaps within r_l2 of the query
     scene histogram, closest first (ties by scene id). Scenes inside the
     exclusion window are dropped."""
+    cfg = det.cfg
+    hist = scene_histogram(query.labels, cfg.n_classes)
     out = []
     for sid in submaps:
-        for scene_id in index.scenes_by_submap[sid]:
-            s = index.scenes[scene_id]
-            if abs(s.scene_id - query_scene.scene_id) <= exclusion_window:
+        for s, h in det.scenes[sid]:
+            if abs(s.scene_id - query.scene_id) <= cfg.exclusion_window:
                 continue
-            d = float(np.linalg.norm(query_scene.histogram - s.histogram))
-            if d <= r_l2:
+            d = float(np.linalg.norm(hist - h))
+            if d <= cfg.r_l2:
                 out.append((d, s.scene_id, s))
     return [s for _, _, s in sorted(out, key=lambda c: c[:2])]
 
@@ -131,14 +101,14 @@ def _distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sqrt(dx * dx + dy * dy + dz * dz)
 
 
-def scene_laplacian(scene: SceneDescriptor, edge_radius: float) -> np.ndarray:
+def scene_laplacian(scene: MeasurementTable, edge_radius: float) -> np.ndarray:
     """Graph Laplacian of the landmark proximity graph, nodes ordered by
     (class id, distance to the scene centroid)."""
     n = scene.positions.shape[0]
     if n == 0:
         raise ContractViolation("cannot build the Laplacian of an empty scene")
     centroid = scene.positions.mean(axis=0)
-    ids = scene.label_ids.tolist()
+    ids = scene.labels.tolist()
     order = sorted(range(n), key=lambda i: (ids[i], float(np.linalg.norm(scene.positions[i] - centroid)), i))
     p = scene.positions[order]
     adj = (_distances(p, p) <= edge_radius).astype(float)
@@ -172,14 +142,6 @@ def ncc_score(L1: np.ndarray, L2: np.ndarray) -> float:
 # scene similarity
 
 
-@dataclass(frozen=True)
-class MatchedPair:
-    idx_a: int
-    idx_b: int
-    normalized_cost: float
-    same_class: bool
-
-
 def _pair_term(s_match, s_class, term_mode: str):
     """One matched pair's score term, elementwise on floats or arrays."""
     if term_mode == "as_printed":
@@ -195,23 +157,21 @@ def _running_sum(terms: np.ndarray) -> float:
 
 
 def scene_match(
-    a: SceneDescriptor,
-    b: SceneDescriptor,
+    a: MeasurementTable,
+    b: MeasurementTable,
     penalty_p: float = 0.5,
     dist_norm_scale: float = 5.0,
     term_mode: str = "as_printed",
-) -> Tuple[float, List[MatchedPair]]:
-    """Hungarian match on Euclidean landmark distances plus the printed
-    per-pair score. Distances are normalized to [0, 2] by dist_norm_scale."""
-    na, nb = a.positions.shape[0], b.positions.shape[0]
+) -> float:
+    """The printed similarity score of a Hungarian match on Euclidean
+    landmark distances, normalized to [0, 2] by dist_norm_scale."""
+    na, nb = len(a), len(b)
     if na == 0 or nb == 0:
         raise ContractViolation("scene_match requires non-empty scenes")
-    diff = a.positions[:, None, :] - b.positions[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    H = np.minimum(dist / dist_norm_scale, 2.0)
+    H = np.minimum(_distances(a.positions, b.positions) / dist_norm_scale, 2.0)
     # assignment prefers same-class pairings (penalty exceeds the distance
     # range); the similarity score itself stays a function of H and class
-    same = a.label_ids[:, None] == b.label_ids[None, :]
+    same = a.labels[:, None] == b.labels[None, :]
     C = H + np.where(same, 0.0, 4.0)
     if na <= nb:
         ia = np.arange(na)
@@ -220,10 +180,8 @@ def scene_match(
         r2c, _, _, _ = kernels.lap_solve(np.ascontiguousarray(C.T))
         ib = np.argsort(r2c)
         ia = r2c[ib]
-    h, same = H[ia, ib], same[ia, ib]
-    score = _running_sum(_pair_term(1.0 - h / 2.0, np.where(same, 0.0, penalty_p), term_mode))
-    pairs = [MatchedPair(*p) for p in zip(ia.tolist(), ib.tolist(), h.tolist(), same.tolist())]
-    return score, pairs
+    s_class = np.where(same[ia, ib], 0.0, penalty_p)
+    return _running_sum(_pair_term(1.0 - H[ia, ib] / 2.0, s_class, term_mode))
 
 
 # ---------------------------------------------------------------------------
@@ -362,72 +320,68 @@ def score_bound(n_pairs: int, cfg: RunConfig) -> float:
     return -1.0 + _running_sum(np.full(n_pairs, float(floor)))
 
 
-def pair_scores(
-    a: SceneDescriptor, b: SceneDescriptor, cfg: RunConfig, laplacian=None
-) -> Tuple[float, float, List[MatchedPair]]:
-    """(S_NCC, S_scene, matched pairs) of two non-empty scenes; laplacian maps
-    a scene to its Laplacian (default: scene_laplacian at edge_radius)."""
+def pair_scores(a: MeasurementTable, b: MeasurementTable, cfg: RunConfig, laplacian=None) -> Tuple[float, float]:
+    """(S_NCC, S_scene) of two non-empty scenes; laplacian maps a scene to
+    its Laplacian (default: scene_laplacian at edge_radius)."""
     lap = laplacian or (lambda s: scene_laplacian(s, cfg.edge_radius))
-    s_scene, pairs = scene_match(a, b, cfg.penalty_p, cfg.dist_norm_scale, cfg.scene_term_mode)
-    return ncc_score(lap(a), lap(b)), s_scene, pairs
+    s_scene = scene_match(a, b, cfg.penalty_p, cfg.dist_norm_scale, cfg.scene_term_mode)
+    return ncc_score(lap(a), lap(b)), s_scene
 
 
-def verify_pair(
-    a: SceneDescriptor, b: SceneDescriptor, cfg: RunConfig, laplacian=None
-) -> Tuple[bool, Optional[float], Optional[float], Optional[List[MatchedPair]]]:
+def verify_pair(a: MeasurementTable, b: MeasurementTable, cfg: RunConfig, laplacian=None) -> bool:
     """Topology + similarity check: passes iff S_NCC + S_scene > tau_verify.
-    Returns (passed, s_ncc, s_scene, pairs). A pair whose score_bound already
-    exceeds tau_verify passes unscored, with None for s_ncc, s_scene, pairs."""
-    na, nb = a.positions.shape[0], b.positions.shape[0]
+    An empty scene fails. A pair whose score_bound already exceeds
+    tau_verify passes unscored."""
+    na, nb = len(a), len(b)
     if na == 0 or nb == 0:
-        return False, 0.0, 0.0, []
+        return False
     if score_bound(min(na, nb), cfg) > cfg.tau_verify:
-        return True, None, None, None
-    s_ncc, s_scene, pairs = pair_scores(a, b, cfg, laplacian)
-    return s_ncc + s_scene > cfg.tau_verify, s_ncc, s_scene, pairs
+        return True
+    s_ncc, s_scene = pair_scores(a, b, cfg, laplacian)
+    return s_ncc + s_scene > cfg.tau_verify
 
 
 class LoopClosureDetector:
     """Owns the retrieval index, the scene Laplacians and the RANSAC
-    generator; reads every threshold from the run config."""
+    generator; reads every threshold from the run config. The index holds
+    each submap's histogram and, per submap, its scene tables with their
+    histograms."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
-        self.index = PlaceIndex(cfg.n_classes)
+        self.submap_hist: Dict[int, np.ndarray] = {}
+        self.scenes: Dict[int, List[Tuple[MeasurementTable, np.ndarray]]] = {}
         self.rng = np.random.default_rng(cfg.run_seed)
         self._lap_cache: Dict[int, np.ndarray] = {}
         self._dist_cache: Dict[int, np.ndarray] = {}
 
-    def _laplacian(self, scene: SceneDescriptor) -> np.ndarray:
-        # scene ids are unique per run and descriptors are immutable
+    def _laplacian(self, scene: MeasurementTable) -> np.ndarray:
+        # scene ids are unique per run and tables are immutable
         L = self._lap_cache.get(scene.scene_id)
         if L is None:
             L = scene_laplacian(scene, self.cfg.edge_radius)
             self._lap_cache[scene.scene_id] = L
         return L
 
-    def _scene_distances(self, scene: SceneDescriptor) -> np.ndarray:
+    def _scene_distances(self, scene: MeasurementTable) -> np.ndarray:
         D = self._dist_cache.get(scene.scene_id)
         if D is None:
             D = self._dist_cache[scene.scene_id] = _distances(scene.positions, scene.positions)
         return D
 
-    def detect(self, submaps: Sequence[int], query_scene: SceneDescriptor) -> List[LoopClosure]:
+    def detect(self, submaps: Sequence[int], query_scene: MeasurementTable) -> List[LoopClosure]:
         """Returns at most one closure: the candidate with the strongest
-        geometric consensus for this query scene. submaps is stage 1 of
-        retrieval for the query's submap (`similar_submaps` at tau_jsd).
+        geometric consensus for this body-frame query scene. submaps is
+        stage 1 of retrieval for the query's submap (`similar_submaps`).
         Only candidates that pass `verify_pair` go on to RANSAC."""
         cfg = self.cfg
         closures = []
-        candidates = query_candidates(self.index, submaps, query_scene, cfg.r_l2, cfg.exclusion_window)
-        for cand in candidates[:MAX_CANDIDATES]:
-            if query_scene.positions.shape[0] == 0 or cand.positions.shape[0] == 0:
-                continue
-            if not verify_pair(query_scene, cand, cfg, self._laplacian)[0]:
+        for cand in query_candidates(self, submaps, query_scene)[:MAX_CANDIDATES]:
+            if not verify_pair(query_scene, cand, cfg, self._laplacian):
                 continue
             # putative correspondences: every same-class cross pairing (row-major);
             # the consensus step sorts out which instances actually align
-            ia, ib = np.nonzero(query_scene.label_ids[:, None] == cand.label_ids[None, :])
+            ia, ib = np.nonzero(query_scene.labels[:, None] == cand.labels[None, :])
             if ia.size < 3:
                 continue
             src, dst = cand.positions[ib], query_scene.positions[ia]
@@ -446,5 +400,11 @@ class LoopClosureDetector:
             closures.append(LoopClosure(query_scene.scene_id, cand.scene_id, rel, inliers))
         return [max(closures, key=lambda lc: len(lc.inlier_pairs))] if closures else []
 
-    def add_submap(self, submap_id: int, histogram: np.ndarray, scenes: Sequence[SceneDescriptor]):
-        self.index.add_submap(submap_id, histogram, scenes)
+    def add_submap(self, submap_id: int, histogram: np.ndarray, scenes: Sequence[MeasurementTable]):
+        """Index a submap: its class histogram and its body-frame scene tables."""
+        histogram = np.asarray(histogram, dtype=float)
+        n = self.cfg.n_classes
+        if histogram.shape != (n,):
+            raise ContractViolation(f"expected shape ({n},), got {histogram.shape}")
+        self.submap_hist[submap_id] = histogram
+        self.scenes[submap_id] = [(s, scene_histogram(s.labels, n)) for s in scenes]

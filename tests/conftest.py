@@ -22,7 +22,6 @@ from semslam.graph import (
 from semslam.placerec import (
     MAX_CANDIDATES,
     LoopClosure,
-    MatchedPair,
     jsd,
     ncc_score,
     query_candidates,
@@ -532,11 +531,11 @@ def scalar_fuse_hypotheses(leaves, weights):
 def scalar_scene_match(a, b, penalty_p=0.5, dist_norm_scale=5.0, term_mode="as_printed"):
     """Pair-by-pair scene similarity on scalar class id comparisons: the reference
     for `placerec.scene_match`, whose score must equal it bit for bit."""
-    na, nb = a.positions.shape[0], b.positions.shape[0]
+    na, nb = len(a), len(b)
     diff = a.positions[:, None, :] - b.positions[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=2))
     H = np.minimum(dist / dist_norm_scale, 2.0)
-    mismatch = np.array([[0.0 if la == lb else 4.0 for lb in b.label_ids.tolist()] for la in a.label_ids.tolist()])
+    mismatch = np.array([[0.0 if la == lb else 4.0 for lb in b.labels.tolist()] for la in a.labels.tolist()])
     C = H + mismatch
     if na <= nb:
         r2c = scalar_lap_solve(C)[0]
@@ -545,20 +544,16 @@ def scalar_scene_match(a, b, penalty_p=0.5, dist_norm_scale=5.0, term_mode="as_p
         r2c = scalar_lap_solve(np.ascontiguousarray(C.T))[0]
         pairs_idx = sorted((int(j), i) for i, j in enumerate(r2c))
     score = 0.0
-    pairs = []
     for i, j in pairs_idx:
-        h = float(H[i, j])
-        s_match = 1.0 - h / 2.0
-        same = bool(a.label_ids[i] == b.label_ids[j])
-        s_class = 0.0 if same else penalty_p
+        s_match = 1.0 - float(H[i, j]) / 2.0
+        s_class = 0.0 if a.labels[i] == b.labels[j] else penalty_p
         if term_mode == "as_printed":
             score += 1.0 - s_match * s_class
         elif term_mode == "distance_weighted":
             score += 1.0 - (1.0 - s_match) * (1.0 - s_class)
         else:
             raise ContractViolation(f"unknown term_mode {term_mode!r}")
-        pairs.append(MatchedPair(i, j, h, same))
-    return score, pairs
+    return score
 
 
 def scalar_detect(det, query_submap_hist, query_scene):
@@ -567,25 +562,28 @@ def scalar_detect(det, query_submap_hist, query_scene):
     id comparisons and the unscreened RANSAC scan: its reference. Runs on
     det's config, index, Laplacian cache and rng, and updates them."""
     cfg = det.cfg
-    hists = det.index.submap_hist
+    hists = det.submap_hist
     submaps = [sid for sid in sorted(hists) if jsd(query_submap_hist, hists[sid]) <= cfg.tau_jsd]
-    candidates = query_candidates(det.index, submaps, query_scene, cfg.r_l2, cfg.exclusion_window)
+
+    def hist(s):
+        return np.bincount(s.labels, minlength=cfg.n_classes) / max(len(s), 1)
+
     candidates = sorted(
-        candidates,
-        key=lambda s: (float(np.linalg.norm(query_scene.histogram - s.histogram)), s.scene_id),
+        query_candidates(det, submaps, query_scene),
+        key=lambda s: (float(np.linalg.norm(hist(query_scene) - hist(s))), s.scene_id),
     )[:MAX_CANDIDATES]
     closures = []
     for cand in candidates:
-        if query_scene.positions.shape[0] == 0 or cand.positions.shape[0] == 0:
+        if len(query_scene) == 0 or len(cand) == 0:
             continue
         s_ncc = ncc_score(det._laplacian(query_scene), det._laplacian(cand))
-        s_scene, _ = scalar_scene_match(query_scene, cand, cfg.penalty_p, cfg.dist_norm_scale, cfg.scene_term_mode)
+        s_scene = scalar_scene_match(query_scene, cand, cfg.penalty_p, cfg.dist_norm_scale, cfg.scene_term_mode)
         if not s_ncc + s_scene > cfg.tau_verify:
             continue
         putative = [
             (ia, ib)
-            for ia, la in enumerate(query_scene.label_ids.tolist())
-            for ib, lb in enumerate(cand.label_ids.tolist())
+            for ia, la in enumerate(query_scene.labels.tolist())
+            for ib, lb in enumerate(cand.labels.tolist())
             if la == lb
         ]
         if len(putative) < 3:

@@ -65,6 +65,18 @@ def test_full_round_trip(tmp_path, cfg_path, capsys):
     assert "rmse" in captured.out
 
 
+def test_run_with_a_submap_that_fuses_no_landmark(tmp_path, capsys):
+    # two landmarks, short range and heavy clutter: submap 1 fuses no
+    # landmark, and gate_min_landmarks = 0 lets it through the gate
+    cfg = RunConfig(world_seed=0, run_seed=0, gate_min_landmarks=0, n_landmarks=2, detection_range=3.0, lambda_fp=5.0)
+    path = tmp_path / "run.cfg"
+    path.write_text(serialize_config(cfg))
+    logs, out = str(tmp_path / "logs"), str(tmp_path / "out")
+    assert main(["simulate", "--config", str(path), "--out", logs]) == 0
+    assert main(["run", "--config", str(path), "--logs", logs, "--out", out]) == 0
+    assert "error" not in capsys.readouterr().err
+
+
 def test_run_outputs_deterministic(tmp_path, cfg_path):
     logs = str(tmp_path / "logs")
     main(["simulate", "--config", cfg_path, "--out", logs])

@@ -265,7 +265,7 @@ def parity_graph(rng, kind):
     for p in range(1, n):
         g.factors.append(RelativePoseFactor(p - 1, p, noisy_relative(p - 1, p), random_information(rng, 6), robust_c=robust()))
     if n > 2 and rng.random() < 0.5:
-        g.factors.append(RelativePoseFactor(0, n - 1, noisy_relative(0, n - 1), random_information(rng, 6), robust_c=robust(), kind="loop"))
+        g.factors.append(RelativePoseFactor(0, n - 1, noisy_relative(0, n - 1), random_information(rng, 6), robust_c=robust()))
     if kind == "near_pi":
         # pose 1 starts rotated by pi - 5e-7 about a random axis from an
         # identity-rotation odometry measurement out of an identity pose 0
@@ -312,7 +312,7 @@ class TestOptimize:
         assert endpoint_err_before > 0.2
         # exact loop factor with information far above odometry
         measured = true_poses.pose(last).relative_to(true_poses.pose(0))
-        g2.factors.append(RelativePoseFactor(0, last, measured, 1e4 * np.eye(6), kind="loop"))
+        g2.factors.append(RelativePoseFactor(0, last, measured, 1e4 * np.eye(6)))
         result = optimize(g2, max_iters=50)
         endpoint_err_after = np.linalg.norm(result.state.poses.translations[last] - true_poses.translations[last])
         assert endpoint_err_after < 0.1 * endpoint_err_before
@@ -325,7 +325,7 @@ class TestOptimize:
         g = chain_graph(incs, info_scale=100.0)
         bogus = Pose(np.array([-5.0, 3.0, 1.0]), quat_from_yaw(1.0))
         g.factors.append(
-            RelativePoseFactor(0, 10, bogus, 100.0 * np.eye(6), robust_c=1.0, kind="loop")
+            RelativePoseFactor(0, 10, bogus, 100.0 * np.eye(6), robust_c=1.0)
         )
         robust = optimize(g, max_iters=50)
         errs = np.linalg.norm(robust.state.poses.translations - clean.state.poses.translations, axis=1)
@@ -368,13 +368,13 @@ class TestOptimize:
 
     def test_zero_cauchy_scale_rejected(self):
         g = chain_graph([Pose(np.array([1.0, 0.0, 0.0]))])
-        g.factors.append(RelativePoseFactor(0, 1, Pose(), np.eye(6), robust_c=0.0, kind="loop"))
+        g.factors.append(RelativePoseFactor(0, 1, Pose(), np.eye(6), robust_c=0.0))
         with pytest.raises(ContractViolation):
             optimize(g)
 
     def test_non_spd_information_rejected(self):
         g = chain_graph([Pose(np.array([1.0, 0.0, 0.0]))])
-        g.factors.append(RelativePoseFactor(0, 1, Pose(), -np.eye(6), kind="loop"))
+        g.factors.append(RelativePoseFactor(0, 1, Pose(), -np.eye(6)))
         with pytest.raises(np.linalg.LinAlgError):
             optimize(g)
 

@@ -76,6 +76,27 @@ def test_appended_pose_is_the_composed_pose():
         assert poses.rotations[row].tobytes() == pose.rotation.tobytes()
 
 
+def test_submap_without_landmarks_is_not_searched_or_indexed(monkeypatch):
+    """A submap that fuses no landmark has an all-zero class histogram, which
+    has no JSD. It neither searches (which would raise) nor enters the index,
+    even when a gate_min_landmarks of 0 passes it."""
+    # submap 1 of this world holds two scenes whose detections every leaf
+    # calls false positives, so it fuses no landmark
+    cfg = RunConfig(world_seed=0, run_seed=0, gate_min_landmarks=0, n_landmarks=2, detection_range=3.0, lambda_fp=5.0)
+    indexed = []
+    add_submap = placerec.LoopClosureDetector.add_submap
+
+    def record(det, submap_id, histogram, scenes):
+        indexed.append((submap_id, float(histogram.sum())))
+        return add_submap(det, submap_id, histogram, scenes)
+
+    monkeypatch.setattr(placerec.LoopClosureDetector, "add_submap", record)
+    result, _ = run_for(cfg)
+    assert len(result.trajectory) == cfg.steps
+    assert 1 not in [sid for sid, _ in indexed]
+    assert all(total == pytest.approx(1.0) for _, total in indexed)
+
+
 class TestValidation:
     def test_empty_log_rejected(self):
         with pytest.raises(ValueError, match="empty"):

@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 
 from semslam import kernels, placerec
 from semslam.config import RunConfig
-from semslam.core import ContractViolation
+from semslam.core import ContractViolation, MeasurementTable
 from semslam.geometry import Pose, quat_from_yaw, rot_to_quat
 from semslam.placerec import (
     LoopClosureDetector,
-    PlaceIndex,
-    SceneDescriptor,
     consensus_possible,
     jsd,
     ncc_score,
@@ -24,6 +22,7 @@ from semslam.placerec import (
     ransac_verify,
     rigid_transform_svd,
     scene_laplacian,
+    scene_histogram,
     scene_match,
     score_bound,
     similar_submaps,
@@ -40,18 +39,19 @@ from conftest import (
 )
 
 
-def scene(scene_id, positions, class_ids, submap_id=0, dim=4):
+def scene(scene_id, positions, class_ids):
+    """A body-frame scene table; its times are all 0."""
     positions = np.asarray(positions, dtype=float).reshape(-1, 3)
-    hist = np.zeros(dim)
-    for c in class_ids:
-        hist[c] += 1
-    hist = hist / hist.sum()
-    return SceneDescriptor(scene_id, submap_id, hist, positions, class_ids)
+    return MeasurementTable.build(scene_id, np.zeros(len(class_ids)), positions, class_ids)
+
+
+def hist(s, dim=4):
+    return scene_histogram(s.labels, dim)
 
 
 def detect(det, q):
     """det.detect for a query whose submap histogram is its own histogram."""
-    return det.detect(similar_submaps(det.index, q.histogram, det.cfg.tau_jsd), q)
+    return det.detect(similar_submaps(det, hist(q)), q)
 
 
 class TestJsd:
@@ -104,54 +104,58 @@ class TestJsd:
 
 class TestQueryCandidates:
     def test_wrong_dimension_rejected(self):
-        index = PlaceIndex(4)
         with pytest.raises(ContractViolation):
-            index.add_submap(0, np.full(3, 1.0 / 3.0), [])
+            detector().add_submap(0, np.full(3, 1.0 / 3.0), [])
 
     def test_empty_index(self):
-        index = PlaceIndex(4)
+        det = detector(tau_jsd=0.2, r_l2=0.6, exclusion_window=10)
         q = scene(100, [[0, 0, 0]], [0])
-        assert query_candidates(index, similar_submaps(index, q.histogram, 0.2), q, 0.6, 10) == []
+        assert query_candidates(det, similar_submaps(det, hist(q)), q) == []
 
     def test_exact_copy_found(self):
-        index = PlaceIndex(4)
+        det = detector(tau_jsd=0.2, r_l2=0.6, exclusion_window=10)
         s = scene(5, [[0, 0, 0], [1, 0, 0]], [0, 1])
-        index.add_submap(0, s.histogram, [s])
+        det.add_submap(0, hist(s), [s])
         q = scene(100, [[0, 0, 0], [1, 0, 0]], [0, 1])
-        found = query_candidates(index, similar_submaps(index, q.histogram, 0.2), q, 0.6, 10)
-        assert [c.scene_id for c in found] == [5]
+        found = query_candidates(det, similar_submaps(det, hist(q)), q)
+        assert found == [s]
 
     def test_exclusion_window_drops_self(self):
-        index = PlaceIndex(4)
         s = scene(95, [[0, 0, 0]], [0])
-        index.add_submap(0, s.histogram, [s])
         q = scene(100, [[0, 0, 0]], [0])
-        submaps = similar_submaps(index, q.histogram, 0.2)
-        assert submaps == [0]
-        assert query_candidates(index, submaps, q, 0.6, 10) == []
-        assert [c.scene_id for c in query_candidates(index, submaps, q, 0.6, 4)] == [95]
+        for window, expect in ((10, []), (4, [95])):
+            det = detector(tau_jsd=0.2, r_l2=0.6, exclusion_window=window)
+            det.add_submap(0, hist(s), [s])
+            submaps = similar_submaps(det, hist(q))
+            assert submaps == [0]
+            assert [c.scene_id for c in query_candidates(det, submaps, q)] == expect
 
     def test_matches_brute_force(self, rng):
-        dim = 5
-        index = PlaceIndex(dim)
-        scenes = []
-        for sid in range(200):
-            hist = rng.dirichlet(np.ones(dim))
-            s = SceneDescriptor(sid, sid, hist, np.zeros((1, 3)), (0,))
-            index.add_submap(sid, hist, [s])
-            scenes.append(s)
-        tau_jsd, r_l2 = 0.15, 0.5
+        """The candidates are the scenes within both radii, ranked by
+        histogram distance, ties by scene id."""
+        dim, tau_jsd, r_l2 = 5, 0.15, 0.5
+        det = detector(n_classes=dim, tau_jsd=tau_jsd, r_l2=r_l2, exclusion_window=10)
+
+        def random_scene(sid):
+            labels = rng.integers(0, dim, int(rng.integers(1, 9)))
+            return scene(sid, np.zeros((len(labels), 3)), labels)
+
+        scenes = [random_scene(sid) for sid in range(200)]
+        for s in scenes:
+            det.add_submap(s.scene_id, hist(s, dim), [s])
+        ranked = 0
         for _ in range(10):
-            qh = rng.dirichlet(np.ones(dim))
-            q = SceneDescriptor(1000, 1000, qh, np.zeros((1, 3)), (0,))
-            got = {c.scene_id for c in query_candidates(index, similar_submaps(index, qh, tau_jsd), q, r_l2, 10)}
-            expect = {
-                s.scene_id
-                for s in scenes
-                if jsd(qh, s.histogram) <= tau_jsd
-                and np.linalg.norm(qh - s.histogram) <= r_l2
-            }
+            q = random_scene(1000)
+            qh = hist(q, dim)
+            got = [c.scene_id for c in query_candidates(det, similar_submaps(det, qh), q)]
+            dist = {s.scene_id: float(np.linalg.norm(qh - hist(s, dim))) for s in scenes}
+            expect = sorted(
+                (s.scene_id for s in scenes if jsd(qh, hist(s, dim)) <= tau_jsd and dist[s.scene_id] <= r_l2),
+                key=lambda sid: (dist[sid], sid),
+            )
             assert got == expect
+            ranked += len(set(dist[sid] for sid in got)) > 1
+        assert ranked
 
 
 class TestSceneLaplacian:
@@ -179,9 +183,8 @@ class TestSceneLaplacian:
         assert np.allclose(L1, L2)
 
     def test_empty_scene_rejected(self):
-        s = SceneDescriptor(0, 0, np.array([1.0]), np.zeros((0, 3)), ())
         with pytest.raises(ContractViolation):
-            scene_laplacian(s, 1.0)
+            scene_laplacian(scene(0, np.zeros((0, 3)), []), 1.0)
 
 
 class TestNccScore:
@@ -223,23 +226,20 @@ class TestSceneMatch:
         pos = [[0, 0, 0], [1, 0, 0], [0, 1, 0]]
         a = scene(0, pos, [0, 1, 2])
         b = scene(1, pos, [0, 1, 2])
-        score, pairs = scene_match(a, b)
-        assert score == pytest.approx(3.0)
-        assert all(p.same_class and p.normalized_cost == 0.0 for p in pairs)
+        # each same-class pair at distance 0 adds exactly 1
+        assert scene_match(a, b) == 3.0
 
     def test_cross_class_pair_at_zero_distance(self):
         a = scene(0, [[0, 0, 0]], [0])
         b = scene(1, [[0, 0, 0]], [1])
-        score, pairs = scene_match(a, b, penalty_p=0.5)
-        assert score == pytest.approx(0.5)
-        assert not pairs[0].same_class
+        # a cross-class pair at distance 0 adds exactly 1 - p
+        assert scene_match(a, b, penalty_p=0.5) == 0.5
 
     def test_distant_pair_contributes_one(self):
         # normalized distance capped at 2 makes s_match 0 regardless of class
         a = scene(0, [[0, 0, 0]], [0])
         b = scene(1, [[100, 0, 0]], [1])
-        score, _ = scene_match(a, b, penalty_p=0.5, dist_norm_scale=5.0)
-        assert score == pytest.approx(1.0)
+        assert scene_match(a, b, penalty_p=0.5, dist_norm_scale=5.0) == pytest.approx(1.0)
 
     def test_symmetry(self, rng):
         pa = rng.uniform(-3, 3, (4, 3))
@@ -247,61 +247,41 @@ class TestSceneMatch:
         cls = [0, 1, 2, 0]
         a = scene(0, pa, cls)
         b = scene(1, pb, cls)
-        sa, _ = scene_match(a, b)
-        sb, _ = scene_match(b, a)
-        assert sa == pytest.approx(sb, abs=1e-9)
+        assert scene_match(a, b) == pytest.approx(scene_match(b, a), abs=1e-9)
 
     def test_prefers_same_class_matching(self):
-        # two classes arranged so the class-blind nearest pairing is crossed
+        # two classes arranged so the class-blind nearest pairing is crossed:
+        # crossed, the pairs would add 1 - 0.99 * 0.5 each; matched by class,
+        # they add exactly 1 each
         a = scene(0, [[0, 0, 0], [1, 0, 0]], [0, 1])
         b = scene(1, [[0.9, 0, 0], [0.1, 0, 0]], [0, 1])
-        _, pairs = scene_match(a, b)
-        assert all(p.same_class for p in pairs)
+        assert scene_match(a, b) == 2.0
 
     def test_distance_weighted_mode(self):
         a = scene(0, [[0, 0, 0]], [0])
         b = scene(1, [[0, 0, 0]], [0])
         # same class at distance 0: term 1 - (1-1)(1-0) = 1
-        score, _ = scene_match(a, b, term_mode="distance_weighted")
-        assert score == pytest.approx(1.0)
+        assert scene_match(a, b, term_mode="distance_weighted") == pytest.approx(1.0)
         c = scene(2, [[10.0, 0, 0]], [0])
         # same class at capped distance: s_match 0 -> term 1 - 1*1 = 0
-        score2, _ = scene_match(a, c, term_mode="distance_weighted")
-        assert score2 == pytest.approx(0.0)
+        assert scene_match(a, c, term_mode="distance_weighted") == pytest.approx(0.0)
 
     def test_empty_scene_rejected(self):
         a = scene(0, [[0, 0, 0]], [0])
-        empty = SceneDescriptor(1, 0, np.zeros(4), np.zeros((0, 3)), ())
         with pytest.raises(ContractViolation):
-            scene_match(a, empty)
+            scene_match(a, scene(1, np.zeros((0, 3)), []))
 
     def test_matches_scalar_oracle(self, rng):
-        """Score and pairs equal the pair-by-pair loop bit for bit, for
-        either side the larger, both term modes and any penalty."""
+        """The score equals the pair-by-pair loop bit for bit, for either
+        side the larger, both term modes and any penalty; the loop takes its
+        distances by a sum over the difference vectors."""
         for _ in range(60):
             na, nb = rng.integers(1, 9, size=2)
             a = scene(0, rng.uniform(-8, 8, (na, 3)), rng.integers(0, 3, na))
             b = scene(1, rng.uniform(-8, 8, (nb, 3)), rng.integers(0, 3, nb))
             p = float(rng.uniform(-2, 3))
             for mode in ("as_printed", "distance_weighted"):
-                got = scene_match(a, b, p, 5.0, mode)
-                assert got == scalar_scene_match(a, b, p, 5.0, mode)
-                assert all(type(x) is int for pr in got[1] for x in (pr.idx_a, pr.idx_b))
-
-
-class TestSceneDescriptor:
-    def test_label_ids_follow_labels(self):
-        s = scene(0, [[0, 0, 0], [1, 0, 0], [2, 0, 0]], np.array([2, 0, 2], dtype=np.int32))
-        assert s.label_ids.tolist() == [2, 0, 2] and s.label_ids.dtype == np.int64
-        empty = SceneDescriptor(1, 0, np.zeros(4), np.zeros((0, 3)), ())
-        assert empty.label_ids.shape == (0,)
-        with pytest.raises(ContractViolation):
-            SceneDescriptor(2, 0, np.zeros(4), np.zeros((2, 3)), (0,))
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_position_rejected(self, bad):
-        with pytest.raises(ContractViolation):
-            SceneDescriptor(0, 0, np.array([1.0, 0, 0, 0]), [[0.0, bad, 0.0]], (0,))
+                assert scene_match(a, b, p, 5.0, mode) == scalar_scene_match(a, b, p, 5.0, mode)
 
 
 class TestRansacVerify:
@@ -628,34 +608,36 @@ class TestVerifyPair:
         pos = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [2, 1, 0], [1, 2, 0]]
         a = scene(0, pos, [0, 1, 2, 3, 0])
         b = scene(50, pos, [0, 1, 2, 3, 0])
-        ok, s_ncc, s_scene, _ = verify_pair(a, b, verify_cfg(tau_verify=4.0))
-        assert ok and s_ncc == pytest.approx(1.0) and s_scene == pytest.approx(5.0)
+        assert verify_pair(a, b, verify_cfg(tau_verify=4.0)) is True
+        assert pair_scores(a, b, verify_cfg()) == pytest.approx((1.0, 5.0))
 
     def test_infinite_threshold_always_fails(self):
         a = scene(0, [[0, 0, 0]], [0])
-        ok, _, _, _ = verify_pair(a, a, verify_cfg(tau_verify=np.inf))
-        assert not ok
+        assert verify_pair(a, a, verify_cfg(tau_verify=np.inf)) is False
 
     def test_empty_scene_fails_quietly(self):
         a = scene(0, [[0, 0, 0]], [0])
-        empty = SceneDescriptor(1, 0, np.zeros(4), np.zeros((0, 3)), ())
-        ok, s_ncc, s_scene, pairs = verify_pair(a, empty, verify_cfg())
-        assert not ok and pairs == []
+        empty = scene(1, np.zeros((0, 3)), [])
+        assert verify_pair(a, empty, verify_cfg()) is False
+        assert verify_pair(empty, a, verify_cfg(tau_verify=-np.inf)) is False
 
-    def test_bound_passes_large_scenes_unscored(self):
+    def test_bound_passes_large_scenes_unscored(self, monkeypatch):
         # as_printed, p = 0.5: every pair scores at least 0.5, so 11 pairs
         # give at least -1 + 5.5 > 4 whatever the geometry
         rng = np.random.default_rng(3)
         a = scene(0, rng.uniform(-9, 9, (11, 3)), [0] * 11)
         b = scene(1, rng.uniform(-9, 9, (12, 3)), [1] * 12)
+        a10 = scene(0, a.positions[:10], [0] * 10)
         cfg = verify_cfg()
         assert score_bound(11, cfg) == 4.5
-        assert verify_pair(a, b, cfg) == (True, None, None, None)
-        s_ncc, s_scene, _ = pair_scores(a, b, cfg)
+        s_ncc, s_scene = pair_scores(a, b, cfg)
         assert s_ncc + s_scene > cfg.tau_verify
+        scored = []
+        monkeypatch.setattr(placerec, "pair_scores", lambda *args: scored.append(args) or pair_scores(*args))
+        assert verify_pair(a, b, cfg) is True and scored == []
         # 10 pairs cannot be decided by the bound: they are scored
-        ok, s_ncc, s_scene, pairs = verify_pair(scene(0, a.positions[:10], [0] * 10), b, cfg)
-        assert s_ncc is not None and len(pairs) == 10 and ok == (s_ncc + s_scene > 4.0)
+        s_ncc, s_scene = pair_scores(a10, b, cfg)
+        assert verify_pair(a10, b, cfg) == (s_ncc + s_scene > 4.0) and len(scored) == 1
 
     def test_bound_sums_like_the_score(self):
         # the floor is added pair by pair, as scene_match adds its terms, so
@@ -693,24 +675,19 @@ class TestVerifyPair:
         def draw_scene(sid, n):
             pos = np.array(data.draw(st.lists(st.tuples(coord, coord, coord), min_size=n, max_size=n)), dtype=float)
             cls = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
-            return SceneDescriptor(sid, 0, np.full(4, 0.25), pos.reshape(-1, 3), cls)
+            return scene(sid, pos, cls)
 
         a, b = draw_scene(0, na), draw_scene(1, nb)
         cfg = verify_cfg(tau_verify=tau, penalty_p=p, scene_term_mode=mode)
         with np.errstate(over="ignore", invalid="ignore"):  # huge coordinates and penalties overflow to inf
-            ok, s_ncc, s_scene, pairs = verify_pair(a, b, cfg)
+            ok = verify_pair(a, b, cfg)
             if na == 0 or nb == 0:
-                assert (ok, pairs) == (False, [])
+                assert ok is False
                 return
-            exact_ncc, exact_scene, _ = pair_scores(a, b, cfg)
+            exact = sum(pair_scores(a, b, cfg))
             bound = score_bound(min(na, nb), cfg)
-        exact = exact_ncc + exact_scene
         assert bound <= exact
         assert ok == (exact > tau)
-        if s_ncc is None:  # passed on the bound
-            assert ok and exact > tau
-        else:
-            assert (s_ncc, s_scene) == (exact_ncc, exact_scene)
 
 
 DETECTOR = dict(n_classes=4, r_l2=0.5, edge_radius=5.0, ransac_iters=200, ransac_min_inliers=4)
@@ -724,10 +701,9 @@ def detector(**overrides) -> LoopClosureDetector:
 
 class TestLoopClosureDetector:
     @staticmethod
-    def grid_scene(scene_id, submap_id, pose, world_points, class_ids, dim=4):
-        """Scene descriptor from world landmarks seen at a given pose."""
-        body = pose.transform_points_inverse(np.asarray(world_points, dtype=float))
-        return scene(scene_id, body, class_ids, submap_id=submap_id, dim=dim)
+    def grid_scene(scene_id, pose, world_points, class_ids):
+        """Scene table of world landmarks seen at a given pose."""
+        return scene(scene_id, pose.transform_points_inverse(np.asarray(world_points, dtype=float)), class_ids)
 
     def make_world(self, rng, n=10):
         pts = rng.uniform(-6, 6, (n, 3))
@@ -740,9 +716,9 @@ class TestLoopClosureDetector:
         first = Pose(np.zeros(3), quat_from_yaw(0.0))
         revisit = Pose(np.array([0.3, -0.2, 0.0]), quat_from_yaw(0.15))
         det = detector(exclusion_window=10, tau_jsd=0.3, r_l2=0.8)
-        s0 = self.grid_scene(0, 0, first, pts, cls)
-        det.add_submap(0, s0.histogram, [s0])
-        q = self.grid_scene(40, 1, revisit, pts, cls)
+        s0 = self.grid_scene(0, first, pts, cls)
+        det.add_submap(0, hist(s0), [s0])
+        q = self.grid_scene(40, revisit, pts, cls)
         closures = detect(det, q)
         assert len(closures) == 1
         lc = closures[0]
@@ -757,9 +733,9 @@ class TestLoopClosureDetector:
         pts, cls = self.make_world(rng)
         pose = Pose()
         det = detector(exclusion_window=50)
-        s0 = self.grid_scene(0, 0, pose, pts, cls)
-        det.add_submap(0, s0.histogram, [s0])
-        q = self.grid_scene(40, 1, pose, pts, cls)
+        s0 = self.grid_scene(0, pose, pts, cls)
+        det.add_submap(0, hist(s0), [s0])
+        q = self.grid_scene(40, pose, pts, cls)
         assert detect(det, q) == []
 
     def test_unrelated_scene_rejected(self, rng):
@@ -767,9 +743,9 @@ class TestLoopClosureDetector:
         other_pts = rng.uniform(-6, 6, (10, 3))
         other_pts[:, 2] = 0.0
         det = detector(exclusion_window=10, ransac_min_inliers=6)
-        s0 = self.grid_scene(0, 0, Pose(), pts, cls)
-        det.add_submap(0, s0.histogram, [s0])
-        q = self.grid_scene(40, 1, Pose(), other_pts, cls)
+        s0 = self.grid_scene(0, Pose(), pts, cls)
+        det.add_submap(0, hist(s0), [s0])
+        q = self.grid_scene(40, Pose(), other_pts, cls)
         assert detect(det, q) == []
 
     @pytest.mark.parametrize("extra_side", ["query", "candidate"])
@@ -780,23 +756,23 @@ class TestLoopClosureDetector:
         q_pts, c_pts = (near, pts) if extra_side == "query" else (pts, near)
         det = detector(exclusion_window=5, tau_verify=0.0)
         c = scene(0, c_pts, [0] * len(c_pts))
-        det.add_submap(0, c.histogram, [c])
+        det.add_submap(0, hist(c), [c])
         q = scene(40, q_pts, [0] * len(q_pts))
         assert detect(det, q) == []
         # the same run with a fourth distinct landmark on the other side closes
         det = detector(exclusion_window=5, tau_verify=0.0)
         c = scene(0, near, [0] * 4)
-        det.add_submap(0, c.histogram, [c])
+        det.add_submap(0, hist(c), [c])
         q = scene(40, near, [0] * 4)
         assert len(detect(det, q)) == 1
 
     def test_at_most_one_closure_per_query(self, rng):
         pts, cls = self.make_world(rng)
         det = detector(exclusion_window=5)
-        s0 = self.grid_scene(0, 0, Pose(), pts, cls)
-        s1 = self.grid_scene(10, 0, Pose(np.array([0.1, 0, 0])), pts, cls)
-        det.add_submap(0, s0.histogram, [s0, s1])
-        q = self.grid_scene(40, 1, Pose(np.array([0.2, 0.1, 0.0])), pts, cls)
+        s0 = self.grid_scene(0, Pose(), pts, cls)
+        s1 = self.grid_scene(10, Pose(np.array([0.1, 0, 0])), pts, cls)
+        det.add_submap(0, hist(s0), [s0, s1])
+        q = self.grid_scene(40, Pose(np.array([0.2, 0.1, 0.0])), pts, cls)
         closures = detect(det, q)
         assert len(closures) == 1
 
@@ -820,8 +796,7 @@ def _revisit_run(seed, verify):
         if seen.size == 0:
             seen = np.array([int(np.argmin(np.linalg.norm(pts - pose.translation, axis=1)))])
         body = pose.transform_points_inverse(pts[seen]) + rng.normal(scale=0.02, size=(seen.size, 3))
-        hist = np.bincount(cls[seen], minlength=dim) / seen.size
-        scenes.append(SceneDescriptor(sid, sid // 6, hist, body, cls[seen]))
+        scenes.append(MeasurementTable.build(sid, np.zeros(seen.size), body, cls[seen]))
     # 100 RANSAC samples, the RunConfig default: the reference scans each one in Python
     overrides = dict(tau_jsd=0.3, r_l2=0.8, exclusion_window=10, run_seed=seed, ransac_iters=100, **verify)
     return scenes, detector(**overrides), detector(**overrides)
@@ -849,13 +824,14 @@ def test_detect_matches_scalar_oracle(monkeypatch):
     verified = []
 
     def record_verify(a, b, cfg, laplacian=None):
-        out = verify_pair(a, b, cfg, laplacian)
-        verified.append((a.scene_id, b.scene_id, out[1] is None))
-        seen["bound pass"] += out[1] is None
-        seen["scored pass"] += out[1] is not None and out[0]
-        seen["scored fail"] += out[1] is not None and not out[0]
+        ok = verify_pair(a, b, cfg, laplacian)
+        by_bound = min(len(a), len(b)) > 0 and score_bound(min(len(a), len(b)), cfg) > cfg.tau_verify
+        verified.append((a.scene_id, b.scene_id, by_bound))
+        seen["bound pass"] += by_bound
+        seen["scored pass"] += not by_bound and ok
+        seen["scored fail"] += not by_bound and not ok
         seen["distance_weighted"] += cfg.scene_term_mode == "distance_weighted"
-        return out
+        return ok
 
     def record_ransac(src, dst, rng, iters, tol, min_inliers, gap):
         seen["shared landmark"] += len(np.unique(src, axis=0)) < len(src) or len(np.unique(dst, axis=0)) < len(dst)
@@ -878,18 +854,18 @@ def test_detect_matches_scalar_oracle(monkeypatch):
             scenes, det, ref = _revisit_run(seed, verify)
             for k in range(8):
                 batch = scenes[6 * k : 6 * k + 6]
-                hist = sum(s.histogram * len(s.label_ids) for s in batch)
-                hist = hist / hist.sum()
-                submaps = similar_submaps(det.index, hist, det.cfg.tau_jsd)  # once per submap, as the pipeline does
+                counts = sum(np.bincount(s.labels, minlength=4) for s in batch)
+                submap_hist = counts / counts.sum()
+                submaps = similar_submaps(det, submap_hist)  # once per submap, as the pipeline does
                 for q in batch:
                     verified.clear()
-                    got, want = det.detect(submaps, q), scalar_detect(ref, hist, q)
+                    got, want = det.detect(submaps, q), scalar_detect(ref, submap_hist, q)
                     _same_closures(got, want)
                     bound_passed = {(qs, cs) for qs, cs, by_bound in verified if by_bound}
                     seen["closure after bound"] += any(
                         (lc.query_scene, lc.candidate_scene) in bound_passed for lc in got
                     )
                     assert det.rng.bit_generator.state == ref.rng.bit_generator.state
-                det.add_submap(k, hist, batch)
-                ref.add_submap(k, hist, batch)
+                det.add_submap(k, submap_hist, batch)
+                ref.add_submap(k, submap_hist, batch)
     assert all(seen.values()), seen

@@ -150,52 +150,80 @@ class CostMatrix:
         return Assignment(tuple(cols), total_cost, landmark_rows, new_rows)
 
 
+def _cov_groups(leaf, params: AssocParams):
+    """The landmark columns of `leaf` by covariance group, in group order, as
+    (columns, means, (L_inv, logdet)). Existing columns and Dirac classes are
+    group 0, and a previous column is its class's group. `columns` is a
+    slice when the previous columns are one group other than 0, or there are
+    none; otherwise it is an index array."""
+    ex, prev = leaf.existing, leaf.previous
+    n_ex, n_lm = len(ex), len(ex) + len(prev)
+    factors = params._cov_factors
+    if not len(prev):
+        return [(slice(0, n_ex), ex.means, factors[0])] if n_ex else []
+    prev_group = params._cov_group[np.minimum(prev.labels, len(params._cov_group) - 1)]
+    lo, hi = prev_group.min(), prev_group.max()
+    if lo < 0:
+        raise ContractViolation(f"no transitional covariance for class {prev.labels[np.argmax(prev_group < 0)]}")
+    if lo == hi != 0:  # the existing columns, then the previous ones
+        groups = [(slice(0, n_ex), ex.means, factors[0])] if n_ex else []
+        return groups + [(slice(n_ex, n_lm), prev.means, factors[lo])]
+    (means,) = leaf.columns("means")
+    col_group = np.concatenate([np.zeros(n_ex, dtype=int), prev_group])
+    groups = [(np.flatnonzero(col_group == g), factor) for g, factor in enumerate(factors)]
+    return [(cols, means[cols], factor) for cols, factor in groups if len(cols)]
+
+
 def build_cost_matrix(measurements: MeasurementTable, leaf, params: AssocParams) -> CostMatrix:
     """The cost matrix of the rows of `measurements` against the landmark tables and
     clutter count (`existing`, `previous`, `n_fp`) of a hypothesis leaf,
-    whose `columns` gives the landmark columns."""
+    whose `columns` gives the landmark columns.
+
+    Each covariance group is whitened by one product over all of its
+    (row, column) differences: split or stacked products round some
+    entries differently. The rest runs once over the whole landmark block:
+    the log densities, the class match, the cells and the validation gate."""
     n, n_ex = len(measurements), len(leaf.existing)
-    column_ids, col_class, means = leaf.columns("ids", "labels", "means")
+    column_ids, col_class = leaf.columns("ids", "labels")
     n_lm = len(column_ids)
-    mat = np.full((n, n_lm + 2 * n), kernels.BIG)
+    width = n_lm + 2 * n
+    mat = np.full((n, width), kernels.BIG)
     if n == 0:
         return CostMatrix(mat, column_ids, n_ex, np.zeros(n_lm), np.zeros(0))
     pos, meas_class = measurements.positions, measurements.labels
     row_log_prior = params._log_prior[np.minimum(meas_class, len(params._log_prior) - 1)]
-    # landmark columns, grouped by covariance: each group is whitened by one product
     dp_bonus = np.zeros(n_lm)
-    counts = leaf.existing.assign_count.tolist()
-    dp_bonus[:n_ex] = counts if params.dp_weight_mode == "exp" else [math.log(c) for c in counts]
-    col_group = params._cov_group[np.minimum(col_class, len(params._cov_group) - 1)]
-    col_group[:n_ex] = 0
-    if (col_group < 0).any():
-        raise ContractViolation(f"no transitional covariance for class {col_class[np.argmax(col_group < 0)]}")
-    density = np.full((n, n_lm), np.nan)
-    gated = np.zeros((n, n_lm), dtype=bool)
-    for g, (L_inv, logdet) in enumerate(params._cov_factors):
-        cols = np.flatnonzero(col_group == g)
-        if not len(cols):
-            continue
-        diffs = pos[:, None, :] - means[None, cols, :]  # (n, k, 3)
+    counts = leaf.existing.assign_count
+    dp_bonus[:n_ex] = counts if params.dp_weight_mode == "exp" else [math.log(c) for c in counts.tolist()]
+    maha, logdet = np.empty((n, n_lm)), np.empty(n_lm)
+    pos_rows = pos.repeat(n_lm, axis=0).reshape(n, n_lm, 3)  # pos_rows[i, j] = pos[i]
+    for cols, means, (L_inv, group_logdet) in _cov_groups(leaf, params):
+        k = len(means)
+        diffs = pos_rows[:, :k] - means  # (n, k, 3)
         y = L_inv @ diffs.reshape(-1, 3).T
-        maha = np.sum(y * y, axis=0).reshape(n, len(cols))
-        density[:, cols] = -0.5 * maha - logdet - 1.5 * _LOG2PI
-        gated[:, cols] = maha <= params.candidate_gate
-    if n_lm:
-        match = meas_class[:, None] == col_class[None, :]
-        density[~match] = np.nan
-        gated &= match
-        ll_lm = density + dp_bonus[None, :]
-        mat[:, :n_lm] = np.where(np.isnan(ll_lm), kernels.BIG, -ll_lm)
+        y *= y
+        maha[:, cols] = np.add.reduce(y, axis=0).reshape(n, k)  # x^2 + y^2, then + z^2
+        logdet[cols] = group_logdet
+    density = -0.5 * maha - logdet - 1.5 * _LOG2PI
+    match = meas_class[:, None] == col_class
+    cells = density + dp_bonus
+    np.negative(cells, out=cells)
+    if np.isnan(cells.sum()):  # an overflowing difference: forbidden, as a class mismatch is
+        match &= ~np.isnan(cells)
+    np.putmask(mat[:, :n_lm], match, cells)
+    gated = maha <= params.candidate_gate
+    gated &= match
+    cand_sum = np.add.reduce(np.where(gated, density, 0.0), axis=1)  # pairwise over each whole row
     new_cost = -(math.log(params.dirichlet_alpha) - math.log(params.map_volume))
     if leaf.n_fp > 0:
         fp_num = math.log(params.fp_rate) + math.log(leaf.n_fp)
     else:
         fp_num = math.log(params.fp_rate) + math.log(params.dirichlet_alpha)
-    cand_sum = np.sum(np.where(gated, density, 0.0), axis=1) if n_lm else np.zeros(n)
-    fp_cost = -(math.log(params.fp_norm_constant) + fp_num - cand_sum)
-    np.fill_diagonal(mat[:, n_lm:], new_cost)
-    np.fill_diagonal(mat[:, n_lm + n :], fp_cost)
+    # row i's New and FalsePositive cells, (i, n_lm + i) and (i, n_lm + n + i),
+    # are every (width + 1)-th entry of the flat matrix
+    flat = mat.reshape(-1)
+    flat[n_lm : n * width : width + 1] = new_cost
+    flat[n_lm + n : n * width : width + 1] = -(math.log(params.fp_norm_constant) + fp_num - cand_sum)
     return CostMatrix(mat, column_ids, n_ex, dp_bonus, row_log_prior)
 
 
@@ -213,16 +241,17 @@ def measurement_set_log_likelihood(assignment: Assignment, cm: CostMatrix) -> fl
     if len(assignment.columns) != cm.n_rows:
         raise ContractViolation("assignment does not cover all measurements")
     total, landmark_rows = 0.0, set(assignment.landmark_rows)
+    cell, row_log_prior, dp_bonus = cm.matrix.item, cm.row_log_prior.item, cm.dp_bonus.item
     for i, j in enumerate(assignment.columns):
-        cost = float(cm.matrix[i, j])
+        cost = cell(i, j)
         if cost >= kernels.BIG / 2:
             return LOG_ZERO
         if i in landmark_rows:
-            prior = float(cm.row_log_prior[i])
+            prior = row_log_prior(i)
             if prior <= LOG_ZERO:
                 return LOG_ZERO
             total += prior
-            total += -cost - float(cm.dp_bonus[j])
+            total += -cost - dp_bonus(j)
         else:
             total -= cost
     return total
@@ -239,11 +268,14 @@ def _lex_refine(mat: np.ndarray, row_to_col: np.ndarray, u: np.ndarray, v: np.nd
     Rows before the first one with a tied cell left of its column keep it."""
     n, m = mat.shape
     # allowed cells with (near-)zero reduced cost; the assigned ones are optimal
-    tied = (mat - u[:, None] - v <= tol) & (mat < kernels.BIG / 2)
-    start = np.flatnonzero((tied & (np.arange(m) < row_to_col[:, None])).any(axis=1))
-    if not start.size:
+    tied = mat - u[:, None]
+    tied -= v
+    tied = tied <= tol
+    tied &= mat < kernels.BIG / 2
+    ahead = np.logical_or.reduce(tied & (np.arange(m) < row_to_col[:, None]), axis=1)
+    start = int(ahead.argmax())
+    if not ahead[start]:
         return row_to_col
-    start = int(start[0])
     fixed = mat.copy()
     fixed[:start] = kernels.BIG
     fixed[np.arange(start), row_to_col[:start]] = mat[np.arange(start), row_to_col[:start]]

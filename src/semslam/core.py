@@ -66,7 +66,7 @@ def check_spd_stack(covs: np.ndarray, tol: float = SPD_EIG_TOL) -> None:
     covs = np.asarray(covs)
     if covs.ndim != 3 or covs.shape[1:] != (3, 3):
         raise ContractViolation(f"expected a stack of 3x3 covariances, got {covs.shape}")
-    t = np.swapaxes(covs, 1, 2)
+    t = covs.swapaxes(1, 2)
     same = covs == t  # equal infinities are close, as in np.isclose
     if not same.all():
         with np.errstate(invalid="ignore"):
@@ -130,9 +130,9 @@ class LandmarkTable:
         """The rows of `tables`, sorted by id, in new arrays unless there is
         one table. Ids must be unique."""
         out = tables[0] if len(tables) == 1 else cls.stack(tables)
-        if (np.diff(out.ids) <= 0).any():
+        if (out.ids[1:] <= out.ids[:-1]).any():
             out = out.take(np.argsort(out.ids, kind="stable"))
-            if (np.diff(out.ids) == 0).any():
+            if (out.ids[1:] == out.ids[:-1]).any():
                 raise ContractViolation("landmark id in more than one row")
         return out
 
@@ -163,7 +163,10 @@ class PoseTable:
 
     def append(self, pose: Pose) -> "PoseTable":
         """This table with `pose` as a new last row, in new arrays."""
-        return PoseTable(np.vstack([self.translations, pose.translation]), np.vstack([self.rotations, pose.rotation]))
+        return PoseTable(
+            np.concatenate([self.translations, pose.translation[None]]),
+            np.concatenate([self.rotations, pose.rotation[None]]),
+        )
 
 
 def class_counts(labels, n_classes: int) -> np.ndarray:

@@ -20,10 +20,10 @@ def _kalman_batch(means, covs, z, meas_cov):
     means and (B, n, n) covariances by (B, n) measurements, h(x) = x. S is
     SPD whenever the prior is PSD and meas_cov SPD, so the solve holds."""
     S = covs + np.asarray(meas_cov)
-    K = np.swapaxes(np.linalg.solve(np.swapaxes(S, 1, 2), np.swapaxes(covs, 1, 2)), 1, 2)  # P S^-1
+    K = np.linalg.solve(S.swapaxes(1, 2), covs.swapaxes(1, 2)).swapaxes(1, 2)  # P S^-1
     mean = means + (K @ (z - means)[:, :, None])[:, :, 0]
-    cov = covs - K @ S @ np.swapaxes(K, 1, 2)
-    return mean, 0.5 * (cov + np.swapaxes(cov, 1, 2))
+    cov = covs - K @ S @ K.swapaxes(1, 2)
+    return mean, 0.5 * (cov + cov.swapaxes(1, 2))
 
 
 def ukf_update(mean: np.ndarray, cov: np.ndarray, z: np.ndarray, meas_cov: np.ndarray, cfg: RunConfig):

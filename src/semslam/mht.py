@@ -112,47 +112,53 @@ class HypothesisTree:
             raise ContractViolation("branches must be non-empty")
         ex, prev, n_ex = leaf.existing, leaf.previous, len(leaf.existing)
         pos, labels, scene = measurements.positions, measurements.labels, measurements.scene_id
-        children = []
-        updates = []  # (child, measurement rows, landmark columns), in child and measurement order
+        children, plans = [], []
         for assignment in branches:
             ll = measurement_set_log_likelihood(assignment, cost_matrix)
             lp = assignment_prior_log(assignment, assoc_params)
             cols, rows, created = assignment.columns, assignment.landmark_rows, assignment.new_rows
-            child = HypothesisNode(leaf.log_weight + ll + lp, ex, prev, leaf.n_fp + assignment.n_fp)
+            children.append(HypothesisNode(leaf.log_weight + ll + lp, ex, prev, leaf.n_fp + assignment.n_fp))
+            plans.append((rows, [cols[i] for i in rows], created, self.next_landmark_id))
+            self.next_landmark_id += len(created)
+        # every branch's landmark updates run as one Kalman batch, in child and
+        # measurement order, gathered from this leaf's columns
+        lm_cols = np.array([j for _, cols, _, _ in plans for j in cols], dtype=int)
+        if len(lm_cols):
+            source = (ex.means, ex.covs) if lm_cols.max() < n_ex else leaf.columns("means", "covs")
+            z = pos.take([i for rows, _, _, _ in plans for i in rows], axis=0)
+            prior_means, prior_covs = (column.take(lm_cols, axis=0) for column in source)
+            mean, cov = ukf_update_safe(prior_means, prior_covs, z, assoc_params.meas_cov)
+        stop = 0
+        for child, (rows, cols, created, first_id) in zip(children, plans):
+            if not (rows or created):
+                continue  # the child shares the leaf's tables
+            start, stop = stop, stop + len(rows)
+            # the child's rows: the leaf's existing rows, the previous rows its
+            # branch re-anchors into the current submap (keeping their creation
+            # ids), then the rows it creates. Updates are written in that order,
+            # in place where the stack built new arrays, else into copies; the
+            # rows are then sorted by id.
+            moved = [j - n_ex for j in cols if j >= n_ex]
             parts = [ex]
-            moved = [cols[i] - n_ex for i in rows if cols[i] >= n_ex]
             if moved:
-                # re-anchored into the current submap; keeps the creation id
-                child.previous = prev.take(np.delete(np.arange(len(prev)), moved))
+                kept = np.ones(len(prev), dtype=bool)
+                kept[moved] = False
+                child.previous = prev.take(kept)
                 parts.append(prev.take(moved))
             if created:
-                ids = np.arange(self.next_landmark_id, self.next_landmark_id + len(created))
-                self.next_landmark_id += len(created)
+                ids = np.arange(first_id, first_id + len(created))
                 covs = np.broadcast_to(assoc_params.meas_cov, (len(ids), 3, 3))  # checked once, by AssocParams
-                last_scene = np.full_like(ids, scene)
-                parts.append(LandmarkTable(ids, labels[created], pos[created], covs, np.ones_like(ids), last_scene))
-            child.existing = LandmarkTable.concat(parts)
+                new = (labels.take(created), pos.take(created, axis=0), covs, np.ones_like(ids), np.full_like(ids, scene))
+                parts.append(LandmarkTable(ids, *new))
+            t = LandmarkTable.stack(parts) if len(parts) > 1 else ex
+            updated = (t.means, t.covs, t.assign_count, t.last_scene)
+            means, covs, counts, last_scene = updated if t is not ex else (a.copy() for a in updated)
             if rows:
-                updates.append((child, rows, [cols[i] for i in rows]))
-            children.append(child)
-        # every branch's landmark updates run as one Kalman batch, gathered from
-        # this leaf's columns and written into each child's rows: in place
-        # where concat built the child new arrays, else into copies
-        if updates:
-            lm_cols = [j for _, _, cols in updates for j in cols]
-            prior_means, prior_covs = (column[lm_cols] for column in leaf.columns("means", "covs"))
-            z = pos[[i for _, rows, _ in updates for i in rows]]
-            mean, cov = ukf_update_safe(prior_means, prior_covs, z, assoc_params.meas_cov)
-            start = 0
-            for child, rows, cols in updates:
-                t, stop = child.existing, start + len(rows)
-                at = np.searchsorted(t.ids, cost_matrix.column_ids[cols])
-                columns = (t.means, t.covs, t.assign_count, t.last_scene)
-                means, covs, counts, last_scene = columns if t is not ex else (a.copy() for a in columns)
+                after = iter(range(n_ex, len(t)))
+                at = np.array([j if j < n_ex else next(after) for j in cols])
                 means[at], covs[at], last_scene[at] = mean[start:stop], cov[start:stop], scene
                 counts[at] += 1
-                child.existing = LandmarkTable(t.ids, t.labels, means, covs, counts, last_scene)
-                start = stop
+            child.existing = LandmarkTable.concat([LandmarkTable(t.ids, t.labels, means, covs, counts, last_scene)])
         self.leaves = [node for node in self.leaves if node is not leaf] + children
         return children
 

@@ -116,16 +116,25 @@ class Pipeline:
 
     def process_scene(self, step: int, measurements: MeasurementTable, odom_inc: Optional[Pose]):
         """Extend the trajectory by odom_inc, then associate the scene's
-        body-frame measurements in the world frame."""
+        body-frame measurements in the world frame. Scene ids are pose ids,
+        so the table of step t must have scene id t, and step t > 0 adds
+        pose row t."""
+        if measurements.scene_id != step:
+            raise ValueError(f"measurement table has scene id {measurements.scene_id} at step {step}")
+        poses = self.graph.poses
+        if step != (len(poses) if step > 0 else len(poses) - 1):
+            raise ValueError(f"step {step} does not follow a trajectory of {len(poses)} poses")
         if step > 0:
             if odom_inc is None:
                 raise ValueError("missing odometry increment")
-            poses = self.graph.poses
-            self.graph.poses = poses.append(poses.pose(-1).compose(odom_inc))
+            pose = poses.pose(-1).compose(odom_inc)
+            self.graph.poses = poses.append(pose)
             self.graph.factors.append(RelativePoseFactor(step - 1, step, odom_inc, self._odo_info))
+        else:
+            pose = poses.pose(0)
         if len(measurements):
             scene, times, labels = measurements.scene_id, measurements.times, measurements.labels
-            world = self.graph.poses.pose(step).transform_points(measurements.positions)  # checked: it may overflow
+            world = pose.transform_points(measurements.positions)  # checked: it may overflow
             self._associate(MeasurementTable.build(scene, times, world, labels))
             self._submap_scenes.append(measurements)
 

@@ -1066,3 +1066,140 @@ def tree_combo_branches(ms, leaf, cm):
                 targets.append(Previous(lid))
         branches.append(assignment_of(cm, targets))
     return branches
+
+
+# ---------------------------------------------------------------------------
+# reference per-leaf association: the cost matrix, branch score and leaf
+# extension written one covariance group and one child at a time, with a
+# NaN-filled density table and a sort-then-search table update. The package
+# computes the same numbers in fewer array passes; tests/test_perleaf.py
+# compares the two bit for bit.
+
+
+def oracle_cost_matrix(measurements, leaf, params):
+    """The cost matrix of `measurements` against `leaf`, one column gather,
+    product and scatter per covariance group."""
+    from semslam import kernels
+    from semslam.assoc import CostMatrix
+
+    n, n_ex = len(measurements), len(leaf.existing)
+    column_ids, col_class, means = leaf.columns("ids", "labels", "means")
+    n_lm = len(column_ids)
+    mat = np.full((n, n_lm + 2 * n), kernels.BIG)
+    if n == 0:
+        return CostMatrix(mat, column_ids, n_ex, np.zeros(n_lm), np.zeros(0))
+    pos, meas_class = measurements.positions, measurements.labels
+    row_log_prior = params._log_prior[np.minimum(meas_class, len(params._log_prior) - 1)]
+    dp_bonus = np.zeros(n_lm)
+    counts = leaf.existing.assign_count.tolist()
+    dp_bonus[:n_ex] = counts if params.dp_weight_mode == "exp" else [math.log(c) for c in counts]
+    col_group = params._cov_group[np.minimum(col_class, len(params._cov_group) - 1)]
+    col_group[:n_ex] = 0
+    if (col_group < 0).any():
+        raise ContractViolation(f"no transitional covariance for class {col_class[np.argmax(col_group < 0)]}")
+    density = np.full((n, n_lm), np.nan)
+    gated = np.zeros((n, n_lm), dtype=bool)
+    for g, (L_inv, logdet) in enumerate(params._cov_factors):
+        cols = np.flatnonzero(col_group == g)
+        if not len(cols):
+            continue
+        diffs = pos[:, None, :] - means[None, cols, :]
+        y = L_inv @ diffs.reshape(-1, 3).T
+        maha = np.sum(y * y, axis=0).reshape(n, len(cols))
+        density[:, cols] = -0.5 * maha - logdet - 1.5 * math.log(2.0 * math.pi)
+        gated[:, cols] = maha <= params.candidate_gate
+    if n_lm:
+        match = meas_class[:, None] == col_class[None, :]
+        density[~match] = np.nan
+        gated &= match
+        ll_lm = density + dp_bonus[None, :]
+        mat[:, :n_lm] = np.where(np.isnan(ll_lm), kernels.BIG, -ll_lm)
+    new_cost = -(math.log(params.dirichlet_alpha) - math.log(params.map_volume))
+    if leaf.n_fp > 0:
+        fp_num = math.log(params.fp_rate) + math.log(leaf.n_fp)
+    else:
+        fp_num = math.log(params.fp_rate) + math.log(params.dirichlet_alpha)
+    cand_sum = np.sum(np.where(gated, density, 0.0), axis=1) if n_lm else np.zeros(n)
+    fp_cost = -(math.log(params.fp_norm_constant) + fp_num - cand_sum)
+    np.fill_diagonal(mat[:, n_lm:], new_cost)
+    np.fill_diagonal(mat[:, n_lm + n :], fp_cost)
+    return CostMatrix(mat, column_ids, n_ex, dp_bonus, row_log_prior)
+
+
+def oracle_set_log_likelihood(assignment, cm):
+    """The branch score read from `cm` one cell at a time."""
+    from semslam import kernels
+
+    total, landmark_rows = 0.0, set(assignment.landmark_rows)
+    for i, j in enumerate(assignment.columns):
+        cost = float(cm.matrix[i, j])
+        if cost >= kernels.BIG / 2:
+            return LOG_ZERO
+        if i in landmark_rows:
+            prior = float(cm.row_log_prior[i])
+            if prior <= LOG_ZERO:
+                return LOG_ZERO
+            total += prior
+            total += -cost - float(cm.dp_bonus[j])
+        else:
+            total -= cost
+    return total
+
+
+def _oracle_concat(tables):
+    """LandmarkTable.concat: the rows of `tables`, sorted by id."""
+    out = tables[0] if len(tables) == 1 else LandmarkTable.stack(tables)
+    if (np.diff(out.ids) <= 0).any():
+        out = out.take(np.argsort(out.ids, kind="stable"))
+        if (np.diff(out.ids) == 0).any():
+            raise ContractViolation("landmark id in more than one row")
+    return out
+
+
+def oracle_extend(next_landmark_id, leaf, branches, measurements, params, cm):
+    """The children of `leaf`, one per branch, and the next free landmark id:
+    each child's table is concatenated and sorted first, and its updated
+    rows are then found by id. Returns (children, next_landmark_id)."""
+    from semslam.assoc import assignment_prior_log
+    from semslam.estimation import ukf_update_safe
+    from semslam.mht import HypothesisNode
+
+    ex, prev, n_ex = leaf.existing, leaf.previous, len(leaf.existing)
+    pos, labels, scene = measurements.positions, measurements.labels, measurements.scene_id
+    children, updates = [], []
+    for assignment in branches:
+        ll = oracle_set_log_likelihood(assignment, cm)
+        lp = assignment_prior_log(assignment, params)
+        cols, rows, created = assignment.columns, assignment.landmark_rows, assignment.new_rows
+        child = HypothesisNode(leaf.log_weight + ll + lp, ex, prev, leaf.n_fp + assignment.n_fp)
+        parts = [ex]
+        moved = [cols[i] - n_ex for i in rows if cols[i] >= n_ex]
+        if moved:
+            child.previous = prev.take(np.delete(np.arange(len(prev)), moved))
+            parts.append(prev.take(moved))
+        if created:
+            ids = np.arange(next_landmark_id, next_landmark_id + len(created))
+            next_landmark_id += len(created)
+            covs = np.broadcast_to(params.meas_cov, (len(ids), 3, 3))
+            last_scene = np.full_like(ids, scene)
+            parts.append(LandmarkTable(ids, labels[created], pos[created], covs, np.ones_like(ids), last_scene))
+        child.existing = _oracle_concat(parts)
+        if rows:
+            updates.append((child, rows, [cols[i] for i in rows]))
+        children.append(child)
+    if updates:
+        lm_cols = [j for _, _, cols in updates for j in cols]
+        prior_means, prior_covs = (column[lm_cols] for column in leaf.columns("means", "covs"))
+        z = pos[[i for _, rows, _ in updates for i in rows]]
+        mean, cov = ukf_update_safe(prior_means, prior_covs, z, params.meas_cov)
+        start = 0
+        for child, rows, cols in updates:
+            t, stop = child.existing, start + len(rows)
+            at = np.searchsorted(t.ids, cm.column_ids[cols])
+            columns = (t.means, t.covs, t.assign_count, t.last_scene)
+            means, covs, counts, last_scene = columns if t is not ex else (a.copy() for a in columns)
+            means[at], covs[at], last_scene[at] = mean[start:stop], cov[start:stop], scene
+            counts[at] += 1
+            child.existing = LandmarkTable(t.ids, t.labels, means, covs, counts, last_scene)
+            start = stop
+    return children, next_landmark_id

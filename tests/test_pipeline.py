@@ -1,5 +1,7 @@
 """End-to-end pipeline behavior on simulated worlds."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,21 @@ def test_appended_pose_is_the_composed_pose():
         assert poses.rotations[row].tobytes() == pose.rotation.tobytes()
 
 
+def test_scene_is_moved_by_the_pose_of_its_step(monkeypatch):
+    """A scene enters the world frame by the pose of its own step, with the
+    bits of that row's transform."""
+    pipe, seen = Pipeline(RunConfig()), []
+    monkeypatch.setattr(pipe, "_associate", lambda table: seen.append(table.positions))
+    point = np.array([[0.5, 0.2, 0.1]])
+    inc = Pose(np.array([1.0, 0.0, 0.0]), quat_from_rotvec(np.array([0.0, 0.0, 0.3])))
+    for step in (0, 1, 2):
+        pipe.process_scene(step, MeasurementTable.build(step, [0.0], point, [0]), inc if step else None)
+    poses = pipe.graph.poses
+    assert len(poses) == 3
+    want = [poses.pose(row).transform_points(point) for row in (0, 1, 2)]
+    assert [p.tobytes() for p in seen] == [p.tobytes() for p in want]
+
+
 def test_submap_without_landmarks_is_not_searched_or_indexed(monkeypatch):
     """A submap that fuses no landmark has an all-zero class histogram, which
     has no JSD. It neither searches (which would raise) nor enters the index,
@@ -105,6 +122,45 @@ class TestValidation:
     def test_odometry_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="odometry increments"):
             run_pipeline(RunConfig(steps=3), [[], [], []], PoseTable.of([]))
+
+    def test_scene_ids_past_their_steps_rejected(self):
+        """Scene ids are pose ids: tables numbered 5 past their steps would
+        anchor landmarks to poses that do not exist. The first is rejected."""
+        cfg = RunConfig(steps=24)
+        world, body, increments = simulate_for(cfg)
+        shifted = [dataclasses.replace(ms, scene_id=ms.scene_id + 5) for ms in body]
+        with pytest.raises(ValueError, match="scene id 5 at step 0"):
+            run_pipeline(cfg, shifted, increments, world.trajectory)
+
+    def test_scene_id_below_its_step_rejected_before_any_state_changes(self):
+        """A table numbered one below its step would anchor its landmarks to
+        the previous pose. It is rejected before the step adds a pose, a
+        factor, a leaf or a scene."""
+        cfg = RunConfig(steps=24)
+        world, body, increments = simulate_for(cfg)
+        pipe = Pipeline(cfg)
+        for t in range(4):
+            pipe.process_scene(t, body[t], increments.pose(t - 1) if t else None)
+        assert len(body[4])
+        before = (pipe.graph.poses, len(pipe.graph.factors), list(pipe.tree.leaves), len(pipe._submap_scenes))
+        with pytest.raises(ValueError, match="scene id 3 at step 4"):
+            pipe.process_scene(4, dataclasses.replace(body[4], scene_id=3), increments.pose(3))
+        assert (pipe.graph.poses, len(pipe.graph.factors), pipe.tree.leaves, len(pipe._submap_scenes)) == before
+
+    @pytest.mark.parametrize("steps", [(5,), (0, 1, 2, 0), (0, 1, 3)])
+    def test_step_that_is_not_the_next_pose_row_rejected(self, steps):
+        """Step t > 0 adds pose row t, and step 0 is the first pose's: a
+        step that skips ahead or goes back is rejected before any state
+        changes, though its table carries its own scene id."""
+        pipe = Pipeline(RunConfig())
+        point, inc = np.array([[0.5, 0.2, 0.1]]), Pose(np.array([1.0, 0.0, 0.0]))
+        *done, bad = steps
+        for step in done:
+            pipe.process_scene(step, MeasurementTable.build(step, [0.0], point, [0]), inc if step else None)
+        before = (pipe.graph.poses, len(pipe.graph.factors), list(pipe.tree.leaves), len(pipe._submap_scenes))
+        with pytest.raises(ValueError, match=f"step {bad} does not follow a trajectory of {len(before[0])} poses"):
+            pipe.process_scene(bad, MeasurementTable.build(bad, [0.0], point, [0]), inc if bad else None)
+        assert (pipe.graph.poses, len(pipe.graph.factors), pipe.tree.leaves, len(pipe._submap_scenes)) == before
 
 
 class TestNoiselessRun:

@@ -24,12 +24,7 @@ _LOG2PI = math.log(2.0 * math.pi)
 @dataclass(frozen=True, eq=False)
 class AssocParams:
     """Tunables of the association model. The fields named after `RunConfig`
-    keys have no default: the pipeline passes the config's values.
-
-    fp_norm_constant is the proportionality constant of the false-positive
-    likelihood (the model only fixes it up to proportionality; it cancels in
-    the ranking of assignments within a time step).
-    """
+    keys have no default: the pipeline passes the config's values."""
 
     meas_cov: np.ndarray
     trans_cov_by_class: Mapping[int, np.ndarray]  # class id -> transitional covariance
@@ -42,7 +37,6 @@ class AssocParams:
     dp_weight_mode: str  # "exp" follows the printed model, "linear" the standard DP weight
     class_prior: Mapping[int, float] = field(default_factory=dict)  # class id -> p_s(class)
     dirac_classes: frozenset = frozenset()  # class ids
-    fp_norm_constant: float = 1.0
     # candidates enter the false-positive denominator only inside this
     # squared-Mahalanobis validation gate (chi-square 99%, 3 dof); without it
     # any far-off candidate density drives the false-positive likelihood to
@@ -223,7 +217,7 @@ def build_cost_matrix(measurements: MeasurementTable, leaf, params: AssocParams)
     # are every (width + 1)-th entry of the flat matrix
     flat = mat.reshape(-1)
     flat[n_lm : n * width : width + 1] = new_cost
-    flat[n_lm + n : n * width : width + 1] = -(math.log(params.fp_norm_constant) + fp_num - cand_sum)
+    flat[n_lm + n : n * width : width + 1] = -(fp_num - cand_sum)
     return CostMatrix(mat, column_ids, n_ex, dp_bonus, row_log_prior)
 
 
@@ -261,52 +255,66 @@ class InfeasibleAssignment(RuntimeError):
     pass
 
 
-def _lex_refine(mat: np.ndarray, row_to_col: np.ndarray, u: np.ndarray, v: np.ndarray, total: float, tol: float):
-    """Deterministic tie break: lexicographically smallest optimal assignment
-    (lowest column per row, rows in order). Zero reduced cost is necessary
-    for a cell to appear in any optimal assignment, so ties are cheap to find.
-    Rows before the first one with a tied cell left of its column keep it."""
+def _lex_refine(mat: np.ndarray, row_to_col: np.ndarray, u: np.ndarray, v: np.ndarray, tol: float):
+    """Deterministic tie break: the lexicographically smallest optimal
+    assignment (lowest column per row, rows in order), read from lap_solve's
+    duals u, v. By complementary slackness an assignment is optimal exactly
+    when every cell it takes is tight, with reduced cost mat - u - v <= tol
+    (per cell), and it takes every column whose dual is below -tol. So each
+    row in turn keeps its lowest tight column from which an alternating path
+    over tight cells re-matches the later rows; the free columns act as one
+    extra row, n, that may take any column of zero dual."""
     n, m = mat.shape
-    # allowed cells with (near-)zero reduced cost; the assigned ones are optimal
-    tied = mat - u[:, None]
-    tied -= v
-    tied = tied <= tol
-    tied &= mat < kernels.BIG / 2
-    ahead = np.logical_or.reduce(tied & (np.arange(m) < row_to_col[:, None]), axis=1)
-    start = int(ahead.argmax())
-    if not ahead[start]:
+    tight = mat - u[:, None]
+    tight -= v
+    tight = tight <= tol
+    tight &= mat < kernels.BIG / 2
+    if not (tight & (np.arange(m) < row_to_col[:, None])).any():
         return row_to_col
-    fixed = mat.copy()
-    fixed[:start] = kernels.BIG
-    fixed[np.arange(start), row_to_col[:start]] = mat[np.arange(start), row_to_col[:start]]
-    current = row_to_col.copy()
-    for i in range(start, n):
-        assigned = current[i]
-        # tied columns below the assigned one, in ascending order
-        for j in np.flatnonzero(tied[i, :assigned]).tolist():
-            trial = fixed.copy()
-            trial[i, :] = kernels.BIG
-            trial[i, j] = mat[i, j]
-            r2c, _, _, t2 = kernels.lap_solve(trial)
-            if t2 <= total + tol:
-                current = r2c
-                assigned = j
-                break
-        fixed[i, :] = kernels.BIG
-        fixed[i, assigned] = mat[i, assigned]
-    return current
+    takes = np.vstack([tight, v >= -tol])
+    current = np.append(row_to_col, -1)  # slot n takes the free row's moves, never read
+    for i in range(n):
+        c = current[i]
+        if tight[i, :c].any():
+            owner = np.full(m, n)  # the row holding each column
+            owner[current[:n]] = np.arange(n)
+            # step[a]: the column that later row a (or the free row) moves onto,
+            # on a shortest path of moves that ends by taking c, row i's column
+            step, reach = np.full(n + 1, -1), np.arange(m) == c
+            while True:
+                can = takes[i + 1 :] & reach
+                new = np.logical_or.reduce(can, axis=1) & (step[i + 1 :] < 0)
+                if not new.any():
+                    break
+                step[i + 1 :][new] = can[new].argmax(axis=1)
+                reach |= step[owner] >= 0
+            movable = np.flatnonzero(tight[i, :c] & (step[owner[:c]] >= 0))
+            if len(movable):
+                a, current[i] = owner[movable[0]], movable[0]
+                while a != i:  # each row on the path takes its step, the last one c
+                    current[a], a = step[a], owner[step[a]]
+    return current[:n]
+
+
+def _solve(cm: CostMatrix, mat: np.ndarray) -> Tuple[Assignment, float]:
+    """The lexicographically first optimum of `mat` (cm's matrix, or a copy
+    with cells forbidden) and lap_solve's total, if finite."""
+    row_to_col, u, v, total = kernels.lap_solve(mat)
+    if total >= kernels.BIG / 2:
+        raise InfeasibleAssignment("no finite assignment exists")
+    # The one tie this tolerance decides on the panel: at n_fp = 2 with no
+    # gated candidate, a FalsePositive cell, -log(fp_rate * 2), and a New
+    # cell, log(map_volume / dirichlet_alpha), are both log 50 to a few
+    # ulps, and the row takes the lower column, New.
+    cols = _lex_refine(mat, row_to_col, u, v, 1e-9 * max(1.0, abs(total)))
+    return cm.assignment_at(cols, float(mat[np.arange(cm.n_rows), cols].sum())), total
 
 
 def solve_assignment(cm: CostMatrix) -> Assignment:
     """Minimum-cost assignment; ties resolved toward low row then column index."""
     if cm.n_rows == 0:
         return cm.assignment_at(np.zeros(0, dtype=int))
-    row_to_col, u, v, total = kernels.lap_solve(cm.matrix)
-    if total >= kernels.BIG / 2:
-        raise InfeasibleAssignment("no finite assignment exists")
-    tol = 1e-9 * max(1.0, abs(total))
-    row_to_col = _lex_refine(cm.matrix, row_to_col, u, v, total, tol)
-    return cm.assignment_at(row_to_col, float(cm.matrix[np.arange(cm.n_rows), row_to_col].sum()))
+    return _solve(cm, cm.matrix)[0]
 
 
 def generate_branches(
@@ -334,14 +342,14 @@ def generate_branches(
         # rounding is monotone, so this bounds the re-solve's total from below
         if float(np.add.accumulate(mat.min(axis=1))[-1]) > best.total_cost + plausibility_gap:
             break
-        row_to_col, u, v, total = kernels.lap_solve(mat)
-        if total >= kernels.BIG / 2:
+        try:
+            branch, total = _solve(cm, mat)
+        except InfeasibleAssignment:
             break
         if total > best.total_cost + plausibility_gap:
             break
-        tol = 1e-9 * max(1.0, abs(total))
-        cols = _lex_refine(mat, row_to_col, u, v, total, tol)
-        branches.append(cm.assignment_at(cols, float(mat[rows, cols].sum())))
+        branches.append(branch)
+        cols = branch.columns
     return branches
 
 

@@ -41,7 +41,9 @@ def cauchy_cost(residual_norm, c):
 
 
 class StructuralError(RuntimeError):
-    """A factor references a missing variable or the graph is disconnected."""
+    """The graph has not exactly one prior, a factor references a missing
+    pose or landmark, or a pose or landmark has no factor. Connectivity is
+    not checked: the pipeline's odometry chain connects every pose."""
 
 
 _EYE3 = np.eye(3)
@@ -140,36 +142,6 @@ class GraphState:
     landmarks: Dict[int, np.ndarray] = field(default_factory=dict)
     factors: List[Factor] = field(default_factory=list)
 
-    def check_structure(self):
-        priors = [f for f in self.factors if isinstance(f, PriorFactor)]
-        if len(priors) != 1:
-            raise StructuralError(f"expected exactly one prior factor, found {len(priors)}")
-        has_pose = lambda pid: 0 <= pid < len(self.poses)
-        touched = set()
-        for f in self.factors:
-            if isinstance(f, PriorFactor):
-                if not has_pose(f.pose_id):
-                    raise StructuralError("prior references a missing pose")
-                touched.add(("pose", f.pose_id))
-            elif isinstance(f, RelativePoseFactor):
-                for pid in (f.pose_i, f.pose_j):
-                    if not has_pose(pid):
-                        raise StructuralError(f"factor references missing pose {pid}")
-                    touched.add(("pose", pid))
-            else:
-                if not has_pose(f.pose_id):
-                    raise StructuralError(f"factor references missing pose {f.pose_id}")
-                if f.landmark_id not in self.landmarks:
-                    raise StructuralError(f"factor references missing landmark {f.landmark_id}")
-                touched.add(("pose", f.pose_id))
-                touched.add(("landmark", f.landmark_id))
-        for pid in range(len(self.poses)):
-            if ("pose", pid) not in touched:
-                raise StructuralError(f"pose {pid} has no factor")
-        for lid in self.landmarks:
-            if ("landmark", lid) not in touched:
-                raise StructuralError(f"landmark {lid} has no factor")
-
 
 @dataclass
 class OptimizeResult:
@@ -264,7 +236,8 @@ class _LandmarkStack(_Stack):
     def __init__(self, factors, landmark_index: Dict[int, int]):
         super().__init__(factors, 3)
         self.p = np.array([f.pose_id for f in factors], dtype=np.intp)
-        self.l = np.array([landmark_index[f.landmark_id] for f in factors], dtype=np.intp)
+        self.ids = [f.landmark_id for f in factors]
+        self.l = np.array([landmark_index.get(lid, -1) for lid in self.ids], dtype=np.intp)  # -1: missing
         self.z = np.array([f.measured for f in factors], dtype=float).reshape(-1, 3)
 
     def terms(self, t, R, L):
@@ -292,15 +265,12 @@ class _Problem:
         for f in g.factors:
             by_type[type(f)].append(f)
         self.edges = e = _EdgeStack(by_type[PriorFactor], by_type[RelativePoseFactor])
-        marks = by_type[LandmarkFactor]
-        self.marks = None
-        if marks:
-            self.marks = _LandmarkStack(marks, {lid: k for k, lid in enumerate(self.landmark_ids)})
+        self.marks = _LandmarkStack(by_type[LandmarkFactor], {lid: k for k, lid in enumerate(self.landmark_ids)})
         self.t0, self.q0 = g.poses.translations, g.poses.rotations
         self.L0 = np.array([g.landmarks[l] for l in self.landmark_ids], dtype=float).reshape(M, 3)
 
         # pose-landmark blocks: one per observed (pose, landmark) pair
-        p, l = (self.marks.p, self.marks.l) if marks else (np.zeros(0, np.intp),) * 2
+        p, l = self.marks.p, self.marks.l
         keys, pair_of = np.unique(p * M + l, return_inverse=True)
         self.pair_p, self.pair_l = keys // max(M, 1), keys % max(M, 1)
         # one output holds Hpp, then b, then Hll, then Hpl
@@ -313,9 +283,8 @@ class _Problem:
         pp = lambda rows, cols: _block_index(rows, cols, 6, 6, n6)
         idx = [o_b + _segment_index(e.j[:n0], 6), pp(e.j[:n0], e.j[:n0])]
         idx += [o_b + _segment_index(i, 6), o_b + _segment_index(j, 6), pp(i, i), pp(i, j), pp(j, i), pp(j, j)]
-        if marks:
-            idx += [o_b + _segment_index(p, 6), o_b + n6 + _segment_index(l, 3), pp(p, p)]
-            idx += [o_pl + _segment_index(pair_of, 18), o_ll + _segment_index(l, 9)]
+        idx += [o_b + _segment_index(p, 6), o_b + n6 + _segment_index(l, 3), pp(p, p)]
+        idx += [o_pl + _segment_index(pair_of, 18), o_ll + _segment_index(l, 9)]
         self._idx = np.concatenate(idx)
 
         # Schur fill: every two pairs that share a landmark couple their poses
@@ -323,6 +292,26 @@ class _Problem:
         self._schur = _block_index(self.pair_p[self._qa], self.pair_p[self._qb], 6, 6, n6)
         self._pair_grad_p = _segment_index(self.pair_p, 6)
         self._pair_grad_l = _segment_index(self.pair_l, 3)
+
+    def check(self):
+        """Raise StructuralError unless the graph has exactly one prior, every
+        pose and landmark that a factor references exists, and every pose and
+        landmark has a factor."""
+        e, k, P = self.edges, self.marks, self.n6 // 6
+        if e.n0 != 1:
+            raise StructuralError(f"expected exactly one prior factor, found {e.n0}")
+        # the prior's pose, each relative factor's two, then the landmark factors'
+        poses = np.concatenate([e.j[:1], np.column_stack([e.i, e.j])[1:].ravel(), k.p])
+        bad = (poses < 0) | (poses >= P)
+        if bad.any():
+            at = int(bad.argmax())
+            raise StructuralError(f"factor references missing pose {poses[at]}" if at else "prior references a missing pose")
+        if (k.l < 0).any():
+            raise StructuralError(f"factor references missing landmark {k.ids[int((k.l < 0).argmax())]}")
+        for kind, refs, ids in (("pose", poses, range(P)), ("landmark", k.l, self.landmark_ids)):
+            seen = np.bincount(refs, minlength=len(ids))
+            if not seen.all():
+                raise StructuralError(f"{kind} {ids[int(seen.argmin())]} has no factor")
 
     def linearize(self, t, q, L) -> _Linearization:
         R = quat_to_rot(q)
@@ -333,10 +322,9 @@ class _Problem:
         Hii, Hij, Hji, Hjj = H[:, :6, :6], H[:, :6, 6:], H[:, 6:, :6], H[:, 6:, 6:]
         # a prior has no first pose: only its pose-j terms enter
         parts = [gj[:n0], Hjj[:n0], gi[n0:], gj[n0:], Hii[n0:], Hij[n0:], Hji[n0:], Hjj[n0:]]
-        if self.marks is not None:
-            c, H, gp, gl = self.marks.linearize(*self.marks.terms(t, R, L))
-            cost += np.sum(c)
-            parts += [gp, gl, H[:, :6, :6], H[:, :6, 6:], H[:, 6:, 6:]]
+        c, H, gp, gl = self.marks.linearize(*self.marks.terms(t, R, L))
+        cost += np.sum(c)
+        parts += [gp, gl, H[:, :6, :6], H[:, :6, 6:], H[:, 6:, 6:]]
         out = np.bincount(self._idx, np.concatenate(parts, axis=None), minlength=self._size)
         o_b, o_ll, o_pl = self.n6 * self.n6, self._o_ll, self._o_pl
         return _Linearization(
@@ -386,8 +374,8 @@ def optimize(
     Each point is linearised once: the start point, and each trial point,
     whose linearisation also gives its cost. An accepted trial's
     linearisation is the next iteration's."""
-    g.check_structure()
     prob = _Problem(g)
+    prob.check()
     t, q, L = prob.t0, prob.q0, prob.L0
     lam = lm_lambda0
     lin = prob.linearize(t, q, L)  # at the current state

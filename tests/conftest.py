@@ -267,7 +267,7 @@ def scalar_association_log_likelihood(m, target, state, params) -> float:
             num = math.log(params.fp_rate) + math.log(state.n_fp)
         else:
             num = math.log(params.fp_rate) + math.log(params.dirichlet_alpha)
-        return math.log(params.fp_norm_constant) + num - sum(_candidate_logpdfs(m, state, params))
+        return num - sum(_candidate_logpdfs(m, state, params))
     raise TypeError(f"unknown target {target!r}")
 
 
@@ -788,7 +788,6 @@ def scalar_optimize(g, max_iters=50, grad_tol=1e-8, lm_lambda0=1e-4):
     """Per-factor Levenberg-Marquardt over the full dense system: the
     reference for `graph.optimize`. It assembles H factor by factor and
     solves H + lam I directly."""
-    g.check_structure()
     state = g
     offsets, off = {}, 0
     for pid in range(len(state.poses)):
@@ -1120,7 +1119,7 @@ def oracle_cost_matrix(measurements, leaf, params):
     else:
         fp_num = math.log(params.fp_rate) + math.log(params.dirichlet_alpha)
     cand_sum = np.sum(np.where(gated, density, 0.0), axis=1) if n_lm else np.zeros(n)
-    fp_cost = -(math.log(params.fp_norm_constant) + fp_num - cand_sum)
+    fp_cost = -(fp_num - cand_sum)
     np.fill_diagonal(mat[:, n_lm:], new_cost)
     np.fill_diagonal(mat[:, n_lm + n :], fp_cost)
     return CostMatrix(mat, column_ids, n_ex, dp_bonus, row_log_prior)

@@ -515,11 +515,14 @@ class TestSolveAssignment:
 
     def test_lexicographically_first_optimum_on_ties(self, rng):
         """Among tied optima, the one brute force meets first in
-        lexicographic order of the row -> column tuple."""
+        lexicographic order of the row -> column tuple, with up to half of
+        the landmark cells forbidden."""
         tied = 0
         for _ in range(60):
-            n = int(rng.integers(1, 4))
-            cm = self.make_cm(rng.integers(0, 3, size=(n, int(rng.integers(1, 4)))).astype(float), 2.0, 2.0)
+            n = int(rng.integers(1, 5))
+            block = rng.integers(0, 3, size=(n, int(rng.integers(1, 6)))).astype(float)
+            block[rng.random(block.shape) < rng.uniform(0.0, 0.5)] = BIG
+            cm = self.make_cm(block, 2.0, 2.0)
             cols, best = brute_force_assignment(cm.matrix)
             got = solve_assignment(cm)
             assert got.columns == cols
@@ -533,22 +536,31 @@ class TestSolveAssignment:
 
     @pytest.mark.parametrize("ties", [True, False])
     def test_lex_refine_matches_row_by_row_reference(self, rng, ties):
-        """The tie screen gives the row-by-row search's columns. On tie-heavy
-        matrices the search moves some assignments; on tie-free ones none."""
-        moved = 0
-        for _ in range(80):
-            n = int(rng.integers(1, 7))
-            m = n + int(rng.integers(0, 6))
-            mat = rng.integers(0, 3, size=(n, m)).astype(float) if ties else rng.uniform(0.0, 10.0, size=(n, m))
-            mat[rng.random((n, m)) < 0.2] = BIG
+        """The tie break on lap_solve's duals gives the columns of the
+        row-by-row search that re-solves, with 0-50 % of the cells forbidden.
+        On tie-heavy matrices, integer or 0.1-scaled, it moves some
+        assignments, among them ones where a row leaves a column of negative
+        dual, which a later row must refill; on tie-free ones it moves none."""
+        moved = vacated = 0
+        for _ in range(150):
+            n = int(rng.integers(1, 8))
+            m = n + int(rng.integers(0, 8))
+            if ties:
+                mat = rng.integers(0, 3, size=(n, m)) * (1.0, 0.1)[int(rng.integers(2))]
+            else:
+                mat = rng.uniform(0.0, 10.0, size=(n, m))
+            mat[rng.random((n, m)) < rng.uniform(0.0, 0.5)] = BIG
             r2c, u, v, total = kernels.lap_solve(mat)
             if total >= BIG / 2:
                 continue
             tol = 1e-9 * max(1.0, abs(total))
-            got = _lex_refine(mat, r2c, u, v, total, tol)
+            got = _lex_refine(mat, r2c, u, v, tol)
             assert got.tolist() == scalar_lex_refine(mat, r2c, u, v, total, tol).tolist()
+            assert np.isin(np.flatnonzero(v < -tol), got).all()
             moved += got.tolist() != r2c.tolist()
+            vacated += bool((v[r2c[got != r2c]] < -tol).any())
         assert (moved > 0) == ties
+        assert (vacated > 0) == ties
 
     def test_tie_free_solve_runs_one_lap_solve(self, rng, monkeypatch):
         """Without a tied cell the solver's assignment is final: no trial solve."""
@@ -562,6 +574,21 @@ class TestSolveAssignment:
             calls.clear()
             solve_assignment(self.make_cm(block))
             assert len(calls) == 1
+
+    def test_tie_break_calls_no_solver(self, rng, monkeypatch):
+        """On tie-heavy matrices the tie break moves some assignments off
+        lap_solve's own, and every solve still runs one lap_solve."""
+        lap_solve = kernels.lap_solve
+        calls, moved = [], 0
+        monkeypatch.setattr(kernels, "lap_solve", lambda cost: calls.append(cost.shape) or lap_solve(cost))
+        for _ in range(40):
+            n = int(rng.integers(1, 7))
+            cm = self.make_cm(rng.integers(0, 3, size=(n, int(rng.integers(1, 6)))).astype(float), 2.0, 2.0)
+            calls.clear()
+            got = solve_assignment(cm)
+            assert len(calls) == 1
+            moved += got.columns != tuple(lap_solve(cm.matrix)[0].tolist())
+        assert moved > 0
 
     def test_all_forbidden_row_is_infeasible(self):
         cm = self.make_cm([[1.0, 2.0], [3.0, 4.0]])
@@ -690,7 +717,7 @@ def _unbounded_branches(cm, best, max_branches, gap):
         r2c, u, v, total = kernels.lap_solve(mat)
         if total >= BIG / 2 or total > best.total_cost + gap:
             break
-        cols = _lex_refine(mat, r2c, u, v, total, 1e-9 * max(1.0, abs(total)))
+        cols = _lex_refine(mat, r2c, u, v, 1e-9 * max(1.0, abs(total)))
         branches.append(cm.assignment_at(cols, float(mat[rows, cols].sum())))
     return branches
 

@@ -118,16 +118,16 @@ def test_graph_digest_hashes_every_result_at_full_precision():
 
 
 def test_degraded_jobs_lie_outside_the_default_panel():
-    """The degraded, single_ukf baseline, knob, RANSAC fallback, simulator
-    and corpus jobs run only when named."""
+    """The degraded, single_ukf baseline, knob, RANSAC fallback, simulator,
+    corpus and Dirac jobs run only when named."""
     tool = _tool()
     panel, degraded, baselines, knobs = tool.panel(), tool.degraded(), tool.baselines(), tool.knobs()
-    fallbacks, simulator, corpus = tool.fallbacks(), tool.simulator(), tool.corpus()
+    fallbacks, simulator, corpus, dirac = tool.fallbacks(), tool.simulator(), tool.corpus(), tool.dirac()
     assert len(panel) == 16 and len(degraded) == 7 and len(baselines) == 3 and len(knobs) == 4 and len(fallbacks) == 1
-    assert len(simulator) == 2 and len(corpus) == 1
-    groups = [set(panel), set(degraded), set(baselines), set(knobs), set(fallbacks), set(simulator), set(corpus)]
+    assert len(simulator) == 2 and len(corpus) == 1 and len(dirac) == 1
+    groups = [set(panel), set(degraded), set(baselines), set(knobs), set(fallbacks), set(simulator), set(corpus), set(dirac)]
     assert sum(map(len, groups)) == len(set().union(*groups))
-    for name, overrides in {**degraded, **baselines, **knobs, **fallbacks, **simulator, **corpus}.items():
+    for name, overrides in {**degraded, **baselines, **knobs, **fallbacks, **simulator, **corpus, **dirac}.items():
         RunConfig(**overrides)  # every override is a config key
         assert name.endswith(f"-{overrides['world_seed']}") and overrides["run_seed"] == overrides["world_seed"]
     assert {overrides["mode"] for overrides in baselines.values()} == {"single_ukf"}
@@ -148,15 +148,18 @@ def test_degraded_jobs_lie_outside_the_default_panel():
 
 
 def test_all_digests_the_panel_then_every_named_job(monkeypatch, capsys):
-    """`--all` digests all 34 jobs, the 16 panel jobs first, each once with
+    """`--all` digests all 35 jobs, the 16 panel jobs first, each once with
     its own overrides; it does not combine with `--job`."""
     tool = _tool()
     seen = []
     monkeypatch.setattr(tool, "digest", lambda name, overrides, work: seen.append((name, overrides)) or name)
     assert tool.main(["--all"]) == 0
     panel = tool.panel()
-    named = {**tool.degraded(), **tool.baselines(), **tool.knobs(), **tool.fallbacks(), **tool.simulator(), **tool.corpus()}
-    assert [name for name, _ in seen] == [*panel, *named] and len(seen) == 34
+    named = {
+        **tool.degraded(), **tool.baselines(), **tool.knobs(), **tool.fallbacks(), **tool.simulator(), **tool.corpus(),
+        **tool.dirac(),
+    }
+    assert [name for name, _ in seen] == [*panel, *named] and len(seen) == 35
     assert dict(seen) == {**panel, **named}
     assert capsys.readouterr().out.split() == [name for name, _ in seen]
     with pytest.raises(SystemExit):
@@ -198,3 +201,28 @@ def test_corpus_job_gate_checks_and_skips_submaps(tmp_path, monkeypatch):
     tool.digest("tfidf-scene-4", overrides, str(tmp_path))
     assert "check" in decisions and "skip" in decisions
     assert len(documents) == len(decisions) and sum(documents) > len(documents)
+
+
+def test_dirac_job_takes_the_gathered_covariance_groups(tmp_path, monkeypatch):
+    """The Dirac job's previous landmarks fall in two covariance groups, so
+    some cost-matrix builds take `assoc._cov_groups`' gathered path (index
+    arrays, not slices), which no other job reaches. It closes loops."""
+    import numpy as np
+
+    from semslam import assoc
+
+    groups, gathered = assoc._cov_groups, []
+
+    def counted(leaf, params):
+        out = groups(leaf, params)
+        gathered.append(any(isinstance(cols, np.ndarray) for cols, *_ in out))
+        return out
+
+    monkeypatch.setattr(assoc, "_cov_groups", counted)
+    tool = _tool()
+    overrides = tool.dirac()["dirac-1"]
+    assert overrides["dirac_class_ids"] and not RunConfig().dirac_class_ids
+    tool.digest("dirac-1", overrides, str(tmp_path))
+    assert sum(gathered) == 36
+    header, *_, last = (tmp_path / "out" / "metrics.csv").read_text().splitlines()
+    assert int(last.split(",")[header.split(",").index("n_loop_closures")]) == 4

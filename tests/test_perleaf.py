@@ -67,7 +67,6 @@ def random_case(rng, trial):
         dp_weight_mode=("exp", "linear")[trial % 2],
         fp_rate=0.05,
         map_volume=50.0,
-        fp_norm_constant=float(rng.uniform(0.5, 2.0)),
     )
     n_ex, n_prev = [(0, 0), (0, 5), (5, 0), (4, 6), (7, 3)][trial % 5]
     mismatched = trial % 5 == 4

@@ -33,7 +33,9 @@ odometry-noise key that no other job moves away from its default, with a
 landmark count that the classes do not divide, and one turns the
 measurement noise off), and the corpus job on square-loop world 4, whose
 tf-idf corpus holds one document per scene and whose tf-idf threshold
-makes the gate skip some submaps.
+makes the gate skip some submaps, and the Dirac job on square-loop world
+1, whose Dirac classes put the previous landmarks' cost-matrix columns in
+two covariance groups (`assoc._cov_groups`' gathered path).
 """
 
 import argparse
@@ -139,10 +141,16 @@ def corpus():
     return {"tfidf-scene-4": {"world_seed": 4, "run_seed": 4, "tfidf_doc_unit": "scene", "gate_min_tfidf": 0.04}}
 
 
+def dirac():
+    """Job name -> config overrides of the Dirac job: classes 0 and 1 take
+    no transitional covariance, the other classes the shared one."""
+    return {"dirac-1": {"world_seed": 1, "run_seed": 1, "dirac_class_ids": (0, 1)}}
+
+
 def named_jobs():
     """Job name -> config overrides of every job `--job` can name: the panel,
     then the jobs outside it."""
-    return {**panel(), **degraded(), **baselines(), **knobs(), **fallbacks(), **simulator(), **corpus()}
+    return {**panel(), **degraded(), **baselines(), **knobs(), **fallbacks(), **simulator(), **corpus(), **dirac()}
 
 
 def sha(data: bytes) -> str:

@@ -2,10 +2,10 @@
 resampling and RANSAC consensus.
 
 Each one replaces a scalar loop (tests/conftest.py) and returns that loop's
-outputs exactly. The exceptions: resampling at u0 == 0, where the loop
-skipped weights[0], and RANSAC given `fit`, which fits only those samples.
-All floats are the loop's bit for bit, except RANSAC residuals, which come
-from one matrix product and may differ in the last bit.
+outputs exactly. The exception: resampling at u0 == 0, where the loop
+skipped weights[0]. All floats are the loop's bit for bit, except RANSAC
+residuals, which come from one matrix product and may differ in the last
+bit.
 """
 
 import numpy as np
@@ -111,34 +111,28 @@ def systematic_resample(weights, n, u0):
     return np.minimum(np.searchsorted(np.cumsum(weights), probes, side="left"), k - 1)
 
 
-def ransac_best_mask(src, dst, picks, tol, fit=None):
+def ransac_best_mask(src, dst, picks, tol):
     """RANSAC consensus for a rigid fit dst ~ R @ src + t.
 
     picks holds precomputed minimal-sample index triplets (one row per
-    iteration); sampling lives with the caller. The non-collinear samples in
-    rows `fit` (ascending; default all) are fit at once (one batched SVD, R
-    and t bit for bit the loop's) and scored at once (one (n, 3) @ (3, 3S)
-    product), then the sequential choice is replayed over the counts, other
-    rows counting as collinear: the first strictly better sample wins, and
-    the search ends early at 99.9% confidence for the best ratio seen so far
-    (`ransac_trials`, which is 1 for an all-inlier fit, so that stops it).
-    Returns a fresh inlier mask and its count; (all-False, -1) when no
-    sample fit spans a plane.
+    sample); sampling lives with the caller. The non-collinear samples are
+    fit at once (one batched SVD, R and t bit for bit the loop's) and scored
+    at once (one (n, 3) @ (3, 3S) product); the first sample with the most
+    inliers wins. Returns a fresh inlier mask and its count; (all-False, -1)
+    when no sample spans a plane.
     """
     n = src.shape[0]
-    iters = picks.shape[0]
-    rows = np.arange(iters) if fit is None else fit
-    p0, p1, p2 = src[picks[rows, 0]], src[picks[rows, 1]], src[picks[rows, 2]]
+    p0, p1, p2 = src[picks[:, 0]], src[picks[:, 1]], src[picks[:, 2]]
     a, b = p1 - p0, p2 - p0  # the cross product as np.cross forms it, without its axis handling
     cx = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
     cy = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
     cz = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
     ok = ~(cx * cx + cy * cy + cz * cz < 1e-18)
-    valid = rows[ok]
-    if valid.size == 0:
+    if not ok.any():
         return np.zeros(n, dtype=np.bool_), -1
+    valid = picks[ok]
     p0, p1, p2 = p0[ok], p1[ok], p2[ok]
-    q0, q1, q2 = dst[picks[valid, 0]], dst[picks[valid, 1]], dst[picks[valid, 2]]
+    q0, q1, q2 = dst[valid[:, 0]], dst[valid[:, 1]], dst[valid[:, 2]]
     cs = (p0 + p1 + p2) / 3.0
     cd = (q0 + q1 + q2) / 3.0
     H = (
@@ -154,25 +148,9 @@ def ransac_best_mask(src, dst, picks, tol, fit=None):
     t = cd - (R @ cs[:, :, None])[:, :, 0]
     e = ((src @ R.reshape(-1, 3).T).reshape(n, -1, 3) + t - dst[:, None, :]) ** 2  # e[i, s]: point i, sample s
     masks = e[..., 0] + e[..., 1] + e[..., 2] <= tol * tol
-    best_count, best, needed = -1, -1, iters
-    # the samples fit, in row order: a row between them could change nothing
-    for col, (it, count) in enumerate(zip(valid.tolist(), masks.sum(axis=0).tolist())):
-        if it >= needed:
-            break
-        if count <= best_count:
-            continue  # no better than the best so far
-        best_count, best = count, col
-        needed = max(min(needed, ransac_trials(count, n)), it + 1)
-    return masks[:, best].copy(), best_count
-
-
-def ransac_trials(count, n):
-    """Samples that give 99.9% confidence of an all-inlier draw at inlier
-    ratio count / n; inf where the ratio rounds to no chance. Non-increasing
-    in count: every rounded step is monotone."""
-    w = count / n
-    log_fail = np.log(max(1.0 - w * w * w, 1e-12))
-    return int(np.ceil(np.log(1e-3) / log_fail)) if log_fail < 0.0 else np.inf
+    counts = masks.sum(axis=0)
+    best = int(counts.argmax())  # the first of the best
+    return masks[:, best].copy(), int(counts[best])
 
 
 def _det3(M):

@@ -252,19 +252,6 @@ def _sample_bound(src, dst, picks, core, tol) -> np.ndarray:
     return (np.abs(gap) <= abs(tol) + _margin(src, dst)).sum(axis=1)
 
 
-def _consensus_scan(src, dst, picks, tol, m, core):
-    """kernels.ransac_best_mask over the samples whose fit can have m inliers,
-    or None if none can. From m inliers on, the count and mask are the full
-    scan's: those inliers all lie in the core, and R maps s_i - c_s onto
-    d_i - c_d up to the residual, so the `_sample_bound` of their sample is at
-    least m, whatever R the SVD picks. Skipping the rest is exact while no
-    count below m can shorten the replay; otherwise every sample is fit."""
-    if kernels.ransac_trials(m - 1, src.shape[0]) < picks.shape[0]:
-        return kernels.ransac_best_mask(src, dst, picks, tol)
-    fit = np.flatnonzero(_sample_bound(src, dst, picks, core, tol) >= m)
-    return kernels.ransac_best_mask(src, dst, picks, tol, fit) if fit.size else None
-
-
 def ransac_verify(
     src: np.ndarray,
     dst: np.ndarray,
@@ -274,11 +261,14 @@ def ransac_verify(
     min_inliers: int,
     gap: Optional[np.ndarray] = None,
 ) -> Optional[Tuple[Pose, np.ndarray]]:
-    """RANSAC rigid alignment dst ~ T(src). Returns (pose, inlier mask) or
-    None on rejection. Deterministic under a seeded rng. Inputs that
-    `consensus_possible` (given `gap`, if any) or `_consensus_scan` rule out
-    return None unfit, leaving rng where a full scan leaves it: a PCG64
-    generator (`default_rng`'s) takes one step per float64 drawn."""
+    """RANSAC rigid alignment dst ~ T(src) over `iters` random minimal
+    samples: the first sample with the most inliers, refit twice. Returns
+    (pose, inlier mask) or None on rejection. Deterministic under a seeded
+    rng. Inputs that `consensus_possible` (given `gap`, if any) rules out
+    return None without drawing, leaving rng where a scan leaves it: a PCG64
+    generator (`default_rng`'s) takes one step per float64 drawn. Samples
+    whose `_sample_bound` is below m are not fit: they have fewer than m
+    inliers, so whenever some sample has m, the first best one is kept."""
     src = np.asarray(src, dtype=float).reshape(-1, 3)
     dst = np.asarray(dst, dtype=float).reshape(-1, 3)
     finite = np.isfinite(src).all(axis=1) & np.isfinite(dst).all(axis=1)
@@ -292,11 +282,14 @@ def ransac_verify(
         rng.bit_generator.advance(iters * n)  # the draws of a scan, skipped
         return None
     # samples are drawn up front, so the kernel and its scalar oracle score the same ones
-    u = rng.random((iters, n))
-    scan = _consensus_scan(src, dst, np.argsort(u, axis=1)[:, :3], inlier_tol, m, core)
-    if scan is None or scan[1] < m:
+    picks = np.argsort(rng.random((iters, n)), axis=1)[:, :3]
+    picks = picks[_sample_bound(src, dst, picks, core, inlier_tol) >= m]
+    if picks.shape[0] == 0:
         return None
-    R, t = rigid_transform_svd(src[scan[0]], dst[scan[0]])
+    best, count = kernels.ransac_best_mask(src, dst, picks, inlier_tol)
+    if count < m:
+        return None
+    R, t = rigid_transform_svd(src[best], dst[best])
     err = np.linalg.norm(dst - (src @ R.T + t), axis=1)
     mask = err <= inlier_tol
     if int(mask.sum()) < min_inliers:

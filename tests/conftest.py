@@ -405,18 +405,13 @@ def scalar_systematic_resample(weights, n, u0):
 def scalar_ransac_best_mask(src, dst, picks, tol):
     """Per-iteration RANSAC consensus: the reference for the vectorised kernel.
 
-    Fits each minimal sample in turn (collinear ones skipped), keeps the
-    first strictly better inlier mask, stops at an all-inlier fit, and
-    shortens the run at 99.9% confidence for the best ratio seen so far.
+    Fits each minimal sample in turn (collinear ones skipped) and keeps the
+    first strictly better inlier mask: the first sample with the most inliers.
     """
     n = src.shape[0]
-    iters = picks.shape[0]
     best_count = -1
     best_mask = np.zeros(n, dtype=np.bool_)
-    needed = iters
-    for it in range(iters):
-        if it >= needed:
-            break
+    for it in range(picks.shape[0]):
         i0, i1, i2 = picks[it, 0], picks[it, 1], picks[it, 2]
         ax = src[i1, 0] - src[i0, 0]
         ay = src[i1, 1] - src[i0, 1]
@@ -451,20 +446,16 @@ def scalar_ransac_best_mask(src, dst, picks, tol):
         if count > best_count:
             best_count = count
             best_mask = mask
-            if count == n:
-                break
-            w = count / n
-            fail = 1.0 - w * w * w
-            if fail < 1e-12:
-                fail = 1e-12
-            log_fail = np.log(fail)
-            if log_fail < 0.0:
-                cand = int(np.ceil(np.log(1e-3) / log_fail))
-                if cand < needed:
-                    needed = cand
-                if needed <= it:
-                    needed = it + 1
     return best_mask, best_count
+
+
+def adaptive_stop(count, n):
+    """The samples after which adaptive RANSAC (Fischler & Bolles 1981) stops:
+    99.9% confidence of an all-inlier draw at inlier ratio count / n < 1.
+    `ransac_best_mask` scans every sample; tests use this to place samples
+    past that stop."""
+    w = count / n
+    return int(np.ceil(np.log(1e-3) / np.log(1.0 - w * w * w)))
 
 
 def scalar_ransac_verify(src, dst, rng, iters, inlier_tol, min_inliers):

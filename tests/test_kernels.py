@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from semslam import kernels
 
 from conftest import (
+    adaptive_stop,
     brute_force_assignment,
     scalar_exp_so3,
     scalar_lap_solve,
@@ -160,8 +161,8 @@ def _ransac_problem(rng, kind):
     if kind in ("collinear", "all_collinear") or (kind == "n3" and rng.random() < 0.5):
         k = n if kind == "all_collinear" else max(3, n // 2)  # these points share one line
         src[:k] = rng.uniform(-5.0, 5.0, size=3) + np.outer(rng.uniform(-3.0, 3.0, size=k), rng.standard_normal(3))
-    R = scalar_exp_so3(rng.standard_normal(3))
-    dst = src @ R.T + rng.uniform(-3.0, 3.0, size=3)
+    R, t = scalar_exp_so3(rng.standard_normal(3)), rng.uniform(-3.0, 3.0, size=3)
+    dst = src @ R.T + t
     tol = 0.5
     if kind == "all_inlier":
         tol = 0.1
@@ -174,6 +175,16 @@ def _ransac_problem(rng, kind):
         dst[n - k :] = dst[rng.integers(0, n - k, size=k)]
     iters = {"empty": 0, "n3": int(rng.integers(1, 6)), "early_stop": 200}.get(kind, 100)
     picks = np.argsort(rng.random((iters, n)), axis=1)[:, :3].astype(np.int64)
+    if kind == "early_stop":  # an inlier sample, samples with one outlier each, then the exact sample (0, 1, 2)
+        k = n - 9
+        e = rng.standard_normal((k, 3))
+        e *= 0.45 / np.linalg.norm(e, axis=1)[:, None]  # within tol of the exact fit, not of most others
+        e[:3] = 0.0
+        dst[:k] = src[:k] @ R.T + t + e
+        picks[0] = rng.permutation(k)[:3]
+        picks[1:-1, :2] = np.argsort(rng.random((iters - 2, k)), axis=1)[:, :2]
+        picks[1:-1, 2] = rng.integers(k, n, size=iters - 2)
+        picks[-1] = (0, 1, 2)
     return src, dst, picks, tol
 
 
@@ -268,8 +279,11 @@ class TestBackendParity:
 
     def test_ransac_best_mask(self, rng):
         """The vectorised kernel equals the per-iteration scalar loop exactly,
-        on 280 seeded problems that exercise each branch of that loop.
+        on 280 seeded problems that exercise each branch of that loop: it
+        returns the first sample with the most inliers.
 
+        early_stop puts its best sample last, past the point where adaptive
+        RANSAC would stop for the count of row 0: the kernel scans every row.
         shared_dst pins today's masks and counts on samples whose src triple
         spans a plane but whose dst triple does not, as when two putative
         pairs share one query landmark: their rigid fit is not unique, and
@@ -286,8 +300,10 @@ class TestBackendParity:
             assert mask.dtype == np.bool_ and mask.shape == (n,) and mask.flags.owndata
             if kind == "empty" or _collinear(src, picks).all():
                 assert count == -1 and not mask.any()
-            if kind == "early_stop":  # a better sample lay past the stop
-                hit = any(scalar_ransac_best_mask(src, dst, picks[i : i + 1], tol)[1] > count for i in range(len(picks)))
+            if kind == "early_stop":
+                first = scalar_ransac_best_mask(src, dst, picks[:1], tol)[1]
+                assert count == n - 9, problem  # the last sample's
+                hit = first < count and adaptive_stop(first, n) < len(picks)
             else:
                 hit = {
                     "outliers": 0 < count < n,
@@ -301,27 +317,15 @@ class TestBackendParity:
             seen[kind] += hit
         assert all(seen.values()), seen
 
-    def test_ransac_best_mask_fit_rows(self, rng):
-        """Given `fit`, the kernel returns what the scalar loop returns when
-        every other row is a collinear sample (0, 0, 0)."""
-        for problem in range(160):
-            kind = RANSAC_KINDS[problem % len(RANSAC_KINDS)]
-            src, dst, picks, tol = _ransac_problem(rng, kind)
-            fit = np.flatnonzero(rng.random(len(picks)) < rng.uniform(0.0, 0.5))
-            masked = np.zeros_like(picks)
-            masked[fit] = picks[fit]
-            mask, count = kernels.ransac_best_mask(src, dst, picks, tol, fit)
-            ref_mask, ref_count = scalar_ransac_best_mask(src, dst, masked, tol)
-            assert count == ref_count and mask.tolist() == ref_mask.tolist(), (problem, kind)
-
     def test_bounded_scan_decides_as_the_full_scan(self, rng):
-        """The scan ransac_verify runs (consensus core, per-sample bound,
-        replay guard) reaches m inliers exactly when the scalar loop does,
-        and then returns its mask and count, on the problems above at m 3-8.
-        Below m the count is not compared: no caller reads it."""
+        """The scan ransac_verify runs (consensus core, then the kernel on the
+        samples whose per-sample bound reaches m) reaches m inliers exactly
+        when the scalar loop over every sample does, and then returns its
+        mask and count, on the problems above at m 3-8. Below m the count is
+        not compared: no caller reads it."""
         from semslam import placerec
 
-        accepted = skipped = 0
+        accepted = skipped = dropped = 0
         for problem in range(280):
             kind = RANSAC_KINDS[problem % len(RANSAC_KINDS)]
             src, dst, picks, tol = _ransac_problem(rng, kind)
@@ -330,11 +334,13 @@ class TestBackendParity:
             m = int(rng.integers(3, 9))
             ref_mask, ref_count = scalar_ransac_best_mask(src, dst, picks, tol)
             core = placerec.consensus_possible(src, dst, m, tol)
-            scan = None if core is None else placerec._consensus_scan(src, dst, picks, tol, m, core)
-            skipped += scan is None
-            if scan is None or scan[1] < m:
+            kept = picks[:0] if core is None else picks[placerec._sample_bound(src, dst, picks, core, tol) >= m]
+            skipped += kept.size == 0
+            dropped += 0 < len(kept) < len(picks)
+            mask, count = kernels.ransac_best_mask(src, dst, kept, tol)
+            if count < m:
                 assert ref_count < m, (problem, kind)
                 continue
-            assert scan[1] == ref_count and scan[0].tolist() == ref_mask.tolist(), (problem, kind)
+            assert count == ref_count and mask.tolist() == ref_mask.tolist(), (problem, kind)
             accepted += 1
-        assert accepted and skipped
+        assert accepted and skipped and dropped

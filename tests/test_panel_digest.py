@@ -166,22 +166,24 @@ def test_all_digests_the_panel_then_every_named_job(monkeypatch, capsys):
         tool.main(["--all", "--job", "line-0"])
 
 
-def test_fallback_job_fits_every_sample_of_some_scan(tmp_path, monkeypatch):
-    """The fallback job reaches the branch of `_consensus_scan` that no
-    default job reaches: a scan past the consensus screen whose counts below
-    m could end it early, so that every sample is fit. It closes loops."""
-    from semslam import kernels, placerec
+def test_fallback_job_has_scans_an_adaptive_stop_could_end(tmp_path, monkeypatch):
+    """The fallback job has scans past the consensus screen that adaptive
+    RANSAC could end early on a count below m: 2 of its 58. It closes loops."""
+    from conftest import adaptive_stop
+    from semslam import placerec
 
-    scan, fallbacks = placerec._consensus_scan, []
+    bound, scans = placerec._sample_bound, []
 
-    def counted(src, dst, picks, tol, m, core):
-        fallbacks.append(kernels.ransac_trials(m - 1, src.shape[0]) < picks.shape[0])
-        return scan(src, dst, picks, tol, m, core)
+    def counted(src, dst, picks, core, tol):
+        scans.append((src.shape[0], picks.shape[0]))
+        return bound(src, dst, picks, core, tol)
 
-    monkeypatch.setattr(placerec, "_consensus_scan", counted)
+    monkeypatch.setattr(placerec, "_sample_bound", counted)
     tool = _tool()
-    tool.digest("ransac-fallback-1", tool.fallbacks()["ransac-fallback-1"], str(tmp_path))
-    assert sum(fallbacks) == 2 and len(fallbacks) == 58
+    overrides = tool.fallbacks()["ransac-fallback-1"]
+    tool.digest("ransac-fallback-1", overrides, str(tmp_path))
+    m = max(overrides["ransac_min_inliers"], 3)
+    assert sum(adaptive_stop(m - 1, n) < iters for n, iters in scans) == 2 and len(scans) == 58
     header, *_, last = (tmp_path / "out" / "metrics.csv").read_text().splitlines()
     assert int(last.split(",")[header.split(",").index("n_loop_closures")]) > 0
 

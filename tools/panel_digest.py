@@ -26,8 +26,9 @@ and 3 and line world 0, the knob jobs on square-loop worlds 1 and 3,
 which set every tunable of the resampler, verification,
 retrieval, RANSAC and the gate away from its default, so a stage
 that reads the wrong config key changes some digest, the RANSAC
-fallback job on square-loop world 1, whose thresholds make some scans fit
-every sample (`placerec._consensus_scan`), which no other job does, and
+fallback job on square-loop world 1, the one job with scans that adaptive
+RANSAC (stopping at 99.9% confidence) could end before its last sample
+on a count below `ransac_min_inliers`, and
 the simulator jobs on square-loop world 1 (one sets every world, range and
 odometry-noise key that no other job moves away from its default, with a
 landmark count that the classes do not divide, and one turns the
@@ -115,7 +116,8 @@ def knobs():
 
 def fallbacks():
     """Job name -> config overrides of the RANSAC fallback job: 10 inliers
-    within 1.5 out of 400 samples, so a count below 10 can end a scan early."""
+    within 1.5 out of 400 samples, so a count below 10 could end a scan
+    early under an adaptive stop. RANSAC here scans all 400."""
     return {
         "ransac-fallback-1": {
             "world_seed": 1, "run_seed": 1, "ransac_tol": 1.5, "ransac_min_inliers": 10, "ransac_iters": 400,

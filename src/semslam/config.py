@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Tuple
+from typing import Any, Callable, Tuple, get_type_hints
 
 MODES = ("dpmhm", "mhm_threshold", "single_ukf")
 TRAJECTORY_SHAPES = ("square_loop", "figure_eight", "line")
@@ -177,15 +177,7 @@ def _parse_value(name: str, text: str, kind):
 
 
 def parse_config(text: str) -> RunConfig:
-    known = {f.name: f.type for f in fields(RunConfig)}
-    # dataclass field types come back as strings under future annotations
-    type_map = {
-        "int": int,
-        "float": float,
-        "str": str,
-        "bool": bool,
-        "Tuple[int, ...]": Tuple[int, ...],
-    }
+    known = get_type_hints(RunConfig)  # the field types, resolved from their annotation strings
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -199,10 +191,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        kind = known[key]
-        if isinstance(kind, str):
-            kind = type_map[kind]
-        values[key] = _parse_value(key, val, kind)
+        values[key] = _parse_value(key, val, known[key])
     return RunConfig(**values)
 
 

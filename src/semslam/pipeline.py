@@ -36,7 +36,7 @@ from .submap import Corpus, SubmapSummary, gate, tfidf_score
 @dataclass
 class PipelineResult:
     trajectory: PoseTable
-    fused_map: LandmarkTable
+    fused_map: LandmarkTable  # means from the optimised graph, covariances as fused
     hypothesis_counts: List[int]
     landmark_counts: List[int]
     loop_closure_counts: List[int]  # cumulative per frame
@@ -98,8 +98,7 @@ class Pipeline:
         self._odo_info = np.linalg.inv(odo_cov)
         self._loop_info = cfg.loop_info_scale * np.eye(6)
         # running state
-        self.fused_map = LandmarkTable.empty()
-        self.previous_landmarks = LandmarkTable.empty()
+        self.previous_landmarks = LandmarkTable.empty()  # the map: every landmark fused so far
         self.next_landmark_id = 0
         self.n_loop_closures = 0
         self.submap_id = 0
@@ -177,7 +176,6 @@ class Pipeline:
             if lid not in self.graph.landmarks:
                 self.graph.landmarks[lid] = mean.copy()
             self.graph.factors.append(LandmarkFactor(scene, lid, z, inf, robust_c=cfg.cauchy_c))
-        self.fused_map = LandmarkTable.concat([self.fused_map.take(~np.isin(self.fused_map.ids, fused.ids)), fused])
         summary = self._summarize(fused)
         submap_hist = summary.histogram / max(summary.histogram.sum(), 1)
         # a submap that fused no landmark has no histogram to retrieve by
@@ -199,10 +197,12 @@ class Pipeline:
         if searchable:
             self.detector.add_submap(self.submap_id, submap_hist, self._submap_scenes)
         self.graph = optimize(self.graph, cfg.lm_max_iters, cfg.lm_grad_tol).state
-        # fused landmarks become previous-submap landmarks for the next tree
-        fm = self.fused_map
-        means = [self.graph.landmarks.get(lid, mean) for lid, mean in zip(fm.ids.tolist(), fm.means)]
-        self.previous_landmarks = LandmarkTable.build(fm.ids, fm.labels, means, fm.covs, fm.assign_count, fm.last_scene)
+        # the fused landmarks join the map, which the next tree starts from;
+        # every mean is the graph's, every covariance the fused one
+        prev = self.previous_landmarks
+        lm = LandmarkTable.concat([prev.take(~np.isin(prev.ids, fused.ids)), fused])
+        means = [self.graph.landmarks[lid] for lid in lm.ids.tolist()]
+        self.previous_landmarks = LandmarkTable.build(lm.ids, lm.labels, means, lm.covs, lm.assign_count, lm.last_scene)
         self.submap_id += 1
         self._new_tree()
 
@@ -251,7 +251,7 @@ def run_pipeline(
             lc_counts[-1] = pipe.n_loop_closures
     trajectory = pipe.graph.poses
     raw = integrate_odometry(odometry_increments)
-    result = PipelineResult(trajectory, pipe.fused_map, hyp_counts, lm_counts, lc_counts, pipe.n_loop_closures, raw)
+    result = PipelineResult(trajectory, pipe.previous_landmarks, hyp_counts, lm_counts, lc_counts, pipe.n_loop_closures, raw)
     if ground_truth is not None:
         report = evaluate(trajectory, ground_truth)
         result.per_frame_error, result.final_rmse = report.per_frame_error, report.rmse

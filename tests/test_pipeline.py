@@ -163,6 +163,21 @@ class TestValidation:
         assert (pipe.graph.poses, len(pipe.graph.factors), pipe.tree.leaves, len(pipe._submap_scenes)) == before
 
 
+def test_map_means_are_the_final_graphs(monkeypatch):
+    """The map a run returns (and `semslam run` writes) holds every landmark
+    of the final graph at its optimised position, bit for bit, on a world
+    whose loop closures move landmarks."""
+    from semslam import pipeline
+
+    optimize, states = pipeline.optimize, []
+    monkeypatch.setattr(pipeline, "optimize", lambda *args: states.append(optimize(*args)) or states[-1])
+    result, _ = run_for(RunConfig(world_seed=1, run_seed=1))
+    assert result.n_loop_closures > 0
+    landmarks, ids = states[-1].state.landmarks, result.fused_map.ids.tolist()
+    assert sorted(landmarks) == ids
+    assert result.fused_map.means.tobytes() == np.array([landmarks[i] for i in ids]).tobytes()
+
+
 class TestNoiselessRun:
     """Exact odometry and measurements: the estimate should be near-perfect."""
 

@@ -494,7 +494,8 @@ def _k33(tol):
 
 class TestSampleBound:
     """The edge peel and the per-sample centroid bound: every sample whose
-    fit has m inliers is fit, and ransac_verify returns the full scan's result."""
+    fit has m inliers is fit, and ransac_verify returns the unscreened
+    scan's result."""
 
     def test_k33_passes_the_vertex_core_and_fails_the_edge_peel(self):
         src, dst = _k33(0.5)

@@ -33,7 +33,6 @@ class AssocParams:
     map_volume: float
     lambda_new: float
     lambda_fp: float
-    prior_volume: float
     dp_weight_mode: str  # "exp" follows the printed model, "linear" the standard DP weight
     class_prior: Mapping[int, float] = field(default_factory=dict)  # class id -> p_s(class)
     dirac_classes: frozenset = frozenset()  # class ids
@@ -100,13 +99,14 @@ def _poisson_logpmf(n: int, mean: float) -> float:
 
 
 def assignment_prior_log(assignment: Assignment, params: AssocParams) -> float:
-    """Log prior of the (n_new, n_fp) pattern with Poisson count priors."""
+    """Log prior of the (n_new, n_fp) pattern: Poisson counts whose means per
+    scene are lambda_new and lambda_fp."""
     n_new, n_fp, n_meas = len(assignment.new_rows), assignment.n_fp, len(assignment.columns)
     log_comb = math.lgamma(n_new + 1) + math.lgamma(n_fp + 1) - math.lgamma(n_meas + 1)
     return (
         log_comb
-        + _poisson_logpmf(n_new, params.lambda_new * params.prior_volume)
-        + _poisson_logpmf(n_fp, params.lambda_fp * params.prior_volume)
+        + _poisson_logpmf(n_new, params.lambda_new)
+        + _poisson_logpmf(n_fp, params.lambda_fp)
     )
 
 

@@ -100,7 +100,6 @@ class RunConfig:
     map_volume: float = key(50.0, POSITIVE)
     lambda_new: float = key(0.5, POSITIVE)
     lambda_fp: float = key(0.2, POSITIVE)
-    prior_volume: float = key(1.0, POSITIVE)
     dirac_class_ids: Tuple[int, ...] = key((), CLASS_IDS)
     dp_weight_mode: str = key("exp", choice("exp", "linear"))
 

@@ -77,7 +77,6 @@ def _assoc_params(cfg: RunConfig) -> AssocParams:
         map_volume=cfg.map_volume,
         lambda_new=cfg.lambda_new,
         lambda_fp=cfg.lambda_fp,
-        prior_volume=cfg.prior_volume,
         class_prior={c: 1.0 / cfg.n_classes for c in classes},
         dirac_classes=frozenset(cfg.dirac_class_ids),
         dp_weight_mode=cfg.dp_weight_mode,

@@ -8,6 +8,7 @@ candidates.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -17,7 +18,7 @@ import numpy as np
 from . import kernels
 from .config import RunConfig
 from .core import ContractViolation, MeasurementTable, class_counts
-from .geometry import Pose, rot_to_quat
+from .geometry import Pose, norms, rot_to_quat
 
 LN2 = math.log(2.0)
 # verification is the expensive stage: each query scene verifies at most
@@ -103,14 +104,11 @@ def _distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 def scene_laplacian(scene: MeasurementTable, edge_radius: float) -> np.ndarray:
     """Graph Laplacian of the landmark proximity graph, nodes ordered by
-    (class id, distance to the scene centroid)."""
-    n = scene.positions.shape[0]
-    if n == 0:
+    (class id, distance to the scene centroid, row)."""
+    if len(scene) == 0:
         raise ContractViolation("cannot build the Laplacian of an empty scene")
     centroid = scene.positions.mean(axis=0)
-    ids = scene.labels.tolist()
-    order = sorted(range(n), key=lambda i: (ids[i], float(np.linalg.norm(scene.positions[i] - centroid)), i))
-    p = scene.positions[order]
+    p = scene.positions[np.lexsort((norms(scene.positions - centroid), scene.labels))]
     adj = (_distances(p, p) <= edge_radius).astype(float)
     np.fill_diagonal(adj, 0.0)
     return np.diag(adj.sum(axis=1)) - adj
@@ -213,35 +211,27 @@ def rigid_transform_svd(src: np.ndarray, dst: np.ndarray) -> Tuple[np.ndarray, n
 
 def _margin(src: np.ndarray, dst: np.ndarray) -> float:
     # 1e-9 of the largest coordinate or more: covers rounding and only admits
-    return 1e-9 * max(1.0, float(np.abs(src).max()), float(np.abs(dst).max()))
+    return 1e-9 * max(1.0, float(np.abs(src).max(initial=0.0)), float(np.abs(dst).max(initial=0.0)))
 
 
 def consensus_possible(src, dst, m: int, inlier_tol: float, gap=None) -> Optional[np.ndarray]:
     """The pairs that can be among m inliers of one rigid fit within
     inlier_tol (a mask), or None if no fit has m. A rigid motion keeps
     distances, so those pairs i, j have |gap_ij| = | |s_i - s_j| - |d_i - d_j| |
-    <= 2 tol: an m-clique of compatible pairs. It survives peeling every pair
-    with fewer than m - 1 compatible neighbours, then every compatible link
-    whose ends share fewer than m - 2. Counts are sums of ones: exact."""
+    <= 2 tol: an m-clique of compatible pairs, each of whose links has ends
+    that share m - 2 compatible neighbours. So it lies in the m-truss, which
+    is left by peeling every link whose ends share fewer, until no link
+    changes (in any order: the fixed point is the same). A kept link and its
+    m - 2 shared neighbours cover m pairs. Counts are sums of ones: exact."""
     if gap is None:
         gap = _distances(src, src) - _distances(dst, dst)
     near = (~(np.abs(gap) > 2.0 * abs(inlier_tol) + _margin(src, dst))).astype(float)  # NaN: compatible
     np.fill_diagonal(near, 0.0)
-    live = np.ones(src.shape[0])
-    count, left = live.size, -1
-    while m <= count != left:
-        live *= near @ live >= m - 1
-        count, left = int(live.sum()), count
-    if count < m:
-        return None
-    core = np.flatnonzero(live)
-    near = near[core][:, core]
     links, left = int(near.sum()), -1
-    while links != left:  # a kept link's ends keep m - 1 neighbours
+    while links != left:
         near *= near @ near >= m - 2
         links, left = int(near.sum()), links
-    live[core] = near.any(axis=1)
-    return live > 0.0 if links else None
+    return near.any(axis=1) if links else None
 
 
 def _sample_bound(src, dst, picks, core, tol) -> np.ndarray:
@@ -335,32 +325,19 @@ def verify_pair(a: MeasurementTable, b: MeasurementTable, cfg: RunConfig, laplac
 
 
 class LoopClosureDetector:
-    """Owns the retrieval index, the scene Laplacians and the RANSAC
-    generator; reads every threshold from the run config. The index holds
-    each submap's histogram and, per submap, its scene tables with their
-    histograms."""
+    """Owns the retrieval index and the RANSAC generator; reads every
+    threshold from the run config. The index holds each submap's histogram
+    and, per submap, its scene tables with their histograms. Each table's
+    Laplacian and distance matrix are computed once: tables are immutable,
+    and the caches key them by identity."""
 
     def __init__(self, cfg: RunConfig):
         self.cfg = cfg
         self.submap_hist: Dict[int, np.ndarray] = {}
         self.scenes: Dict[int, List[Tuple[MeasurementTable, np.ndarray]]] = {}
         self.rng = np.random.default_rng(cfg.run_seed)
-        self._lap_cache: Dict[int, np.ndarray] = {}
-        self._dist_cache: Dict[int, np.ndarray] = {}
-
-    def _laplacian(self, scene: MeasurementTable) -> np.ndarray:
-        # scene ids are unique per run and tables are immutable
-        L = self._lap_cache.get(scene.scene_id)
-        if L is None:
-            L = scene_laplacian(scene, self.cfg.edge_radius)
-            self._lap_cache[scene.scene_id] = L
-        return L
-
-    def _scene_distances(self, scene: MeasurementTable) -> np.ndarray:
-        D = self._dist_cache.get(scene.scene_id)
-        if D is None:
-            D = self._dist_cache[scene.scene_id] = _distances(scene.positions, scene.positions)
-        return D
+        self._laplacian = functools.cache(lambda s: scene_laplacian(s, cfg.edge_radius))
+        self._scene_distances = functools.cache(lambda s: _distances(s.positions, s.positions))
 
     def detect(self, submaps: Sequence[int], query_scene: MeasurementTable) -> List[LoopClosure]:
         """Returns at most one closure: the candidate with the strongest

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import random
 from typing import Optional
 
 import numpy as np
@@ -119,7 +120,6 @@ def simple_params(**overrides) -> AssocParams:
         map_volume=1000.0,
         lambda_new=0.5,
         lambda_fp=0.2,
-        prior_volume=1.0,
         dp_weight_mode="exp",
     )
     defaults.update(overrides)
@@ -476,6 +476,39 @@ def scalar_ransac_verify(src, dst, rng, iters, inlier_tol, min_inliers):
         return None
     R, t = rigid_transform_svd(src[mask], dst[mask])
     return Pose.unit(t, rot_to_quat(R)), mask
+
+
+def scalar_consensus_possible(src, dst, m, inlier_tol, seed=0):
+    """`placerec.consensus_possible` as a scalar peel: its reference. Pairs
+    i, j are linked when | |s_i - s_j| - |d_i - d_j| | is not above 2 tol
+    plus the margin. Links are visited in a seeded random order, and a link
+    whose ends share fewer than m - 2 linked pairs is removed at once, until
+    a pass removes none. Returns the pairs left on a link, or None."""
+    n = len(src)
+    margin = 1e-9 * max([1.0] + [abs(float(x)) for x in np.ravel(src)] + [abs(float(x)) for x in np.ravel(dst)])
+
+    def dist(p, i, j):
+        dx, dy, dz = (float(p[i][k]) - float(p[j][k]) for k in range(3))
+        return math.sqrt(dx * dx + dy * dy + dz * dz)
+
+    linked = [set() for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not abs(dist(src, i, j) - dist(dst, i, j)) > 2.0 * abs(inlier_tol) + margin:
+                linked[i].add(j)
+                linked[j].add(i)
+    links = [(i, j) for i in range(n) for j in sorted(linked[i]) if i < j]
+    order = random.Random(seed)
+    removed = True
+    while removed:
+        removed = False
+        order.shuffle(links)
+        for i, j in links:
+            if j in linked[i] and len(linked[i] & linked[j]) < m - 2:
+                linked[i].discard(j)
+                linked[j].discard(i)
+                removed = True
+    return np.array([bool(s) for s in linked]) if any(linked) else None
 
 
 def scalar_check_spd(cov, tol=SPD_EIG_TOL) -> None:
@@ -976,8 +1009,8 @@ def oracle_step_score(ms, combo, existing, previous, n_fp, params):
     from math import lgamma
 
     total += lgamma(n_new + 1) + lgamma(n_fp_new + 1) - lgamma(n_meas + 1)
-    total += poisson.logpmf(n_new, params.lambda_new * params.prior_volume)
-    total += poisson.logpmf(n_fp_new, params.lambda_fp * params.prior_volume)
+    total += poisson.logpmf(n_new, params.lambda_new)
+    total += poisson.logpmf(n_fp_new, params.lambda_fp)
     return float(total)
 
 

@@ -338,8 +338,8 @@ class TestAssignmentRows:
                 n_new, n_fp = len(rows[New]), len(rows[FalsePositive])
                 expect = (
                     math.lgamma(n_new + 1) + math.lgamma(n_fp + 1) - math.lgamma(len(ms) + 1)
-                    + poisson.logpmf(n_new, params.lambda_new * params.prior_volume)
-                    + poisson.logpmf(n_fp, params.lambda_fp * params.prior_volume)
+                    + poisson.logpmf(n_new, params.lambda_new)
+                    + poisson.logpmf(n_fp, params.lambda_fp)
                 )
                 assert assignment_prior_log(a, params) == pytest.approx(expect, rel=1e-12, abs=1e-12)
                 seen.update(type(t) for t in targets)
@@ -354,12 +354,12 @@ class TestAssignmentPrior:
         return assignment_of(cm, targets)
 
     def test_all_zero_counts(self):
-        params = simple_params(lambda_new=0.5, lambda_fp=0.2, prior_volume=1.0)
+        params = simple_params(lambda_new=0.5, lambda_fp=0.2)
         a = self.assignment([])
         assert assignment_prior_log(a, params) == pytest.approx(-0.7)
 
     def test_mixed_counts_spot_value(self):
-        params = simple_params(lambda_new=0.5, lambda_fp=0.2, prior_volume=1.0)
+        params = simple_params(lambda_new=0.5, lambda_fp=0.2)
         a = self.assignment([New(), FalsePositive(), Existing(0)])
         expect = math.log((1.0 / 6.0) * 0.5 * math.exp(-0.5) * 0.2 * math.exp(-0.2))
         got = assignment_prior_log(a, params)
@@ -367,7 +367,7 @@ class TestAssignmentPrior:
         assert got == pytest.approx(-4.794, abs=1e-3)
 
     def test_all_new_factorials_cancel(self):
-        params = simple_params(lambda_new=0.5, lambda_fp=0.2, prior_volume=1.0)
+        params = simple_params(lambda_new=0.5, lambda_fp=0.2)
         a = self.assignment([New(), New(), New()])
         lam = 0.5
         expect = math.log(math.exp(-lam) * lam**3 / 6.0) + math.log(math.exp(-0.2))

@@ -61,6 +61,12 @@ class TestErrors:
         with pytest.raises(ConfigError, match=f"line 3: unknown key '{name}'"):
             parse_config(f"steps = 5\n\n{name} = 0.5\n")
 
+    def test_prior_volume_is_unknown(self):
+        """lambda_new and lambda_fp are the per-scene Poisson means; the key
+        that only scaled both is gone, and a file that sets it fails to load."""
+        with pytest.raises(ConfigError, match="line 2: unknown key 'prior_volume'"):
+            parse_config("steps = 5\nprior_volume = 1.0\n")
+
     def test_duplicate_key_reports_line(self):
         with pytest.raises(ConfigError, match="line 3.*duplicate"):
             parse_config("steps = 5\n\nsteps = 6\n")
@@ -103,9 +109,7 @@ class TestErrors:
             parse_config(f"{name} = {value}")
         assert getattr(parse_config(f"{name} = 1e-9"), name) == 1e-9
 
-    @pytest.mark.parametrize(
-        "name", ["dirichlet_alpha", "fp_rate", "map_volume", "lambda_new", "lambda_fp", "prior_volume"]
-    )
+    @pytest.mark.parametrize("name", ["dirichlet_alpha", "fp_rate", "map_volume", "lambda_new", "lambda_fp"])
     @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
     def test_association_and_ukf_keys_must_be_finite_and_positive(self, name, value):
         with pytest.raises(ConfigError, match=f"{name} must be finite and positive"):
@@ -213,7 +217,7 @@ def test_every_config_key_declares_a_domain():
     """A key without a domain would take any value: RunConfig checks each
     key's value against the domain declared next to its default."""
     assert [f.name for f in fields(RunConfig) if not isinstance(f.metadata.get("domain"), Domain)] == []
-    assert len(NUMERIC_KEYS) == 48  # the keys the sweep covers: all but 5 choices, 1 flag and 1 tuple
+    assert len(NUMERIC_KEYS) == 47  # the keys the sweep covers: all but 5 choices, 1 flag and 1 tuple
 
 
 def sweep_values(name):

@@ -31,6 +31,7 @@ from semslam.placerec import (
 
 from conftest import (
     pose_approx_equal,
+    scalar_consensus_possible,
     scalar_detect,
     scalar_exp_so3,
     scalar_ransac_best_mask,
@@ -185,6 +186,41 @@ class TestSceneLaplacian:
     def test_empty_scene_rejected(self):
         with pytest.raises(ContractViolation):
             scene_laplacian(scene(0, np.zeros((0, 3)), []), 1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 3), st.floats(0.5, 3.0), st.integers(0, 2**32 - 1))
+    def test_node_order_breaks_ties_by_row(self, n, n_classes, radius, seed):
+        # grid points share classes and centroid distances; the rows are
+        # ordered by sorting (class, distance, row), one row at a time
+        pos, cls = _grid_scene(np.random.default_rng(seed), n, n_classes)
+        want = _laplacian_in_order(pos, radius, _node_order(pos, cls, lambda i: i))
+        assert np.array_equal(scene_laplacian(scene(0, pos, cls.tolist()), radius), want)
+
+    def test_tie_order_changes_the_matrix(self):
+        # the property above is not vacuous: on some grid scenes, ordering
+        # tied rows last row first gives another matrix
+        changed = 0
+        for seed in range(40):
+            pos, cls = _grid_scene(np.random.default_rng(seed), 8, 2)
+            by_row, by_reversed_row = (
+                _laplacian_in_order(pos, 1.5, _node_order(pos, cls, key)) for key in (lambda i: i, lambda i: -i)
+            )
+            changed += not np.array_equal(by_row, by_reversed_row)
+        assert changed
+
+
+def _grid_scene(rng, n, n_classes):
+    return rng.integers(-1, 2, (n, 3)).astype(float), rng.integers(0, n_classes, n)
+
+
+def _node_order(pos, cls, tie):
+    centroid = pos.mean(axis=0)
+    return sorted(range(len(pos)), key=lambda i: (int(cls[i]), float(np.linalg.norm(pos[i] - centroid)), tie(i)))
+
+
+def _laplacian_in_order(pos, radius, order):
+    adj = np.array([[float(i != j and np.linalg.norm(pos[i] - pos[j]) <= radius) for j in order] for i in order])
+    return np.diag(adj.sum(axis=1)) - adj
 
 
 class TestNccScore:
@@ -370,6 +406,16 @@ def _screen_problem(rng, kind, n, tol):
     return src, dst, k
 
 
+def _truss_problem(rng, n, tol):
+    """n putative pairs under one rigid motion: each is moved off it by a
+    residual of 0, 0.5, 1 (planted) or 3 (perturbed) times tol."""
+    R, t = scalar_exp_so3(rng.normal(size=3)), rng.uniform(-10.0, 10.0, 3)
+    src = rng.uniform(-4.0, 4.0, (n, 3))
+    e = rng.normal(size=(n, 3))
+    e *= tol * rng.choice([0.0, 0.5, 1.0, 3.0], n)[:, None] / np.linalg.norm(e, axis=1, keepdims=True)
+    return src, (src + e) @ R.T + t
+
+
 class TestConsensusScreen:
     def _check(self, src, dst, iters, tol, min_inliers, seed):
         """The screen admits every input whose unscreened scan reaches
@@ -419,6 +465,30 @@ class TestConsensusScreen:
         assert all(reached[kind] for kind in SCREEN_KINDS[:-1]) and reached_at_3, reached
         assert screened
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 24), st.integers(0, 8), st.floats(0.1, 2.0), st.integers(0, 2**32 - 1))
+    def test_screen_equals_the_scalar_peel(self, n, m, tol, seed):
+        """The screen keeps the m-truss: what is left after peeling links one
+        at a time, in any order."""
+        src, dst = _truss_problem(np.random.default_rng(seed), n, tol)
+        got = consensus_possible(src, dst, m, tol)
+        for order in (seed, seed + 1):
+            want = scalar_consensus_possible(src, dst, m, tol, order)
+            assert (got is None) == (want is None)
+            assert want is None or np.array_equal(got, want)
+
+    def test_truss_problems_keep_none_some_and_all(self):
+        # the property above is not vacuous: at m >= 3, seeded problems leave
+        # no pair, some of the linked pairs and every linked pair
+        seen = set()
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n, m, tol = int(rng.integers(4, 25)), int(rng.integers(3, 9)), float(rng.uniform(0.1, 2.0))
+            src, dst = _truss_problem(rng, n, tol)
+            core, linked = consensus_possible(src, dst, m, tol), consensus_possible(src, dst, 2, tol)
+            seen.add("none" if core is None else "all" if np.array_equal(core, linked) else "some")
+        assert seen == {"none", "some", "all"}
+
     @pytest.mark.parametrize("tol", [0.0, 0.05, 0.5])
     def test_compatible_up_to_twice_tol_plus_margin(self, tol):
         # four pairs on a stretched tetrahedron; only the 0-1 distance differs,
@@ -430,6 +500,8 @@ class TestConsensusScreen:
             dst[1, 0] += gap
             assert (consensus_possible(src, dst, 4, tol) is not None) is ok
             assert consensus_possible(src, dst, 3, tol) is not None
+        # no pairs: the margin is 1e-9 and no link is left
+        assert consensus_possible(np.zeros((0, 3)), np.zeros((0, 3)), 3, tol) is None
 
     def test_shared_points_need_their_partners_within_twice_tol(self):
         # pairs 0 and 1 share a src point, so they are compatible iff their
@@ -493,11 +565,11 @@ def _k33(tol):
 
 
 class TestSampleBound:
-    """The edge peel and the per-sample centroid bound: every sample whose
+    """The truss and the per-sample centroid bound: every sample whose
     fit has m inliers is fit, and ransac_verify returns the unscreened
     scan's result."""
 
-    def test_k33_passes_the_vertex_core_and_fails_the_edge_peel(self):
+    def test_k33_has_no_triangle_so_no_3_truss(self):
         src, dst = _k33(0.5)
         gap = np.abs(placerec._distances(src, src) - placerec._distances(dst, dst))
         side = np.arange(6) < 3
